@@ -18,7 +18,8 @@ JSON is the primary format; dimension tables are also available as CSV.
 
 Exit codes: 0 success (for verify-style commands: every check passed),
 1 checks ran but failed, 2 malformed input, 3 precondition violated
-(not Markov / not central), 4 resource limit, 5 internal invariant broken.
+(not Markov / not central), 4 resource limit (loop budget, group closure,
+factoring effort, values out of float range), 5 internal error.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .markov import (
     loop_space_dim,
     word_norm,
 )
-from .radical import RadicalScalar
 from .symmetry import (
     close_group,
     fixed_dims_report,
@@ -78,6 +78,10 @@ def _load_json(path: str) -> dict:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # Not UTF-8, an integer over the interpreter's digit limit, or
+        # nesting deeper than the parser's recursion limit.
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _load_inclusion(path: str) -> InclusionData:
@@ -96,10 +100,6 @@ def _check_loop_budget(inc: InclusionData, max_degree: int, limit: int) -> None:
 
 def _fraction_json(q: Fraction):
     return int(q) if q.denominator == 1 else str(q)
-
-
-def _scalar_json(x: RadicalScalar) -> dict:
-    return {"exact": str(x), "value": x.to_float()}
 
 
 def _emit(text: str) -> int:
@@ -358,6 +358,9 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except PlanarAlgError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # the exit-code contract allows no traceback
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -46,7 +46,12 @@ class GroupTooLargeError(PlanarAlgError):
 
 
 class ResourceLimitError(PlanarAlgError):
-    """Predicted enumeration size exceeds the configured ceiling."""
+    """Work refused up front or cut off at its budget.
+
+    Raised when a predicted loop enumeration exceeds its ceiling, when an
+    integer cannot be factored into proven primes within the factoring
+    budget, and when a numeric computation would leave float range.
+    """
 
 
 class TangleProgramError(PlanarAlgError):

@@ -13,13 +13,12 @@ exact index powers.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
-import numpy as np
-
-from .errors import NotAbelianError, NotMarkovError, ValidationError
+from .errors import NotAbelianError, NotMarkovError, ResourceLimitError, ValidationError
 from .radical import RadicalScalar, sqrt_of_int
 
 CommutantFlavor = Literal["AA", "AB", "BA", "BB"]
@@ -40,7 +39,7 @@ class AlgebraDims:
         if not blocks:
             raise ValidationError("an algebra needs at least one block")
         for n in blocks:
-            if not isinstance(n, int) or n < 1:
+            if isinstance(n, bool) or not isinstance(n, int) or n < 1:
                 raise ValidationError(f"block dimension {n!r} is not a positive integer")
         object.__setattr__(self, "blocks", blocks)
 
@@ -84,7 +83,7 @@ class InclusionData:
             if len(row) != width:
                 raise ValidationError("inclusion matrix rows have unequal lengths")
             for entry in row:
-                if not isinstance(entry, int) or entry < 0:
+                if isinstance(entry, bool) or not isinstance(entry, int) or entry < 0:
                     raise ValidationError(f"matrix entry {entry!r} is not a nonnegative integer")
         for i, row in enumerate(rows):
             if not any(row):
@@ -157,10 +156,6 @@ def canonical_trace_weights(dims: AlgebraDims) -> list[Fraction]:
 
 def _m_times(inc: InclusionData, vec: Sequence) -> list:
     return [sum(row[j] * vec[j] for j in range(inc.cols)) for row in inc.m]
-
-
-def _mt_times(inc: InclusionData, vec: Sequence) -> list:
-    return [sum(inc.m[i][j] * vec[i] for i in range(inc.rows)) for j in range(inc.cols)]
 
 
 def _is_abelian(inc: InclusionData) -> bool:
@@ -275,13 +270,21 @@ def word_norm(inc: InclusionData, length: int, starts_with: WordStart = "m") -> 
     """Spectral norm of the alternating word of the given length.
 
     Returns (numeric, exact): the numeric value comes from power iteration
-    on W W^t, the exact one is r^(length/2) as a radical scalar.
+    on W W^t, the exact one is r^(length/2) as a radical scalar.  Refuses
+    with ResourceLimitError, before any float work, when the squared norm
+    r^(2 length) of W W^t v would overflow a float.
     """
     if length < 1:
         raise ValidationError("word length must be positive")
     if starts_with not in ("m", "mt"):
         raise ValidationError(f"word must start with 'm' or 'mt', got {starts_with!r}")
     r = markov_index(inc)
+    if r ** (2 * length) > sys.float_info.max:
+        raise ResourceLimitError(
+            f"word of length {length} leaves float range: r^{2 * length} > {sys.float_info.max:.3g}"
+        )
+
+    import numpy as np  # only word norms need numpy; deferred to keep start-up cheap
 
     m = np.array(inc.m, dtype=float)
     factors = []

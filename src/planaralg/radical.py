@@ -13,17 +13,21 @@ reduced to {1, 2, 3} with whole prime powers folded into the coefficient,
 equal radical parts are merged, zero coefficients dropped.  Distinct reduced
 monomials are linearly independent over the rationals, so equality of normal
 forms decides equality of values and `x == y` is trustworthy.
+
+That independence needs prime bases, so factorizations must be exact: the
+factorizer below proves every factor it returns prime, or refuses with
+ResourceLimitError when it cannot do so within its effort budget.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 from typing import Iterable, Mapping, Union
 
-from sympy import factorint, isprime
-
-from .errors import NotInvertibleError, NotRepresentableError, ValidationError
+from .errors import NotInvertibleError, NotRepresentableError, ResourceLimitError, ValidationError
 
 # Sorted ((prime, exponent numerator), ...) with numerators in 1..3.
 RadicalKey = tuple[tuple[int, int], ...]
@@ -32,12 +36,185 @@ RationalLike = Union[int, Fraction]
 
 _MONOMIAL_RE = re.compile(r"^(\d+)\^\((-?\d+)/4\)$")
 
+# -- integer factorization ------------------------------------------------------
+
+_TRIAL_LIMIT = 1000
+
+
+def _primes_below(limit: int) -> tuple[int, ...]:
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, int(limit**0.5) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return tuple(p for p, flag in enumerate(sieve) if flag)
+
+
+_SMALL_PRIMES = _primes_below(_TRIAL_LIMIT)
+# Miller-Rabin with the twelve prime bases up to 37 is proven correct for
+# every n below this bound (Sorenson and Webster, 2015); above it a passing
+# n is only a probable prime.
+_MR_BASES = _SMALL_PRIMES[:12]
+_MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
+# Pollard-Brent rho steps allowed for the factorization of one integer.
+# A prime factor p turns up after a few times sqrt(p) steps: for 382 primes
+# just below 10^11 times a 17-digit prime the largest count was 3.2 million
+# (median 0.8 million).  The budget bounds a refusal at about 4 s of one
+# 2-core Xeon VM's time (~0.5 us per step).
+FACTOR_BUDGET = 1 << 23
+_RHO_BATCH = 128
+
+
+def _is_prime(n: int) -> bool:
+    """Primality, proven; refuses a probable prime above the proven bound."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_PROVEN_BELOW:
+        raise ResourceLimitError(f"cannot prove {n} prime: above the Miller-Rabin bound")
+    return True
+
+
+def _rho_factor(n: int, budget: int) -> tuple[int, int]:
+    """A proper factor of the odd composite n by Pollard-Brent rho.
+
+    Returns (factor, steps used); refuses before taking more than `budget`
+    steps.  Differences are multiplied in batches so one gcd serves
+    _RHO_BATCH steps; a batch that overshoots is replayed step by step.
+    """
+    steps = 0
+
+    def spend(count: int) -> None:
+        nonlocal steps
+        steps += count
+        if steps > budget:
+            raise ResourceLimitError(
+                f"factoring {n} needs more than {FACTOR_BUDGET} rho steps"
+            )
+
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            spend(r)
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                batch = min(_RHO_BATCH, r - k)
+                spend(batch)
+                for _ in range(batch):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += batch
+            r *= 2
+        if g == n:
+            while True:
+                spend(1)
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+                if g > 1:
+                    break
+        if g != n:
+            return g, steps
+    raise AssertionError(f"{n} is not an odd composite")
+
+
+def _perfect_power(m: int) -> tuple[int, int]:
+    """(root, k) with m == root**k for the smallest prime k that fits, else (m, 1).
+
+    Only for m free of primes below _TRIAL_LIMIT, whose roots exceed it.
+    Rho would need about sqrt(q) steps to split q^2, so powers are taken
+    apart here first.
+    """
+    for k in _SMALL_PRIMES:
+        if _TRIAL_LIMIT**k >= m:
+            break
+        # Newton's method from above converges to floor(m^(1/k)).
+        x = 1 << -(-m.bit_length() // k)
+        while True:
+            y = ((k - 1) * x + m // x ** (k - 1)) // k
+            if y >= x:
+                break
+            x = y
+        if x**k == m:
+            return x, k
+    return m, 1
+
+
+def _factorint(n: int) -> dict[int, int]:
+    """Prime factorization of a positive integer: prime -> exponent.
+
+    Trial division by the primes below _TRIAL_LIMIT, then _factor_rough on
+    what is left; every factor is proven prime.  Raises ResourceLimitError
+    instead of guessing.
+    """
+    if n < 1:
+        raise ValueError(f"cannot factor {n}")
+    factors: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            n //= p
+            factors[p] = factors.get(p, 0) + 1
+    if n > 1:
+        for p, e in _factor_rough(n):
+            factors[p] = factors.get(p, 0) + e
+    return factors
+
+
+# The block dimensions of one graph share their large factors (a block of
+# dimension x gives totals like 2x^2 and 4x^2), so the rough parts repeat.
+@lru_cache(maxsize=256)
+def _factor_rough(n: int) -> tuple[tuple[int, int], ...]:
+    """Factorization of an n > 1 free of primes below _TRIAL_LIMIT.
+
+    Perfect powers are taken apart, then Pollard-Brent rho splits the rest,
+    with one budget for the whole factorization.
+    """
+    factors: dict[int, int] = {}
+    budget = FACTOR_BUDGET
+    pending = [(n, 1)]
+    while pending:
+        m, e = pending.pop()
+        # No prime below _TRIAL_LIMIT divides m, so below its square m is prime.
+        if m < _TRIAL_LIMIT * _TRIAL_LIMIT or _is_prime(m):
+            factors[m] = factors.get(m, 0) + e
+            continue
+        root, k = _perfect_power(m)
+        if k > 1:
+            pending.append((root, e * k))
+            continue
+        d, used = _rho_factor(m, budget)
+        budget -= used
+        pending += [(d, e), (m // d, e)]
+    return tuple(factors.items())
+
 
 def _factor_positive_fraction(q: Fraction) -> dict[int, int]:
     """Prime factorization of a positive rational, exponents in Z."""
     assert q > 0
-    exps: dict[int, int] = dict(factorint(q.numerator))
-    for p, e in factorint(q.denominator).items():
+    exps = _factorint(q.numerator)
+    for p, e in _factorint(q.denominator).items():
         exps[p] = exps.get(p, 0) - e
     return exps
 
@@ -92,8 +269,8 @@ class RadicalScalar:
     def monomial(cls, coeff: RationalLike, exps: Mapping[int, int]) -> RadicalScalar:
         """coeff * prod p^(e/4) for a map prime -> exponent numerator."""
         for p in exps:
-            if not isprime(p):
-                raise ValidationError(f"radical base {p} is not prime")
+            if isinstance(p, bool) or not isinstance(p, int) or not _is_prime(p):
+                raise ValidationError(f"radical base {p!r} is not a prime integer")
         key, folded = _reduce_monomial(Fraction(coeff), exps)
         return cls({key: folded})
 

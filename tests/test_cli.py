@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planaralg import EigenvectorViolationError, GroupTooLargeError, PlanarAlgError
 from planaralg.cli import main
@@ -300,6 +304,134 @@ class TestExitCodeMapping:
         group = write_group([])
         args = ["fixed", "--input", write_inclusion("C-in-C2"), "--group", group, "--kmax", "1"]
         assert main(args) == 4
+
+    def test_unexpected_exception(self, write_inclusion, monkeypatch, capsys):
+        def boom(args):
+            raise RuntimeError("not a package error\nsecond line")
+
+        monkeypatch.setattr("planaralg.cli.cmd_analyze", boom)
+        assert main(["analyze", "--input", write_inclusion("C-in-C2")]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
+class TestHardenedInput:
+    """Documents that once escaped the exit-code contract."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [{"a": [True], "m": [[1, 1]]}, {"a": [1], "m": [[True, 1]]}, {"a": [1, 1], "m": [[1], [False]]}],
+    )
+    def test_json_booleans_are_not_integers(self, write_inclusion, capsys, payload):
+        args = ["tower", "--input", write_inclusion("bool", payload), "--depth", "2", "--format", "csv"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error" in captured.err
+
+    @pytest.mark.parametrize("entry", [10**200, 10**13])
+    def test_word_norms_out_of_float_range_refused(self, write_inclusion, capsys, entry):
+        # r = entry^2; the length-6 word needs r^12 in float range.
+        path = write_inclusion("huge", {"a": [1], "m": [[entry]]})
+        assert main(["analyze", "--input", path]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "resource limit" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_largest_in_range_index_still_reported(self, write_inclusion, capsys):
+        path = write_inclusion("large", {"a": [1], "m": [[10**12]]})
+        assert main(["analyze", "--input", path]) == 0
+        norms = json.loads(capsys.readouterr().out)["word_norms"]
+        assert len(norms) == 12
+        assert all(row["rel_error"] <= 1e-9 for row in norms)
+
+    def test_unprovable_prime_dimension_refused(self, write_inclusion, capsys):
+        # dim A = u^2 + v^2 is a prime above 3.3e24, where the fixed
+        # Miller-Rabin bases give no proof, and the graph needs its root.
+        u, v = 1080733131607, 1679200834282
+        path = write_inclusion("big-prime", {"a": [u, v], "m": [[1, 0], [0, 1]]})
+        assert main(["verify-tl", "--input", path, "--kmax", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Miller-Rabin" in captured.err
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"\xff\xfe{}", b'{"a": [1], "m": [[' + b"1" * 5000 + b"]]}", b"[" * 100000 + b"]" * 100000],
+        ids=["not-utf8", "over-digit-limit", "deep-nesting"],
+    )
+    def test_undecodable_documents_are_input_errors(self, tmp_path, capsys, raw):
+        path = tmp_path / "raw.json"
+        path.write_bytes(raw)
+        assert main(["analyze", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error" in captured.err
+
+
+_json_leaf = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 6)
+    | st.integers(0, 10**6)
+    | st.sampled_from([10**13, 10**200])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=3)
+)
+_json_value = st.recursive(
+    _json_leaf,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _inclusion_like(draw):
+    """Mostly well-formed documents, so that many pass validation and reach
+    the exact and numeric code; one in ten entries and one in five
+    documents is arbitrary JSON."""
+    if not draw(st.integers(0, 4)):
+        return draw(_json_value)
+
+    def entry(least):
+        return draw(st.integers(least, 3) if draw(st.integers(0, 9)) else _json_leaf)
+
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    document = {"a": [entry(1) for _ in range(rows)], "m": [[entry(0) for _ in range(cols)] for _ in range(rows)]}
+    if not draw(st.integers(0, 4)):
+        document[draw(st.sampled_from(["a", "m", "b", "extra"]))] = draw(_json_value)
+    return document
+
+
+_argv_tail = st.one_of(
+    st.just(["analyze"]),
+    st.tuples(st.integers(-1, 3), st.sampled_from(["json", "csv"])).map(
+        lambda t: ["tower", "--depth", str(t[0]), "--format", t[1]]
+    ),
+    st.tuples(st.integers(-1, 6), st.sampled_from(["json", "csv"])).map(
+        lambda t: ["dims", "--kmax", str(t[0]), "--format", t[1]]
+    ),
+)
+
+
+class TestFuzzContract:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(document=_inclusion_like(), argv_tail=_argv_tail)
+    def test_exit_codes_and_no_traceback(self, tmp_path_factory, document, argv_tail):
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        argv = [argv_tail[0], "--input", str(path)] + argv_tail[1:]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in range(6)
+        assert "Traceback" not in err.getvalue()
+        # No document, however malformed, may reach an internal error.
+        assert code != 5, err.getvalue()
 
 
 class TestDeterminism:

@@ -12,9 +12,11 @@ from planaralg import (
     NotInvertibleError,
     NotRepresentableError,
     RadicalScalar,
+    ResourceLimitError,
     ValidationError,
 )
-from planaralg.radical import sqrt_of_int, sum_scalars
+from planaralg import radical
+from planaralg.radical import _factorint, _is_prime, sqrt_of_int, sum_scalars
 
 HALF = Fraction(1, 2)
 
@@ -260,3 +262,131 @@ class TestEqualityHash:
         assert RadicalScalar.from_rational(Fraction(4, 2)) == 2
         assert sqrt_of_int(2) != 2
         assert RadicalScalar.zero() != "0"
+
+
+def trial_division_factorint(n: int) -> dict[int, int]:
+    """Slow reference factorization for the in-house factorizer."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            n //= d
+            factors[d] = factors.get(d, 0) + 1
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def strong_probable_prime(n: int, base: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(base, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185)
+# Composite, yet a strong probable prime to bases 2, 3, 5 and 7.
+PSEUDOPRIME_2357 = 3215031751
+# The Mersenne prime 2^89 - 1 lies above 3.3e24, where the twelve fixed
+# Miller-Rabin bases no longer prove primality.
+PRIME_ABOVE_BOUND = 2**89 - 1
+
+
+class TestFactorizer:
+    def test_zero_and_one(self):
+        assert _factorint(1) == {}
+        assert not _is_prime(0)
+        assert not _is_prime(1)
+        with pytest.raises(ValueError):
+            _factorint(0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_integers_match_oracle(self, seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            n = rng.randrange(1, 10**9)
+            expected = trial_division_factorint(n)
+            assert _factorint(n) == expected
+            assert _is_prime(n) == (expected == {n: 1})
+
+    def test_random_semiprimes_above_trial_limit(self):
+        # Both factors above the trial-division primes, so rho splits them.
+        rng = random.Random(7)
+        primes = [p for p in range(1000, 8000) if trial_division_factorint(p) == {p: 1}]
+        for _ in range(200):
+            p, q = rng.choice(primes), rng.choice(primes)
+            assert _factorint(p * q) == trial_division_factorint(p * q)
+
+    @pytest.mark.parametrize(
+        "n",
+        [2**61, 3**40, 997**5, 1009**4, 1000003**3, (1009 * 1013) ** 2, (10007 * 1000003) ** 2],
+    )
+    def test_prime_powers_and_squared_semiprimes(self, n):
+        assert _factorint(n) == trial_division_factorint(n)
+
+    @pytest.mark.parametrize("n", CARMICHAEL)
+    def test_carmichael_numbers(self, n):
+        assert pow(2, n - 1, n) == 1 or math.gcd(2, n) > 1
+        assert not _is_prime(n)
+        assert _factorint(n) == trial_division_factorint(n)
+
+    def test_strong_pseudoprime_to_small_bases(self):
+        n = PSEUDOPRIME_2357
+        assert all(strong_probable_prime(n, b) for b in (2, 3, 5, 7))
+        assert not _is_prime(n)
+        assert _factorint(n) == {151: 1, 751: 1, 28351: 1}
+
+    def test_composite_and_non_integer_radical_bases_rejected(self):
+        for base in (4, 561, 41041, PSEUDOPRIME_2357, 2.0, True):
+            with pytest.raises(ValidationError):
+                RadicalScalar.monomial(Fraction(1), {base: 1})
+
+    def test_prime_above_proven_bound_refused(self):
+        n = PRIME_ABOVE_BOUND
+        assert n > radical._MR_PROVEN_BELOW
+        with pytest.raises(ResourceLimitError):
+            _is_prime(n)
+        with pytest.raises(ResourceLimitError):
+            _factorint(n)
+        with pytest.raises(ResourceLimitError):
+            sqrt_of_int(n)
+        with pytest.raises(ResourceLimitError):
+            RadicalScalar.monomial(Fraction(1), {n: 1})
+
+    def test_composite_above_proven_bound_factored(self):
+        # Miller-Rabin proofs of compositeness hold at any size.
+        n = 2**89 + 1
+        expected = {3: 1, 179: 1, 62020897: 1, 18584774046020617: 1}
+        assert math.prod(p**e for p, e in expected.items()) == n
+        assert _factorint(n) == expected
+
+    def test_budget_exhaustion_refused(self, monkeypatch):
+        n = 1000037 * 1000039
+        monkeypatch.setattr(radical, "FACTOR_BUDGET", 200)
+        with pytest.raises(ResourceLimitError):
+            _factorint(n)
+        with pytest.raises(ResourceLimitError):
+            sqrt_of_int(n)
+        monkeypatch.undo()
+        assert _factorint(n) == {1000037: 1, 1000039: 1}
+
+    def test_powers_of_large_primes_need_no_rho(self, monkeypatch):
+        # Rho would need about sqrt(q) steps to split q^2; roots are taken instead.
+        p, q = 10000000019, 10000000000000061
+        monkeypatch.setattr(radical, "FACTOR_BUDGET", 0)
+        assert _factorint(2 * q**2) == {2: 1, q: 2}
+        assert _factorint(p**6 * 3**4) == {3: 4, p: 6}
+        assert _factorint(1013**10) == {1013: 10}
+
+    def test_budget_admits_eleven_by_seventeen_digit_semiprime(self):
+        p, q = 10000000019, 10000000000000061
+        assert _factorint(p * q) == {p: 1, q: 1}
