@@ -272,16 +272,19 @@ def word_norm(inc: InclusionData, length: int, starts_with: WordStart = "m") -> 
     Returns (numeric, exact): the numeric value comes from power iteration
     on W W^t, the exact one is r^(length/2) as a radical scalar.  Refuses
     with ResourceLimitError, before any float work, when the squared norm
-    r^(2 length) of W W^t v would overflow a float.
+    of W W^t v would overflow a float: at most r^(2 length) times the rows
+    of the start vector v = (1, ..., 1).  Logarithms keep the check from
+    building the huge power itself.
     """
     if length < 1:
         raise ValidationError("word length must be positive")
     if starts_with not in ("m", "mt"):
         raise ValidationError(f"word must start with 'm' or 'mt', got {starts_with!r}")
     r = markov_index(inc)
-    if r ** (2 * length) > sys.float_info.max:
+    if 2 * length * math.log2(r) + math.log2(inc.rows) >= sys.float_info.max_exp - 1:
         raise ResourceLimitError(
-            f"word of length {length} leaves float range: r^{2 * length} > {sys.float_info.max:.3g}"
+            f"word of length {length} leaves float range: "
+            f"{inc.rows} * r^{2 * length} >= 2^{sys.float_info.max_exp - 1}"
         )
 
     import numpy as np  # only word norms need numpy; deferred to keep start-up cheap

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from typing import Iterable, Mapping, Union
 
@@ -51,12 +50,15 @@ def _primes_below(limit: int) -> tuple[int, ...]:
 
 
 _SMALL_PRIMES = _primes_below(_TRIAL_LIMIT)
-# Miller-Rabin with the twelve prime bases up to 37 is proven correct for
-# every n below this bound (Sorenson and Webster, 2015); above it a passing
-# n is only a probable prime.
-_MR_BASES = _SMALL_PRIMES[:12]
+# Miller-Rabin with the thirteen prime bases up to 41 is proven correct for
+# every n below this bound, psi_13 (Sorenson and Webster, 2015); above it a
+# passing n is only a probable prime.  The twelve bases up to 37 would not
+# do: psi_12 = 318665857834031151167461 is composite and passes them all.
+_MR_BASES = _SMALL_PRIMES[:13]
 _MR_PROVEN_BELOW = 3_317_044_064_679_887_385_961_981
-# Pollard-Brent rho steps allowed for the factorization of one integer.
+# Pollard-Brent rho steps allowed for the factorization of one integer, so
+# separately for the numerator and the denominator of a rational and for
+# each integer of a document.
 # A prime factor p turns up after a few times sqrt(p) steps: for 382 primes
 # just below 10^11 times a 17-digit prime the largest count was 3.2 million
 # (median 0.8 million).  The budget bounds a refusal at about 4 s of one
@@ -105,7 +107,7 @@ def _rho_factor(n: int, budget: int) -> tuple[int, int]:
         steps += count
         if steps > budget:
             raise ResourceLimitError(
-                f"factoring {n} needs more than {FACTOR_BUDGET} rho steps"
+                f"factoring {n} needs more than the {budget} rho steps left"
             )
 
     for c in range(1, n):
@@ -164,8 +166,8 @@ def _factorint(n: int) -> dict[int, int]:
     """Prime factorization of a positive integer: prime -> exponent.
 
     Trial division by the primes below _TRIAL_LIMIT, then _factor_rough on
-    what is left; every factor is proven prime.  Raises ResourceLimitError
-    instead of guessing.
+    what is left, with FACTOR_BUDGET rho steps for this integer; every
+    factor is proven prime.  Raises ResourceLimitError instead of guessing.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
@@ -177,37 +179,50 @@ def _factorint(n: int) -> dict[int, int]:
             n //= p
             factors[p] = factors.get(p, 0) + 1
     if n > 1:
-        for p, e in _factor_rough(n):
+        for p, e in _factor_rough(n, [FACTOR_BUDGET]):
             factors[p] = factors.get(p, 0) + e
     return factors
 
 
 # The block dimensions of one graph share their large factors (a block of
-# dimension x gives totals like 2x^2 and 4x^2), so the rough parts repeat.
-@lru_cache(maxsize=256)
-def _factor_rough(n: int) -> tuple[tuple[int, int], ...]:
+# dimension x gives totals like 2x^2 and 4x^2), so rough parts and their
+# roots repeat.  The oldest entry is dropped first.
+_ROUGH_CACHE: dict[int, tuple[tuple[int, int], ...]] = {}
+_ROUGH_CACHE_SIZE = 256
+
+
+def _factor_rough(n: int, budget: list[int]) -> tuple[tuple[int, int], ...]:
     """Factorization of an n > 1 free of primes below _TRIAL_LIMIT.
 
-    Perfect powers are taken apart, then Pollard-Brent rho splits the rest,
-    with one budget for the whole factorization.
+    Perfect powers are factored through their roots, which go through the
+    cache too, so x and x^2 share work; Pollard-Brent rho splits the rest.
+    budget[0] holds the rho steps left for the whole integer being factored
+    and is spent in place.
     """
+    # No prime below _TRIAL_LIMIT divides n, so below its square n is prime.
+    if n < _TRIAL_LIMIT * _TRIAL_LIMIT:
+        return ((n, 1),)
+    if n in _ROUGH_CACHE:
+        return _ROUGH_CACHE[n]
     factors: dict[int, int] = {}
-    budget = FACTOR_BUDGET
     pending = [(n, 1)]
     while pending:
         m, e = pending.pop()
-        # No prime below _TRIAL_LIMIT divides m, so below its square m is prime.
         if m < _TRIAL_LIMIT * _TRIAL_LIMIT or _is_prime(m):
             factors[m] = factors.get(m, 0) + e
             continue
         root, k = _perfect_power(m)
         if k > 1:
-            pending.append((root, e * k))
+            for p, f in _factor_rough(root, budget):
+                factors[p] = factors.get(p, 0) + e * k * f
             continue
-        d, used = _rho_factor(m, budget)
-        budget -= used
+        d, used = _rho_factor(m, budget[0])
+        budget[0] -= used
         pending += [(d, e), (m // d, e)]
-    return tuple(factors.items())
+    if len(_ROUGH_CACHE) >= _ROUGH_CACHE_SIZE:
+        del _ROUGH_CACHE[next(iter(_ROUGH_CACHE))]
+    _ROUGH_CACHE[n] = result = tuple(factors.items())
+    return result
 
 
 def _factor_positive_fraction(q: Fraction) -> dict[int, int]:

@@ -12,6 +12,7 @@ from planaralg import (
     InclusionData,
     NotAbelianError,
     NotMarkovError,
+    ResourceLimitError,
     ValidationError,
     analyze,
     basic_construction,
@@ -349,6 +350,18 @@ class TestWordNorm:
         inc = corpus_entry("skew-C2-in-M2xC").inclusion()
         with pytest.raises(NotMarkovError):
             word_norm(inc, 2)
+
+    def test_start_vector_counts_toward_float_range(self):
+        # r = 2 a^2 ~ 4.7e25: r^12 alone fits in a float, but the squared
+        # norm of W W^t (1, 1) is about 2 r^12, which does not.
+        a = 4_850_000_000_000
+        inc = InclusionData([1, 1], [[a], [a]])
+        assert markov_index(inc) == 2 * a * a
+        assert float(2 * a * a) ** 12 < 1.8e308
+        with pytest.raises(ResourceLimitError):
+            word_norm(inc, 6)
+        numeric, exact = word_norm(inc, 5)
+        assert numeric == pytest.approx(exact.to_float(), rel=1e-9)
 
     def test_rejects_bad_args(self):
         inc = corpus_entry("C-in-C2").inclusion()

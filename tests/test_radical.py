@@ -296,7 +296,10 @@ def strong_probable_prime(n: int, base: int) -> bool:
 CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185)
 # Composite, yet a strong probable prime to bases 2, 3, 5 and 7.
 PSEUDOPRIME_2357 = 3215031751
-# The Mersenne prime 2^89 - 1 lies above 3.3e24, where the twelve fixed
+# Composite, yet a strong probable prime to every prime base up to 37
+# (psi_12); the base 41 exposes it.
+PSEUDOPRIME_TO_37 = 318665857834031151167461
+# The Mersenne prime 2^89 - 1 lies above 3.3e24, where the thirteen fixed
 # Miller-Rabin bases no longer prove primality.
 PRIME_ABOVE_BOUND = 2**89 - 1
 
@@ -345,6 +348,15 @@ class TestFactorizer:
         assert not _is_prime(n)
         assert _factorint(n) == {151: 1, 751: 1, 28351: 1}
 
+    def test_strong_pseudoprime_to_bases_up_to_37(self):
+        n = PSEUDOPRIME_TO_37
+        assert n < radical._MR_PROVEN_BELOW
+        assert all(strong_probable_prime(n, b) for b in radical._SMALL_PRIMES[:12])
+        assert not _is_prime(n)
+        assert _factorint(n) == {399165290221: 1, 798330580441: 1}
+        with pytest.raises(ValidationError):
+            RadicalScalar.monomial(Fraction(1), {n: 1})
+
     def test_composite_and_non_integer_radical_bases_rejected(self):
         for base in (4, 561, 41041, PSEUDOPRIME_2357, 2.0, True):
             with pytest.raises(ValidationError):
@@ -371,6 +383,7 @@ class TestFactorizer:
 
     def test_budget_exhaustion_refused(self, monkeypatch):
         n = 1000037 * 1000039
+        monkeypatch.setattr(radical, "_ROUGH_CACHE", {})
         monkeypatch.setattr(radical, "FACTOR_BUDGET", 200)
         with pytest.raises(ResourceLimitError):
             _factorint(n)
@@ -382,10 +395,29 @@ class TestFactorizer:
     def test_powers_of_large_primes_need_no_rho(self, monkeypatch):
         # Rho would need about sqrt(q) steps to split q^2; roots are taken instead.
         p, q = 10000000019, 10000000000000061
+        monkeypatch.setattr(radical, "_ROUGH_CACHE", {})
         monkeypatch.setattr(radical, "FACTOR_BUDGET", 0)
         assert _factorint(2 * q**2) == {2: 1, q: 2}
         assert _factorint(p**6 * 3**4) == {3: 4, p: 6}
         assert _factorint(1013**10) == {1013: 10}
+
+    @pytest.mark.parametrize("square_first", [False, True])
+    def test_semiprime_and_its_square_share_rho_work(self, monkeypatch, square_first):
+        # The root of x^2 goes through the cache, so whichever of x and 2 x^2
+        # comes second needs no rho step.
+        x = 1000037 * 1000039
+        monkeypatch.setattr(radical, "_ROUGH_CACHE", {})
+        first, second = (2 * x**2, x) if square_first else (x, 2 * x**2)
+        _factorint(first)
+        monkeypatch.setattr(radical, "FACTOR_BUDGET", 0)
+        assert _factorint(second) == trial_division_factorint(second)
+
+    def test_rough_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(radical, "_ROUGH_CACHE", {})
+        monkeypatch.setattr(radical, "_ROUGH_CACHE_SIZE", 2)
+        for p in (1000003, 1000033, 1000037):
+            assert _factorint(p) == {p: 1}
+        assert list(radical._ROUGH_CACHE) == [1000033, 1000037]
 
     def test_budget_admits_eleven_by_seventeen_digit_semiprime(self):
         p, q = 10000000019, 10000000000000061
