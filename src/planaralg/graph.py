@@ -22,6 +22,7 @@ to the square root of the index.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Literal, Mapping
@@ -40,16 +41,18 @@ class Edge:
     dst: int  # upper vertex (big-side block index)
 
 
-@dataclass(frozen=True, order=True)
-class Loop:
-    """A based closed walk; ordering is the canonical (base, edges) order."""
+class Loop(namedtuple("Loop", "base edges")):
+    """A based closed walk; ordering is the canonical (base, edges) order.
 
-    base: int
-    edges: tuple[int, ...]
+    A tuple, so hashing, equality and ordering run in C.
+    """
 
-    def __post_init__(self):
-        if len(self.edges) % 2:
+    __slots__ = ()
+
+    def __new__(cls, base: int, edges: tuple[int, ...]) -> Loop:
+        if len(edges) % 2:
             raise ValidationError("a loop has an even number of edges")
+        return tuple.__new__(cls, (base, edges))
 
     @property
     def degree(self) -> int:
@@ -61,13 +64,13 @@ class Loop:
 
     def bottom(self) -> tuple[int, ...]:
         """Second half reversed: the bottom row read as a path out of the base."""
-        return tuple(reversed(self.edges[self.degree :]))
+        return self.edges[self.degree :][::-1]
 
     @classmethod
     def from_paths(cls, base: int, top: tuple[int, ...], bottom: tuple[int, ...]) -> Loop:
         if len(top) != len(bottom):
             raise ValidationError("top and bottom paths must have equal length")
-        return cls(base, top + tuple(reversed(bottom)))
+        return tuple.__new__(cls, (base, top + bottom[::-1]))
 
 
 class PlanarElement:

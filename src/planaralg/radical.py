@@ -266,6 +266,13 @@ class RadicalScalar:
     def __setattr__(self, name, value):
         raise AttributeError("RadicalScalar is immutable")
 
+    @classmethod
+    def _normal(cls, terms: dict[RadicalKey, Fraction]) -> RadicalScalar:
+        """Wrap a dict already in normal form, skipping the normalising __init__."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "_terms", terms)
+        return out
+
     # -- constructors -----------------------------------------------------
 
     @classmethod
@@ -324,7 +331,7 @@ class RadicalScalar:
         return not self._terms
 
     def is_rational(self) -> bool:
-        return not self._terms or set(self._terms) == {()}
+        return not self._terms or (len(self._terms) == 1 and () in self._terms)
 
     def as_fraction(self) -> Fraction:
         """The value as an exact rational; error when radicals survive."""
@@ -363,15 +370,19 @@ class RadicalScalar:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        merged = dict(self._terms)
-        for key, coeff in rhs._terms.items():
+        a, b = self._terms, rhs._terms
+        if len(a) == 1 and len(b) == 1 and () in a and () in b:
+            total = a[()] + b[()]
+            return RadicalScalar._normal({(): total} if total else {})
+        merged = dict(a)
+        for key, coeff in b.items():
             merged[key] = merged.get(key, Fraction(0)) + coeff
         return RadicalScalar(merged)
 
     __radd__ = __add__
 
     def __neg__(self) -> RadicalScalar:
-        return RadicalScalar({k: -c for k, c in self._terms.items()})
+        return RadicalScalar._normal({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other) -> RadicalScalar:
         rhs = self._coerce(other)
@@ -389,9 +400,13 @@ class RadicalScalar:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
+        a, b = self._terms, rhs._terms
+        if len(a) == 1 and len(b) == 1 and () in a and () in b:
+            # Nonzero coefficients, so the product is nonzero too.
+            return RadicalScalar._normal({(): a[()] * b[()]})
         out: dict[RadicalKey, Fraction] = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in rhs._terms.items():
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
                 exps = dict(k1)
                 for p, e in k2:
                     exps[p] = exps.get(p, 0) + e
@@ -448,7 +463,7 @@ class RadicalScalar:
     def __hash__(self) -> int:
         if not self._terms:
             return hash(Fraction(0))
-        if set(self._terms) == {()}:
+        if self.is_rational():
             return hash(self._terms[()])
         return hash(frozenset(self._terms.items()))
 

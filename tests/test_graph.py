@@ -63,6 +63,46 @@ class TestLoop:
         loops = [Loop(1, (0, 0)), Loop(0, (1, 1)), Loop(0, (0, 0))]
         assert sorted(loops) == [Loop(0, (0, 0)), Loop(0, (1, 1)), Loop(1, (0, 0))]
 
+    def test_order_hash_and_equality_follow_base_then_edges(self):
+        rng = random.Random(2000)
+        loops = [
+            Loop(rng.randrange(3), tuple(rng.randrange(4) for _ in range(2 * rng.randrange(4))))
+            for _ in range(300)
+        ]
+        assert sorted(loops) == sorted(loops, key=lambda l: (l.base, l.edges))
+        for x, y in zip(loops, loops[1:] + loops[:1]):
+            same = (x.base, x.edges) == (y.base, y.edges)
+            assert (x == y) is same
+            assert (x < y) is ((x.base, x.edges) < (y.base, y.edges))
+            rebuilt = Loop(base=x.base, edges=tuple(list(x.edges)))
+            assert rebuilt == x and hash(rebuilt) == hash(x)
+        assert len(set(loops)) == len({(l.base, l.edges) for l in loops})
+
+    def test_repr(self):
+        assert repr(Loop(2, (0, 1))) == "Loop(base=2, edges=(0, 1))"
+        assert repr(Loop.from_paths(0, (), ())) == "Loop(base=0, edges=())"
+
+    def test_rejects_odd_length_by_keyword(self):
+        with pytest.raises(ValidationError):
+            Loop(base=0, edges=(4,))
+
+    def test_degree_zero_rows(self):
+        point = Loop(3, ())
+        assert point.degree == 0
+        assert point.top() == ()
+        assert point.bottom() == ()
+        assert Loop.from_paths(3, (), ()) == point
+
+    def test_immutable(self):
+        loop = Loop(0, (0, 0))
+        with pytest.raises(AttributeError):
+            loop.base = 1
+        with pytest.raises(AttributeError):
+            loop.edges = ()
+        with pytest.raises(AttributeError):
+            loop.note = "x"
+        assert loop == Loop(0, (0, 0))
+
 
 class TestGraphConstruction:
     def test_rejects_non_markov(self):

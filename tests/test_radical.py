@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planaralg import (
     NotInvertibleError,
@@ -262,6 +264,80 @@ class TestEqualityHash:
         assert RadicalScalar.from_rational(Fraction(4, 2)) == 2
         assert sqrt_of_int(2) != 2
         assert RadicalScalar.zero() != "0"
+
+
+def general_mul(x: RadicalScalar, y: RadicalScalar) -> RadicalScalar:
+    """Term-by-term product through _reduce_monomial and the normalising
+    constructor: the path every product took before the rational fast path."""
+    out: dict = {}
+    for k1, c1 in x.terms.items():
+        for k2, c2 in y.terms.items():
+            exps = dict(k1)
+            for p, e in k2:
+                exps[p] = exps.get(p, 0) + e
+            key, coeff = radical._reduce_monomial(c1 * c2, exps)
+            if coeff:
+                out[key] = out.get(key, Fraction(0)) + coeff
+    return RadicalScalar(out)
+
+
+def general_add(x: RadicalScalar, y: RadicalScalar) -> RadicalScalar:
+    merged = x.terms
+    for key, coeff in y.terms.items():
+        merged[key] = merged.get(key, Fraction(0)) + coeff
+    return RadicalScalar(merged)
+
+
+def assert_normal_form(value: RadicalScalar) -> None:
+    for key, coeff in value.terms.items():
+        assert type(coeff) is Fraction and coeff != 0
+        assert list(key) == sorted(key)
+        assert len({p for p, _ in key}) == len(key)
+        assert all(1 <= e <= 3 for _, e in key)
+
+
+_fractions = st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**6))
+_rationals = _fractions.map(RadicalScalar.from_rational)
+_monomials = st.builds(
+    RadicalScalar.monomial,
+    _fractions.filter(bool),
+    st.dictionaries(st.sampled_from((2, 3, 5)), st.integers(-7, 7), max_size=3),
+)
+_scalars = st.lists(st.one_of(_rationals, _monomials), max_size=3).map(sum_scalars)
+
+
+class TestRationalFastPath:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(p=_fractions, q=_fractions)
+    def test_rational_results_match_general_path(self, p, q):
+        x, y = RadicalScalar.from_rational(p), RadicalScalar.from_rational(q)
+        for fast, general, exact in ((x * y, general_mul(x, y), p * q), (x + y, general_add(x, y), p + q)):
+            assert fast.terms == general.terms
+            assert fast == general
+            assert hash(fast) == hash(general) == hash(exact)
+            assert fast == exact
+            assert_normal_form(fast)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(p=_fractions)
+    def test_zero_sums(self, p):
+        q = RadicalScalar.from_rational(p)
+        for total in (q + (-q), q - q, q + RadicalScalar.from_rational(-p)):
+            assert not total
+            assert total == RadicalScalar.zero()
+            assert total.terms == {}
+            assert hash(total) == hash(RadicalScalar.zero())
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(x=_scalars, y=_scalars)
+    def test_mixed_results_stay_normal(self, x, y):
+        for fast, general in ((x * y, general_mul(x, y)), (x + y, general_add(x, y))):
+            assert fast.terms == general.terms
+            assert fast == general
+            assert hash(fast) == hash(general)
+            assert_normal_form(fast)
+        assert_normal_form(-x)
+        assert (-x).terms == {key: -c for key, c in x.terms.items()}
 
 
 def trial_division_factorint(n: int) -> dict[int, int]:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from planaralg import (
+    GraphAutomorphism,
     GroupTooLargeError,
     InclusionData,
     InvalidAutomorphismError,
@@ -30,6 +31,7 @@ from planaralg import (
     reynolds,
     verify_planar_subalgebra,
 )
+from planaralg.symmetry import SubalgebraCheck
 from conftest import corpus_entry
 from test_graph import random_element
 
@@ -298,3 +300,104 @@ class TestSubalgebraVerification:
                 assert act(cycle, product) == product
                 grown = include(g, product)
                 assert act(cycle, grown) == grown
+
+
+def pairwise_multiplicative(group, kmax: int) -> list[SubalgebraCheck]:
+    """The equivariance-multiply checks by brute force, one product per pair
+    of basis loops; the oracle for the per-path check in the verifier."""
+    g = group.graph
+    checks = []
+    for k in range(kmax + 1):
+        elems = [PlanarElement.basis(l) for l in g.iter_loops(k)]
+        for gen in group.generators:
+            ok = all(
+                act(gen, x * y) == act(gen, x) * act(gen, y) for x in elems for y in elems
+            )
+            checks.append(SubalgebraCheck("equivariance-multiply", k, ok))
+    return checks
+
+
+def _raw_map(rng: random.Random, size: int) -> tuple[int, ...]:
+    """Identity, a permutation, or an arbitrary self-map of 0..size-1."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return tuple(range(size))
+    if kind == 1:
+        return tuple(rng.sample(range(size), size))
+    return tuple(rng.randrange(size) for _ in range(size))
+
+
+# (graph, kmax) for the seeded raw generator sets; the pairwise oracle is
+# quadratic in the loop count, so the six-index graph stops at degree 2.
+RAW_CASES = (("C-in-C2", 3), ("C2-in-M2", 3), ("C-in-C2xM2", 2), ("C-in-C3", 3))
+
+
+def _oracle_cases(graphs):
+    """Valid groups on corpus graphs, then seeded raw generator tuples that
+    close_group accepts without validation."""
+    valid = (
+        ("C-in-C2", 3, [([0], [1, 0], None)]),
+        ("C-in-C3", 3, [([0], [1, 2, 0], None), ([0], [1, 0, 2], None)]),
+        ("C-in-M2", 3, [([0], [0], [1, 0])]),
+        ("C2-in-M2", 3, [([1, 0], [0], None)]),
+        ("C-in-C2xM2", 2, [([0], [1, 0, 2], [1, 0, 2, 3]), ([0], [0, 1, 2], [0, 1, 3, 2])]),
+        ("central-C2-in-M2xM2", 2, [([1, 0], [1, 0], [2, 3, 0, 1])]),
+    )
+    for name, kmax, gens in valid:
+        g = graphs(name)
+        yield close_group(g, [make_automorphism(g, *gen) for gen in gens]), kmax
+    rng = random.Random(20090)
+    for index in range(40):
+        name, kmax = RAW_CASES[index % len(RAW_CASES)]
+        g = graphs(name)
+        gens = [
+            GraphAutomorphism(
+                _raw_map(rng, g.num_a), _raw_map(rng, g.num_b), _raw_map(rng, len(g.edges))
+            )
+            for _ in range(rng.randint(1, 2))
+        ]
+        yield close_group(g, gens), kmax
+
+
+class TestEquivarianceMultiply:
+    def test_matches_pairwise_oracle(self, graphs):
+        verdicts = []
+        for group, kmax in _oracle_cases(graphs):
+            report = verify_planar_subalgebra(group, kmax)
+            found = [c for c in report.checks if c.name == "equivariance-multiply"]
+            assert found == pairwise_multiplicative(group, kmax)
+            verdicts.extend(c.passed for c in found)
+        # Both verdicts occur, so agreement is not vacuous.
+        assert verdicts.count(False) >= 10
+        assert verdicts.count(True) >= 10
+
+    def test_degree_zero_follows_perm_a(self, graphs):
+        g = graphs("C2-in-M2")
+        for perm_a, injective in (((0, 1), True), ((1, 0), True), ((0, 0), False), ((1, 1), False)):
+            group = close_group(g, [GraphAutomorphism(perm_a, (0,), (0, 1))])
+            report = verify_planar_subalgebra(group, 0)
+            (check,) = [c for c in report.checks if c.name == "equivariance-multiply"]
+            assert check.passed is injective
+            assert [check] == pairwise_multiplicative(group, 0)
+
+    def test_products_are_closure_products_only(self, graphs, monkeypatch):
+        # Work count, not timing: the pairwise check would add |loops_k|^2
+        # products per generator and degree (over 10^5 here).
+        g = graphs("C-in-C4")
+        group = close_group(
+            g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
+        )
+        kmax = 4
+        expected = sum(len(fixed_space_basis(group, k)) ** 2 for k in range(kmax + 1))
+        calls = 0
+        compose = PlanarElement._compose
+
+        def counting(self, other):
+            nonlocal calls
+            calls += 1
+            return compose(self, other)
+
+        monkeypatch.setattr(PlanarElement, "_compose", counting)
+        report = verify_planar_subalgebra(group, kmax)
+        assert report.all_passed
+        assert calls == expected == 256
