@@ -99,6 +99,16 @@ class PlanarElement:
         raise AttributeError("PlanarElement is immutable")
 
     @classmethod
+    def _normal(cls, degree: int, terms: dict[Loop, RadicalScalar]) -> PlanarElement:
+        """Trusted constructor for terms whose loops all have this degree and
+        whose coefficients are RadicalScalars: drops zero coefficients and
+        skips the checks of __init__."""
+        out = _new(cls)
+        _set_degree(out, degree)
+        _set_terms(out, {l: c for l, c in terms.items() if c})
+        return out
+
+    @classmethod
     def zero(cls, degree: int) -> PlanarElement:
         return cls(degree)
 
@@ -122,11 +132,12 @@ class PlanarElement:
             raise DegreeMismatchError(f"adding degrees {self.degree} and {other.degree}")
         merged = dict(self.terms)
         for loop, coeff in other.terms.items():
-            merged[loop] = merged.get(loop, RadicalScalar.zero()) + coeff
-        return PlanarElement(self.degree, merged)
+            prev = merged.get(loop)
+            merged[loop] = coeff if prev is None else prev + coeff
+        return PlanarElement._normal(self.degree, merged)
 
     def __neg__(self) -> PlanarElement:
-        return PlanarElement(self.degree, {l: -c for l, c in self.terms.items()})
+        return PlanarElement._normal(self.degree, {l: -c for l, c in self.terms.items()})
 
     def __sub__(self, other) -> PlanarElement:
         if not isinstance(other, PlanarElement):
@@ -148,25 +159,28 @@ class PlanarElement:
     def scaled(self, scalar) -> PlanarElement:
         if not isinstance(scalar, RadicalScalar):
             scalar = RadicalScalar.from_rational(scalar)
-        return PlanarElement(self.degree, {l: c * scalar for l, c in self.terms.items()})
+        return PlanarElement._normal(self.degree, {l: c * scalar for l, c in self.terms.items()})
 
     def _compose(self, other: PlanarElement) -> PlanarElement:
         """Matrix-unit product: the top row of the left factor must equal the
         bottom row of the right factor; the product keeps the left bottom row
         and the right top row."""
-        if self.degree != other.degree:
-            raise DegreeMismatchError(f"multiplying degrees {self.degree} and {other.degree}")
-        by_bottom: dict[tuple[int, tuple[int, ...]], list[tuple[Loop, RadicalScalar]]] = {}
-        for loop, coeff in other.terms.items():
-            by_bottom.setdefault((loop.base, loop.bottom()), []).append((loop, coeff))
+        h = self.degree
+        if h != other.degree:
+            raise DegreeMismatchError(f"multiplying degrees {h} and {other.degree}")
+        # Right factors by (base, bottom row), each with its top row.
+        by_bottom: dict[tuple[int, tuple[int, ...]], list[tuple[tuple[int, ...], RadicalScalar]]] = {}
+        for (base, edges), coeff in other.terms.items():
+            by_bottom.setdefault((base, edges[h:][::-1]), []).append((edges[:h], coeff))
         out: dict[Loop, RadicalScalar] = {}
-        for left, lc in self.terms.items():
-            for right, rc in by_bottom.get((left.base, left.top()), ()):
-                product = Loop.from_paths(left.base, right.top(), left.bottom())
+        for (base, edges), lc in self.terms.items():
+            left_tail = edges[h:]
+            for right_top, rc in by_bottom.get((base, edges[:h]), ()):
+                product = _new_tuple(Loop, (base, right_top + left_tail))
                 coeff = lc * rc
                 prev = out.get(product)
                 out[product] = coeff if prev is None else prev + coeff
-        return PlanarElement(self.degree, out)
+        return PlanarElement._normal(h, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PlanarElement):
@@ -178,6 +192,12 @@ class PlanarElement:
             return f"PlanarElement(degree={self.degree}, 0)"
         body = " + ".join(f"({self.terms[l]})*{l.base}:{l.edges}" for l in self.support())
         return f"PlanarElement(degree={self.degree}, {body})"
+
+
+_new = object.__new__
+_new_tuple = tuple.__new__
+_set_degree = PlanarElement.degree.__set__
+_set_terms = PlanarElement.terms.__set__
 
 
 class BipartiteGraph:

@@ -6,13 +6,16 @@ square roots of rational numbers and spin factors take one further square
 root, so quarter-integer exponents suffice and nothing in the package ever
 needs a deeper root.
 
-A value is stored as a map  radical part -> rational coefficient  where the
-radical part is a sorted tuple of (prime, exponent numerator) pairs and the
-exponent denominator is fixed at 4.  Normal form: exponent numerators are
-reduced to {1, 2, 3} with whole prime powers folded into the coefficient,
-equal radical parts are merged, zero coefficients dropped.  Distinct reduced
-monomials are linearly independent over the rationals, so equality of normal
-forms decides equality of values and `x == y` is trustworthy.
+A value is stored as one positive integer denominator and a map  radical
+part -> nonzero integer numerator, where the radical part is a sorted tuple
+of (prime, exponent numerator) pairs and the exponent denominator is fixed
+at 4.  Normal form: exponent numerators are reduced to {1, 2, 3} with whole
+prime powers folded into the numerator, equal radical parts are merged, zero
+numerators dropped, and the denominator shares no factor with all the
+numerators.  Distinct reduced monomials are linearly independent over the
+rationals, so the normal form is unique and `x == y` compares it directly.
+Products of two radical parts are looked up in a cache (`_key_product`), so
+the ring operations do integer arithmetic and one gcd per result.
 
 That independence needs prime bases, so factorizations must be exact: the
 factorizer below proves every factor it returns prime, or refuses with
@@ -23,7 +26,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 from .errors import NotInvertibleError, NotRepresentableError, ResourceLimitError, ValidationError
@@ -248,30 +252,34 @@ def _reduce_monomial(coeff: Fraction, exps: Mapping[int, int]) -> tuple[RadicalK
     return tuple(sorted(parts)), coeff
 
 
-class RadicalScalar:
-    """Immutable exact number of the form  sum_t q_t * prod_p p^(e/4)."""
+@lru_cache(maxsize=4096)
+def _key_product(k1: RadicalKey, k2: RadicalKey) -> tuple[RadicalKey, int]:
+    """Reduced radical part of the product of two radical parts, with the
+    integer folded out of it (numerators are 1..3, so each prime folds out
+    at most one whole power)."""
+    exps = dict(k1)
+    for p, e in k2:
+        exps[p] = exps.get(p, 0) + e
+    key, factor = _reduce_monomial(Fraction(1), exps)
+    return key, factor.numerator
 
-    __slots__ = ("_terms",)
+
+class RadicalScalar:
+    """Immutable exact number of the form  sum_t (n_t / den) * prod_p p^(e/4)."""
+
+    __slots__ = ("_den", "_num")
 
     def __init__(self, terms: Mapping[RadicalKey, Fraction] | None = None):
         # Accepts already-reduced keys; merges and drops zeros.
         clean: dict[RadicalKey, Fraction] = {}
-        if terms:
-            for key, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff:
-                    clean[key] = clean.get(key, Fraction(0)) + coeff
-        object.__setattr__(self, "_terms", {k: c for k, c in clean.items() if c})
+        for key, coeff in (terms or {}).items():
+            clean[key] = clean.get(key, Fraction(0)) + Fraction(coeff)
+        den = lcm(*(coeff.denominator for coeff in clean.values()))
+        _set_den(self, den)
+        _set_num(self, {k: int(c * den) for k, c in clean.items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("RadicalScalar is immutable")
-
-    @classmethod
-    def _normal(cls, terms: dict[RadicalKey, Fraction]) -> RadicalScalar:
-        """Wrap a dict already in normal form, skipping the normalising __init__."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "_terms", terms)
-        return out
 
     # -- constructors -----------------------------------------------------
 
@@ -285,7 +293,8 @@ class RadicalScalar:
 
     @classmethod
     def from_rational(cls, q: RationalLike) -> RadicalScalar:
-        return cls({(): Fraction(q)})
+        q = Fraction(q)
+        return _reduced(q.denominator, {(): q.numerator} if q else {})
 
     @classmethod
     def monomial(cls, coeff: RationalLike, exps: Mapping[int, int]) -> RadicalScalar:
@@ -325,26 +334,24 @@ class RadicalScalar:
 
     @property
     def terms(self) -> dict[RadicalKey, Fraction]:
-        return dict(self._terms)
+        return {k: Fraction(n, self._den) for k, n in self._num.items()}
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def is_rational(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and () in self._terms)
+        return not self._num or (len(self._num) == 1 and () in self._num)
 
     def as_fraction(self) -> Fraction:
         """The value as an exact rational; error when radicals survive."""
-        if not self._terms:
-            return Fraction(0)
-        if set(self._terms) != {()}:
+        if not self.is_rational():
             raise NotRepresentableError(f"{self} is irrational")
-        return self._terms[()]
+        return Fraction(self._num.get((), 0), self._den)
 
     def to_float(self) -> float:
         total = 0.0
-        for key, coeff in self._terms.items():
-            value = float(coeff)
+        for key, n in self._num.items():
+            value = n / self._den
             for p, e in key:
                 value *= float(p) ** (e / 4.0)
             total += value
@@ -354,7 +361,7 @@ class RadicalScalar:
         return self.to_float()
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     # -- ring operations ----------------------------------------------------
 
@@ -366,23 +373,27 @@ class RadicalScalar:
             return RadicalScalar.from_rational(other)
         return None
 
-    def __add__(self, other) -> RadicalScalar:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        a, b = self._terms, rhs._terms
-        if len(a) == 1 and len(b) == 1 and () in a and () in b:
-            total = a[()] + b[()]
-            return RadicalScalar._normal({(): total} if total else {})
-        merged = dict(a)
-        for key, coeff in b.items():
-            merged[key] = merged.get(key, Fraction(0)) + coeff
-        return RadicalScalar(merged)
+    def __add__(self, rhs) -> RadicalScalar:
+        if rhs.__class__ is not RadicalScalar:
+            rhs = self._coerce(rhs)
+            if rhs is None:
+                return NotImplemented
+        da, db = self._den, rhs._den
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        num = {k: n * sa for k, n in self._num.items()}
+        for k, n in rhs._num.items():
+            total = num.get(k, 0) + n * sb
+            if total:
+                num[k] = total
+            else:
+                del num[k]
+        return _reduced(da * sa, num)
 
     __radd__ = __add__
 
     def __neg__(self) -> RadicalScalar:
-        return RadicalScalar._normal({k: -c for k, c in self._terms.items()})
+        return _reduced(self._den, {k: -n for k, n in self._num.items()})
 
     def __sub__(self, other) -> RadicalScalar:
         rhs = self._coerce(other)
@@ -396,24 +407,21 @@ class RadicalScalar:
             return NotImplemented
         return lhs + (-self)
 
-    def __mul__(self, other) -> RadicalScalar:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        a, b = self._terms, rhs._terms
-        if len(a) == 1 and len(b) == 1 and () in a and () in b:
-            # Nonzero coefficients, so the product is nonzero too.
-            return RadicalScalar._normal({(): a[()] * b[()]})
-        out: dict[RadicalKey, Fraction] = {}
-        for k1, c1 in a.items():
-            for k2, c2 in b.items():
-                exps = dict(k1)
-                for p, e in k2:
-                    exps[p] = exps.get(p, 0) + e
-                key, coeff = _reduce_monomial(c1 * c2, exps)
-                if coeff:
-                    out[key] = out.get(key, Fraction(0)) + coeff
-        return RadicalScalar(out)
+    def __mul__(self, rhs) -> RadicalScalar:
+        if rhs.__class__ is not RadicalScalar:
+            rhs = self._coerce(rhs)
+            if rhs is None:
+                return NotImplemented
+        num: dict[RadicalKey, int] = {}
+        for k1, n1 in self._num.items():
+            for k2, n2 in rhs._num.items():
+                key, factor = _key_product(k1, k2)
+                total = num.get(key, 0) + n1 * n2 * factor
+                if total:
+                    num[key] = total
+                else:
+                    del num[key]
+        return _reduced(self._den * rhs._den, num)
 
     __rmul__ = __mul__
 
@@ -429,9 +437,9 @@ class RadicalScalar:
 
     def sqrt(self) -> RadicalScalar:
         """Exact square root of a single positive term with even exponents."""
-        if len(self._terms) != 1:
+        if len(self._num) != 1:
             raise NotRepresentableError(f"sqrt of non-monomial {self}")
-        (key, coeff), = self._terms.items()
+        (key, coeff), = self.terms.items()
         if coeff < 0:
             raise NotRepresentableError(f"sqrt of negative term {self}")
         if any(e % 2 for _, e in key):
@@ -444,11 +452,11 @@ class RadicalScalar:
 
     def invert(self) -> RadicalScalar:
         """Exact reciprocal of a single nonzero term."""
-        if not self._terms:
+        if not self._num:
             raise NotInvertibleError("inverse of zero")
-        if len(self._terms) != 1:
+        if len(self._num) != 1:
             raise NotInvertibleError(f"inverse of non-monomial {self}")
-        (key, coeff), = self._terms.items()
+        (key, coeff), = self.terms.items()
         new_key, new_coeff = _reduce_monomial(1 / coeff, {p: -e for p, e in key})
         return RadicalScalar({new_key: new_coeff})
 
@@ -458,27 +466,44 @@ class RadicalScalar:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self._terms == rhs._terms
+        return self._den == rhs._den and self._num == rhs._num
 
     def __hash__(self) -> int:
-        if not self._terms:
-            return hash(Fraction(0))
         if self.is_rational():
-            return hash(self._terms[()])
-        return hash(frozenset(self._terms.items()))
+            return hash(self.as_fraction())
+        return hash((self._den, frozenset(self._num.items())))
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         rendered = []
-        for key in sorted(self._terms):
-            parts = [str(self._terms[key])]
+        for key in sorted(self._num):
+            parts = [str(Fraction(self._num[key], self._den))]
             parts.extend(f"{p}^({e}/4)" for p, e in key)
             rendered.append(" * ".join(parts))
         return " + ".join(rendered)
 
     def __repr__(self) -> str:
         return f"RadicalScalar({str(self)!r})"
+
+
+_new = object.__new__
+_set_den = RadicalScalar._den.__set__
+_set_num = RadicalScalar._num.__set__
+
+
+def _reduced(den: int, num: dict[RadicalKey, int]) -> RadicalScalar:
+    """Wrap nonzero integer numerators over a positive denominator, dividing
+    out their common factor; the operators build values here, not in the
+    normalising __init__."""
+    g = gcd(den, *num.values())
+    if g != 1:
+        den //= g
+        num = {k: n // g for k, n in num.items()}
+    out = _new(RadicalScalar)
+    _set_den(out, den)
+    _set_num(out, num)
+    return out
 
 
 def sqrt_of_int(n: int) -> RadicalScalar:

@@ -169,7 +169,7 @@ def act_loop(auto: GraphAutomorphism, loop: Loop) -> Loop:
 def act(auto: GraphAutomorphism, x: PlanarElement) -> PlanarElement:
     """Linear extension of the edgewise loop action; a degree-preserving
     algebra automorphism."""
-    return PlanarElement(x.degree, {act_loop(auto, l): c for l, c in x.terms.items()})
+    return PlanarElement._normal(x.degree, {act_loop(auto, l): c for l, c in x.terms.items()})
 
 
 def reynolds(group: GroupAction, x: PlanarElement) -> PlanarElement:
@@ -207,9 +207,18 @@ def burnside_dim(group: GroupAction, k: int) -> int:
 
 
 def fixed_dims_report(group: GroupAction, kmax: int) -> list[int]:
-    """Fixed-space dimensions for degrees 0..kmax, counted two ways."""
+    """Fixed-space dimensions for degrees 0..kmax, counted two ways.
+
+    Both counts assume a group of permutations; close_group does not check
+    its generators, so every element is checked here first.
+    """
     if kmax < 0:
         raise ValidationError("kmax must be nonnegative")
+    g = group.graph
+    for element in group.elements:
+        _check_permutation(element.perm_a, g.num_a, "perm_a")
+        _check_permutation(element.perm_b, g.num_b, "perm_b")
+        _check_permutation(element.perm_e, len(g.edges), "perm_e")
     dims = []
     for k in range(kmax + 1):
         by_count = burnside_dim(group, k)

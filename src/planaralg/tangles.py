@@ -59,32 +59,26 @@ def include(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
     """Unital algebra morphism from degree k to degree k+1."""
     k = x.degree
     out: dict[Loop, RadicalScalar] = {}
-    for loop, coeff in x.terms.items():
-        top, bottom = loop.top(), loop.bottom()
-        end = g.path_end(loop.base, top)
+    for (base, edges), coeff in x.terms.items():
+        end = g.path_end(base, edges[:k])
         attachable = g.edges_up(end) if k % 2 == 0 else g.edges_down(end)
+        # Distinct (loop, edge) pairs give distinct loops, so no term merges.
         for eid in attachable:
-            _add_term(out, Loop.from_paths(loop.base, top + (eid,), bottom + (eid,)), coeff)
-    return PlanarElement(k + 1, out)
+            out[Loop(base, edges[:k] + (eid, eid) + edges[k:])] = coeff
+    return PlanarElement._normal(k + 1, out)
 
 
 def shift(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
     """Injective unital algebra morphism from degree k to degree k+2."""
     k = x.degree
     out: dict[Loop, RadicalScalar] = {}
-    for loop, coeff in x.terms.items():
-        top, bottom = loop.top(), loop.bottom()
-        for down_eid in g.edges_up(loop.base):
+    for (base, edges), coeff in x.terms.items():
+        for down_eid in g.edges_up(base):
             upper = g.edge(down_eid).dst
             for up_eid in g.edges_down(upper):
-                new_base = g.edge(up_eid).src
-                prefix = (up_eid, down_eid)
-                _add_term(
-                    out,
-                    Loop.from_paths(new_base, prefix + top, prefix + bottom),
-                    coeff,
-                )
-    return PlanarElement(k + 2, out)
+                # The same prefix on both rows; no two terms meet.
+                out[Loop(g.edge(up_eid).src, (up_eid, down_eid) + edges + (down_eid, up_eid))] = coeff
+    return PlanarElement._normal(k + 2, out)
 
 
 def expect(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
@@ -94,13 +88,13 @@ def expect(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
         raise DegreeMismatchError("expectation needs degree at least 1")
     direction = "up" if d % 2 == 1 else "down"
     out: dict[Loop, RadicalScalar] = {}
-    for loop, coeff in x.terms.items():
-        top, bottom = loop.top(), loop.bottom()
-        if top[-1] != bottom[-1]:
+    for (base, edges), coeff in x.terms.items():
+        # The last edges of the two rows sit in the middle of the edge list.
+        if edges[d - 1] != edges[d]:
             continue
-        weight = g.spin_factor_sq(top[-1], direction)
-        _add_term(out, Loop.from_paths(loop.base, top[:-1], bottom[:-1]), coeff * weight)
-    return PlanarElement(d - 1, out)
+        weight = g.spin_factor_sq(edges[d], direction)
+        _add_term(out, Loop(base, edges[: d - 1] + edges[d + 1 :]), coeff * weight)
+    return PlanarElement._normal(d - 1, out)
 
 
 def jones_projection_raw(g: BipartiteGraph, k: int) -> PlanarElement:
@@ -126,7 +120,7 @@ def jones_projection_raw(g: BipartiteGraph, k: int) -> PlanarElement:
                         ),
                         coeff,
                     )
-    return PlanarElement(k + 2, out)
+    return PlanarElement._normal(k + 2, out)
 
 
 def jones_projection(g: BipartiteGraph, k: int) -> PlanarElement:

@@ -7,14 +7,17 @@ budget and tolerance are asserted, so a regression in either fails loudly.
 from __future__ import annotations
 
 import json
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import planaralg
 from planaralg import (
     EigenvectorViolationError,
     PlanarElement,
@@ -246,9 +249,14 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
         assert first == second, argv
         assert first.endswith("\n")
 
-    # Fresh interpreter runs must also agree byte for byte.
+    # Fresh interpreter runs must also agree byte for byte.  They import the
+    # package this process imported, also when only pytest's `pythonpath`
+    # setting put it on sys.path.
     argv = [sys.executable, "-m", "planaralg", "analyze", "--input", str(inclusion_path)]
-    runs = [subprocess.run(argv, capture_output=True, timeout=120) for _ in range(2)]
+    package_root = str(Path(planaralg.__file__).resolve().parents[1])
+    paths = [package_root, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    runs = [subprocess.run(argv, capture_output=True, timeout=120, env=env) for _ in range(2)]
     assert all(run.returncode == 0 for run in runs)
     assert runs[0].stdout == runs[1].stdout
     assert runs[0].stdout

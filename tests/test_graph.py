@@ -16,6 +16,7 @@ from planaralg import (
     RadicalScalar,
     ValidationError,
     build_graph,
+    expect,
     loop_space_dim,
 )
 from planaralg.radical import sqrt_of_int
@@ -330,6 +331,62 @@ class TestElementAlgebra:
             x, y, z = (random_element(rng, loops) for _ in range(3))
             assert x * (y + z) == x * y + x * z
             assert (x + y) * z == x * z + y * z
+
+
+class TestTrustedConstructor:
+    """Operations build their results without the checks of the public
+    constructor; cancelled terms must still vanish."""
+
+    def assert_zero(self, x: PlanarElement, k: int) -> None:
+        assert x.is_zero()
+        assert x.terms == {}
+        assert x == PlanarElement.zero(k)
+
+    def test_difference_with_itself(self, graphs):
+        rng = random.Random(5)
+        x = random_element(rng, graphs("C-in-C2xM2").enumerate_loops(2), count=6)
+        self.assert_zero(x - x, 2)
+        self.assert_zero(x + (-x), 2)
+
+    def test_scaled_by_zero(self, graphs):
+        x = random_element(random.Random(6), graphs("C-in-M2").enumerate_loops(2), count=4)
+        self.assert_zero(x.scaled(0), 2)
+        self.assert_zero(x.scaled(RadicalScalar.zero()), 2)
+        self.assert_zero(0 * x, 2)
+
+    def test_cancelling_product(self):
+        # With rows p and q out of one base to one endpoint, loops multiply as
+        # matrix units: (E_pp + E_pq)(E_pp - E_qp) = E_pp - E_pp = 0.
+        p, q = (0, 0), (1, 1)
+
+        def unit(bottom, top):
+            return PlanarElement.basis(Loop.from_paths(0, top, bottom))
+
+        x = unit(p, p) + unit(p, q)
+        y = unit(p, p) - unit(q, p)
+        self.assert_zero(x * y, 2)
+
+    def test_cancelling_expectation(self, graphs):
+        g = graphs("C-in-C2xM2")
+        # Edges 2 and 3 are parallel, so both loops contract to (0, (2, 2)).
+        first, second = Loop(0, (2, 2, 2, 2)), Loop(0, (2, 3, 3, 2))
+        assert g.is_valid_loop(first) and g.is_valid_loop(second)
+        w1 = g.spin_factor_sq(2, "down")
+        w2 = g.spin_factor_sq(3, "down")
+        x = PlanarElement(2, {first: w2, second: -w1})
+        assert not x.is_zero()
+        self.assert_zero(expect(g, x), 1)
+
+    def test_public_constructor_still_checks(self):
+        with pytest.raises(DegreeMismatchError):
+            PlanarElement(1, {Loop(0, (0, 0, 0, 0)): RadicalScalar.one()})
+        loop = Loop(0, (0, 0))
+        x = PlanarElement(1, {loop: 3, Loop(0, (1, 1)): Fraction(1, 2), Loop(0, (2, 2)): 0})
+        assert x.terms == {
+            loop: RadicalScalar.from_rational(3),
+            Loop(0, (1, 1)): RadicalScalar.from_rational(Fraction(1, 2)),
+        }
+        assert all(type(c) is RadicalScalar for c in x.terms.values())
 
 
 class TestRendering:

@@ -266,34 +266,66 @@ class TestEqualityHash:
         assert RadicalScalar.zero() != "0"
 
 
-def general_mul(x: RadicalScalar, y: RadicalScalar) -> RadicalScalar:
-    """Term-by-term product through _reduce_monomial and the normalising
-    constructor: the path every product took before the rational fast path."""
+# -- dict-of-Fraction reference -------------------------------------------------
+# A value as {radical part: nonzero Fraction}, combined term by term through
+# _reduce_monomial: the representation and the operations RadicalScalar used
+# before it stored integer numerators over one denominator.
+
+
+def ref_monomial(coeff: Fraction, exps: dict[int, int]) -> dict:
+    key, folded = radical._reduce_monomial(Fraction(coeff), exps)
+    return {key: folded} if folded else {}
+
+
+def ref_add(a: dict, b: dict) -> dict:
+    merged = dict(a)
+    for key, coeff in b.items():
+        merged[key] = merged.get(key, Fraction(0)) + coeff
+    return {key: c for key, c in merged.items() if c}
+
+
+def ref_mul(a: dict, b: dict) -> dict:
     out: dict = {}
-    for k1, c1 in x.terms.items():
-        for k2, c2 in y.terms.items():
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
             exps = dict(k1)
             for p, e in k2:
                 exps[p] = exps.get(p, 0) + e
             key, coeff = radical._reduce_monomial(c1 * c2, exps)
-            if coeff:
-                out[key] = out.get(key, Fraction(0)) + coeff
-    return RadicalScalar(out)
+            out[key] = out.get(key, Fraction(0)) + coeff
+    return {key: c for key, c in out.items() if c}
+
+
+def ref_neg(a: dict) -> dict:
+    return {key: -c for key, c in a.items()}
+
+
+def ref_str(a: dict) -> str:
+    if not a:
+        return "0"
+    return " + ".join(
+        " * ".join([str(a[key])] + [f"{p}^({e}/4)" for p, e in key]) for key in sorted(a)
+    )
+
+
+def general_mul(x: RadicalScalar, y: RadicalScalar) -> RadicalScalar:
+    return RadicalScalar(ref_mul(x.terms, y.terms))
 
 
 def general_add(x: RadicalScalar, y: RadicalScalar) -> RadicalScalar:
-    merged = x.terms
-    for key, coeff in y.terms.items():
-        merged[key] = merged.get(key, Fraction(0)) + coeff
-    return RadicalScalar(merged)
+    return RadicalScalar(ref_add(x.terms, y.terms))
 
 
 def assert_normal_form(value: RadicalScalar) -> None:
-    for key, coeff in value.terms.items():
-        assert type(coeff) is Fraction and coeff != 0
+    assert type(value._den) is int and value._den > 0
+    for key, num in value._num.items():
+        assert type(num) is int and num != 0
         assert list(key) == sorted(key)
         assert len({p for p, _ in key}) == len(key)
         assert all(1 <= e <= 3 for _, e in key)
+    assert math.gcd(value._den, *value._num.values()) == 1
+    for coeff in value.terms.values():
+        assert type(coeff) is Fraction and coeff != 0
 
 
 _fractions = st.builds(Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**6))
@@ -307,6 +339,8 @@ _scalars = st.lists(st.one_of(_rationals, _monomials), max_size=3).map(sum_scala
 
 
 class TestRationalFastPath:
+    """Rational values, once on a path of their own, against the reference."""
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(p=_fractions, q=_fractions)
     def test_rational_results_match_general_path(self, p, q):
@@ -338,6 +372,95 @@ class TestRationalFastPath:
             assert_normal_form(fast)
         assert_normal_form(-x)
         assert (-x).terms == {key: -c for key, c in x.terms.items()}
+
+
+_small_fractions = st.sampled_from(
+    [Fraction(n, d) for n in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3)]
+)
+# 1-4 monomials over the primes 2, 3, 5 with small coefficients, so that
+# products carry past exponent 3 and terms of sums and products cancel.
+_term_lists = st.lists(
+    st.tuples(
+        _small_fractions,
+        st.dictionaries(st.sampled_from((2, 3, 5)), st.integers(-3, 7), max_size=3),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def ref_from_terms(terms) -> dict:
+    total: dict = {}
+    for coeff, exps in terms:
+        total = ref_add(total, ref_monomial(coeff, exps))
+    return total
+
+
+def scalar_from_terms(terms) -> RadicalScalar:
+    return sum_scalars(RadicalScalar.monomial(coeff, exps) for coeff, exps in terms)
+
+
+class TestIntegerNumerators:
+    """Integer numerators over one denominator against the dict-of-Fraction
+    reference, operation by operation."""
+
+    def check(self, value: RadicalScalar, expected: dict) -> None:
+        assert_normal_form(value)
+        assert value.terms == expected
+        assert value == RadicalScalar(expected)
+        assert hash(value) == hash(RadicalScalar(expected))
+        assert str(value) == ref_str(expected)
+        assert RadicalScalar.parse(str(value)) == value
+        rational = set(expected) <= {()}
+        assert value.is_rational() == rational
+        if rational:
+            q = expected.get((), Fraction(0))
+            assert value.as_fraction() == q
+            assert value == q
+            assert hash(value) == hash(q)
+        else:
+            with pytest.raises(NotRepresentableError):
+                value.as_fraction()
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(xs=_term_lists, ys=_term_lists, opposite=st.booleans())
+    def test_operations_match_reference(self, xs, ys, opposite):
+        a = ref_from_terms(xs)
+        x = scalar_from_terms(xs)
+        self.check(x, a)
+        if opposite:
+            b, y = ref_neg(a), RadicalScalar(ref_neg(a))
+        else:
+            b, y = ref_from_terms(ys), scalar_from_terms(ys)
+        self.check(y, b)
+        self.check(x + y, ref_add(a, b))
+        self.check(x * y, ref_mul(a, b))
+        self.check(x - y, ref_add(a, ref_neg(b)))
+        self.check(-x, ref_neg(a))
+        assert (x == y) == (a == b)
+
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            # a carry: 2^(3/4) * 2^(3/4) = 2 * 2^(2/4)
+            ([(Fraction(1), {2: 3})], [(Fraction(3, 2), {2: 3})]),
+            # (1 + 2^(2/4)) (1 - 2^(2/4)) = -1: radical terms cancel to a rational
+            ([(Fraction(1), {}), (Fraction(1), {2: 2})], [(Fraction(1), {}), (Fraction(-1), {2: 2})]),
+            # four terms each, with carries on every prime
+            (
+                [(Fraction(1, 2), {2: 1}), (Fraction(2, 3), {3: 3}), (Fraction(-1), {5: 2}), (Fraction(3), {2: 3, 3: 1})],
+                [(Fraction(2), {2: 3}), (Fraction(-3, 2), {3: 1}), (Fraction(1, 3), {5: 2, 2: 1}), (Fraction(1), {})],
+            ),
+        ],
+        ids=["carry", "radical-to-rational", "four-terms"],
+    )
+    def test_hard_cases(self, xs, ys):
+        a, b = ref_from_terms(xs), ref_from_terms(ys)
+        x, y = scalar_from_terms(xs), scalar_from_terms(ys)
+        self.check(x * y, ref_mul(a, b))
+        self.check(x + y, ref_add(a, b))
+        self.check(x - x, {})
+        self.check(x + (-x), {})
 
 
 def trial_division_factorint(n: int) -> dict[int, int]:

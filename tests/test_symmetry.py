@@ -216,6 +216,17 @@ class TestFixedSpaces:
         assert basis[0].terms == {Loop(0, (0, 0, 0, 0)): one, Loop(0, (1, 1, 1, 1)): one}
         assert basis[1].terms == {Loop(0, (0, 0, 1, 1)): one, Loop(0, (1, 1, 0, 0)): one}
 
+    def test_rejects_maps_that_are_not_permutations(self, graphs):
+        # close_group takes raw automorphisms unchecked; counting fixed
+        # loops under them must refuse, not fail an internal check.
+        g = graphs("C-in-C2")
+        group = close_group(g, [GraphAutomorphism((0,), (0, 0), (0, 0))])
+        with pytest.raises(InvalidAutomorphismError, match="perm_b"):
+            fixed_dims_report(group, 2)
+        group = close_group(g, [GraphAutomorphism((0,), (1, 0), (0, 0))])
+        with pytest.raises(InvalidAutomorphismError, match="perm_e"):
+            fixed_dims_report(group, 2)
+
     @pytest.mark.parametrize("k", range(6))
     def test_burnside_matches_orbit_count(self, three_point_cycle, k):
         g, cycle = three_point_cycle

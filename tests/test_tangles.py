@@ -378,3 +378,24 @@ class TestRelations:
         g = graphs("C-in-C2")
         with pytest.raises(ValidationError):
             verify_temperley_lieb(g, -1)
+
+    def test_products_reuse_reduced_keys(self, graphs, monkeypatch):
+        # Scalar products look their radical parts up in a cache, so the
+        # monomial reduction runs once per distinct pair of parts, not once
+        # per product: thousands of products here, a few dozen reductions.
+        from planaralg import radical
+
+        g = graphs("C-in-C2xM2")
+        calls = 0
+        reduce_monomial = radical._reduce_monomial
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return reduce_monomial(*args)
+
+        radical._key_product.cache_clear()
+        monkeypatch.setattr(radical, "_reduce_monomial", counting)
+        checks = verify_temperley_lieb(g, 4)
+        assert checks and all(c.passed for c in checks)
+        assert calls <= 100
