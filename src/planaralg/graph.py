@@ -12,7 +12,17 @@ the remaining k edges are the bottom row read right to left; equivalently,
 both rows are length-k paths out of the base meeting at a common endpoint.
 The span of degree-k loops with radical-scalar coefficients is the degree-k
 piece of the loop algebra, and loops multiply like matrix units indexed by
-(bottom path, top path).
+(bottom path, top path), so that piece is a direct sum of full matrix
+algebras, one for each (base, endpoint) pair (Jones, *The planar algebra of
+a bipartite graph*, 2000).
+
+`PlanarElement` stores exactly that: one common denominator and, for each
+radical part of the coefficients, the integer numerators as sparse matrix
+rows indexed by based paths, a row of one entry held as a bare (column,
+numerator) pair.  The blocks are implicit in the rows, so an element needs
+no graph.  Products are sparse integer matrix products,
+`include`, `shift` and the group action relabel rows and columns, and the
+normal form (no zeros, no common factor) makes `==` a comparison of dicts.
 
 Vertex weights are block dimension over the square root of total algebra
 dimension on each side; the construction checks, in exact arithmetic, that
@@ -25,11 +35,12 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Iterator, Literal, Mapping
 
 from .errors import DegreeMismatchError, EigenvectorViolationError, ValidationError
 from .markov import InclusionData, markov_index
-from .radical import RadicalScalar, sqrt_of_int, sum_scalars
+from .radical import RadicalKey, RadicalScalar, _key_product, _reduced, sqrt_of_int, sum_scalars
 
 SpinDirection = Literal["up", "down"]
 
@@ -73,39 +84,124 @@ class Loop(namedtuple("Loop", "base edges")):
         return tuple.__new__(cls, (base, top + bottom[::-1]))
 
 
-class PlanarElement:
-    """Finite radical-scalar combination of loops of one common degree."""
+# A based path: the base vertex followed by the edge ids, (base, e1, ..., ek).
+Path = tuple[int, ...]
+# The numerators of one radical key as sparse matrix rows: the loop with
+# bottom row b and top row t out of a base is the matrix unit in row
+# (base, *b) and column (base, *t).  A row with one entry is stored as the
+# pair (column, numerator), a longer row as a dict column -> numerator: the
+# rows of sparse elements mostly hold one entry, and the pair takes 56
+# bytes where a one-entry dict takes 224 (CPython 3.11).  Operations
+# accumulate every row as a dict and `_normal` stores it.
+Row = tuple[Path, int] | dict[Path, int]
+Rows = dict[Path, Row]
+AccRows = dict[Path, dict[Path, int]]
 
-    __slots__ = ("degree", "terms")
+# One object for each based path and each numerator that the public
+# constructor has stored, shared by all elements built from loops: callers
+# hold many sparse elements over the same paths and small numerators.  It
+# changes no value, only which of equal objects an element holds, and it is
+# cleared when it reaches _SHARED_MAX entries.
+_SHARED: dict[Path | int, Path | int] = {}
+_SHARED_MAX = 1 << 16
+
+
+class PlanarElement:
+    """Finite radical-scalar combination of loops of one common degree.
+
+    Stored as integers: one positive denominator `_den` for the whole
+    element and, for each reduced radical key (see `radical`), the
+    numerators as sparse matrix rows: `_num[key][row]` is the pair
+    (column, n) for a row with one entry and the dict {column: n} for a
+    longer row.  Rows and columns are based paths: the loop (base, top +
+    reversed(bottom)) sits in row (base, *bottom) and column (base, *top),
+    so loops multiply as matrix units and a product is a sparse matrix
+    product per pair of keys.  Normal form: no zero numerator, no empty row
+    or key, a pair for every one-entry row and gcd(_den, all numerators)
+    == 1.  Loops are linearly independent and so are reduced radical keys,
+    so every element has exactly one normal form and `==` compares the
+    dicts directly.
+
+    `terms` is a derived view, loop -> RadicalScalar.
+    """
+
+    __slots__ = ("degree", "_den", "_num")
 
     def __init__(self, degree: int, terms: Mapping[Loop, RadicalScalar] | None = None):
         if degree < 0:
             raise ValidationError("degree must be nonnegative")
-        clean: dict[Loop, RadicalScalar] = {}
-        if terms:
-            for loop, coeff in terms.items():
-                if loop.degree != degree:
-                    raise DegreeMismatchError(
-                        f"loop of degree {loop.degree} in an element of degree {degree}"
-                    )
-                if not isinstance(coeff, RadicalScalar):
-                    coeff = RadicalScalar.from_rational(coeff)
-                if coeff:
-                    clean[loop] = coeff
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
+        coeffs: dict[Loop, RadicalScalar] = {}
+        for loop, coeff in (terms or {}).items():
+            if loop.degree != degree:
+                raise DegreeMismatchError(
+                    f"loop of degree {loop.degree} in an element of degree {degree}"
+                )
+            if not isinstance(coeff, RadicalScalar):
+                coeff = RadicalScalar.from_rational(coeff)
+            if coeff:
+                coeffs[loop] = coeff
+        # Each coefficient is in lowest terms, so over the lcm of their
+        # denominators the numerators share no factor with it.
+        den = lcm(*(c._den for c in coeffs.values()))
+        num: dict[RadicalKey, AccRows] = {}
+        shared = _SHARED
+        if len(shared) >= _SHARED_MAX:
+            shared.clear()
+        for (base, edges), coeff in coeffs.items():
+            row = (base,) + edges[degree:][::-1]
+            col = (base,) + edges[:degree]
+            row, col = shared.setdefault(row, row), shared.setdefault(col, col)
+            scale = den // coeff._den
+            for key, n in coeff._num.items():
+                n *= scale
+                num.setdefault(key, {}).setdefault(row, {})[col] = shared.setdefault(n, n)
+        for rows in num.values():
+            for row, entries in rows.items():
+                if len(entries) == 1:
+                    rows[row] = entries.popitem()
+        _set_degree(self, degree)
+        _set_den(self, den)
+        _set_num(self, num)
 
     def __setattr__(self, name, value):
         raise AttributeError("PlanarElement is immutable")
 
     @classmethod
-    def _normal(cls, degree: int, terms: dict[Loop, RadicalScalar]) -> PlanarElement:
-        """Trusted constructor for terms whose loops all have this degree and
-        whose coefficients are RadicalScalars: drops zero coefficients and
-        skips the checks of __init__."""
+    def _normal(cls, degree: int, den: int, num: dict[RadicalKey, AccRows]) -> PlanarElement:
+        """Trusted constructor over accumulated integer rows that the
+        caller built and hands over: drops zero numerators, empty rows and
+        empty keys, stores one-entry rows as pairs, and divides out the
+        common factor."""
+        g = den
+        for key in list(num):
+            rows = num[key]
+            for row in list(rows):
+                entries = rows[row]
+                if not all(entries.values()):
+                    entries = {c: n for c, n in entries.items() if n}
+                    if not entries:
+                        del rows[row]
+                        continue
+                    rows[row] = entries
+                if g != 1:
+                    g = gcd(g, *entries.values())
+                if len(entries) == 1:
+                    rows[row] = entries.popitem()
+            if not rows:
+                del num[key]
+        if g != 1:
+            den //= g
+            num = {
+                key: {
+                    r: (e[0], e[1] // g) if e.__class__ is tuple else {c: n // g for c, n in e.items()}
+                    for r, e in rows.items()
+                }
+                for key, rows in num.items()
+            }
         out = _new(cls)
         _set_degree(out, degree)
-        _set_terms(out, {l: c for l, c in terms.items() if c})
+        _set_den(out, den)
+        _set_num(out, num)
         return out
 
     @classmethod
@@ -116,8 +212,18 @@ class PlanarElement:
     def basis(cls, loop: Loop) -> PlanarElement:
         return cls(loop.degree, {loop: RadicalScalar.one()})
 
+    @property
+    def terms(self) -> dict[Loop, RadicalScalar]:
+        by_loop: dict[Loop, dict[RadicalKey, int]] = {}
+        for key, rows in self._num.items():
+            for row, entries in rows.items():
+                tail = row[:0:-1]
+                for col, n in _pairs(entries):
+                    by_loop.setdefault(_new_tuple(Loop, (row[0], col[1:] + tail)), {})[key] = n
+        return {loop: _reduced(self._den, num) for loop, num in by_loop.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def support(self) -> list[Loop]:
         return sorted(self.terms)
@@ -130,14 +236,18 @@ class PlanarElement:
             return NotImplemented
         if self.degree != other.degree:
             raise DegreeMismatchError(f"adding degrees {self.degree} and {other.degree}")
-        merged = dict(self.terms)
-        for loop, coeff in other.terms.items():
-            prev = merged.get(loop)
-            merged[loop] = coeff if prev is None else prev + coeff
-        return PlanarElement._normal(self.degree, merged)
+        den = lcm(self._den, other._den)
+        num: dict[RadicalKey, AccRows] = {}
+        for part in (self, other):
+            scale = den // part._den
+            for key, rows in part._num.items():
+                target = num.setdefault(key, {})
+                for row, entries in rows.items():
+                    _add_row(target, row, _pairs(entries), scale)
+        return PlanarElement._normal(self.degree, den, num)
 
     def __neg__(self) -> PlanarElement:
-        return PlanarElement._normal(self.degree, {l: -c for l, c in self.terms.items()})
+        return self.scaled(-1)
 
     def __sub__(self, other) -> PlanarElement:
         if not isinstance(other, PlanarElement):
@@ -159,45 +269,78 @@ class PlanarElement:
     def scaled(self, scalar) -> PlanarElement:
         if not isinstance(scalar, RadicalScalar):
             scalar = RadicalScalar.from_rational(scalar)
-        return PlanarElement._normal(self.degree, {l: c * scalar for l, c in self.terms.items()})
+        num: dict[RadicalKey, AccRows] = {}
+        for k1, rows in self._num.items():
+            for k2, n2 in scalar._num.items():
+                key, factor = _key_product(k1, k2)
+                target = num.setdefault(key, {})
+                for row, entries in rows.items():
+                    _add_row(target, row, _pairs(entries), n2 * factor)
+        return PlanarElement._normal(self.degree, self._den * scalar._den, num)
 
     def _compose(self, other: PlanarElement) -> PlanarElement:
         """Matrix-unit product: the top row of the left factor must equal the
         bottom row of the right factor; the product keeps the left bottom row
-        and the right top row."""
+        and the right top row.  One sparse integer matrix product for each
+        pair of radical keys, one gcd for the result."""
         h = self.degree
         if h != other.degree:
             raise DegreeMismatchError(f"multiplying degrees {h} and {other.degree}")
-        # Right factors by (base, bottom row), each with its top row.
-        by_bottom: dict[tuple[int, tuple[int, ...]], list[tuple[tuple[int, ...], RadicalScalar]]] = {}
-        for (base, edges), coeff in other.terms.items():
-            by_bottom.setdefault((base, edges[h:][::-1]), []).append((edges[:h], coeff))
-        out: dict[Loop, RadicalScalar] = {}
-        for (base, edges), lc in self.terms.items():
-            left_tail = edges[h:]
-            for right_top, rc in by_bottom.get((base, edges[:h]), ()):
-                product = _new_tuple(Loop, (base, right_top + left_tail))
-                coeff = lc * rc
-                prev = out.get(product)
-                out[product] = coeff if prev is None else prev + coeff
-        return PlanarElement._normal(h, out)
+        num: dict[RadicalKey, AccRows] = {}
+        for k1, rows1 in self._num.items():
+            for k2, rows2 in other._num.items():
+                key, factor = _key_product(k1, k2)
+                target = num.setdefault(key, {})
+                for row, entries in rows1.items():
+                    acc = target.get(row)
+                    # `_pairs`, written out: this is the innermost loop.
+                    for mid, n1 in (entries,) if entries.__class__ is tuple else entries.items():
+                        right = rows2.get(mid)
+                        if right is None:
+                            continue
+                        n1 *= factor
+                        right = (right,) if right.__class__ is tuple else right.items()
+                        if acc is None:
+                            acc = target[row] = {c: n1 * n2 for c, n2 in right}
+                        else:
+                            for c, n2 in right:
+                                acc[c] = acc.get(c, 0) + n1 * n2
+        return PlanarElement._normal(h, self._den * other._den, num)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PlanarElement):
             return NotImplemented
-        return self.degree == other.degree and self.terms == other.terms
+        return self.degree == other.degree and self._den == other._den and self._num == other._num
 
     def __repr__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return f"PlanarElement(degree={self.degree}, 0)"
-        body = " + ".join(f"({self.terms[l]})*{l.base}:{l.edges}" for l in self.support())
+        body = " + ".join(f"({terms[l]})*{l.base}:{l.edges}" for l in sorted(terms))
         return f"PlanarElement(degree={self.degree}, {body})"
 
 
 _new = object.__new__
 _new_tuple = tuple.__new__
 _set_degree = PlanarElement.degree.__set__
-_set_terms = PlanarElement.terms.__set__
+_set_den = PlanarElement._den.__set__
+_set_num = PlanarElement._num.__set__
+
+
+def _pairs(row: Row) -> Iterable[tuple[Path, int]]:
+    """The (column, numerator) pairs of a stored row."""
+    return (row,) if row.__class__ is tuple else row.items()
+
+
+def _add_row(rows: AccRows, row: Path, pairs: Iterable[tuple[Path, int]], scale: int) -> None:
+    """rows[row] += scale * pairs, where rows is being accumulated for a
+    result: a row of an operand is never changed."""
+    acc = rows.get(row)
+    if acc is None:
+        rows[row] = {c: scale * n for c, n in pairs}
+    else:
+        for c, n in pairs:
+            acc[c] = acc.get(c, 0) + scale * n
 
 
 class BipartiteGraph:
@@ -390,7 +533,8 @@ class BipartiteGraph:
 
     def render_element(self, x: PlanarElement) -> list[str]:
         """One line per term, canonical loop order."""
-        return [f"({x.terms[l]}) * {self.render_loop(l)}" for l in x.support()]
+        terms = x.terms
+        return [f"({terms[l]}) * {self.render_loop(l)}" for l in sorted(terms)]
 
 
 def build_graph(inc: InclusionData) -> BipartiteGraph:

@@ -21,7 +21,7 @@ from .errors import (
     PlanarAlgError,
     ValidationError,
 )
-from .graph import BipartiteGraph, Loop, PlanarElement
+from .graph import BipartiteGraph, Loop, PlanarElement, _pairs
 from .markov import analyze
 from .radical import RadicalScalar
 from .tangles import expect, include, jones_projection, shift
@@ -169,7 +169,17 @@ def act_loop(auto: GraphAutomorphism, loop: Loop) -> Loop:
 def act(auto: GraphAutomorphism, x: PlanarElement) -> PlanarElement:
     """Linear extension of the edgewise loop action; a degree-preserving
     algebra automorphism."""
-    return PlanarElement._normal(x.degree, {act_loop(auto, l): c for l, c in x.terms.items()})
+    perm_a, edge = auto.perm_a, auto.perm_e.__getitem__
+    num = {}
+    for key, rows in x._num.items():
+        out = num[key] = {}
+        for row, entries in rows.items():
+            # Maps that are not permutations can send two loops to one.
+            target = out.setdefault((perm_a[row[0]], *map(edge, row[1:])), {})
+            for col, n in _pairs(entries):
+                image = (perm_a[col[0]], *map(edge, col[1:]))
+                target[image] = target.get(image, 0) + n
+    return PlanarElement._normal(x.degree, x._den, num)
 
 
 def reynolds(group: GroupAction, x: PlanarElement) -> PlanarElement:

@@ -32,18 +32,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Sequence
 
 from .errors import DegreeMismatchError, TangleProgramError, ValidationError
-from .graph import BipartiteGraph, Loop, PlanarElement
-from .radical import RadicalScalar
+from .graph import BipartiteGraph, Loop, PlanarElement, _add_row, _pairs
+from .radical import RadicalScalar, _key_product
 
 _STEP_RE = re.compile(r"^([1MIJUE])(\d+)$")
-
-
-def _add_term(acc: dict[Loop, RadicalScalar], loop: Loop, coeff: RadicalScalar) -> None:
-    prev = acc.get(loop)
-    acc[loop] = coeff if prev is None else prev + coeff
 
 
 def identity(x: PlanarElement) -> PlanarElement:
@@ -58,27 +54,30 @@ def multiply(x: PlanarElement, y: PlanarElement) -> PlanarElement:
 def include(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
     """Unital algebra morphism from degree k to degree k+1."""
     k = x.degree
-    out: dict[Loop, RadicalScalar] = {}
-    for (base, edges), coeff in x.terms.items():
-        end = g.path_end(base, edges[:k])
-        attachable = g.edges_up(end) if k % 2 == 0 else g.edges_down(end)
-        # Distinct (loop, edge) pairs give distinct loops, so no term merges.
-        for eid in attachable:
-            out[Loop(base, edges[:k] + (eid, eid) + edges[k:])] = coeff
-    return PlanarElement._normal(k + 1, out)
+    num = {}
+    for key, rows in x._num.items():
+        out = num[key] = {}
+        for row, entries in rows.items():
+            # Every column of a row ends where the row's path ends.
+            end = g.path_end(row[0], row[1:])
+            for eid in g.edges_up(end) if k % 2 == 0 else g.edges_down(end):
+                tail = (eid,)
+                out[row + tail] = {col + tail: n for col, n in _pairs(entries)}
+    return PlanarElement._normal(k + 1, x._den, num)
 
 
 def shift(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
     """Injective unital algebra morphism from degree k to degree k+2."""
-    k = x.degree
-    out: dict[Loop, RadicalScalar] = {}
-    for (base, edges), coeff in x.terms.items():
-        for down_eid in g.edges_up(base):
-            upper = g.edge(down_eid).dst
-            for up_eid in g.edges_down(upper):
-                # The same prefix on both rows; no two terms meet.
-                out[Loop(g.edge(up_eid).src, (up_eid, down_eid) + edges + (down_eid, up_eid))] = coeff
-    return PlanarElement._normal(k + 2, out)
+    num = {}
+    for key, rows in x._num.items():
+        out = num[key] = {}
+        for row, entries in rows.items():
+            for down_eid in g.edges_up(row[0]):
+                for up_eid in g.edges_down(g.edge(down_eid).dst):
+                    # The same prefix on both rows, at a new base; no two terms meet.
+                    prefix = (g.edge(up_eid).src, up_eid, down_eid)
+                    out[prefix + row[1:]] = {prefix + col[1:]: n for col, n in _pairs(entries)}
+    return PlanarElement._normal(x.degree + 2, x._den, num)
 
 
 def expect(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
@@ -87,14 +86,22 @@ def expect(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
     if d < 1:
         raise DegreeMismatchError("expectation needs degree at least 1")
     direction = "up" if d % 2 == 1 else "down"
-    out: dict[Loop, RadicalScalar] = {}
-    for (base, edges), coeff in x.terms.items():
-        # The last edges of the two rows sit in the middle of the edge list.
-        if edges[d - 1] != edges[d]:
-            continue
-        weight = g.spin_factor_sq(edges[d], direction)
-        _add_term(out, Loop(base, edges[: d - 1] + edges[d + 1 :]), coeff * weight)
-    return PlanarElement._normal(d - 1, out)
+    weights = [g.spin_factor_sq(e.id, direction) for e in g.edges]
+    wden = lcm(*(w._den for w in weights))
+    num = {}
+    for key, rows in x._num.items():
+        for row, entries in rows.items():
+            # The last edges of the two rows must agree; both are removed.
+            last = row[-1]
+            kept = [(col[:-1], n) for col, n in _pairs(entries) if col[-1] == last]
+            if not kept:
+                continue
+            weight = weights[last]
+            scale = wden // weight._den
+            for wkey, wn in weight._num.items():
+                out_key, factor = _key_product(key, wkey)
+                _add_row(num.setdefault(out_key, {}), row[:-1], kept, wn * factor * scale)
+    return PlanarElement._normal(d - 1, x._den * wden, num)
 
 
 def jones_projection_raw(g: BipartiteGraph, k: int) -> PlanarElement:
@@ -102,7 +109,7 @@ def jones_projection_raw(g: BipartiteGraph, k: int) -> PlanarElement:
     if k < 0:
         raise ValidationError("k must be nonnegative")
     direction = "up" if k % 2 == 0 else "down"
-    out: dict[Loop, RadicalScalar] = {}
+    terms = {}
     for base in range(g.num_a):
         for path in g.paths_from(base, k):
             end = g.path_end(base, path)
@@ -110,17 +117,9 @@ def jones_projection_raw(g: BipartiteGraph, k: int) -> PlanarElement:
             for bottom_eid in attachable:
                 bottom_spin = g.spin_factor(bottom_eid, direction)
                 for top_eid in attachable:
-                    coeff = g.spin_factor(top_eid, direction) * bottom_spin
-                    _add_term(
-                        out,
-                        Loop.from_paths(
-                            base,
-                            path + (top_eid, top_eid),
-                            path + (bottom_eid, bottom_eid),
-                        ),
-                        coeff,
-                    )
-    return PlanarElement._normal(k + 2, out)
+                    loop = Loop.from_paths(base, path + (top_eid, top_eid), path + (bottom_eid, bottom_eid))
+                    terms[loop] = g.spin_factor(top_eid, direction) * bottom_spin
+    return PlanarElement(k + 2, terms)
 
 
 def jones_projection(g: BipartiteGraph, k: int) -> PlanarElement:
@@ -257,18 +256,14 @@ class RelationCheck:
     passed: bool
 
 
-def _embed(g: BipartiteGraph, x: PlanarElement, degree: int) -> PlanarElement:
-    while x.degree < degree:
-        x = include(g, x)
-    return x
-
-
 def verify_temperley_lieb(g: BipartiteGraph, kmax: int) -> list[RelationCheck]:
     """Exact checks of the diagram-algebra relations for e_0 .. e_kmax.
 
     Idempotency and normalized traces for each index; the two bounce
     relations for adjacent indices (lower index embedded upward); and
-    commutation for indices two or more apart.
+    commutation for indices two or more apart.  Each e_k is included one
+    degree at a time, and the far-commute checks of e_k reuse the chain
+    that starts at its bounce embedding; only the current link is kept.
     """
     if kmax < 0:
         raise ValidationError("kmax must be nonnegative")
@@ -279,17 +274,19 @@ def verify_temperley_lieb(g: BipartiteGraph, kmax: int) -> list[RelationCheck]:
         e = proj[k]
         checks.append(RelationCheck("idempotent", (k,), e * e == e))
         checks.append(RelationCheck("trace", (k,), trace(g, e) == inv_r))
+    bounces, far_commutes = [], []
     for k in range(kmax):
-        low = _embed(g, proj[k], k + 3)
+        low = include(g, proj[k])
         high = proj[k + 1]
-        checks.append(
+        bounces.append(
             RelationCheck("bounce-low", (k, k + 1), low * high * low == low.scaled(inv_r))
         )
-        checks.append(
+        bounces.append(
             RelationCheck("bounce-high", (k + 1, k), high * low * high == high.scaled(inv_r))
         )
-    for k in range(kmax + 1):
         for l in range(k + 2, kmax + 1):
-            far = _embed(g, proj[k], l + 2)
-            checks.append(RelationCheck("far-commute", (k, l), far * proj[l] == proj[l] * far))
-    return checks
+            low = include(g, low)
+            far_commutes.append(
+                RelationCheck("far-commute", (k, l), low * proj[l] == proj[l] * low)
+            )
+    return checks + bounces + far_commutes

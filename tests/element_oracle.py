@@ -1,0 +1,136 @@
+"""Reference loop algebra: elements as plain dicts from loops to scalars.
+
+This is the straightforward implementation that `PlanarElement` replaced:
+every term is a `Loop` with a `RadicalScalar` coefficient, products walk
+all pairs of terms and build each product loop, and the generating
+operations rewrite loops one by one.  It is slow and obviously faithful to
+the definitions in `planaralg.tangles`, so the tests compare the integer
+matrix-row elements with it, operation by operation.
+
+Not a test module (no `test_` prefix): pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+from planaralg import Loop, PlanarElement, RadicalScalar
+
+Terms = dict[Loop, RadicalScalar]
+
+
+class RefElement:
+    """A degree and a dict of nonzero coefficients."""
+
+    def __init__(self, degree: int, terms: Terms):
+        self.degree = degree
+        self.terms = {loop: c for loop, c in terms.items() if c}
+
+    @classmethod
+    def of(cls, x: PlanarElement) -> RefElement:
+        return cls(x.degree, x.terms)
+
+    def __add__(self, other: RefElement) -> RefElement:
+        assert self.degree == other.degree
+        merged = dict(self.terms)
+        for loop, coeff in other.terms.items():
+            _add_term(merged, loop, coeff)
+        return RefElement(self.degree, merged)
+
+    def __neg__(self) -> RefElement:
+        return RefElement(self.degree, {l: -c for l, c in self.terms.items()})
+
+    def __sub__(self, other: RefElement) -> RefElement:
+        return self + (-other)
+
+    def __mul__(self, other: RefElement) -> RefElement:
+        """Matrix-unit product: the top row of the left factor must equal the
+        bottom row of the right factor; the product keeps the left bottom row
+        and the right top row."""
+        h = self.degree
+        assert h == other.degree
+        out: Terms = {}
+        for left, lc in self.terms.items():
+            for right, rc in other.terms.items():
+                if left.base == right.base and left.top() == right.bottom():
+                    _add_term(out, Loop.from_paths(left.base, right.top(), left.bottom()), lc * rc)
+        return RefElement(h, out)
+
+    def scaled(self, scalar: RadicalScalar) -> RefElement:
+        return RefElement(self.degree, {l: c * scalar for l, c in self.terms.items()})
+
+
+def _add_term(acc: Terms, loop: Loop, coeff: RadicalScalar) -> None:
+    prev = acc.get(loop)
+    acc[loop] = coeff if prev is None else prev + coeff
+
+
+def include(g, x: RefElement) -> RefElement:
+    k = x.degree
+    out: Terms = {}
+    for loop, coeff in x.terms.items():
+        end = g.path_end(loop.base, loop.top())
+        attachable = g.edges_up(end) if k % 2 == 0 else g.edges_down(end)
+        for eid in attachable:
+            grown = Loop.from_paths(loop.base, loop.top() + (eid,), loop.bottom() + (eid,))
+            _add_term(out, grown, coeff)
+    return RefElement(k + 1, out)
+
+
+def shift(g, x: RefElement) -> RefElement:
+    out: Terms = {}
+    for loop, coeff in x.terms.items():
+        for down_eid in g.edges_up(loop.base):
+            for up_eid in g.edges_down(g.edge(down_eid).dst):
+                prefix = (up_eid, down_eid)
+                grown = Loop.from_paths(g.edge(up_eid).src, prefix + loop.top(), prefix + loop.bottom())
+                _add_term(out, grown, coeff)
+    return RefElement(x.degree + 2, out)
+
+
+def expect(g, x: RefElement) -> RefElement:
+    d = x.degree
+    assert d >= 1
+    direction = "up" if d % 2 == 1 else "down"
+    out: Terms = {}
+    for loop, coeff in x.terms.items():
+        top, bottom = loop.top(), loop.bottom()
+        if top[-1] != bottom[-1]:
+            continue
+        weight = g.spin_factor_sq(top[-1], direction)
+        _add_term(out, Loop.from_paths(loop.base, top[:-1], bottom[:-1]), coeff * weight)
+    return RefElement(d - 1, out)
+
+
+def jones_projection(g, k: int) -> RefElement:
+    direction = "up" if k % 2 == 0 else "down"
+    scale = g.gamma.invert()
+    out: Terms = {}
+    for base in range(g.num_a):
+        for path in g.paths_from(base, k):
+            end = g.path_end(base, path)
+            attachable = g.edges_up(end) if k % 2 == 0 else g.edges_down(end)
+            for bottom_eid in attachable:
+                for top_eid in attachable:
+                    coeff = g.spin_factor(top_eid, direction) * g.spin_factor(bottom_eid, direction)
+                    loop = Loop.from_paths(base, path + (top_eid, top_eid), path + (bottom_eid, bottom_eid))
+                    _add_term(out, loop, coeff * scale)
+    return RefElement(k + 2, out)
+
+
+def trace(g, x: RefElement) -> RadicalScalar:
+    k = x.degree
+    reduced = x
+    for _ in range(k):
+        reduced = expect(g, reduced)
+    total = RadicalScalar.zero()
+    for loop, coeff in reduced.terms.items():
+        total = total + coeff * g.point_weight(loop.base)
+    return total * g.gamma.invert() ** k
+
+
+def act(auto, x: RefElement) -> RefElement:
+    """Linear extension of the edgewise action: images that meet add up."""
+    out: Terms = {}
+    for loop, coeff in x.terms.items():
+        image = Loop(auto.perm_a[loop.base], tuple(auto.perm_e[e] for e in loop.edges))
+        _add_term(out, image, coeff)
+    return RefElement(x.degree, out)

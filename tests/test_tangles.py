@@ -399,3 +399,27 @@ class TestRelations:
         checks = verify_temperley_lieb(g, 4)
         assert checks and all(c.passed for c in checks)
         assert calls <= 100
+
+    def test_projections_are_included_along_one_chain(self, graphs, monkeypatch):
+        # Work count: each e_k is included one degree at a time and its
+        # far-commute checks reuse the chain, kmax + kmax(kmax-1)/2 inclusions
+        # in all; embedding from scratch for every check took 20 here.
+        from planaralg import tangles
+
+        calls = 0
+        original = tangles.include
+
+        def counting(g, x):
+            nonlocal calls
+            calls += 1
+            return original(g, x)
+
+        monkeypatch.setattr(tangles, "include", counting)
+        checks = verify_temperley_lieb(graphs("C-in-C2"), 4)
+        assert calls == 10
+        assert all(c.passed for c in checks)
+        expected = [(r, (k,)) for k in range(5) for r in ("idempotent", "trace")]
+        for k in range(4):
+            expected += [("bounce-low", (k, k + 1)), ("bounce-high", (k + 1, k))]
+        expected += [("far-commute", (k, l)) for k in range(5) for l in range(k + 2, 5)]
+        assert [(c.relation, c.indices) for c in checks] == expected
