@@ -253,6 +253,10 @@ def _load_group(graph, path: str):
             raise ValidationError(f"generator {idx} has unknown keys: {sorted(unknown)}")
         if "perm_a" not in entry or "perm_b" not in entry:
             raise ValidationError(f'generator {idx} needs "perm_a" and "perm_b"')
+        if not isinstance(entry["perm_a"], list) or not isinstance(entry["perm_b"], list):
+            raise ValidationError(f'generator {idx}: "perm_a" and "perm_b" must be lists')
+        if not isinstance(entry.get("perm_e", []), (list, type(None))):
+            raise ValidationError(f'generator {idx}: "perm_e" must be a list or null')
         generators.append(
             make_automorphism(graph, entry["perm_a"], entry["perm_b"], entry.get("perm_e"))
         )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 from .errors import (
     GroupTooLargeError,
@@ -54,6 +55,8 @@ class GraphAutomorphism:
 
 
 def _check_permutation(perm: tuple[int, ...], size: int, label: str) -> None:
+    if not all(isinstance(x, Integral) for x in perm):
+        raise InvalidAutomorphismError(f"{label} has an entry that is not an integer: {perm}")
     if len(perm) != size or sorted(perm) != list(range(size)):
         raise InvalidAutomorphismError(f"{label} is not a permutation of 0..{size - 1}: {perm}")
 
@@ -219,8 +222,9 @@ def burnside_dim(group: GroupAction, k: int) -> int:
 def fixed_dims_report(group: GroupAction, kmax: int) -> list[int]:
     """Fixed-space dimensions for degrees 0..kmax, counted two ways.
 
-    Both counts assume a group of permutations; close_group does not check
-    its generators, so every element is checked here first.
+    Both counts assume a group of permutations that maps loops to loops;
+    close_group does not check its generators, so every element is checked
+    here first, and every generator on each degree's loops.
     """
     if kmax < 0:
         raise ValidationError("kmax must be nonnegative")
@@ -231,6 +235,9 @@ def fixed_dims_report(group: GroupAction, kmax: int) -> list[int]:
         _check_permutation(element.perm_e, len(g.edges), "perm_e")
     dims = []
     for k in range(kmax + 1):
+        for gen in group.generators:
+            if not all(g.is_valid_loop(act_loop(gen, l)) for l in g.iter_loops(k)):
+                raise InvalidAutomorphismError(f"a generator sends a degree-{k} loop to a non-loop")
         by_count = burnside_dim(group, k)
         by_orbits = len(fixed_space_basis(group, k))
         if by_count != by_orbits:
@@ -280,37 +287,23 @@ def _invariant(group: GroupAction, x: PlanarElement) -> bool:
     return all(act(gen, x) == x for gen in group.generators)
 
 
-def _multiplicative(auto: GraphAutomorphism, rows: list[tuple[int, tuple[int, ...]]]) -> bool:
-    """Whether act(auto, x * y) == act(auto, x) * act(auto, y) for all basis
-    loops x, y of one degree, given that degree's (base, path) rows.
-
-    Loops multiply as matrix units indexed by rows and act relabels rows, so
-    this holds exactly when the relabeling of rows is injective; the proof
-    is in docs/equivariance-multiply.md.
-    """
-    images = {(auto.perm_a[b], tuple(map(auto.perm_e.__getitem__, p))) for b, p in rows}
-    return len(images) == len(rows)
-
-
 def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
     """Exact verification that the fixed spaces form a planar subalgebra.
 
     Per degree up to kmax: orbit sums multiply back into the fixed space;
     inclusion, expectation, and shift send orbit sums to invariants; the
     Jones idempotents are invariant; and every generating operation
-    commutes with the group action on the full loop basis.  Multiplication
-    is checked on the (base, path) rows of the loop basis rather than on
-    all pairs of loops; docs/equivariance-multiply.md proves the two
-    checks agree.
+    commutes with the group action on the loop basis.  The last is decided
+    on (base, path) rows: multiplication as injectivity of the action on
+    them, and inclusion, expectation and shift on the loops of the first
+    row of each base and last edge (docs/equivariance-multiply.md,
+    docs/equivariance-include-expect-shift.md).
     """
     if kmax < 0:
         raise ValidationError("kmax must be nonnegative")
     g = group.graph
     checks: list[SubalgebraCheck] = []
     bases = {k: fixed_space_basis(group, k) for k in range(kmax + 1)}
-    loop_elems = {
-        k: [PlanarElement.basis(l) for l in g.iter_loops(k)] for k in range(kmax + 1)
-    }
 
     for k in range(kmax + 1):
         basis = bases[k]
@@ -330,11 +323,23 @@ def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
             checks.append(SubalgebraCheck("projection-invariant", k, ok))
 
     for k in range(kmax + 1):
-        elems = loop_elems[k]
         rows = [(b, p) for b in range(g.num_a) for p in g.paths_from(b, k)]
+        # The include, expect and shift verdicts of a loop read only its base
+        # and last edges; the loops of kept rows stay in canonical order.
+        kept = {}
+        for b, p in rows:
+            kept.setdefault((b, p[-1:]), p)
+        ends = {}
+        for (b, _), p in sorted(kept.items()):
+            ends.setdefault((b, g.path_end(b, p)), []).append(p)
+        elems = [
+            PlanarElement.basis(Loop.from_paths(b, t, u))
+            for (b, _), t in kept.items()
+            for u in ends[b, g.path_end(b, t)]
+        ]
         for gen in group.generators:
-            ok = _multiplicative(gen, rows)
-            checks.append(SubalgebraCheck("equivariance-multiply", k, ok))
+            images = {(gen.perm_a[b], tuple(map(gen.perm_e.__getitem__, p))) for b, p in rows}
+            checks.append(SubalgebraCheck("equivariance-multiply", k, len(images) == len(rows)))
             ok = all(act(gen, include(g, x)) == include(g, act(gen, x)) for x in elems)
             checks.append(SubalgebraCheck("equivariance-include", k, ok))
             if k >= 1:

@@ -265,6 +265,37 @@ class TestFixed:
         args = ["fixed", "--input", write_inclusion("C-in-C2"), "--group", group, "--kmax", "1"]
         assert main(args) == 2
 
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            {"perm_a": [0], "perm_b": [1.0, 0.0]},
+            {"perm_a": [0.0], "perm_b": [1, 0]},
+            {"perm_a": [0], "perm_b": [1, 0], "perm_e": [1.0, 0]},
+            {"perm_a": 0, "perm_b": [1, 0]},
+        ],
+        ids=["float-perm-b", "float-perm-a", "float-perm-e", "int-perm-a"],
+    )
+    def test_malformed_permutation_values(self, write_inclusion, write_group, capsys, generator):
+        group = write_group([generator])
+        args = ["fixed", "--input", write_inclusion("C-in-C2"), "--group", group, "--kmax", "1"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error" in captured.err
+
+    @pytest.mark.parametrize(
+        "generator",
+        [{"perm_a": [0], "perm_b": [True, False]}, {"perm_a": [0], "perm_b": [1, 0], "perm_e": None}],
+        ids=["booleans", "null-perm-e"],
+    )
+    def test_boolean_entries_and_null_perm_e_still_work(
+        self, write_inclusion, write_group, capsys, generator
+    ):
+        group = write_group([generator])
+        args = ["fixed", "--input", write_inclusion("C-in-C2"), "--group", group, "--kmax", "1"]
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out)["group_order"] == 2
+
     def test_non_markov_is_precondition_failure(self, write_inclusion, write_group, capsys):
         group = write_group([])
         args = [
@@ -432,6 +463,43 @@ class TestFuzzContract:
         assert "Traceback" not in err.getvalue()
         # No document, however malformed, may reach an internal error.
         assert code != 5, err.getvalue()
+
+
+@st.composite
+def _perm_like(draw, size):
+    """A permutation of 0..size-1 with some entries written as floats, or
+    arbitrary JSON."""
+    if draw(st.booleans()):
+        return draw(_json_value)
+    return [float(x) if draw(st.booleans()) else x for x in draw(st.permutations(range(size)))]
+
+
+@st.composite
+def _generators_like(draw):
+    """Mostly lists of generator objects for C-in-C2 with fuzzed values,
+    perm_e present in half of them; one in five is arbitrary JSON."""
+    if not draw(st.integers(0, 4)):
+        return draw(_json_value)
+    sizes = {"perm_a": 1, "perm_b": 2, "perm_e": 2}
+    keys = list(sizes)[: draw(st.integers(2, 3))]
+    return [{key: draw(_perm_like(sizes[key])) for key in keys} for _ in range(draw(st.integers(1, 2)))]
+
+
+class TestFuzzGroupDocument:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(generators=_generators_like())
+    def test_exit_codes_and_no_traceback(self, tmp_path_factory, generators):
+        base = tmp_path_factory.getbasetemp()
+        inclusion = base / "fuzz-inclusion.json"
+        inclusion.write_text(json.dumps(corpus_entry("C-in-C2").inclusion().to_dict()), encoding="utf-8")
+        group = base / "fuzz-group.json"
+        group.write_text(json.dumps({"generators": generators}), encoding="utf-8")
+        argv = ["fixed", "--input", str(inclusion), "--group", str(group), "--kmax", "1"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in range(5), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestDeterminism:

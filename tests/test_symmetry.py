@@ -22,6 +22,7 @@ from planaralg import (
     build_graph,
     burnside_dim,
     close_group,
+    expect,
     fixed_dims_report,
     fixed_space_basis,
     identity_automorphism,
@@ -29,8 +30,10 @@ from planaralg import (
     is_centrally_ergodic,
     make_automorphism,
     reynolds,
+    shift,
     verify_planar_subalgebra,
 )
+from planaralg import symmetry
 from planaralg.symmetry import SubalgebraCheck
 from conftest import corpus_entry
 from test_graph import random_element
@@ -91,6 +94,8 @@ class TestMakeAutomorphism:
             make_automorphism(g, [0], [0, 0])
         with pytest.raises(InvalidAutomorphismError):
             make_automorphism(g, [0, 1], [0, 1])
+        with pytest.raises(InvalidAutomorphismError, match="not an integer"):
+            make_automorphism(g, [0], [1.0, 0.0])
 
     def test_rejects_incidence_breaking_vertex_maps(self, mixed_blocks_graph):
         # Swapping only the small blocks sends edge a0-b0 to a1-b0, which
@@ -227,11 +232,47 @@ class TestFixedSpaces:
         with pytest.raises(InvalidAutomorphismError, match="perm_e"):
             fixed_dims_report(group, 2)
 
+    def test_rejects_maps_that_send_loops_to_non_loops(self, graphs):
+        # Permutations of every vertex and edge set, but edge 0 (a0-b0) goes
+        # to edge 2 (a0-b2) and back: the degree-1 loop [a0; e0; e0] stays
+        # a loop, [a0; e2; e3] does not, and the two counts would disagree.
+        g = graphs("C-in-C2xM2")
+        group = close_group(g, [GraphAutomorphism((0,), (0, 1, 2), (2, 1, 0, 3))])
+        with pytest.raises(InvalidAutomorphismError, match="degree-1 loop"):
+            fixed_dims_report(group, 1)
+
+    def test_counts_maps_that_keep_loops(self, graphs):
+        # Swapping the edges at b0 and b1 but not the vertices breaks
+        # incidence, yet every loop still maps to a loop.
+        g = graphs("C-in-C2xM2")
+        group = close_group(g, [GraphAutomorphism((0,), (0, 1, 2), (1, 0, 2, 3))])
+        assert fixed_dims_report(group, 3) == [1, 5, 26, 140]
+
+    @pytest.mark.parametrize("n, dims", [(3, [1, 1, 2, 5, 14, 41]), (4, [1, 1, 2, 5, 15, 51])])
+    def test_symmetric_group_dims_are_stirling_sums(self, graphs, n, dims):
+        # S_N on C-in-C^N fixes, in degree k, one orbit sum per partition of
+        # k positions into at most N blocks: the sum of S(k, j) for j <= N.
+        g = graphs(f"C-in-C{n}")
+        cycle = make_automorphism(g, [0], [*range(1, n), 0])
+        flip = make_automorphism(g, [0], [1, 0, *range(2, n)])
+        group = close_group(g, [cycle, flip])
+        assert [sum(stirling2(k, j) for j in range(n + 1)) for k in range(6)] == dims
+        assert fixed_dims_report(group, 5) == dims
+
     @pytest.mark.parametrize("k", range(6))
     def test_burnside_matches_orbit_count(self, three_point_cycle, k):
         g, cycle = three_point_cycle
         group = close_group(g, [cycle])
         assert burnside_dim(group, k) == len(fixed_space_basis(group, k))
+
+
+def stirling2(n: int, k: int) -> int:
+    """Stirling number of the second kind: partitions of n things into k blocks."""
+    if n == k:
+        return 1
+    if n == 0 or k == 0:
+        return 0
+    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
 
 
 class TestErgodicity:
@@ -412,3 +453,64 @@ class TestEquivarianceMultiply:
         report = verify_planar_subalgebra(group, kmax)
         assert report.all_passed
         assert calls == expected == 256
+
+
+def every_loop_equivariance(group, kmax: int, multiply) -> list[SubalgebraCheck]:
+    """The equivariance checks with include, expect and shift decided on
+    every basis loop; the oracle for the representative loops in the
+    verifier.  ``multiply`` gives the equivariance-multiply check that opens
+    each (degree, generator) block, so that positions compare too."""
+    g = group.graph
+    multiply = iter(multiply)
+    checks = []
+    for k in range(kmax + 1):
+        elems = [PlanarElement.basis(l) for l in g.iter_loops(k)]
+        for gen in group.generators:
+            checks.append(next(multiply))
+            ok = all(act(gen, include(g, x)) == include(g, act(gen, x)) for x in elems)
+            checks.append(SubalgebraCheck("equivariance-include", k, ok))
+            if k >= 1:
+                ok = all(act(gen, expect(g, x)) == expect(g, act(gen, x)) for x in elems)
+                checks.append(SubalgebraCheck("equivariance-expect", k, ok))
+            ok = all(act(gen, shift(g, x)) == shift(g, act(gen, x)) for x in elems)
+            checks.append(SubalgebraCheck("equivariance-shift", k, ok))
+    return checks
+
+
+class TestEquivarianceIncludeExpectShift:
+    def test_matches_every_loop_oracle(self, graphs):
+        verdicts = {}
+        for group, kmax in _oracle_cases(graphs):
+            report = verify_planar_subalgebra(group, kmax)
+            multiply = [c for c in report.checks if c.name == "equivariance-multiply"]
+            expected = every_loop_equivariance(group, kmax, multiply)
+            head, tail = report.checks[: -len(expected)], report.checks[-len(expected) :]
+            assert list(tail) == expected
+            assert not any(c.name.startswith("equivariance-") for c in head)
+            for c in expected:
+                verdicts.setdefault(c.name, []).append(c.passed)
+        # Both verdicts occur in every family, so agreement is not vacuous.
+        for name in ("equivariance-include", "equivariance-expect", "equivariance-shift"):
+            assert verdicts[name].count(False) >= 10, name
+            assert verdicts[name].count(True) >= 10, name
+
+    def test_include_calls_are_per_representative(self, graphs, monkeypatch):
+        # Work count, not timing: 9 closure-include calls (fixed dimensions
+        # 1, 1, 2, 5 below kmax), then two per generator and representative
+        # loop, 41 of them over degrees 0-4 (1, 4, 16, 4, 16).  On every
+        # loop the count would be 9 + 2 * 2 * 341 = 1,373.
+        g = graphs("C-in-C4")
+        group = close_group(
+            g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
+        )
+        calls = 0
+        real = symmetry.include
+
+        def counting(graph, x):
+            nonlocal calls
+            calls += 1
+            return real(graph, x)
+
+        monkeypatch.setattr(symmetry, "include", counting)
+        assert verify_planar_subalgebra(group, 4).all_passed
+        assert calls == 9 + 2 * 2 * 41 == 173
