@@ -11,6 +11,7 @@ with the action.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
@@ -142,12 +143,20 @@ def close_group(
 ) -> GroupAction:
     """Close a generator list under composition, identity included.
 
+    Generators need not be bijective or preserve incidence, but the first n
+    entries of each map must lie in 0..n-1 (InvalidAutomorphismError).
     Raises GroupTooLargeError as soon as the element count would pass the limit.
     """
     gens = tuple(generators)
     for gen in gens:
         if not isinstance(gen, GraphAutomorphism):
             raise ValidationError("generators must be GraphAutomorphism instances")
+        for label, size in (("perm_a", g.num_a), ("perm_b", g.num_b), ("perm_e", len(g.edges))):
+            head = getattr(gen, label)[:size]
+            if len(head) < size or not all(isinstance(x, Integral) and 0 <= x < size for x in head):
+                raise InvalidAutomorphismError(
+                    f"{label} does not map 0..{size - 1} into itself: {head}"
+                )
     seen = {identity_automorphism(g)}
     frontier = [identity_automorphism(g)]
     while frontier:
@@ -193,38 +202,66 @@ def reynolds(group: GroupAction, x: PlanarElement) -> PlanarElement:
     return total.scaled(Fraction(1, group.order))
 
 
+def _orbits(group: GroupAction, k: int) -> list[set[Loop]]:
+    """Degree-k orbits as loop sets, in canonical order of their first loop;
+    under maps that are not bijective two orbits can share loops."""
+    orbits, seen = [], set()
+    for loop in group.graph.iter_loops(k):
+        if loop not in seen:
+            orbits.append({act_loop(element, loop) for element in group.elements})
+            seen.update(orbits[-1])
+    return orbits
+
+
 def fixed_space_basis(group: GroupAction, k: int) -> list[PlanarElement]:
     """Unnormalized orbit sums of degree-k loops, ordered by the canonical
     least loop of each orbit."""
-    basis = []
-    seen: set[Loop] = set()
-    for loop in group.graph.iter_loops(k):
-        if loop in seen:
-            continue
-        orbit = {act_loop(element, loop) for element in group.elements}
-        seen.update(orbit)
-        basis.append(PlanarElement(k, {l: RadicalScalar.one() for l in orbit}))
-    return basis
+    one = RadicalScalar.one()
+    return [PlanarElement(k, dict.fromkeys(orbit, one)) for orbit in _orbits(group, k)]
+
+
+def _rows(g: BipartiteGraph, k: int) -> list[list[tuple[tuple[int, ...], int]]]:
+    """For each lower vertex b, its degree-k paths with their endpoints."""
+    return [[(p, g.path_end(b, p)) for p in g.paths_from(b, k)] for b in range(g.num_a)]
 
 
 def burnside_dim(group: GroupAction, k: int) -> int:
-    """Fixed-space dimension as the average number of fixed loops."""
+    """Fixed-space dimension as the average number of fixed loops, counted on
+    paths: an element fixes [b; t; u] exactly when it fixes b and each edge
+    of t and u (docs/closure-multiply-and-burnside.md)."""
+    rows = _rows(group.graph, k)
     total = 0
-    for loop in group.graph.iter_loops(k):
-        for element in group.elements:
-            if act_loop(element, loop) == loop:
-                total += 1
+    for element in group.elements:
+        moved = {e for e, image in enumerate(element.perm_e) if image != e}
+        for b, paths in enumerate(rows):
+            if element.perm_a[b] == b:
+                fixed = Counter(v for p, v in paths if moved.isdisjoint(p))
+                total += sum(n * n for n in fixed.values())
     if total % group.order:
         raise PlanarAlgError("internal: fixed-point count is not divisible by the group order")
     return total // group.order
+
+
+def _keeps_loops(g: BipartiteGraph, gen: GraphAutomorphism, rows) -> bool:
+    """Whether gen sends every loop over these rows to a loop: exactly when,
+    for each base b and endpoint, the images of the rows from b to it are
+    walks from a(b) with one common endpoint, so each is tested against the
+    image of the first such row."""
+    for b, paths in enumerate(rows):
+        first = {}
+        for p, v in paths:
+            q = tuple(map(gen.perm_e.__getitem__, p))
+            if not g.is_valid_loop(Loop.from_paths(gen.perm_a[b], first.setdefault(v, q), q)):
+                return False
+    return True
 
 
 def fixed_dims_report(group: GroupAction, kmax: int) -> list[int]:
     """Fixed-space dimensions for degrees 0..kmax, counted two ways.
 
     Both counts assume a group of permutations that maps loops to loops;
-    close_group does not check its generators, so every element is checked
-    here first, and every generator on each degree's loops.
+    close_group does not check that, so every element is checked here
+    first, and every generator on each degree's rows.
     """
     if kmax < 0:
         raise ValidationError("kmax must be nonnegative")
@@ -235,11 +272,11 @@ def fixed_dims_report(group: GroupAction, kmax: int) -> list[int]:
         _check_permutation(element.perm_e, len(g.edges), "perm_e")
     dims = []
     for k in range(kmax + 1):
-        for gen in group.generators:
-            if not all(g.is_valid_loop(act_loop(gen, l)) for l in g.iter_loops(k)):
-                raise InvalidAutomorphismError(f"a generator sends a degree-{k} loop to a non-loop")
+        rows = _rows(g, k)
+        if not all(_keeps_loops(g, gen, rows) for gen in group.generators):
+            raise InvalidAutomorphismError(f"a generator sends a degree-{k} loop to a non-loop")
         by_count = burnside_dim(group, k)
-        by_orbits = len(fixed_space_basis(group, k))
+        by_orbits = len(_orbits(group, k))
         if by_count != by_orbits:
             raise PlanarAlgError(
                 f"internal: degree {k} fixed dimension mismatch {by_count} != {by_orbits}"
@@ -290,25 +327,28 @@ def _invariant(group: GroupAction, x: PlanarElement) -> bool:
 def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
     """Exact verification that the fixed spaces form a planar subalgebra.
 
-    Per degree up to kmax: orbit sums multiply back into the fixed space;
-    inclusion, expectation, and shift send orbit sums to invariants; the
-    Jones idempotents are invariant; and every generating operation
-    commutes with the group action on the loop basis.  The last is decided
-    on (base, path) rows: multiplication as injectivity of the action on
-    them, and inclusion, expectation and shift on the loops of the first
-    row of each base and last edge (docs/equivariance-multiply.md,
+    Per degree up to kmax: orbit sums multiply back into the fixed space,
+    decided as injectivity of every generator on every orbit
+    (docs/closure-multiply-and-burnside.md); inclusion, expectation, and
+    shift send orbit sums to invariants; the Jones idempotents are
+    invariant; and every generating operation commutes with the group
+    action on the loop basis, decided on (base, path) rows
+    (docs/equivariance-multiply.md,
     docs/equivariance-include-expect-shift.md).
     """
     if kmax < 0:
         raise ValidationError("kmax must be nonnegative")
     g = group.graph
     checks: list[SubalgebraCheck] = []
-    bases = {k: fixed_space_basis(group, k) for k in range(kmax + 1)}
+    one = RadicalScalar.one()
 
     for k in range(kmax + 1):
-        basis = bases[k]
-        ok = all(_invariant(group, x * y) for x in basis for y in basis)
+        orbits = _orbits(group, k)
+        ok = all(
+            len({act_loop(gen, l) for l in o}) == len(o) for o in orbits for gen in group.generators
+        )
         checks.append(SubalgebraCheck("closure-multiply", k, ok))
+        basis = [PlanarElement(k, dict.fromkeys(orbit, one)) for orbit in orbits]
         if k + 1 <= kmax:
             ok = all(_invariant(group, include(g, x)) for x in basis)
             checks.append(SubalgebraCheck("closure-include", k, ok))

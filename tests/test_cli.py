@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -529,3 +530,21 @@ class TestDeterminism:
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("json", "133493644732c1c3ebd1b6a4134e16efec0b384cb5628f1db5c5bd33155e5b0c"),
+            ("csv", "57a1ce3d029210d953068238fcf6711c0264fe8dc4064a43529434bcfa19613d"),
+        ],
+    )
+    def test_fixed_bytes_are_pinned(self, write_inclusion, write_group, capsys, fmt, digest):
+        # S4 on C-in-C4 at kmax 5.  The digests were recorded when
+        # closure-multiply formed every product of two orbit sums and the
+        # Burnside count visited every loop; faster checks keep the bytes.
+        group = write_group(
+            [{"perm_a": [0], "perm_b": [1, 0, 2, 3]}, {"perm_a": [0], "perm_b": [1, 2, 3, 0]}]
+        )
+        argv = ["fixed", "--input", write_inclusion("C-in-C4"), "--group", group, "--kmax", "5"]
+        assert main(argv + ["--format", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from planaralg import (
+    BipartiteGraph,
     GraphAutomorphism,
     GroupTooLargeError,
     InclusionData,
@@ -147,6 +149,53 @@ class TestCloseGroup:
         with pytest.raises(ValidationError):
             close_group(g, [(0, 1)])
 
+    def test_rejects_maps_that_leave_the_graph(self, graphs):
+        # C-in-C2 has one lower vertex, two upper vertices and two edges.
+        g = graphs("C-in-C2")
+        for gen, label in (
+            (GraphAutomorphism((), (0, 1), (0, 1)), "perm_a"),
+            (GraphAutomorphism((0,), (1,), (0, 1)), "perm_b"),
+            (GraphAutomorphism((0,), (0, 1), (1,)), "perm_e"),
+            (GraphAutomorphism((1, 0), (0, 1), (0, 1)), "perm_a"),
+            (GraphAutomorphism((0,), (0, 2, 1), (0, 1)), "perm_b"),
+            (GraphAutomorphism((0,), (0, 1), (-1, 0)), "perm_e"),
+        ):
+            with pytest.raises(InvalidAutomorphismError, match=label):
+                close_group(g, [gen])
+
+    def test_accepts_raw_maps_within_the_graph(self, graphs):
+        # Merged entries and entries past the first n are not read as
+        # vertices or edges, so such maps still close.
+        g = graphs("C-in-C2")
+        assert close_group(g, [GraphAutomorphism((0,), (0, 0), (1, 1))]).order == 2
+        assert close_group(g, [GraphAutomorphism((0, 7), (1, 0, 9), (1, 0, 5))]).order == 2
+
+    def test_ragged_maps_are_refused_or_run(self, graphs):
+        # Seeded maps shorter or longer than the vertex and edge lists,
+        # naming vertices and edges that may not exist: close_group refuses
+        # each set up front or every later call ends in a verdict or a
+        # package error, never an IndexError.
+        rng = random.Random(7)
+        refused = 0
+        for index in range(300):
+            name, kmax = RAW_CASES[index % len(RAW_CASES)]
+            g = graphs(name)
+            gens = [
+                GraphAutomorphism(
+                    _ragged_map(rng, g.num_a), _ragged_map(rng, g.num_b), _ragged_map(rng, len(g.edges))
+                )
+                for _ in range(rng.randint(1, 2))
+            ]
+            try:
+                group = close_group(g, gens)
+            except InvalidAutomorphismError:
+                refused += 1
+                continue
+            verify_planar_subalgebra(group, kmax)
+            with contextlib.suppress(InvalidAutomorphismError):
+                fixed_dims_report(group, kmax)
+        assert 10 <= refused <= 290
+
 
 class TestAction:
     def test_act_loop(self, two_point_swap):
@@ -222,7 +271,7 @@ class TestFixedSpaces:
         assert basis[1].terms == {Loop(0, (0, 0, 1, 1)): one, Loop(0, (1, 1, 0, 0)): one}
 
     def test_rejects_maps_that_are_not_permutations(self, graphs):
-        # close_group takes raw automorphisms unchecked; counting fixed
+        # close_group takes raw maps that are not bijective; counting fixed
         # loops under them must refuse, not fail an internal check.
         g = graphs("C-in-C2")
         group = close_group(g, [GraphAutomorphism((0,), (0, 0), (0, 0))])
@@ -369,6 +418,13 @@ def pairwise_multiplicative(group, kmax: int) -> list[SubalgebraCheck]:
     return checks
 
 
+def _ragged_map(rng: random.Random, size: int) -> tuple[int, ...]:
+    """A map one entry short (if size > 1) to two entries long, with entries
+    below the larger of its length and size."""
+    length = size + rng.choice((-1, 0, 1, 2) if size > 1 else (0, 1, 2))
+    return tuple(rng.randrange(max(length, size)) for _ in range(length))
+
+
 def _raw_map(rng: random.Random, size: int) -> tuple[int, ...]:
     """Identity, a permutation, or an arbitrary self-map of 0..size-1."""
     kind = rng.randrange(3)
@@ -386,7 +442,7 @@ RAW_CASES = (("C-in-C2", 3), ("C2-in-M2", 3), ("C-in-C2xM2", 2), ("C-in-C3", 3))
 
 def _oracle_cases(graphs):
     """Valid groups on corpus graphs, then seeded raw generator tuples that
-    close_group accepts without validation."""
+    close_group accepts without checking bijectivity or incidence."""
     valid = (
         ("C-in-C2", 3, [([0], [1, 0], None)]),
         ("C-in-C3", 3, [([0], [1, 2, 0], None), ([0], [1, 0, 2], None)]),
@@ -431,28 +487,6 @@ class TestEquivarianceMultiply:
             (check,) = [c for c in report.checks if c.name == "equivariance-multiply"]
             assert check.passed is injective
             assert [check] == pairwise_multiplicative(group, 0)
-
-    def test_products_are_closure_products_only(self, graphs, monkeypatch):
-        # Work count, not timing: the pairwise check would add |loops_k|^2
-        # products per generator and degree (over 10^5 here).
-        g = graphs("C-in-C4")
-        group = close_group(
-            g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
-        )
-        kmax = 4
-        expected = sum(len(fixed_space_basis(group, k)) ** 2 for k in range(kmax + 1))
-        calls = 0
-        compose = PlanarElement._compose
-
-        def counting(self, other):
-            nonlocal calls
-            calls += 1
-            return compose(self, other)
-
-        monkeypatch.setattr(PlanarElement, "_compose", counting)
-        report = verify_planar_subalgebra(group, kmax)
-        assert report.all_passed
-        assert calls == expected == 256
 
 
 def every_loop_equivariance(group, kmax: int, multiply) -> list[SubalgebraCheck]:
@@ -514,3 +548,176 @@ class TestEquivarianceIncludeExpectShift:
         monkeypatch.setattr(symmetry, "include", counting)
         assert verify_planar_subalgebra(group, 4).all_passed
         assert calls == 9 + 2 * 2 * 41 == 173
+
+
+def pairwise_closure_multiply(group, kmax: int) -> list[SubalgebraCheck]:
+    """The closure-multiply checks by products: every product of two orbit
+    sums must be invariant under every generator.  The oracle for the orbit
+    injectivity test in the verifier."""
+    checks = []
+    for k in range(kmax + 1):
+        basis = fixed_space_basis(group, k)
+        ok = all(
+            act(gen, z) == z for z in (x * y for x in basis for y in basis) for gen in group.generators
+        )
+        checks.append(SubalgebraCheck("closure-multiply", k, ok))
+    return checks
+
+
+def _merged_map(rng: random.Random, size: int) -> tuple[int, ...]:
+    """A permutation of 0..size-1 with one entry replaced by another's
+    value, so exactly two points merge (when size > 1)."""
+    perm = rng.sample(range(size), size)
+    if size > 1:
+        i, j = rng.sample(range(size), 2)
+        perm[i] = perm[j]
+    return tuple(perm)
+
+
+def _closure_cases(graphs):
+    """The oracle cases, then 200 more seeded raw sets whose maps are
+    identities, permutations, self-maps or permutations with one merged
+    entry, at degrees the pairwise oracle can afford."""
+    yield from _oracle_cases(graphs)
+    rng = random.Random(20091)
+    kinds = (_raw_map, _merged_map)
+    for index in range(200):
+        name, kmax = RAW_CASES[index % len(RAW_CASES)]
+        g = graphs(name)
+        gens = [
+            GraphAutomorphism(
+                *(rng.choice(kinds)(rng, size) for size in (g.num_a, g.num_b, len(g.edges)))
+            )
+            for _ in range(rng.randint(1, 2))
+        ]
+        yield close_group(g, gens), min(kmax, 2)
+
+
+class TestClosureMultiply:
+    def test_matches_pairwise_oracle(self, graphs):
+        verdicts = []
+        for group, kmax in _closure_cases(graphs):
+            report = verify_planar_subalgebra(group, kmax)
+            found = [c for c in report.checks if c.name == "closure-multiply"]
+            assert found == pairwise_closure_multiply(group, kmax)
+            verdicts.extend(c.passed for c in found)
+        # Both verdicts occur, so agreement is not vacuous.
+        assert verdicts.count(False) >= 10
+        assert verdicts.count(True) >= 10
+
+    def test_overlapping_orbits(self, graphs):
+        # Merging the two edges of C-in-C2 into e0 gives the monoid {1, m}:
+        # the orbits of [a0; e0; e0] and [a0; e1; e1] share [a0; e0; e0],
+        # and m is injective on the first but not the second, so closure
+        # fails from degree 1 on.
+        g = graphs("C-in-C2")
+        group = close_group(g, [GraphAutomorphism((0,), (0, 0), (0, 0))])
+        orbits = symmetry._orbits(group, 1)
+        assert orbits == [{Loop(0, (0, 0))}, {Loop(0, (0, 0)), Loop(0, (1, 1))}]
+        report = verify_planar_subalgebra(group, 2)
+        found = [c for c in report.checks if c.name == "closure-multiply"]
+        assert [c.passed for c in found] == [True, False, False]
+        assert found == pairwise_closure_multiply(group, 2)
+
+    def test_verifier_forms_no_products(self, graphs, monkeypatch):
+        # Work count, not timing: products of orbit sums would be
+        # sum over degrees of |fixed basis|^2 = 1 + 1 + 4 + 25 + 225 = 256.
+        g = graphs("C-in-C4")
+        group = close_group(
+            g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
+        )
+        calls = 0
+        compose = PlanarElement._compose
+
+        def counting(self, other):
+            nonlocal calls
+            calls += 1
+            return compose(self, other)
+
+        monkeypatch.setattr(PlanarElement, "_compose", counting)
+        assert verify_planar_subalgebra(group, 4).all_passed
+        assert calls == 0
+
+
+def every_loop_fixed_dims(group, kmax: int) -> list[int]:
+    """fixed_dims_report on loops: every generator's image of every loop is
+    tested with is_valid_loop, and each element's fixed loops are counted
+    one by one.  The oracle for the row test and the Burnside count on
+    paths."""
+    g = group.graph
+    for element in group.elements:
+        for perm, size, label in (
+            (element.perm_a, g.num_a, "perm_a"),
+            (element.perm_b, g.num_b, "perm_b"),
+            (element.perm_e, len(g.edges), "perm_e"),
+        ):
+            if sorted(perm) != list(range(size)):
+                raise InvalidAutomorphismError(f"{label} is not a permutation of 0..{size - 1}: {perm}")
+    dims = []
+    for k in range(kmax + 1):
+        for gen in group.generators:
+            if not all(g.is_valid_loop(act_loop(gen, l)) for l in g.iter_loops(k)):
+                raise InvalidAutomorphismError(f"a generator sends a degree-{k} loop to a non-loop")
+        fixed = sum(act_loop(h, l) == l for l in g.iter_loops(k) for h in group.elements)
+        assert fixed % group.order == 0
+        dims.append(fixed // group.order)
+    return dims
+
+
+def _outcome(call):
+    try:
+        return call()
+    except InvalidAutomorphismError as exc:
+        return str(exc)
+
+
+class TestFixedDimsOnPaths:
+    def test_matches_every_loop_oracle(self, graphs):
+        outcomes = []
+        for group, kmax in _closure_cases(graphs):
+            got = _outcome(lambda: fixed_dims_report(group, kmax))
+            assert got == _outcome(lambda: every_loop_fixed_dims(group, kmax))
+            outcomes.append(type(got))
+        # Dimensions and refusals both occur.
+        assert outcomes.count(list) >= 10
+        assert outcomes.count(str) >= 10
+
+    @pytest.mark.parametrize(
+        "perm_e, expected",
+        [((1, 0, 2, 3), [1, 5, 26, 140]), ((2, 1, 0, 3), "a generator sends a degree-1 loop to a non-loop")],
+    )
+    def test_incidence_breaking_maps(self, graphs, perm_e, expected):
+        # The two maps of TestFixedSpaces: one keeps every loop a loop, the
+        # other sends a degree-1 loop to a non-loop.
+        g = graphs("C-in-C2xM2")
+        group = close_group(g, [GraphAutomorphism((0,), (0, 1, 2), perm_e)])
+        assert _outcome(lambda: fixed_dims_report(group, 3)) == expected
+        assert _outcome(lambda: every_loop_fixed_dims(group, 3)) == expected
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_symmetric_groups(self, graphs, n):
+        g = graphs(f"C-in-C{n}")
+        cycle = make_automorphism(g, [0], [*range(1, n), 0])
+        flip = make_automorphism(g, [0], [1, 0, *range(2, n)])
+        group = close_group(g, [cycle, flip])
+        dims = [sum(stirling2(k, j) for j in range(n + 1)) for k in range(6)]
+        assert [burnside_dim(group, k) for k in range(6)] == every_loop_fixed_dims(group, 5) == dims
+
+    def test_enumerates_loops_once_per_degree(self, graphs, monkeypatch):
+        # Work count: only the orbit enumeration walks the loops; the
+        # validity test and the Burnside count read (base, path) rows.
+        g = graphs("C-in-C4")
+        group = close_group(
+            g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
+        )
+        calls = 0
+        iter_loops = BipartiteGraph.iter_loops
+
+        def counting(self, k):
+            nonlocal calls
+            calls += 1
+            return iter_loops(self, k)
+
+        monkeypatch.setattr(BipartiteGraph, "iter_loops", counting)
+        assert fixed_dims_report(group, 4) == [1, 1, 2, 5, 15]
+        assert calls == 5
