@@ -19,7 +19,8 @@ JSON is the primary format; dimension tables are also available as CSV.
 Exit codes: 0 success (for verify-style commands: every check passed),
 1 checks ran but failed, 2 malformed input, 3 precondition violated
 (not Markov / not central), 4 resource limit (loop budget, group closure,
-factoring effort, values out of float range), 5 internal error.
+factoring effort, values out of float range, integers to print over the
+interpreter's int-to-str digit limit), 5 internal error.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -47,7 +49,7 @@ from .markov import (
     analyze,
     canonical_trace_weights,
     jones_tower,
-    loop_space_dim,
+    loop_space_dims,
     word_norm,
 )
 from .symmetry import (
@@ -88,14 +90,27 @@ def _load_inclusion(path: str) -> InclusionData:
     return InclusionData.from_dict(_load_json(path))
 
 
-def _check_loop_budget(inc: InclusionData, max_degree: int, limit: int) -> None:
-    """Refuse up front when the largest loop space would be enumerated."""
-    for k in range(max_degree + 1):
-        estimate = loop_space_dim(inc, k)
+def _check_loop_budget(inc: InclusionData, max_degree: int, limit: int) -> list[int]:
+    """Loop space dimensions of degrees 0..max_degree, refused up front over the limit."""
+    dims = []
+    for k, estimate in zip(range(max_degree + 1), loop_space_dims(inc)):
         if estimate > limit:
+            _check_printable(estimate)
             raise ResourceLimitError(
                 f"degree {k} needs {estimate} loops, over the limit of {limit}"
             )
+        dims.append(estimate)
+    return dims
+
+
+def _check_printable(largest: int, r: int = 1, power: int = 0) -> None:
+    """Refuse to print largest * r**power when it has more digits than str()
+    converts (sys.get_int_max_str_digits(), 0 for no limit).  The product is
+    at least 2**low, so the power is formed only when it is near the limit."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # absent before Python 3.10.7
+    low = largest.bit_length() - 1 + power * (r.bit_length() - 1)
+    if limit and (low > limit * math.log2(10) + 1 or largest * r**power >= 10**limit):
+        raise ResourceLimitError(f"an integer to print has more than {limit} digits")
 
 
 def _fraction_json(q: Fraction):
@@ -162,6 +177,7 @@ def cmd_analyze(args) -> int:
                         "rel_error": abs(numeric - value) / value,
                     }
                 )
+    _check_printable(max(inc.a.total_dim, inc.b.total_dim))
     return _emit(_json_text(document))
 
 
@@ -171,12 +187,10 @@ def cmd_tower(args) -> int:
     if not report.is_markov or report.r.denominator != 1:
         raise NotMarkovError("tower requires a Markov inclusion with integer index")
     r = int(report.r)
+    _check_printable(max(inc.a.total_dim, inc.b.total_dim), r, 2 * args.depth)
     tower = jones_tower(inc, args.depth)
-    t = inc.cols
     levels = []
-    for k in range(args.depth + 1):
-        a_k = tower[2 * k]
-        b_k = tower[2 * k + 1]
+    for k, (a_k, b_k) in enumerate(zip(tower[::2], tower[1::2])):
         levels.append(
             {
                 "k": k,
@@ -184,7 +198,7 @@ def cmd_tower(args) -> int:
                 "a_dim": a_k.total_dim,
                 "b_blocks": list(b_k.blocks),
                 "b_dim": b_k.total_dim,
-                "b_tilde_blocks": [r**k] * t,
+                "b_tilde_blocks": [r**k] * inc.cols,
             }
         )
     if args.format == "csv":
@@ -207,8 +221,7 @@ def cmd_tower(args) -> int:
 
 def cmd_dims(args) -> int:
     inc = _load_inclusion(args.input)
-    _check_loop_budget(inc, args.kmax, args.limit_loops)
-    dims = [loop_space_dim(inc, k) for k in range(args.kmax + 1)]
+    dims = _check_loop_budget(inc, args.kmax, args.limit_loops)
     if args.format == "csv":
         return _emit(_csv_text(["k", "dim"], [[k, d] for k, d in enumerate(dims)]))
     return _emit(_json_text({"kmax": args.kmax, "dims": dims}))

@@ -448,45 +448,36 @@ class BipartiteGraph:
         last = self.edges[path[-1]]
         return last.dst if len(path) % 2 else last.src
 
-    def paths_from(self, base: int, k: int) -> list[tuple[int, ...]]:
-        """All alternating edge-id paths of length k out of a lower vertex,
-        in lexicographic edge-id order."""
+    def paths_with_ends(self, base: int, k: int) -> list[tuple[tuple[int, ...], int]]:
+        """`paths_from` with each path's endpoint (as `path_end` gives it),
+        built one edge at a time in the same order."""
         if not 0 <= base < self.num_a:
             raise ValidationError(f"no lower vertex {base}")
         if k < 0:
             raise ValidationError("path length must be nonnegative")
-        out: list[tuple[int, ...]] = []
-        path: list[int] = []
-
-        def extend(pos: int, vertex: int) -> None:
-            if pos == k:
-                out.append(tuple(path))
-                return
+        edges, level = self.edges, [((), base)]
+        for pos in range(k):
             if pos % 2 == 0:
-                for eid in self._up[vertex]:
-                    path.append(eid)
-                    extend(pos + 1, self.edges[eid].dst)
-                    path.pop()
+                level = [(p + (e,), edges[e].dst) for p, v in level for e in self._up[v]]
             else:
-                for eid in self._down[vertex]:
-                    path.append(eid)
-                    extend(pos + 1, self.edges[eid].src)
-                    path.pop()
+                level = [(p + (e,), edges[e].src) for p, v in level for e in self._down[v]]
+        return level
 
-        extend(0, base)
-        return out
+    def paths_from(self, base: int, k: int) -> list[tuple[int, ...]]:
+        """All alternating edge-id paths of length k out of a lower vertex,
+        in lexicographic edge-id order."""
+        return [p for p, _ in self.paths_with_ends(base, k)]
 
     def iter_loops(self, k: int) -> Iterator[Loop]:
         """Degree-k loops in canonical order: by base, then by edge sequence."""
         for base in range(self.num_a):
-            tops = self.paths_from(base, k)
-            ends = [self.path_end(base, t) for t in tops]
+            tops = self.paths_with_ends(base, k)
             reversed_bottoms: dict[int, list[tuple[int, ...]]] = {}
-            for path, end in zip(tops, ends):
-                reversed_bottoms.setdefault(end, []).append(tuple(reversed(path)))
+            for path, end in tops:
+                reversed_bottoms.setdefault(end, []).append(path[::-1])
             for group in reversed_bottoms.values():
                 group.sort()
-            for top, end in zip(tops, ends):
+            for top, end in tops:
                 for rev_bottom in reversed_bottoms[end]:
                     yield Loop(base, top + rev_bottom)
 

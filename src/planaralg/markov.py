@@ -16,7 +16,8 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Sequence
+from itertools import count, islice
+from typing import Iterator, Literal, Sequence
 
 from .errors import NotAbelianError, NotMarkovError, ResourceLimitError, ValidationError
 from .radical import RadicalScalar, sqrt_of_int
@@ -196,25 +197,20 @@ def basic_construction(inc: InclusionData) -> InclusionData:
     and the result is Markov with the same index.
     """
     markov_index(inc)
-    transposed = tuple(tuple(inc.m[i][j] for i in range(inc.rows)) for j in range(inc.cols))
-    return InclusionData(inc.b, transposed)
+    return InclusionData(inc.b, tuple(zip(*inc.m)))
 
 
 def jones_tower(inc: InclusionData, depth: int) -> list[AlgebraDims]:
     """Block dimensions along the iterated basic construction.
 
-    Returns [A, B, A_1, B_1, ..., A_depth, B_depth]: two entries per level.
+    Returns [A, B, A_1, B_1, ..., A_depth, B_depth]: two entries per level,
+    A_k = r^k A and B_k = r^k B (see basic_construction).
     """
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
-    out = [inc.a, inc.b]
-    current = inc
-    for _ in range(depth):
-        current = basic_construction(current)
-        out.append(current.b)
-        current = basic_construction(current)
-        out.append(current.b)
-    return out
+    r = markov_index(inc) if depth else 1
+    sides = (inc.a, inc.b)
+    return [AlgebraDims(tuple(r**k * n for n in dims)) for k in range(depth + 1) for dims in sides]
 
 
 def relative_commutant_dims(inc: InclusionData, k: int, flavor: CommutantFlavor) -> AlgebraDims:
@@ -242,6 +238,23 @@ def relative_commutant_dims(inc: InclusionData, k: int, flavor: CommutantFlavor)
     return AlgebraDims((scale,) * inc.cols)
 
 
+def path_counts(inc: InclusionData) -> Iterator[list[list[int]]]:
+    """P_0 = I, P_1 = P_0 m, P_2 = P_1 m^t, ...: P_k[b][v] counts the
+    length-k paths from small-side vertex b to vertex v, on the small side
+    for even k and the big side for odd k; one matrix product per degree."""
+    mt = tuple(zip(*inc.m))
+    counts = [[int(b == v) for v in range(inc.rows)] for b in range(inc.rows)]
+    for k in count():
+        yield counts
+        columns = mt if k % 2 == 0 else inc.m
+        counts = [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in counts]
+
+
+def loop_space_dims(inc: InclusionData) -> Iterator[int]:
+    """Loop space dimensions of degree 0, 1, 2, ...: sums of squared path counts."""
+    return (sum(n * n for row in counts for n in row) for counts in path_counts(inc))
+
+
 def loop_space_dim(inc: InclusionData, k: int) -> int:
     """Number of closed walks of length 2k based at small-side vertices.
 
@@ -251,19 +264,7 @@ def loop_space_dim(inc: InclusionData, k: int) -> int:
     """
     if k < 0:
         raise ValidationError("k must be nonnegative")
-    if k == 0:
-        return inc.rows
-    mmt = [
-        [sum(inc.m[i][j] * inc.m[l][j] for j in range(inc.cols)) for l in range(inc.rows)]
-        for i in range(inc.rows)
-    ]
-    power = mmt
-    for _ in range(k - 1):
-        power = [
-            [sum(power[i][l] * mmt[l][j] for l in range(inc.rows)) for j in range(inc.rows)]
-            for i in range(inc.rows)
-        ]
-    return sum(power[i][i] for i in range(inc.rows))
+    return next(islice(loop_space_dims(inc), k, None))
 
 
 def word_norm(inc: InclusionData, length: int, starts_with: WordStart = "m") -> tuple[float, RadicalScalar]:

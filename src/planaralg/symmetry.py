@@ -220,16 +220,11 @@ def fixed_space_basis(group: GroupAction, k: int) -> list[PlanarElement]:
     return [PlanarElement(k, dict.fromkeys(orbit, one)) for orbit in _orbits(group, k)]
 
 
-def _rows(g: BipartiteGraph, k: int) -> list[list[tuple[tuple[int, ...], int]]]:
-    """For each lower vertex b, its degree-k paths with their endpoints."""
-    return [[(p, g.path_end(b, p)) for p in g.paths_from(b, k)] for b in range(g.num_a)]
-
-
 def burnside_dim(group: GroupAction, k: int) -> int:
     """Fixed-space dimension as the average number of fixed loops, counted on
     paths: an element fixes [b; t; u] exactly when it fixes b and each edge
     of t and u (docs/closure-multiply-and-burnside.md)."""
-    rows = _rows(group.graph, k)
+    rows = [group.graph.paths_with_ends(b, k) for b in range(group.graph.num_a)]
     total = 0
     for element in group.elements:
         moved = {e for e, image in enumerate(element.perm_e) if image != e}
@@ -272,7 +267,7 @@ def fixed_dims_report(group: GroupAction, kmax: int) -> list[int]:
         _check_permutation(element.perm_e, len(g.edges), "perm_e")
     dims = []
     for k in range(kmax + 1):
-        rows = _rows(g, k)
+        rows = [g.paths_with_ends(b, k) for b in range(g.num_a)]
         if not all(_keeps_loops(g, gen, rows) for gen in group.generators):
             raise InvalidAutomorphismError(f"a generator sends a degree-{k} loop to a non-loop")
         by_count = burnside_dim(group, k)
@@ -363,22 +358,22 @@ def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
             checks.append(SubalgebraCheck("projection-invariant", k, ok))
 
     for k in range(kmax + 1):
-        rows = [(b, p) for b in range(g.num_a) for p in g.paths_from(b, k)]
+        rows = [(b, p, v) for b in range(g.num_a) for p, v in g.paths_with_ends(b, k)]
         # The include, expect and shift verdicts of a loop read only its base
         # and last edges; the loops of kept rows stay in canonical order.
         kept = {}
-        for b, p in rows:
-            kept.setdefault((b, p[-1:]), p)
+        for b, p, v in rows:
+            kept.setdefault((b, p[-1:]), (p, v))
         ends = {}
-        for (b, _), p in sorted(kept.items()):
-            ends.setdefault((b, g.path_end(b, p)), []).append(p)
+        for (b, _), (p, v) in sorted(kept.items()):
+            ends.setdefault((b, v), []).append(p)
         elems = [
             PlanarElement.basis(Loop.from_paths(b, t, u))
-            for (b, _), t in kept.items()
-            for u in ends[b, g.path_end(b, t)]
+            for (b, _), (t, v) in kept.items()
+            for u in ends[b, v]
         ]
         for gen in group.generators:
-            images = {(gen.perm_a[b], tuple(map(gen.perm_e.__getitem__, p))) for b, p in rows}
+            images = {(gen.perm_a[b], tuple(map(gen.perm_e.__getitem__, p))) for b, p, _ in rows}
             checks.append(SubalgebraCheck("equivariance-multiply", k, len(images) == len(rows)))
             ok = all(act(gen, include(g, x)) == include(g, act(gen, x)) for x in elems)
             checks.append(SubalgebraCheck("equivariance-include", k, ok))

@@ -111,8 +111,7 @@ def jones_projection_raw(g: BipartiteGraph, k: int) -> PlanarElement:
     direction = "up" if k % 2 == 0 else "down"
     terms = {}
     for base in range(g.num_a):
-        for path in g.paths_from(base, k):
-            end = g.path_end(base, path)
+        for path, end in g.paths_with_ends(base, k):
             attachable = g.edges_up(end) if k % 2 == 0 else g.edges_down(end)
             for bottom_eid in attachable:
                 bottom_spin = g.spin_factor(bottom_eid, direction)

@@ -6,12 +6,13 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planaralg import EigenvectorViolationError, GroupTooLargeError, PlanarAlgError
+from planaralg import EigenvectorViolationError, GroupTooLargeError, PlanarAlgError, markov
 from planaralg.cli import main
 from conftest import corpus_entry
 
@@ -36,6 +37,14 @@ def write_group(tmp_path):
         return str(path)
 
     return _write
+
+
+@pytest.fixture
+def digit_limit():
+    """Sets the interpreter's int-to-str digit limit for one test."""
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
 
 
 class TestAnalyze:
@@ -171,7 +180,22 @@ class TestDims:
         assert main(args) == 4
         err = capsys.readouterr().err
         assert "resource limit" in err
-        assert "10" in err
+        assert "degree 2 needs 81 loops, over the limit of 10" in err
+
+    def test_one_pass_over_degrees(self, write_inclusion, capsys, monkeypatch):
+        # One path-count product per degree, not a fresh count for each.
+        yielded = []
+        counts = markov.path_counts
+
+        def counting(inc):
+            for p in counts(inc):
+                yielded.append(p)
+                yield p
+
+        monkeypatch.setattr(markov, "path_counts", counting)
+        assert main(["dims", "--input", write_inclusion("C-in-C2"), "--kmax", "12"]) == 0
+        assert json.loads(capsys.readouterr().out)["dims"] == [2**k for k in range(13)]
+        assert len(yielded) == 13
 
     def test_negative_kmax(self, write_inclusion, capsys):
         assert main(["dims", "--input", write_inclusion("C-in-C2"), "--kmax", "-1"]) == 2
@@ -392,6 +416,53 @@ class TestHardenedInput:
         assert "Miller-Rabin" in captured.err
 
     @pytest.mark.parametrize(
+        "tail", [["analyze"], ["tower", "--depth", "0"], ["tower", "--depth", "0", "--format", "csv"]]
+    )
+    @pytest.mark.parametrize("exponent, code", [(2149, 0), (2150, 4)])
+    def test_report_integers_over_digit_limit_refused(
+        self, write_inclusion, capsys, digit_limit, tail, exponent, code
+    ):
+        # dim A = 10^(2 exponent) and dim B = 2 dim A: 4299 digits print,
+        # 4301 do not.
+        digit_limit(4300)
+        path = write_inclusion("wide", {"a": [10**exponent], "m": [[1, 1]]})
+        assert main([tail[0], "--input", path] + tail[1:]) == code
+        captured = capsys.readouterr()
+        assert bool(captured.out) == (code == 0)
+        assert ("resource limit" in captured.err) == bool(code)
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("depth, code", [(1062, 0), (1063, 4)])
+    def test_deep_tower_over_digit_limit_refused(self, write_inclusion, capsys, digit_limit, depth, code):
+        # C-in-C2: the last level has dimension 2 * 4^depth, 640 digits at
+        # depth 1062 and 641 at depth 1063.
+        digit_limit(640)
+        args = ["tower", "--input", write_inclusion("C-in-C2"), "--depth", str(depth), "--format", "csv"]
+        assert main(args) == code
+        captured = capsys.readouterr()
+        assert bool(captured.out) == (code == 0)
+        assert ("more than 640 digits" in captured.err) == bool(code)
+
+    def test_very_deep_tower_refused_before_building(self, write_inclusion, capsys, digit_limit):
+        digit_limit(4300)
+        assert main(["tower", "--input", write_inclusion("C-in-C2"), "--depth", "15000"]) == 4
+        assert "more than 4300 digits" in capsys.readouterr().err
+
+    def test_no_digit_limit_prints_everything(self, write_inclusion, capsys, digit_limit):
+        digit_limit(0)
+        path = write_inclusion("wide", {"a": [10**2150], "m": [[1, 1]]})
+        assert main(["analyze", "--input", path]) == 0
+        assert json.loads(capsys.readouterr().out)["dims"]["dim_a"] == 10**4300
+
+    @pytest.mark.parametrize("kmax, code", [(0, 0), (1, 4)])
+    def test_loop_count_over_digit_limit_refused(self, write_inclusion, capsys, digit_limit, kmax, code):
+        # Degree 1 has 10^4400 loops: over the budget, and too long to name.
+        digit_limit(4300)
+        path = write_inclusion("wide", {"a": [1], "m": [[10**2200]]})
+        assert main(["dims", "--input", path, "--kmax", str(kmax)]) == code
+        assert ("more than 4300 digits" in capsys.readouterr().err) == bool(code)
+
+    @pytest.mark.parametrize(
         "raw",
         [b"\xff\xfe{}", b'{"a": [1], "m": [[' + b"1" * 5000 + b"]]}", b"[" * 100000 + b"]" * 100000],
         ids=["not-utf8", "over-digit-limit", "deep-nesting"],
@@ -410,7 +481,7 @@ _json_leaf = (
     | st.booleans()
     | st.integers(-2, 6)
     | st.integers(0, 10**6)
-    | st.sampled_from([10**13, 10**200])
+    | st.sampled_from([10**13, 10**200, 10**2200])
     | st.floats(allow_nan=True, allow_infinity=True)
     | st.text(max_size=3)
 )
@@ -547,4 +618,48 @@ class TestDeterminism:
         )
         argv = ["fixed", "--input", write_inclusion("C-in-C4"), "--group", group, "--kmax", "5"]
         assert main(argv + ["--format", fmt]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "name, argv_tail, digest",
+        [
+            ("C-in-C2xM2", ["tower", "--depth", "5"], "0632d998143902befe8e315bf2e7f1b9ab74a9a7a685478ceab90890e2607833"),
+            (
+                "C-in-C2xM2",
+                ["tower", "--depth", "5", "--format", "csv"],
+                "15857967d355803f7999a10aff19a5b41b46c6e0e6191ed94bff0778a34ec588",
+            ),
+            (
+                "C-in-C2xM2",
+                ["dims", "--kmax", "18", "--limit-loops", str(10**15)],
+                "da7832a2668d0d2aea17736a311664ab84b365d7b2921051844c846eb58ef218",
+            ),
+            (
+                "C-in-C2xM2",
+                ["dims", "--kmax", "18", "--limit-loops", str(10**15), "--format", "csv"],
+                "ce75f708536f00ace8115a0fb6ef47b43d77b60821d27b9d1fca705fd3724d72",
+            ),
+            ("C-in-C2", ["tower", "--depth", "5"], "c4be17bdeebeca108fbd178547e579cca7e7ac69d418686d9a8eb68c10ea5757"),
+            (
+                "C-in-C2",
+                ["tower", "--depth", "5", "--format", "csv"],
+                "8eb772ae28ca53b3c30d3531d741ffd357841c8bdeaceb2fc90a3ec5bf6aba87",
+            ),
+            (
+                "C-in-C2",
+                ["dims", "--kmax", "18", "--limit-loops", str(10**15)],
+                "feff4d755cf15e3d6f9169332bfdb59e389d251aafb594281994099b180505f3",
+            ),
+            (
+                "C-in-C2",
+                ["dims", "--kmax", "18", "--limit-loops", str(10**15), "--format", "csv"],
+                "ccac5f4e961126ae42bd3d737356134a96afbfe184eeef1d4ace2af7a1aed37f",
+            ),
+        ],
+    )
+    def test_tower_and_dims_bytes_are_pinned(self, write_inclusion, capsys, name, argv_tail, digest):
+        # Recorded when the tower iterated the basic construction and each
+        # degree's loop count was a fresh power of m m^t.
+        argv = [argv_tail[0], "--input", write_inclusion(name)] + argv_tail[1:]
+        assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

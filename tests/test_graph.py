@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,8 +20,10 @@ from planaralg import (
     expect,
     loop_space_dim,
 )
+from planaralg.markov import path_counts
 from planaralg.radical import sqrt_of_int
-from conftest import MARKOV_CORPUS, corpus_entry
+from conftest import CORPUS, MARKOV_CORPUS, corpus_entry
+from test_elements import edges_only
 
 COEFF_POOL = (
     RadicalScalar.one(),
@@ -199,6 +202,62 @@ class TestSpin:
         g = graphs("central-C2-in-M2xM2")
         assert g.point_weight(0) == Fraction(1, 2)
         assert g.point_weight(1) == Fraction(1, 2)
+
+
+def recursive_paths(g, base: int, k: int) -> list[tuple[tuple[int, ...], int]]:
+    """Reference enumerator: depth-first, each path with the vertex it ends at."""
+    out: list[tuple[tuple[int, ...], int]] = []
+    path: list[int] = []
+
+    def extend(pos: int, vertex: int) -> None:
+        if pos == k:
+            out.append((tuple(path), vertex))
+            return
+        for eid in g.edges_up(vertex) if pos % 2 == 0 else g.edges_down(vertex):
+            edge = g.edges[eid]
+            path.append(eid)
+            extend(pos + 1, edge.dst if pos % 2 == 0 else edge.src)
+            path.pop()
+
+    extend(0, base)
+    return out
+
+
+class TestPathBuilder:
+    """`paths_with_ends` against the depth-first reference and the path
+    counts of `markov.path_counts`, on every corpus graph; inclusions that
+    are not Markov contribute their edges only."""
+
+    @staticmethod
+    def graph(graphs, entry):
+        return graphs(entry.name) if entry.markov else edges_only(entry.name)
+
+    @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+    def test_matches_recursive_enumerator(self, graphs, entry):
+        g = self.graph(graphs, entry)
+        for base in range(g.num_a):
+            for k in range(7):
+                walks = g.paths_with_ends(base, k)
+                assert walks == recursive_paths(g, base, k)
+                assert g.paths_from(base, k) == [p for p, _ in walks]
+                assert all(g.path_end(base, p) == v for p, v in walks)
+
+    @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+    def test_counts_per_base_and_endpoint(self, graphs, entry):
+        g, inc = self.graph(graphs, entry), entry.inclusion()
+        for k, counts in zip(range(7), path_counts(inc)):
+            width = g.num_b if k % 2 else g.num_a
+            for base in range(g.num_a):
+                ends = Counter(v for _, v in g.paths_with_ends(base, k))
+                assert counts[base] == [ends[v] for v in range(width)]
+            assert sum(n * n for row in counts for n in row) == loop_space_dim(inc, k)
+
+    def test_rejects_bad_base_and_length(self, graphs):
+        g = graphs("C-in-C2")
+        with pytest.raises(ValidationError):
+            g.paths_with_ends(1, 2)
+        with pytest.raises(ValidationError):
+            g.paths_with_ends(0, -1)
 
 
 class TestPathsAndLoops:

@@ -23,6 +23,7 @@ from planaralg import (
     relative_commutant_dims,
     word_norm,
 )
+from planaralg import markov
 from conftest import (
     ABELIAN_MARKOV_CORPUS,
     CORPUS,
@@ -240,6 +241,28 @@ class TestTower:
         assert len(tower) == 2
         assert tower[0].blocks == inc.a.blocks
         assert tower[1].blocks == inc.b.blocks
+
+    @pytest.mark.parametrize("entry", MARKOV_CORPUS, ids=lambda e: e.name)
+    def test_matches_iterated_basic_construction(self, entry):
+        inc = entry.inclusion()
+        for depth in range(5):
+            oracle, current = [inc.a, inc.b], inc
+            for _ in range(2 * depth):
+                current = basic_construction(current)
+                oracle.append(current.b)
+            assert jones_tower(inc, depth) == oracle
+
+    @pytest.mark.parametrize("depth, calls", [(0, 0), (4, 1)])
+    def test_one_index_computation(self, monkeypatch, depth, calls):
+        seen = []
+
+        def counting(inc):
+            seen.append(inc)
+            return markov_index(inc)
+
+        monkeypatch.setattr(markov, "markov_index", counting)
+        jones_tower(corpus_entry("C-in-C2xM2").inclusion(), depth)
+        assert len(seen) == calls
 
 
 class TestRelativeCommutants:
