@@ -359,6 +359,9 @@ def main(argv=None) -> int:
     if getattr(args, "kmax", 0) < 0 or getattr(args, "depth", 0) < 0:
         print("kmax and depth must be nonnegative", file=sys.stderr)
         return EXIT_BAD_INPUT
+    if getattr(args, "limit_loops", 0) < 0:
+        print("limit-loops must be nonnegative", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         return args.func(args)
     except (ValidationError, InvalidAutomorphismError) as exc:

@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import count, islice
 from typing import Iterator, Literal, Sequence
 
@@ -95,9 +96,9 @@ class InclusionData:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "m", rows)
 
-    @property
+    @cached_property
     def b(self) -> AlgebraDims:
-        """Big-side blocks, derived: b_j = sum_i m_ij * a_i."""
+        """Big-side blocks, derived once: b_j = sum_i m_ij * a_i."""
         return AlgebraDims(
             tuple(sum(row[j] * n for row, n in zip(self.m, self.a)) for j in range(self.cols))
         )

@@ -327,9 +327,9 @@ def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
     (docs/closure-multiply-and-burnside.md); inclusion, expectation, and
     shift send orbit sums to invariants; the Jones idempotents are
     invariant; and every generating operation commutes with the group
-    action on the loop basis, decided on (base, path) rows
-    (docs/equivariance-multiply.md,
-    docs/equivariance-include-expect-shift.md).
+    action on the loop basis, decided on (base, path) rows for products
+    (docs/equivariance-multiply.md) and on last edges and bases for the
+    others (docs/equivariance-include-expect-shift.md).
     """
     if kmax < 0:
         raise ValidationError("kmax must be nonnegative")
@@ -357,30 +357,42 @@ def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
             ok = _invariant(group, jones_projection(g, k - 2))
             checks.append(SubalgebraCheck("projection-invariant", k, ok))
 
+    # Include, expect and shift equivariance are the edge conditions of Lemmas
+    # I, E and S (docs/equivariance-include-expect-shift.md), read on every base
+    # and edge.  Expect's also needs e injective on the last edges of the rows
+    # from one base to one endpoint; shift's reads the prefixes (new base, first
+    # edge, second edge) at each base, the same at every degree.
+    edges = g.edges
+    prefixes = [
+        sorted((edges[w].src, w, d) for d in g.edges_up(b) for w in g.edges_down(edges[d].dst))
+        for b in range(g.num_a)
+    ]
+    shifts_commute = [
+        all(
+            sorted((a[c], e[w], e[d]) for c, w, d in ts) == prefixes[a[b]]
+            for b, ts in enumerate(prefixes)
+        )
+        for a, e in ((gen.perm_a, gen.perm_e) for gen in group.generators)
+    ]
     for k in range(kmax + 1):
         rows = [(b, p, v) for b in range(g.num_a) for p, v in g.paths_with_ends(b, k)]
-        # The include, expect and shift verdicts of a loop read only its base
-        # and last edges; the loops of kept rows stay in canonical order.
-        kept = {}
+        lasts = {}
         for b, p, v in rows:
-            kept.setdefault((b, p[-1:]), (p, v))
-        ends = {}
-        for (b, _), (p, v) in sorted(kept.items()):
-            ends.setdefault((b, v), []).append(p)
-        elems = [
-            PlanarElement.basis(Loop.from_paths(b, t, u))
-            for (b, _), (t, v) in kept.items()
-            for u in ends[b, v]
-        ]
-        for gen in group.generators:
-            images = {(gen.perm_a[b], tuple(map(gen.perm_e.__getitem__, p))) for b, p, _ in rows}
+            lasts.setdefault((b, v), set()).update(p[-1:])
+        attach = g.edges_up if k % 2 == 0 else g.edges_down
+        end = [edge.dst if k % 2 else edge.src for edge in edges]
+        weight = [g.spin_factor_sq(i, "up" if k % 2 else "down") for i in range(len(edges))]
+        for gen, shift_ok in zip(group.generators, shifts_commute):
+            a, e = gen.perm_a, gen.perm_e
+            images = {(a[b], tuple(map(e.__getitem__, p))) for b, p, _ in rows}
             checks.append(SubalgebraCheck("equivariance-multiply", k, len(images) == len(rows)))
-            ok = all(act(gen, include(g, x)) == include(g, act(gen, x)) for x in elems)
+            ends = zip(range(g.num_a), a) if k == 0 else ((v, end[e[l]]) for l, v in enumerate(end))
+            ok = all(sorted(map(e.__getitem__, attach(v))) == list(attach(w)) for v, w in ends)
             checks.append(SubalgebraCheck("equivariance-include", k, ok))
             if k >= 1:
-                ok = all(act(gen, expect(g, x)) == expect(g, act(gen, x)) for x in elems)
+                ok = all(w == weight[e[l]] for l, w in enumerate(weight))
+                ok = ok and all(len({e[l] for l in ls}) == len(ls) for ls in lasts.values())
                 checks.append(SubalgebraCheck("equivariance-expect", k, ok))
-            ok = all(act(gen, shift(g, x)) == shift(g, act(gen, x)) for x in elems)
-            checks.append(SubalgebraCheck("equivariance-shift", k, ok))
+            checks.append(SubalgebraCheck("equivariance-shift", k, shift_ok))
 
     return SubalgebraReport(kmax=kmax, group_order=group.order, checks=tuple(checks))

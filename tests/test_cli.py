@@ -200,6 +200,16 @@ class TestDims:
     def test_negative_kmax(self, write_inclusion, capsys):
         assert main(["dims", "--input", write_inclusion("C-in-C2"), "--kmax", "-1"]) == 2
 
+    @pytest.mark.parametrize("command", ["dims", "verify-tl", "fixed"])
+    def test_negative_loop_limit_is_bad_input(self, write_inclusion, write_group, capsys, command):
+        args = [command, "--input", write_inclusion("C-in-C2"), "--kmax", "2", "--limit-loops", "-1"]
+        if command == "fixed":
+            args += ["--group", write_group([{"perm_a": [0], "perm_b": [1, 0]}])]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "limit-loops must be nonnegative\n"
+
     def test_works_for_non_markov(self, write_inclusion, capsys):
         # Loop counting needs no Markov structure.
         assert main(["dims", "--input", write_inclusion("skew-C2-in-M2xC"), "--kmax", "2"]) == 0

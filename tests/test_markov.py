@@ -102,6 +102,23 @@ class TestInclusionData:
         inc = InclusionData([1, 2], [[1, 0], [1, 1]])
         assert inc.b.blocks == (3, 2)
 
+    def test_b_is_built_once(self, monkeypatch):
+        built = []
+
+        class CountingDims(AlgebraDims):
+            def __init__(self, blocks):
+                built.append(blocks)
+                super().__init__(blocks)
+
+        monkeypatch.setattr(markov, "AlgebraDims", CountingDims)
+        inc = InclusionData([1, 2], [[1, 0], [1, 1]])
+        built.clear()
+        assert [inc.b.blocks for _ in range(4)] == [(3, 2)] * 4
+        assert len(built) == 1
+        # The cached value is not a field: equality, hashing and repr see a and m only.
+        fresh = InclusionData([1, 2], [[1, 0], [1, 1]])
+        assert inc == fresh and hash(inc) == hash(fresh) and repr(inc) == repr(fresh)
+
     def test_rejects_ragged_matrix(self):
         with pytest.raises(ValidationError):
             InclusionData([1, 1], [[1, 0], [1]])

@@ -491,9 +491,9 @@ class TestEquivarianceMultiply:
 
 def every_loop_equivariance(group, kmax: int, multiply) -> list[SubalgebraCheck]:
     """The equivariance checks with include, expect and shift decided on
-    every basis loop; the oracle for the representative loops in the
-    verifier.  ``multiply`` gives the equivariance-multiply check that opens
-    each (degree, generator) block, so that positions compare too."""
+    every basis loop; the oracle for the edge conditions in the verifier.
+    ``multiply`` gives the equivariance-multiply check that opens each
+    (degree, generator) block, so that positions compare too."""
     g = group.graph
     multiply = iter(multiply)
     checks = []
@@ -528,26 +528,88 @@ class TestEquivarianceIncludeExpectShift:
             assert verdicts[name].count(False) >= 10, name
             assert verdicts[name].count(True) >= 10, name
 
-    def test_include_calls_are_per_representative(self, graphs, monkeypatch):
-        # Work count, not timing: 9 closure-include calls (fixed dimensions
-        # 1, 1, 2, 5 below kmax), then two per generator and representative
-        # loop, 41 of them over degrees 0-4 (1, 4, 16, 4, 16).  On every
-        # loop the count would be 9 + 2 * 2 * 341 = 1,373.
+    def test_equivariance_pass_calls_no_generators(self, graphs, monkeypatch):
+        # Work count, not timing.  The 9 include calls are closure-include's,
+        # one per orbit sum below kmax (fixed dimensions 1, 1, 2, 5); the
+        # every-loop check would add 2 * 2 * 341 more, and a check on one loop
+        # per base and pair of last edges 2 * 2 * 41.  Every act call is one
+        # generator of a closure or projection invariance test.
         g = graphs("C-in-C4")
         group = close_group(
             g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
         )
-        calls = 0
-        real = symmetry.include
+        included, acts, invariants = [], 0, 0
+        real_include, real_act, real_invariant = symmetry.include, symmetry.act, symmetry._invariant
 
-        def counting(graph, x):
-            nonlocal calls
-            calls += 1
-            return real(graph, x)
+        def counting_include(graph, x):
+            included.append(x)
+            return real_include(graph, x)
 
-        monkeypatch.setattr(symmetry, "include", counting)
+        def counting_act(auto, x):
+            nonlocal acts
+            acts += 1
+            return real_act(auto, x)
+
+        def counting_invariant(group, x):
+            nonlocal invariants
+            invariants += 1
+            return real_invariant(group, x)
+
+        monkeypatch.setattr(symmetry, "include", counting_include)
+        monkeypatch.setattr(symmetry, "act", counting_act)
+        monkeypatch.setattr(symmetry, "_invariant", counting_invariant)
         assert verify_planar_subalgebra(group, 4).all_passed
-        assert calls == 9 + 2 * 2 * 41 == 173
+        assert len(included) == 9
+        assert all(x in fixed_space_basis(group, x.degree) for x in included)
+        # closure-include 9, closure-expect 23, closure-shift 4, projections 3.
+        assert invariants == 9 + 23 + 4 + 3
+        assert acts == len(group.generators) * invariants == 78
+
+    @staticmethod
+    def _failures(group, kmax):
+        """The failing lemma checks of the report as (family, degree), after
+        comparing the whole equivariance block with the every-loop oracle."""
+        report = verify_planar_subalgebra(group, kmax)
+        multiply = [c for c in report.checks if c.name == "equivariance-multiply"]
+        expected = every_loop_equivariance(group, kmax, multiply)
+        assert list(report.checks[-len(expected) :]) == expected
+        return {
+            (c.name.removeprefix("equivariance-"), c.degree)
+            for c in expected
+            if not c.passed and c.name != "equivariance-multiply"
+        }
+
+    def test_lemma_i_merged_edge_at_endpoint(self, graphs):
+        # Both edges of C2-in-M2 end at b0; sending both to e0 makes include
+        # attach e0 twice at b0 (degrees 1 and 3), and e0 instead of e1 at a1
+        # (degree 0).  No two last edges of one row group merge and weights
+        # agree, so expect passes at degree 1.  Shift fails as well: its
+        # condition implies include's (docs/equivariance-include-expect-shift.md).
+        group = close_group(graphs("C2-in-M2"), [GraphAutomorphism((0, 1), (0,), (0, 0))])
+        failures = self._failures(group, 3)
+        assert {k for family, k in failures if family == "include"} == {0, 1, 3}
+        assert ("expect", 1) not in failures
+
+    def test_lemma_e_weight_changing_map(self, graphs):
+        # Swapping e0 (to b0, weight 1) with e2 (to b2, weight 2) in
+        # C-in-C2xM2 keeps every row group injective but changes the weight
+        # that expect reads on the loops with equal last edges.  At degree 2
+        # the attachable edges at a0 are all four edges either way, so
+        # include passes there while expect fails.
+        g = graphs("C-in-C2xM2")
+        group = close_group(g, [GraphAutomorphism((0,), (0, 1, 2), (2, 1, 0, 3))])
+        assert g.spin_factor_sq(0, "down") != g.spin_factor_sq(2, "down")
+        failures = self._failures(group, 2)
+        assert ("expect", 2) in failures
+        assert ("include", 2) not in failures
+
+    def test_lemma_s_merged_prefix_triples(self, graphs):
+        # Sending both bases of C2-in-M2 to a0 and both edges to e0 keeps
+        # include at degree 0 (each base gets back its one edge e0), but the
+        # two prefixes (a0, e0, e0) and (a1, e1, e0) that shift puts at a0
+        # merge into one.  At kmax 0 shift is the only failing lemma check.
+        group = close_group(graphs("C2-in-M2"), [GraphAutomorphism((0, 0), (0,), (0, 0))])
+        assert self._failures(group, 0) == {("shift", 0)}
 
 
 def pairwise_closure_multiply(group, kmax: int) -> list[SubalgebraCheck]:
