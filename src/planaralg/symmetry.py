@@ -26,7 +26,7 @@ from .errors import (
 from .graph import BipartiteGraph, Loop, PlanarElement, _pairs
 from .markov import analyze
 from .radical import RadicalScalar
-from .tangles import expect, include, jones_projection, shift
+from .tangles import expect, jones_projection
 
 DEFAULT_GROUP_LIMIT = 10080
 
@@ -322,41 +322,20 @@ def _invariant(group: GroupAction, x: PlanarElement) -> bool:
 def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
     """Exact verification that the fixed spaces form a planar subalgebra.
 
-    Per degree up to kmax: orbit sums multiply back into the fixed space,
-    decided as injectivity of every generator on every orbit
-    (docs/closure-multiply-and-burnside.md); inclusion, expectation, and
-    shift send orbit sums to invariants; the Jones idempotents are
-    invariant; and every generating operation commutes with the group
-    action on the loop basis, decided on (base, path) rows for products
-    (docs/equivariance-multiply.md) and on last edges and bases for the
-    others (docs/equivariance-include-expect-shift.md).
+    Per degree up to kmax, in one pass: orbit sums multiply back into the
+    fixed space, decided as injectivity of every generator on every orbit;
+    include and shift send them to invariants, decided as that and every
+    generator's include or shift equivariance
+    (docs/closure-multiply-and-burnside.md); expect sends them to invariants
+    and the Jones idempotents are invariant; and every generating operation
+    commutes with the action on the loop basis, decided on (base, path) rows
+    for products (docs/equivariance-multiply.md) and on last edges and bases
+    for the others (docs/equivariance-include-expect-shift.md).  The report
+    lists the closure checks of every degree first.
     """
     if kmax < 0:
         raise ValidationError("kmax must be nonnegative")
     g = group.graph
-    checks: list[SubalgebraCheck] = []
-    one = RadicalScalar.one()
-
-    for k in range(kmax + 1):
-        orbits = _orbits(group, k)
-        ok = all(
-            len({act_loop(gen, l) for l in o}) == len(o) for o in orbits for gen in group.generators
-        )
-        checks.append(SubalgebraCheck("closure-multiply", k, ok))
-        basis = [PlanarElement(k, dict.fromkeys(orbit, one)) for orbit in orbits]
-        if k + 1 <= kmax:
-            ok = all(_invariant(group, include(g, x)) for x in basis)
-            checks.append(SubalgebraCheck("closure-include", k, ok))
-        if k >= 1:
-            ok = all(_invariant(group, expect(g, x)) for x in basis)
-            checks.append(SubalgebraCheck("closure-expect", k, ok))
-        if k + 2 <= kmax:
-            ok = all(_invariant(group, shift(g, x)) for x in basis)
-            checks.append(SubalgebraCheck("closure-shift", k, ok))
-        if k >= 2:
-            ok = _invariant(group, jones_projection(g, k - 2))
-            checks.append(SubalgebraCheck("projection-invariant", k, ok))
-
     # Include, expect and shift equivariance are the edge conditions of Lemmas
     # I, E and S (docs/equivariance-include-expect-shift.md), read on every base
     # and edge.  Expect's also needs e injective on the last edges of the rows
@@ -374,7 +353,12 @@ def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
         )
         for a, e in ((gen.perm_a, gen.perm_e) for gen in group.generators)
     ]
+    closure, equivariance = [], []
     for k in range(kmax + 1):
+        orbits = _orbits(group, k)
+        injective = all(
+            len({act_loop(gen, l) for l in o}) == len(o) for o in orbits for gen in group.generators
+        )
         rows = [(b, p, v) for b in range(g.num_a) for p, v in g.paths_with_ends(b, k)]
         lasts = {}
         for b, p, v in rows:
@@ -382,17 +366,33 @@ def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
         attach = g.edges_up if k % 2 == 0 else g.edges_down
         end = [edge.dst if k % 2 else edge.src for edge in edges]
         weight = [g.spin_factor_sq(i, "up" if k % 2 else "down") for i in range(len(edges))]
+        includes_commute = []
         for gen, shift_ok in zip(group.generators, shifts_commute):
             a, e = gen.perm_a, gen.perm_e
             images = {(a[b], tuple(map(e.__getitem__, p))) for b, p, _ in rows}
-            checks.append(SubalgebraCheck("equivariance-multiply", k, len(images) == len(rows)))
+            equivariance.append(SubalgebraCheck("equivariance-multiply", k, len(images) == len(rows)))
             ends = zip(range(g.num_a), a) if k == 0 else ((v, end[e[l]]) for l, v in enumerate(end))
             ok = all(sorted(map(e.__getitem__, attach(v))) == list(attach(w)) for v, w in ends)
-            checks.append(SubalgebraCheck("equivariance-include", k, ok))
+            includes_commute.append(ok)
+            equivariance.append(SubalgebraCheck("equivariance-include", k, ok))
             if k >= 1:
                 ok = all(w == weight[e[l]] for l, w in enumerate(weight))
                 ok = ok and all(len({e[l] for l in ls}) == len(ls) for ls in lasts.values())
-                checks.append(SubalgebraCheck("equivariance-expect", k, ok))
-            checks.append(SubalgebraCheck("equivariance-shift", k, shift_ok))
+                equivariance.append(SubalgebraCheck("equivariance-expect", k, ok))
+            equivariance.append(SubalgebraCheck("equivariance-shift", k, shift_ok))
+        # Orbit sums and their include and shift images are 0/1 elements, invariant
+        # exactly when each generator permutes their terms (docs/closure-multiply-and-burnside.md).
+        closure.append(SubalgebraCheck("closure-multiply", k, injective))
+        if k + 1 <= kmax:
+            closure.append(SubalgebraCheck("closure-include", k, injective and all(includes_commute)))
+        if k >= 1:
+            basis = [PlanarElement(k, dict.fromkeys(orbit, RadicalScalar.one())) for orbit in orbits]
+            ok = all(_invariant(group, expect(g, x)) for x in basis)
+            closure.append(SubalgebraCheck("closure-expect", k, ok))
+        if k + 2 <= kmax:
+            closure.append(SubalgebraCheck("closure-shift", k, injective and all(shifts_commute)))
+        if k >= 2:
+            ok = _invariant(group, jones_projection(g, k - 2))
+            closure.append(SubalgebraCheck("projection-invariant", k, ok))
 
-    return SubalgebraReport(kmax=kmax, group_order=group.order, checks=tuple(checks))
+    return SubalgebraReport(kmax=kmax, group_order=group.order, checks=tuple(closure + equivariance))

@@ -631,6 +631,36 @@ class TestDeterminism:
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize(
+        "name, generators, kmax, digest",
+        [
+            # Z2 moving the base of C2-in-M2.
+            (
+                "C2-in-M2",
+                [{"perm_a": [1, 0], "perm_b": [0]}],
+                "6",
+                "fedafaef18175e9a4341c79c266d234284aa909dbff106264a1f3f1cfdf0f408",
+            ),
+            # Z2xZ2 on C-in-C2xM2, one factor swapping the parallel edges.
+            (
+                "C-in-C2xM2",
+                [
+                    {"perm_a": [0], "perm_b": [1, 0, 2], "perm_e": [1, 0, 2, 3]},
+                    {"perm_a": [0], "perm_b": [0, 1, 2], "perm_e": [0, 1, 3, 2]},
+                ],
+                "3",
+                "05434610fc45ddd48c2b3868e6e007396feed0d29062a730fb5dcbe944a1a972",
+            ),
+        ],
+    )
+    def test_fixed_json_bytes_are_pinned(self, write_inclusion, write_group, capsys, name, generators, kmax, digest):
+        # Recorded when closure-include and closure-shift applied include and
+        # shift to every orbit sum; reading them off closure-multiply and the
+        # edge conditions keeps the bytes.
+        argv = ["fixed", "--input", write_inclusion(name), "--group", write_group(generators), "--kmax", kmax]
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "name, argv_tail, digest",
         [
             ("C-in-C2xM2", ["tower", "--depth", "5"], "0632d998143902befe8e315bf2e7f1b9ab74a9a7a685478ceab90890e2607833"),

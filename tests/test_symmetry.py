@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from planaralg import (
     identity_automorphism,
     include,
     is_centrally_ergodic,
+    jones_projection,
     make_automorphism,
     reynolds,
     shift,
@@ -529,21 +531,18 @@ class TestEquivarianceIncludeExpectShift:
             assert verdicts[name].count(True) >= 10, name
 
     def test_equivariance_pass_calls_no_generators(self, graphs, monkeypatch):
-        # Work count, not timing.  The 9 include calls are closure-include's,
-        # one per orbit sum below kmax (fixed dimensions 1, 1, 2, 5); the
-        # every-loop check would add 2 * 2 * 341 more, and a check on one loop
-        # per base and pair of last edges 2 * 2 * 41.  Every act call is one
-        # generator of a closure or projection invariance test.
+        # Work count, not timing.  The verifier calls neither include nor
+        # shift: closure-include and closure-shift are read off
+        # closure-multiply and the edge conditions, which the every-loop
+        # check would decide with 2 * 2 * 341 include calls.  Every act call
+        # is one generator of the closure-expect or projection invariance test.
         g = graphs("C-in-C4")
         group = close_group(
             g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
         )
-        included, acts, invariants = [], 0, 0
-        real_include, real_act, real_invariant = symmetry.include, symmetry.act, symmetry._invariant
-
-        def counting_include(graph, x):
-            included.append(x)
-            return real_include(graph, x)
+        assert not hasattr(symmetry, "include") and not hasattr(symmetry, "shift")
+        acts, invariants = 0, 0
+        real_act, real_invariant = symmetry.act, symmetry._invariant
 
         def counting_act(auto, x):
             nonlocal acts
@@ -555,15 +554,13 @@ class TestEquivarianceIncludeExpectShift:
             invariants += 1
             return real_invariant(group, x)
 
-        monkeypatch.setattr(symmetry, "include", counting_include)
         monkeypatch.setattr(symmetry, "act", counting_act)
         monkeypatch.setattr(symmetry, "_invariant", counting_invariant)
         assert verify_planar_subalgebra(group, 4).all_passed
-        assert len(included) == 9
-        assert all(x in fixed_space_basis(group, x.degree) for x in included)
-        # closure-include 9, closure-expect 23, closure-shift 4, projections 3.
-        assert invariants == 9 + 23 + 4 + 3
-        assert acts == len(group.generators) * invariants == 78
+        # closure-expect 23 (fixed dimensions 1, 2, 5, 15 at degrees 1-4),
+        # projections 3.
+        assert invariants == 23 + 3
+        assert acts == len(group.generators) * invariants == 52
 
     @staticmethod
     def _failures(group, kmax):
@@ -623,6 +620,34 @@ def pairwise_closure_multiply(group, kmax: int) -> list[SubalgebraCheck]:
             act(gen, z) == z for z in (x * y for x in basis for y in basis) for gen in group.generators
         )
         checks.append(SubalgebraCheck("closure-multiply", k, ok))
+    return checks
+
+
+def element_closure(group, kmax: int) -> list[SubalgebraCheck]:
+    """The closure checks by elements: closure-multiply by products of orbit
+    sums, then include, expect and shift applied to every orbit sum and the
+    Jones idempotents, each result tested for invariance under every
+    generator.  The oracle for the closure block of the verifier, where
+    closure-include and closure-shift are read off closure-multiply and the
+    include and shift edge conditions."""
+    g = group.graph
+    multiply = iter(pairwise_closure_multiply(group, kmax))
+
+    def invariant(x):
+        return all(act(gen, x) == x for gen in group.generators)
+
+    checks = []
+    for k in range(kmax + 1):
+        checks.append(next(multiply))
+        basis = fixed_space_basis(group, k)
+        if k + 1 <= kmax:
+            checks.append(SubalgebraCheck("closure-include", k, all(invariant(include(g, x)) for x in basis)))
+        if k >= 1:
+            checks.append(SubalgebraCheck("closure-expect", k, all(invariant(expect(g, x)) for x in basis)))
+        if k + 2 <= kmax:
+            checks.append(SubalgebraCheck("closure-shift", k, all(invariant(shift(g, x)) for x in basis)))
+        if k >= 2:
+            checks.append(SubalgebraCheck("projection-invariant", k, invariant(jones_projection(g, k - 2))))
     return checks
 
 
@@ -699,6 +724,114 @@ class TestClosureMultiply:
         monkeypatch.setattr(PlanarElement, "_compose", counting)
         assert verify_planar_subalgebra(group, 4).all_passed
         assert calls == 0
+
+
+def _checked_report(group, kmax: int):
+    """The verifier's report, after checking that its closure block equals
+    the element oracle's and comes before every equivariance check."""
+    report = verify_planar_subalgebra(group, kmax)
+    expected = element_closure(group, kmax)
+    head, tail = report.checks[: len(expected)], report.checks[len(expected) :]
+    assert list(head) == expected
+    assert all(c.name.startswith("equivariance-") for c in tail)
+    return report
+
+
+def _verdicts(group, kmax: int) -> dict[tuple[str, int], bool]:
+    return {(c.name, c.degree): c.passed for c in _checked_report(group, kmax).checks}
+
+
+def _single_raw_generators(g):
+    """Every GraphAutomorphism whose maps send each vertex and edge list into
+    itself: one raw generator per combination of self-maps."""
+    maps = [itertools.product(range(n), repeat=n) for n in (g.num_a, g.num_b, len(g.edges))]
+    return [GraphAutomorphism(*gen) for gen in itertools.product(*maps)]
+
+
+class TestClosureIncludeShift:
+    def test_matches_element_oracle(self, graphs):
+        verdicts = {}
+        for group, kmax in _closure_cases(graphs):
+            for c in _checked_report(group, kmax).checks:
+                if not c.name.startswith("equivariance-"):
+                    verdicts.setdefault(c.name, []).append(c.passed)
+        # Both verdicts occur in every family, so agreement is not vacuous.
+        assert len(verdicts) == 5
+        for name, passed in verdicts.items():
+            assert passed.count(False) >= 10, name
+            assert passed.count(True) >= 10, name
+
+    @pytest.mark.parametrize("name, count", [("C-in-C2", 16), ("C-in-M2", 4), ("C2-in-M2", 16)])
+    def test_every_single_raw_generator(self, graphs, name, count):
+        g = graphs(name)
+        gens = _single_raw_generators(g)
+        assert len(gens) == count
+        verdicts = [
+            c.passed
+            for gen in gens
+            for c in _checked_report(close_group(g, [gen]), 3).checks
+            if c.name in ("closure-include", "closure-shift")
+        ]
+        assert True in verdicts and False in verdicts
+
+    def test_non_injective_generator_fails_include(self, graphs):
+        # The overlapping orbits of TestClosureMultiply: merging the two edges
+        # of C-in-C2 keeps include equivariant at degree 1 (each upper vertex
+        # has one edge down), but the merged orbit sum loses a term.
+        group = close_group(graphs("C-in-C2"), [GraphAutomorphism((0,), (0, 0), (0, 0))])
+        verdicts = _verdicts(group, 2)
+        assert verdicts[("equivariance-include", 1)]
+        assert not verdicts[("closure-multiply", 1)]
+        assert not verdicts[("closure-include", 1)]
+
+    def test_non_injective_generator_fails_shift(self, graphs):
+        # Sending both bases of central-C2-in-M2xM2 to a0 and the parallel
+        # edges at a1 onto those at a0 keeps shift equivariant: each base's
+        # prefix triples go one to one onto a0's.  But the orbit {a1, a0} of
+        # points merges, and with it the shifted orbit sum.
+        group = close_group(
+            graphs("central-C2-in-M2xM2"), [GraphAutomorphism((0, 0), (0, 0), (0, 1, 0, 1))]
+        )
+        verdicts = _verdicts(group, 2)
+        assert verdicts[("equivariance-shift", 0)]
+        assert not verdicts[("closure-multiply", 0)]
+        assert not verdicts[("closure-shift", 0)]
+
+    def test_edge_condition_fails_include(self, graphs):
+        # Sending both edges of C2-in-M2 to e0 fixes each base, so orbits of
+        # points stay injective, but include attaches e0 at a1 where only e1
+        # is attachable.
+        group = close_group(graphs("C2-in-M2"), [GraphAutomorphism((0, 1), (0,), (0, 0))])
+        verdicts = _verdicts(group, 3)
+        assert verdicts[("closure-multiply", 0)]
+        assert not verdicts[("equivariance-include", 0)]
+        assert not verdicts[("closure-include", 0)]
+
+    @pytest.mark.parametrize("perm_a, perm_e", [((1, 0), (0, 1)), ((0, 1), (1, 0))])
+    def test_shift_pins_the_base(self, graphs, perm_a, perm_e):
+        # C2-in-M2 has edges e0 = a0-b0 and e1 = a1-b0.  Moving the bases but
+        # not the edges, or the edges but not the bases, keeps every orbit
+        # injective, yet shift's bounce prefix (d, d) at base b goes to a
+        # loop whose base a(b) is not the lower end of its first edge e(d),
+        # which no shifted orbit sum holds.
+        group = close_group(graphs("C2-in-M2"), [GraphAutomorphism(perm_a, (0,), perm_e)])
+        verdicts = _verdicts(group, 3)
+        assert all(verdicts[("closure-multiply", k)] for k in range(4))
+        assert not verdicts[("equivariance-shift", 0)]
+        assert not verdicts[("closure-shift", 0)] and not verdicts[("closure-shift", 1)]
+
+    def test_closure_expect_stays_an_element_check(self, graphs):
+        # On C-in-C2xM2, merging b1 and b2 into b0 and swapping e1 and e2
+        # keeps closure-multiply and fails equivariance-expect at degrees 1
+        # and 2, yet closure-expect passes at degree 1 and fails at degree 2:
+        # it is not a function of the verdicts the verifier already has.
+        group = close_group(graphs("C-in-C2xM2"), [GraphAutomorphism((0,), (0, 0, 0), (0, 2, 1, 3))])
+        verdicts = _verdicts(group, 3)
+        for k in (1, 2):
+            assert verdicts[("closure-multiply", k)] and verdicts[("closure-multiply", k - 1)]
+            assert not verdicts[("equivariance-expect", k)]
+        assert verdicts[("closure-expect", 1)]
+        assert not verdicts[("closure-expect", 2)]
 
 
 def every_loop_fixed_dims(group, kmax: int) -> list[int]:
