@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
+from typing import Iterator
 
 from .errors import (
     GroupTooLargeError,
@@ -26,7 +27,6 @@ from .errors import (
 from .graph import BipartiteGraph, Loop, PlanarElement, _pairs
 from .markov import analyze
 from .radical import RadicalScalar
-from .tangles import expect, jones_projection
 
 DEFAULT_GROUP_LIMIT = 10080
 
@@ -119,7 +119,8 @@ def identity_automorphism(g: BipartiteGraph) -> GraphAutomorphism:
 
 
 class GroupAction:
-    """A finite automorphism group together with the graph it acts on."""
+    """A finite automorphism group together with the graph it acts on; its
+    elements are closed under composition with each generator (close_group)."""
 
     def __init__(
         self,
@@ -175,7 +176,8 @@ def close_group(
 
 
 def act_loop(auto: GraphAutomorphism, loop: Loop) -> Loop:
-    return Loop(auto.perm_a[loop.base], tuple(map(auto.perm_e.__getitem__, loop.edges)))
+    # The image has as many edges as the loop, so Loop's check is skipped.
+    return tuple.__new__(Loop, (auto.perm_a[loop[0]], tuple(map(auto.perm_e.__getitem__, loop[1]))))
 
 
 def act(auto: GraphAutomorphism, x: PlanarElement) -> PlanarElement:
@@ -202,15 +204,21 @@ def reynolds(group: GroupAction, x: PlanarElement) -> PlanarElement:
     return total.scaled(Fraction(1, group.order))
 
 
-def _orbits(group: GroupAction, k: int) -> list[set[Loop]]:
-    """Degree-k orbits as loop sets, in canonical order of their first loop;
-    under maps that are not bijective two orbits can share loops."""
-    orbits, seen = [], set()
+def _orbit_images(group: GroupAction, k: int) -> Iterator[list[Loop]]:
+    """For each degree-k orbit, in canonical order of its first loop, the
+    images of that loop under the group elements, in element order; under
+    maps that are not bijective two orbits can share loops."""
+    seen = set()
     for loop in group.graph.iter_loops(k):
         if loop not in seen:
-            orbits.append({act_loop(element, loop) for element in group.elements})
-            seen.update(orbits[-1])
-    return orbits
+            images = [act_loop(element, loop) for element in group.elements]
+            seen.update(images)
+            yield images
+
+
+def _orbits(group: GroupAction, k: int) -> list[set[Loop]]:
+    """Degree-k orbits as loop sets, in canonical order of their first loop."""
+    return [set(images) for images in _orbit_images(group, k)]
 
 
 def fixed_space_basis(group: GroupAction, k: int) -> list[PlanarElement]:
@@ -237,22 +245,25 @@ def burnside_dim(group: GroupAction, k: int) -> int:
     return total // group.order
 
 
-def _keeps_loops(g: BipartiteGraph, gen: GraphAutomorphism, rows) -> bool:
-    """Whether gen sends every loop over these rows to a loop: exactly when,
-    for each base b and endpoint, the images of the rows from b to it are
-    walks from a(b) with one common endpoint, so each is tested against the
-    image of the first such row."""
-    for b, paths in enumerate(rows):
-        first = {}
-        for p, v in paths:
-            q = tuple(map(gen.perm_e.__getitem__, p))
-            if not g.is_valid_loop(Loop.from_paths(gen.perm_a[b], first.setdefault(v, q), q)):
-                return False
-    return True
+def _orbit_count(group: GroupAction, classes: dict[tuple[int, int], list[tuple[int, ...]]]) -> int:
+    """The loop orbits of a permutation group that maps loops to loops,
+    counted on the rows of one degree by base and endpoint: the orbit of a
+    row r holds one loop orbit per orbit of Stab(r) on r's class
+    (docs/closure-multiply-and-burnside.md)."""
+    maps = [(h.perm_a, h.perm_e.__getitem__) for h in group.elements]
+    count, covered = 0, set()
+    for rows in classes.values():
+        for r in (r for r in rows if r not in covered):
+            images = [(a[r[0]], *map(e, r[1:])) for a, e in maps]
+            covered.update(images)
+            stabilizer = [m for m, image in zip(maps, images) if image == r]
+            count += len({min((a[u[0]], *map(e, u[1:])) for a, e in stabilizer) for u in rows})
+    return count
 
 
 def fixed_dims_report(group: GroupAction, kmax: int) -> list[int]:
-    """Fixed-space dimensions for degrees 0..kmax, counted two ways.
+    """Fixed-space dimensions for degrees 0..kmax, counted two ways: by
+    Burnside's lemma on paths and by orbits on rows.
 
     Both counts assume a group of permutations that maps loops to loops;
     close_group does not check that, so every element is checked here
@@ -267,11 +278,21 @@ def fixed_dims_report(group: GroupAction, kmax: int) -> list[int]:
         _check_permutation(element.perm_e, len(g.edges), "perm_e")
     dims = []
     for k in range(kmax + 1):
-        rows = [g.paths_with_ends(b, k) for b in range(g.num_a)]
-        if not all(_keeps_loops(g, gen, rows) for gen in group.generators):
-            raise InvalidAutomorphismError(f"a generator sends a degree-{k} loop to a non-loop")
+        # The rows (base, *path) by base and endpoint: a loop is a pair of
+        # rows in one class, so a generator sends every loop to a loop exactly
+        # when it maps each class into one class (docs/closure-multiply-and-burnside.md).
+        classes = {}
+        for b in range(g.num_a):
+            for p, v in g.paths_with_ends(b, k):
+                classes.setdefault((b, v), []).append((b, *p))
+        where = {r: ends for ends, rows in classes.items() for r in rows}
+        for a, e in ((gen.perm_a, gen.perm_e.__getitem__) for gen in group.generators):
+            for rows in classes.values():
+                targets = {where.get((a[r[0]], *map(e, r[1:]))) for r in rows}
+                if len(targets) > 1 or None in targets:
+                    raise InvalidAutomorphismError(f"a generator sends a degree-{k} loop to a non-loop")
         by_count = burnside_dim(group, k)
-        by_orbits = len(_orbits(group, k))
+        by_orbits = _orbit_count(group, classes)
         if by_count != by_orbits:
             raise PlanarAlgError(
                 f"internal: degree {k} fixed dimension mismatch {by_count} != {by_orbits}"
@@ -315,19 +336,24 @@ class SubalgebraReport:
         return all(c.passed for c in self.checks)
 
 
-def _invariant(group: GroupAction, x: PlanarElement) -> bool:
-    return all(act(gen, x) == x for gen in group.generators)
+def _sums(pairs) -> dict:
+    """Key -> exact sum of the weights paired with it."""
+    out = {}
+    for key, w in pairs:
+        out[key] = out[key] + w if key in out else w
+    return out
 
 
 def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
     """Exact verification that the fixed spaces form a planar subalgebra.
 
-    Per degree up to kmax, in one pass: orbit sums multiply back into the
-    fixed space, decided as injectivity of every generator on every orbit;
-    include and shift send them to invariants, decided as that and every
-    generator's include or shift equivariance
-    (docs/closure-multiply-and-burnside.md); expect sends them to invariants
-    and the Jones idempotents are invariant; and every generating operation
+    Per degree up to kmax, in one pass and without building an element:
+    orbit sums multiply back into the fixed space, decided as injectivity of
+    every generator on every orbit; include and shift send them to
+    invariants, decided as that and every generator's include or shift
+    equivariance; expect sends them to invariants and the Jones idempotents
+    are invariant, decided as push-forwards of positive weights on loops
+    (docs/closure-multiply-and-burnside.md); and every generating operation
     commutes with the action on the loop basis, decided on (base, path) rows
     for products (docs/equivariance-multiply.md) and on last edges and bases
     for the others (docs/equivariance-include-expect-shift.md).  The report
@@ -353,12 +379,12 @@ def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
         )
         for a, e in ((gen.perm_a, gen.perm_e) for gen in group.generators)
     ]
+    # Generator j sends the image of a loop under elements[i] to its image
+    # under elements[cols[j][i]] = elements[i].compose(generators[j]).
+    index = {h: i for i, h in enumerate(group.elements)}
+    cols = [[index[h.compose(gen)] for h in group.elements] for gen in group.generators]
     closure, equivariance = [], []
     for k in range(kmax + 1):
-        orbits = _orbits(group, k)
-        injective = all(
-            len({act_loop(gen, l) for l in o}) == len(o) for o in orbits for gen in group.generators
-        )
         rows = [(b, p, v) for b in range(g.num_a) for p, v in g.paths_with_ends(b, k)]
         lasts = {}
         for b, p, v in rows:
@@ -380,19 +406,44 @@ def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
                 ok = ok and all(len({e[l] for l in ls}) == len(ls) for ls in lasts.values())
                 equivariance.append(SubalgebraCheck("equivariance-expect", k, ok))
             equivariance.append(SubalgebraCheck("equivariance-shift", k, shift_ok))
+        # One walk over the loops: every generator is injective on every orbit,
+        # and pushes the positive weights that expect gives the truncations of
+        # the orbit's loops onto themselves (docs/closure-multiply-and-burnside.md).
+        injective, expect_ok = True, k >= 1
+        for orbit in _orbit_images(group, k):
+            at = {x: i for i, x in enumerate(orbit)}
+            injective = injective and all(len({orbit[c[i]] for i in at.values()}) == len(at) for c in cols)
+            if expect_ok:
+                cut = {}
+                for x in at:
+                    b, es = x
+                    if es[k - 1] == es[k]:
+                        cut[x] = ((b, es[: k - 1] + es[k + 1 :]), weight[es[k]])
+                weighted = _sums(cut.values())
+                expect_ok = all(
+                    _sums((cut[orbit[c[at[x]]]][0], w) for x, (_, w) in cut.items()) == weighted for c in cols
+                )
         # Orbit sums and their include and shift images are 0/1 elements, invariant
         # exactly when each generator permutes their terms (docs/closure-multiply-and-burnside.md).
         closure.append(SubalgebraCheck("closure-multiply", k, injective))
         if k + 1 <= kmax:
             closure.append(SubalgebraCheck("closure-include", k, injective and all(includes_commute)))
         if k >= 1:
-            basis = [PlanarElement(k, dict.fromkeys(orbit, RadicalScalar.one())) for orbit in orbits]
-            ok = all(_invariant(group, expect(g, x)) for x in basis)
-            closure.append(SubalgebraCheck("closure-expect", k, ok))
+            closure.append(SubalgebraCheck("closure-expect", k, expect_ok))
         if k + 2 <= kmax:
             closure.append(SubalgebraCheck("closure-shift", k, injective and all(shifts_commute)))
         if k >= 2:
-            ok = _invariant(group, jones_projection(g, k - 2))
+            # The terms of the raw cup-cap of degree k (tangles.jones_projection_raw),
+            # whose coefficients are positive, pushed forward by each generator.
+            spin = [g.spin_factor(i, "down" if k % 2 else "up") for i in range(len(edges))]
+            cups = [(b, p, attach(v)) for b in range(g.num_a) for p, v in g.paths_with_ends(b, k - 2)]
+            cup_cap = {
+                Loop.from_paths(b, p + (t, t), p + (u, u)): spin[t] * spin[u]
+                for b, p, ts in cups for t in ts for u in ts
+            }
+            ok = all(
+                _sums((act_loop(gen, x), c) for x, c in cup_cap.items()) == cup_cap for gen in group.generators
+            )
             closure.append(SubalgebraCheck("projection-invariant", k, ok))
 
     return SubalgebraReport(kmax=kmax, group_order=group.order, checks=tuple(closure + equivariance))

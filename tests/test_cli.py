@@ -650,12 +650,30 @@ class TestDeterminism:
                 "3",
                 "05434610fc45ddd48c2b3868e6e007396feed0d29062a730fb5dcbe944a1a972",
             ),
+            # S4 on C-in-C4, and Z2xZ2 on C-in-C2xM2 one degree higher.
+            (
+                "C-in-C4",
+                [{"perm_a": [0], "perm_b": [1, 0, 2, 3]}, {"perm_a": [0], "perm_b": [1, 2, 3, 0]}],
+                "7",
+                "7b9ff6eebc3abf3bbbcb99443dc154911f57ae213c087c18ff1dd75780324ca5",
+            ),
+            (
+                "C-in-C2xM2",
+                [
+                    {"perm_a": [0], "perm_b": [1, 0, 2], "perm_e": [1, 0, 2, 3]},
+                    {"perm_a": [0], "perm_b": [0, 1, 2], "perm_e": [0, 1, 3, 2]},
+                ],
+                "4",
+                "e7a132ffb7a22c29eb4df407319e4be2d81831ab468dc66556abbea3505eee84",
+            ),
         ],
     )
     def test_fixed_json_bytes_are_pinned(self, write_inclusion, write_group, capsys, name, generators, kmax, digest):
-        # Recorded when closure-include and closure-shift applied include and
-        # shift to every orbit sum; reading them off closure-multiply and the
-        # edge conditions keeps the bytes.
+        # The first two were recorded when closure-include and closure-shift
+        # applied include and shift to every orbit sum, the last two when
+        # closure-expect and projection-invariant were tested on elements and
+        # fixed_dims_report counted orbits on loops; the checks on paths,
+        # rows and weighted loops keep the bytes.
         argv = ["fixed", "--input", write_inclusion(name), "--group", write_group(generators), "--kmax", kmax]
         assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

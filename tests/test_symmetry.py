@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from planaralg import (
     InvalidAutomorphismError,
     Loop,
     NotAbelianError,
+    PlanarAlgError,
     PlanarElement,
     RadicalScalar,
     ValidationError,
@@ -513,6 +516,32 @@ def every_loop_equivariance(group, kmax: int, multiply) -> list[SubalgebraCheck]
     return checks
 
 
+def _imported_modules(path: Path) -> set[str]:
+    """Every module a file imports from, as a dotted name inside the
+    package: `from .graph import Loop` gives "graph", `from . import
+    tangles` gives "tangles"."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.removeprefix("planaralg.") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("planaralg").lstrip(".")
+            if module:
+                found.add(module)
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_symmetry_imports_nothing_from_tangles():
+    # The verifier decides every check on loops, rows and edges; without the
+    # generating operations in reach, element work cannot quietly return.
+    source = Path(__file__).resolve().parent.parent / "src" / "planaralg" / "symmetry.py"
+    modules = _imported_modules(source)
+    assert {"graph", "radical"} <= modules
+    assert not any(m == "tangles" or m.startswith("tangles.") for m in modules)
+
+
 class TestEquivarianceIncludeExpectShift:
     def test_matches_every_loop_oracle(self, graphs):
         verdicts = {}
@@ -531,36 +560,44 @@ class TestEquivarianceIncludeExpectShift:
             assert verdicts[name].count(True) >= 10, name
 
     def test_equivariance_pass_calls_no_generators(self, graphs, monkeypatch):
-        # Work count, not timing.  The verifier calls neither include nor
-        # shift: closure-include and closure-shift are read off
-        # closure-multiply and the edge conditions, which the every-loop
-        # check would decide with 2 * 2 * 341 include calls.  Every act call
-        # is one generator of the closure-expect or projection invariance test.
+        # Work count, not timing.  The verifier calls no generating operation
+        # and builds no element: closure-include and closure-shift are read off
+        # closure-multiply and the edge conditions, which the every-loop check
+        # would decide with 2 * 2 * 341 include calls, and closure-expect and
+        # projection-invariant push positive weights on loops forward
+        # (docs/closure-multiply-and-burnside.md).
         g = graphs("C-in-C4")
         group = close_group(
             g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
         )
-        assert not hasattr(symmetry, "include") and not hasattr(symmetry, "shift")
-        acts, invariants = 0, 0
-        real_act, real_invariant = symmetry.act, symmetry._invariant
+        for name in ("include", "shift", "expect", "jones_projection"):
+            assert not hasattr(symmetry, name), name
+        acts, constructions = 0, 0
+        real_act, init, normal = symmetry.act, PlanarElement.__init__, PlanarElement._normal.__func__
 
         def counting_act(auto, x):
             nonlocal acts
             acts += 1
             return real_act(auto, x)
 
-        def counting_invariant(group, x):
-            nonlocal invariants
-            invariants += 1
-            return real_invariant(group, x)
+        def counting_init(self, *args, **kwargs):
+            nonlocal constructions
+            constructions += 1
+            init(self, *args, **kwargs)
+
+        def counting_normal(cls, *args):
+            nonlocal constructions
+            constructions += 1
+            return normal(cls, *args)
 
         monkeypatch.setattr(symmetry, "act", counting_act)
-        monkeypatch.setattr(symmetry, "_invariant", counting_invariant)
+        monkeypatch.setattr(PlanarElement, "__init__", counting_init)
+        monkeypatch.setattr(PlanarElement, "_normal", classmethod(counting_normal))
         assert verify_planar_subalgebra(group, 4).all_passed
-        # closure-expect 23 (fixed dimensions 1, 2, 5, 15 at degrees 1-4),
-        # projections 3.
-        assert invariants == 23 + 3
-        assert acts == len(group.generators) * invariants == 52
+        assert acts == 0 and constructions == 0
+        # The counters see element work when there is some.
+        symmetry.act(group.generators[0], PlanarElement.basis(Loop(0, (0, 0))))
+        assert acts == 1 and constructions == 2
 
     @staticmethod
     def _failures(group, kmax):
@@ -820,7 +857,7 @@ class TestClosureIncludeShift:
         assert not verdicts[("equivariance-shift", 0)]
         assert not verdicts[("closure-shift", 0)] and not verdicts[("closure-shift", 1)]
 
-    def test_closure_expect_stays_an_element_check(self, graphs):
+    def test_closure_expect_is_not_read_off_other_verdicts(self, graphs):
         # On C-in-C2xM2, merging b1 and b2 into b0 and swapping e1 and e2
         # keeps closure-multiply and fails equivariance-expect at degrees 1
         # and 2, yet closure-expect passes at degree 1 and fails at degree 2:
@@ -899,8 +936,9 @@ class TestFixedDimsOnPaths:
         assert [burnside_dim(group, k) for k in range(6)] == every_loop_fixed_dims(group, 5) == dims
 
     def test_enumerates_loops_once_per_degree(self, graphs, monkeypatch):
-        # Work count: only the orbit enumeration walks the loops; the
-        # validity test and the Burnside count read (base, path) rows.
+        # Work count: fixed_dims_report reads only (base, path) rows, and the
+        # verifier's one orbit pass is the only walk over each degree's
+        # loops in a `fixed` run.
         g = graphs("C-in-C4")
         group = close_group(
             g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
@@ -915,4 +953,94 @@ class TestFixedDimsOnPaths:
 
         monkeypatch.setattr(BipartiteGraph, "iter_loops", counting)
         assert fixed_dims_report(group, 4) == [1, 1, 2, 5, 15]
-        assert calls == 5
+        assert calls == 0
+        assert verify_planar_subalgebra(group, 4).all_passed
+        assert calls == 4 + 1
+
+    def test_row_orbit_count(self, graphs):
+        # The orbit count on rows against the loop orbits and the Burnside
+        # count: on every permutation group of the oracle cases that keeps
+        # loops, and on seeded groups of automorphisms with stabilisers that
+        # move rows, among them Z2xZ2 swapping the parallel edges of
+        # C-in-C2xM2 and the Z2 that moves the base of C2-in-M2.
+        cases = [
+            (group, min(kmax, 5))
+            for group, kmax in _closure_cases(graphs)
+            if isinstance(_outcome(lambda: every_loop_fixed_dims(group, kmax)), list)
+        ]
+        c2m2, c2 = graphs("C-in-C2xM2"), graphs("C2-in-M2")
+        cases.append(
+            (
+                close_group(
+                    c2m2,
+                    [make_automorphism(c2m2, [0], [1, 0, 2], [1, 0, 2, 3]), make_automorphism(c2m2, [0], [0, 1, 2], [0, 1, 3, 2])],
+                ),
+                5,
+            )
+        )
+        cases.append((close_group(c2, [make_automorphism(c2, [1, 0], [0])]), 5))
+        rng = random.Random(20092)
+        autos = {name: _automorphisms(graphs(name)) for name, _ in SEEDED_GROUP_GRAPHS}
+        for index in range(30):
+            name, kmax = SEEDED_GROUP_GRAPHS[index % len(SEEDED_GROUP_GRAPHS)]
+            gens = rng.sample(autos[name], rng.randint(1, 2))
+            cases.append((close_group(graphs(name), gens), kmax))
+        moving = 0
+        for group, kmax in cases:
+            for k in range(kmax + 1):
+                count = symmetry._orbit_count(group, _row_classes(group.graph, k))
+                assert count == len(symmetry._orbits(group, k)) == burnside_dim(group, k)
+                moving += _stabilizer_moves_a_row(group, k)
+        assert moving >= 20
+
+    @pytest.mark.parametrize("name", ["burnside_dim", "_orbit_count"])
+    def test_count_mismatch_raises(self, graphs, monkeypatch, name):
+        # Mutation guard: the two counts stay independent, so a count that is
+        # off by one raises the internal mismatch.
+        g = graphs("C-in-C3")
+        group = close_group(g, [make_automorphism(g, [0], [1, 2, 0])])
+        real = getattr(symmetry, name)
+        monkeypatch.setattr(symmetry, name, lambda *args: real(*args) + 1)
+        with pytest.raises(PlanarAlgError, match="internal: degree 0 fixed dimension mismatch"):
+            fixed_dims_report(group, 2)
+
+
+# (graph, kmax) for the seeded automorphism groups of the row orbit count.
+SEEDED_GROUP_GRAPHS = (
+    ("C-in-C4", 5),
+    ("C-in-C3", 5),
+    ("C-in-M3", 4),
+    ("C-in-C2xM2", 4),
+    ("central-C2-in-M2xM2", 3),
+)
+
+
+def _automorphisms(g) -> list[GraphAutomorphism]:
+    """Every automorphism of a small graph: each vertex and edge permutation
+    that make_automorphism accepts."""
+    found = []
+    for maps in itertools.product(
+        *(itertools.permutations(range(n)) for n in (g.num_a, g.num_b, len(g.edges)))
+    ):
+        with contextlib.suppress(InvalidAutomorphismError):
+            found.append(make_automorphism(g, *maps))
+    return found
+
+
+def _row_classes(g, k: int) -> dict:
+    """The degree-k rows (base, *path) by (base, endpoint)."""
+    classes = {}
+    for b in range(g.num_a):
+        for p, v in g.paths_with_ends(b, k):
+            classes.setdefault((b, v), []).append((b, *p))
+    return classes
+
+
+def _stabilizer_moves_a_row(group, k: int) -> bool:
+    """Whether an element fixes a degree-k row and moves another row with
+    the same base and endpoint, so the row count needs stabilisers."""
+    for rows in _row_classes(group.graph, k).values():
+        for h in group.elements:
+            if {(h.perm_a[r[0]], *map(h.perm_e.__getitem__, r[1:])) == r for r in rows} == {True, False}:
+                return True
+    return False
