@@ -510,6 +510,24 @@ class BipartiteGraph:
                 terms[Loop.from_paths(base, path, path)] = RadicalScalar.one()
         return PlanarElement(k, terms)
 
+    def cup_caps(self, k: int) -> dict[Loop, RadicalScalar]:
+        """The raw cup-cap of degree k + 2: loop (top p t t, bottom p u u) ->
+        spin(t) spin(u), for paths p of length k and t, u attachable at p's end."""
+        attach, spin = (self._up, self._spin_up) if k % 2 == 0 else (self._down, self._spin_down)
+        terms = {}
+        for base in range(self.num_a):
+            for path, end in self.paths_with_ends(base, k):
+                for u in attach[end]:
+                    for t in attach[end]:
+                        terms[Loop.from_paths(base, path + (t, t), path + (u, u))] = spin[t] * spin[u]
+        return terms
+
+    def shift_prefixes(self, base: int) -> list[tuple[int, int, int]]:
+        """The prefixes (new base, up edge w, down edge d) that shift puts on
+        rows at a base: d leaves the base, w enters d's upper vertex."""
+        edges = self.edges
+        return [(edges[w].src, w, d) for d in self._up[base] for w in self._down[edges[d].dst]]
+
     def point(self, i: int) -> Loop:
         return Loop(i, ())
 

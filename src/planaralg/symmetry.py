@@ -11,7 +11,6 @@ with the action.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
@@ -216,30 +215,35 @@ def _orbit_images(group: GroupAction, k: int) -> Iterator[list[Loop]]:
             yield images
 
 
-def _orbits(group: GroupAction, k: int) -> list[set[Loop]]:
-    """Degree-k orbits as loop sets, in canonical order of their first loop."""
-    return [set(images) for images in _orbit_images(group, k)]
-
-
 def fixed_space_basis(group: GroupAction, k: int) -> list[PlanarElement]:
-    """Unnormalized orbit sums of degree-k loops, ordered by the canonical
-    least loop of each orbit."""
+    """Unnormalized orbit sums of degree-k loops, in canonical order of each
+    orbit's first loop; under maps that are not bijective orbits can overlap."""
     one = RadicalScalar.one()
-    return [PlanarElement(k, dict.fromkeys(orbit, one)) for orbit in _orbits(group, k)]
+    return [PlanarElement(k, dict.fromkeys(images, one)) for images in _orbit_images(group, k)]
+
+
+def _classes(g: BipartiteGraph, k: int) -> dict[tuple[int, int], list[tuple[int, ...]]]:
+    """The degree-k rows (base, *path) by (base, endpoint), each class in
+    lexicographic order; a degree-k loop is a pair of rows in one class."""
+    classes = {}
+    for b in range(g.num_a):
+        for p, v in g.paths_with_ends(b, k):
+            classes.setdefault((b, v), []).append((b, *p))
+    return classes
 
 
 def burnside_dim(group: GroupAction, k: int) -> int:
     """Fixed-space dimension as the average number of fixed loops, counted on
-    paths: an element fixes [b; t; u] exactly when it fixes b and each edge
+    rows: an element fixes [b; t; u] exactly when it fixes b and each edge
     of t and u (docs/closure-multiply-and-burnside.md)."""
-    rows = [group.graph.paths_with_ends(b, k) for b in range(group.graph.num_a)]
+    classes = _classes(group.graph, k)
     total = 0
     for element in group.elements:
         moved = {e for e, image in enumerate(element.perm_e) if image != e}
-        for b, paths in enumerate(rows):
+        for (b, _), rows in classes.items():
             if element.perm_a[b] == b:
-                fixed = Counter(v for p, v in paths if moved.isdisjoint(p))
-                total += sum(n * n for n in fixed.values())
+                fixed = sum(moved.isdisjoint(r[1:]) for r in rows)
+                total += fixed * fixed
     if total % group.order:
         raise PlanarAlgError("internal: fixed-point count is not divisible by the group order")
     return total // group.order
@@ -278,13 +282,9 @@ def fixed_dims_report(group: GroupAction, kmax: int) -> list[int]:
         _check_permutation(element.perm_e, len(g.edges), "perm_e")
     dims = []
     for k in range(kmax + 1):
-        # The rows (base, *path) by base and endpoint: a loop is a pair of
-        # rows in one class, so a generator sends every loop to a loop exactly
-        # when it maps each class into one class (docs/closure-multiply-and-burnside.md).
-        classes = {}
-        for b in range(g.num_a):
-            for p, v in g.paths_with_ends(b, k):
-                classes.setdefault((b, v), []).append((b, *p))
+        # A generator sends every loop to a loop exactly when it maps each
+        # class of rows into one class (docs/closure-multiply-and-burnside.md).
+        classes = _classes(g, k)
         where = {r: ends for ends, rows in classes.items() for r in rows}
         for a, e in ((gen.perm_a, gen.perm_e.__getitem__) for gen in group.generators):
             for rows in classes.values():
@@ -356,22 +356,21 @@ def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
     (docs/closure-multiply-and-burnside.md); and every generating operation
     commutes with the action on the loop basis, decided on (base, path) rows
     for products (docs/equivariance-multiply.md) and on last edges and bases
-    for the others (docs/equivariance-include-expect-shift.md).  The report
-    lists the closure checks of every degree first.
+    for the others (docs/equivariance-include-expect-shift.md).  The cup-cap
+    terms and shift's prefixes are the graph's own (`cup_caps`,
+    `shift_prefixes`), the ones `tangles` applies.  The report lists the
+    closure checks of every degree first.
     """
     if kmax < 0:
         raise ValidationError("kmax must be nonnegative")
     g = group.graph
     # Include, expect and shift equivariance are the edge conditions of Lemmas
     # I, E and S (docs/equivariance-include-expect-shift.md), read on every base
-    # and edge.  Expect's also needs e injective on the last edges of the rows
-    # from one base to one endpoint; shift's reads the prefixes (new base, first
-    # edge, second edge) at each base, the same at every degree.
+    # and edge.  Expect's also needs e injective on the last edges of each class
+    # of rows; shift's compares the sets of prefixes that shift puts at each
+    # base, the same at every degree.
     edges = g.edges
-    prefixes = [
-        sorted((edges[w].src, w, d) for d in g.edges_up(b) for w in g.edges_down(edges[d].dst))
-        for b in range(g.num_a)
-    ]
+    prefixes = [sorted(g.shift_prefixes(b)) for b in range(g.num_a)]
     shifts_commute = [
         all(
             sorted((a[c], e[w], e[d]) for c, w, d in ts) == prefixes[a[b]]
@@ -385,17 +384,15 @@ def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
     cols = [[index[h.compose(gen)] for h in group.elements] for gen in group.generators]
     closure, equivariance = [], []
     for k in range(kmax + 1):
-        rows = [(b, p, v) for b in range(g.num_a) for p, v in g.paths_with_ends(b, k)]
-        lasts = {}
-        for b, p, v in rows:
-            lasts.setdefault((b, v), set()).update(p[-1:])
+        classes = _classes(g, k)
+        rows = [r for rs in classes.values() for r in rs]
         attach = g.edges_up if k % 2 == 0 else g.edges_down
         end = [edge.dst if k % 2 else edge.src for edge in edges]
         weight = [g.spin_factor_sq(i, "up" if k % 2 else "down") for i in range(len(edges))]
         includes_commute = []
         for gen, shift_ok in zip(group.generators, shifts_commute):
             a, e = gen.perm_a, gen.perm_e
-            images = {(a[b], tuple(map(e.__getitem__, p))) for b, p, _ in rows}
+            images = {(a[r[0]], *map(e.__getitem__, r[1:])) for r in rows}
             equivariance.append(SubalgebraCheck("equivariance-multiply", k, len(images) == len(rows)))
             ends = zip(range(g.num_a), a) if k == 0 else ((v, end[e[l]]) for l, v in enumerate(end))
             ok = all(sorted(map(e.__getitem__, attach(v))) == list(attach(w)) for v, w in ends)
@@ -403,7 +400,7 @@ def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
             equivariance.append(SubalgebraCheck("equivariance-include", k, ok))
             if k >= 1:
                 ok = all(w == weight[e[l]] for l, w in enumerate(weight))
-                ok = ok and all(len({e[l] for l in ls}) == len(ls) for ls in lasts.values())
+                ok = ok and all(len({e[r[-1]] for r in rs}) == len({r[-1] for r in rs}) for rs in classes.values())
                 equivariance.append(SubalgebraCheck("equivariance-expect", k, ok))
             equivariance.append(SubalgebraCheck("equivariance-shift", k, shift_ok))
         # One walk over the loops: every generator is injective on every orbit,
@@ -433,14 +430,9 @@ def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
         if k + 2 <= kmax:
             closure.append(SubalgebraCheck("closure-shift", k, injective and all(shifts_commute)))
         if k >= 2:
-            # The terms of the raw cup-cap of degree k (tangles.jones_projection_raw),
-            # whose coefficients are positive, pushed forward by each generator.
-            spin = [g.spin_factor(i, "down" if k % 2 else "up") for i in range(len(edges))]
-            cups = [(b, p, attach(v)) for b in range(g.num_a) for p, v in g.paths_with_ends(b, k - 2)]
-            cup_cap = {
-                Loop.from_paths(b, p + (t, t), p + (u, u)): spin[t] * spin[u]
-                for b, p, ts in cups for t in ts for u in ts
-            }
+            # The terms of the raw cup-cap of degree k, which jones_projection
+            # scales, have positive coefficients: pushed forward by each generator.
+            cup_cap = g.cup_caps(k - 2)
             ok = all(
                 _sums((act_loop(gen, x), c) for x, c in cup_cap.items()) == cup_cap for gen in group.generators
             )

@@ -36,7 +36,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import DegreeMismatchError, TangleProgramError, ValidationError
-from .graph import BipartiteGraph, Loop, PlanarElement, _add_row, _pairs
+from .graph import BipartiteGraph, PlanarElement, _add_row, _pairs
 from .radical import RadicalScalar, _key_product
 
 _STEP_RE = re.compile(r"^([1MIJUE])(\d+)$")
@@ -72,11 +72,9 @@ def shift(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
     for key, rows in x._num.items():
         out = num[key] = {}
         for row, entries in rows.items():
-            for down_eid in g.edges_up(row[0]):
-                for up_eid in g.edges_down(g.edge(down_eid).dst):
-                    # The same prefix on both rows, at a new base; no two terms meet.
-                    prefix = (g.edge(up_eid).src, up_eid, down_eid)
-                    out[prefix + row[1:]] = {prefix + col[1:]: n for col, n in _pairs(entries)}
+            # The same prefix on both rows, at a new base; no two terms meet.
+            for prefix in g.shift_prefixes(row[0]):
+                out[prefix + row[1:]] = {prefix + col[1:]: n for col, n in _pairs(entries)}
     return PlanarElement._normal(x.degree + 2, x._den, num)
 
 
@@ -108,17 +106,7 @@ def jones_projection_raw(g: BipartiteGraph, k: int) -> PlanarElement:
     """The cup-cap element of degree k+2, before normalization."""
     if k < 0:
         raise ValidationError("k must be nonnegative")
-    direction = "up" if k % 2 == 0 else "down"
-    terms = {}
-    for base in range(g.num_a):
-        for path, end in g.paths_with_ends(base, k):
-            attachable = g.edges_up(end) if k % 2 == 0 else g.edges_down(end)
-            for bottom_eid in attachable:
-                bottom_spin = g.spin_factor(bottom_eid, direction)
-                for top_eid in attachable:
-                    loop = Loop.from_paths(base, path + (top_eid, top_eid), path + (bottom_eid, bottom_eid))
-                    terms[loop] = g.spin_factor(top_eid, direction) * bottom_spin
-    return PlanarElement(k + 2, terms)
+    return PlanarElement(k + 2, g.cup_caps(k))
 
 
 def jones_projection(g: BipartiteGraph, k: int) -> PlanarElement:

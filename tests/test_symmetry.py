@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import hashlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -35,6 +37,7 @@ from planaralg import (
     include,
     is_centrally_ergodic,
     jones_projection,
+    jones_projection_raw,
     make_automorphism,
     reynolds,
     shift,
@@ -542,6 +545,39 @@ def test_symmetry_imports_nothing_from_tangles():
     assert not any(m == "tangles" or m.startswith("tangles.") for m in modules)
 
 
+def test_symmetry_builds_no_cup_cap_terms():
+    # The raw cup-cap's spins and loops are built in BipartiteGraph.cup_caps
+    # only, so the verifier tests the terms that jones_projection scales.
+    source = Path(__file__).resolve().parent.parent / "src" / "planaralg" / "symmetry.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert {"cup_caps", "shift_prefixes"} <= attributes
+    assert not attributes & {"spin_factor", "from_paths"}
+
+
+def test_cup_caps_and_shift_prefixes_have_one_definition(graphs, monkeypatch):
+    # Work count: jones_projection_raw and the verifier read one cup-cap
+    # definition, and shift and the verifier one prefix definition.
+    calls = Counter()
+    for name in ("cup_caps", "shift_prefixes"):
+        real = getattr(BipartiteGraph, name)
+
+        def counting(self, n, name=name, real=real):
+            calls[name] += 1
+            return real(self, n)
+
+        monkeypatch.setattr(BipartiteGraph, name, counting)
+    g = graphs("C-in-C2xM2")
+    jones_projection_raw(g, 1)
+    shift(g, g.unit(1))
+    # One cup-cap call, and one prefix call per row of the unit's 4 rows.
+    assert calls == {"cup_caps": 1, "shift_prefixes": 4}
+    group = close_group(g, [make_automorphism(g, [0], [0, 1, 2], [0, 1, 3, 2])])
+    assert verify_planar_subalgebra(group, 3).all_passed
+    # The cup-caps of degrees 2 and 3, and the prefixes at the one base.
+    assert calls == {"cup_caps": 1 + 2, "shift_prefixes": 4 + 1}
+
+
 class TestEquivarianceIncludeExpectShift:
     def test_matches_every_loop_oracle(self, graphs):
         verdicts = {}
@@ -736,12 +772,21 @@ class TestClosureMultiply:
         # fails from degree 1 on.
         g = graphs("C-in-C2")
         group = close_group(g, [GraphAutomorphism((0,), (0, 0), (0, 0))])
-        orbits = symmetry._orbits(group, 1)
+        orbits = [set(images) for images in symmetry._orbit_images(group, 1)]
         assert orbits == [{Loop(0, (0, 0))}, {Loop(0, (0, 0)), Loop(0, (1, 1))}]
         report = verify_planar_subalgebra(group, 2)
         found = [c for c in report.checks if c.name == "closure-multiply"]
         assert [c.passed for c in found] == [True, False, False]
         assert found == pairwise_closure_multiply(group, 2)
+
+    def test_overlapping_orbit_basis_is_pinned(self, graphs):
+        # The map of test_overlapping_orbits.  The digest was recorded when
+        # fixed_space_basis built each orbit as a set of loops.
+        group = close_group(graphs("C-in-C2"), [GraphAutomorphism((0,), (0, 0), (0, 0))])
+        text = "\n".join(repr(fixed_space_basis(group, k)) for k in (1, 2))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "3dc4b1a0d2cd2f32ecd0eb9d5cfc79198c62ffe95fa71557866d8bf1f2fc9c64"
+        )
 
     def test_verifier_forms_no_products(self, graphs, monkeypatch):
         # Work count, not timing: products of orbit sums would be
@@ -761,6 +806,23 @@ class TestClosureMultiply:
         monkeypatch.setattr(PlanarElement, "_compose", counting)
         assert verify_planar_subalgebra(group, 4).all_passed
         assert calls == 0
+
+
+def test_verdicts_do_not_depend_on_loop_order(graphs, monkeypatch):
+    # Under maps that are not bijective, orbits overlap and the verifier's
+    # orbits depend on which loop its walk meets first; no verdict may.
+    def walk(group, kmax):
+        orbits = [{frozenset(images) for images in symmetry._orbit_images(group, k)} for k in range(kmax + 1)]
+        return verify_planar_subalgebra(group, kmax), orbits
+
+    cases = list(_closure_cases(graphs))
+    before = [walk(group, kmax) for group, kmax in cases]
+    iter_loops = BipartiteGraph.iter_loops
+    monkeypatch.setattr(BipartiteGraph, "iter_loops", lambda self, k: reversed(list(iter_loops(self, k))))
+    after = [walk(group, kmax) for group, kmax in cases]
+    assert [report for report, _ in after] == [report for report, _ in before]
+    # The reversed walk meets other orbits in many cases, so it is not vacuous.
+    assert sum(a[1] != b[1] for a, b in zip(after, before)) >= 100
 
 
 def _checked_report(group, kmax: int):
@@ -988,8 +1050,8 @@ class TestFixedDimsOnPaths:
         moving = 0
         for group, kmax in cases:
             for k in range(kmax + 1):
-                count = symmetry._orbit_count(group, _row_classes(group.graph, k))
-                assert count == len(symmetry._orbits(group, k)) == burnside_dim(group, k)
+                count = symmetry._orbit_count(group, symmetry._classes(group.graph, k))
+                assert count == len(list(symmetry._orbit_images(group, k))) == burnside_dim(group, k)
                 moving += _stabilizer_moves_a_row(group, k)
         assert moving >= 20
 
@@ -1027,19 +1089,10 @@ def _automorphisms(g) -> list[GraphAutomorphism]:
     return found
 
 
-def _row_classes(g, k: int) -> dict:
-    """The degree-k rows (base, *path) by (base, endpoint)."""
-    classes = {}
-    for b in range(g.num_a):
-        for p, v in g.paths_with_ends(b, k):
-            classes.setdefault((b, v), []).append((b, *p))
-    return classes
-
-
 def _stabilizer_moves_a_row(group, k: int) -> bool:
     """Whether an element fixes a degree-k row and moves another row with
     the same base and endpoint, so the row count needs stabilisers."""
-    for rows in _row_classes(group.graph, k).values():
+    for rows in symmetry._classes(group.graph, k).values():
         for h in group.elements:
             if {(h.perm_a[r[0]], *map(h.perm_e.__getitem__, r[1:])) == r for r in rows} == {True, False}:
                 return True

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -28,7 +29,7 @@ from planaralg import (
     verify_temperley_lieb,
 )
 from planaralg.radical import sqrt_of_int
-from conftest import TL_TRIO
+from conftest import MARKOV_CORPUS, TL_TRIO
 from test_graph import random_element
 
 ROOT2 = sqrt_of_int(2)
@@ -221,6 +222,19 @@ class TestJonesProjection:
             assert e * e == e
             assert trace(g, e) == Fraction(1, g.r)
 
+    @pytest.mark.parametrize("name", [e.name for e in MARKOV_CORPUS if sum(map(sum, e.m)) <= 6])
+    def test_projection_and_shift_reprs_are_pinned(self, graphs, name):
+        # The digests were recorded when jones_projection_raw and shift each
+        # built their own cup-cap terms and prefixes; reading both off the
+        # graph keeps every element.
+        g = graphs(name)
+        rng = random.Random(2000)
+        lines = [repr(jones_projection(g, k)) for k in range(4)]
+        for k in range(3):
+            loops = g.enumerate_loops(k)
+            lines += [repr(shift(g, random_element(rng, loops, count=4))) for _ in range(3)]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == GENERATOR_PINS[name]
+
     def test_markov_property(self, graphs):
         # Multiplying an embedded element by the next projection divides the
         # trace by the index, exactly.
@@ -234,6 +248,22 @@ class TestJonesProjection:
                     x = random_element(rng, loops)
                     embedded = include(g, include(g, x))
                     assert trace(g, embedded * e) * g.r == trace(g, x)
+
+
+# SHA-256 of the Jones projections e_0..e_3 and of shift on nine seeded
+# elements, per Markov corpus graph.
+GENERATOR_PINS = {
+    "C-in-C": "8020ad8dc491d043ab17941eb2e4fac5078a57c12daa1d91f964b71e2c140cc5",
+    "C-in-C2": "28811db5e1ff5ebe81564100cf3762f2776371fd63d07425aa6d1784d4ac1139",
+    "C-in-C3": "d2f0c754238c85f457fc5fb080d50384e72cbf8cf4fb2f18e50fc0fc7af9a779",
+    "C-in-C4": "40bb59b8f9fd4b8fbfa8616ab1c16acc3b3d7c05af45881ce136023f65602b84",
+    "C-in-C5": "da464b7c154e9fd5f4604bfab32a491ad7e0e0ad37c23557f007dba520cf115e",
+    "C-in-M2": "12b75ad8dde4fdbcb42f4717609fc30c29503224c9484c731a758fc09aa15f2c",
+    "C-in-M3": "e624e6cd255a0df7828f7bdd582caf8348cb777708e31c27e5e2d2d2a902e10d",
+    "central-C2-in-M2xM2": "3f13487b69fe4623602450c392c7b044d97c407a3f1a3f9b9a4e1d37f846e97b",
+    "C2-in-M2": "a406a798bdcce0bb9eae35a4e0e5d48e54eab194caf81fba18a0e5cbad64d33b",
+    "C-in-C2xM2": "c660cb792452ec110f5fcd9e170e66bb38e26f64134621fe88250f9eaaa082f4",
+}
 
 
 class TestTrace:
