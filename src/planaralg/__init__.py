@@ -6,128 +6,52 @@ integer index, spans degree-graded spaces on based loops with exact radical
 coefficients, applies the generating annular operations (gluing, inclusion,
 shift, expectation, cup-cap idempotents, trace), and verifies fixed-point
 subalgebras under finite graph symmetry groups.
+
+Each public name is imported from its module on first use (PEP 562), so a
+process loads only the modules it touches.
 """
 
-from .errors import (
-    DegreeMismatchError,
-    EigenvectorViolationError,
-    GroupTooLargeError,
-    InvalidAutomorphismError,
-    NotAbelianError,
-    NotInvertibleError,
-    NotMarkovError,
-    NotRepresentableError,
-    PlanarAlgError,
-    ResourceLimitError,
-    TangleProgramError,
-    ValidationError,
-)
-from .graph import BipartiteGraph, Edge, Loop, PlanarElement, build_graph
-from .markov import (
-    AlgebraDims,
-    InclusionData,
-    MarkovReport,
-    analyze,
-    basic_construction,
-    canonical_trace_weights,
-    jones_tower,
-    loop_space_dim,
-    markov_index,
-    relative_commutant_dims,
-    word_norm,
-)
-from .radical import RadicalScalar, sqrt_of_int, sum_scalars
-from .symmetry import (
-    GraphAutomorphism,
-    GroupAction,
-    SubalgebraReport,
-    act,
-    act_loop,
-    burnside_dim,
-    close_group,
-    fixed_dims_report,
-    fixed_space_basis,
-    identity_automorphism,
-    is_centrally_ergodic,
-    make_automorphism,
-    reynolds,
-    verify_planar_subalgebra,
-)
-from .tangles import (
-    RelationCheck,
-    TangleProgram,
-    TangleStep,
-    expect,
-    identity,
-    include,
-    jones_projection,
-    jones_projection_raw,
-    multiply,
-    run_program,
-    shift,
-    trace,
-    verify_temperley_lieb,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraDims",
-    "BipartiteGraph",
-    "DegreeMismatchError",
-    "Edge",
-    "EigenvectorViolationError",
-    "GraphAutomorphism",
-    "GroupAction",
-    "GroupTooLargeError",
-    "InclusionData",
-    "InvalidAutomorphismError",
-    "Loop",
-    "MarkovReport",
-    "NotAbelianError",
-    "NotInvertibleError",
-    "NotMarkovError",
-    "NotRepresentableError",
-    "PlanarAlgError",
-    "PlanarElement",
-    "RadicalScalar",
-    "RelationCheck",
-    "ResourceLimitError",
-    "SubalgebraReport",
-    "TangleProgram",
-    "TangleProgramError",
-    "TangleStep",
-    "ValidationError",
-    "act",
-    "act_loop",
-    "analyze",
-    "basic_construction",
-    "build_graph",
-    "burnside_dim",
-    "canonical_trace_weights",
-    "close_group",
-    "expect",
-    "fixed_dims_report",
-    "fixed_space_basis",
-    "identity",
-    "identity_automorphism",
-    "include",
-    "is_centrally_ergodic",
-    "jones_projection",
-    "jones_projection_raw",
-    "jones_tower",
-    "loop_space_dim",
-    "make_automorphism",
-    "markov_index",
-    "multiply",
-    "relative_commutant_dims",
-    "reynolds",
-    "run_program",
-    "shift",
-    "sqrt_of_int",
-    "sum_scalars",
-    "trace",
-    "verify_planar_subalgebra",
-    "verify_temperley_lieb",
-    "word_norm",
-]
+# Module -> the public names it exports; the one list of the package's API.
+_EXPORTS = {
+    "errors": (
+        "DegreeMismatchError EigenvectorViolationError GroupTooLargeError"
+        " InvalidAutomorphismError NotAbelianError NotInvertibleError NotMarkovError"
+        " NotRepresentableError PlanarAlgError ResourceLimitError TangleProgramError"
+        " ValidationError"
+    ),
+    "graph": "BipartiteGraph Edge Loop PlanarElement build_graph",
+    "markov": (
+        "AlgebraDims InclusionData MarkovReport analyze basic_construction"
+        " canonical_trace_weights jones_tower loop_space_dim markov_index"
+        " relative_commutant_dims word_norm"
+    ),
+    "radical": "RadicalScalar sqrt_of_int sum_scalars",
+    "symmetry": (
+        "GraphAutomorphism GroupAction SubalgebraReport act act_loop burnside_dim"
+        " close_group fixed_dims_report fixed_space_basis identity_automorphism"
+        " is_centrally_ergodic make_automorphism reynolds verify_planar_subalgebra"
+    ),
+    "tangles": (
+        "RelationCheck TangleProgram TangleStep expect identity include jones_projection"
+        " jones_projection_raw multiply run_program shift trace verify_temperley_lieb"
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return list(__all__)

@@ -43,7 +43,6 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .graph import build_graph
 from .markov import (
     InclusionData,
     analyze,
@@ -52,14 +51,6 @@ from .markov import (
     loop_space_dims,
     word_norm,
 )
-from .symmetry import (
-    close_group,
-    fixed_dims_report,
-    is_centrally_ergodic,
-    make_automorphism,
-    verify_planar_subalgebra,
-)
-from .tangles import verify_temperley_lieb
 
 EXIT_OK = 0
 EXIT_CHECKS_FAILED = 1
@@ -228,6 +219,9 @@ def cmd_dims(args) -> int:
 
 
 def cmd_verify_tl(args) -> int:
+    from .graph import build_graph
+    from .tangles import verify_temperley_lieb
+
     inc = _load_inclusion(args.input)
     if args.format != "json":
         raise ValidationError("verify-tl only supports --format json")
@@ -248,6 +242,8 @@ def cmd_verify_tl(args) -> int:
 
 
 def _load_group(graph, path: str):
+    from .symmetry import make_automorphism
+
     document = _load_json(path)
     if not isinstance(document, dict) or "generators" not in document:
         raise ValidationError('group document needs a "generators" list')
@@ -277,6 +273,9 @@ def _load_group(graph, path: str):
 
 
 def cmd_fixed(args) -> int:
+    from .graph import build_graph
+    from .symmetry import close_group, fixed_dims_report, is_centrally_ergodic, verify_planar_subalgebra
+
     inc = _load_inclusion(args.input)
     _check_loop_budget(inc, args.kmax, args.limit_loops)
     graph = build_graph(inc)

@@ -18,10 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice
-from typing import Iterator, Literal, Sequence
+from typing import TYPE_CHECKING, Iterator, Literal, Sequence
 
 from .errors import NotAbelianError, NotMarkovError, ResourceLimitError, ValidationError
-from .radical import RadicalScalar, sqrt_of_int
+
+if TYPE_CHECKING:
+    from .radical import RadicalScalar
 
 CommutantFlavor = Literal["AA", "AB", "BA", "BB"]
 WordStart = Literal["m", "mt"]
@@ -289,7 +291,12 @@ def word_norm(inc: InclusionData, length: int, starts_with: WordStart = "m") -> 
             f"{inc.rows} * r^{2 * length} >= 2^{sys.float_info.max_exp - 1}"
         )
 
-    import numpy as np  # only word norms need numpy; deferred to keep start-up cheap
+    # Only word norms need radicals and numpy; both are deferred to keep
+    # start-up cheap, radicals first so their compilation does not add to
+    # the memory numpy holds.
+    from .radical import RadicalScalar, sqrt_of_int
+
+    import numpy as np
 
     m = np.array(inc.m, dtype=float)
     factors = []

@@ -217,7 +217,10 @@ def _orbit_images(group: GroupAction, k: int) -> Iterator[list[Loop]]:
 
 def fixed_space_basis(group: GroupAction, k: int) -> list[PlanarElement]:
     """Unnormalized orbit sums of degree-k loops, in canonical order of each
-    orbit's first loop; under maps that are not bijective orbits can overlap."""
+    orbit's first loop.  For groups of bijective maps they are a basis of
+    the fixed space.  Under maps that are not bijective, orbits can overlap,
+    the orbit sums need not be fixed, and which orbit sums appear depends on
+    the order of the loop walk; the verifier's verdicts do not."""
     one = RadicalScalar.one()
     return [PlanarElement(k, dict.fromkeys(images, one)) for images in _orbit_images(group, k)]
 

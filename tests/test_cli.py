@@ -366,7 +366,7 @@ class TestExitCodeMapping:
         def boom(*args, **kwargs):
             raise GroupTooLargeError("closure exceeds limit")
 
-        monkeypatch.setattr("planaralg.cli.close_group", boom)
+        monkeypatch.setattr("planaralg.symmetry.close_group", boom)
         group = write_group([])
         args = ["fixed", "--input", write_inclusion("C-in-C2"), "--group", group, "--kmax", "1"]
         assert main(args) == 4
@@ -720,4 +720,42 @@ class TestDeterminism:
         # degree's loop count was a fresh power of m m^t.
         argv = [argv_tail[0], "--input", write_inclusion(name)] + argv_tail[1:]
         assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("C-in-C", "8e613e6af07a0e24596dcd32acbd1a72436b2681dd1e2bc84e7de95a0fe7987e"),
+            ("C-in-C2", "4265f949cd15eaecb7cb2b5333ce907d3f649ed8dfa2b6997a2ec51eb07c8ab3"),
+            ("C-in-C3", "29f06884526e85cef88631bbcaad97f44ab568fe9f32e6d1bff77047555da7cd"),
+            ("C-in-C4", "caac62c0718eeda110bc4e8e167da4ca26804f5a2c7692aea3006d7e49380c8e"),
+            ("C-in-C5", "3b1268a9f6a5289f60c2577175d64fa5a4674535e5746529390f88e07e5ab2c9"),
+            ("C-in-M2", "f4c020eabda80651168d57969854fb0725a639de7475ffd517893a0f42e43d9f"),
+            ("C-in-M3", "183e6dd7df3eb1c174e316a9fd3c26958c0c8f6c19560401049dd9f94825e421"),
+            ("central-C2-in-M2xM2", "3f911bca78ab68b9e8d2b04c5c9d5b719a70f50bbd438f935b97da3b3a0b3c69"),
+            ("C2-in-M2", "0d68bafc9c98b3dada1f2c6ff05786860206d9896e7a824073bc0f9620827626"),
+            ("C-in-C2xM2", "d5efdca2be371e425195e12c12deecdf7c3ea6a85ee6bdbd8b3bb11d8ef0d5ce"),
+            ("skew-C2-in-M2xC", "50fdbd9f4f1b2a4e22cedd5920155369ca91378060641d7849a3fa1f1080bb5e"),
+            ("C-C2-in-M3", "331e580690eb74edaec30ccb3f3e3206e507790d7d9eed43daf93113fd27ca1e"),
+            ("uneven-C2-in-M2xC", "b9b3adf8783c8007d1b20d99a23f7ebf299e77329a04af54ff93b2950888be61"),
+        ],
+    )
+    def test_analyze_bytes_are_pinned(self, write_inclusion, capsys, name, digest):
+        # Every corpus inclusion, the non-Markov ones included; recorded when
+        # the package imported every module at start-up.
+        assert main(["analyze", "--input", write_inclusion(name)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("C-in-C2", "8fd6026cb0f5681c6b80c72e18a4ba8cad2e6f4d0253451299bfdd671bebd3fe"),
+            ("C-in-C3", "402cff384931c27177e71b49e30cbf1d49c8c62e925e5263be23dbf2d76164bf"),
+            ("C-in-M2", "f880c3b7868b5daa6a0d64a9b1345ed6a8e76932358fd0c54b000bf5db7eaddc"),
+        ],
+    )
+    def test_verify_tl_bytes_are_pinned(self, write_inclusion, capsys, name, digest):
+        # TL_TRIO at kmax 2; recorded when the package imported every module
+        # at start-up.
+        assert main(["verify-tl", "--input", write_inclusion(name), "--kmax", "2"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
