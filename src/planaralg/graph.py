@@ -20,9 +20,12 @@ a bipartite graph*, 2000).
 radical part of the coefficients, the integer numerators as sparse matrix
 rows indexed by based paths, a row of one entry held as a bare (column,
 numerator) pair.  The blocks are implicit in the rows, so an element needs
-no graph.  Products are sparse integer matrix products,
-`include`, `shift` and the group action relabel rows and columns, and the
-normal form (no zeros, no common factor) makes `==` a comparison of dicts.
+no graph.  Products are sparse integer matrix products, `relabel` sends rows
+and columns to lists of image paths (`include`, `shift`, the group action
+and its average), and `contract_last` contracts the last column (`expect`).
+Besides the element's own arithmetic, they are the only code that reads
+stored rows.  The normal form (no zeros, no common factor) makes `==` a
+comparison of dicts.
 
 Vertex weights are block dimension over the square root of total algebra
 dimension on each side; the construction checks, in exact arithmetic, that
@@ -36,7 +39,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Literal, Mapping
+from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence
 
 from .errors import DegreeMismatchError, EigenvectorViolationError, ValidationError
 from .markov import InclusionData, markov_index
@@ -140,8 +143,6 @@ class PlanarElement:
                 coeff = RadicalScalar.from_rational(coeff)
             if coeff:
                 coeffs[loop] = coeff
-        # Each coefficient is in lowest terms, so over the lcm of their
-        # denominators the numerators share no factor with it.
         den = lcm(*(c._den for c in coeffs.values()))
         num: dict[RadicalKey, AccRows] = {}
         shared = _SHARED
@@ -155,13 +156,7 @@ class PlanarElement:
             for key, n in coeff._num.items():
                 n *= scale
                 num.setdefault(key, {}).setdefault(row, {})[col] = shared.setdefault(n, n)
-        for rows in num.values():
-            for row, entries in rows.items():
-                if len(entries) == 1:
-                    rows[row] = entries.popitem()
-        _set_degree(self, degree)
-        _set_den(self, den)
-        _set_num(self, num)
+        _store(self, degree, den, num)
 
     def __setattr__(self, name, value):
         raise AttributeError("PlanarElement is immutable")
@@ -169,40 +164,8 @@ class PlanarElement:
     @classmethod
     def _normal(cls, degree: int, den: int, num: dict[RadicalKey, AccRows]) -> PlanarElement:
         """Trusted constructor over accumulated integer rows that the
-        caller built and hands over: drops zero numerators, empty rows and
-        empty keys, stores one-entry rows as pairs, and divides out the
-        common factor."""
-        g = den
-        for key in list(num):
-            rows = num[key]
-            for row in list(rows):
-                entries = rows[row]
-                if not all(entries.values()):
-                    entries = {c: n for c, n in entries.items() if n}
-                    if not entries:
-                        del rows[row]
-                        continue
-                    rows[row] = entries
-                if g != 1:
-                    g = gcd(g, *entries.values())
-                if len(entries) == 1:
-                    rows[row] = entries.popitem()
-            if not rows:
-                del num[key]
-        if g != 1:
-            den //= g
-            num = {
-                key: {
-                    r: (e[0], e[1] // g) if e.__class__ is tuple else {c: n // g for c, n in e.items()}
-                    for r, e in rows.items()
-                }
-                for key, rows in num.items()
-            }
-        out = _new(cls)
-        _set_degree(out, degree)
-        _set_den(out, den)
-        _set_num(out, num)
-        return out
+        caller built and hands over (see `_store`)."""
+        return _store(_new(cls), degree, den, num)
 
     @classmethod
     def zero(cls, degree: int) -> PlanarElement:
@@ -307,6 +270,47 @@ class PlanarElement:
                                 acc[c] = acc.get(c, 0) + n1 * n2
         return PlanarElement._normal(h, self._den * other._den, num)
 
+    def relabel(self, degree: int, images: Callable[[Path], list[Path]]) -> PlanarElement:
+        """The degree-`degree` element in which the loop in row r and column c
+        becomes the sum over i of the loops in row images(r)[i] and column
+        images(c)[i].  `images` must send the paths of one (base, endpoint)
+        block to lists of one length; its result for each path is reused, and
+        loops that meet add up."""
+        seen: dict[Path, list[Path]] = {}
+        num: dict[RadicalKey, AccRows] = {}
+        for key, rows in self._num.items():
+            out = num[key] = {}
+            for row, entries in rows.items():
+                cols = [(seen.get(c) or seen.setdefault(c, images(c)), n) for c, n in _pairs(entries)]
+                # A row gets an entry from every column, so none stays empty.
+                for i, target in enumerate(seen.get(row) or seen.setdefault(row, images(row))):
+                    acc = out.setdefault(target, {})
+                    for col, n in cols:
+                        col = col[i]
+                        acc[col] = acc.get(col, 0) + n
+        return PlanarElement._normal(degree, self._den, num)
+
+    def contract_last(self, weights: Sequence[RadicalScalar]) -> PlanarElement:
+        """Contraction of the last column, one degree down: a loop whose two
+        rows end in the same edge e becomes weights[e] times the loop with
+        both last edges removed, and every other loop is dropped."""
+        if self.degree < 1:
+            raise DegreeMismatchError("expectation needs degree at least 1")
+        wden = lcm(*(w._den for w in weights))
+        num: dict[RadicalKey, AccRows] = {}
+        for key, rows in self._num.items():
+            for row, entries in rows.items():
+                last = row[-1]
+                kept = [(col[:-1], n) for col, n in _pairs(entries) if col[-1] == last]
+                if not kept:
+                    continue
+                weight = weights[last]
+                scale = wden // weight._den
+                for wkey, wn in weight._num.items():
+                    out_key, factor = _key_product(key, wkey)
+                    _add_row(num.setdefault(out_key, {}), row[:-1], kept, wn * factor * scale)
+        return PlanarElement._normal(self.degree - 1, self._den * wden, num)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, PlanarElement):
             return NotImplemented
@@ -341,6 +345,42 @@ def _add_row(rows: AccRows, row: Path, pairs: Iterable[tuple[Path, int]], scale:
     else:
         for c, n in pairs:
             acc[c] = acc.get(c, 0) + scale * n
+
+
+def _store(out: PlanarElement, degree: int, den: int, num: dict[RadicalKey, AccRows]) -> PlanarElement:
+    """Stores accumulated integer rows, which the caller hands over, in `out`
+    in normal form: drops zero numerators, rows left empty by them and empty
+    keys, stores one-entry rows as pairs, and divides out the common factor."""
+    g = den
+    for key in list(num):
+        rows = num[key]
+        for row in list(rows):
+            entries = rows[row]
+            if not all(entries.values()):
+                entries = {c: n for c, n in entries.items() if n}
+                if not entries:
+                    del rows[row]
+                    continue
+                rows[row] = entries
+            if g != 1:
+                g = gcd(g, *entries.values())
+            if len(entries) == 1:
+                rows[row] = entries.popitem()
+        if not rows:
+            del num[key]
+    if g != 1:
+        den //= g
+        num = {
+            key: {
+                r: (e[0], e[1] // g) if e.__class__ is tuple else {c: n // g for c, n in e.items()}
+                for r, e in rows.items()
+            }
+            for key, rows in num.items()
+        }
+    _set_degree(out, degree)
+    _set_den(out, den)
+    _set_num(out, num)
+    return out
 
 
 class BipartiteGraph:

@@ -23,7 +23,7 @@ from .errors import (
     PlanarAlgError,
     ValidationError,
 )
-from .graph import BipartiteGraph, Loop, PlanarElement, _pairs
+from .graph import BipartiteGraph, Loop, PlanarElement
 from .markov import analyze
 from .radical import RadicalScalar
 
@@ -180,27 +180,19 @@ def act_loop(auto: GraphAutomorphism, loop: Loop) -> Loop:
 
 
 def act(auto: GraphAutomorphism, x: PlanarElement) -> PlanarElement:
-    """Linear extension of the edgewise loop action; a degree-preserving
-    algebra automorphism."""
+    """Linear extension of the edgewise loop action, degree-preserving.  An
+    algebra automorphism for a graph automorphism; close_group also accepts
+    maps that send two loops to one, and their images add up."""
     perm_a, edge = auto.perm_a, auto.perm_e.__getitem__
-    num = {}
-    for key, rows in x._num.items():
-        out = num[key] = {}
-        for row, entries in rows.items():
-            # Maps that are not permutations can send two loops to one.
-            target = out.setdefault((perm_a[row[0]], *map(edge, row[1:])), {})
-            for col, n in _pairs(entries):
-                image = (perm_a[col[0]], *map(edge, col[1:]))
-                target[image] = target.get(image, 0) + n
-    return PlanarElement._normal(x.degree, x._den, num)
+    return x.relabel(x.degree, lambda p: [(perm_a[p[0]], *map(edge, p[1:]))])
 
 
 def reynolds(group: GroupAction, x: PlanarElement) -> PlanarElement:
-    """Group averaging: the exact projection onto the fixed space."""
-    total = PlanarElement.zero(x.degree)
-    for element in group.elements:
-        total = total + act(element, x)
-    return total.scaled(Fraction(1, group.order))
+    """Group averaging: the exact projection onto the fixed space, in one
+    pass that sends each path to its images under all group elements."""
+    maps = [(h.perm_a, h.perm_e.__getitem__) for h in group.elements]
+    images = x.relabel(x.degree, lambda p: [(a[p[0]], *map(e, p[1:])) for a, e in maps])
+    return images.scaled(Fraction(1, group.order))
 
 
 def _orbit_images(group: GroupAction, k: int) -> Iterator[list[Loop]]:

@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from math import lcm
 from typing import Sequence
 
 from .errors import DegreeMismatchError, TangleProgramError, ValidationError
-from .graph import BipartiteGraph, PlanarElement, _add_row, _pairs
-from .radical import RadicalScalar, _key_product
+from .graph import BipartiteGraph, PlanarElement
+from .radical import RadicalScalar
 
 _STEP_RE = re.compile(r"^([1MIJUE])(\d+)$")
 
@@ -53,53 +52,21 @@ def multiply(x: PlanarElement, y: PlanarElement) -> PlanarElement:
 
 def include(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
     """Unital algebra morphism from degree k to degree k+1."""
-    k = x.degree
-    num = {}
-    for key, rows in x._num.items():
-        out = num[key] = {}
-        for row, entries in rows.items():
-            # Every column of a row ends where the row's path ends.
-            end = g.path_end(row[0], row[1:])
-            for eid in g.edges_up(end) if k % 2 == 0 else g.edges_down(end):
-                tail = (eid,)
-                out[row + tail] = {col + tail: n for col, n in _pairs(entries)}
-    return PlanarElement._normal(k + 1, x._den, num)
+    attach = g.edges_up if x.degree % 2 == 0 else g.edges_down
+    # Every path of a block ends at the block's endpoint.
+    return x.relabel(x.degree + 1, lambda p: [p + (e,) for e in attach(g.path_end(p[0], p[1:]))])
 
 
 def shift(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
     """Injective unital algebra morphism from degree k to degree k+2."""
-    num = {}
-    for key, rows in x._num.items():
-        out = num[key] = {}
-        for row, entries in rows.items():
-            # The same prefix on both rows, at a new base; no two terms meet.
-            for prefix in g.shift_prefixes(row[0]):
-                out[prefix + row[1:]] = {prefix + col[1:]: n for col, n in _pairs(entries)}
-    return PlanarElement._normal(x.degree + 2, x._den, num)
+    # The same prefix on both rows, at a new base; no two terms meet.
+    return x.relabel(x.degree + 2, lambda p: [prefix + p[1:] for prefix in g.shift_prefixes(p[0])])
 
 
 def expect(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
     """Conditional expectation from degree k+1 onto degree k."""
-    d = x.degree
-    if d < 1:
-        raise DegreeMismatchError("expectation needs degree at least 1")
-    direction = "up" if d % 2 == 1 else "down"
-    weights = [g.spin_factor_sq(e.id, direction) for e in g.edges]
-    wden = lcm(*(w._den for w in weights))
-    num = {}
-    for key, rows in x._num.items():
-        for row, entries in rows.items():
-            # The last edges of the two rows must agree; both are removed.
-            last = row[-1]
-            kept = [(col[:-1], n) for col, n in _pairs(entries) if col[-1] == last]
-            if not kept:
-                continue
-            weight = weights[last]
-            scale = wden // weight._den
-            for wkey, wn in weight._num.items():
-                out_key, factor = _key_product(key, wkey)
-                _add_row(num.setdefault(out_key, {}), row[:-1], kept, wn * factor * scale)
-    return PlanarElement._normal(d - 1, x._den * wden, num)
+    direction = "up" if x.degree % 2 == 1 else "down"
+    return x.contract_last([g.spin_factor_sq(e.id, direction) for e in g.edges])
 
 
 def jones_projection_raw(g: BipartiteGraph, k: int) -> PlanarElement:

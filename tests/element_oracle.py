@@ -12,6 +12,8 @@ Not a test module (no `test_` prefix): pytest does not collect it.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from planaralg import Loop, PlanarElement, RadicalScalar
 
 Terms = dict[Loop, RadicalScalar]
@@ -134,3 +136,11 @@ def act(auto, x: RefElement) -> RefElement:
         image = Loop(auto.perm_a[loop.base], tuple(auto.perm_e[e] for e in loop.edges))
         _add_term(out, image, coeff)
     return RefElement(x.degree, out)
+
+
+def reynolds(group, x: RefElement) -> RefElement:
+    """The sum of the images under every group element, over the order."""
+    total = RefElement(x.degree, {})
+    for element in group.elements:
+        total = total + act(element, x)
+    return total.scaled(RadicalScalar.from_rational(Fraction(1, group.order)))

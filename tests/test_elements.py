@@ -24,10 +24,12 @@ from planaralg import (
     PlanarElement,
     RadicalScalar,
     act,
+    close_group,
     expect,
     include,
     jones_projection,
     make_automorphism,
+    reynolds,
     shift,
     trace,
 )
@@ -216,9 +218,14 @@ def raw_maps(rng: random.Random, g, count: int) -> list[GraphAutomorphism]:
 def check_act(g, pool, autos=()) -> None:
     for k, rng, (x, y, _) in cases(g, pool):
         rx, ry = oracle.RefElement.of(x), oracle.RefElement.of(y)
-        for auto in [*autos, *raw_maps(rng, g, 3)]:
+        maps = raw_maps(rng, g, 3)
+        for auto in [*autos, *maps]:
             agree(act(auto, x), oracle.act(auto, rx))
             agree(act(auto, x - y), oracle.act(auto, rx - ry))
+        # The raw maps generate a monoid; images of one loop under its
+        # elements meet, and the one-pass average must add them up.
+        group = close_group(g, maps)
+        agree(reynolds(group, x - y), oracle.reynolds(group, rx - ry))
 
 
 def test_act_matches_oracle(graphs):

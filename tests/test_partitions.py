@@ -16,7 +16,17 @@ from fractions import Fraction
 
 import pytest
 
-from planaralg import close_group, fixed_dims_report, include, jones_projection, make_automorphism
+from planaralg import (
+    Loop,
+    PlanarElement,
+    close_group,
+    expect,
+    fixed_dims_report,
+    include,
+    jones_projection,
+    make_automorphism,
+    shift,
+)
 
 Vector = dict[tuple[int, ...], Fraction]
 
@@ -83,6 +93,12 @@ def partition_vector(labels: tuple[int, ...], n: int) -> Vector:
 
 def as_vector(x) -> Vector:
     return {loop.edges[::2]: c.as_fraction() for loop, c in x.terms.items()}
+
+
+def as_element(vector: Vector, k: int) -> PlanarElement:
+    """The inverse of `as_vector`: each tuple is the loop that goes up and
+    straight back down along its edges."""
+    return PlanarElement(k, {Loop(0, tuple(e for u in t for e in (u, u))): c for t, c in vector.items()})
 
 
 def symmetric_group(g, n: int):
@@ -152,3 +168,34 @@ def test_jones_algebra_is_noncrossing_span(graphs, k, dim):
     assert len(algebra.rows) == dim == catalan(k)
     assert rank(noncrossing) == dim
     assert rank([*algebra.rows.values(), *noncrossing]) == dim
+
+
+@pytest.mark.parametrize("noncrossing_only", [True, False])
+def test_partition_spans_are_planar_subalgebras(graphs, noncrossing_only):
+    # On C in C^4 up to degree 4, the noncrossing span (Temperley-Lieb) and
+    # the span of all partitions (the S_4 fixed points) contain the products,
+    # include, shift and expect images of their T_pi, by exact membership.
+    n, kmax = 4, 4
+    g = graphs("C-in-C4")
+    basis, spans = {}, {}
+    for k in range(kmax + 1):
+        partitions = [p for p in set_partitions(k) if is_noncrossing(p) or not noncrossing_only]
+        basis[k] = [as_element(partition_vector(p, n), k) for p in partitions]
+        spans[k] = Echelon()
+        for x in basis[k]:
+            spans[k].add(as_vector(x))
+
+    def inside(x) -> bool:
+        # `add` grows the span exactly when the vector is not in it.
+        return not spans[x.degree].add(as_vector(x))
+
+    for k, xs in basis.items():
+        assert all(inside(x * y) for x in xs for y in xs)
+        if k + 1 <= kmax:
+            assert all(inside(include(g, x)) for x in xs)
+        if k + 2 <= kmax:
+            assert all(inside(shift(g, x)) for x in xs)
+        if k >= 1:
+            assert all(inside(expect(g, x)) for x in xs)
+    # The crossing partition of four points is outside the noncrossing span.
+    assert spans[4].add(partition_vector((0, 1, 0, 1), n)) == noncrossing_only

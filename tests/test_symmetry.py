@@ -545,6 +545,30 @@ def test_symmetry_imports_nothing_from_tangles():
     assert not any(m == "tangles" or m.startswith("tangles.") for m in modules)
 
 
+@pytest.mark.parametrize("module", ["tangles", "symmetry"])
+def test_operations_leave_element_storage_to_graph(module):
+    # Element rows and scalar numerators stay behind graph.py and radical.py,
+    # so a new storage format touches only those: the operations here go
+    # through PlanarElement's public methods.
+    source = Path(__file__).resolve().parent.parent / "src" / "planaralg" / f"{module}.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    private_imports = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.module or "").removeprefix("planaralg").lstrip(".") in ("graph", "radical")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private_imports == []
+    storage = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("_num", "_den", "_normal")
+    ]
+    assert storage == []
+
+
 def test_symmetry_builds_no_cup_cap_terms():
     # The raw cup-cap's spins and loops are built in BipartiteGraph.cup_caps
     # only, so the verifier tests the terms that jones_projection scales.
