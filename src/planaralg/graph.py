@@ -10,6 +10,9 @@ walk based at a lower vertex, alternating upward and downward steps.  In
 the box picture the first k edges are the top row read left to right and
 the remaining k edges are the bottom row read right to left; equivalently,
 both rows are length-k paths out of the base meeting at a common endpoint.
+`BipartiteGraph.step(pos)` is the one definition of that alternation: for
+position pos of a path, the edges attachable at each vertex, the vertex
+each edge reaches and the spin of each traversal.
 The span of degree-k loops with radical-scalar coefficients is the degree-k
 piece of the loop algebra, and loops multiply like matrix units indexed by
 (bottom path, top path), so that piece is a direct sum of full matrix
@@ -39,7 +42,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
 from .errors import DegreeMismatchError, EigenvectorViolationError, ValidationError
 from .markov import InclusionData, markov_index
@@ -85,6 +88,16 @@ class Loop(namedtuple("Loop", "base edges")):
         if len(top) != len(bottom):
             raise ValidationError("top and bottom paths must have equal length")
         return tuple.__new__(cls, (base, top + bottom[::-1]))
+
+
+class Step(NamedTuple):
+    """One step of an alternating path: up (lower to upper vertex) at even
+    positions, down at odd ones."""
+
+    attach: tuple[tuple[int, ...], ...]  # vertex -> ids of the edges leaving it, ascending
+    end: tuple[int, ...]  # edge id -> the vertex the step reaches
+    spin: tuple[RadicalScalar, ...]  # edge id -> spin of the traversal
+    spin_sq: tuple[RadicalScalar, ...]  # edge id -> its square
 
 
 # A based path: the base vertex followed by the edge ids, (base, e1, ..., ek).
@@ -404,23 +417,21 @@ class BipartiteGraph:
                 for _ in range(count):
                     edges.append(Edge(len(edges), i, j))
         self.edges = tuple(edges)
-        self._up = tuple(
-            tuple(e.id for e in edges if e.src == i) for i in range(self.num_a)
-        )
-        self._down = tuple(
-            tuple(e.id for e in edges if e.dst == j) for j in range(self.num_b)
+        ups = tuple(tuple(e.id for e in edges if e.src == i) for i in range(self.num_a))
+        downs = tuple(tuple(e.id for e in edges if e.dst == j) for j in range(self.num_b))
+        # The spins are filled in once the weights pass the eigenvector check.
+        self._steps = (
+            Step(ups, tuple(e.dst for e in edges), (), ()),
+            Step(downs, tuple(e.src for e in edges), (), ()),
         )
 
         self._verify_eigenvector()
 
-        spin_up = []
-        for e in self.edges:
-            ratio = self.weights_b[e.dst] * self.weights_a[e.src].invert()
-            spin_up.append(ratio.sqrt())
-        self._spin_up = tuple(spin_up)
-        self._spin_down = tuple(s.invert() for s in spin_up)
-        self._spin_up_sq = tuple(s * s for s in self._spin_up)
-        self._spin_down_sq = tuple(s * s for s in self._spin_down)
+        up = tuple((self.weights_b[e.dst] * self.weights_a[e.src].invert()).sqrt() for e in edges)
+        self._steps = tuple(
+            step._replace(spin=spin, spin_sq=tuple(s * s for s in spin))
+            for step, spin in zip(self._steps, (up, tuple(s.invert() for s in up)))
+        )
 
         total = sum_scalars(w * w for w in self.weights_a)
         normalizer = total.invert()
@@ -428,50 +439,48 @@ class BipartiteGraph:
 
     def _verify_eigenvector(self) -> None:
         # Exact check with zero tolerance; a failure here is a bug, not input.
-        for i in range(self.num_a):
-            total = sum_scalars(self.weights_b[self.edges[e].dst] for e in self._up[i])
-            if total != self.gamma * self.weights_a[i]:
-                raise EigenvectorViolationError(
-                    f"lower vertex {i}: edge weight sum {total} != gamma * {self.weights_a[i]}"
-                )
-        for j in range(self.num_b):
-            total = sum_scalars(self.weights_a[self.edges[e].src] for e in self._down[j])
-            if total != self.gamma * self.weights_b[j]:
-                raise EigenvectorViolationError(
-                    f"upper vertex {j}: edge weight sum {total} != gamma * {self.weights_b[j]}"
-                )
+        sides = (("lower", self.weights_a, self.weights_b), ("upper", self.weights_b, self.weights_a))
+        for (side, near, far), step in zip(sides, self._steps):
+            for v, out in enumerate(step.attach):
+                total = sum_scalars(far[step.end[e]] for e in out)
+                if total != self.gamma * near[v]:
+                    raise EigenvectorViolationError(
+                        f"{side} vertex {v}: edge weight sum {total} != gamma * {near[v]}"
+                    )
 
     # -- edges and spins ----------------------------------------------------
 
     def edge(self, eid: int) -> Edge:
         return self.edges[eid]
 
+    def step(self, pos: int) -> Step:
+        """The step at position pos of a path out of a lower vertex: the up
+        step at even positions, the down step at odd ones."""
+        return self._steps[pos % 2]
+
     def edges_up(self, i: int) -> tuple[int, ...]:
         """Ids of edges leaving lower vertex i, ascending."""
-        return self._up[i]
+        return self._steps[0].attach[i]
 
     def edges_down(self, j: int) -> tuple[int, ...]:
         """Ids of edges arriving at upper vertex j, ascending."""
-        return self._down[j]
+        return self._steps[1].attach[j]
 
     def edges_between(self, i: int, j: int) -> tuple[int, ...]:
-        return tuple(e for e in self._up[i] if self.edges[e].dst == j)
+        return tuple(e for e in self.edges_up(i) if self.edges[e].dst == j)
 
     def spin_factor(self, eid: int, direction: SpinDirection) -> RadicalScalar:
         """Spin of traversing an edge: up is sqrt(top weight / bottom weight),
         down is the reciprocal; the two multiply to one."""
-        if direction == "up":
-            return self._spin_up[eid]
-        if direction == "down":
-            return self._spin_down[eid]
-        raise ValidationError(f"direction must be 'up' or 'down', got {direction!r}")
+        return self._along(direction).spin[eid]
 
     def spin_factor_sq(self, eid: int, direction: SpinDirection) -> RadicalScalar:
-        if direction == "up":
-            return self._spin_up_sq[eid]
-        if direction == "down":
-            return self._spin_down_sq[eid]
-        raise ValidationError(f"direction must be 'up' or 'down', got {direction!r}")
+        return self._along(direction).spin_sq[eid]
+
+    def _along(self, direction: SpinDirection) -> Step:
+        if direction not in ("up", "down"):
+            raise ValidationError(f"direction must be 'up' or 'down', got {direction!r}")
+        return self._steps[direction == "down"]
 
     def point_weight(self, i: int) -> RadicalScalar:
         """Weight of the degree-0 point loop at lower vertex i under the
@@ -483,10 +492,7 @@ class BipartiteGraph:
     def path_end(self, base: int, path: tuple[int, ...]) -> int:
         """Endpoint vertex index of an alternating path out of a lower vertex:
         a lower index for even lengths, an upper index for odd lengths."""
-        if not path:
-            return base
-        last = self.edges[path[-1]]
-        return last.dst if len(path) % 2 else last.src
+        return self.step(len(path) - 1).end[path[-1]] if path else base
 
     def paths_with_ends(self, base: int, k: int) -> list[tuple[tuple[int, ...], int]]:
         """`paths_from` with each path's endpoint (as `path_end` gives it),
@@ -495,12 +501,10 @@ class BipartiteGraph:
             raise ValidationError(f"no lower vertex {base}")
         if k < 0:
             raise ValidationError("path length must be nonnegative")
-        edges, level = self.edges, [((), base)]
+        level = [((), base)]
         for pos in range(k):
-            if pos % 2 == 0:
-                level = [(p + (e,), edges[e].dst) for p, v in level for e in self._up[v]]
-            else:
-                level = [(p + (e,), edges[e].src) for p, v in level for e in self._down[v]]
+            attach, end, _, _ = self.step(pos)
+            level = [(p + (e,), end[e]) for p, v in level for e in attach[v]]
         return level
 
     def paths_from(self, base: int, k: int) -> list[tuple[int, ...]]:
@@ -529,17 +533,10 @@ class BipartiteGraph:
         if not 0 <= vertex < self.num_a:
             return False
         for pos, eid in enumerate(loop.edges):
-            if not 0 <= eid < len(self.edges):
+            step = self.step(pos)
+            if eid not in step.attach[vertex]:
                 return False
-            edge = self.edges[eid]
-            if pos % 2 == 0:
-                if edge.src != vertex:
-                    return False
-                vertex = edge.dst
-            else:
-                if edge.dst != vertex:
-                    return False
-                vertex = edge.src
+            vertex = step.end[eid]
         return vertex == loop.base
 
     def unit(self, k: int) -> PlanarElement:
@@ -553,7 +550,7 @@ class BipartiteGraph:
     def cup_caps(self, k: int) -> dict[Loop, RadicalScalar]:
         """The raw cup-cap of degree k + 2: loop (top p t t, bottom p u u) ->
         spin(t) spin(u), for paths p of length k and t, u attachable at p's end."""
-        attach, spin = (self._up, self._spin_up) if k % 2 == 0 else (self._down, self._spin_down)
+        attach, _, spin, _ = self.step(k)
         terms = {}
         for base in range(self.num_a):
             for path, end in self.paths_with_ends(base, k):
@@ -565,8 +562,8 @@ class BipartiteGraph:
     def shift_prefixes(self, base: int) -> list[tuple[int, int, int]]:
         """The prefixes (new base, up edge w, down edge d) that shift puts on
         rows at a base: d leaves the base, w enters d's upper vertex."""
-        edges = self.edges
-        return [(edges[w].src, w, d) for d in self._up[base] for w in self._down[edges[d].dst]]
+        up, down = self._steps
+        return [(down.end[w], w, d) for d in up.attach[base] for w in down.attach[up.end[d]]]
 
     def point(self, i: int) -> Loop:
         return Loop(i, ())

@@ -364,7 +364,6 @@ def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
     # and edge.  Expect's also needs e injective on the last edges of each class
     # of rows; shift's compares the sets of prefixes that shift puts at each
     # base, the same at every degree.
-    edges = g.edges
     prefixes = [sorted(g.shift_prefixes(b)) for b in range(g.num_a)]
     shifts_commute = [
         all(
@@ -381,16 +380,17 @@ def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
     for k in range(kmax + 1):
         classes = _classes(g, k)
         rows = [r for rs in classes.values() for r in rs]
-        attach = g.edges_up if k % 2 == 0 else g.edges_down
-        end = [edge.dst if k % 2 else edge.src for edge in edges]
-        weight = [g.spin_factor_sq(i, "up" if k % 2 else "down") for i in range(len(edges))]
+        # Rows of degree k end with the step at position k - 1; include adds
+        # the step at k.
+        attach = g.step(k).attach
+        _, end, _, weight = g.step(k - 1)
         includes_commute = []
         for gen, shift_ok in zip(group.generators, shifts_commute):
             a, e = gen.perm_a, gen.perm_e
             images = {(a[r[0]], *map(e.__getitem__, r[1:])) for r in rows}
             equivariance.append(SubalgebraCheck("equivariance-multiply", k, len(images) == len(rows)))
             ends = zip(range(g.num_a), a) if k == 0 else ((v, end[e[l]]) for l, v in enumerate(end))
-            ok = all(sorted(map(e.__getitem__, attach(v))) == list(attach(w)) for v, w in ends)
+            ok = all(sorted(map(e.__getitem__, attach[v])) == list(attach[w]) for v, w in ends)
             includes_commute.append(ok)
             equivariance.append(SubalgebraCheck("equivariance-include", k, ok))
             if k >= 1:

@@ -36,7 +36,7 @@ from typing import Sequence
 
 from .errors import DegreeMismatchError, TangleProgramError, ValidationError
 from .graph import BipartiteGraph, PlanarElement
-from .radical import RadicalScalar
+from .radical import RadicalScalar, sum_scalars
 
 _STEP_RE = re.compile(r"^([1MIJUE])(\d+)$")
 
@@ -52,21 +52,21 @@ def multiply(x: PlanarElement, y: PlanarElement) -> PlanarElement:
 
 def include(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
     """Unital algebra morphism from degree k to degree k+1."""
-    attach = g.edges_up if x.degree % 2 == 0 else g.edges_down
+    attach = g.step(x.degree).attach
     # Every path of a block ends at the block's endpoint.
-    return x.relabel(x.degree + 1, lambda p: [p + (e,) for e in attach(g.path_end(p[0], p[1:]))])
+    return x.relabel(x.degree + 1, lambda p: [p + (e,) for e in attach[g.path_end(p[0], p[1:])]])
 
 
 def shift(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
     """Injective unital algebra morphism from degree k to degree k+2."""
+    prefixes = [g.shift_prefixes(base) for base in range(g.num_a)]
     # The same prefix on both rows, at a new base; no two terms meet.
-    return x.relabel(x.degree + 2, lambda p: [prefix + p[1:] for prefix in g.shift_prefixes(p[0])])
+    return x.relabel(x.degree + 2, lambda p: [prefix + p[1:] for prefix in prefixes[p[0]]])
 
 
 def expect(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
     """Conditional expectation from degree k+1 onto degree k."""
-    direction = "up" if x.degree % 2 == 1 else "down"
-    return x.contract_last([g.spin_factor_sq(e.id, direction) for e in g.edges])
+    return x.contract_last(g.step(x.degree - 1).spin_sq)
 
 
 def jones_projection_raw(g: BipartiteGraph, k: int) -> PlanarElement:
@@ -87,9 +87,7 @@ def trace(g: BipartiteGraph, x: PlanarElement) -> RadicalScalar:
     reduced = x
     for _ in range(k):
         reduced = expect(g, reduced)
-    total = RadicalScalar.zero()
-    for loop, coeff in reduced.terms.items():
-        total = total + coeff * g.point_weight(loop.base)
+    total = sum_scalars(coeff * g.point_weight(loop.base) for loop, coeff in reduced.terms.items())
     return total * g.gamma.invert() ** k
 
 
@@ -222,7 +220,7 @@ def verify_temperley_lieb(g: BipartiteGraph, kmax: int) -> list[RelationCheck]:
     if kmax < 0:
         raise ValidationError("kmax must be nonnegative")
     proj = {k: jones_projection(g, k) for k in range(kmax + 1)}
-    inv_r = RadicalScalar.from_rational(1) * g.gamma.invert() ** 2
+    inv_r = g.gamma.invert() ** 2
     checks = []
     for k in range(kmax + 1):
         e = proj[k]

@@ -33,6 +33,7 @@ from planaralg import (
     shift,
     trace,
 )
+from planaralg.graph import Step
 from conftest import corpus_entry
 
 MARKOV_GRAPHS = ("C-in-C2", "C-in-C3", "C2-in-M2", "C-in-C2xM2")
@@ -41,15 +42,19 @@ SEEDS = range(6)
 
 
 def edges_only(name: str) -> BipartiteGraph:
-    """The edges of an inclusion that is not Markov, without weights: loops,
-    `include` and `shift` read nothing else."""
+    """The edges of an inclusion that is not Markov and its path steps,
+    without weights or spins: loops, `include` and `shift` read nothing else."""
     entry = corpus_entry(name)
     g = object.__new__(BipartiteGraph)
     pairs = [(i, j) for i, row in enumerate(entry.m) for j, count in enumerate(row) for _ in range(count)]
     g.edges = tuple(Edge(eid, i, j) for eid, (i, j) in enumerate(pairs))
     g.num_a, g.num_b = len(entry.m), len(entry.m[0])
-    g._up = tuple(tuple(e.id for e in g.edges if e.src == i) for i in range(g.num_a))
-    g._down = tuple(tuple(e.id for e in g.edges if e.dst == j) for j in range(g.num_b))
+    ups = tuple(tuple(e.id for e in g.edges if e.src == i) for i in range(g.num_a))
+    downs = tuple(tuple(e.id for e in g.edges if e.dst == j) for j in range(g.num_b))
+    g._steps = (
+        Step(ups, tuple(e.dst for e in g.edges), (), ()),
+        Step(downs, tuple(e.src for e in g.edges), (), ()),
+    )
     return g
 
 

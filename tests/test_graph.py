@@ -190,6 +190,22 @@ class TestSpin:
         with pytest.raises(ValidationError):
             g.spin_factor(0, "sideways")
 
+    def test_step_table_is_the_up_down_alternation(self, graphs):
+        # The step at an even position goes up, at an odd one down, and it
+        # holds the same edges, ends and spins as the named directions.
+        for entry in MARKOV_CORPUS:
+            g = graphs(entry.name)
+            for pos in range(4):
+                step = g.step(pos)
+                assert step is g.step(pos + 2)
+                up = pos % 2 == 0
+                direction = "up" if up else "down"
+                vertices = g.num_a if up else g.num_b
+                assert step.attach == tuple((g.edges_up if up else g.edges_down)(v) for v in range(vertices))
+                assert step.end == tuple(e.dst if up else e.src for e in g.edges)
+                assert step.spin == tuple(g.spin_factor(e.id, direction) for e in g.edges)
+                assert step.spin_sq == tuple(s * s for s in step.spin)
+
     @pytest.mark.parametrize("entry", MARKOV_CORPUS, ids=lambda e: e.name)
     def test_point_weights_sum_to_one(self, graphs, entry):
         g = graphs(entry.name)
@@ -319,6 +335,8 @@ class TestPathsAndLoops:
         assert not g.is_valid_loop(Loop(0, (0, 1)))  # rows end at different tops
         assert not g.is_valid_loop(Loop(1, (0, 0)))  # no such base
         assert not g.is_valid_loop(Loop(0, (0, 5)))  # no such edge
+        assert not g.is_valid_loop(Loop(0, (-1, -1)))  # no such edge
+        assert not g.is_valid_loop(Loop(0, (len(g.edges), len(g.edges))))  # no such edge
         assert g.is_valid_loop(Loop(0, (1, 1)))
 
 

@@ -569,6 +569,28 @@ def test_operations_leave_element_storage_to_graph(module):
     assert storage == []
 
 
+@pytest.mark.parametrize("module", ["tangles", "symmetry"])
+def test_operations_leave_the_up_down_step_to_graph(module):
+    # Which edges, ends and spins a path position uses is decided by
+    # BipartiteGraph.step alone: no direction literal and no per-direction
+    # edge or spin accessor here, so the parity rule cannot drift.
+    source = Path(__file__).resolve().parent.parent / "src" / "planaralg" / f"{module}.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    literals = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value in ("up", "down")
+    ]
+    assert literals == []
+    accessors = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("edges_up", "edges_down", "spin_factor", "spin_factor_sq")
+    ]
+    assert accessors == []
+
+
 def test_symmetry_builds_no_cup_cap_terms():
     # The raw cup-cap's spins and loops are built in BipartiteGraph.cup_caps
     # only, so the verifier tests the terms that jones_projection scales.
@@ -594,12 +616,12 @@ def test_cup_caps_and_shift_prefixes_have_one_definition(graphs, monkeypatch):
     g = graphs("C-in-C2xM2")
     jones_projection_raw(g, 1)
     shift(g, g.unit(1))
-    # One cup-cap call, and one prefix call per row of the unit's 4 rows.
-    assert calls == {"cup_caps": 1, "shift_prefixes": 4}
+    # One cup-cap call, and one prefix call for the graph's one base.
+    assert calls == {"cup_caps": 1, "shift_prefixes": 1}
     group = close_group(g, [make_automorphism(g, [0], [0, 1, 2], [0, 1, 3, 2])])
     assert verify_planar_subalgebra(group, 3).all_passed
     # The cup-caps of degrees 2 and 3, and the prefixes at the one base.
-    assert calls == {"cup_caps": 1 + 2, "shift_prefixes": 4 + 1}
+    assert calls == {"cup_caps": 1 + 2, "shift_prefixes": 1 + 1}
 
 
 class TestEquivarianceIncludeExpectShift:
