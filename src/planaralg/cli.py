@@ -26,7 +26,6 @@ interpreter's int-to-str digit limit), 5 internal error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -118,6 +117,8 @@ def _json_text(document: dict) -> str:
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
+    import csv  # only CSV reports load it
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)

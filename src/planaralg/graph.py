@@ -39,7 +39,6 @@ to the square root of the index.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
@@ -51,8 +50,7 @@ from .radical import RadicalKey, RadicalScalar, _key_product, _reduced, sqrt_of_
 SpinDirection = Literal["up", "down"]
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: int
     src: int  # lower vertex (small-side block index)
     dst: int  # upper vertex (big-side block index)

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, islice
-from typing import TYPE_CHECKING, Iterator, Literal, Sequence
+from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple, Sequence
 
 from .errors import NotAbelianError, NotMarkovError, ResourceLimitError, ValidationError
 
@@ -32,10 +31,43 @@ POWER_ITERATIONS = 200
 POWER_TOLERANCE = 1e-14
 
 
-@dataclass(frozen=True)
-class AlgebraDims:
+class _Frozen:
+    """A value compared, hashed and printed by the attributes named in
+    _fields, which __init__ sets once; every assignment after that raises."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Copies and pickles are rebuilt through the constructor.
+        return type(self), self._values()
+
+
+class AlgebraDims(_Frozen):
     """Block dimensions (n_1, ..., n_s) of a multi-matrix algebra."""
 
+    __slots__ = _fields = ("blocks",)
     blocks: tuple[int, ...]
 
     def __init__(self, blocks: Sequence[int]):
@@ -62,8 +94,7 @@ class AlgebraDims:
         return sum(n * n for n in self.blocks)
 
 
-@dataclass(frozen=True)
-class InclusionData:
+class InclusionData(_Frozen):
     """A unital inclusion, given by small-side blocks and the inclusion matrix.
 
     m has one row per small block and one column per big block; entry (i, j)
@@ -71,6 +102,8 @@ class InclusionData:
     big block dimensions are the column sums weighted by a.
     """
 
+    # No __slots__: the cached b lives in the instance dict.
+    _fields = ("a", "m")
     a: AlgebraDims
     m: tuple[tuple[int, ...], ...]
 
@@ -135,8 +168,7 @@ class InclusionData:
         return {"a": list(self.a.blocks), "m": [list(row) for row in self.m]}
 
 
-@dataclass(frozen=True)
-class MarkovReport:
+class MarkovReport(NamedTuple):
     """Classification of one inclusion.
 
     r is the exact dimension ratio dim B / dim A whether or not the

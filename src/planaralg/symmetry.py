@@ -11,10 +11,9 @@ with the action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import (
     GroupTooLargeError,
@@ -30,8 +29,7 @@ from .radical import RadicalScalar
 DEFAULT_GROUP_LIMIT = 10080
 
 
-@dataclass(frozen=True)
-class GraphAutomorphism:
+class GraphAutomorphism(NamedTuple):
     """Vertex and edge permutations, in one-line notation."""
 
     perm_a: tuple[int, ...]
@@ -55,7 +53,7 @@ class GraphAutomorphism:
 
 
 def _check_permutation(perm: tuple[int, ...], size: int, label: str) -> None:
-    if not all(isinstance(x, Integral) for x in perm):
+    if not all(isinstance(x, Integral) and not isinstance(x, bool) for x in perm):
         raise InvalidAutomorphismError(f"{label} has an entry that is not an integer: {perm}")
     if len(perm) != size or sorted(perm) != list(range(size)):
         raise InvalidAutomorphismError(f"{label} is not a permutation of 0..{size - 1}: {perm}")
@@ -170,8 +168,8 @@ def close_group(
                     seen.add(candidate)
                     nxt.append(candidate)
         frontier = nxt
-    ordered = tuple(sorted(seen, key=lambda e: (e.perm_a, e.perm_b, e.perm_e)))
-    return GroupAction(g, gens, ordered)
+    # Tuples of (perm_a, perm_b, perm_e): sorted by the three maps in turn.
+    return GroupAction(g, gens, tuple(sorted(seen)))
 
 
 def act_loop(auto: GraphAutomorphism, loop: Loop) -> Loop:
@@ -212,7 +210,8 @@ def fixed_space_basis(group: GroupAction, k: int) -> list[PlanarElement]:
     orbit's first loop.  For groups of bijective maps they are a basis of
     the fixed space.  Under maps that are not bijective, orbits can overlap,
     the orbit sums need not be fixed, and which orbit sums appear depends on
-    the order of the loop walk; the verifier's verdicts do not."""
+    the order of the loop walk; so can the verifier's closure-expect verdict,
+    which reads the same orbits (docs/closure-multiply-and-burnside.md)."""
     one = RadicalScalar.one()
     return [PlanarElement(k, dict.fromkeys(images, one)) for images in _orbit_images(group, k)]
 
@@ -313,15 +312,13 @@ def is_centrally_ergodic(group: GroupAction) -> tuple[bool, bool]:
     return len(orbit_a) == group.graph.num_a, len(orbit_b) == group.graph.num_b
 
 
-@dataclass(frozen=True)
-class SubalgebraCheck:
+class SubalgebraCheck(NamedTuple):
     name: str
     degree: int
     passed: bool
 
 
-@dataclass(frozen=True)
-class SubalgebraReport:
+class SubalgebraReport(NamedTuple):
     kmax: int
     group_order: int
     checks: tuple[SubalgebraCheck, ...]

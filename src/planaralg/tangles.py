@@ -31,8 +31,7 @@ of closed circles; running a program multiplies by eigenvalue^circles.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegreeMismatchError, TangleProgramError, ValidationError
 from .graph import BipartiteGraph, PlanarElement
@@ -91,18 +90,18 @@ def trace(g: BipartiteGraph, x: PlanarElement) -> RadicalScalar:
     return total * g.gamma.invert() ** k
 
 
-@dataclass(frozen=True)
-class TangleStep:
-    """One generator application; k is the generator's own subscript."""
+class TangleStep(NamedTuple("TangleStep", [("tag", str), ("k", int)])):
+    """One generator application: tag is one of 1 M I J U E, and k is the
+    generator's own subscript."""
 
-    tag: str  # one of 1 M I J U E
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.tag not in ("1", "M", "I", "J", "U", "E"):
-            raise ValidationError(f"unknown step tag {self.tag!r}")
-        if self.k < 0:
+    def __new__(cls, tag: str, k: int) -> TangleStep:
+        if tag not in ("1", "M", "I", "J", "U", "E"):
+            raise ValidationError(f"unknown step tag {tag!r}")
+        if k < 0:
             raise ValidationError("step degree must be nonnegative")
+        return tuple.__new__(cls, (tag, k))
 
     @property
     def input_degree(self) -> int | None:
@@ -120,16 +119,15 @@ class TangleStep:
         return f"{self.tag}{self.k}"
 
 
-@dataclass(frozen=True)
-class TangleProgram:
+class TangleProgram(NamedTuple("TangleProgram", [("steps", tuple[TangleStep, ...]), ("circles", int)])):
     """Pipeline of generator steps plus a count of closed circles."""
 
-    steps: tuple[TangleStep, ...]
-    circles: int = field(default=0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.circles < 0:
+    def __new__(cls, steps: tuple[TangleStep, ...], circles: int = 0) -> TangleProgram:
+        if circles < 0:
             raise ValidationError("circle count must be nonnegative")
+        return tuple.__new__(cls, (steps, circles))
 
     @classmethod
     def parse(cls, text: str, circles: int = 0) -> TangleProgram:
@@ -199,8 +197,7 @@ def run_program(
     return current.scaled(g.gamma**program.circles)
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(NamedTuple):
     """Outcome of one defining-relation check among Jones idempotents."""
 
     relation: str

@@ -318,15 +318,8 @@ class TestFixed:
         assert captured.out == ""
         assert "input error" in captured.err
 
-    @pytest.mark.parametrize(
-        "generator",
-        [{"perm_a": [0], "perm_b": [True, False]}, {"perm_a": [0], "perm_b": [1, 0], "perm_e": None}],
-        ids=["booleans", "null-perm-e"],
-    )
-    def test_boolean_entries_and_null_perm_e_still_work(
-        self, write_inclusion, write_group, capsys, generator
-    ):
-        group = write_group([generator])
+    def test_null_perm_e_still_works(self, write_inclusion, write_group, capsys):
+        group = write_group([{"perm_a": [0], "perm_b": [1, 0], "perm_e": None}])
         args = ["fixed", "--input", write_inclusion("C-in-C2"), "--group", group, "--kmax", "1"]
         assert main(args) == 0
         assert json.loads(capsys.readouterr().out)["group_order"] == 2
@@ -397,6 +390,30 @@ class TestHardenedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "input error" in captured.err
+
+    @pytest.mark.parametrize(
+        "generator, label",
+        [
+            ({"perm_a": [0], "perm_b": [True, False]}, "perm_b"),
+            ({"perm_a": [False], "perm_b": [1, 0]}, "perm_a"),
+            ({"perm_a": [0], "perm_b": [1, 0], "perm_e": [True, 0]}, "perm_e"),
+        ],
+        ids=["perm_b", "perm_a", "perm_e"],
+    )
+    def test_json_booleans_are_not_permutation_entries(
+        self, write_inclusion, write_group, capsys, generator, label
+    ):
+        # Read as 1 and 0 they would be permutations; like inclusion
+        # documents, group documents refuse them.
+        inclusion = write_inclusion("C-in-C2")
+        args = ["fixed", "--input", inclusion, "--group", write_group([generator]), "--kmax", "1"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        entries = tuple(generator[label])
+        assert captured.err == f"input error: {label} has an entry that is not an integer: {entries}\n"
+        as_ints = {key: [int(x) for x in value] for key, value in generator.items()}
+        assert main(["fixed", "--input", inclusion, "--group", write_group([as_ints]), "--kmax", "1"]) == 0
 
     @pytest.mark.parametrize("entry", [10**200, 10**13])
     def test_word_norms_out_of_float_range_refused(self, write_inclusion, capsys, entry):

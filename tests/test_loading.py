@@ -17,8 +17,9 @@ from conftest import corpus_entry
 PACKAGE_ROOT = str(Path(planaralg.__file__).resolve().parents[1])
 
 
-def loaded_modules(args: list[str]) -> tuple[int, set[str]]:
-    """Exit code and the planaralg submodules a fresh interpreter imports
+def loaded_modules(args: list[str]) -> tuple[int, set[str], set[str]]:
+    """Exit code, the planaralg submodules and the top-level names of all
+    modules ("numpy" for numpy.linalg) that a fresh interpreter imports
     while it runs `python -X importtime ARGS`."""
     paths = [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
@@ -30,11 +31,12 @@ def loaded_modules(args: list[str]) -> tuple[int, set[str]]:
         for line in run.stderr.splitlines()
         if line.startswith("import time:") and "|" in line
     }
-    return run.returncode, {n.split(".", 1)[1] for n in names if n.startswith("planaralg.")}
+    submodules = {n.split(".", 1)[1] for n in names if n.startswith("planaralg.")}
+    return run.returncode, submodules, {n.split(".", 1)[0] for n in names}
 
 
 def test_import_loads_no_submodule():
-    code, loaded = loaded_modules(["-c", "import planaralg"])
+    code, loaded, _ = loaded_modules(["-c", "import planaralg"])
     assert code == 0
     assert loaded == set()
 
@@ -67,14 +69,24 @@ INTEGERS_ONLY = NO_ALGEBRA | {"radical"}
         (["dims", "--input", "IN", "--kmax", "18"], 4, INTEGERS_ONLY),
         (["verify-tl", "--input", "IN", "--kmax", "2"], 0, {"symmetry"}),
         (["fixed", "--input", "IN", "--group", "GROUP", "--kmax", "3"], 0, {"tangles"}),
+        (["tower", "--input", "IN", "--depth", "3", "--format", "csv"], 0, INTEGERS_ONLY),
+        (["fixed", "--input", "IN", "--group", "GROUP", "--kmax", "3", "--format", "csv"], 0, {"tangles"}),
     ],
 )
 def test_subcommand_loads_only_its_modules(cli_files, argv, code, absent):
+    # Only word norms need numpy, and analyze computes them for Markov inputs.
+    word_norms = argv[:3] == ["analyze", "--input", "IN"]
     argv = [cli_files.get(a, a) for a in argv]
-    returncode, loaded = loaded_modules(["-m", "planaralg", *argv])
+    returncode, loaded, top = loaded_modules(["-m", "planaralg", *argv])
     assert returncode == code
     assert "cli" in loaded
     assert loaded.isdisjoint(absent), loaded & absent
+    assert "dataclasses" not in top
+    # numpy imports inspect itself; nothing else that runs here does.
+    assert "inspect" not in top or word_norms
+    assert ("numpy" in top) == word_norms
+    # csv is loaded to write a CSV report, and only then.
+    assert ("csv" in top) == ("csv" in argv and returncode == 0)
 
 
 @pytest.mark.parametrize("name", planaralg.__all__)

@@ -1,0 +1,180 @@
+"""The frozen record types: constructor, repr, equality, hash, immutability
+and validation messages, pinned independently of how the types are built."""
+
+from __future__ import annotations
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from planaralg import (
+    AlgebraDims,
+    Edge,
+    GraphAutomorphism,
+    InclusionData,
+    MarkovReport,
+    RelationCheck,
+    SubalgebraReport,
+    TangleProgram,
+    TangleStep,
+    ValidationError,
+)
+from planaralg.symmetry import SubalgebraCheck
+
+
+def _report(passed: bool) -> SubalgebraReport:
+    return SubalgebraReport(kmax=1, group_order=2, checks=(SubalgebraCheck("closure-multiply", 0, passed),))
+
+
+# (build, build with one field changed, the pinned repr, the field to assign)
+RECORDS = {
+    "AlgebraDims": (
+        lambda: AlgebraDims([1, 2]),
+        lambda: AlgebraDims([2, 1]),
+        "AlgebraDims(blocks=(1, 2))",
+        "blocks",
+    ),
+    "InclusionData": (
+        lambda: InclusionData([1, 1], [[1, 0], [1, 2]]),
+        lambda: InclusionData([1, 1], [[1, 0], [2, 2]]),
+        "InclusionData(a=AlgebraDims(blocks=(1, 1)), m=((1, 0), (1, 2)))",
+        "m",
+    ),
+    "MarkovReport": (
+        lambda: MarkovReport(is_markov=True, r=Fraction(2), is_abelian=True, index_violation=False),
+        lambda: MarkovReport(True, Fraction(5, 2), True, False),
+        "MarkovReport(is_markov=True, r=Fraction(2, 1), is_abelian=True, index_violation=False)",
+        "r",
+    ),
+    "Edge": (
+        lambda: Edge(3, 0, 1),
+        lambda: Edge(id=3, src=0, dst=2),
+        "Edge(id=3, src=0, dst=1)",
+        "dst",
+    ),
+    "GraphAutomorphism": (
+        lambda: GraphAutomorphism((0,), (1, 0), (1, 0)),
+        lambda: GraphAutomorphism(perm_a=(0,), perm_b=(1, 0), perm_e=(0, 1)),
+        "GraphAutomorphism(perm_a=(0,), perm_b=(1, 0), perm_e=(1, 0))",
+        "perm_e",
+    ),
+    "SubalgebraCheck": (
+        lambda: SubalgebraCheck("closure-expect", 2, True),
+        lambda: SubalgebraCheck(name="closure-expect", degree=2, passed=False),
+        "SubalgebraCheck(name='closure-expect', degree=2, passed=True)",
+        "passed",
+    ),
+    "SubalgebraReport": (
+        lambda: _report(True),
+        lambda: _report(False),
+        "SubalgebraReport(kmax=1, group_order=2, "
+        "checks=(SubalgebraCheck(name='closure-multiply', degree=0, passed=True),))",
+        "checks",
+    ),
+    "TangleStep": (
+        lambda: TangleStep("I", 2),
+        lambda: TangleStep(tag="I", k=3),
+        "TangleStep(tag='I', k=2)",
+        "k",
+    ),
+    "TangleProgram": (
+        lambda: TangleProgram.parse("I2,U2", 1),
+        lambda: TangleProgram(steps=(TangleStep("I", 2), TangleStep("U", 2))),
+        "TangleProgram(steps=(TangleStep(tag='I', k=2), TangleStep(tag='U', k=2)), circles=1)",
+        "circles",
+    ),
+    "RelationCheck": (
+        lambda: RelationCheck("bounce-low", (0, 1), True),
+        lambda: RelationCheck(relation="bounce-low", indices=(1, 0), passed=True),
+        "RelationCheck(relation='bounce-low', indices=(0, 1), passed=True)",
+        "indices",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_repr_is_pinned(name):
+    build, _, text, _ = RECORDS[name]
+    assert repr(build()) == text
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_equal_instances_are_equal_and_hash_alike(name):
+    build, other, _, _ = RECORDS[name]
+    x, y = build(), build()
+    assert x is not y
+    assert x == y and not x != y
+    assert hash(x) == hash(y)
+    assert len({x, y}) == 1
+    assert build() != other() and not build() == other()
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_instances_are_immutable(name):
+    build, _, text, field = RECORDS[name]
+    x = build()
+    value = getattr(x, field)
+    with pytest.raises(AttributeError):
+        setattr(x, field, value)
+    with pytest.raises(AttributeError):
+        delattr(x, field)
+    with pytest.raises(AttributeError):
+        x.no_such_field = 1
+    assert getattr(x, field) == value
+    assert repr(x) == text
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_copies_and_pickles_are_equal(name):
+    build, _, text, _ = RECORDS[name]
+    x = build()
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(y) is type(x) and y == x and hash(y) == hash(x) and repr(y) == text
+
+
+def test_inclusion_hash_ignores_the_derived_big_side():
+    x, y = RECORDS["InclusionData"][0](), RECORDS["InclusionData"][0]()
+    assert x.b == AlgebraDims([2, 2])
+    assert x == y and hash(x) == hash(y)
+    with pytest.raises(AttributeError):
+        x.b = AlgebraDims([1])
+    assert x.b == AlgebraDims([2, 2])
+
+
+def test_algebra_dims_reads_as_its_blocks():
+    dims = AlgebraDims((3, 1, 2))
+    assert (len(dims), list(dims), dims[0], dims[-1], dims.total_dim) == (3, [3, 1, 2], 3, 2, 14)
+
+
+def test_tangle_records_print_as_programs():
+    program = TangleProgram.parse("I2, U2,M2")
+    assert (str(program.steps[0]), str(program), program.circles) == ("I2", "I2,U2,M2", 0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: AlgebraDims([]), "an algebra needs at least one block"),
+        (lambda: AlgebraDims([1, 0]), "block dimension 0 is not a positive integer"),
+        (lambda: AlgebraDims([True]), "block dimension True is not a positive integer"),
+        (lambda: AlgebraDims([1.0]), "block dimension 1.0 is not a positive integer"),
+        (lambda: InclusionData([1], [[1], [1]]), "matrix has 2 rows for 1 blocks"),
+        (lambda: InclusionData([1], [[]]), "inclusion matrix must be non-empty"),
+        (lambda: InclusionData([1, 1], [[1, 0], [1]]), "inclusion matrix rows have unequal lengths"),
+        (lambda: InclusionData([1], [[-1]]), "matrix entry -1 is not a nonnegative integer"),
+        (lambda: InclusionData([1], [[False]]), "matrix entry False is not a nonnegative integer"),
+        (lambda: InclusionData([1, 1], [[1], [0]]), "row 1 of the inclusion matrix is zero"),
+        (lambda: InclusionData([1], [[1, 0]]), "column 1 of the inclusion matrix is zero"),
+        (lambda: InclusionData([0], [[1]]), "block dimension 0 is not a positive integer"),
+        (lambda: TangleStep("X", 1), "unknown step tag 'X'"),
+        (lambda: TangleStep(tag="I", k=-1), "step degree must be nonnegative"),
+        (lambda: TangleProgram((), -1), "circle count must be nonnegative"),
+        (lambda: TangleProgram(steps=(), circles=-2), "circle count must be nonnegative"),
+    ],
+)
+def test_validation_messages(build, message):
+    with pytest.raises(ValidationError) as caught:
+        build()
+    assert str(caught.value) == message

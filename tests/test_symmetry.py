@@ -856,7 +856,8 @@ class TestClosureMultiply:
 
 def test_verdicts_do_not_depend_on_loop_order(graphs, monkeypatch):
     # Under maps that are not bijective, orbits overlap and the verifier's
-    # orbits depend on which loop its walk meets first; no verdict may.
+    # orbits depend on which loop its walk meets first.  On these cases no
+    # verdict does; test_closure_expect_depends_on_loop_order shows one that does.
     def walk(group, kmax):
         orbits = [{frozenset(images) for images in symmetry._orbit_images(group, k)} for k in range(kmax + 1)]
         return verify_planar_subalgebra(group, kmax), orbits
@@ -869,6 +870,47 @@ def test_verdicts_do_not_depend_on_loop_order(graphs, monkeypatch):
     assert [report for report, _ in after] == [report for report, _ in before]
     # The reversed walk meets other orbits in many cases, so it is not vacuous.
     assert sum(a[1] != b[1] for a, b in zip(after, before)) >= 100
+
+
+def test_closure_expect_depends_on_loop_order(graphs, monkeypatch):
+    # On central-C2-in-M2xM2 the raw map swaps the bases and sends e1, e3 to
+    # e2.  The orbit of [a1; e2; e2] is {[a0; e0; e0], [a1; e0; e0],
+    # [a1; e2; e2]}; expect sends its sum to a0 + 2 a1 (every weight is one),
+    # which the base swap moves.  The canonical walk meets [a1; e2; e2] inside
+    # the orbit of [a0; e1; e1] and never tests that orbit; walked backwards it
+    # starts an orbit there.  So closure-expect(1) reads True on the walked
+    # orbits, but every loop's orbit would read False.
+    g = graphs("central-C2-in-M2xM2")
+    group = close_group(g, [GraphAutomorphism((1, 0), (0, 0), (0, 2, 0, 2))])
+    witness = {act_loop(h, Loop(1, (2, 2))) for h in group.elements}
+    assert witness == {Loop(0, (0, 0)), Loop(1, (0, 0)), Loop(1, (2, 2))}
+    one = RadicalScalar.one()
+    cut = expect(g, PlanarElement(1, dict.fromkeys(witness, one)))
+    assert cut == PlanarElement(0, {Loop(0, ()): one, Loop(1, ()): one + one})
+    assert act(group.generators[0], cut) != cut
+
+    def walk():
+        orbits = [set(images) for images in symmetry._orbit_images(group, 1)]
+        return [(c.name, c.degree, c.passed) for c in verify_planar_subalgebra(group, 1).checks], orbits
+
+    canonical, orbits = walk()
+    assert witness not in orbits
+    iter_loops = BipartiteGraph.iter_loops
+    monkeypatch.setattr(BipartiteGraph, "iter_loops", lambda self, k: reversed(list(iter_loops(self, k))))
+    backward, orbits = walk()
+    assert witness in orbits
+    equivariance = [
+        ("equivariance-multiply", 0, True),
+        ("equivariance-include", 0, False),
+        ("equivariance-shift", 0, False),
+        ("equivariance-multiply", 1, True),
+        ("equivariance-include", 1, False),
+        ("equivariance-expect", 1, True),
+        ("equivariance-shift", 1, False),
+    ]
+    head = [("closure-multiply", 0, True), ("closure-include", 0, False), ("closure-multiply", 1, False)]
+    assert canonical == head + [("closure-expect", 1, True)] + equivariance
+    assert backward == head + [("closure-expect", 1, False)] + equivariance
 
 
 def _checked_report(group, kmax: int):
