@@ -53,7 +53,7 @@ class GraphAutomorphism(NamedTuple):
 
 
 def _check_permutation(perm: tuple[int, ...], size: int, label: str) -> None:
-    if not all(isinstance(x, Integral) and not isinstance(x, bool) for x in perm):
+    if not all(type(x) is int or isinstance(x, Integral) and not isinstance(x, bool) for x in perm):
         raise InvalidAutomorphismError(f"{label} has an entry that is not an integer: {perm}")
     if len(perm) != size or sorted(perm) != list(range(size)):
         raise InvalidAutomorphismError(f"{label} is not a permutation of 0..{size - 1}: {perm}")
@@ -193,16 +193,71 @@ def reynolds(group: GroupAction, x: PlanarElement) -> PlanarElement:
     return images.scaled(Fraction(1, group.order))
 
 
-def _orbit_images(group: GroupAction, k: int) -> Iterator[list[Loop]]:
-    """For each degree-k orbit, in canonical order of its first loop, the
-    images of that loop under the group elements, in element order; under
-    maps that are not bijective two orbits can share loops."""
+class _Level(NamedTuple):
+    """The rows (base, *path) of one degree, ids 0..n-1 in lexicographic
+    order, and their images under a list of maps.  Rows and images are
+    interned as (id without the last edge, last edge), so two are equal
+    exactly when their ids are (docs/closure-multiply-and-burnside.md)."""
+
+    ids: dict[tuple[int, int], int]  # (parent id, last edge) -> id, rows first; empty at degree 0
+    where: list[tuple[int, int]]  # row -> (base, endpoint)
+    classes: dict[tuple[int, int], list[int]]  # (base, endpoint) -> its rows, by reversed path
+    images: list[list[int]]  # map -> row -> id of its image
+
+
+def _extend(g: BipartiteGraph, level: _Level, k: int, maps) -> _Level:
+    """The next degree: each row extended by the edges step k attaches at its end."""
+    attach, end, _, _ = g.step(k)
+    keys = [(r, f) for r, (_, v) in enumerate(level.where) for f in attach[v]]
+    ids = {key: i for i, key in enumerate(keys)}
+    intern, edge_maps = ids.setdefault, [h.perm_e for h in maps]
+    images = [[intern((im[r], e[f]), len(ids)) for r, f in keys] for im, e in zip(level.images, edge_maps)]
+    # A reversed path is its last edge, then its parent's reversed path; the
+    # parents of the rows of a class that end in one edge f are one class.
+    chunks = {}
+    for (b, v), rows in level.classes.items():
+        for f in attach[v]:
+            chunks.setdefault((b, end[f]), []).append((f, rows))
+    classes = {key: [ids[r, f] for f, rows in sorted(fs) for r in rows] for key, fs in chunks.items()}
+    return _Level(ids, [(level.where[r][0], end[f]) for r, f in keys], classes, images)
+
+
+def _levels(g: BipartiteGraph, maps, kmax: int) -> Iterator[_Level]:
+    """The levels of degrees 0..kmax, each extended from the one before."""
+    if kmax < 0:
+        raise ValidationError("path length must be nonnegative")
+    bases = [(b, b) for b in range(g.num_a)]
+    level = _Level({}, bases, {key: [key[0]] for key in bases}, [h.perm_a[: g.num_a] for h in maps])
+    yield level
+    for k in range(kmax):
+        level = _extend(g, level, k, maps)
+        yield level
+
+
+def _loop_order(level: _Level) -> Iterator[tuple[int, int]]:
+    """The degree's loops as (top id, bottom id) in the order of `iter_loops`."""
+    return ((t, s) for t, key in enumerate(level.where) for s in level.classes[key])
+
+
+def _orbits(level: _Level, images: list[list[int]]) -> Iterator[list[tuple[int, int]]]:
+    """For each orbit, in `_loop_order` of its first loop, that loop's images
+    under the maps; under maps that are not bijective orbits can overlap."""
     seen = set()
-    for loop in group.graph.iter_loops(k):
-        if loop not in seen:
-            images = [act_loop(element, loop) for element in group.elements]
-            seen.update(images)
-            yield images
+    for t, s in _loop_order(level):
+        if (t, s) not in seen:
+            orbit = [(im[t], im[s]) for im in images]
+            seen.update(orbit)
+            yield orbit
+
+
+def _orbit_images(group: GroupAction, k: int) -> Iterator[list[Loop]]:
+    """`_orbits` of the group elements, each id read back as its loop."""
+    levels = list(_levels(group.graph, group.elements, k))
+    paths = [(b,) for b in range(group.graph.num_a)]
+    for level in levels[1:]:
+        paths = [paths[p] + (f,) for p, f in level.ids]
+    for orbit in _orbits(levels[-1], levels[-1].images):
+        yield [Loop(paths[t][0], paths[t][1:] + paths[s][:0:-1]) for t, s in orbit]
 
 
 def fixed_space_basis(group: GroupAction, k: int) -> list[PlanarElement]:
@@ -216,46 +271,39 @@ def fixed_space_basis(group: GroupAction, k: int) -> list[PlanarElement]:
     return [PlanarElement(k, dict.fromkeys(images, one)) for images in _orbit_images(group, k)]
 
 
-def _classes(g: BipartiteGraph, k: int) -> dict[tuple[int, int], list[tuple[int, ...]]]:
-    """The degree-k rows (base, *path) by (base, endpoint), each class in
-    lexicographic order; a degree-k loop is a pair of rows in one class."""
-    classes = {}
-    for b in range(g.num_a):
-        for p, v in g.paths_with_ends(b, k):
-            classes.setdefault((b, v), []).append((b, *p))
-    return classes
-
-
-def burnside_dim(group: GroupAction, k: int) -> int:
-    """Fixed-space dimension as the average number of fixed loops, counted on
-    rows: an element fixes [b; t; u] exactly when it fixes b and each edge
-    of t and u (docs/closure-multiply-and-burnside.md)."""
-    classes = _classes(group.graph, k)
+def _burnside_count(group: GroupAction, level: _Level) -> int:
+    """Burnside's count on the level's rows: an element fixes the loop of
+    rows (t, u) exactly when it fixes both rows."""
     total = 0
-    for element in group.elements:
-        moved = {e for e, image in enumerate(element.perm_e) if image != e}
-        for (b, _), rows in classes.items():
-            if element.perm_a[b] == b:
-                fixed = sum(moved.isdisjoint(r[1:]) for r in rows)
-                total += fixed * fixed
+    for im in level.images[: group.order]:
+        for rows in level.classes.values():
+            fixed = sum(im[r] == r for r in rows)
+            total += fixed * fixed
     if total % group.order:
         raise PlanarAlgError("internal: fixed-point count is not divisible by the group order")
     return total // group.order
 
 
-def _orbit_count(group: GroupAction, classes: dict[tuple[int, int], list[tuple[int, ...]]]) -> int:
+def burnside_dim(group: GroupAction, k: int) -> int:
+    """Fixed-space dimension as the average number of fixed loops, counted on
+    rows: an element fixes [b; t; u] exactly when it fixes the rows (b, t)
+    and (b, u) (docs/closure-multiply-and-burnside.md)."""
+    *_, level = _levels(group.graph, group.elements, k)
+    return _burnside_count(group, level)
+
+
+def _orbit_count(group: GroupAction, level: _Level) -> int:
     """The loop orbits of a permutation group that maps loops to loops,
-    counted on the rows of one degree by base and endpoint: the orbit of a
-    row r holds one loop orbit per orbit of Stab(r) on r's class
+    counted on the level's rows by base and endpoint: the orbit of a row r
+    holds one loop orbit per orbit of Stab(r) on r's class
     (docs/closure-multiply-and-burnside.md)."""
-    maps = [(h.perm_a, h.perm_e.__getitem__) for h in group.elements]
+    images = level.images[: group.order]
     count, covered = 0, set()
-    for rows in classes.values():
+    for rows in level.classes.values():
         for r in (r for r in rows if r not in covered):
-            images = [(a[r[0]], *map(e, r[1:])) for a, e in maps]
-            covered.update(images)
-            stabilizer = [m for m, image in zip(maps, images) if image == r]
-            count += len({min((a[u[0]], *map(e, u[1:])) for a, e in stabilizer) for u in rows})
+            covered.update(im[r] for im in images)
+            stabilizer = [im for im in images if im[r] == r]
+            count += len({min(im[u] for im in stabilizer) for u in rows})
     return count
 
 
@@ -275,18 +323,17 @@ def fixed_dims_report(group: GroupAction, kmax: int) -> list[int]:
         _check_permutation(element.perm_b, g.num_b, "perm_b")
         _check_permutation(element.perm_e, len(g.edges), "perm_e")
     dims = []
-    for k in range(kmax + 1):
+    for k, level in enumerate(_levels(g, group.elements + group.generators, kmax)):
         # A generator sends every loop to a loop exactly when it maps each
         # class of rows into one class (docs/closure-multiply-and-burnside.md).
-        classes = _classes(g, k)
-        where = {r: ends for ends, rows in classes.items() for r in rows}
-        for a, e in ((gen.perm_a, gen.perm_e.__getitem__) for gen in group.generators):
-            for rows in classes.values():
-                targets = {where.get((a[r[0]], *map(e, r[1:]))) for r in rows}
+        n = len(level.where)
+        for im in level.images[group.order :]:
+            for rows in level.classes.values():
+                targets = {level.where[x] if x < n else None for x in map(im.__getitem__, rows)}
                 if len(targets) > 1 or None in targets:
                     raise InvalidAutomorphismError(f"a generator sends a degree-{k} loop to a non-loop")
-        by_count = burnside_dim(group, k)
-        by_orbits = _orbit_count(group, classes)
+        by_count = _burnside_count(group, level)
+        by_orbits = _orbit_count(group, level)
         if by_count != by_orbits:
             raise PlanarAlgError(
                 f"internal: degree {k} fixed dimension mismatch {by_count} != {by_orbits}"
@@ -336,6 +383,14 @@ def _sums(pairs) -> dict:
     return out
 
 
+def _row_id(levels: list[_Level], base: int, path: tuple[int, ...]) -> int:
+    """The id of the row (base, *path), read one edge at a time."""
+    i = base
+    for level, f in zip(levels[1:], path):
+        i = level.ids[i, f]
+    return i
+
+
 def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
     """Exact verification that the fixed spaces form a planar subalgebra.
 
@@ -373,41 +428,43 @@ def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
     # under elements[cols[j][i]] = elements[i].compose(generators[j]).
     index = {h: i for i, h in enumerate(group.elements)}
     cols = [[index[h.compose(gen)] for h in group.elements] for gen in group.generators]
-    closure, equivariance = [], []
-    for k in range(kmax + 1):
-        classes = _classes(g, k)
-        rows = [r for rs in classes.values() for r in rs]
+    closure, equivariance, levels = [], [], []
+    for k, level in enumerate(_levels(g, group.elements + group.generators, kmax)):
+        levels.append(level)
+        # (parent id, last edge) of every id of degree k, rows and images, and
+        # the last edges of each class of rows.
+        parts = list(level.ids)
+        lasts = [{parts[r][1] for r in rows} for rows in level.classes.values()] if k else []
         # Rows of degree k end with the step at position k - 1; include adds
         # the step at k.
         attach = g.step(k).attach
         _, end, _, weight = g.step(k - 1)
         includes_commute = []
-        for gen, shift_ok in zip(group.generators, shifts_commute):
+        for gen, im, shift_ok in zip(group.generators, level.images[group.order :], shifts_commute):
             a, e = gen.perm_a, gen.perm_e
-            images = {(a[r[0]], *map(e.__getitem__, r[1:])) for r in rows}
-            equivariance.append(SubalgebraCheck("equivariance-multiply", k, len(images) == len(rows)))
+            equivariance.append(SubalgebraCheck("equivariance-multiply", k, len(set(im)) == len(im)))
             ends = zip(range(g.num_a), a) if k == 0 else ((v, end[e[l]]) for l, v in enumerate(end))
             ok = all(sorted(map(e.__getitem__, attach[v])) == list(attach[w]) for v, w in ends)
             includes_commute.append(ok)
             equivariance.append(SubalgebraCheck("equivariance-include", k, ok))
             if k >= 1:
                 ok = all(w == weight[e[l]] for l, w in enumerate(weight))
-                ok = ok and all(len({e[r[-1]] for r in rs}) == len({r[-1] for r in rs}) for rs in classes.values())
+                ok = ok and all(len({e[f] for f in fs}) == len(fs) for fs in lasts)
                 equivariance.append(SubalgebraCheck("equivariance-expect", k, ok))
             equivariance.append(SubalgebraCheck("equivariance-shift", k, shift_ok))
         # One walk over the loops: every generator is injective on every orbit,
         # and pushes the positive weights that expect gives the truncations of
         # the orbit's loops onto themselves (docs/closure-multiply-and-burnside.md).
         injective, expect_ok = True, k >= 1
-        for orbit in _orbit_images(group, k):
+        for orbit in _orbits(level, level.images[: group.order]):
             at = {x: i for i, x in enumerate(orbit)}
             injective = injective and all(len({orbit[c[i]] for i in at.values()}) == len(at) for c in cols)
             if expect_ok:
                 cut = {}
                 for x in at:
-                    b, es = x
-                    if es[k - 1] == es[k]:
-                        cut[x] = ((b, es[: k - 1] + es[k + 1 :]), weight[es[k]])
+                    (t, f), (s, f2) = parts[x[0]], parts[x[1]]
+                    if f == f2:
+                        cut[x] = ((t, s), weight[f])
                 weighted = _sums(cut.values())
                 expect_ok = all(
                     _sums((cut[orbit[c[at[x]]]][0], w) for x, (_, w) in cut.items()) == weighted for c in cols
@@ -423,10 +480,15 @@ def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
             closure.append(SubalgebraCheck("closure-shift", k, injective and all(shifts_commute)))
         if k >= 2:
             # The terms of the raw cup-cap of degree k, which jones_projection
-            # scales, have positive coefficients: pushed forward by each generator.
-            cup_cap = g.cup_caps(k - 2)
+            # scales, have positive coefficients: pushed forward by each
+            # generator, on the ids of their rows.
+            terms = {
+                (_row_id(levels, b, es[:k]), _row_id(levels, b, es[: k - 1 : -1])): c
+                for (b, es), c in g.cup_caps(k - 2).items()
+            }
             ok = all(
-                _sums((act_loop(gen, x), c) for x, c in cup_cap.items()) == cup_cap for gen in group.generators
+                _sums(((im[t], im[s]), c) for (t, s), c in terms.items()) == terms
+                for im in level.images[group.order :]
             )
             closure.append(SubalgebraCheck("projection-invariant", k, ok))
 

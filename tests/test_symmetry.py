@@ -44,8 +44,8 @@ from planaralg import (
     verify_planar_subalgebra,
 )
 from planaralg import symmetry
-from planaralg.symmetry import SubalgebraCheck
-from conftest import corpus_entry
+from planaralg.symmetry import SubalgebraCheck, SubalgebraReport
+from conftest import MARKOV_CORPUS
 from test_graph import random_element
 
 
@@ -106,6 +106,26 @@ class TestMakeAutomorphism:
             make_automorphism(g, [0, 1], [0, 1])
         with pytest.raises(InvalidAutomorphismError, match="not an integer"):
             make_automorphism(g, [0], [1.0, 0.0])
+
+    def test_integer_entries(self, graphs):
+        # Entries of type int pass at once; bool and float entries are still
+        # refused with the same message, by make_automorphism and by
+        # fixed_dims_report, and other int subclasses are still integers.
+        class Index(int):
+            pass
+
+        g = graphs("C-in-C2")
+        for entries in ((True, False), (1.0, 0.0)):
+            with pytest.raises(InvalidAutomorphismError) as refused:
+                make_automorphism(g, [0], entries)
+            assert str(refused.value) == f"perm_b has an entry that is not an integer: {entries}"
+        group = close_group(g, [GraphAutomorphism((0,), (True, False), (1, 0))])
+        with pytest.raises(InvalidAutomorphismError) as refused:
+            fixed_dims_report(group, 1)
+        assert str(refused.value) == "perm_b has an entry that is not an integer: (True, False)"
+        auto = make_automorphism(g, [Index(0)], [Index(1), Index(0)])
+        assert auto.perm_b == (1, 0)
+        assert fixed_dims_report(close_group(g, [auto]), 2) == [1, 1, 2]
 
     def test_rejects_incidence_breaking_vertex_maps(self, mixed_blocks_graph):
         # Swapping only the small blocks sends edge a0-b0 to a1-b0, which
@@ -770,6 +790,123 @@ def element_closure(group, kmax: int) -> list[SubalgebraCheck]:
     return checks
 
 
+def loop_orbit_images(group, k: int):
+    """For each degree-k orbit, in canonical order of its first loop, the
+    images of that loop under the group elements, in element order: the
+    walk over `iter_loops` that the row-id walk of the verifier and of
+    fixed_space_basis must reproduce."""
+    seen = set()
+    for loop in group.graph.iter_loops(k):
+        if loop not in seen:
+            images = [act_loop(element, loop) for element in group.elements]
+            seen.update(images)
+            yield images
+
+
+def loop_walk_report(group, kmax: int):
+    """The verifier on loops and row tuples: every check read off
+    `loop_orbit_images`, (base, *path) rows and `act_loop` images of the
+    cup-cap terms.  The oracle for the verifier's row ids."""
+    g = group.graph
+    prefixes = [sorted(g.shift_prefixes(b)) for b in range(g.num_a)]
+    shifts_commute = [
+        all(sorted((a[c], e[w], e[d]) for c, w, d in ts) == prefixes[a[b]] for b, ts in enumerate(prefixes))
+        for a, e in ((gen.perm_a, gen.perm_e) for gen in group.generators)
+    ]
+    index = {h: i for i, h in enumerate(group.elements)}
+    cols = [[index[h.compose(gen)] for h in group.elements] for gen in group.generators]
+    closure, equivariance = [], []
+    for k in range(kmax + 1):
+        classes = {}
+        for b in range(g.num_a):
+            for p, v in g.paths_with_ends(b, k):
+                classes.setdefault((b, v), []).append((b, *p))
+        rows = [r for rs in classes.values() for r in rs]
+        attach = g.step(k).attach
+        _, end, _, weight = g.step(k - 1)
+        includes_commute = []
+        for gen, shift_ok in zip(group.generators, shifts_commute):
+            a, e = gen.perm_a, gen.perm_e
+            images = {(a[r[0]], *map(e.__getitem__, r[1:])) for r in rows}
+            equivariance.append(SubalgebraCheck("equivariance-multiply", k, len(images) == len(rows)))
+            ends = zip(range(g.num_a), a) if k == 0 else ((v, end[e[l]]) for l, v in enumerate(end))
+            ok = all(sorted(map(e.__getitem__, attach[v])) == list(attach[w]) for v, w in ends)
+            includes_commute.append(ok)
+            equivariance.append(SubalgebraCheck("equivariance-include", k, ok))
+            if k >= 1:
+                ok = all(w == weight[e[l]] for l, w in enumerate(weight))
+                ok = ok and all(len({e[r[-1]] for r in rs}) == len({r[-1] for r in rs}) for rs in classes.values())
+                equivariance.append(SubalgebraCheck("equivariance-expect", k, ok))
+            equivariance.append(SubalgebraCheck("equivariance-shift", k, shift_ok))
+        injective, expect_ok = True, k >= 1
+        for orbit in loop_orbit_images(group, k):
+            at = {x: i for i, x in enumerate(orbit)}
+            injective = injective and all(len({orbit[c[i]] for i in at.values()}) == len(at) for c in cols)
+            if expect_ok:
+                cut = {}
+                for x in at:
+                    b, es = x
+                    if es[k - 1] == es[k]:
+                        cut[x] = ((b, es[: k - 1] + es[k + 1 :]), weight[es[k]])
+                weighted = symmetry._sums(cut.values())
+                expect_ok = all(
+                    symmetry._sums((cut[orbit[c[at[x]]]][0], w) for x, (_, w) in cut.items()) == weighted
+                    for c in cols
+                )
+        closure.append(SubalgebraCheck("closure-multiply", k, injective))
+        if k + 1 <= kmax:
+            closure.append(SubalgebraCheck("closure-include", k, injective and all(includes_commute)))
+        if k >= 1:
+            closure.append(SubalgebraCheck("closure-expect", k, expect_ok))
+        if k + 2 <= kmax:
+            closure.append(SubalgebraCheck("closure-shift", k, injective and all(shifts_commute)))
+        if k >= 2:
+            cup_cap = g.cup_caps(k - 2)
+            ok = all(
+                symmetry._sums((act_loop(gen, x), c) for x, c in cup_cap.items()) == cup_cap
+                for gen in group.generators
+            )
+            closure.append(SubalgebraCheck("projection-invariant", k, ok))
+    return SubalgebraReport(kmax=kmax, group_order=group.order, checks=tuple(closure + equivariance))
+
+
+def loop_walk_basis(group, k: int) -> list[PlanarElement]:
+    one = RadicalScalar.one()
+    return [PlanarElement(k, dict.fromkeys(images, one)) for images in loop_orbit_images(group, k)]
+
+
+class TestRowIdWalk:
+    def _agree(self, group, kmax: int) -> SubalgebraReport:
+        report = verify_planar_subalgebra(group, kmax)
+        assert report == loop_walk_report(group, kmax)
+        for k in range(kmax + 1):
+            assert fixed_space_basis(group, k) == loop_walk_basis(group, k)
+        return report
+
+    def test_matches_loop_walk_on_closure_cases(self, graphs):
+        passed = [c.passed for group, kmax in _closure_cases(graphs) for c in self._agree(group, kmax).checks]
+        assert passed.count(False) >= 100 and passed.count(True) >= 100
+
+    def test_matches_loop_walk_on_raw_generators(self, graphs):
+        # 256 of the 4,096 single raw generators of central-C2-in-M2xM2 at
+        # kmax 3, the graph where closure-expect depends on the walk's order.
+        g = graphs("central-C2-in-M2xM2")
+        gens = random.Random(20093).sample(_single_raw_generators(g), 256)
+        expect = Counter(
+            c.passed for gen in gens for c in self._agree(close_group(g, [gen]), 3).checks if c.name == "closure-expect"
+        )
+        assert expect[True] >= 10 and expect[False] >= 10
+
+    @pytest.mark.parametrize("name", [e.name for e in MARKOV_CORPUS])
+    def test_walk_order_is_iter_loops_order(self, graphs, name):
+        # Under the trivial group every orbit is one loop, met in the order
+        # of `_loop_order`, read back as loops.
+        g = graphs(name)
+        group = close_group(g, [])
+        for k in range(5):
+            assert [images[0] for images in symmetry._orbit_images(group, k)] == list(g.iter_loops(k))
+
+
 def _merged_map(rng: random.Random, size: int) -> tuple[int, ...]:
     """A permutation of 0..size-1 with one entry replaced by another's
     value, so exactly two points merge (when size > 1)."""
@@ -854,6 +991,13 @@ class TestClosureMultiply:
         assert calls == 0
 
 
+def _reverse_loop_order(monkeypatch):
+    """Makes the verifier and fixed_space_basis walk each degree's loops
+    backwards."""
+    loop_order = symmetry._loop_order
+    monkeypatch.setattr(symmetry, "_loop_order", lambda level: reversed(list(loop_order(level))))
+
+
 def test_verdicts_do_not_depend_on_loop_order(graphs, monkeypatch):
     # Under maps that are not bijective, orbits overlap and the verifier's
     # orbits depend on which loop its walk meets first.  On these cases no
@@ -864,8 +1008,7 @@ def test_verdicts_do_not_depend_on_loop_order(graphs, monkeypatch):
 
     cases = list(_closure_cases(graphs))
     before = [walk(group, kmax) for group, kmax in cases]
-    iter_loops = BipartiteGraph.iter_loops
-    monkeypatch.setattr(BipartiteGraph, "iter_loops", lambda self, k: reversed(list(iter_loops(self, k))))
+    _reverse_loop_order(monkeypatch)
     after = [walk(group, kmax) for group, kmax in cases]
     assert [report for report, _ in after] == [report for report, _ in before]
     # The reversed walk meets other orbits in many cases, so it is not vacuous.
@@ -895,8 +1038,7 @@ def test_closure_expect_depends_on_loop_order(graphs, monkeypatch):
 
     canonical, orbits = walk()
     assert witness not in orbits
-    iter_loops = BipartiteGraph.iter_loops
-    monkeypatch.setattr(BipartiteGraph, "iter_loops", lambda self, k: reversed(list(iter_loops(self, k))))
+    _reverse_loop_order(monkeypatch)
     backward, orbits = walk()
     assert witness in orbits
     equivariance = [
@@ -1087,8 +1229,8 @@ class TestFixedDimsOnPaths:
 
     def test_enumerates_loops_once_per_degree(self, graphs, monkeypatch):
         # Work count: fixed_dims_report reads only (base, path) rows, and the
-        # verifier's one orbit pass is the only walk over each degree's
-        # loops in a `fixed` run.
+        # verifier walks each degree's loops as pairs of row ids, so a
+        # `fixed` run enumerates no loops.
         g = graphs("C-in-C4")
         group = close_group(
             g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
@@ -1105,7 +1247,25 @@ class TestFixedDimsOnPaths:
         assert fixed_dims_report(group, 4) == [1, 1, 2, 5, 15]
         assert calls == 0
         assert verify_planar_subalgebra(group, 4).all_passed
-        assert calls == 4 + 1
+        assert calls == 0
+
+    def test_extends_rows_once_per_degree(self, graphs, monkeypatch):
+        # Work count: on C-in-C with the trivial group, each degree's rows
+        # are the previous degree's extended by one edge, not rebuilt from
+        # degree 0 (which took 1,001,000 steps at kmax 1000).
+        calls = Counter()
+
+        def counting(name, real):
+            def wrapped(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(BipartiteGraph, "paths_with_ends", counting("paths", BipartiteGraph.paths_with_ends))
+        monkeypatch.setattr(symmetry, "_extend", counting("extend", symmetry._extend))
+        assert fixed_dims_report(close_group(graphs("C-in-C"), []), 1000) == [1] * 1001
+        assert calls == {"extend": 1000}
 
     def test_row_orbit_count(self, graphs):
         # The orbit count on rows against the loop orbits and the Burnside
@@ -1137,13 +1297,13 @@ class TestFixedDimsOnPaths:
             cases.append((close_group(graphs(name), gens), kmax))
         moving = 0
         for group, kmax in cases:
-            for k in range(kmax + 1):
-                count = symmetry._orbit_count(group, symmetry._classes(group.graph, k))
-                assert count == len(list(symmetry._orbit_images(group, k))) == burnside_dim(group, k)
+            for k, level in enumerate(symmetry._levels(group.graph, group.elements, kmax)):
+                count = symmetry._orbit_count(group, level)
+                assert count == len(list(loop_orbit_images(group, k))) == burnside_dim(group, k)
                 moving += _stabilizer_moves_a_row(group, k)
         assert moving >= 20
 
-    @pytest.mark.parametrize("name", ["burnside_dim", "_orbit_count"])
+    @pytest.mark.parametrize("name", ["_burnside_count", "_orbit_count"])
     def test_count_mismatch_raises(self, graphs, monkeypatch, name):
         # Mutation guard: the two counts stay independent, so a count that is
         # off by one raises the internal mismatch.
@@ -1180,7 +1340,12 @@ def _automorphisms(g) -> list[GraphAutomorphism]:
 def _stabilizer_moves_a_row(group, k: int) -> bool:
     """Whether an element fixes a degree-k row and moves another row with
     the same base and endpoint, so the row count needs stabilisers."""
-    for rows in symmetry._classes(group.graph, k).values():
+    g = group.graph
+    classes = {}
+    for b in range(g.num_a):
+        for p, v in g.paths_with_ends(b, k):
+            classes.setdefault((b, v), []).append((b, *p))
+    for rows in classes.values():
         for h in group.elements:
             if {(h.perm_a[r[0]], *map(h.perm_e.__getitem__, r[1:])) == r for r in rows} == {True, False}:
                 return True
