@@ -24,7 +24,7 @@ from .errors import (
 )
 from .graph import BipartiteGraph, Loop, PlanarElement
 from .markov import analyze
-from .radical import RadicalScalar
+from .radical import RadicalScalar, packed_numerators
 
 DEFAULT_GROUP_LIMIT = 10080
 
@@ -117,7 +117,11 @@ def identity_automorphism(g: BipartiteGraph) -> GraphAutomorphism:
 
 class GroupAction:
     """A finite automorphism group together with the graph it acts on; its
-    elements are closed under composition with each generator (close_group)."""
+    elements are closed under composition with each generator (close_group).
+    Immutable, so the tables it keeps for the fixed-point routines cannot go
+    stale (docs/closure-multiply-and-burnside.md, section 12)."""
+
+    __slots__ = ("graph", "generators", "elements", "_levels", "_cols", "_cup_caps")
 
     def __init__(
         self,
@@ -125,13 +129,43 @@ class GroupAction:
         generators: tuple[GraphAutomorphism, ...],
         elements: tuple[GraphAutomorphism, ...],
     ):
-        self.graph = graph
-        self.generators = generators
-        self.elements = elements
+        for name, value in zip(self.__slots__, (graph, generators, elements, [], [], {})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GroupAction is immutable")
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    def _level(self, k: int) -> _Level:
+        """The rows of degree k and their images under elements + generators."""
+        if k < 0:
+            raise ValidationError("path length must be nonnegative")
+        g, levels, maps = self.graph, self._levels, self.elements + self.generators
+        if not levels:
+            bases = [(b, b) for b in range(g.num_a)]
+            images = [h.perm_a[: g.num_a] for h in maps]
+            levels.append(_Level({}, bases, {key: [key[0]] for key in bases}, images))
+        while len(levels) <= k:
+            levels.append(_extend(g, levels[-1], len(levels) - 1, maps))
+        return levels[k]
+
+    def _composition(self) -> list[list[int]]:
+        """cols[j][i] is the index of elements[i].compose(generators[j])."""
+        if not self._cols:
+            index = {h: i for i, h in enumerate(self.elements)}
+            self._cols.extend([[index[h.compose(gen)] for h in self.elements] for gen in self.generators])
+        return self._cols
+
+    def _cup_cap_terms(self, k: int) -> dict[tuple[int, int], int]:
+        """`g.cup_caps(k - 2)` keyed by its rows' ids, coefficients packed; needs `_level(k)`."""
+        if k not in self._cup_caps:
+            caps, levels = self.graph.cup_caps(k - 2), self._levels
+            ids = [(_row_id(levels, b, es[:k]), _row_id(levels, b, es[: k - 1 : -1])) for b, es in caps]
+            self._cup_caps[k] = dict(zip(ids, packed_numerators(list(caps.values()), len(caps))))
+        return self._cup_caps[k]
 
 
 def close_group(
@@ -222,18 +256,6 @@ def _extend(g: BipartiteGraph, level: _Level, k: int, maps) -> _Level:
     return _Level(ids, [(level.where[r][0], end[f]) for r, f in keys], classes, images)
 
 
-def _levels(g: BipartiteGraph, maps, kmax: int) -> Iterator[_Level]:
-    """The levels of degrees 0..kmax, each extended from the one before."""
-    if kmax < 0:
-        raise ValidationError("path length must be nonnegative")
-    bases = [(b, b) for b in range(g.num_a)]
-    level = _Level({}, bases, {key: [key[0]] for key in bases}, [h.perm_a[: g.num_a] for h in maps])
-    yield level
-    for k in range(kmax):
-        level = _extend(g, level, k, maps)
-        yield level
-
-
 def _loop_order(level: _Level) -> Iterator[tuple[int, int]]:
     """The degree's loops as (top id, bottom id) in the order of `iter_loops`."""
     return ((t, s) for t, key in enumerate(level.where) for s in level.classes[key])
@@ -252,11 +274,11 @@ def _orbits(level: _Level, images: list[list[int]]) -> Iterator[list[tuple[int, 
 
 def _orbit_images(group: GroupAction, k: int) -> Iterator[list[Loop]]:
     """`_orbits` of the group elements, each id read back as its loop."""
-    levels = list(_levels(group.graph, group.elements, k))
+    level = group._level(k)
     paths = [(b,) for b in range(group.graph.num_a)]
-    for level in levels[1:]:
-        paths = [paths[p] + (f,) for p, f in level.ids]
-    for orbit in _orbits(levels[-1], levels[-1].images):
+    for j in range(1, k + 1):
+        paths = [paths[p] + (f,) for p, f in group._level(j).ids]
+    for orbit in _orbits(level, level.images[: group.order]):
         yield [Loop(paths[t][0], paths[t][1:] + paths[s][:0:-1]) for t, s in orbit]
 
 
@@ -288,8 +310,7 @@ def burnside_dim(group: GroupAction, k: int) -> int:
     """Fixed-space dimension as the average number of fixed loops, counted on
     rows: an element fixes [b; t; u] exactly when it fixes the rows (b, t)
     and (b, u) (docs/closure-multiply-and-burnside.md)."""
-    *_, level = _levels(group.graph, group.elements, k)
-    return _burnside_count(group, level)
+    return _burnside_count(group, group._level(k))
 
 
 def _orbit_count(group: GroupAction, level: _Level) -> int:
@@ -323,7 +344,7 @@ def fixed_dims_report(group: GroupAction, kmax: int) -> list[int]:
         _check_permutation(element.perm_b, g.num_b, "perm_b")
         _check_permutation(element.perm_e, len(g.edges), "perm_e")
     dims = []
-    for k, level in enumerate(_levels(g, group.elements + group.generators, kmax)):
+    for k, level in enumerate(map(group._level, range(kmax + 1))):
         # A generator sends every loop to a loop exactly when it maps each
         # class of rows into one class (docs/closure-multiply-and-burnside.md).
         n = len(level.where)
@@ -376,7 +397,7 @@ class SubalgebraReport(NamedTuple):
 
 
 def _sums(pairs) -> dict:
-    """Key -> exact sum of the weights paired with it."""
+    """Key -> sum of the integers paired with it."""
     out = {}
     for key, w in pairs:
         out[key] = out[key] + w if key in out else w
@@ -424,13 +445,11 @@ def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
         )
         for a, e in ((gen.perm_a, gen.perm_e) for gen in group.generators)
     ]
-    # Generator j sends the image of a loop under elements[i] to its image
-    # under elements[cols[j][i]] = elements[i].compose(generators[j]).
-    index = {h: i for i, h in enumerate(group.elements)}
-    cols = [[index[h.compose(gen)] for h in group.elements] for gen in group.generators]
-    closure, equivariance, levels = [], [], []
-    for k, level in enumerate(_levels(g, group.elements + group.generators, kmax)):
-        levels.append(level)
+    cols = group._composition()
+    # Both steps' squared spins, packed once: no orbit has more than |G| loops.
+    packed = {id(w): packed_numerators(w, group.order) for w in (g.step(0).spin_sq, g.step(1).spin_sq)}
+    closure, equivariance = [], []
+    for k, level in enumerate(map(group._level, range(kmax + 1))):
         # (parent id, last edge) of every id of degree k, rows and images, and
         # the last edges of each class of rows.
         parts = list(level.ids)
@@ -456,6 +475,7 @@ def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
         # and pushes the positive weights that expect gives the truncations of
         # the orbit's loops onto themselves (docs/closure-multiply-and-burnside.md).
         injective, expect_ok = True, k >= 1
+        numerators = packed[id(weight)]
         for orbit in _orbits(level, level.images[: group.order]):
             at = {x: i for i, x in enumerate(orbit)}
             injective = injective and all(len({orbit[c[i]] for i in at.values()}) == len(at) for c in cols)
@@ -464,7 +484,7 @@ def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
                 for x in at:
                     (t, f), (s, f2) = parts[x[0]], parts[x[1]]
                     if f == f2:
-                        cut[x] = ((t, s), weight[f])
+                        cut[x] = ((t, s), numerators[f])
                 weighted = _sums(cut.values())
                 expect_ok = all(
                     _sums((cut[orbit[c[at[x]]]][0], w) for x, (_, w) in cut.items()) == weighted for c in cols
@@ -482,10 +502,7 @@ def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
             # The terms of the raw cup-cap of degree k, which jones_projection
             # scales, have positive coefficients: pushed forward by each
             # generator, on the ids of their rows.
-            terms = {
-                (_row_id(levels, b, es[:k]), _row_id(levels, b, es[: k - 1 : -1])): c
-                for (b, es), c in g.cup_caps(k - 2).items()
-            }
+            terms = group._cup_cap_terms(k)
             ok = all(
                 _sums(((im[t], im[s]), c) for (t, s), c in terms.items()) == terms
                 for im in level.images[group.order :]

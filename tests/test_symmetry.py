@@ -165,6 +165,16 @@ class TestCloseGroup:
         group = close_group(g, [])
         assert group.order == 1
 
+    @pytest.mark.parametrize("name", ["elements", "generators", "graph"])
+    def test_group_is_immutable(self, two_point_swap, name):
+        # The group keeps tables computed from these, so none may change.
+        g, swap = two_point_swap
+        group = close_group(g, [swap])
+        with pytest.raises(AttributeError):
+            setattr(group, name, getattr(group, name))
+        with pytest.raises(AttributeError):
+            group.extra = None
+
     def test_limit_enforced(self, graphs):
         g = graphs("C-in-C3")
         cycle = make_automorphism(g, [0], [1, 2, 0])
@@ -790,23 +800,36 @@ def element_closure(group, kmax: int) -> list[SubalgebraCheck]:
     return checks
 
 
-def loop_orbit_images(group, k: int):
+def loop_orbit_images(group, k: int, backward: bool = False):
     """For each degree-k orbit, in canonical order of its first loop, the
     images of that loop under the group elements, in element order: the
     walk over `iter_loops` that the row-id walk of the verifier and of
-    fixed_space_basis must reproduce."""
+    fixed_space_basis must reproduce.  With `backward`, the walk runs over
+    `iter_loops` reversed, as the verifier's does with `_loop_order`
+    reversed."""
     seen = set()
-    for loop in group.graph.iter_loops(k):
+    loops = list(group.graph.iter_loops(k))
+    for loop in reversed(loops) if backward else loops:
         if loop not in seen:
             images = [act_loop(element, loop) for element in group.elements]
             seen.update(images)
             yield images
 
 
-def loop_walk_report(group, kmax: int):
+def radical_sums(pairs) -> dict:
+    """Key -> exact RadicalScalar sum of the weights paired with it."""
+    out = {}
+    for key, w in pairs:
+        out[key] = out[key] + w if key in out else w
+    return out
+
+
+def loop_walk_report(group, kmax: int, backward: bool = False):
     """The verifier on loops and row tuples: every check read off
     `loop_orbit_images`, (base, *path) rows and `act_loop` images of the
-    cup-cap terms.  The oracle for the verifier's row ids."""
+    cup-cap terms, closure-expect and projection-invariant as push-forwards
+    summed in RadicalScalar (`radical_sums`).  The oracle for the verifier's
+    row ids and integer numerators."""
     g = group.graph
     prefixes = [sorted(g.shift_prefixes(b)) for b in range(g.num_a)]
     shifts_commute = [
@@ -839,7 +862,7 @@ def loop_walk_report(group, kmax: int):
                 equivariance.append(SubalgebraCheck("equivariance-expect", k, ok))
             equivariance.append(SubalgebraCheck("equivariance-shift", k, shift_ok))
         injective, expect_ok = True, k >= 1
-        for orbit in loop_orbit_images(group, k):
+        for orbit in loop_orbit_images(group, k, backward):
             at = {x: i for i, x in enumerate(orbit)}
             injective = injective and all(len({orbit[c[i]] for i in at.values()}) == len(at) for c in cols)
             if expect_ok:
@@ -848,9 +871,9 @@ def loop_walk_report(group, kmax: int):
                     b, es = x
                     if es[k - 1] == es[k]:
                         cut[x] = ((b, es[: k - 1] + es[k + 1 :]), weight[es[k]])
-                weighted = symmetry._sums(cut.values())
+                weighted = radical_sums(cut.values())
                 expect_ok = all(
-                    symmetry._sums((cut[orbit[c[at[x]]]][0], w) for x, (_, w) in cut.items()) == weighted
+                    radical_sums((cut[orbit[c[at[x]]]][0], w) for x, (_, w) in cut.items()) == weighted
                     for c in cols
                 )
         closure.append(SubalgebraCheck("closure-multiply", k, injective))
@@ -863,39 +886,69 @@ def loop_walk_report(group, kmax: int):
         if k >= 2:
             cup_cap = g.cup_caps(k - 2)
             ok = all(
-                symmetry._sums((act_loop(gen, x), c) for x, c in cup_cap.items()) == cup_cap
+                radical_sums((act_loop(gen, x), c) for x, c in cup_cap.items()) == cup_cap
                 for gen in group.generators
             )
             closure.append(SubalgebraCheck("projection-invariant", k, ok))
     return SubalgebraReport(kmax=kmax, group_order=group.order, checks=tuple(closure + equivariance))
 
 
-def loop_walk_basis(group, k: int) -> list[PlanarElement]:
+def loop_walk_basis(group, k: int, backward: bool = False) -> list[PlanarElement]:
     one = RadicalScalar.one()
-    return [PlanarElement(k, dict.fromkeys(images, one)) for images in loop_orbit_images(group, k)]
+    return [PlanarElement(k, dict.fromkeys(images, one)) for images in loop_orbit_images(group, k, backward)]
+
+
+def _order_dependent_generators(g) -> list[GraphAutomorphism]:
+    """The single raw generators whose closure-expect(1) verdict, read by
+    `loop_walk_report`, changes when the walk runs backwards."""
+
+    def verdict(group, backward):
+        (check,) = [c for c in loop_walk_report(group, 1, backward).checks if c.name == "closure-expect"]
+        return check.passed
+
+    groups = [(gen, close_group(g, [gen])) for gen in _single_raw_generators(g)]
+    return [gen for gen, group in groups if verdict(group, False) != verdict(group, True)]
 
 
 class TestRowIdWalk:
-    def _agree(self, group, kmax: int) -> SubalgebraReport:
+    @staticmethod
+    def _agree(group, kmax: int, backward: bool = False) -> SubalgebraReport:
         report = verify_planar_subalgebra(group, kmax)
-        assert report == loop_walk_report(group, kmax)
+        assert report == loop_walk_report(group, kmax, backward)
         for k in range(kmax + 1):
-            assert fixed_space_basis(group, k) == loop_walk_basis(group, k)
+            assert fixed_space_basis(group, k) == loop_walk_basis(group, k, backward)
         return report
 
     def test_matches_loop_walk_on_closure_cases(self, graphs):
         passed = [c.passed for group, kmax in _closure_cases(graphs) for c in self._agree(group, kmax).checks]
         assert passed.count(False) >= 100 and passed.count(True) >= 100
 
-    def test_matches_loop_walk_on_raw_generators(self, graphs):
+    def test_matches_loop_walk_backwards_on_closure_cases(self, graphs, monkeypatch):
+        _reverse_loop_order(monkeypatch)
+        reports = [self._agree(group, kmax, True) for group, kmax in _closure_cases(graphs)]
+        passed = [c.passed for report in reports for c in report.checks]
+        assert passed.count(False) >= 100 and passed.count(True) >= 100
+
+    def test_matches_loop_walk_on_raw_generators(self, graphs, monkeypatch):
         # 256 of the 4,096 single raw generators of central-C2-in-M2xM2 at
-        # kmax 3, the graph where closure-expect depends on the walk's order.
+        # kmax 3, the graph where closure-expect depends on the walk's order:
+        # all 160 whose closure-expect(1) does, and 96 seeded others, each
+        # walked forwards and then backwards.
         g = graphs("central-C2-in-M2xM2")
-        gens = random.Random(20093).sample(_single_raw_generators(g), 256)
-        expect = Counter(
-            c.passed for gen in gens for c in self._agree(close_group(g, [gen]), 3).checks if c.name == "closure-expect"
-        )
-        assert expect[True] >= 10 and expect[False] >= 10
+        dependent = _order_dependent_generators(g)
+        assert len(dependent) == 160
+        others = sorted(set(_single_raw_generators(g)) - set(dependent))
+        groups = [close_group(g, [gen]) for gen in dependent + random.Random(20093).sample(others, 96)]
+        verdicts = []
+        for backward in (False, True):
+            if backward:
+                _reverse_loop_order(monkeypatch)
+            reports = [self._agree(group, 3, backward) for group in groups]
+            checks = [c for report in reports for c in report.checks]
+            verdicts.append([c.passed for c in checks if c.name == "closure-expect"])
+        forward, backward = verdicts
+        assert forward.count(True) >= 10 and forward.count(False) >= 10
+        assert sum(a != b for a, b in zip(forward, backward)) == 160
 
     @pytest.mark.parametrize("name", [e.name for e in MARKOV_CORPUS])
     def test_walk_order_is_iter_loops_order(self, graphs, name):
@@ -1252,7 +1305,8 @@ class TestFixedDimsOnPaths:
     def test_extends_rows_once_per_degree(self, graphs, monkeypatch):
         # Work count: on C-in-C with the trivial group, each degree's rows
         # are the previous degree's extended by one edge, not rebuilt from
-        # degree 0 (which took 1,001,000 steps at kmax 1000).
+        # degree 0 (which took 1,001,000 steps at kmax 1000), and the group
+        # keeps them for the next call.
         calls = Counter()
 
         def counting(name, real):
@@ -1264,8 +1318,40 @@ class TestFixedDimsOnPaths:
 
         monkeypatch.setattr(BipartiteGraph, "paths_with_ends", counting("paths", BipartiteGraph.paths_with_ends))
         monkeypatch.setattr(symmetry, "_extend", counting("extend", symmetry._extend))
-        assert fixed_dims_report(close_group(graphs("C-in-C"), []), 1000) == [1] * 1001
+        group = close_group(graphs("C-in-C"), [])
+        assert fixed_dims_report(group, 1000) == [1] * 1001
         assert calls == {"extend": 1000}
+        assert fixed_dims_report(group, 1000) == [1] * 1001
+        assert [burnside_dim(group, k) for k in (0, 500, 1000)] == [1, 1, 1]
+        assert calls == {"extend": 1000}
+
+    def test_one_table_per_group(self, graphs, monkeypatch):
+        # Work count: `fixed` calls fixed_dims_report and then the verifier,
+        # and a second verifier call at a lower degree builds nothing.  The
+        # group extends its rows once per degree (4 calls for degrees 1-4),
+        # reads the cup-caps of degrees 2-4 once (3 calls) and builds its
+        # composition table once (24 elements x 2 generators = 48 compose
+        # calls).
+        g = graphs("C-in-C4")
+        group = close_group(
+            g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
+        )
+        calls = Counter()
+
+        def counting(name, real):
+            def wrapped(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(symmetry, "_extend", counting("extend", symmetry._extend))
+        monkeypatch.setattr(BipartiteGraph, "cup_caps", counting("cup_caps", BipartiteGraph.cup_caps))
+        monkeypatch.setattr(GraphAutomorphism, "compose", counting("compose", GraphAutomorphism.compose))
+        assert fixed_dims_report(group, 4) == [1, 1, 2, 5, 15]
+        assert verify_planar_subalgebra(group, 4).all_passed
+        assert verify_planar_subalgebra(group, 3).all_passed
+        assert calls == {"extend": 4, "cup_caps": 3, "compose": 48}
 
     def test_row_orbit_count(self, graphs):
         # The orbit count on rows against the loop orbits and the Burnside
@@ -1297,8 +1383,8 @@ class TestFixedDimsOnPaths:
             cases.append((close_group(graphs(name), gens), kmax))
         moving = 0
         for group, kmax in cases:
-            for k, level in enumerate(symmetry._levels(group.graph, group.elements, kmax)):
-                count = symmetry._orbit_count(group, level)
+            for k in range(kmax + 1):
+                count = symmetry._orbit_count(group, group._level(k))
                 assert count == len(list(loop_orbit_images(group, k))) == burnside_dim(group, k)
                 moving += _stabilizer_moves_a_row(group, k)
         assert moving >= 20
