@@ -10,9 +10,9 @@ walk based at a lower vertex, alternating upward and downward steps.  In
 the box picture the first k edges are the top row read left to right and
 the remaining k edges are the bottom row read right to left; equivalently,
 both rows are length-k paths out of the base meeting at a common endpoint.
-`BipartiteGraph.step(pos)` is the one definition of that alternation: for
-position pos of a path, the edges attachable at each vertex, the vertex
-each edge reaches and the spin of each traversal.
+`BipartiteGraph.step(pos)` is the one definition of that alternation, and
+`rows(k)`, kept on the graph, the one enumerator of based paths, which
+`paths(k)` reads back as tuples.
 The span of degree-k loops with radical-scalar coefficients is the degree-k
 piece of the loop algebra, and loops multiply like matrix units indexed by
 (bottom path, top path), so that piece is a direct sum of full matrix
@@ -100,6 +100,14 @@ class Step(NamedTuple):
 
 # A based path: the base vertex followed by the edge ids, (base, e1, ..., ek).
 Path = tuple[int, ...]
+
+
+class PathTable(NamedTuple):
+    """The based paths of one length as ids 0..n-1, in lexicographic order."""
+
+    ids: dict[tuple[int, int], int]  # (parent id, last edge) -> id; empty at length 0
+    where: list[tuple[int, int]]  # id -> (base, endpoint)
+    classes: dict[tuple[int, int], list[int]]  # (base, endpoint) -> its ids, by reversed path
 # The numerators of one radical key as sparse matrix rows: the loop with
 # bottom row b and top row t out of a base is the matrix unit in row
 # (base, *b) and column (base, *t).  A row with one entry is stored as the
@@ -434,6 +442,8 @@ class BipartiteGraph:
         total = sum_scalars(w * w for w in self.weights_a)
         normalizer = total.invert()
         self._point_weight = tuple(w * w * normalizer for w in self.weights_a)
+        bases = range(self.num_a)
+        self._tables = [PathTable({}, [(b, b) for b in bases], {(b, b): [b] for b in bases})]
 
     def _verify_eigenvector(self) -> None:
         # Exact check with zero tolerance; a failure here is a bug, not input.
@@ -492,18 +502,39 @@ class BipartiteGraph:
         a lower index for even lengths, an upper index for odd lengths."""
         return self.step(len(path) - 1).end[path[-1]] if path else base
 
-    def paths_with_ends(self, base: int, k: int) -> list[tuple[tuple[int, ...], int]]:
-        """`paths_from` with each path's endpoint (as `path_end` gives it),
-        built one edge at a time in the same order."""
-        if not 0 <= base < self.num_a:
-            raise ValidationError(f"no lower vertex {base}")
+    def rows(self, k: int) -> PathTable:
+        """The based paths of length k, kept on the graph: those of length k + 1 are those of
+        length k in id order, each extended by the edges step k attaches at its end, ascending."""
         if k < 0:
             raise ValidationError("path length must be nonnegative")
-        level = [((), base)]
-        for pos in range(k):
-            attach, end, _, _ = self.step(pos)
-            level = [(p + (e,), end[e]) for p, v in level for e in attach[v]]
-        return level
+        while len(self._tables) <= k:
+            last = self._tables[-1]
+            attach, end, _, _ = self.step(len(self._tables) - 1)
+            keys = [(r, f) for r, (_, v) in enumerate(last.where) for f in attach[v]]
+            ids = {key: i for i, key in enumerate(keys)}
+            # Order each class by reversed path: by last edge, then by the parent's place in its class.
+            chunks = {}
+            for (b, v), rows in last.classes.items():
+                for f in attach[v]:
+                    chunks.setdefault((b, end[f]), []).append((f, rows))
+            classes = {key: [ids[r, f] for f, rows in sorted(fs) for r in rows] for key, fs in chunks.items()}
+            self._tables.append(PathTable(ids, [(last.where[r][0], end[f]) for r, f in keys], classes))
+        return self._tables[k]
+
+    def paths(self, k: int) -> list[Path]:
+        """The based paths (base, e1, ..., ek) of length k in id order, which
+        is lexicographic: `rows` read back as tuples, anew on every call."""
+        self.rows(k)
+        paths = [(b,) for b in range(self.num_a)]
+        for table in self._tables[1 : k + 1]:
+            paths = [paths[p] + (f,) for p, f in table.ids]
+        return paths
+
+    def paths_with_ends(self, base: int, k: int) -> list[tuple[tuple[int, ...], int]]:
+        """`paths_from` with each path's endpoint (as `path_end` gives it)."""
+        if not 0 <= base < self.num_a:
+            raise ValidationError(f"no lower vertex {base}")
+        return [(p[1:], v) for p, (b, v) in zip(self.paths(k), self._tables[k].where) if b == base]
 
     def paths_from(self, base: int, k: int) -> list[tuple[int, ...]]:
         """All alternating edge-id paths of length k out of a lower vertex,
@@ -511,17 +542,13 @@ class BipartiteGraph:
         return [p for p, _ in self.paths_with_ends(base, k)]
 
     def iter_loops(self, k: int) -> Iterator[Loop]:
-        """Degree-k loops in canonical order: by base, then by edge sequence."""
-        for base in range(self.num_a):
-            tops = self.paths_with_ends(base, k)
-            reversed_bottoms: dict[int, list[tuple[int, ...]]] = {}
-            for path, end in tops:
-                reversed_bottoms.setdefault(end, []).append(path[::-1])
-            for group in reversed_bottoms.values():
-                group.sort()
-            for top, end in tops:
-                for rev_bottom in reversed_bottoms[end]:
-                    yield Loop(base, top + rev_bottom)
+        """Degree-k loops in canonical order: each top row with the bottom rows of its class."""
+        paths, table = self.paths(k), self._tables[k]
+        reversed_bottoms = [p[:0:-1] for p in paths]
+        for path, key in zip(paths, table.where):
+            top = path[1:]
+            for s in table.classes[key]:
+                yield Loop(path[0], top + reversed_bottoms[s])
 
     def enumerate_loops(self, k: int) -> list[Loop]:
         return list(self.iter_loops(k))
@@ -539,22 +566,19 @@ class BipartiteGraph:
 
     def unit(self, k: int) -> PlanarElement:
         """Multiplicative unit of degree k: all loops with equal rows."""
-        terms = {}
-        for base in range(self.num_a):
-            for path in self.paths_from(base, k):
-                terms[Loop.from_paths(base, path, path)] = RadicalScalar.one()
-        return PlanarElement(k, terms)
+        one = RadicalScalar.one()
+        return PlanarElement(k, {Loop.from_paths(p[0], p[1:], p[1:]): one for p in self.paths(k)})
 
     def cup_caps(self, k: int) -> dict[Loop, RadicalScalar]:
         """The raw cup-cap of degree k + 2: loop (top p t t, bottom p u u) ->
         spin(t) spin(u), for paths p of length k and t, u attachable at p's end."""
         attach, _, spin, _ = self.step(k)
         terms = {}
-        for base in range(self.num_a):
-            for path, end in self.paths_with_ends(base, k):
-                for u in attach[end]:
-                    for t in attach[end]:
-                        terms[Loop.from_paths(base, path + (t, t), path + (u, u))] = spin[t] * spin[u]
+        for path, (base, end) in zip(self.paths(k), self._tables[k].where):
+            path = path[1:]
+            for u in attach[end]:
+                for t in attach[end]:
+                    terms[Loop.from_paths(base, path + (t, t), path + (u, u))] = spin[t] * spin[u]
         return terms
 
     def shift_prefixes(self, base: int) -> list[tuple[int, int, int]]:

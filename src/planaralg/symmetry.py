@@ -11,6 +11,7 @@ with the action.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from numbers import Integral
 from typing import Iterator, NamedTuple
@@ -22,7 +23,7 @@ from .errors import (
     PlanarAlgError,
     ValidationError,
 )
-from .graph import BipartiteGraph, Loop, PlanarElement
+from .graph import BipartiteGraph, Loop, PathTable, PlanarElement
 from .markov import analyze
 from .radical import RadicalScalar, packed_numerators
 
@@ -140,16 +141,13 @@ class GroupAction:
         return len(self.elements)
 
     def _level(self, k: int) -> _Level:
-        """The rows of degree k and their images under elements + generators."""
-        if k < 0:
-            raise ValidationError("path length must be nonnegative")
+        """The graph's rows of degree k and their images under elements + generators."""
         g, levels, maps = self.graph, self._levels, self.elements + self.generators
+        g.rows(k)  # rejects k < 0
         if not levels:
-            bases = [(b, b) for b in range(g.num_a)]
-            images = [h.perm_a[: g.num_a] for h in maps]
-            levels.append(_Level({}, bases, {key: [key[0]] for key in bases}, images))
+            levels.append(_Level(*g.rows(0), [h.perm_a[: g.num_a] for h in maps]))
         while len(levels) <= k:
-            levels.append(_extend(g, levels[-1], len(levels) - 1, maps))
+            levels.append(_extend(g.rows(len(levels)), levels[-1], maps))
         return levels[k]
 
     def _composition(self) -> list[list[int]]:
@@ -227,33 +225,20 @@ def reynolds(group: GroupAction, x: PlanarElement) -> PlanarElement:
     return images.scaled(Fraction(1, group.order))
 
 
-class _Level(NamedTuple):
-    """The rows (base, *path) of one degree, ids 0..n-1 in lexicographic
-    order, and their images under a list of maps.  Rows and images are
-    interned as (id without the last edge, last edge), so two are equal
-    exactly when their ids are (docs/closure-multiply-and-burnside.md)."""
-
-    ids: dict[tuple[int, int], int]  # (parent id, last edge) -> id, rows first; empty at degree 0
-    where: list[tuple[int, int]]  # row -> (base, endpoint)
-    classes: dict[tuple[int, int], list[int]]  # (base, endpoint) -> its rows, by reversed path
-    images: list[list[int]]  # map -> row -> id of its image
+# The graph's rows of one degree (`BipartiteGraph.rows`) and their images under
+# a list of maps: images[map][row] is an id.  `ids` is the graph's, or a copy that
+# adds the images that are not rows, interned after them as (id without the last
+# edge, last edge), so two are equal exactly when their ids are
+# (docs/closure-multiply-and-burnside.md).
+_Level = namedtuple("_Level", (*PathTable._fields, "images"))
 
 
-def _extend(g: BipartiteGraph, level: _Level, k: int, maps) -> _Level:
-    """The next degree: each row extended by the edges step k attaches at its end."""
-    attach, end, _, _ = g.step(k)
-    keys = [(r, f) for r, (_, v) in enumerate(level.where) for f in attach[v]]
-    ids = {key: i for i, key in enumerate(keys)}
+def _extend(rows: PathTable, level: _Level, maps) -> _Level:
+    """The next degree: its rows, and the ids of each row's image, one map at a time."""
+    ids = dict(rows.ids)
     intern, edge_maps = ids.setdefault, [h.perm_e for h in maps]
-    images = [[intern((im[r], e[f]), len(ids)) for r, f in keys] for im, e in zip(level.images, edge_maps)]
-    # A reversed path is its last edge, then its parent's reversed path; the
-    # parents of the rows of a class that end in one edge f are one class.
-    chunks = {}
-    for (b, v), rows in level.classes.items():
-        for f in attach[v]:
-            chunks.setdefault((b, end[f]), []).append((f, rows))
-    classes = {key: [ids[r, f] for f, rows in sorted(fs) for r in rows] for key, fs in chunks.items()}
-    return _Level(ids, [(level.where[r][0], end[f]) for r, f in keys], classes, images)
+    images = [[intern((im[r], e[f]), len(ids)) for r, f in rows.ids] for im, e in zip(level.images, edge_maps)]
+    return _Level(ids if len(ids) > len(rows.ids) else rows.ids, rows.where, rows.classes, images)
 
 
 def _loop_order(level: _Level) -> Iterator[tuple[int, int]]:
@@ -261,25 +246,23 @@ def _loop_order(level: _Level) -> Iterator[tuple[int, int]]:
     return ((t, s) for t, key in enumerate(level.where) for s in level.classes[key])
 
 
-def _orbits(level: _Level, images: list[list[int]]) -> Iterator[list[tuple[int, int]]]:
-    """For each orbit, in `_loop_order` of its first loop, that loop's images
+def _orbits(level: _Level, images: list[list[int]]) -> Iterator[tuple[tuple[int, int], list[tuple[int, int]]]]:
+    """For each orbit, in `_loop_order`, its first loop and that loop's images
     under the maps; under maps that are not bijective orbits can overlap."""
     seen = set()
     for t, s in _loop_order(level):
         if (t, s) not in seen:
             orbit = [(im[t], im[s]) for im in images]
             seen.update(orbit)
-            yield orbit
+            yield (t, s), orbit
 
 
 def _orbit_images(group: GroupAction, k: int) -> Iterator[list[Loop]]:
-    """`_orbits` of the group elements, each id read back as its loop."""
-    level = group._level(k)
-    paths = [(b,) for b in range(group.graph.num_a)]
-    for j in range(1, k + 1):
-        paths = [paths[p] + (f,) for p, f in group._level(j).ids]
-    for orbit in _orbits(level, level.images[: group.order]):
-        yield [Loop(paths[t][0], paths[t][1:] + paths[s][:0:-1]) for t, s in orbit]
+    """`_orbits` of the group elements: the images of each first loop, read as loops."""
+    level, paths = group._level(k), group.graph.paths(k)
+    for (t, s), _ in _orbits(level, level.images[: group.order]):
+        first = Loop(paths[t][0], paths[t][1:] + paths[s][:0:-1])
+        yield [act_loop(h, first) for h in group.elements]
 
 
 def fixed_space_basis(group: GroupAction, k: int) -> list[PlanarElement]:
@@ -476,7 +459,7 @@ def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
         # the orbit's loops onto themselves (docs/closure-multiply-and-burnside.md).
         injective, expect_ok = True, k >= 1
         numerators = packed[id(weight)]
-        for orbit in _orbits(level, level.images[: group.order]):
+        for _, orbit in _orbits(level, level.images[: group.order]):
             at = {x: i for i, x in enumerate(orbit)}
             injective = injective and all(len({orbit[c[i]] for i in at.values()}) == len(at) for c in cols)
             if expect_ok:

@@ -1,5 +1,6 @@
-"""Documentation references to tests name tests that exist, links to
-documents resolve, and the README lists every document."""
+"""Documentation references to tests name tests that exist, private names
+in code spans name code that exists, links to documents resolve, and the
+README lists every document."""
 
 from __future__ import annotations
 
@@ -14,6 +15,11 @@ REFERENCE = re.compile(r"tests/(\w+\.py)::(\w+)(?:::(\w+))?")
 # mentions of docs/*.md, read relative to the repository root.
 LINK = re.compile(r"\]\(([\w./-]+\.md)\)")
 MENTION = re.compile(r"(?<![\w(/.-])docs/[\w.-]+\.md")
+# Fenced blocks; code spans outside them, which may break across lines; and
+# the names in a span that start with an underscore.
+FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
+CODE_SPAN = re.compile(r"`([^`]+)`")
+PRIVATE_NAME = re.compile(r"(?<!\w)_\w+")
 
 
 def references() -> list[tuple[str, str, str, str | None]]:
@@ -52,6 +58,38 @@ def test_referenced_tests_exist():
         if name not in names.get(file, {}) or (test is not None and test not in names[file][name])
     ]
     assert missing == []
+
+
+def defined_anywhere(paths) -> set[str]:
+    """Every name a module defines: functions, classes, assignment targets,
+    attributes assigned to and the entries of `__slots__`."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                names.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in node.targets):
+                names.update(e.value for e in ast.walk(node.value) if isinstance(e, ast.Constant))
+    return names
+
+
+def test_private_names_in_documents_exist():
+    # A backticked `_extend`, `_Level` or `group._level(k)` in docs/*.md or
+    # the README names code in src/ or tests/, so a rename or removal that
+    # leaves a document behind fails here.
+    defined = defined_anywhere([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py")])
+    found = [
+        (doc.name, name)
+        for doc in [*sorted((ROOT / "docs").glob("*.md")), ROOT / "README.md"]
+        for span in CODE_SPAN.findall(FENCE.sub("", doc.read_text(encoding="utf-8")))
+        for name in PRIVATE_NAME.findall(span)
+    ]
+    assert len(found) >= 10
+    assert [(doc, name) for doc, name in found if name not in defined] == []
 
 
 def test_document_links_resolve():

@@ -240,9 +240,9 @@ def recursive_paths(g, base: int, k: int) -> list[tuple[tuple[int, ...], int]]:
 
 
 class TestPathBuilder:
-    """`paths_with_ends` against the depth-first reference and the path
-    counts of `markov.path_counts`, on every corpus graph; inclusions that
-    are not Markov contribute their edges only."""
+    """`paths` and `paths_with_ends` against the depth-first reference and
+    the path counts of `markov.path_counts`, on every corpus graph;
+    inclusions that are not Markov contribute their edges only."""
 
     @staticmethod
     def graph(graphs, entry):
@@ -251,8 +251,11 @@ class TestPathBuilder:
     @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
     def test_matches_recursive_enumerator(self, graphs, entry):
         g = self.graph(graphs, entry)
-        for base in range(g.num_a):
-            for k in range(7):
+        for k in range(7):
+            expected = [(b, *p) for b in range(g.num_a) for p, _ in recursive_paths(g, b, k)]
+            assert g.paths(k) == expected
+            assert len(g.rows(k).where) == len(expected)
+            for base in range(g.num_a):
                 walks = g.paths_with_ends(base, k)
                 assert walks == recursive_paths(g, base, k)
                 assert g.paths_from(base, k) == [p for p, _ in walks]
@@ -274,6 +277,9 @@ class TestPathBuilder:
             g.paths_with_ends(1, 2)
         with pytest.raises(ValidationError):
             g.paths_with_ends(0, -1)
+        for read in (g.rows, g.paths):
+            with pytest.raises(ValidationError, match="path length must be nonnegative"):
+                read(-1)
 
 
 class TestPathsAndLoops:
@@ -316,12 +322,17 @@ class TestPathsAndLoops:
             assert len(loops) == loop_space_dim(inc, k)
             assert len(set(loops)) == len(loops)
 
-    @pytest.mark.parametrize("entry", MARKOV_CORPUS, ids=lambda e: e.name)
+    @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
     def test_enumeration_is_canonically_sorted(self, graphs, entry):
-        g = graphs(entry.name)
-        for k in range(4):
-            loops = g.enumerate_loops(k)
-            assert loops == sorted(loops)
+        # Strictly increasing, so sorted and without repeats; the loops of
+        # C-in-M3 at degree 6 (531,441) are compared as they stream.
+        g = TestPathBuilder.graph(graphs, entry)
+        for k in range(7):
+            loops = g.iter_loops(k)
+            previous = next(loops)
+            for loop in loops:
+                assert previous < loop
+                previous = loop
 
     @pytest.mark.parametrize("entry", MARKOV_CORPUS, ids=lambda e: e.name)
     def test_enumerated_loops_are_valid(self, graphs, entry):

@@ -43,9 +43,9 @@ from planaralg import (
     shift,
     verify_planar_subalgebra,
 )
-from planaralg import symmetry
+from planaralg import graph, symmetry
 from planaralg.symmetry import SubalgebraCheck, SubalgebraReport
-from conftest import MARKOV_CORPUS
+from conftest import MARKOV_CORPUS, corpus_entry
 from test_graph import random_element
 
 
@@ -1352,6 +1352,30 @@ class TestFixedDimsOnPaths:
         assert verify_planar_subalgebra(group, 4).all_passed
         assert verify_planar_subalgebra(group, 3).all_passed
         assert calls == {"extend": 4, "cup_caps": 3, "compose": 48}
+
+    def test_one_table_of_paths_per_graph(self, monkeypatch):
+        # Work count: on a fresh C-in-C, the graph builds one table of paths
+        # per degree (1,001 for degrees 0-1000) and every reader shares it:
+        # a group's fixed dimensions, the loops, the cup-caps and a second
+        # group.  Each group only interns its images (1,000 `_extend` calls).
+        calls = Counter()
+
+        def counting(name, real):
+            def wrapped(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(graph, "PathTable", counting("tables", graph.PathTable))
+        monkeypatch.setattr(symmetry, "_extend", counting("extend", symmetry._extend))
+        g = build_graph(corpus_entry("C-in-C").inclusion())
+        assert fixed_dims_report(close_group(g, []), 1000) == [1] * 1001
+        assert calls == {"tables": 1001, "extend": 1000}
+        assert g.enumerate_loops(1000) == [Loop(0, (0,) * 2000)]
+        assert len(g.cup_caps(998)) == 1
+        assert fixed_dims_report(close_group(g, []), 1000) == [1] * 1001
+        assert calls == {"tables": 1001, "extend": 2000}
 
     def test_row_orbit_count(self, graphs):
         # The orbit count on rows against the loop orbits and the Burnside
