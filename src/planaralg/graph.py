@@ -12,7 +12,8 @@ the remaining k edges are the bottom row read right to left; equivalently,
 both rows are length-k paths out of the base meeting at a common endpoint.
 `BipartiteGraph.step(pos)` is the one definition of that alternation, and
 `rows(k)`, kept on the graph, the one enumerator of based paths, which
-`paths(k)` reads back as tuples.
+`paths(k)` reads back as tuples; the raw cup-cap (`cup_caps`) is keyed by
+pairs of those ids, not by loops.
 The span of degree-k loops with radical-scalar coefficients is the degree-k
 piece of the loop algebra, and loops multiply like matrix units indexed by
 (bottom path, top path), so that piece is a direct sum of full matrix
@@ -569,16 +570,18 @@ class BipartiteGraph:
         one = RadicalScalar.one()
         return PlanarElement(k, {Loop.from_paths(p[0], p[1:], p[1:]): one for p in self.paths(k)})
 
-    def cup_caps(self, k: int) -> dict[Loop, RadicalScalar]:
-        """The raw cup-cap of degree k + 2: loop (top p t t, bottom p u u) ->
-        spin(t) spin(u), for paths p of length k and t, u attachable at p's end."""
+    def cup_caps(self, k: int) -> dict[tuple[int, int], RadicalScalar]:
+        """The raw cup-cap of degree k + 2 on the ids of `rows(k + 2)`: (id of
+        p t t, id of p u u) -> spin(t) spin(u), for p of length k in id order and
+        u, then t, attachable at p's end; the loop's top row is p t t."""
+        where, once, twice = self.rows(k).where, self.rows(k + 1).ids, self.rows(k + 2).ids
         attach, _, spin, _ = self.step(k)
+        # Vertex -> spin(t) spin(u) for u, then t, attachable there: one product per pair.
+        products = [[spin[t] * spin[u] for u in out for t in out] for out in attach]
         terms = {}
-        for path, (base, end) in zip(self.paths(k), self._tables[k].where):
-            path = path[1:]
-            for u in attach[end]:
-                for t in attach[end]:
-                    terms[Loop.from_paths(base, path + (t, t), path + (u, u))] = spin[t] * spin[u]
+        for p, (_, end) in enumerate(where):
+            back = [twice[once[p, t], t] for t in attach[end]]
+            terms.update(zip([(t, u) for u in back for t in back], products[end]))
         return terms
 
     def shift_prefixes(self, base: int) -> list[tuple[int, int, int]]:

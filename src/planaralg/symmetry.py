@@ -158,11 +158,10 @@ class GroupAction:
         return self._cols
 
     def _cup_cap_terms(self, k: int) -> dict[tuple[int, int], int]:
-        """`g.cup_caps(k - 2)` keyed by its rows' ids, coefficients packed; needs `_level(k)`."""
+        """`g.cup_caps(k - 2)`, on the ids of the graph's rows, coefficients packed."""
         if k not in self._cup_caps:
-            caps, levels = self.graph.cup_caps(k - 2), self._levels
-            ids = [(_row_id(levels, b, es[:k]), _row_id(levels, b, es[: k - 1 : -1])) for b, es in caps]
-            self._cup_caps[k] = dict(zip(ids, packed_numerators(list(caps.values()), len(caps))))
+            caps = self.graph.cup_caps(k - 2)
+            self._cup_caps[k] = dict(zip(caps, packed_numerators(list(caps.values()), len(caps))))
         return self._cup_caps[k]
 
 
@@ -385,14 +384,6 @@ def _sums(pairs) -> dict:
     for key, w in pairs:
         out[key] = out[key] + w if key in out else w
     return out
-
-
-def _row_id(levels: list[_Level], base: int, path: tuple[int, ...]) -> int:
-    """The id of the row (base, *path), read one edge at a time."""
-    i = base
-    for level, f in zip(levels[1:], path):
-        i = level.ids[i, f]
-    return i
 
 
 def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:

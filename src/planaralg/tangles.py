@@ -34,7 +34,7 @@ import re
 from typing import NamedTuple, Sequence
 
 from .errors import DegreeMismatchError, TangleProgramError, ValidationError
-from .graph import BipartiteGraph, PlanarElement
+from .graph import BipartiteGraph, Loop, PlanarElement
 from .radical import RadicalScalar, sum_scalars
 
 _STEP_RE = re.compile(r"^([1MIJUE])(\d+)$")
@@ -72,7 +72,10 @@ def jones_projection_raw(g: BipartiteGraph, k: int) -> PlanarElement:
     """The cup-cap element of degree k+2, before normalization."""
     if k < 0:
         raise ValidationError("k must be nonnegative")
-    return PlanarElement(k + 2, g.cup_caps(k))
+    paths, terms = g.paths(k + 2), {}
+    for (t, u), c in g.cup_caps(k).items():
+        terms[Loop.from_paths(paths[t][0], paths[t][1:], paths[u][1:])] = c
+    return PlanarElement(k + 2, terms)
 
 
 def jones_projection(g: BipartiteGraph, k: int) -> PlanarElement:

@@ -631,6 +631,20 @@ def test_symmetry_builds_no_cup_cap_terms():
     assert not attributes & {"spin_factor", "from_paths"}
 
 
+def test_symmetry_reads_paths_only_for_the_basis():
+    # Every count and verdict reads row ids; only the public basis,
+    # `fixed_space_basis` through `_orbit_images`, reads the rows back as tuples.
+    source = Path(__file__).resolve().parent.parent / "src" / "planaralg" / "symmetry.py"
+    callers = [
+        function.name
+        for function in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and node.attr in ("paths", "paths_with_ends", "paths_from")
+    ]
+    assert callers == ["_orbit_images"]
+
+
 def test_cup_caps_and_shift_prefixes_have_one_definition(graphs, monkeypatch):
     # Work count: jones_projection_raw and the verifier read one cup-cap
     # definition, and shift and the verifier one prefix definition.
@@ -884,7 +898,7 @@ def loop_walk_report(group, kmax: int, backward: bool = False):
         if k + 2 <= kmax:
             closure.append(SubalgebraCheck("closure-shift", k, injective and all(shifts_commute)))
         if k >= 2:
-            cup_cap = g.cup_caps(k - 2)
+            cup_cap = jones_projection_raw(g, k - 2).terms
             ok = all(
                 radical_sums((act_loop(gen, x), c) for x, c in cup_cap.items()) == cup_cap
                 for gen in group.generators
@@ -1352,6 +1366,25 @@ class TestFixedDimsOnPaths:
         assert verify_planar_subalgebra(group, 4).all_passed
         assert verify_planar_subalgebra(group, 3).all_passed
         assert calls == {"extend": 4, "cup_caps": 3, "compose": 48}
+
+    def test_cup_caps_read_no_paths(self, monkeypatch):
+        # Work count: the verifier on C-in-C at kmax 1000 reads the cup-caps
+        # of degrees 2-1000 (999 calls) as row ids; none rebuilds the path
+        # tuples from degree 0, which took one `paths` call per degree.
+        calls = Counter()
+
+        def counting(name, real):
+            def wrapped(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(BipartiteGraph, "cup_caps", counting("cup_caps", BipartiteGraph.cup_caps))
+        monkeypatch.setattr(BipartiteGraph, "paths", counting("paths", BipartiteGraph.paths))
+        g = build_graph(corpus_entry("C-in-C").inclusion())
+        assert verify_planar_subalgebra(close_group(g, []), 1000).all_passed
+        assert calls == {"cup_caps": 999}
 
     def test_one_table_of_paths_per_graph(self, monkeypatch):
         # Work count: on a fresh C-in-C, the graph builds one table of paths
