@@ -2,18 +2,22 @@
 
 An automorphism permutes lower vertices, upper vertices, and edges
 compatibly and preserves vertex weights; it acts on loops edgewise and on
-elements linearly.  The fixed space in each degree is spanned by orbit
-sums, its dimension is the orbit count, and the verification routine checks
-in exact arithmetic that the fixed spaces really form a subalgebra closed
-under the generating annular operations and that those operations commute
-with the action.
+elements linearly.  The fixed-point routines take any group of
+permutations of the vertices and edges that maps loops to loops, which
+every group of automorphisms is, and refuse any other.  The fixed space in
+each degree is spanned by orbit sums, its dimension is the orbit count,
+and the verification routine checks in exact arithmetic that the fixed
+spaces really form a subalgebra closed under the generating annular
+operations and that those operations commute with the action.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import combinations_with_replacement, compress
 from numbers import Integral
+from operator import eq
 from typing import Iterator, NamedTuple
 
 from .errors import (
@@ -117,12 +121,13 @@ def identity_automorphism(g: BipartiteGraph) -> GraphAutomorphism:
 
 
 class GroupAction:
-    """A finite automorphism group together with the graph it acts on; its
-    elements are closed under composition with each generator (close_group).
-    Immutable, so the tables it keeps for the fixed-point routines cannot go
-    stale (docs/closure-multiply-and-burnside.md, section 12)."""
+    """A finite group of permutations of the vertices and edges that maps
+    loops to loops, together with the graph it acts on; its elements are
+    closed under composition with each generator (close_group).  Immutable,
+    so the tables it keeps for the fixed-point routines cannot go stale
+    (docs/closure-multiply-and-burnside.md, section 10)."""
 
-    __slots__ = ("graph", "generators", "elements", "_levels", "_cols", "_cup_caps")
+    __slots__ = ("graph", "generators", "elements", "_levels", "_cup_caps")
 
     def __init__(
         self,
@@ -130,7 +135,7 @@ class GroupAction:
         generators: tuple[GraphAutomorphism, ...],
         elements: tuple[GraphAutomorphism, ...],
     ):
-        for name, value in zip(self.__slots__, (graph, generators, elements, [], [], {})):
+        for name, value in zip(self.__slots__, (graph, generators, elements, [], {})):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -141,27 +146,29 @@ class GroupAction:
         return len(self.elements)
 
     def _level(self, k: int) -> _Level:
-        """The graph's rows of degree k and their images under elements + generators."""
+        """The graph's rows of degree k, their images under elements + generators
+        and their stabilisers.  Refuses a group that sends a loop of degree k
+        or lower to a non-loop: a generator does that exactly when it sends
+        some row to a non-row or some class of rows into two classes
+        (docs/closure-multiply-and-burnside.md, section 2)."""
         g, levels, maps = self.graph, self._levels, self.elements + self.generators
         g.rows(k)  # rejects k < 0
-        if not levels:
-            levels.append(_Level(*g.rows(0), [h.perm_a[: g.num_a] for h in maps]))
         while len(levels) <= k:
-            levels.append(_extend(g.rows(len(levels)), levels[-1], maps))
+            d, rows = len(levels), g.rows(len(levels))
+            images = _extend(rows, levels[-1], maps) if d else [h.perm_a for h in maps]
+            if images is None or any(
+                len({rows.where[x] for x in map(im.__getitem__, c)}) > 1
+                for im in images[self.order :]
+                for c in rows.classes.values()
+            ):
+                raise InvalidAutomorphismError(f"a generator sends a degree-{d} loop to a non-loop")
+            levels.append(_Level(*rows, images, *_stabilizers(images[: self.order], len(rows.where))))
         return levels[k]
 
-    def _composition(self) -> list[list[int]]:
-        """cols[j][i] is the index of elements[i].compose(generators[j])."""
-        if not self._cols:
-            index = {h: i for i, h in enumerate(self.elements)}
-            self._cols.extend([[index[h.compose(gen)] for h in self.elements] for gen in self.generators])
-        return self._cols
-
-    def _cup_cap_terms(self, k: int) -> dict[tuple[int, int], int]:
-        """`g.cup_caps(k - 2)`, on the ids of the graph's rows, coefficients packed."""
+    def _cup_cap_terms(self, k: int) -> dict[tuple[int, int], RadicalScalar]:
+        """`g.cup_caps(k - 2)`, on the ids of the graph's rows."""
         if k not in self._cup_caps:
-            caps = self.graph.cup_caps(k - 2)
-            self._cup_caps[k] = dict(zip(caps, packed_numerators(list(caps.values()), len(caps))))
+            self._cup_caps[k] = self.graph.cup_caps(k - 2)
         return self._cup_caps[k]
 
 
@@ -172,20 +179,20 @@ def close_group(
 ) -> GroupAction:
     """Close a generator list under composition, identity included.
 
-    Generators need not be bijective or preserve incidence, but the first n
-    entries of each map must lie in 0..n-1 (InvalidAutomorphismError).
+    Each of perm_a, perm_b and perm_e of every generator must be a
+    permutation of its vertex or edge list (InvalidAutomorphismError);
+    incidence and weights are not checked (make_automorphism checks both),
+    and a group that sends a loop to a non-loop is refused by the routines
+    that read its loops, at the first degree where it does.
     Raises GroupTooLargeError as soon as the element count would pass the limit.
     """
     gens = tuple(generators)
     for gen in gens:
         if not isinstance(gen, GraphAutomorphism):
             raise ValidationError("generators must be GraphAutomorphism instances")
-        for label, size in (("perm_a", g.num_a), ("perm_b", g.num_b), ("perm_e", len(g.edges))):
-            head = getattr(gen, label)[:size]
-            if len(head) < size or not all(isinstance(x, Integral) and 0 <= x < size for x in head):
-                raise InvalidAutomorphismError(
-                    f"{label} does not map 0..{size - 1} into itself: {head}"
-                )
+        _check_permutation(gen.perm_a, g.num_a, "perm_a")
+        _check_permutation(gen.perm_b, g.num_b, "perm_b")
+        _check_permutation(gen.perm_e, len(g.edges), "perm_e")
     seen = {identity_automorphism(g)}
     frontier = [identity_automorphism(g)]
     while frontier:
@@ -209,9 +216,8 @@ def act_loop(auto: GraphAutomorphism, loop: Loop) -> Loop:
 
 
 def act(auto: GraphAutomorphism, x: PlanarElement) -> PlanarElement:
-    """Linear extension of the edgewise loop action, degree-preserving.  An
-    algebra automorphism for a graph automorphism; close_group also accepts
-    maps that send two loops to one, and their images add up."""
+    """Linear extension of the edgewise loop action, degree-preserving: an
+    algebra automorphism for a graph automorphism."""
     perm_a, edge = auto.perm_a, auto.perm_e.__getitem__
     return x.relabel(x.degree, lambda p: [(perm_a[p[0]], *map(edge, p[1:]))])
 
@@ -224,53 +230,50 @@ def reynolds(group: GroupAction, x: PlanarElement) -> PlanarElement:
     return images.scaled(Fraction(1, group.order))
 
 
-# The graph's rows of one degree (`BipartiteGraph.rows`) and their images under
-# a list of maps: images[map][row] is an id.  `ids` is the graph's, or a copy that
-# adds the images that are not rows, interned after them as (id without the last
-# edge, last edge), so two are equal exactly when their ids are
-# (docs/closure-multiply-and-burnside.md).
-_Level = namedtuple("_Level", (*PathTable._fields, "images"))
+# The graph's rows of one degree (`BipartiteGraph.rows`), their images under a
+# list of maps, images[map][row] a row id, and their stabilisers in the group:
+# stabilizers[stabilizer[row]] is the tuple of the indices of the elements that
+# fix the row (docs/closure-multiply-and-burnside.md, section 8).
+_Level = namedtuple("_Level", (*PathTable._fields, "images", "stabilizer", "stabilizers"))
 
 
-def _extend(rows: PathTable, level: _Level, maps) -> _Level:
-    """The next degree: its rows, and the ids of each row's image, one map at a time."""
-    ids = dict(rows.ids)
-    intern, edge_maps = ids.setdefault, [h.perm_e for h in maps]
-    images = [[intern((im[r], e[f]), len(ids)) for r, f in rows.ids] for im, e in zip(level.images, edge_maps)]
-    return _Level(ids if len(ids) > len(rows.ids) else rows.ids, rows.where, rows.classes, images)
+def _extend(rows: PathTable, level: _Level, maps) -> list[list[int]] | None:
+    """The ids of each row's image under each map, one degree on from the
+    level, read off its parent's image and its last edge's image; None when
+    some image is not a row."""
+    ids = rows.ids
+    try:
+        return [[ids[im[r], e[f]] for r, f in ids] for im, e in zip(level.images, (h.perm_e for h in maps))]
+    except KeyError:
+        return None
 
 
-def _loop_order(level: _Level) -> Iterator[tuple[int, int]]:
-    """The degree's loops as (top id, bottom id) in the order of `iter_loops`."""
-    return ((t, s) for t, key in enumerate(level.where) for s in level.classes[key])
-
-
-def _orbits(level: _Level, images: list[list[int]]) -> Iterator[tuple[tuple[int, int], list[tuple[int, int]]]]:
-    """For each orbit, in `_loop_order`, its first loop and that loop's images
-    under the maps; under maps that are not bijective orbits can overlap."""
-    seen = set()
-    for t, s in _loop_order(level):
-        if (t, s) not in seen:
-            orbit = [(im[t], im[s]) for im in images]
-            seen.update(orbit)
-            yield (t, s), orbit
+def _stabilizers(images, n: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Each of n rows' stabiliser, as an index into the distinct stabilisers."""
+    fixing = [[] for _ in range(n)]
+    for i, im in enumerate(images):
+        for r in compress(range(n), map(eq, im, range(n))):
+            fixing[r].append(i)
+    index = {}
+    return [index.setdefault(tuple(f), len(index)) for f in fixing], list(index)
 
 
 def _orbit_images(group: GroupAction, k: int) -> Iterator[list[Loop]]:
-    """`_orbits` of the group elements: the images of each first loop, read as loops."""
+    """For each orbit of degree-k loops, in canonical order of its first loop,
+    that loop's images under the group elements."""
     level, paths = group._level(k), group.graph.paths(k)
-    for (t, s), _ in _orbits(level, level.images[: group.order]):
-        first = Loop(paths[t][0], paths[t][1:] + paths[s][:0:-1])
-        yield [act_loop(h, first) for h in group.elements]
+    images, seen = level.images[: group.order], set()
+    for t, key in enumerate(level.where):
+        for s in level.classes[key]:
+            if (t, s) not in seen:
+                seen.update((im[t], im[s]) for im in images)
+                first = Loop(paths[t][0], paths[t][1:] + paths[s][:0:-1])
+                yield [act_loop(h, first) for h in group.elements]
 
 
 def fixed_space_basis(group: GroupAction, k: int) -> list[PlanarElement]:
     """Unnormalized orbit sums of degree-k loops, in canonical order of each
-    orbit's first loop.  For groups of bijective maps they are a basis of
-    the fixed space.  Under maps that are not bijective, orbits can overlap,
-    the orbit sums need not be fixed, and which orbit sums appear depends on
-    the order of the loop walk; so can the verifier's closure-expect verdict,
-    which reads the same orbits (docs/closure-multiply-and-burnside.md)."""
+    orbit's first loop: a basis of the fixed space."""
     one = RadicalScalar.one()
     return [PlanarElement(k, dict.fromkeys(images, one)) for images in _orbit_images(group, k)]
 
@@ -296,45 +299,31 @@ def burnside_dim(group: GroupAction, k: int) -> int:
 
 
 def _orbit_count(group: GroupAction, level: _Level) -> int:
-    """The loop orbits of a permutation group that maps loops to loops,
-    counted on the level's rows by base and endpoint: the orbit of a row r
-    holds one loop orbit per orbit of Stab(r) on r's class
-    (docs/closure-multiply-and-burnside.md)."""
+    """The loop orbits counted on the level's rows by base and endpoint: the
+    orbit of a row r holds one loop orbit per orbit of Stab(r) on r's class,
+    counted once per stabiliser and class (docs/closure-multiply-and-burnside.md)."""
     images = level.images[: group.order]
-    count, covered = 0, set()
-    for rows in level.classes.values():
+    count, covered, counted = 0, set(), {}
+    for key, rows in level.classes.items():
         for r in (r for r in rows if r not in covered):
             covered.update(im[r] for im in images)
-            stabilizer = [im for im in images if im[r] == r]
-            count += len({min(im[u] for im in stabilizer) for u in rows})
+            i = level.stabilizer[r]
+            if (i, key) not in counted:
+                stabilizer = [images[h] for h in level.stabilizers[i]]
+                counted[i, key] = len({min(im[u] for im in stabilizer) for u in rows})
+            count += counted[i, key]
     return count
 
 
 def fixed_dims_report(group: GroupAction, kmax: int) -> list[int]:
     """Fixed-space dimensions for degrees 0..kmax, counted two ways: by
-    Burnside's lemma on paths and by orbits on rows.
-
-    Both counts assume a group of permutations that maps loops to loops;
-    close_group does not check that, so every element is checked here
-    first, and every generator on each degree's rows.
-    """
+    Burnside's lemma on paths and by orbits on rows.  Refuses, as every
+    routine that reads the group's rows does, a group that sends a loop of
+    degree kmax or lower to a non-loop (InvalidAutomorphismError)."""
     if kmax < 0:
         raise ValidationError("kmax must be nonnegative")
-    g = group.graph
-    for element in group.elements:
-        _check_permutation(element.perm_a, g.num_a, "perm_a")
-        _check_permutation(element.perm_b, g.num_b, "perm_b")
-        _check_permutation(element.perm_e, len(g.edges), "perm_e")
     dims = []
     for k, level in enumerate(map(group._level, range(kmax + 1))):
-        # A generator sends every loop to a loop exactly when it maps each
-        # class of rows into one class (docs/closure-multiply-and-burnside.md).
-        n = len(level.where)
-        for im in level.images[group.order :]:
-            for rows in level.classes.values():
-                targets = {level.where[x] if x < n else None for x in map(im.__getitem__, rows)}
-                if len(targets) > 1 or None in targets:
-                    raise InvalidAutomorphismError(f"a generator sends a degree-{k} loop to a non-loop")
         by_count = _burnside_count(group, level)
         by_orbits = _orbit_count(group, level)
         if by_count != by_orbits:
@@ -378,38 +367,58 @@ class SubalgebraReport(NamedTuple):
         return all(c.passed for c in self.checks)
 
 
-def _sums(pairs) -> dict:
-    """Key -> sum of the integers paired with it."""
-    out = {}
-    for key, w in pairs:
-        out[key] = out[key] + w if key in out else w
-    return out
+def _expect_closed(group: GroupAction, k: int, weight: list[int]) -> bool:
+    """closure-expect(k) by Lemma E (docs/closure-multiply-and-burnside.md,
+    section 6): for each degree-(k - 1) loop (t, s) ending at v, and
+    H = Stab(t) & Stab(s), every generator keeps the weight sum of every
+    H-orbit on the edges attached at v.  Each pair of stabilisers is read
+    once per endpoint; `weight` is the step's squared spins, packed."""
+    level, attach = group._level(k - 1), group.graph.step(k - 1).attach
+    edge_maps, generator_maps = [h.perm_e for h in group.elements], [h.perm_e for h in group.generators]
+    seen = set()
+    for (_, v), rows in level.classes.items():
+        for i, j in combinations_with_replacement(sorted({level.stabilizer[r] for r in rows}), 2):
+            if (i, j, v) in seen:
+                continue
+            seen.add((i, j, v))
+            common = set(level.stabilizers[i]).intersection(level.stabilizers[j])
+            left = set(attach[v])
+            while left:
+                first = left.pop()
+                orbit = {edge_maps[h][first] for h in common}
+                left -= orbit
+                total = sum(weight[f] for f in orbit)
+                if any(sum(weight[e[f]] for f in orbit) != total for e in generator_maps):
+                    return False
+    return True
 
 
 def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
     """Exact verification that the fixed spaces form a planar subalgebra.
 
-    Per degree up to kmax, in one pass and without building an element:
-    orbit sums multiply back into the fixed space, decided as injectivity of
-    every generator on every orbit; include and shift send them to
-    invariants, decided as that and every generator's include or shift
-    equivariance; expect sends them to invariants and the Jones idempotents
-    are invariant, decided as push-forwards of positive weights on loops
-    (docs/closure-multiply-and-burnside.md); and every generating operation
-    commutes with the action on the loop basis, decided on (base, path) rows
-    for products (docs/equivariance-multiply.md) and on last edges and bases
-    for the others (docs/equivariance-include-expect-shift.md).  The cup-cap
-    terms and shift's prefixes are the graph's own (`cup_caps`,
-    `shift_prefixes`), the ones `tangles` applies.  The report lists the
-    closure checks of every degree first.
+    Per degree up to kmax, without building an element or walking the
+    loops; refuses a group that sends a loop of degree kmax or lower to a
+    non-loop (InvalidAutomorphismError).  Orbit sums multiply back into the
+    fixed space, and include and shift keep them there, at every degree
+    (Lemmas M and R); expect keeps them there when every generator keeps
+    the weight sum of each edge orbit of each pair of row stabilisers
+    (Lemma E); the Jones idempotents are invariant when every generator
+    sends each cup-cap term to one with the same coefficient
+    (docs/closure-multiply-and-burnside.md).  The action is multiplicative
+    on the loop basis, since every generator permutes the rows
+    (docs/equivariance-multiply.md), and commutes with include, expect and
+    shift when conditions on last edges and bases hold
+    (docs/equivariance-include-expect-shift.md).  The cup-cap terms and
+    shift's prefixes are the graph's own (`cup_caps`, `shift_prefixes`), the
+    ones `tangles` applies.  The report lists the closure checks of every
+    degree first.
     """
     if kmax < 0:
         raise ValidationError("kmax must be nonnegative")
     g = group.graph
     # Include, expect and shift equivariance are the edge conditions of Lemmas
     # I, E and S (docs/equivariance-include-expect-shift.md), read on every base
-    # and edge.  Expect's also needs e injective on the last edges of each class
-    # of rows; shift's compares the sets of prefixes that shift puts at each
+    # and edge; shift's compares the sets of prefixes that shift puts at each
     # base, the same at every degree.
     prefixes = [sorted(g.shift_prefixes(b)) for b in range(g.num_a)]
     shifts_commute = [
@@ -419,66 +428,44 @@ def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
         )
         for a, e in ((gen.perm_a, gen.perm_e) for gen in group.generators)
     ]
-    cols = group._composition()
-    # Both steps' squared spins, packed once: no orbit has more than |G| loops.
-    packed = {id(w): packed_numerators(w, group.order) for w in (g.step(0).spin_sq, g.step(1).spin_sq)}
+    # Both steps' squared spins, packed once: an edge orbit has at most one
+    # term per edge.
+    packed = {id(w): packed_numerators(w, len(w)) for w in (g.step(0).spin_sq, g.step(1).spin_sq)}
     closure, equivariance = [], []
     for k, level in enumerate(map(group._level, range(kmax + 1))):
-        # (parent id, last edge) of every id of degree k, rows and images, and
-        # the last edges of each class of rows.
-        parts = list(level.ids)
-        lasts = [{parts[r][1] for r in rows} for rows in level.classes.values()] if k else []
         # Rows of degree k end with the step at position k - 1; include adds
         # the step at k.
         attach = g.step(k).attach
         _, end, _, weight = g.step(k - 1)
-        includes_commute = []
-        for gen, im, shift_ok in zip(group.generators, level.images[group.order :], shifts_commute):
+        for gen, shift_ok in zip(group.generators, shifts_commute):
             a, e = gen.perm_a, gen.perm_e
-            equivariance.append(SubalgebraCheck("equivariance-multiply", k, len(set(im)) == len(im)))
+            # Every generator permutes the rows (docs/equivariance-multiply.md).
+            equivariance.append(SubalgebraCheck("equivariance-multiply", k, True))
             ends = zip(range(g.num_a), a) if k == 0 else ((v, end[e[l]]) for l, v in enumerate(end))
             ok = all(sorted(map(e.__getitem__, attach[v])) == list(attach[w]) for v, w in ends)
-            includes_commute.append(ok)
             equivariance.append(SubalgebraCheck("equivariance-include", k, ok))
             if k >= 1:
                 ok = all(w == weight[e[l]] for l, w in enumerate(weight))
-                ok = ok and all(len({e[f] for f in fs}) == len(fs) for fs in lasts)
                 equivariance.append(SubalgebraCheck("equivariance-expect", k, ok))
             equivariance.append(SubalgebraCheck("equivariance-shift", k, shift_ok))
-        # One walk over the loops: every generator is injective on every orbit,
-        # and pushes the positive weights that expect gives the truncations of
-        # the orbit's loops onto themselves (docs/closure-multiply-and-burnside.md).
-        injective, expect_ok = True, k >= 1
-        numerators = packed[id(weight)]
-        for _, orbit in _orbits(level, level.images[: group.order]):
-            at = {x: i for i, x in enumerate(orbit)}
-            injective = injective and all(len({orbit[c[i]] for i in at.values()}) == len(at) for c in cols)
-            if expect_ok:
-                cut = {}
-                for x in at:
-                    (t, f), (s, f2) = parts[x[0]], parts[x[1]]
-                    if f == f2:
-                        cut[x] = ((t, s), numerators[f])
-                weighted = _sums(cut.values())
-                expect_ok = all(
-                    _sums((cut[orbit[c[at[x]]]][0], w) for x, (_, w) in cut.items()) == weighted for c in cols
-                )
-        # Orbit sums and their include and shift images are 0/1 elements, invariant
-        # exactly when each generator permutes their terms (docs/closure-multiply-and-burnside.md).
-        closure.append(SubalgebraCheck("closure-multiply", k, injective))
+        # Lemma M: every generator permutes every orbit.  Lemma R: a group that
+        # keeps the loops of degree k + 1 (k + 2) keeps include's (shift's)
+        # image of every orbit sum, and every degree up to kmax is accepted
+        # before a report returns (docs/closure-multiply-and-burnside.md).
+        closure.append(SubalgebraCheck("closure-multiply", k, True))
         if k + 1 <= kmax:
-            closure.append(SubalgebraCheck("closure-include", k, injective and all(includes_commute)))
+            closure.append(SubalgebraCheck("closure-include", k, True))
         if k >= 1:
-            closure.append(SubalgebraCheck("closure-expect", k, expect_ok))
+            closure.append(SubalgebraCheck("closure-expect", k, _expect_closed(group, k, packed[id(weight)])))
         if k + 2 <= kmax:
-            closure.append(SubalgebraCheck("closure-shift", k, injective and all(shifts_commute)))
+            closure.append(SubalgebraCheck("closure-shift", k, True))
         if k >= 2:
-            # The terms of the raw cup-cap of degree k, which jones_projection
-            # scales, have positive coefficients: pushed forward by each
-            # generator, on the ids of their rows.
+            # Every generator permutes the rows, so it keeps the raw cup-cap
+            # of degree k exactly when it sends each term to a term with the
+            # same coefficient (docs/closure-multiply-and-burnside.md).
             terms = group._cup_cap_terms(k)
             ok = all(
-                _sums(((im[t], im[s]), c) for (t, s), c in terms.items()) == terms
+                all(terms.get((im[t], im[s])) == c for (t, s), c in terms.items())
                 for im in level.images[group.order :]
             )
             closure.append(SubalgebraCheck("projection-invariant", k, ok))

@@ -70,17 +70,26 @@ def expect(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
 
 def jones_projection_raw(g: BipartiteGraph, k: int) -> PlanarElement:
     """The cup-cap element of degree k+2, before normalization."""
-    if k < 0:
-        raise ValidationError("k must be nonnegative")
-    paths, terms = g.paths(k + 2), {}
-    for (t, u), c in g.cup_caps(k).items():
-        terms[Loop.from_paths(paths[t][0], paths[t][1:], paths[u][1:])] = c
-    return PlanarElement(k + 2, terms)
+    return _cup_cap(g, k, RadicalScalar.one())
 
 
 def jones_projection(g: BipartiteGraph, k: int) -> PlanarElement:
     """The degree-(k+2) Jones idempotent: cup-cap over the graph eigenvalue."""
-    return jones_projection_raw(g, k).scaled(g.gamma.invert())
+    return _cup_cap(g, k, g.gamma.invert())
+
+
+def _cup_cap(g: BipartiteGraph, k: int, scale: RadicalScalar) -> PlanarElement:
+    """The cup-cap element of degree k+2 with every coefficient times scale,
+    built once from the graph's terms.  Those share one coefficient object
+    per pair of edges at an endpoint, so each is scaled once."""
+    if k < 0:
+        raise ValidationError("k must be nonnegative")
+    paths, terms, scaled = g.paths(k + 2), {}, {}
+    for (t, u), c in g.cup_caps(k).items():
+        if id(c) not in scaled:
+            scaled[id(c)] = c * scale
+        terms[Loop.from_paths(paths[t][0], paths[t][1:], paths[u][1:])] = scaled[id(c)]
+    return PlanarElement(k + 2, terms)
 
 
 def trace(g: BipartiteGraph, x: PlanarElement) -> RadicalScalar:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
-import hashlib
+import functools
 import itertools
 import random
 from collections import Counter
@@ -110,7 +110,7 @@ class TestMakeAutomorphism:
     def test_integer_entries(self, graphs):
         # Entries of type int pass at once; bool and float entries are still
         # refused with the same message, by make_automorphism and by
-        # fixed_dims_report, and other int subclasses are still integers.
+        # close_group, and other int subclasses are still integers.
         class Index(int):
             pass
 
@@ -119,9 +119,8 @@ class TestMakeAutomorphism:
             with pytest.raises(InvalidAutomorphismError) as refused:
                 make_automorphism(g, [0], entries)
             assert str(refused.value) == f"perm_b has an entry that is not an integer: {entries}"
-        group = close_group(g, [GraphAutomorphism((0,), (True, False), (1, 0))])
         with pytest.raises(InvalidAutomorphismError) as refused:
-            fixed_dims_report(group, 1)
+            close_group(g, [GraphAutomorphism((0,), (True, False), (1, 0))])
         assert str(refused.value) == "perm_b has an entry that is not an integer: (True, False)"
         auto = make_automorphism(g, [Index(0)], [Index(1), Index(0)])
         assert auto.perm_b == (1, 0)
@@ -201,18 +200,25 @@ class TestCloseGroup:
             with pytest.raises(InvalidAutomorphismError, match=label):
                 close_group(g, [gen])
 
-    def test_accepts_raw_maps_within_the_graph(self, graphs):
-        # Merged entries and entries past the first n are not read as
-        # vertices or edges, so such maps still close.
+    def test_refuses_raw_maps_within_the_graph(self, graphs):
+        # Maps that merge vertices or edges, or carry entries past the first
+        # n, are not permutations: close_group refuses them with the message
+        # that make_automorphism gives.
         g = graphs("C-in-C2")
-        assert close_group(g, [GraphAutomorphism((0,), (0, 0), (1, 1))]).order == 2
-        assert close_group(g, [GraphAutomorphism((0, 7), (1, 0, 9), (1, 0, 5))]).order == 2
+        for gen, message in (
+            (GraphAutomorphism((0,), (0, 0), (1, 1)), "perm_b is not a permutation of 0..1: (0, 0)"),
+            (GraphAutomorphism((0, 7), (1, 0, 9), (1, 0, 5)), "perm_a is not a permutation of 0..0: (0, 7)"),
+            (GraphAutomorphism((0,), (1, 0), (0, 0)), "perm_e is not a permutation of 0..1: (0, 0)"),
+        ):
+            with pytest.raises(InvalidAutomorphismError) as refused:
+                close_group(g, [gen])
+            assert str(refused.value) == message
 
     def test_ragged_maps_are_refused_or_run(self, graphs):
         # Seeded maps shorter or longer than the vertex and edge lists,
         # naming vertices and edges that may not exist: close_group refuses
-        # each set up front or every later call ends in a verdict or a
-        # package error, never an IndexError.
+        # each set that is not made of permutations up front, and every later
+        # call ends in a verdict or a package error, never an IndexError.
         rng = random.Random(7)
         refused = 0
         for index in range(300):
@@ -229,10 +235,11 @@ class TestCloseGroup:
             except InvalidAutomorphismError:
                 refused += 1
                 continue
-            verify_planar_subalgebra(group, kmax)
+            with contextlib.suppress(InvalidAutomorphismError):
+                verify_planar_subalgebra(group, kmax)
             with contextlib.suppress(InvalidAutomorphismError):
                 fixed_dims_report(group, kmax)
-        assert 10 <= refused <= 290
+        assert 10 <= refused <= 299
 
 
 class TestAction:
@@ -309,15 +316,13 @@ class TestFixedSpaces:
         assert basis[1].terms == {Loop(0, (0, 0, 1, 1)): one, Loop(0, (1, 1, 0, 0)): one}
 
     def test_rejects_maps_that_are_not_permutations(self, graphs):
-        # close_group takes raw maps that are not bijective; counting fixed
-        # loops under them must refuse, not fail an internal check.
+        # Maps that are not bijective are refused when the group is closed,
+        # before any count, not by an internal check.
         g = graphs("C-in-C2")
-        group = close_group(g, [GraphAutomorphism((0,), (0, 0), (0, 0))])
         with pytest.raises(InvalidAutomorphismError, match="perm_b"):
-            fixed_dims_report(group, 2)
-        group = close_group(g, [GraphAutomorphism((0,), (1, 0), (0, 0))])
+            close_group(g, [GraphAutomorphism((0,), (0, 0), (0, 0))])
         with pytest.raises(InvalidAutomorphismError, match="perm_e"):
-            fixed_dims_report(group, 2)
+            close_group(g, [GraphAutomorphism((0,), (1, 0), (0, 0))])
 
     def test_rejects_maps_that_send_loops_to_non_loops(self, graphs):
         # Permutations of every vertex and edge set, but edge 0 (a0-b0) goes
@@ -327,6 +332,26 @@ class TestFixedSpaces:
         group = close_group(g, [GraphAutomorphism((0,), (0, 1, 2), (2, 1, 0, 3))])
         with pytest.raises(InvalidAutomorphismError, match="degree-1 loop"):
             fixed_dims_report(group, 1)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda group: fixed_dims_report(group, 2),
+            lambda group: burnside_dim(group, 2),
+            lambda group: fixed_space_basis(group, 2),
+            lambda group: verify_planar_subalgebra(group, 2),
+        ],
+        ids=["fixed_dims_report", "burnside_dim", "fixed_space_basis", "verify_planar_subalgebra"],
+    )
+    def test_every_reader_refuses_maps_that_send_loops_to_non_loops(self, graphs, read):
+        # The map of the test above: every routine that reads the group's rows
+        # refuses it with one message, at the same degree, and degree 0 still
+        # reads.
+        group = close_group(graphs("C-in-C2xM2"), [GraphAutomorphism((0,), (0, 1, 2), (2, 1, 0, 3))])
+        with pytest.raises(InvalidAutomorphismError) as refused:
+            read(group)
+        assert str(refused.value) == "a generator sends a degree-1 loop to a non-loop"
+        assert fixed_dims_report(group, 0) == [1]
 
     def test_counts_maps_that_keep_loops(self, graphs):
         # Swapping the edges at b0 and b1 but not the vertices breaks
@@ -463,24 +488,76 @@ def _ragged_map(rng: random.Random, size: int) -> tuple[int, ...]:
     return tuple(rng.randrange(max(length, size)) for _ in range(length))
 
 
-def _raw_map(rng: random.Random, size: int) -> tuple[int, ...]:
-    """Identity, a permutation, or an arbitrary self-map of 0..size-1."""
-    kind = rng.randrange(3)
-    if kind == 0:
-        return tuple(range(size))
-    if kind == 1:
-        return tuple(rng.sample(range(size), size))
-    return tuple(rng.randrange(size) for _ in range(size))
-
-
-# (graph, kmax) for the seeded raw generator sets; the pairwise oracle is
+# (graph, kmax) for the seeded generator sets; the pairwise oracle is
 # quadratic in the loop count, so the six-index graph stops at degree 2.
 RAW_CASES = (("C-in-C2", 3), ("C2-in-M2", 3), ("C-in-C2xM2", 2), ("C-in-C3", 3))
 
+# A disjoint union of two Markov inclusions of index 6 (blocks (2, 2) and
+# (1, 1)), and a permutation of its vertices and edges that sends every loop
+# of degree 0 and 1 to a loop but moves edge weights: perm_e sends e0 (squared
+# spin 2/3 sqrt 3) to e1 (1/3 sqrt 3).  No corpus graph has a permutation
+# group that keeps loops and fails a closure check.
+UNION = InclusionData([2, 2, 1, 1], [[1, 1, 0, 0, 0, 0], [1, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 1], [0, 0, 0, 0, 1, 1]])
+UNION_GENERATOR = GraphAutomorphism((0, 3, 1, 2), (1, 4, 0, 5, 2, 3), (1, 0, 6, 7, 3, 2, 5, 4))
+
+
+@functools.cache
+def union_graph():
+    return build_graph(UNION)
+
+
+def _permutation(rng: random.Random, size: int) -> tuple[int, ...]:
+    return tuple(rng.sample(range(size), size))
+
+
+def _permutation_generator(rng: random.Random, g) -> GraphAutomorphism:
+    """Seeded permutations of the vertices and edges: perm_e is uniform, or
+    sends the edges at each lower vertex b to those at perm_a[b] (when their
+    numbers agree), so that more of the maps keep loops.  Incidence and
+    weights are not kept."""
+    perm_a = _permutation(rng, g.num_a)
+    ups = [g.edges_up(i) for i in range(g.num_a)]
+    if rng.randrange(2) and all(len(ups[i]) == len(ups[j]) for i, j in enumerate(perm_a)):
+        perm_e = [0] * len(g.edges)
+        for i, j in enumerate(perm_a):
+            for f, image in zip(ups[i], rng.sample(ups[j], len(ups[j]))):
+                perm_e[f] = image
+    else:
+        perm_e = _permutation(rng, len(g.edges))
+    return GraphAutomorphism(perm_a, _permutation(rng, g.num_b), tuple(perm_e))
+
+
+def kept_degree(group, cap: int) -> int:
+    """The highest degree d <= cap such that every generator sends every
+    loop of degree d or lower to a loop, tested loop by loop with
+    is_valid_loop; degree 0 always passes."""
+    g = group.graph
+    for k in range(1, cap + 1):
+        if not all(g.is_valid_loop(act_loop(gen, l)) for l in g.iter_loops(k) for gen in group.generators):
+            return k - 1
+    return cap
+
+
+def _seeded_groups(graphs, seed: int, count: int, cap: int = 3):
+    """Seeded groups of one or two permutation generators, each at the
+    highest degree up to its graph's kmax (and cap) to which it keeps
+    loops.  The graphs are those of RAW_CASES and, every fifth set, the
+    disjoint union, whose sets larger than 200 elements are skipped."""
+    rng = random.Random(seed)
+    for index in range(count):
+        name, kmax = RAW_CASES[index % len(RAW_CASES)]
+        g, kmax = (union_graph(), 1) if index % 5 == 4 else (graphs(name), kmax)
+        gens = [_permutation_generator(rng, g) for _ in range(rng.randint(1, 2))]
+        try:
+            group = close_group(g, gens, limit=200)
+        except GroupTooLargeError:
+            continue
+        yield group, kept_degree(group, min(kmax, cap))
+
 
 def _oracle_cases(graphs):
-    """Valid groups on corpus graphs, then seeded raw generator tuples that
-    close_group accepts without checking bijectivity or incidence."""
+    """Groups of automorphisms on corpus graphs, the disjoint-union group,
+    then seeded permutation groups, each at a degree to which it keeps loops."""
     valid = (
         ("C-in-C2", 3, [([0], [1, 0], None)]),
         ("C-in-C3", 3, [([0], [1, 2, 0], None), ([0], [1, 0, 2], None)]),
@@ -492,17 +569,8 @@ def _oracle_cases(graphs):
     for name, kmax, gens in valid:
         g = graphs(name)
         yield close_group(g, [make_automorphism(g, *gen) for gen in gens]), kmax
-    rng = random.Random(20090)
-    for index in range(40):
-        name, kmax = RAW_CASES[index % len(RAW_CASES)]
-        g = graphs(name)
-        gens = [
-            GraphAutomorphism(
-                _raw_map(rng, g.num_a), _raw_map(rng, g.num_b), _raw_map(rng, len(g.edges))
-            )
-            for _ in range(rng.randint(1, 2))
-        ]
-        yield close_group(g, gens), kmax
+    yield close_group(union_graph(), [UNION_GENERATOR]), 1
+    yield from _seeded_groups(graphs, 20090, 40)
 
 
 class TestEquivarianceMultiply:
@@ -513,18 +581,23 @@ class TestEquivarianceMultiply:
             found = [c for c in report.checks if c.name == "equivariance-multiply"]
             assert found == pairwise_multiplicative(group, kmax)
             verdicts.extend(c.passed for c in found)
-        # Both verdicts occur, so agreement is not vacuous.
-        assert verdicts.count(False) >= 10
-        assert verdicts.count(True) >= 10
+        # Every generator permutes the rows, so every check passes
+        # (docs/equivariance-multiply.md), by products too.
+        assert len(verdicts) >= 100 and all(verdicts)
 
     def test_degree_zero_follows_perm_a(self, graphs):
+        # A perm_a that merges two bases would send two orthogonal points to
+        # one idempotent; close_group refuses it.
         g = graphs("C2-in-M2")
-        for perm_a, injective in (((0, 1), True), ((1, 0), True), ((0, 0), False), ((1, 1), False)):
+        for perm_a in ((0, 1), (1, 0)):
             group = close_group(g, [GraphAutomorphism(perm_a, (0,), (0, 1))])
             report = verify_planar_subalgebra(group, 0)
             (check,) = [c for c in report.checks if c.name == "equivariance-multiply"]
-            assert check.passed is injective
+            assert check.passed
             assert [check] == pairwise_multiplicative(group, 0)
+        for perm_a in ((0, 0), (1, 1)):
+            with pytest.raises(InvalidAutomorphismError, match="perm_a is not a permutation"):
+                close_group(g, [GraphAutomorphism(perm_a, (0,), (0, 1))])
 
 
 def every_loop_equivariance(group, kmax: int, multiply) -> list[SubalgebraCheck]:
@@ -671,7 +744,7 @@ def test_cup_caps_and_shift_prefixes_have_one_definition(graphs, monkeypatch):
 class TestEquivarianceIncludeExpectShift:
     def test_matches_every_loop_oracle(self, graphs):
         verdicts = {}
-        for group, kmax in _oracle_cases(graphs):
+        for group, kmax in _closure_cases(graphs):
             report = verify_planar_subalgebra(group, kmax)
             multiply = [c for c in report.checks if c.name == "equivariance-multiply"]
             expected = every_loop_equivariance(group, kmax, multiply)
@@ -681,9 +754,14 @@ class TestEquivarianceIncludeExpectShift:
             for c in expected:
                 verdicts.setdefault(c.name, []).append(c.passed)
         # Both verdicts occur in every family, so agreement is not vacuous.
-        for name in ("equivariance-include", "equivariance-expect", "equivariance-shift"):
-            assert verdicts[name].count(False) >= 10, name
-            assert verdicts[name].count(True) >= 10, name
+        failing = {name: passed.count(False) for name, passed in verdicts.items()}
+        assert failing == {
+            "equivariance-multiply": 0,
+            "equivariance-include": 37,
+            "equivariance-expect": 11,
+            "equivariance-shift": 104,
+        }
+        assert all(passed.count(True) >= 100 for passed in verdicts.values())
 
     def test_equivariance_pass_calls_no_generators(self, graphs, monkeypatch):
         # Work count, not timing.  The verifier calls no generating operation
@@ -740,35 +818,38 @@ class TestEquivarianceIncludeExpectShift:
         }
 
     def test_lemma_i_merged_edge_at_endpoint(self, graphs):
-        # Both edges of C2-in-M2 end at b0; sending both to e0 makes include
-        # attach e0 twice at b0 (degrees 1 and 3), and e0 instead of e1 at a1
-        # (degree 0).  No two last edges of one row group merge and weights
-        # agree, so expect passes at degree 1.  Shift fails as well: its
-        # condition implies include's (docs/equivariance-include-expect-shift.md).
-        group = close_group(graphs("C2-in-M2"), [GraphAutomorphism((0, 1), (0,), (0, 0))])
-        failures = self._failures(group, 3)
-        assert {k for family, k in failures if family == "include"} == {0, 1, 3}
-        assert ("expect", 1) not in failures
+        # Sending both edges of C2-in-M2 to e0 would make include attach e0
+        # twice at b0; close_group refuses the map.  Among permutations, the
+        # base swap that keeps the edges fails include at degree 0: it sends
+        # a0, where e0 is attachable, to a1, where e1 is.  Shift fails with
+        # it, and from degree 1 the map sends loops to non-loops.
+        g = graphs("C2-in-M2")
+        with pytest.raises(InvalidAutomorphismError, match="perm_e"):
+            close_group(g, [GraphAutomorphism((0, 1), (0,), (0, 0))])
+        group = close_group(g, [GraphAutomorphism((1, 0), (0,), (0, 1))])
+        assert self._failures(group, 0) == {("include", 0), ("shift", 0)}
+        with pytest.raises(InvalidAutomorphismError, match="degree-1 loop"):
+            verify_planar_subalgebra(group, 1)
 
     def test_lemma_e_weight_changing_map(self, graphs):
-        # Swapping e0 (to b0, weight 1) with e2 (to b2, weight 2) in
-        # C-in-C2xM2 keeps every row group injective but changes the weight
-        # that expect reads on the loops with equal last edges.  At degree 2
-        # the attachable edges at a0 are all four edges either way, so
-        # include passes there while expect fails.
-        g = graphs("C-in-C2xM2")
-        group = close_group(g, [GraphAutomorphism((0,), (0, 1, 2), (2, 1, 0, 3))])
-        assert g.spin_factor_sq(0, "down") != g.spin_factor_sq(2, "down")
-        failures = self._failures(group, 2)
-        assert ("expect", 2) in failures
-        assert ("include", 2) not in failures
+        # The disjoint-union generator keeps every loop of degree 0 and 1 a
+        # loop but sends e0 to e1, whose squared spin differs, so expect
+        # fails at degree 1 while include passes at degree 0.
+        g = union_graph()
+        assert g.step(0).spin_sq[0] != g.step(0).spin_sq[1]
+        failures = self._failures(close_group(g, [UNION_GENERATOR]), 1)
+        assert ("expect", 1) in failures
+        assert ("include", 0) not in failures
 
     def test_lemma_s_merged_prefix_triples(self, graphs):
-        # Sending both bases of C2-in-M2 to a0 and both edges to e0 keeps
-        # include at degree 0 (each base gets back its one edge e0), but the
-        # two prefixes (a0, e0, e0) and (a1, e1, e0) that shift puts at a0
-        # merge into one.  At kmax 0 shift is the only failing lemma check.
-        group = close_group(graphs("C2-in-M2"), [GraphAutomorphism((0, 0), (0,), (0, 0))])
+        # Sending both bases of C2-in-M2 to a0 and both edges to e0 would
+        # merge the prefixes that shift puts at a0; close_group refuses the
+        # map.  The disjoint-union generator keeps include at degree 0 (each
+        # base's edges go onto the edges at its image) but not the prefixes
+        # at each base, so at kmax 0 shift is the only failing lemma check.
+        with pytest.raises(InvalidAutomorphismError, match="perm_a"):
+            close_group(graphs("C2-in-M2"), [GraphAutomorphism((0, 0), (0,), (0, 0))])
+        group = close_group(union_graph(), [UNION_GENERATOR])
         assert self._failures(group, 0) == {("shift", 0)}
 
 
@@ -817,10 +898,9 @@ def element_closure(group, kmax: int) -> list[SubalgebraCheck]:
 def loop_orbit_images(group, k: int, backward: bool = False):
     """For each degree-k orbit, in canonical order of its first loop, the
     images of that loop under the group elements, in element order: the
-    walk over `iter_loops` that the row-id walk of the verifier and of
-    fixed_space_basis must reproduce.  With `backward`, the walk runs over
-    `iter_loops` reversed, as the verifier's does with `_loop_order`
-    reversed."""
+    walk over `iter_loops` that fixed_space_basis must reproduce.  With
+    `backward`, the walk runs over `iter_loops` reversed, and meets the same
+    orbits in another order."""
     seen = set()
     loops = list(group.graph.iter_loops(k))
     for loop in reversed(loops) if backward else loops:
@@ -839,11 +919,13 @@ def radical_sums(pairs) -> dict:
 
 
 def loop_walk_report(group, kmax: int, backward: bool = False):
-    """The verifier on loops and row tuples: every check read off
-    `loop_orbit_images`, (base, *path) rows and `act_loop` images of the
-    cup-cap terms, closure-expect and projection-invariant as push-forwards
-    summed in RadicalScalar (`radical_sums`).  The oracle for the verifier's
-    row ids and integer numerators."""
+    """The verifier as it was before it read stabilisers: every check read
+    off the walk over loops `loop_orbit_images`, (base, *path) rows and
+    `act_loop` images of the cup-cap terms; closure-multiply as injectivity
+    on every orbit through a composition table of the group, closure-expect
+    and projection-invariant as push-forwards summed in RadicalScalar
+    (`radical_sums`).  The oracle for the verifier's constant checks, its
+    stabiliser pairs and its integer numerators."""
     g = group.graph
     prefixes = [sorted(g.shift_prefixes(b)) for b in range(g.num_a)]
     shifts_commute = [
@@ -912,16 +994,8 @@ def loop_walk_basis(group, k: int, backward: bool = False) -> list[PlanarElement
     return [PlanarElement(k, dict.fromkeys(images, one)) for images in loop_orbit_images(group, k, backward)]
 
 
-def _order_dependent_generators(g) -> list[GraphAutomorphism]:
-    """The single raw generators whose closure-expect(1) verdict, read by
-    `loop_walk_report`, changes when the walk runs backwards."""
-
-    def verdict(group, backward):
-        (check,) = [c for c in loop_walk_report(group, 1, backward).checks if c.name == "closure-expect"]
-        return check.passed
-
-    groups = [(gen, close_group(g, [gen])) for gen in _single_raw_generators(g)]
-    return [gen for gen, group in groups if verdict(group, False) != verdict(group, True)]
+def _sorted_reprs(elements) -> list[str]:
+    return sorted(map(repr, elements))
 
 
 class TestRowIdWalk:
@@ -930,77 +1004,64 @@ class TestRowIdWalk:
         report = verify_planar_subalgebra(group, kmax)
         assert report == loop_walk_report(group, kmax, backward)
         for k in range(kmax + 1):
-            assert fixed_space_basis(group, k) == loop_walk_basis(group, k, backward)
+            basis, walked = fixed_space_basis(group, k), loop_walk_basis(group, k, backward)
+            if backward:
+                # The same orbits, met in another order.
+                basis, walked = _sorted_reprs(basis), _sorted_reprs(walked)
+            assert basis == walked
         return report
 
     def test_matches_loop_walk_on_closure_cases(self, graphs):
         passed = [c.passed for group, kmax in _closure_cases(graphs) for c in self._agree(group, kmax).checks]
         assert passed.count(False) >= 100 and passed.count(True) >= 100
 
-    def test_matches_loop_walk_backwards_on_closure_cases(self, graphs, monkeypatch):
-        _reverse_loop_order(monkeypatch)
-        reports = [self._agree(group, kmax, True) for group, kmax in _closure_cases(graphs)]
-        passed = [c.passed for report in reports for c in report.checks]
+    def test_matches_loop_walk_backwards_on_closure_cases(self, graphs):
+        # The verifier walks no loops; the oracle walking them backwards
+        # meets every orbit of a group all the same.
+        passed = [c.passed for group, kmax in _closure_cases(graphs) for c in self._agree(group, kmax, True).checks]
         assert passed.count(False) >= 100 and passed.count(True) >= 100
 
-    def test_matches_loop_walk_on_raw_generators(self, graphs, monkeypatch):
-        # 256 of the 4,096 single raw generators of central-C2-in-M2xM2 at
-        # kmax 3, the graph where closure-expect depends on the walk's order:
-        # all 160 whose closure-expect(1) does, and 96 seeded others, each
-        # walked forwards and then backwards.
+    def test_matches_loop_walk_on_raw_generators(self, graphs):
+        # Every single raw generator of central-C2-in-M2xM2, the graph where
+        # closure-expect depended on the walk's order: close_group refuses the
+        # 4,000 that are not permutations; of the 96 permutations, those that
+        # keep loops up to degree 3 agree with the loop walk in both orders,
+        # and every other is refused by the verifier at the first degree
+        # where it sends a loop to a non-loop.
         g = graphs("central-C2-in-M2xM2")
-        dependent = _order_dependent_generators(g)
-        assert len(dependent) == 160
-        others = sorted(set(_single_raw_generators(g)) - set(dependent))
-        groups = [close_group(g, [gen]) for gen in dependent + random.Random(20093).sample(others, 96)]
-        verdicts = []
-        for backward in (False, True):
-            if backward:
-                _reverse_loop_order(monkeypatch)
-            reports = [self._agree(group, 3, backward) for group in groups]
-            checks = [c for report in reports for c in report.checks]
-            verdicts.append([c.passed for c in checks if c.name == "closure-expect"])
-        forward, backward = verdicts
-        assert forward.count(True) >= 10 and forward.count(False) >= 10
-        assert sum(a != b for a, b in zip(forward, backward)) == 160
+        groups, refused = [], 0
+        for gen in _single_raw_generators(g):
+            try:
+                groups.append(close_group(g, [gen]))
+            except InvalidAutomorphismError:
+                refused += 1
+        assert (refused, len(groups)) == (4000, 96)
+        kept = 0
+        for group in groups:
+            kmax = kept_degree(group, 3)
+            if kmax < 3:
+                with pytest.raises(InvalidAutomorphismError, match=f"degree-{kmax + 1} loop"):
+                    verify_planar_subalgebra(group, 3)
+            kept += kmax == 3
+            for backward in (False, True):
+                self._agree(group, kmax, backward)
+        assert kept == 16
 
     @pytest.mark.parametrize("name", [e.name for e in MARKOV_CORPUS])
     def test_walk_order_is_iter_loops_order(self, graphs, name):
         # Under the trivial group every orbit is one loop, met in the order
-        # of `_loop_order`, read back as loops.
+        # of `iter_loops`.
         g = graphs(name)
         group = close_group(g, [])
         for k in range(5):
             assert [images[0] for images in symmetry._orbit_images(group, k)] == list(g.iter_loops(k))
 
 
-def _merged_map(rng: random.Random, size: int) -> tuple[int, ...]:
-    """A permutation of 0..size-1 with one entry replaced by another's
-    value, so exactly two points merge (when size > 1)."""
-    perm = rng.sample(range(size), size)
-    if size > 1:
-        i, j = rng.sample(range(size), 2)
-        perm[i] = perm[j]
-    return tuple(perm)
-
-
 def _closure_cases(graphs):
-    """The oracle cases, then 200 more seeded raw sets whose maps are
-    identities, permutations, self-maps or permutations with one merged
-    entry, at degrees the pairwise oracle can afford."""
+    """The oracle cases, then 200 more seeded permutation groups, at degrees
+    the pairwise oracle can afford."""
     yield from _oracle_cases(graphs)
-    rng = random.Random(20091)
-    kinds = (_raw_map, _merged_map)
-    for index in range(200):
-        name, kmax = RAW_CASES[index % len(RAW_CASES)]
-        g = graphs(name)
-        gens = [
-            GraphAutomorphism(
-                *(rng.choice(kinds)(rng, size) for size in (g.num_a, g.num_b, len(g.edges)))
-            )
-            for _ in range(rng.randint(1, 2))
-        ]
-        yield close_group(g, gens), min(kmax, 2)
+    yield from _seeded_groups(graphs, 20091, 200, cap=2)
 
 
 class TestClosureMultiply:
@@ -1011,32 +1072,17 @@ class TestClosureMultiply:
             found = [c for c in report.checks if c.name == "closure-multiply"]
             assert found == pairwise_closure_multiply(group, kmax)
             verdicts.extend(c.passed for c in found)
-        # Both verdicts occur, so agreement is not vacuous.
-        assert verdicts.count(False) >= 10
-        assert verdicts.count(True) >= 10
+        # Lemma M: every check passes, by products too.
+        assert len(verdicts) >= 100 and all(verdicts)
 
-    def test_overlapping_orbits(self, graphs):
-        # Merging the two edges of C-in-C2 into e0 gives the monoid {1, m}:
-        # the orbits of [a0; e0; e0] and [a0; e1; e1] share [a0; e0; e0],
-        # and m is injective on the first but not the second, so closure
-        # fails from degree 1 on.
+    def test_overlapping_orbit_map_is_refused(self, graphs):
+        # Merging the two edges of C-in-C2 into e0 gave the monoid {1, m},
+        # whose orbits of [a0; e0; e0] and [a0; e1; e1] overlapped and whose
+        # orbit sums were not all fixed; close_group refuses the map.
         g = graphs("C-in-C2")
-        group = close_group(g, [GraphAutomorphism((0,), (0, 0), (0, 0))])
-        orbits = [set(images) for images in symmetry._orbit_images(group, 1)]
-        assert orbits == [{Loop(0, (0, 0))}, {Loop(0, (0, 0)), Loop(0, (1, 1))}]
-        report = verify_planar_subalgebra(group, 2)
-        found = [c for c in report.checks if c.name == "closure-multiply"]
-        assert [c.passed for c in found] == [True, False, False]
-        assert found == pairwise_closure_multiply(group, 2)
-
-    def test_overlapping_orbit_basis_is_pinned(self, graphs):
-        # The map of test_overlapping_orbits.  The digest was recorded when
-        # fixed_space_basis built each orbit as a set of loops.
-        group = close_group(graphs("C-in-C2"), [GraphAutomorphism((0,), (0, 0), (0, 0))])
-        text = "\n".join(repr(fixed_space_basis(group, k)) for k in (1, 2))
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "3dc4b1a0d2cd2f32ecd0eb9d5cfc79198c62ffe95fa71557866d8bf1f2fc9c64"
-        )
+        with pytest.raises(InvalidAutomorphismError) as refused:
+            close_group(g, [GraphAutomorphism((0,), (0, 0), (0, 0))])
+        assert str(refused.value) == "perm_b is not a permutation of 0..1: (0, 0)"
 
     def test_verifier_forms_no_products(self, graphs, monkeypatch):
         # Work count, not timing: products of orbit sums would be
@@ -1058,68 +1104,97 @@ class TestClosureMultiply:
         assert calls == 0
 
 
-def _reverse_loop_order(monkeypatch):
-    """Makes the verifier and fixed_space_basis walk each degree's loops
-    backwards."""
-    loop_order = symmetry._loop_order
-    monkeypatch.setattr(symmetry, "_loop_order", lambda level: reversed(list(loop_order(level))))
+class TestDisjointUnion:
+    """The disjoint-union group: a permutation group that keeps loops up to
+    degree 1 and fails a closure check there."""
+
+    def test_fixed_dims(self):
+        group = close_group(union_graph(), [UNION_GENERATOR])
+        assert group.order == 12
+        assert fixed_dims_report(group, 1) == [2, 3] == every_loop_fixed_dims(group, 1)
+        with pytest.raises(InvalidAutomorphismError, match="degree-2 loop"):
+            fixed_dims_report(group, 2)
+
+    def test_closure_expect_fails(self):
+        group = close_group(union_graph(), [UNION_GENERATOR])
+        report = _checked_report(group, 1)
+        assert report == loop_walk_report(group, 1)
+        failing = [(c.name, c.degree) for c in report.checks if not c.passed]
+        assert failing == [
+            ("closure-expect", 1),
+            ("equivariance-shift", 0),
+            ("equivariance-include", 1),
+            ("equivariance-expect", 1),
+            ("equivariance-shift", 1),
+        ]
+
+    def test_is_not_an_automorphism(self):
+        # perm_e sends e0 (a0-b0) to e1 (a0-b1) and e2 (a1-b0) to e6
+        # (a3-b4), so no vertex map fits it, and it moves the edge weights
+        # that every automorphism keeps.
+        g = union_graph()
+        with pytest.raises(InvalidAutomorphismError, match="incompatible endpoints"):
+            make_automorphism(g, *UNION_GENERATOR)
+        spin_sq = g.step(0).spin_sq
+        assert [spin_sq[f] for f in UNION_GENERATOR.perm_e] != list(spin_sq)
 
 
-def test_verdicts_do_not_depend_on_loop_order(graphs, monkeypatch):
-    # Under maps that are not bijective, orbits overlap and the verifier's
-    # orbits depend on which loop its walk meets first.  On these cases no
-    # verdict does; test_closure_expect_depends_on_loop_order shows one that does.
-    def walk(group, kmax):
-        orbits = [{frozenset(images) for images in symmetry._orbit_images(group, k)} for k in range(kmax + 1)]
-        return verify_planar_subalgebra(group, kmax), orbits
+def test_verifier_walks_no_loop_pairs(graphs, monkeypatch):
+    # Work count: the verifier reads each class of rows of degrees 0-5 once,
+    # for the stabilisers of its rows, and never pairs rows into loops or
+    # enumerates orbits; a loop walk, like fixed_space_basis, reads a class
+    # once per row in it.
+    g = build_graph(corpus_entry("C-in-C4").inclusion())
+    group = close_group(
+        g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
+    )
+    fixed_dims_report(group, 6)
+    reads = Counter()
 
-    cases = list(_closure_cases(graphs))
-    before = [walk(group, kmax) for group, kmax in cases]
-    _reverse_loop_order(monkeypatch)
-    after = [walk(group, kmax) for group, kmax in cases]
-    assert [report for report, _ in after] == [report for report, _ in before]
-    # The reversed walk meets other orbits in many cases, so it is not vacuous.
-    assert sum(a[1] != b[1] for a, b in zip(after, before)) >= 100
+    class Counted(list):
+        def __iter__(self):
+            reads[id(self)] += 1
+            return super().__iter__()
+
+    for k in range(7):
+        classes = group._level(k).classes
+        for key in classes:
+            classes[key] = Counted(classes[key])
+    with monkeypatch.context() as patch:
+        patch.setattr(symmetry, "_orbit_images", None)
+        assert verify_planar_subalgebra(group, 6).all_passed
+    assert sorted(reads.values()) == [1] * sum(len(group._level(k).classes) for k in range(6))
+    reads.clear()
+    fixed_space_basis(group, 6)
+    assert sum(reads.values()) == len(group._level(6).where) == 64
 
 
-def test_closure_expect_depends_on_loop_order(graphs, monkeypatch):
-    # On central-C2-in-M2xM2 the raw map swaps the bases and sends e1, e3 to
-    # e2.  The orbit of [a1; e2; e2] is {[a0; e0; e0], [a1; e0; e0],
-    # [a1; e2; e2]}; expect sends its sum to a0 + 2 a1 (every weight is one),
-    # which the base swap moves.  The canonical walk meets [a1; e2; e2] inside
-    # the orbit of [a0; e1; e1] and never tests that orbit; walked backwards it
-    # starts an orbit there.  So closure-expect(1) reads True on the walked
-    # orbits, but every loop's orbit would read False.
-    g = graphs("central-C2-in-M2xM2")
-    group = close_group(g, [GraphAutomorphism((1, 0), (0, 0), (0, 2, 0, 2))])
-    witness = {act_loop(h, Loop(1, (2, 2))) for h in group.elements}
-    assert witness == {Loop(0, (0, 0)), Loop(1, (0, 0)), Loop(1, (2, 2))}
-    one = RadicalScalar.one()
-    cut = expect(g, PlanarElement(1, dict.fromkeys(witness, one)))
-    assert cut == PlanarElement(0, {Loop(0, ()): one, Loop(1, ()): one + one})
-    assert act(group.generators[0], cut) != cut
+def test_verdicts_do_not_depend_on_loop_order(graphs):
+    # The orbits of a group partition the loops, so the loop-walk oracle
+    # reads the same report walking either way, and the verifier, which
+    # walks no loops, reads it too; the backward walk meets the orbits in
+    # another order in many cases, so that is not vacuous.
+    reordered = 0
+    for group, kmax in _closure_cases(graphs):
+        report = verify_planar_subalgebra(group, kmax)
+        assert loop_walk_report(group, kmax) == report == loop_walk_report(group, kmax, True)
+        for k in range(kmax + 1):
+            forward, backward = (list(loop_orbit_images(group, k, way)) for way in (False, True))
+            assert sorted(map(frozenset, forward), key=sorted) == sorted(map(frozenset, backward), key=sorted)
+            reordered += forward != backward[::-1]
+    assert reordered >= 100
 
-    def walk():
-        orbits = [set(images) for images in symmetry._orbit_images(group, 1)]
-        return [(c.name, c.degree, c.passed) for c in verify_planar_subalgebra(group, 1).checks], orbits
 
-    canonical, orbits = walk()
-    assert witness not in orbits
-    _reverse_loop_order(monkeypatch)
-    backward, orbits = walk()
-    assert witness in orbits
-    equivariance = [
-        ("equivariance-multiply", 0, True),
-        ("equivariance-include", 0, False),
-        ("equivariance-shift", 0, False),
-        ("equivariance-multiply", 1, True),
-        ("equivariance-include", 1, False),
-        ("equivariance-expect", 1, True),
-        ("equivariance-shift", 1, False),
-    ]
-    head = [("closure-multiply", 0, True), ("closure-include", 0, False), ("closure-multiply", 1, False)]
-    assert canonical == head + [("closure-expect", 1, True)] + equivariance
-    assert backward == head + [("closure-expect", 1, False)] + equivariance
+def test_walk_order_witness_is_refused(graphs):
+    # On central-C2-in-M2xM2 the raw map that swaps the bases and sends e1
+    # and e3 to e2 passed closure-expect(1) walking the loops forwards and
+    # failed it walking them backwards; close_group refuses it.  The
+    # disjoint-union group fails closure-expect(1) in both walk orders.
+    with pytest.raises(InvalidAutomorphismError, match="perm_b"):
+        close_group(graphs("central-C2-in-M2xM2"), [GraphAutomorphism((1, 0), (0, 0), (0, 2, 0, 2))])
+    group = close_group(union_graph(), [UNION_GENERATOR])
+    for report in (verify_planar_subalgebra(group, 1), loop_walk_report(group, 1), loop_walk_report(group, 1, True)):
+        assert [c.passed for c in report.checks if c.name == "closure-expect"] == [False]
 
 
 def _checked_report(group, kmax: int):
@@ -1151,83 +1226,102 @@ class TestClosureIncludeShift:
             for c in _checked_report(group, kmax).checks:
                 if not c.name.startswith("equivariance-"):
                     verdicts.setdefault(c.name, []).append(c.passed)
-        # Both verdicts occur in every family, so agreement is not vacuous.
+        # closure-multiply, -include and -shift pass by Lemmas M and R;
+        # closure-expect fails on disjoint-union groups, and agreement with
+        # the oracle is not vacuous there.
         assert len(verdicts) == 5
-        for name, passed in verdicts.items():
-            assert passed.count(False) >= 10, name
-            assert passed.count(True) >= 10, name
+        failing = {name: passed.count(False) for name, passed in verdicts.items()}
+        assert failing == {
+            "closure-multiply": 0,
+            "closure-include": 0,
+            "closure-expect": 5,
+            "closure-shift": 0,
+            "projection-invariant": 0,
+        }
+        assert all(passed.count(True) >= 10 for passed in verdicts.values())
 
     @pytest.mark.parametrize("name, count", [("C-in-C2", 16), ("C-in-M2", 4), ("C2-in-M2", 16)])
     def test_every_single_raw_generator(self, graphs, name, count):
+        # close_group refuses every raw generator that is not a permutation;
+        # each permutation runs against the element oracle at the highest
+        # degree up to 3 to which it keeps loops, and one degree on is refused.
         g = graphs(name)
         gens = _single_raw_generators(g)
         assert len(gens) == count
-        verdicts = [
-            c.passed
-            for gen in gens
-            for c in _checked_report(close_group(g, [gen]), 3).checks
-            if c.name in ("closure-include", "closure-shift")
-        ]
-        assert True in verdicts and False in verdicts
+        groups = []
+        for gen in gens:
+            with contextlib.suppress(InvalidAutomorphismError):
+                groups.append(close_group(g, [gen]))
+        assert len(groups) == {"C-in-C2": 4, "C-in-M2": 2, "C2-in-M2": 4}[name]
+        for group in groups:
+            kmax = kept_degree(group, 3)
+            _checked_report(group, kmax)
+            if kmax < 3:
+                with pytest.raises(InvalidAutomorphismError, match=f"degree-{kmax + 1} loop"):
+                    verify_planar_subalgebra(group, kmax + 1)
 
     def test_non_injective_generator_fails_include(self, graphs):
-        # The overlapping orbits of TestClosureMultiply: merging the two edges
-        # of C-in-C2 keeps include equivariant at degree 1 (each upper vertex
-        # has one edge down), but the merged orbit sum loses a term.
-        group = close_group(graphs("C-in-C2"), [GraphAutomorphism((0,), (0, 0), (0, 0))])
-        verdicts = _verdicts(group, 2)
-        assert verdicts[("equivariance-include", 1)]
-        assert not verdicts[("closure-multiply", 1)]
-        assert not verdicts[("closure-include", 1)]
+        # Merging the two edges of C-in-C2 left an orbit sum short of a term
+        # under include; close_group refuses the map.
+        with pytest.raises(InvalidAutomorphismError, match="perm_b"):
+            close_group(graphs("C-in-C2"), [GraphAutomorphism((0,), (0, 0), (0, 0))])
 
     def test_non_injective_generator_fails_shift(self, graphs):
-        # Sending both bases of central-C2-in-M2xM2 to a0 and the parallel
-        # edges at a1 onto those at a0 keeps shift equivariant: each base's
-        # prefix triples go one to one onto a0's.  But the orbit {a1, a0} of
-        # points merges, and with it the shifted orbit sum.
-        group = close_group(
-            graphs("central-C2-in-M2xM2"), [GraphAutomorphism((0, 0), (0, 0), (0, 1, 0, 1))]
-        )
-        verdicts = _verdicts(group, 2)
-        assert verdicts[("equivariance-shift", 0)]
-        assert not verdicts[("closure-multiply", 0)]
-        assert not verdicts[("closure-shift", 0)]
+        # Sending both bases of central-C2-in-M2xM2 to a0 merged the orbit
+        # {a1, a0} of points and its shifted orbit sum; close_group refuses
+        # the map.
+        with pytest.raises(InvalidAutomorphismError, match="perm_a"):
+            close_group(graphs("central-C2-in-M2xM2"), [GraphAutomorphism((0, 0), (0, 0), (0, 1, 0, 1))])
 
     def test_edge_condition_fails_include(self, graphs):
-        # Sending both edges of C2-in-M2 to e0 fixes each base, so orbits of
-        # points stay injective, but include attaches e0 at a1 where only e1
-        # is attachable.
-        group = close_group(graphs("C2-in-M2"), [GraphAutomorphism((0, 1), (0,), (0, 0))])
-        verdicts = _verdicts(group, 3)
+        # Sending both edges of C2-in-M2 to e0 attached e0 at a1; close_group
+        # refuses the map.  For a permutation, include's edge condition at
+        # degree k reads the rows of degree k + 1, so it can fail only at
+        # kmax, where no closure-include is reported (Lemma R): the base swap
+        # that keeps the edges fails it at kmax 0, and at kmax 1 is refused.
+        g = graphs("C2-in-M2")
+        with pytest.raises(InvalidAutomorphismError, match="perm_e"):
+            close_group(g, [GraphAutomorphism((0, 1), (0,), (0, 0))])
+        group = close_group(g, [GraphAutomorphism((1, 0), (0,), (0, 1))])
+        verdicts = _verdicts(group, 0)
         assert verdicts[("closure-multiply", 0)]
         assert not verdicts[("equivariance-include", 0)]
-        assert not verdicts[("closure-include", 0)]
+        assert ("closure-include", 0) not in verdicts
+        with pytest.raises(InvalidAutomorphismError, match="degree-1 loop"):
+            verify_planar_subalgebra(group, 1)
 
     @pytest.mark.parametrize("perm_a, perm_e", [((1, 0), (0, 1)), ((0, 1), (1, 0))])
     def test_shift_pins_the_base(self, graphs, perm_a, perm_e):
         # C2-in-M2 has edges e0 = a0-b0 and e1 = a1-b0.  Moving the bases but
-        # not the edges, or the edges but not the bases, keeps every orbit
-        # injective, yet shift's bounce prefix (d, d) at base b goes to a
-        # loop whose base a(b) is not the lower end of its first edge e(d),
-        # which no shifted orbit sum holds.
+        # not the edges, or the edges but not the bases, sends shift's bounce
+        # prefix (d, d) at base b to a loop whose base a(b) is not the lower
+        # end of its first edge e(d): shift's edge condition fails at kmax 0.
+        # The rows of degree 1 go to non-rows, so from kmax 1 on the map is
+        # refused, and no closure-shift is ever reported for it (Lemma R).
         group = close_group(graphs("C2-in-M2"), [GraphAutomorphism(perm_a, (0,), perm_e)])
-        verdicts = _verdicts(group, 3)
-        assert all(verdicts[("closure-multiply", k)] for k in range(4))
+        verdicts = _verdicts(group, 0)
+        assert verdicts[("closure-multiply", 0)]
         assert not verdicts[("equivariance-shift", 0)]
-        assert not verdicts[("closure-shift", 0)] and not verdicts[("closure-shift", 1)]
+        with pytest.raises(InvalidAutomorphismError, match="degree-1 loop"):
+            verify_planar_subalgebra(group, 2)
 
-    def test_closure_expect_is_not_read_off_other_verdicts(self, graphs):
-        # On C-in-C2xM2, merging b1 and b2 into b0 and swapping e1 and e2
-        # keeps closure-multiply and fails equivariance-expect at degrees 1
-        # and 2, yet closure-expect passes at degree 1 and fails at degree 2:
-        # it is not a function of the verdicts the verifier already has.
-        group = close_group(graphs("C-in-C2xM2"), [GraphAutomorphism((0,), (0, 0, 0), (0, 2, 1, 3))])
-        verdicts = _verdicts(group, 3)
-        for k in (1, 2):
-            assert verdicts[("closure-multiply", k)] and verdicts[("closure-multiply", k - 1)]
-            assert not verdicts[("equivariance-expect", k)]
-        assert verdicts[("closure-expect", 1)]
-        assert not verdicts[("closure-expect", 2)]
+    def test_closure_expect_is_not_read_off_other_verdicts(self):
+        # On the disjoint union, two permutation generators that keep loops up
+        # to degree 1 both fail equivariance-expect(1), and pass every other
+        # check but equivariance-shift, yet closure-expect(1) fails for one
+        # and passes for the other: it is not a function of the verdicts the
+        # verifier already has.
+        g = union_graph()
+        other = GraphAutomorphism((3, 2, 1, 0), (1, 0, 3, 5, 4, 2), (6, 7, 5, 4, 2, 3, 1, 0))
+        outcomes = []
+        for gen in (UNION_GENERATOR, other):
+            verdicts = _verdicts(close_group(g, [gen]), 1)
+            assert not verdicts[("equivariance-expect", 1)]
+            outcomes.append(verdicts[("closure-expect", 1)])
+            rest = {key: v for key, v in verdicts.items() if key[0] not in ("closure-expect", "equivariance-expect")}
+            outcomes.append(rest)
+        assert outcomes[0] is False and outcomes[2] is True
+        assert outcomes[1] == outcomes[3]
 
 
 def every_loop_fixed_dims(group, kmax: int) -> list[int]:
@@ -1264,11 +1358,14 @@ def _outcome(call):
 
 class TestFixedDimsOnPaths:
     def test_matches_every_loop_oracle(self, graphs):
+        # Each case at its degree and one degree on, where the groups that
+        # keep loops only that far are refused.
         outcomes = []
         for group, kmax in _closure_cases(graphs):
-            got = _outcome(lambda: fixed_dims_report(group, kmax))
-            assert got == _outcome(lambda: every_loop_fixed_dims(group, kmax))
-            outcomes.append(type(got))
+            for degree in (kmax, kmax + 1):
+                got = _outcome(lambda: fixed_dims_report(group, degree))
+                assert got == _outcome(lambda: every_loop_fixed_dims(group, degree))
+                outcomes.append(type(got))
         # Dimensions and refusals both occur.
         assert outcomes.count(list) >= 10
         assert outcomes.count(str) >= 10
@@ -1342,10 +1439,9 @@ class TestFixedDimsOnPaths:
     def test_one_table_per_group(self, graphs, monkeypatch):
         # Work count: `fixed` calls fixed_dims_report and then the verifier,
         # and a second verifier call at a lower degree builds nothing.  The
-        # group extends its rows once per degree (4 calls for degrees 1-4),
-        # reads the cup-caps of degrees 2-4 once (3 calls) and builds its
-        # composition table once (24 elements x 2 generators = 48 compose
-        # calls).
+        # group extends its rows once per degree (4 calls for degrees 1-4)
+        # and reads the cup-caps of degrees 2-4 once (3 calls), and no call
+        # composes group elements.
         g = graphs("C-in-C4")
         group = close_group(
             g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
@@ -1365,7 +1461,7 @@ class TestFixedDimsOnPaths:
         assert fixed_dims_report(group, 4) == [1, 1, 2, 5, 15]
         assert verify_planar_subalgebra(group, 4).all_passed
         assert verify_planar_subalgebra(group, 3).all_passed
-        assert calls == {"extend": 4, "cup_caps": 3, "compose": 48}
+        assert calls == {"extend": 4, "cup_caps": 3}
 
     def test_cup_caps_read_no_paths(self, monkeypatch):
         # Work count: the verifier on C-in-C at kmax 1000 reads the cup-caps
@@ -1390,7 +1486,7 @@ class TestFixedDimsOnPaths:
         # Work count: on a fresh C-in-C, the graph builds one table of paths
         # per degree (1,001 for degrees 0-1000) and every reader shares it:
         # a group's fixed dimensions, the loops, the cup-caps and a second
-        # group.  Each group only interns its images (1,000 `_extend` calls).
+        # group.  Each group only looks up its images (1,000 `_extend` calls).
         calls = Counter()
 
         def counting(name, real):
@@ -1445,6 +1541,23 @@ class TestFixedDimsOnPaths:
                 assert count == len(list(loop_orbit_images(group, k))) == burnside_dim(group, k)
                 moving += _stabilizer_moves_a_row(group, k)
         assert moving >= 20
+
+    def test_stabilizer_table(self, graphs):
+        # Each row's stabiliser in the group's table against the elements
+        # that fix the row's path, on every case of `_closure_cases`; the
+        # distinct stabilisers are stored once each.
+        for group, kmax in _closure_cases(graphs):
+            g = group.graph
+            for k in range(kmax + 1):
+                level = group._level(k)
+                assert len(set(level.stabilizers)) == len(level.stabilizers)
+                for r, path in enumerate(g.paths(k)):
+                    fixing = tuple(
+                        i
+                        for i, h in enumerate(group.elements)
+                        if (h.perm_a[path[0]], *map(h.perm_e.__getitem__, path[1:])) == path
+                    )
+                    assert level.stabilizers[level.stabilizer[r]] == fixing
 
     @pytest.mark.parametrize("name", ["_burnside_count", "_orbit_count"])
     def test_count_mismatch_raises(self, graphs, monkeypatch, name):
