@@ -28,7 +28,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import NotInvertibleError, NotRepresentableError, ResourceLimitError, ValidationError
 
@@ -511,19 +511,6 @@ def sqrt_of_int(n: int) -> RadicalScalar:
     if n <= 0:
         raise NotRepresentableError(f"sqrt of non-positive integer {n}")
     return RadicalScalar.from_rational(n).sqrt()
-
-
-def packed_numerators(values: Sequence[RadicalScalar], count: int) -> list[int]:
-    """Each value as one integer that adds like it: its numerators over one
-    common denominator, one radical key per block of bits, each block wide
-    enough that a sum of at most `count` of the integers never carries into
-    the next.  Reduced keys are independent over the rationals, so two such
-    sums are equal exactly when the sums of the values are."""
-    den = lcm(*(v._den for v in values))
-    nums = [{k: n * (den // v._den) for k, n in v._num.items()} for v in values]
-    slot = {k: i for i, k in enumerate(dict.fromkeys(k for num in nums for k in num))}
-    width = (count * max((abs(n) for num in nums for n in num.values()), default=0)).bit_length() + 1
-    return [sum(n << width * slot[k] for k, n in num.items()) for num in nums]
 
 
 def sum_scalars(values: Iterable[RadicalScalar]) -> RadicalScalar:

@@ -1,6 +1,6 @@
 """Documentation references to tests name tests that exist, private names
-in code spans name code that exists, links to documents resolve, and the
-README lists every document."""
+in code spans name code that exists, cited sections of documents exist,
+links to documents resolve, and the README lists every document."""
 
 from __future__ import annotations
 
@@ -20,6 +20,15 @@ MENTION = re.compile(r"(?<![\w(/.-])docs/[\w.-]+\.md")
 FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
 CODE_SPAN = re.compile(r"`([^`]+)`")
 PRIVATE_NAME = re.compile(r"(?<!\w)_\w+")
+# A cited section: "docs/<name>.md, section N", "[<name>.md](<name>.md) §N" or
+# "section N of docs/<name>.md"; in a document, a bare "section N" or "§N"
+# cites that document.  "sections 5 and 8" and "§§4, 6 and 7" cite each number.
+CITATION = re.compile(
+    r"(?:(?P<before>[\w-]+\.md)[`)]*,?[\s#]*)?"
+    r"(?:sections?|§§?)\s*(?P<numbers>\d+(?:(?:,\s*|,?\s+and\s+)\d+)*)"
+    r"(?:\s+of\s+[`\[]*(?:docs/)?(?P<after>[\w-]+\.md))?"
+)
+HEADING = re.compile(r"^## (\d+)\.", re.MULTILINE)
 
 
 def references() -> list[tuple[str, str, str, str | None]]:
@@ -90,6 +99,31 @@ def test_private_names_in_documents_exist():
     ]
     assert len(found) >= 10
     assert [(doc, name) for doc, name in found if name not in defined] == []
+
+
+def cited_sections() -> list[tuple[str, str | None, int]]:
+    """(citing file, cited document or None, section number) for every
+    section cited in src/ or docs/."""
+    found = []
+    for path in [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "docs").glob("*.md"))]:
+        own = path.name if path.suffix == ".md" else None
+        for match in CITATION.finditer(path.read_text(encoding="utf-8")):
+            cited = match["before"] or match["after"] or own
+            found += [(path.name, cited, int(n)) for n in re.findall(r"\d+", match["numbers"])]
+    return found
+
+
+def test_cited_sections_exist():
+    # Sections are renumbered when one is added or dropped; every citation in
+    # code and documents must still name a "## N." heading of its document.
+    headings = {
+        doc.name: {int(n) for n in HEADING.findall(doc.read_text(encoding="utf-8"))}
+        for doc in (ROOT / "docs").glob("*.md")
+    }
+    found = cited_sections()
+    assert len(found) >= 20
+    assert any(path.endswith(".py") for path, _, _ in found)
+    assert [(path, doc, n) for path, doc, n in found if n not in headings.get(doc, ())] == []
 
 
 def test_document_links_resolve():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -462,33 +461,6 @@ class TestIntegerNumerators:
         self.check(x + y, ref_add(a, b))
         self.check(x - x, {})
         self.check(x + (-x), {})
-
-
-def _packing_values(kind: str) -> list[RadicalScalar]:
-    if kind == "seeded":
-        rng = random.Random(20094)
-        values = [random_monomial(rng) for _ in range(5)]
-        return values + [RadicalScalar.one(), RadicalScalar.parse("1 * 2^(2/4)"), -values[0]]
-    # Numerators so small that a block one bit narrower, or one sized for a
-    # single summand, lets sums of four carry into the next key.
-    return [RadicalScalar.parse(t) for t in ("1", "1 * 2^(2/4)", "3", "-1", "-1 * 2^(2/4)", "-3")]
-
-
-@pytest.mark.parametrize("kind, count", [("seeded", 3), ("small", 4)])
-def test_packed_numerators_decide_sums(kind, count):
-    # Sums of at most `count` packed values are equal exactly when the sums
-    # of the values are.  1 and 2^(2/4) get one numerator under two keys,
-    # and x and -x cancel.
-    values = _packing_values(kind)
-    packed = radical.packed_numerators(values, count)
-    indices = range(len(values))
-    picks = [s for r in range(count + 1) for s in itertools.combinations_with_replacement(indices, r)]
-    sums = [(sum_scalars(values[i] for i in s), sum(packed[i] for i in s)) for s in picks]
-    equal = 0
-    for (x, px), (y, py) in itertools.combinations(sums, 2):
-        assert (x == y) == (px == py)
-        equal += x == y
-    assert equal >= 5
 
 
 def trial_division_factorint(n: int) -> dict[int, int]:

@@ -499,6 +499,9 @@ RAW_CASES = (("C-in-C2", 3), ("C2-in-M2", 3), ("C-in-C2xM2", 2), ("C-in-C3", 3))
 # group that keeps loops and fails a closure check.
 UNION = InclusionData([2, 2, 1, 1], [[1, 1, 0, 0, 0, 0], [1, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 1], [0, 0, 0, 0, 1, 1]])
 UNION_GENERATOR = GraphAutomorphism((0, 3, 1, 2), (1, 4, 0, 5, 2, 3), (1, 0, 6, 7, 3, 2, 5, 4))
+# A second such permutation: it also moves edge weights, but keeps the weight
+# sum of every orbit of each base's stabiliser on the edges at that base.
+UNION_REVERSAL = GraphAutomorphism((3, 2, 1, 0), (1, 0, 3, 5, 4, 2), (6, 7, 5, 4, 2, 3, 1, 0))
 
 
 @functools.cache
@@ -695,13 +698,14 @@ def test_operations_leave_the_up_down_step_to_graph(module):
 
 
 def test_symmetry_builds_no_cup_cap_terms():
-    # The raw cup-cap's spins and loops are built in BipartiteGraph.cup_caps
-    # only, so the verifier tests the terms that jones_projection scales.
+    # projection-invariant and equivariance-shift are decided by the edge
+    # conditions (docs/closure-multiply-and-burnside.md, section 8), so the
+    # verifier reads no cup-cap term, no shift prefix and no spin product.
     source = Path(__file__).resolve().parent.parent / "src" / "planaralg" / "symmetry.py"
     tree = ast.parse(source.read_text(encoding="utf-8"))
     attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert {"cup_caps", "shift_prefixes"} <= attributes
-    assert not attributes & {"spin_factor", "from_paths"}
+    assert {"step", "perm_e"} <= attributes
+    assert not attributes & {"cup_caps", "shift_prefixes", "spin_factor", "from_paths"}
 
 
 def test_symmetry_reads_paths_only_for_the_basis():
@@ -719,8 +723,8 @@ def test_symmetry_reads_paths_only_for_the_basis():
 
 
 def test_cup_caps_and_shift_prefixes_have_one_definition(graphs, monkeypatch):
-    # Work count: jones_projection_raw and the verifier read one cup-cap
-    # definition, and shift and the verifier one prefix definition.
+    # Work count: jones_projection_raw reads one cup-cap definition and shift
+    # one prefix definition; the verifier reads neither.
     calls = Counter()
     for name in ("cup_caps", "shift_prefixes"):
         real = getattr(BipartiteGraph, name)
@@ -737,8 +741,7 @@ def test_cup_caps_and_shift_prefixes_have_one_definition(graphs, monkeypatch):
     assert calls == {"cup_caps": 1, "shift_prefixes": 1}
     group = close_group(g, [make_automorphism(g, [0], [0, 1, 2], [0, 1, 3, 2])])
     assert verify_planar_subalgebra(group, 3).all_passed
-    # The cup-caps of degrees 2 and 3, and the prefixes at the one base.
-    assert calls == {"cup_caps": 1 + 2, "shift_prefixes": 1 + 1}
+    assert calls == {"cup_caps": 1, "shift_prefixes": 1}
 
 
 class TestEquivarianceIncludeExpectShift:
@@ -910,6 +913,19 @@ def loop_orbit_images(group, k: int, backward: bool = False):
             yield images
 
 
+def prefix_shift_verdicts(group) -> list[bool]:
+    """Shift's edge condition (S) per generator, read on shift's prefixes:
+    the generator sends the triples (c, w, d) of `shift_prefixes` at every
+    base onto those at the base's image.  The oracle for equivariance-shift,
+    which the verifier reads as include's condition at degrees 0 and 1."""
+    g = group.graph
+    prefixes = [sorted(g.shift_prefixes(b)) for b in range(g.num_a)]
+    return [
+        all(sorted((a[c], e[w], e[d]) for c, w, d in ts) == prefixes[a[b]] for b, ts in enumerate(prefixes))
+        for a, e in ((gen.perm_a, gen.perm_e) for gen in group.generators)
+    ]
+
+
 def radical_sums(pairs) -> dict:
     """Key -> exact RadicalScalar sum of the weights paired with it."""
     out = {}
@@ -924,14 +940,10 @@ def loop_walk_report(group, kmax: int, backward: bool = False):
     `act_loop` images of the cup-cap terms; closure-multiply as injectivity
     on every orbit through a composition table of the group, closure-expect
     and projection-invariant as push-forwards summed in RadicalScalar
-    (`radical_sums`).  The oracle for the verifier's constant checks, its
-    stabiliser pairs and its integer numerators."""
+    (`radical_sums`), equivariance-shift on shift's prefixes.  The oracle
+    for the verifier's constant checks and its Lemma E at the bases."""
     g = group.graph
-    prefixes = [sorted(g.shift_prefixes(b)) for b in range(g.num_a)]
-    shifts_commute = [
-        all(sorted((a[c], e[w], e[d]) for c, w, d in ts) == prefixes[a[b]] for b, ts in enumerate(prefixes))
-        for a, e in ((gen.perm_a, gen.perm_e) for gen in group.generators)
-    ]
+    shifts_commute = prefix_shift_verdicts(group)
     index = {h: i for i, h in enumerate(group.elements)}
     cols = [[index[h.compose(gen)] for h in group.elements] for gen in group.generators]
     closure, equivariance = [], []
@@ -1128,6 +1140,30 @@ class TestDisjointUnion:
             ("equivariance-shift", 1),
         ]
 
+    @pytest.mark.parametrize(
+        "stabilizer, flipped",
+        [("trivial", UNION_REVERSAL), ("whole", UNION_GENERATOR)],
+    )
+    def test_closure_expect_reads_base_stabilizers(self, stabilizer, flipped):
+        # closure-expect(1) is Lemma E at the bases, with H = Stab(b) read off
+        # the group's table of degree 0.  UNION_GENERATOR fails it; the
+        # reversal fails equivariance-expect(1) but passes it.  With every
+        # H the trivial group, the check is equivariance-expect(1), and the
+        # reversal's verdict flips; with every H the whole group, each sum
+        # runs over an orbit of the group, which every generator keeps, and
+        # UNION_GENERATOR's verdict flips.
+        for gen, expected in ((UNION_GENERATOR, False), (UNION_REVERSAL, True)):
+            group = close_group(union_graph(), [gen])
+            verdicts = _verdicts(group, 1)
+            assert verdicts[("closure-expect", 1)] is expected
+            assert not verdicts[("equivariance-expect", 1)]
+            identity = group.elements.index(identity_automorphism(group.graph))
+            fill = (identity,) if stabilizer == "trivial" else tuple(range(group.order))
+            stabilizers = group._level(0).stabilizers
+            stabilizers[:] = [fill] * len(stabilizers)
+            (check,) = [c for c in verify_planar_subalgebra(group, 1).checks if c.name == "closure-expect"]
+            assert check.passed is (expected != (gen is flipped))
+
     def test_is_not_an_automorphism(self):
         # perm_e sends e0 (a0-b0) to e1 (a0-b1) and e2 (a1-b0) to e6
         # (a3-b4), so no vertex map fits it, and it moves the edge weights
@@ -1140,10 +1176,9 @@ class TestDisjointUnion:
 
 
 def test_verifier_walks_no_loop_pairs(graphs, monkeypatch):
-    # Work count: the verifier reads each class of rows of degrees 0-5 once,
-    # for the stabilisers of its rows, and never pairs rows into loops or
-    # enumerates orbits; a loop walk, like fixed_space_basis, reads a class
-    # once per row in it.
+    # Work count: the verifier reads no class of rows, so it never pairs rows
+    # into loops or enumerates orbits; a loop walk, like fixed_space_basis,
+    # reads a class once per row in it.
     g = build_graph(corpus_entry("C-in-C4").inclusion())
     group = close_group(
         g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
@@ -1163,8 +1198,7 @@ def test_verifier_walks_no_loop_pairs(graphs, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(symmetry, "_orbit_images", None)
         assert verify_planar_subalgebra(group, 6).all_passed
-    assert sorted(reads.values()) == [1] * sum(len(group._level(k).classes) for k in range(6))
-    reads.clear()
+    assert sum(reads.values()) == 0
     fixed_space_basis(group, 6)
     assert sum(reads.values()) == len(group._level(6).where) == 64
 
@@ -1195,6 +1229,55 @@ def test_walk_order_witness_is_refused(graphs):
     group = close_group(union_graph(), [UNION_GENERATOR])
     for report in (verify_planar_subalgebra(group, 1), loop_walk_report(group, 1), loop_walk_report(group, 1, True)):
         assert [c.passed for c in report.checks if c.name == "closure-expect"] == [False]
+
+
+def test_groups_accepted_at_degree_two_fail_no_check(graphs):
+    # The chain of docs/closure-multiply-and-burnside.md, section 8, read on
+    # the oracles rather than the verifier: a group accepted at kmax >= 2
+    # keeps include's condition at degrees 0 and 1, hence shift's, hence
+    # include's and expect's at every degree, closure-expect and the Jones
+    # idempotents, so its report fails no check.  Include's condition at a
+    # degree below kmax holds by acceptance one degree on, so each failing
+    # equivariance-include is at kmax.  Every failing check of the cases lies
+    # in a report with kmax 0 or 1, and those fail every computed family.
+    failing, above = Counter(), 0
+    for group, kmax in _closure_cases(graphs):
+        report = verify_planar_subalgebra(group, kmax)
+        multiply = [c for c in report.checks if c.name == "equivariance-multiply"]
+        oracle = element_closure(group, kmax) + every_loop_equivariance(group, kmax, multiply)
+        assert list(report.checks) == oracle
+        above += kmax >= 2
+        for c in oracle:
+            if not c.passed:
+                assert kmax <= 1 and (c.name != "equivariance-include" or c.degree == kmax)
+                failing[c.name] += 1
+    assert above == 141
+    assert failing == {
+        "closure-expect": 5,
+        "equivariance-include": 37,
+        "equivariance-expect": 11,
+        "equivariance-shift": 104,
+    }
+
+
+def test_shift_matches_prefix_oracle(graphs):
+    # equivariance-shift is include's condition at degrees 0 and 1; the
+    # prefix triples that shift applies decide it too, on every generator of
+    # the closure cases at their degree and at kmax 0, and on seeded single
+    # permutation generators of every Markov corpus graph and the disjoint
+    # union at kmax 0, where every permutation group is accepted.
+    cases = [(group, k) for group, kmax in _closure_cases(graphs) for k in sorted({0, kmax})]
+    rng = random.Random(20093)
+    pool = [graphs(entry.name) for entry in MARKOV_CORPUS] + [union_graph()]
+    for index in range(300):
+        g = pool[index % len(pool)]
+        cases.append((close_group(g, [_permutation_generator(rng, g)]), 0))
+    verdicts = []
+    for group, kmax in cases:
+        shifts = [c.passed for c in verify_planar_subalgebra(group, kmax).checks if c.name == "equivariance-shift"]
+        assert shifts == prefix_shift_verdicts(group) * (kmax + 1)
+        verdicts += shifts
+    assert (verdicts.count(False), verdicts.count(True)) == (184, 1127)
 
 
 def _checked_report(group, kmax: int):
@@ -1312,9 +1395,8 @@ class TestClosureIncludeShift:
         # and passes for the other: it is not a function of the verdicts the
         # verifier already has.
         g = union_graph()
-        other = GraphAutomorphism((3, 2, 1, 0), (1, 0, 3, 5, 4, 2), (6, 7, 5, 4, 2, 3, 1, 0))
         outcomes = []
-        for gen in (UNION_GENERATOR, other):
+        for gen in (UNION_GENERATOR, UNION_REVERSAL):
             verdicts = _verdicts(close_group(g, [gen]), 1)
             assert not verdicts[("equivariance-expect", 1)]
             outcomes.append(verdicts[("closure-expect", 1)])
@@ -1439,9 +1521,8 @@ class TestFixedDimsOnPaths:
     def test_one_table_per_group(self, graphs, monkeypatch):
         # Work count: `fixed` calls fixed_dims_report and then the verifier,
         # and a second verifier call at a lower degree builds nothing.  The
-        # group extends its rows once per degree (4 calls for degrees 1-4)
-        # and reads the cup-caps of degrees 2-4 once (3 calls), and no call
-        # composes group elements.
+        # group extends its rows once per degree (4 calls for degrees 1-4),
+        # no call reads a cup-cap, and none composes group elements.
         g = graphs("C-in-C4")
         group = close_group(
             g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
@@ -1461,12 +1542,13 @@ class TestFixedDimsOnPaths:
         assert fixed_dims_report(group, 4) == [1, 1, 2, 5, 15]
         assert verify_planar_subalgebra(group, 4).all_passed
         assert verify_planar_subalgebra(group, 3).all_passed
-        assert calls == {"extend": 4, "cup_caps": 3}
+        assert calls == {"extend": 4}
 
     def test_cup_caps_read_no_paths(self, monkeypatch):
-        # Work count: the verifier on C-in-C at kmax 1000 reads the cup-caps
-        # of degrees 2-1000 (999 calls) as row ids; none rebuilds the path
-        # tuples from degree 0, which took one `paths` call per degree.
+        # Work count: on C-in-C at kmax 1000 the verifier reads no cup-cap and
+        # no path tuple.  The cup-cap of degree 1000 is read as row ids, with
+        # no `paths` call (it once rebuilt the tuples from degree 0), and
+        # jones_projection_raw reads its ids back with one.
         calls = Counter()
 
         def counting(name, real):
@@ -1480,7 +1562,11 @@ class TestFixedDimsOnPaths:
         monkeypatch.setattr(BipartiteGraph, "paths", counting("paths", BipartiteGraph.paths))
         g = build_graph(corpus_entry("C-in-C").inclusion())
         assert verify_planar_subalgebra(close_group(g, []), 1000).all_passed
-        assert calls == {"cup_caps": 999}
+        assert calls == {}
+        assert len(g.cup_caps(998)) == 1
+        assert calls == {"cup_caps": 1}
+        assert len(jones_projection_raw(g, 998).terms) == 1
+        assert calls == {"cup_caps": 2, "paths": 1}
 
     def test_one_table_of_paths_per_graph(self, monkeypatch):
         # Work count: on a fresh C-in-C, the graph builds one table of paths
