@@ -6,18 +6,16 @@ elements linearly.  The fixed-point routines take any group of
 permutations of the vertices and edges that maps loops to loops, which
 every group of automorphisms is, and refuse any other.  The fixed space in
 each degree is spanned by orbit sums, its dimension is the orbit count,
-and the verification routine checks in exact arithmetic that the fixed
-spaces really form a subalgebra closed under the generating annular
-operations and that those operations commute with the action.
+which Burnside's lemma gives on the graph's rows, and the verification
+routine checks in exact arithmetic that the fixed spaces really form a
+subalgebra closed under the generating annular operations and that those
+operations commute with the action.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
-from itertools import compress
 from numbers import Integral
-from operator import eq
 from typing import Iterator, NamedTuple
 
 from .errors import (
@@ -124,8 +122,8 @@ class GroupAction:
     """A finite group of permutations of the vertices and edges that maps
     loops to loops, together with the graph it acts on; its elements are
     closed under composition with each generator (close_group).  Immutable,
-    so the one table it keeps for the fixed-point routines, the images and
-    stabilisers of the rows of each degree, cannot go stale
+    so the one table it keeps for the fixed-point routines, the images of
+    the graph's rows of each degree, cannot go stale
     (docs/closure-multiply-and-burnside.md, section 11)."""
 
     __slots__ = ("graph", "generators", "elements", "_levels")
@@ -146,12 +144,12 @@ class GroupAction:
     def order(self) -> int:
         return len(self.elements)
 
-    def _level(self, k: int) -> _Level:
-        """The graph's rows of degree k, their images under elements + generators
-        and their stabilisers.  Refuses a group that sends a loop of degree k
-        or lower to a non-loop: a generator does that exactly when it sends
-        some row to a non-row or some class of rows into two classes
-        (docs/closure-multiply-and-burnside.md, section 2)."""
+    def _level(self, k: int) -> list[list[int]]:
+        """The images of the graph's rows of degree k under elements +
+        generators, images[map][row] a row id.  Refuses a group that sends a
+        loop of degree k or lower to a non-loop: a generator does that
+        exactly when it sends some row to a non-row or some class of rows
+        into two classes (docs/closure-multiply-and-burnside.md, section 2)."""
         g, levels, maps = self.graph, self._levels, self.elements + self.generators
         g.rows(k)  # rejects k < 0
         while len(levels) <= k:
@@ -163,7 +161,7 @@ class GroupAction:
                 for c in rows.classes.values()
             ):
                 raise InvalidAutomorphismError(f"a generator sends a degree-{d} loop to a non-loop")
-            levels.append(_Level(*rows, images, *_stabilizers(images[: self.order], len(rows.where))))
+            levels.append(images)
         return levels[k]
 
 
@@ -225,41 +223,24 @@ def reynolds(group: GroupAction, x: PlanarElement) -> PlanarElement:
     return images.scaled(Fraction(1, group.order))
 
 
-# The graph's rows of one degree (`BipartiteGraph.rows`), their images under a
-# list of maps, images[map][row] a row id, and their stabilisers in the group:
-# stabilizers[stabilizer[row]] is the tuple of the indices of the elements that
-# fix the row (docs/closure-multiply-and-burnside.md, section 8).
-_Level = namedtuple("_Level", (*PathTable._fields, "images", "stabilizer", "stabilizers"))
-
-
-def _extend(rows: PathTable, level: _Level, maps) -> list[list[int]] | None:
-    """The ids of each row's image under each map, one degree on from the
-    level, read off its parent's image and its last edge's image; None when
-    some image is not a row."""
+def _extend(rows: PathTable, images, maps) -> list[list[int]] | None:
+    """The ids of each row's image under each map, read off its parent's
+    image among the images one degree down (images[map][row]) and its last
+    edge's image; None when some image is not a row."""
     ids = rows.ids
     try:
-        return [[ids[im[r], e[f]] for r, f in ids] for im, e in zip(level.images, (h.perm_e for h in maps))]
+        return [[ids[im[r], e[f]] for r, f in ids] for im, e in zip(images, (h.perm_e for h in maps))]
     except KeyError:
         return None
-
-
-def _stabilizers(images, n: int) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Each of n rows' stabiliser, as an index into the distinct stabilisers."""
-    fixing = [[] for _ in range(n)]
-    for i, im in enumerate(images):
-        for r in compress(range(n), map(eq, im, range(n))):
-            fixing[r].append(i)
-    index = {}
-    return [index.setdefault(tuple(f), len(index)) for f in fixing], list(index)
 
 
 def _orbit_images(group: GroupAction, k: int) -> Iterator[list[Loop]]:
     """For each orbit of degree-k loops, in canonical order of its first loop,
     that loop's images under the group elements."""
-    level, paths = group._level(k), group.graph.paths(k)
-    images, seen = level.images[: group.order], set()
-    for t, key in enumerate(level.where):
-        for s in level.classes[key]:
+    images, paths = group._level(k)[: group.order], group.graph.paths(k)
+    rows, seen = group.graph.rows(k), set()
+    for t, key in enumerate(rows.where):
+        for s in rows.classes[key]:
             if (t, s) not in seen:
                 seen.update((im[t], im[s]) for im in images)
                 first = Loop(paths[t][0], paths[t][1:] + paths[s][:0:-1])
@@ -273,12 +254,15 @@ def fixed_space_basis(group: GroupAction, k: int) -> list[PlanarElement]:
     return [PlanarElement(k, dict.fromkeys(images, one)) for images in _orbit_images(group, k)]
 
 
-def _burnside_count(group: GroupAction, level: _Level) -> int:
-    """Burnside's count on the level's rows: an element fixes the loop of
-    rows (t, u) exactly when it fixes both rows."""
+def burnside_dim(group: GroupAction, k: int) -> int:
+    """Fixed-space dimension of degree k by Burnside's lemma: the average
+    number of loops an element fixes, counted on the graph's rows, since an
+    element fixes [b; t; u] exactly when it fixes the rows (b, t) and (b, u)
+    (docs/closure-multiply-and-burnside.md, section 5)."""
+    images, classes = group._level(k)[: group.order], group.graph.rows(k).classes.values()
     total = 0
-    for im in level.images[: group.order]:
-        for rows in level.classes.values():
+    for im in images:
+        for rows in classes:
             fixed = sum(im[r] == r for r in rows)
             total += fixed * fixed
     if total % group.order:
@@ -286,47 +270,14 @@ def _burnside_count(group: GroupAction, level: _Level) -> int:
     return total // group.order
 
 
-def burnside_dim(group: GroupAction, k: int) -> int:
-    """Fixed-space dimension as the average number of fixed loops, counted on
-    rows: an element fixes [b; t; u] exactly when it fixes the rows (b, t)
-    and (b, u) (docs/closure-multiply-and-burnside.md)."""
-    return _burnside_count(group, group._level(k))
-
-
-def _orbit_count(group: GroupAction, level: _Level) -> int:
-    """The loop orbits counted on the level's rows by base and endpoint: the
-    orbit of a row r holds one loop orbit per orbit of Stab(r) on r's class,
-    counted once per stabiliser and class (docs/closure-multiply-and-burnside.md)."""
-    images = level.images[: group.order]
-    count, covered, counted = 0, set(), {}
-    for key, rows in level.classes.items():
-        for r in (r for r in rows if r not in covered):
-            covered.update(im[r] for im in images)
-            i = level.stabilizer[r]
-            if (i, key) not in counted:
-                stabilizer = [images[h] for h in level.stabilizers[i]]
-                counted[i, key] = len({min(im[u] for im in stabilizer) for u in rows})
-            count += counted[i, key]
-    return count
-
-
 def fixed_dims_report(group: GroupAction, kmax: int) -> list[int]:
-    """Fixed-space dimensions for degrees 0..kmax, counted two ways: by
-    Burnside's lemma on paths and by orbits on rows.  Refuses, as every
-    routine that reads the group's rows does, a group that sends a loop of
-    degree kmax or lower to a non-loop (InvalidAutomorphismError)."""
+    """Fixed-space dimensions for degrees 0..kmax, each by burnside_dim.
+    Refuses, as every routine that reads the group's rows does, a group that
+    sends a loop of degree kmax or lower to a non-loop
+    (InvalidAutomorphismError), at the first degree where it does."""
     if kmax < 0:
         raise ValidationError("kmax must be nonnegative")
-    dims = []
-    for k, level in enumerate(map(group._level, range(kmax + 1))):
-        by_count = _burnside_count(group, level)
-        by_orbits = _orbit_count(group, level)
-        if by_count != by_orbits:
-            raise PlanarAlgError(
-                f"internal: degree {k} fixed dimension mismatch {by_count} != {by_orbits}"
-            )
-        dims.append(by_count)
-    return dims
+    return [burnside_dim(group, k) for k in range(kmax + 1)]
 
 
 def is_centrally_ergodic(group: GroupAction) -> tuple[bool, bool]:
@@ -337,12 +288,8 @@ def is_centrally_ergodic(group: GroupAction) -> tuple[bool, bool]:
     """
     if not analyze(group.graph.inclusion).is_abelian:
         raise NotAbelianError("central ergodicity needs a central small algebra")
-    orbit_a = {0}
-    orbit_b = {0}
-    for element in group.elements:
-        orbit_a.update(element.perm_a[i] for i in list(orbit_a))
-        orbit_b.update(element.perm_b[j] for j in list(orbit_b))
-    # One BFS round suffices: the element list is the whole group.
+    orbit_a = {h.perm_a[0] for h in group.elements}
+    orbit_b = {h.perm_b[0] for h in group.elements}
     return len(orbit_a) == group.graph.num_a, len(orbit_b) == group.graph.num_b
 
 
@@ -376,13 +323,14 @@ def _expect_closed_at_bases(group: GroupAction) -> bool:
     (docs/closure-multiply-and-burnside.md, section 6): for each base b and
     H = Stab(b), every generator keeps the sum of squared spins of every
     H-orbit on the edges at b."""
-    level, (attach, _, _, weight) = group._level(0), group.graph.step(0)
-    edge_maps, generator_maps = [h.perm_e for h in group.elements], [h.perm_e for h in group.generators]
-    for b, i in enumerate(level.stabilizer):
+    attach, _, _, weight = group.graph.step(0)
+    generator_maps = [h.perm_e for h in group.generators]
+    for b in range(group.graph.num_a):
+        stabilizer = [h.perm_e for h in group.elements if h.perm_a[b] == b]
         left = set(attach[b])
         while left:
             first = left.pop()
-            orbit = {edge_maps[h][first] for h in level.stabilizers[i]}
+            orbit = {e[first] for e in stabilizer}
             left -= orbit
             total = sum_scalars(weight[f] for f in orbit)
             if any(sum_scalars(weight[e[f]] for f in orbit) != total for e in generator_maps):

@@ -87,7 +87,7 @@ def defined_anywhere(paths) -> set[str]:
 
 
 def test_private_names_in_documents_exist():
-    # A backticked `_extend`, `_Level` or `group._level(k)` in docs/*.md or
+    # A backticked `_extend` or `group._level(k)` in docs/*.md or
     # the README names code in src/ or tests/, so a rename or removal that
     # leaves a document behind fails here.
     defined = defined_anywhere([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py")])

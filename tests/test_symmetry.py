@@ -21,7 +21,6 @@ from planaralg import (
     InvalidAutomorphismError,
     Loop,
     NotAbelianError,
-    PlanarAlgError,
     PlanarElement,
     RadicalScalar,
     ValidationError,
@@ -41,6 +40,7 @@ from planaralg import (
     make_automorphism,
     reynolds,
     shift,
+    sum_scalars,
     verify_planar_subalgebra,
 )
 from planaralg import graph, symmetry
@@ -396,6 +396,13 @@ class TestErgodicity:
     def test_trivial_group_is_not_transitive(self, graphs):
         g = graphs("C-in-C2")
         group = close_group(g, [])
+        assert is_centrally_ergodic(group) == (True, False)
+
+    def test_intransitive_group_on_upper_vertices(self, graphs):
+        # The swap of b0 and b1 on C-in-C4: the orbit of b0 is {b0, b1}.
+        g = graphs("C-in-C4")
+        group = close_group(g, [make_automorphism(g, [0], [1, 0, 2, 3])])
+        assert group.order == 2
         assert is_centrally_ergodic(group) == (True, False)
 
     def test_rejects_noncentral_inclusion(self, graphs):
@@ -1145,24 +1152,23 @@ class TestDisjointUnion:
         [("trivial", UNION_REVERSAL), ("whole", UNION_GENERATOR)],
     )
     def test_closure_expect_reads_base_stabilizers(self, stabilizer, flipped):
-        # closure-expect(1) is Lemma E at the bases, with H = Stab(b) read off
-        # the group's table of degree 0.  UNION_GENERATOR fails it; the
-        # reversal fails equivariance-expect(1) but passes it.  With every
-        # H the trivial group, the check is equivariance-expect(1), and the
-        # reversal's verdict flips; with every H the whole group, each sum
-        # runs over an orbit of the group, which every generator keeps, and
-        # UNION_GENERATOR's verdict flips.
+        # closure-expect(1) is Lemma E at the bases, with H = Stab(b).
+        # UNION_GENERATOR fails it; the reversal fails equivariance-expect(1)
+        # but passes it.  Both verdicts tell Stab(b) from a wrong H: with
+        # every H the trivial group, the check is equivariance-expect(1), and
+        # the reversal's verdict flips; with every H the whole group, each
+        # sum runs over an orbit of the group, which every generator keeps,
+        # and UNION_GENERATOR's verdict flips.
         for gen, expected in ((UNION_GENERATOR, False), (UNION_REVERSAL, True)):
             group = close_group(union_graph(), [gen])
             verdicts = _verdicts(group, 1)
             assert verdicts[("closure-expect", 1)] is expected
             assert not verdicts[("equivariance-expect", 1)]
-            identity = group.elements.index(identity_automorphism(group.graph))
-            fill = (identity,) if stabilizer == "trivial" else tuple(range(group.order))
-            stabilizers = group._level(0).stabilizers
-            stabilizers[:] = [fill] * len(stabilizers)
-            (check,) = [c for c in verify_planar_subalgebra(group, 1).checks if c.name == "closure-expect"]
-            assert check.passed is (expected != (gen is flipped))
+            base_stabilizer = lambda b: [h for h in group.elements if h.perm_a[b] == b]
+            assert lemma_e_at_bases(group, base_stabilizer) is expected
+            identity = [identity_automorphism(group.graph)]
+            wrong = (lambda b: identity) if stabilizer == "trivial" else (lambda b: group.elements)
+            assert lemma_e_at_bases(group, wrong) is (expected != (gen is flipped))
 
     def test_is_not_an_automorphism(self):
         # perm_e sends e0 (a0-b0) to e1 (a0-b1) and e2 (a1-b0) to e6
@@ -1173,6 +1179,21 @@ class TestDisjointUnion:
             make_automorphism(g, *UNION_GENERATOR)
         spin_sq = g.step(0).spin_sq
         assert [spin_sq[f] for f in UNION_GENERATOR.perm_e] != list(spin_sq)
+
+
+def lemma_e_at_bases(group, stabilizer) -> bool:
+    """Lemma E at the bases with H = stabilizer(b), a list of elements, for
+    each base b: every generator keeps the sum of squared spins of every
+    H-orbit on the edges at b (docs/closure-multiply-and-burnside.md,
+    section 6)."""
+    attach, _, _, weight = group.graph.step(0)
+    for b in range(group.graph.num_a):
+        orbits = {frozenset(h.perm_e[f] for h in stabilizer(b)) for f in attach[b]}
+        for orbit in orbits:
+            total = sum_scalars(weight[f] for f in orbit)
+            if any(sum_scalars(weight[gen.perm_e[f]] for f in orbit) != total for gen in group.generators):
+                return False
+    return True
 
 
 def test_verifier_walks_no_loop_pairs(graphs, monkeypatch):
@@ -1192,7 +1213,7 @@ def test_verifier_walks_no_loop_pairs(graphs, monkeypatch):
             return super().__iter__()
 
     for k in range(7):
-        classes = group._level(k).classes
+        classes = g.rows(k).classes
         for key in classes:
             classes[key] = Counted(classes[key])
     with monkeypatch.context() as patch:
@@ -1200,7 +1221,7 @@ def test_verifier_walks_no_loop_pairs(graphs, monkeypatch):
         assert verify_planar_subalgebra(group, 6).all_passed
     assert sum(reads.values()) == 0
     fixed_space_basis(group, 6)
-    assert sum(reads.values()) == len(group._level(6).where) == 64
+    assert sum(reads.values()) == len(g.rows(6).where) == 64
 
 
 def test_verdicts_do_not_depend_on_loop_order(graphs):
@@ -1593,11 +1614,13 @@ class TestFixedDimsOnPaths:
         assert calls == {"tables": 1001, "extend": 2000}
 
     def test_row_orbit_count(self, graphs):
-        # The orbit count on rows against the loop orbits and the Burnside
-        # count: on every permutation group of the oracle cases that keeps
+        # The Burnside count against the orbit count on rows and the loop
+        # orbits: on every permutation group of the oracle cases that keeps
         # loops, and on seeded groups of automorphisms with stabilisers that
         # move rows, among them Z2xZ2 swapping the parallel edges of
-        # C-in-C2xM2 and the Z2 that moves the base of C2-in-M2.
+        # C-in-C2xM2 and the Z2 that moves the base of C2-in-M2.  At degrees
+        # 9-11 of S4 on C-in-C4, which the loop walk is too slow to reach, the
+        # orbit count and the Stirling sums are the independent checks.
         cases = [
             (group, min(kmax, 5))
             for group, kmax in _closure_cases(graphs)
@@ -1623,38 +1646,37 @@ class TestFixedDimsOnPaths:
         moving = 0
         for group, kmax in cases:
             for k in range(kmax + 1):
-                count = symmetry._orbit_count(group, group._level(k))
-                assert count == len(list(loop_orbit_images(group, k))) == burnside_dim(group, k)
+                count = stabiliser_orbit_count(group, k)
+                assert burnside_dim(group, k) == count == len(list(loop_orbit_images(group, k)))
                 moving += _stabilizer_moves_a_row(group, k)
         assert moving >= 20
+        g = graphs("C-in-C4")
+        s4 = close_group(g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])])
+        for k in range(9, 12):
+            assert burnside_dim(s4, k) == stabiliser_orbit_count(s4, k) == sum(stirling2(k, j) for j in range(5))
 
-    def test_stabilizer_table(self, graphs):
-        # Each row's stabiliser in the group's table against the elements
-        # that fix the row's path, on every case of `_closure_cases`; the
-        # distinct stabilisers are stored once each.
-        for group, kmax in _closure_cases(graphs):
-            g = group.graph
-            for k in range(kmax + 1):
-                level = group._level(k)
-                assert len(set(level.stabilizers)) == len(level.stabilizers)
-                for r, path in enumerate(g.paths(k)):
-                    fixing = tuple(
-                        i
-                        for i, h in enumerate(group.elements)
-                        if (h.perm_a[path[0]], *map(h.perm_e.__getitem__, path[1:])) == path
-                    )
-                    assert level.stabilizers[level.stabilizer[r]] == fixing
 
-    @pytest.mark.parametrize("name", ["_burnside_count", "_orbit_count"])
-    def test_count_mismatch_raises(self, graphs, monkeypatch, name):
-        # Mutation guard: the two counts stay independent, so a count that is
-        # off by one raises the internal mismatch.
-        g = graphs("C-in-C3")
-        group = close_group(g, [make_automorphism(g, [0], [1, 2, 0])])
-        real = getattr(symmetry, name)
-        monkeypatch.setattr(symmetry, name, lambda *args: real(*args) + 1)
-        with pytest.raises(PlanarAlgError, match="internal: degree 0 fixed dimension mismatch"):
-            fixed_dims_report(group, 2)
+def stabiliser_orbit_count(group, k: int) -> int:
+    """The degree-k loop orbits counted on rows with their stabilisers, not
+    by fixed points: one row r chosen per orbit of rows holds one loop orbit
+    per orbit of Stab(r) on its class (docs/closure-multiply-and-burnside.md,
+    section 9), counted once per stabiliser and class."""
+    images, classes = group._level(k)[: group.order], group.graph.rows(k).classes
+    fixing = [[] for _ in images[0]]
+    for i, im in enumerate(images):
+        for r, image in enumerate(im):
+            if image == r:
+                fixing[r].append(i)
+    count, covered, counted = 0, set(), {}
+    for key, rows in classes.items():
+        for r in (r for r in rows if r not in covered):
+            covered.update(im[r] for im in images)
+            pair = (tuple(fixing[r]), key)
+            if pair not in counted:
+                stabilizer = [images[h] for h in fixing[r]]
+                counted[pair] = len({min(im[u] for im in stabilizer) for u in rows})
+            count += counted[pair]
+    return count
 
 
 # (graph, kmax) for the seeded automorphism groups of the row orbit count.
