@@ -12,8 +12,8 @@ the remaining k edges are the bottom row read right to left; equivalently,
 both rows are length-k paths out of the base meeting at a common endpoint.
 `BipartiteGraph.step(pos)` is the one definition of that alternation, and
 `rows(k)`, kept on the graph, the one enumerator of based paths, which
-`paths(k)` reads back as tuples; the raw cup-cap (`cup_caps`) is keyed by
-pairs of those ids, not by loops.
+`paths(k)` reads back as tuples.  `unit(k)` and the cup-cap
+`cup_cap(k, scale)` build their elements straight from those paths.
 The span of degree-k loops with radical-scalar coefficients is the degree-k
 piece of the loop algebra, and loops multiply like matrix units indexed by
 (bottom path, top path), so that piece is a direct sum of full matrix
@@ -120,11 +120,11 @@ Row = tuple[Path, int] | dict[Path, int]
 Rows = dict[Path, Row]
 AccRows = dict[Path, dict[Path, int]]
 
-# One object for each based path and each numerator that the public
-# constructor has stored, shared by all elements built from loops: callers
-# hold many sparse elements over the same paths and small numerators.  It
-# changes no value, only which of equal objects an element holds, and it is
-# cleared when it reaches _SHARED_MAX entries.
+# One object for each based path and each numerator that `_integer_rows` has
+# stored, shared by all elements built from coefficients: callers hold many
+# sparse elements over the same paths and small numerators.  It changes no
+# value, only which of equal objects an element holds, and it is cleared
+# when it reaches _SHARED_MAX entries.
 _SHARED: dict[Path | int, Path | int] = {}
 _SHARED_MAX = 1 << 16
 
@@ -153,7 +153,7 @@ class PlanarElement:
     def __init__(self, degree: int, terms: Mapping[Loop, RadicalScalar] | None = None):
         if degree < 0:
             raise ValidationError("degree must be nonnegative")
-        coeffs: dict[Loop, RadicalScalar] = {}
+        entries = []
         for loop, coeff in (terms or {}).items():
             if loop.degree != degree:
                 raise DegreeMismatchError(
@@ -161,22 +161,9 @@ class PlanarElement:
                 )
             if not isinstance(coeff, RadicalScalar):
                 coeff = RadicalScalar.from_rational(coeff)
-            if coeff:
-                coeffs[loop] = coeff
-        den = lcm(*(c._den for c in coeffs.values()))
-        num: dict[RadicalKey, AccRows] = {}
-        shared = _SHARED
-        if len(shared) >= _SHARED_MAX:
-            shared.clear()
-        for (base, edges), coeff in coeffs.items():
-            row = (base,) + edges[degree:][::-1]
-            col = (base,) + edges[:degree]
-            row, col = shared.setdefault(row, row), shared.setdefault(col, col)
-            scale = den // coeff._den
-            for key, n in coeff._num.items():
-                n *= scale
-                num.setdefault(key, {}).setdefault(row, {})[col] = shared.setdefault(n, n)
-        _store(self, degree, den, num)
+            base, edges = loop
+            entries.append(((base,) + edges[degree:][::-1], (base,) + edges[:degree], coeff))
+        _store(self, degree, *_integer_rows(entries))
 
     def __setattr__(self, name, value):
         raise AttributeError("PlanarElement is immutable")
@@ -349,6 +336,27 @@ _new_tuple = tuple.__new__
 _set_degree = PlanarElement.degree.__set__
 _set_den = PlanarElement._den.__set__
 _set_num = PlanarElement._num.__set__
+
+
+def _integer_rows(
+    entries: Sequence[tuple[Path, Path, RadicalScalar]],
+) -> tuple[int, dict[RadicalKey, AccRows]]:
+    """The common denominator and the accumulated integer rows of the element
+    with coefficient c in row r and column s for each (r, s, c) of entries,
+    whose (r, s) pairs are distinct; every path and numerator is interned
+    in `_SHARED`."""
+    den = lcm(*(c._den for _, _, c in entries))
+    num: dict[RadicalKey, AccRows] = {}
+    shared = _SHARED
+    if len(shared) >= _SHARED_MAX:
+        shared.clear()
+    for row, col, coeff in entries:
+        row, col = shared.setdefault(row, row), shared.setdefault(col, col)
+        scale = den // coeff._den
+        for key, n in coeff._num.items():
+            n *= scale
+            num.setdefault(key, {}).setdefault(row, {})[col] = shared.setdefault(n, n)
+    return den, num
 
 
 def _pairs(row: Row) -> Iterable[tuple[Path, int]]:
@@ -568,21 +576,18 @@ class BipartiteGraph:
     def unit(self, k: int) -> PlanarElement:
         """Multiplicative unit of degree k: all loops with equal rows."""
         one = RadicalScalar.one()
-        return PlanarElement(k, {Loop.from_paths(p[0], p[1:], p[1:]): one for p in self.paths(k)})
+        return PlanarElement._normal(k, *_integer_rows([(p, p, one) for p in self.paths(k)]))
 
-    def cup_caps(self, k: int) -> dict[tuple[int, int], RadicalScalar]:
-        """The raw cup-cap of degree k + 2 on the ids of `rows(k + 2)`: (id of
-        p t t, id of p u u) -> spin(t) spin(u), for p of length k in id order and
-        u, then t, attachable at p's end; the loop's top row is p t t."""
-        where, once, twice = self.rows(k).where, self.rows(k + 1).ids, self.rows(k + 2).ids
+    def cup_cap(self, k: int, scale: RadicalScalar) -> PlanarElement:
+        """The cup-cap element of degree k + 2 times scale: spin(t) spin(u) scale
+        in row p u u and column p t t, for p of length k and u and t attachable
+        at p's end."""
+        paths = zip(self.paths(k), self.rows(k).where)
         attach, _, spin, _ = self.step(k)
-        # Vertex -> spin(t) spin(u) for u, then t, attachable there: one product per pair.
-        products = [[spin[t] * spin[u] for u in out for t in out] for out in attach]
-        terms = {}
-        for p, (_, end) in enumerate(where):
-            back = [twice[once[p, t], t] for t in attach[end]]
-            terms.update(zip([(t, u) for u in back for t in back], products[end]))
-        return terms
+        # Vertex -> (u, t, coefficient) for u, then t, attachable there: one product each.
+        bounces = [[(u, t, spin[t] * spin[u] * scale) for u in out for t in out] for out in attach]
+        entries = [(p + (u, u), p + (t, t), c) for p, (_, end) in paths for u, t, c in bounces[end]]
+        return PlanarElement._normal(k + 2, *_integer_rows(entries))
 
     def shift_prefixes(self, base: int) -> list[tuple[int, int, int]]:
         """The prefixes (new base, up edge w, down edge d) that shift puts on

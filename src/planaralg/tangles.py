@@ -34,7 +34,7 @@ import re
 from typing import NamedTuple, Sequence
 
 from .errors import DegreeMismatchError, TangleProgramError, ValidationError
-from .graph import BipartiteGraph, Loop, PlanarElement
+from .graph import BipartiteGraph, PlanarElement
 from .radical import RadicalScalar, sum_scalars
 
 _STEP_RE = re.compile(r"^([1MIJUE])(\d+)$")
@@ -70,26 +70,16 @@ def expect(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
 
 def jones_projection_raw(g: BipartiteGraph, k: int) -> PlanarElement:
     """The cup-cap element of degree k+2, before normalization."""
-    return _cup_cap(g, k, RadicalScalar.one())
+    if k < 0:
+        raise ValidationError("k must be nonnegative")
+    return g.cup_cap(k, RadicalScalar.one())
 
 
 def jones_projection(g: BipartiteGraph, k: int) -> PlanarElement:
     """The degree-(k+2) Jones idempotent: cup-cap over the graph eigenvalue."""
-    return _cup_cap(g, k, g.gamma.invert())
-
-
-def _cup_cap(g: BipartiteGraph, k: int, scale: RadicalScalar) -> PlanarElement:
-    """The cup-cap element of degree k+2 with every coefficient times scale,
-    built once from the graph's terms.  Those share one coefficient object
-    per pair of edges at an endpoint, so each is scaled once."""
     if k < 0:
         raise ValidationError("k must be nonnegative")
-    paths, terms, scaled = g.paths(k + 2), {}, {}
-    for (t, u), c in g.cup_caps(k).items():
-        if id(c) not in scaled:
-            scaled[id(c)] = c * scale
-        terms[Loop.from_paths(paths[t][0], paths[t][1:], paths[u][1:])] = scaled[id(c)]
-    return PlanarElement(k + 2, terms)
+    return g.cup_cap(k, g.gamma.invert())
 
 
 def trace(g: BipartiteGraph, x: PlanarElement) -> RadicalScalar:

@@ -1,12 +1,16 @@
 """Documentation references to tests name tests that exist, private names
-in code spans name code that exists, cited sections of documents exist,
-links to documents resolve, and the README lists every document."""
+in code spans name code that exists, graph names in code spans name
+attributes of a graph, cited sections of documents exist, links to
+documents resolve, and the README lists every document."""
 
 from __future__ import annotations
 
 import ast
 import re
 from pathlib import Path
+
+from planaralg import build_graph
+from conftest import corpus_entry
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCUMENTS = sorted((ROOT / "docs").glob("*.md")) + [ROOT / "README.md", ROOT / "ROADMAP.md"]
@@ -20,6 +24,9 @@ MENTION = re.compile(r"(?<![\w(/.-])docs/[\w.-]+\.md")
 FENCE = re.compile(r"^```.*?^```", re.MULTILINE | re.DOTALL)
 CODE_SPAN = re.compile(r"`([^`]+)`")
 PRIVATE_NAME = re.compile(r"(?<!\w)_\w+")
+# The name after `g.`, `graph.` or `BipartiteGraph.` in a span; a file name
+# such as `graph.py` or `src/planaralg/graph.py` names no attribute.
+GRAPH_NAME = re.compile(r"(?<![\w./])(?:g|graph|BipartiteGraph)\.(?!py\b)(\w+)")
 # A cited section: "docs/<name>.md, section N", "[<name>.md](<name>.md) §N" or
 # "section N of docs/<name>.md"; in a document, a bare "section N" or "§N"
 # cites that document.  "sections 5 and 8" and "§§4, 6 and 7" cite each number.
@@ -99,6 +106,21 @@ def test_private_names_in_documents_exist():
     ]
     assert len(found) >= 10
     assert [(doc, name) for doc, name in found if name not in defined] == []
+
+
+def test_graph_names_in_documents_exist():
+    # A backticked `g.paths(k)`, `graph.unit` or `BipartiteGraph.rows(k)` in
+    # docs/*.md or the README names an attribute of a built graph, so a
+    # renamed or removed graph method fails here.
+    g = build_graph(corpus_entry("C-in-C2").inclusion())
+    found = [
+        (doc.name, name)
+        for doc in [*sorted((ROOT / "docs").glob("*.md")), ROOT / "README.md"]
+        for span in CODE_SPAN.findall(FENCE.sub("", doc.read_text(encoding="utf-8")))
+        for name in GRAPH_NAME.findall(span)
+    ]
+    assert len(found) >= 10
+    assert [(doc, name) for doc, name in found if not hasattr(g, name)] == []
 
 
 def cited_sections() -> list[tuple[str, str | None, int]]:

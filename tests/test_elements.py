@@ -349,3 +349,7 @@ def test_elements_built_from_loops_share_paths_and_numerators(graphs):
         return found
 
     assert objects(x) == objects(y)
+    # The unit and the Jones projection, built from the graph's paths, hold
+    # the same objects as the elements built from their loops.
+    for e in (g.unit(2), jones_projection(g, 0)):
+        assert objects(e) == objects(PlanarElement(2, e.terms))

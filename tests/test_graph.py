@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import element_oracle as oracle
 from planaralg import (
     DegreeMismatchError,
     EigenvectorViolationError,
@@ -18,7 +19,6 @@ from planaralg import (
     ValidationError,
     build_graph,
     expect,
-    jones_projection_raw,
     loop_space_dim,
 )
 from planaralg.markov import path_counts
@@ -278,26 +278,21 @@ class TestPathBuilder:
             g.paths_with_ends(1, 2)
         with pytest.raises(ValidationError):
             g.paths_with_ends(0, -1)
-        for read in (g.rows, g.paths, g.cup_caps):
+        for read in (g.rows, g.paths, lambda k: g.cup_cap(k, RadicalScalar.one())):
             with pytest.raises(ValidationError, match="path length must be nonnegative"):
                 read(-1)
 
     @pytest.mark.parametrize("name", [e.name for e in MARKOV_CORPUS])
-    def test_cup_caps_are_keyed_by_row_ids(self, graphs, name):
-        # Each cup-cap term is a loop: its two rows are ids of one class of
-        # rows(k + 2), p t t and p u u, in the order p, then u, then t; read
-        # back as paths they give jones_projection_raw.
+    def test_cup_cap_matches_the_oracle(self, graphs, name):
+        # The oracle's Jones projection, bounce by bounce over loops, is the
+        # cup-cap times 1/gamma; any other scale multiplies every coefficient.
         g = graphs(name)
         for k in range(4):
-            caps, table, paths = g.cup_caps(k), g.rows(k + 2), g.paths(k + 2)
-            assert caps
-            assert list(caps) == sorted(caps, key=lambda key: key[::-1])
-            for t, u in caps:
-                assert t in table.classes[table.where[t]] and u in table.classes[table.where[t]]
-                assert paths[t][:-2] == paths[u][:-2]
-                assert paths[t][-1] == paths[t][-2] and paths[u][-1] == paths[u][-2]
-            loops = {Loop.from_paths(paths[t][0], paths[t][1:], paths[u][1:]): c for (t, u), c in caps.items()}
-            assert loops == jones_projection_raw(g, k).terms
+            projection = oracle.jones_projection(g, k).terms
+            assert projection
+            for scale in (RadicalScalar.one(), g.gamma.invert()):
+                expected = {loop: c * g.gamma * scale for loop, c in projection.items()}
+                assert g.cup_cap(k, scale) == PlanarElement(k + 2, expected)
 
 
 class TestPathsAndLoops:

@@ -712,7 +712,17 @@ def test_symmetry_builds_no_cup_cap_terms():
     tree = ast.parse(source.read_text(encoding="utf-8"))
     attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert {"step", "perm_e"} <= attributes
-    assert not attributes & {"cup_caps", "shift_prefixes", "spin_factor", "from_paths"}
+    assert not attributes & {"cup_cap", "shift_prefixes", "spin_factor", "from_paths"}
+
+
+def test_tangles_builds_the_cup_cap_from_no_loops():
+    # The graph builds the cup-cap straight from its paths, so tangles.py
+    # neither imports `Loop` nor builds loops from paths.
+    source = Path(__file__).resolve().parent.parent / "src" / "planaralg" / "tangles.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "PlanarElement" in imported and "Loop" not in imported
+    assert "from_paths" not in {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
 def test_symmetry_reads_paths_only_for_the_basis():
@@ -729,26 +739,26 @@ def test_symmetry_reads_paths_only_for_the_basis():
     assert callers == ["_orbit_images"]
 
 
-def test_cup_caps_and_shift_prefixes_have_one_definition(graphs, monkeypatch):
+def test_cup_cap_and_shift_prefixes_have_one_definition(graphs, monkeypatch):
     # Work count: jones_projection_raw reads one cup-cap definition and shift
     # one prefix definition; the verifier reads neither.
     calls = Counter()
-    for name in ("cup_caps", "shift_prefixes"):
+    for name in ("cup_cap", "shift_prefixes"):
         real = getattr(BipartiteGraph, name)
 
-        def counting(self, n, name=name, real=real):
+        def counting(self, *args, name=name, real=real):
             calls[name] += 1
-            return real(self, n)
+            return real(self, *args)
 
         monkeypatch.setattr(BipartiteGraph, name, counting)
     g = graphs("C-in-C2xM2")
     jones_projection_raw(g, 1)
     shift(g, g.unit(1))
     # One cup-cap call, and one prefix call for the graph's one base.
-    assert calls == {"cup_caps": 1, "shift_prefixes": 1}
+    assert calls == {"cup_cap": 1, "shift_prefixes": 1}
     group = close_group(g, [make_automorphism(g, [0], [0, 1, 2], [0, 1, 3, 2])])
     assert verify_planar_subalgebra(group, 3).all_passed
-    assert calls == {"cup_caps": 1, "shift_prefixes": 1}
+    assert calls == {"cup_cap": 1, "shift_prefixes": 1}
 
 
 class TestEquivarianceIncludeExpectShift:
@@ -1558,36 +1568,33 @@ class TestFixedDimsOnPaths:
             return wrapped
 
         monkeypatch.setattr(symmetry, "_extend", counting("extend", symmetry._extend))
-        monkeypatch.setattr(BipartiteGraph, "cup_caps", counting("cup_caps", BipartiteGraph.cup_caps))
+        monkeypatch.setattr(BipartiteGraph, "cup_cap", counting("cup_cap", BipartiteGraph.cup_cap))
         monkeypatch.setattr(GraphAutomorphism, "compose", counting("compose", GraphAutomorphism.compose))
         assert fixed_dims_report(group, 4) == [1, 1, 2, 5, 15]
         assert verify_planar_subalgebra(group, 4).all_passed
         assert verify_planar_subalgebra(group, 3).all_passed
         assert calls == {"extend": 4}
 
-    def test_cup_caps_read_no_paths(self, monkeypatch):
+    def test_cup_cap_reads_paths_once(self, monkeypatch):
         # Work count: on C-in-C at kmax 1000 the verifier reads no cup-cap and
-        # no path tuple.  The cup-cap of degree 1000 is read as row ids, with
-        # no `paths` call (it once rebuilt the tuples from degree 0), and
-        # jones_projection_raw reads its ids back with one.
+        # no path tuple, and jones_projection_raw at degree 1000 reads the
+        # paths of length 998 once, with one `paths` call.
         calls = Counter()
 
         def counting(name, real):
             def wrapped(*args):
-                calls[name] += 1
+                calls[name, *args[1:]] += 1
                 return real(*args)
 
             return wrapped
 
-        monkeypatch.setattr(BipartiteGraph, "cup_caps", counting("cup_caps", BipartiteGraph.cup_caps))
+        monkeypatch.setattr(BipartiteGraph, "cup_cap", counting("cup_cap", BipartiteGraph.cup_cap))
         monkeypatch.setattr(BipartiteGraph, "paths", counting("paths", BipartiteGraph.paths))
         g = build_graph(corpus_entry("C-in-C").inclusion())
         assert verify_planar_subalgebra(close_group(g, []), 1000).all_passed
         assert calls == {}
-        assert len(g.cup_caps(998)) == 1
-        assert calls == {"cup_caps": 1}
         assert len(jones_projection_raw(g, 998).terms) == 1
-        assert calls == {"cup_caps": 2, "paths": 1}
+        assert calls == {("cup_cap", 998, RadicalScalar.one()): 1, ("paths", 998): 1}
 
     def test_one_table_of_paths_per_graph(self, monkeypatch):
         # Work count: on a fresh C-in-C, the graph builds one table of paths
@@ -1609,7 +1616,7 @@ class TestFixedDimsOnPaths:
         assert fixed_dims_report(close_group(g, []), 1000) == [1] * 1001
         assert calls == {"tables": 1001, "extend": 1000}
         assert g.enumerate_loops(1000) == [Loop(0, (0,) * 2000)]
-        assert len(g.cup_caps(998)) == 1
+        assert len(g.cup_cap(998, RadicalScalar.one()).terms) == 1
         assert fixed_dims_report(close_group(g, []), 1000) == [1] * 1001
         assert calls == {"tables": 1001, "extend": 2000}
 
