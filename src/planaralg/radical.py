@@ -28,6 +28,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from numbers import Rational
 from typing import Iterable, Mapping, Union
 
 from .errors import NotInvertibleError, NotRepresentableError, ResourceLimitError, ValidationError
@@ -264,6 +265,15 @@ def _key_product(k1: RadicalKey, k2: RadicalKey) -> tuple[RadicalKey, int]:
     return key, factor.numerator
 
 
+def _exact(q):
+    """q itself if it is an exact rational (int, Fraction, ...); a float, a
+    Decimal or a string is refused, where Fraction would read a float's
+    binary value or parse the string."""
+    if not isinstance(q, Rational):
+        raise ValidationError(f"{q!r} is not an exact rational")
+    return q
+
+
 class RadicalScalar:
     """Immutable exact number of the form  sum_t (n_t / den) * prod_p p^(e/4)."""
 
@@ -293,7 +303,7 @@ class RadicalScalar:
 
     @classmethod
     def from_rational(cls, q: RationalLike) -> RadicalScalar:
-        q = Fraction(q)
+        q = Fraction(_exact(q))
         return _reduced(q.denominator, {(): q.numerator} if q else {})
 
     @classmethod
@@ -302,7 +312,7 @@ class RadicalScalar:
         for p in exps:
             if isinstance(p, bool) or not isinstance(p, int) or not _is_prime(p):
                 raise ValidationError(f"radical base {p!r} is not a prime integer")
-        key, folded = _reduce_monomial(Fraction(coeff), exps)
+        key, folded = _reduce_monomial(Fraction(_exact(coeff)), exps)
         return cls({key: folded})
 
     @classmethod
@@ -325,7 +335,10 @@ class RadicalScalar:
                 match = _MONOMIAL_RE.match(tok)
                 if match is None:
                     raise ValidationError(f"bad radical factor {tok!r}")
-                p, e = int(match.group(1)), int(match.group(2))
+                try:
+                    p, e = int(match.group(1)), int(match.group(2))
+                except ValueError as exc:  # past the interpreter's int-to-str digit limit
+                    raise ValidationError("radical factor has too many digits") from exc
                 exps[p] = exps.get(p, 0) + e
             total = total + cls.monomial(coeff, exps)
         return total

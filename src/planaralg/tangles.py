@@ -140,7 +140,11 @@ class TangleProgram(NamedTuple("TangleProgram", [("steps", tuple[TangleStep, ...
             match = _STEP_RE.match(token)
             if match is None:
                 raise ValidationError(f"bad program step {token!r}")
-            steps.append(TangleStep(match.group(1), int(match.group(2))))
+            try:
+                k = int(match.group(2))
+            except ValueError as exc:  # past the interpreter's int-to-str digit limit
+                raise ValidationError("program step subscript has too many digits") from exc
+            steps.append(TangleStep(match.group(1), k))
         return cls(tuple(steps), circles)
 
     def __str__(self) -> str:

@@ -9,6 +9,7 @@ several radical parts.
 
 from __future__ import annotations
 
+import contextlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -20,6 +21,7 @@ from planaralg import (
     BipartiteGraph,
     Edge,
     GraphAutomorphism,
+    InvalidAutomorphismError,
     Loop,
     PlanarElement,
     RadicalScalar,
@@ -223,13 +225,16 @@ def raw_maps(rng: random.Random, g, count: int) -> list[GraphAutomorphism]:
     ]
 
 
-def permutation_maps(rng: random.Random, g, count: int) -> list[GraphAutomorphism]:
-    """Seeded permutations of the vertex and edge sets, most of them not
-    automorphisms."""
-    return [
-        GraphAutomorphism(*(tuple(rng.sample(range(n), n)) for n in (g.num_a, g.num_b, len(g.edges))))
-        for _ in range(count)
-    ]
+def accepted_maps(rng: random.Random, g, count: int) -> list[GraphAutomorphism]:
+    """Seeded permutations of the vertex and edge sets that close_group
+    accepts, each drawn again until it is; most of them not automorphisms."""
+    maps = []
+    while len(maps) < count:
+        candidate = GraphAutomorphism(*(tuple(rng.sample(range(n), n)) for n in (g.num_a, g.num_b, len(g.edges))))
+        with contextlib.suppress(InvalidAutomorphismError):
+            close_group(g, [candidate])
+            maps.append(candidate)
+    return maps
 
 
 def check_act(g, pool, autos=()) -> None:
@@ -239,9 +244,10 @@ def check_act(g, pool, autos=()) -> None:
         for auto in [*autos, *maps]:
             agree(act(auto, x), oracle.act(auto, rx))
             agree(act(auto, x - y), oracle.act(auto, rx - ry))
-        # Seeded permutations generate a group; images of one loop under its
-        # elements meet, and the one-pass average must add them up.
-        group = close_group(g, permutation_maps(rng, g, 2))
+        # Seeded permutations that map loops to loops generate a group;
+        # images of one loop under its elements meet, and the one-pass
+        # average must add them up.
+        group = close_group(g, accepted_maps(rng, g, 2))
         agree(reynolds(group, x - y), oracle.reynolds(group, rx - ry))
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planaralg import (
+    Loop,
     NotInvertibleError,
     NotRepresentableError,
+    PlanarElement,
     RadicalScalar,
     ResourceLimitError,
     ValidationError,
@@ -48,6 +51,22 @@ class TestConstruction:
         x = RadicalScalar.from_rational(Fraction(3, 4))
         assert x.as_fraction() == Fraction(3, 4)
         assert float(x) == 0.75
+
+    @pytest.mark.parametrize("value", [0.1, Decimal("0.1"), "1/2"], ids=["float", "Decimal", "str"])
+    def test_refuses_inexact_values(self, value):
+        # Only exact rationals are read: 0.1 would otherwise become
+        # 3602879701896397/36028797018963968, and "1/2" a parsed Fraction.
+        # Elements built or scaled with such a value are refused too.
+        for build in (
+            lambda: RadicalScalar.from_rational(value),
+            lambda: RadicalScalar.monomial(value, {2: 1}),
+            lambda: PlanarElement(0, {Loop(0, ()): value}),
+            lambda: PlanarElement.basis(Loop(0, ())).scaled(value),
+        ):
+            with pytest.raises(ValidationError) as refused:
+                build()
+            assert str(refused.value) == f"{value!r} is not an exact rational"
+        assert RadicalScalar.from_rational(Fraction(1, 10)) == RadicalScalar.monomial(Fraction(1, 10), {})
 
     def test_monomial_rejects_composite_base(self):
         with pytest.raises(ValidationError):

@@ -15,6 +15,7 @@ from planaralg import (
     GraphAutomorphism,
     InclusionData,
     MarkovReport,
+    RadicalScalar,
     RelationCheck,
     SubalgebraReport,
     TangleProgram,
@@ -172,6 +173,9 @@ def test_tangle_records_print_as_programs():
         (lambda: TangleStep(tag="I", k=-1), "step degree must be nonnegative"),
         (lambda: TangleProgram((), -1), "circle count must be nonnegative"),
         (lambda: TangleProgram(steps=(), circles=-2), "circle count must be nonnegative"),
+        # Past the interpreter's int-to-str digit limit.
+        (lambda: TangleProgram.parse("I" + "9" * 5000), "program step subscript has too many digits"),
+        (lambda: RadicalScalar.parse("1 * " + "7" * 5000 + "^(1/4)"), "radical factor has too many digits"),
     ],
 )
 def test_validation_messages(build, message):
