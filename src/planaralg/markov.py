@@ -241,9 +241,14 @@ def jones_tower(inc: InclusionData, depth: int) -> list[AlgebraDims]:
     Returns [A, B, A_1, B_1, ..., A_depth, B_depth]: two entries per level,
     A_k = r^k A and B_k = r^k B (see basic_construction).
     """
+    return index_tower(inc, markov_index(inc) if depth > 0 else 1, depth)
+
+
+def index_tower(inc: InclusionData, r: int, depth: int) -> list[AlgebraDims]:
+    """jones_tower for an inclusion whose integer index r the caller has
+    already read off analyze, so the inclusion is not classified again."""
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
-    r = markov_index(inc) if depth else 1
     sides = (inc.a, inc.b)
     return [AlgebraDims(tuple(r**k * n for n in dims)) for k in range(depth + 1) for dims in sides]
 

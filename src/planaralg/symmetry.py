@@ -7,10 +7,10 @@ edges that map loops to loops, which every automorphism does, decides that
 once on the edges, and refuses any other; every routine that reads the
 group takes it as given.  The fixed space in each degree is spanned by
 orbit sums, its dimension is the orbit count, which Burnside's lemma gives
-on the graph's rows, and the verification routine reports that the fixed
-spaces form a subalgebra closed under the generating annular operations
-and that those operations commute with the action, which holds for every
-group accepted.
+as a count of paths in each element's fixed subgraph, and the verification
+routine reports that the fixed spaces form a subalgebra closed under the
+generating annular operations and that those operations commute with the
+action, which holds for every group accepted.
 """
 
 from __future__ import annotations
@@ -123,12 +123,13 @@ class GroupAction:
     """A finite group of permutations of the vertices and edges that maps
     every loop to a loop, together with the graph it acts on; close_group
     decides that the generators map loops to loops and closes the elements
-    under composition with each generator.  Immutable, so the one table it
-    keeps for the fixed-point routines, the images of the graph's rows of
-    each degree under the elements, cannot go stale
-    (docs/closure-multiply-and-burnside.md, section 11)."""
+    under composition with each generator.  Immutable, so the two tables it
+    keeps cannot go stale (docs/closure-multiply-and-burnside.md, section
+    11): the fixed subgraphs of its elements, built here for the fixed
+    dimensions, and, for fixed_space_basis only, the images of the graph's
+    rows of each degree under the elements, built as that asks for them."""
 
-    __slots__ = ("graph", "generators", "elements", "_levels")
+    __slots__ = ("graph", "generators", "elements", "_fixed", "_levels")
 
     def __init__(
         self,
@@ -136,7 +137,8 @@ class GroupAction:
         generators: tuple[GraphAutomorphism, ...],
         elements: tuple[GraphAutomorphism, ...],
     ):
-        for name, value in zip(self.__slots__, (graph, generators, elements, [])):
+        fixed = _fixed_subgraphs(graph, elements)
+        for name, value in zip(self.__slots__, (graph, generators, elements, fixed, [])):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -149,13 +151,33 @@ class GroupAction:
     def _level(self, k: int) -> list[list[int]]:
         """The images of the graph's rows of degree k under the elements,
         images[element][row] a row id, extended one degree at a time from
-        the images one degree down."""
+        the images one degree down.  Only fixed_space_basis reads them,
+        through _orbit_images; the fixed dimensions walk the fixed
+        subgraphs instead."""
         g, levels = self.graph, self._levels
         g.rows(k)  # rejects k < 0
         while len(levels) <= k:
             d = len(levels)
             levels.append(_extend(g.rows(d), levels[-1], self.elements) if d else [h.perm_a for h in self.elements])
         return levels[k]
+
+
+def _fixed_subgraphs(g: BipartiteGraph, elements) -> tuple:
+    """Each distinct pair (fixed lower vertices, fixed edges) among the
+    elements, as (bases, moves, count): count elements share it, and
+    moves[pos % 2][v] lists the vertex that g.step(pos) reaches from v along
+    each fixed edge (docs/closure-multiply-and-burnside.md, section 5)."""
+    shared = {}
+    for h in elements:
+        bases = tuple([b for b, image in enumerate(h.perm_a) if b == image])
+        key = (bases, frozenset([f for f, image in enumerate(h.perm_e) if f == image]))
+        shared[key] = shared.get(key, 0) + 1
+    steps = (g.step(0), g.step(1))
+    table = []
+    for (bases, edges), n in shared.items():
+        moves = tuple(tuple([tuple([s.end[f] for f in out if f in edges]) for out in s.attach]) for s in steps)
+        table.append((bases, moves, n))
+    return tuple(table)
 
 
 def _includes_commute(g: BipartiteGraph, gen: GraphAutomorphism, k: int) -> bool:
@@ -233,7 +255,7 @@ def reynolds(group: GroupAction, x: PlanarElement) -> PlanarElement:
 def _extend(rows: PathTable, images, maps) -> list[list[int]]:
     """The ids of each row's image under each map, read off its parent's
     image among the images one degree down (images[map][row]) and its last
-    edge's image."""
+    edge's image.  Only GroupAction._level, for fixed_space_basis, calls it."""
     ids = rows.ids
     return [[ids[im[r], e[f]] for r, f in ids] for im, e in zip(images, (h.perm_e for h in maps))]
 
@@ -258,27 +280,46 @@ def fixed_space_basis(group: GroupAction, k: int) -> list[PlanarElement]:
     return [PlanarElement(k, dict.fromkeys(images, one)) for images in _orbit_images(group, k)]
 
 
+def _step(counts: dict[int, int], moves) -> dict[int, int]:
+    """Path counts one step longer: counts[v] paths to v, each extended
+    along every move out of v."""
+    out = {}
+    for v, n in counts.items():
+        for w in moves[v]:
+            out[w] = out.get(w, 0) + n
+    return out
+
+
 def burnside_dim(group: GroupAction, k: int) -> int:
-    """Fixed-space dimension of degree k by Burnside's lemma: the average
-    number of loops an element fixes, counted on the graph's rows, since an
-    element fixes [b; t; u] exactly when it fixes the rows (b, t) and (b, u)
-    (docs/closure-multiply-and-burnside.md, section 5)."""
-    images, classes = group._level(k), group.graph.rows(k).classes.values()
-    total = 0
-    for im in images:
-        for rows in classes:
-            fixed = sum(im[r] == r for r in rows)
-            total += fixed * fixed
-    if total % group.order:
-        raise PlanarAlgError("internal: fixed-point count is not divisible by the group order")
-    return total // group.order
+    """Fixed-space dimension of degree k: fixed_dims_report read at degree k."""
+    if k < 0:
+        raise ValidationError("path length must be nonnegative")
+    return fixed_dims_report(group, k)[k]
 
 
 def fixed_dims_report(group: GroupAction, kmax: int) -> list[int]:
-    """Fixed-space dimensions for degrees 0..kmax, each by burnside_dim."""
+    """Fixed-space dimensions for degrees 0..kmax by Burnside's lemma: the
+    average number of loops an element fixes.  An element fixes [b; t; u]
+    exactly when it fixes b and every edge of t and u, so it fixes the sum
+    over v of n(b, v)^2 loops at each fixed base b, where n(b, v) counts the
+    paths from b to v in its fixed subgraph.  Elements with one fixed
+    subgraph fix as many, and the paths out of each fixed base are counted
+    one step at a time until none is left, at a cost linear in kmax
+    (docs/closure-multiply-and-burnside.md, section 5)."""
     if kmax < 0:
         raise ValidationError("kmax must be nonnegative")
-    return [burnside_dim(group, k) for k in range(kmax + 1)]
+    totals = [0] * (kmax + 1)
+    for bases, moves, count in group._fixed:
+        for b in bases:
+            counts = {b: 1}
+            for k in range(kmax + 1):
+                totals[k] += count * sum([n * n for n in counts.values()])
+                if k == kmax or not counts:
+                    break
+                counts = _step(counts, moves[k % 2])
+    if any(total % group.order for total in totals):
+        raise PlanarAlgError("internal: fixed-point count is not divisible by the group order")
+    return [total // group.order for total in totals]
 
 
 def is_centrally_ergodic(group: GroupAction) -> tuple[bool, bool]:

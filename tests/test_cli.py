@@ -155,6 +155,22 @@ class TestTower:
     def test_negative_depth(self, write_inclusion, capsys):
         assert main(["tower", "--input", write_inclusion("C-in-C2"), "--depth", "-1"]) == 2
 
+    def test_classifies_the_inclusion_once(self, write_inclusion, capsys, monkeypatch):
+        # Work count: one `tower` run calls analyze once, for its Markov
+        # check, and builds the tower from the index that check read.
+        calls = []
+        real = markov.analyze
+
+        def counting(inc):
+            calls.append(inc)
+            return real(inc)
+
+        monkeypatch.setattr(markov, "analyze", counting)
+        monkeypatch.setattr("planaralg.cli.analyze", counting)
+        assert main(["tower", "--input", write_inclusion("C-in-C2"), "--depth", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["levels"][3]["b_dim"] == 2 * 4**3
+        assert len(calls) == 1
+
 
 class TestDims:
     def test_json(self, write_inclusion, capsys):

@@ -265,7 +265,8 @@ class TestCloseGroup:
     def test_checks_the_edge_condition_once_per_generator(self, graphs, monkeypatch):
         # Work count: close_group decides, for each generator, include's
         # edge condition at degrees 0 and 1 (two calls), and no reader of
-        # the group decides it again; the verifier reads no level of rows.
+        # the group decides it again; neither the verifier nor the fixed
+        # dimensions read a level of rows, and fixed_space_basis reads one.
         calls = Counter()
         real, level = symmetry._includes_commute, symmetry.GroupAction._level
 
@@ -287,8 +288,10 @@ class TestCloseGroup:
         assert verify_planar_subalgebra(group, 4).all_passed
         assert calls == {0: 2, 1: 2}
         assert fixed_dims_report(group, 4) == [1, 1, 2, 5, 15]
+        assert burnside_dim(group, 4) == 15
+        assert calls == {0: 2, 1: 2}
         assert len(fixed_space_basis(group, 3)) == 5
-        assert calls == {0: 2, 1: 2, "level": 6}
+        assert calls == {0: 2, 1: 2, "level": 1}
 
 
 class TestAction:
@@ -433,6 +436,7 @@ class TestFixedSpaces:
         assert burnside_dim(group, k) == len(fixed_space_basis(group, k))
 
 
+@functools.cache
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind: partitions of n things into k blocks."""
     if n == k:
@@ -867,6 +871,31 @@ def test_symmetry_reads_paths_only_for_the_basis():
         if isinstance(node, ast.Attribute) and node.attr in ("paths", "paths_with_ends", "paths_from")
     ]
     assert callers == ["_orbit_images"]
+
+
+def test_fixed_dims_read_no_rows():
+    # fixed_dims_report and burnside_dim, and every function of symmetry.py
+    # they reach by name, name neither `_level` nor `rows` (nor `_extend` or
+    # `paths`): the count stays a walk on the fixed subgraphs, linear in
+    # kmax, and the row count, exponential in kmax, cannot come back.
+    source = Path(__file__).resolve().parent.parent / "src" / "planaralg" / "symmetry.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, pending, names = set(), ["fixed_dims_report", "burnside_dim"], set()
+    while pending:
+        name = pending.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+                if node.id in functions:
+                    pending.append(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    assert {"_step", "_fixed"} <= reached | names
+    assert not names & {"_level", "rows", "_extend", "paths"}
 
 
 def test_cup_cap_and_shift_prefixes_have_one_definition(graphs, monkeypatch):
@@ -1330,14 +1359,14 @@ def lemma_e_at_bases(group, stabilizer) -> bool:
 
 
 def test_verifier_walks_no_loop_pairs(graphs, monkeypatch):
-    # Work count: the verifier reads no class of rows, so it never pairs rows
-    # into loops or enumerates orbits; a loop walk, like fixed_space_basis,
-    # reads a class once per row in it.
+    # Work count: neither the verifier nor the fixed dimensions read a class
+    # of rows, so they never pair rows into loops or enumerate orbits; a
+    # loop walk, like fixed_space_basis, reads a class once per row in it.
     g = build_graph(corpus_entry("C-in-C4").inclusion())
     group = close_group(
         g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
     )
-    fixed_dims_report(group, 6)
+    g.rows(6)
     reads = Counter()
 
     class Counted(list):
@@ -1352,6 +1381,7 @@ def test_verifier_walks_no_loop_pairs(graphs, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(symmetry, "_orbit_images", None)
         assert verify_planar_subalgebra(group, 6).all_passed
+        assert fixed_dims_report(group, 6) == [1, 1, 2, 5, 15, 51, 187]
     assert sum(reads.values()) == 0
     fixed_space_basis(group, 6)
     assert sum(reads.values()) == len(g.rows(6).where) == 64
@@ -1635,10 +1665,11 @@ class TestFixedDimsOnPaths:
         assert calls == 0
 
     def test_extends_rows_once_per_degree(self, graphs, monkeypatch):
-        # Work count: on C-in-C with the trivial group, each degree's rows
-        # are the previous degree's extended by one edge, not rebuilt from
-        # degree 0 (which took 1,001,000 steps at kmax 1000), and the group
-        # keeps them for the next call.
+        # Work count: on C-in-C with the trivial group, fixed_space_basis
+        # extends each degree's row images from the previous degree's by one
+        # edge, not from degree 0 (which took 1,001,000 steps at kmax 1000),
+        # and the group keeps them for the next call; the fixed dimensions
+        # extend none.
         calls = Counter()
 
         def counting(name, real):
@@ -1652,16 +1683,18 @@ class TestFixedDimsOnPaths:
         monkeypatch.setattr(symmetry, "_extend", counting("extend", symmetry._extend))
         group = close_group(graphs("C-in-C"), [])
         assert fixed_dims_report(group, 1000) == [1] * 1001
+        assert calls == {}
+        assert len(fixed_space_basis(group, 1000)) == 1
         assert calls == {"extend": 1000}
-        assert fixed_dims_report(group, 1000) == [1] * 1001
-        assert [burnside_dim(group, k) for k in (0, 500, 1000)] == [1, 1, 1]
+        assert [len(fixed_space_basis(group, k)) for k in (0, 500, 1000)] == [1, 1, 1]
         assert calls == {"extend": 1000}
 
     def test_one_table_per_group(self, graphs, monkeypatch):
         # Work count: `fixed` calls fixed_dims_report and then the verifier,
-        # and a second verifier call at a lower degree builds nothing.  The
-        # group extends its rows once per degree (4 calls for degrees 1-4),
-        # no call reads a cup-cap, and none composes group elements.
+        # and neither reads the group's row images, a cup-cap or a
+        # composition of group elements.  fixed_space_basis extends the row
+        # images once per degree (4 calls for degrees 1-4), and a second
+        # call at a lower degree builds nothing.
         g = graphs("C-in-C4")
         group = close_group(
             g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
@@ -1681,7 +1714,60 @@ class TestFixedDimsOnPaths:
         assert fixed_dims_report(group, 4) == [1, 1, 2, 5, 15]
         assert verify_planar_subalgebra(group, 4).all_passed
         assert verify_planar_subalgebra(group, 3).all_passed
+        assert calls == {}
+        assert [len(fixed_space_basis(group, k)) for k in (4, 3)] == [15, 5]
         assert calls == {"extend": 4}
+
+    def test_counts_read_no_rows(self, graphs, monkeypatch):
+        # Work count: fixed_dims_report and burnside_dim walk the group's
+        # fixed subgraphs and call no `_level`, `_extend`, `paths` or
+        # `rows`, on a fresh graph whose rows were never built.
+        calls = Counter()
+
+        def counting(name, real):
+            def wrapped(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(symmetry.GroupAction, "_level", counting("level", symmetry.GroupAction._level))
+        monkeypatch.setattr(symmetry, "_extend", counting("extend", symmetry._extend))
+        for name in ("paths", "rows"):
+            monkeypatch.setattr(BipartiteGraph, name, counting(name, getattr(BipartiteGraph, name)))
+        g = build_graph(corpus_entry("C-in-C2xM2").inclusion())
+        group = close_group(
+            g, [make_automorphism(g, [0], [1, 0, 2], [1, 0, 2, 3]), make_automorphism(g, [0], [0, 1, 2], [0, 1, 3, 2])]
+        )
+        assert fixed_dims_report(group, 8) == [1, 3, 14, 72, 392, 2208, 12704, 74112, 436352]
+        assert burnside_dim(group, 8) == 436352
+        assert calls == {}
+        assert len(fixed_space_basis(group, 2)) == 14
+        assert calls["level"] == 1 and calls["extend"] == 2
+
+    def test_walk_is_linear_in_kmax(self, monkeypatch):
+        # Work count: on a fresh C-in-C with the trivial group, the count at
+        # kmax 1000 builds no table of paths beyond the graph's degree 0 and
+        # takes at most (distinct fixed subgraphs) x (fixed bases) x kmax
+        # steps of a vector of path counts: here 1 x 1 x 1000.
+        calls = Counter()
+
+        def counting(name, real):
+            def wrapped(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapped
+
+        g = build_graph(corpus_entry("C-in-C").inclusion())
+        group = close_group(g, [])
+        monkeypatch.setattr(graph, "PathTable", counting("tables", graph.PathTable))
+        monkeypatch.setattr(symmetry, "_step", counting("step", symmetry._step))
+        assert fixed_dims_report(group, 1000) == [1] * 1001
+        assert calls == {"step": 1000}
+        assert calls["step"] <= sum(len(bases) for bases, _, _ in group._fixed) * 1000
+        assert burnside_dim(group, 1000) == 1
+        assert calls == {"step": 2000}
 
     def test_cup_cap_reads_paths_once(self, monkeypatch):
         # Work count: on C-in-C at kmax 1000 the verifier reads no cup-cap and
@@ -1707,8 +1793,9 @@ class TestFixedDimsOnPaths:
     def test_one_table_of_paths_per_graph(self, monkeypatch):
         # Work count: on a fresh C-in-C, the graph builds one table of paths
         # per degree (1,001 for degrees 0-1000) and every reader shares it:
-        # a group's fixed dimensions, the loops, the cup-caps and a second
-        # group.  Each group only looks up its images (1,000 `_extend` calls).
+        # the loops, the cup-caps and the bases of two groups.  The fixed
+        # dimensions build none, and each group only looks up its row images
+        # for its basis (1,000 `_extend` calls).
         calls = Counter()
 
         def counting(name, real):
@@ -1722,10 +1809,12 @@ class TestFixedDimsOnPaths:
         monkeypatch.setattr(symmetry, "_extend", counting("extend", symmetry._extend))
         g = build_graph(corpus_entry("C-in-C").inclusion())
         assert fixed_dims_report(close_group(g, []), 1000) == [1] * 1001
-        assert calls == {"tables": 1001, "extend": 1000}
+        assert calls == {"tables": 1}
         assert g.enumerate_loops(1000) == [Loop(0, (0,) * 2000)]
         assert len(g.cup_cap(998, RadicalScalar.one()).terms) == 1
-        assert fixed_dims_report(close_group(g, []), 1000) == [1] * 1001
+        assert calls == {"tables": 1001}
+        assert len(fixed_space_basis(close_group(g, []), 1000)) == 1
+        assert len(fixed_space_basis(close_group(g, []), 1000)) == 1
         assert calls == {"tables": 1001, "extend": 2000}
 
     def test_row_orbit_count(self, graphs):
@@ -1792,6 +1881,73 @@ def stabiliser_orbit_count(group, k: int) -> int:
                 counted[pair] = len({min(im[u] for im in stabilizer) for u in rows})
             count += counted[pair]
     return count
+
+
+def row_burnside_count(group, k: int) -> int:
+    """The degree-k fixed-space dimension by Burnside's lemma on the graph's
+    rows, the count src/ made before it walked fixed subgraphs: an element
+    fixes [b; t; u] exactly when it fixes the rows (b, t) and (b, u), and a
+    row exactly when the row's image id is its own (Lemma 5), so it fixes
+    the sum over classes of (fixed rows of the class)^2 loops.  It compares
+    |G| x |rows of degree k| ids, exponential in k."""
+    images, classes = group._level(k), group.graph.rows(k).classes.values()
+    total = sum(sum(im[r] == r for r in rows) ** 2 for im in images for rows in classes)
+    assert total % group.order == 0
+    return total // group.order
+
+
+def _seeded_automorphism_groups(graphs, seed: int, count: int):
+    """Groups of one or two automorphisms drawn from every automorphism of
+    the graphs of SEEDED_GROUP_GRAPHS, each with its graph's kmax."""
+    rng = random.Random(seed)
+    autos = {name: _automorphisms(graphs(name)) for name, _ in SEEDED_GROUP_GRAPHS}
+    for index in range(count):
+        name, kmax = SEEDED_GROUP_GRAPHS[index % len(SEEDED_GROUP_GRAPHS)]
+        yield close_group(graphs(name), rng.sample(autos[name], rng.randint(1, 2))), kmax
+
+
+class TestRowBurnsideOracle:
+    # The walk on fixed subgraphs against the row count it replaced.
+
+    @staticmethod
+    def _agree(group, kmax: int) -> None:
+        dims = fixed_dims_report(group, kmax)
+        assert dims == [row_burnside_count(group, k) for k in range(kmax + 1)]
+        assert [burnside_dim(group, k) for k in range(kmax + 1)] == dims
+
+    def test_matches_on_oracle_cases(self, graphs):
+        cases = 0
+        for group, kmax in _oracle_cases(graphs):
+            self._agree(group, kmax + 1)
+            cases += 1
+        assert cases == 28
+
+    def test_matches_on_seeded_sets(self, graphs):
+        # Seeded permutation sets, of which close_group refuses some, and
+        # seeded groups of automorphisms; every accepted group is compared,
+        # one degree past its graph's kmax.
+        outcomes = Counter()
+        for g, gens, kmax in _seeded_sets(graphs, 20091, 200):
+            try:
+                group = close_group(g, gens, limit=200)
+            except InvalidAutomorphismError:
+                outcomes["refused"] += 1
+                continue
+            outcomes["accepted"] += 1
+            self._agree(group, kmax + 1)
+        for group, kmax in _seeded_automorphism_groups(graphs, 20095, 40):
+            outcomes["automorphisms"] += 1
+            self._agree(group, kmax)
+        assert outcomes == {"accepted": 113, "refused": 87, "automorphisms": 40}
+
+    def test_symmetric_group_to_degree_sixty(self, graphs):
+        # S4 on C-in-C4 fixes, in degree k, the sum of S(k, j) for j <= 4
+        # orbit sums; the row count agrees as far as it is quick (degree 9).
+        g = graphs("C-in-C4")
+        s4 = close_group(g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])])
+        dims = fixed_dims_report(s4, 60)
+        assert dims == [sum(stirling2(k, j) for j in range(5)) for k in range(61)]
+        assert dims[:10] == [row_burnside_count(s4, k) for k in range(10)]
 
 
 # (graph, kmax) for the seeded automorphism groups of the row orbit count.
