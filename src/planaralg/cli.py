@@ -242,8 +242,11 @@ def cmd_verify_tl(args) -> int:
     return EXIT_OK if document["all_passed"] else EXIT_CHECKS_FAILED
 
 
-def _load_group(graph, path: str):
-    from .symmetry import make_automorphism
+def _load_group(path: str):
+    """The generators of a group document, each shape-checked as it is read,
+    so that close_group checks each as an automorphism before the next is
+    read: errors come in document order."""
+    from .symmetry import GraphAutomorphism
 
     document = _load_json(path)
     if not isinstance(document, dict) or "generators" not in document:
@@ -254,7 +257,6 @@ def _load_group(graph, path: str):
     raw = document["generators"]
     if not isinstance(raw, list):
         raise ValidationError('"generators" must be a list')
-    generators = []
     for idx, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise ValidationError(f"generator {idx} must be an object")
@@ -267,10 +269,7 @@ def _load_group(graph, path: str):
             raise ValidationError(f'generator {idx}: "perm_a" and "perm_b" must be lists')
         if not isinstance(entry.get("perm_e", []), (list, type(None))):
             raise ValidationError(f'generator {idx}: "perm_e" must be a list or null')
-        generators.append(
-            make_automorphism(graph, entry["perm_a"], entry["perm_b"], entry.get("perm_e"))
-        )
-    return generators
+        yield GraphAutomorphism(entry["perm_a"], entry["perm_b"], entry.get("perm_e"))
 
 
 def cmd_fixed(args) -> int:
@@ -280,8 +279,7 @@ def cmd_fixed(args) -> int:
     inc = _load_inclusion(args.input)
     _check_loop_budget(inc, args.kmax, args.limit_loops)
     graph = build_graph(inc)
-    generators = _load_group(graph, args.group)
-    group = close_group(graph, generators)
+    group = close_group(graph, _load_group(args.group))
     dims = fixed_dims_report(group, args.kmax)
     if args.format == "csv":
         return _emit(_csv_text(["k", "dim"], [[k, d] for k, d in enumerate(dims)]))

@@ -1,11 +1,11 @@
 """Finite symmetry groups of inclusion graphs and their fixed loop spaces.
 
-An automorphism permutes lower vertices, upper vertices, and edges
-compatibly and preserves vertex weights; it acts on loops edgewise and on
-elements linearly.  close_group takes any permutations of the vertices and
-edges that map loops to loops, which every automorphism does, decides that
-once on the edges, and refuses any other; every routine that reads the
-group takes it as given.  The fixed space in each degree is spanned by
+A group element is an automorphism: it permutes lower vertices, upper
+vertices, and edges compatibly and preserves vertex weights; it acts on
+loops edgewise and on elements linearly.  make_automorphism is the one
+check of that, and close_group runs it once on each generator, so every
+group maps loops to loops and every routine that reads the group takes it
+as given.  The fixed space in each degree is spanned by
 orbit sums, its dimension is the orbit count, which Burnside's lemma gives
 as a count of paths in each element's fixed subgraph, and the verification
 routine reports that the fixed spaces form a subalgebra closed under the
@@ -48,13 +48,6 @@ class GraphAutomorphism(NamedTuple):
             tuple(then.perm_e[e] for e in self.perm_e),
         )
 
-    def is_identity(self) -> bool:
-        return (
-            self.perm_a == tuple(range(len(self.perm_a)))
-            and self.perm_b == tuple(range(len(self.perm_b)))
-            and self.perm_e == tuple(range(len(self.perm_e)))
-        )
-
 
 def _check_permutation(perm: tuple[int, ...], size: int, label: str) -> None:
     if not all(type(x) is int or isinstance(x, Integral) and not isinstance(x, bool) for x in perm):
@@ -69,8 +62,12 @@ def make_automorphism(
     perm_b,
     perm_e=None,
 ) -> GraphAutomorphism:
-    """Validate permutation data against a graph.
+    """Validate permutation data against a graph: the one check of a group
+    element, which close_group runs on each generator.
 
+    Each map must be a permutation of its vertex or edge list, every edge
+    must go to an edge between the images of its endpoints (incidence), and
+    every vertex to one of the same weight (InvalidAutomorphismError).
     perm_e may be omitted for simple graphs, where it is determined by the
     vertex permutations; with parallel edges it must be supplied.
     """
@@ -104,12 +101,10 @@ def make_automorphism(
             raise InvalidAutomorphismError(
                 f"edge {edge.id} maps to edge {image.id} with incompatible endpoints"
             )
-    for i, target in enumerate(perm_a):
-        if g.weights_a[i] != g.weights_a[target]:
-            raise InvalidAutomorphismError(f"weight changes along a{i} -> a{target}")
-    for j, target in enumerate(perm_b):
-        if g.weights_b[j] != g.weights_b[target]:
-            raise InvalidAutomorphismError(f"weight changes along b{j} -> b{target}")
+    for side, weights, perm in (("a", g.weights_a, perm_a), ("b", g.weights_b, perm_b)):
+        for i, target in enumerate(perm):
+            if weights[i] != weights[target]:
+                raise InvalidAutomorphismError(f"weight changes along {side}{i} -> {side}{target}")
     return GraphAutomorphism(perm_a, perm_b, perm_e)
 
 
@@ -120,10 +115,9 @@ def identity_automorphism(g: BipartiteGraph) -> GraphAutomorphism:
 
 
 class GroupAction:
-    """A finite group of permutations of the vertices and edges that maps
-    every loop to a loop, together with the graph it acts on; close_group
-    decides that the generators map loops to loops and closes the elements
-    under composition with each generator.  Immutable, so the two tables it
+    """A finite group of automorphisms of a graph, together with the graph;
+    close_group checks the generators and closes the elements under
+    composition with each generator.  Immutable, so the two tables it
     keeps cannot go stale (docs/closure-multiply-and-burnside.md, section
     11): the fixed subgraphs of its elements, built here for the fixed
     dimensions, and, for fixed_space_basis only, the images of the graph's
@@ -180,15 +174,6 @@ def _fixed_subgraphs(g: BipartiteGraph, elements) -> tuple:
     return tuple(table)
 
 
-def _includes_commute(g: BipartiteGraph, gen: GraphAutomorphism, k: int) -> bool:
-    """Include's edge condition (I) at degree k: the generator sends the edges
-    attached at each row's endpoint onto those attached at its image's
-    (docs/equivariance-include-expect-shift.md, section 3)."""
-    a, e, attach, end = gen.perm_a, gen.perm_e, g.step(k).attach, g.step(k - 1).end
-    ends = zip(range(g.num_a), a) if k == 0 else ((v, end[e[l]]) for l, v in enumerate(end))
-    return all(sorted(map(e.__getitem__, attach[v])) == list(attach[w]) for v, w in ends)
-
-
 def close_group(
     g: BipartiteGraph,
     generators,
@@ -196,25 +181,19 @@ def close_group(
 ) -> GroupAction:
     """Close a generator list under composition, identity included.
 
-    Each of perm_a, perm_b and perm_e of every generator must be a
-    permutation of its vertex or edge list, and every generator must send
-    each loop to a loop (InvalidAutomorphismError).  The second is decided
-    on the edges, as include's edge condition at degrees 0 and 1, which
-    holds exactly when the group maps every loop of every degree to a loop
-    (docs/closure-multiply-and-burnside.md, section 2).  Incidence and
-    weights are not checked (make_automorphism checks both, and incidence
-    implies the edge condition).
+    Each generator, read in turn from the iterable, must be a
+    GraphAutomorphism that make_automorphism accepts, with its perm_b: a
+    weight-preserving graph automorphism (InvalidAutomorphismError, with
+    make_automorphism's messages).  Incidence gives include's edge
+    condition at degrees 0 and 1, so the group maps every loop of every
+    degree to a loop (docs/closure-multiply-and-burnside.md, section 2).
     Raises GroupTooLargeError as soon as the element count would pass the limit.
     """
-    gens = tuple(generators)
-    for gen in gens:
+    gens = []
+    for gen in generators:
         if not isinstance(gen, GraphAutomorphism):
             raise ValidationError("generators must be GraphAutomorphism instances")
-        _check_permutation(gen.perm_a, g.num_a, "perm_a")
-        _check_permutation(gen.perm_b, g.num_b, "perm_b")
-        _check_permutation(gen.perm_e, len(g.edges), "perm_e")
-    if not all(_includes_commute(g, gen, 0) and _includes_commute(g, gen, 1) for gen in gens):
-        raise InvalidAutomorphismError("a generator sends a loop to a non-loop")
+        gens.append(make_automorphism(g, *gen))
     seen = {identity_automorphism(g)}
     frontier = [identity_automorphism(g)]
     while frontier:
@@ -229,7 +208,7 @@ def close_group(
                     nxt.append(candidate)
         frontier = nxt
     # Tuples of (perm_a, perm_b, perm_e): sorted by the three maps in turn.
-    return GroupAction(g, gens, tuple(sorted(seen)))
+    return GroupAction(g, tuple(gens), tuple(sorted(seen)))
 
 
 def act_loop(auto: GraphAutomorphism, loop: Loop) -> Loop:

@@ -37,6 +37,9 @@ CORPUS = (
     CorpusEntry("C-in-M2", (1,), ((2,),), True, Fraction(4), True),
     CorpusEntry("C-in-M3", (1,), ((3,),), True, Fraction(9), True),
     CorpusEntry("central-C2-in-M2xM2", (1, 1), ((2, 0), (0, 2)), True, Fraction(4), True),
+    # Two components of index 4 with unequal weights: swapping them keeps
+    # every edge and loop but no weight, so it is not an automorphism.
+    CorpusEntry("C-M2-in-M2xM4", (1, 2), ((2, 0), (0, 2)), True, Fraction(4), False),
     CorpusEntry("C2-in-M2", (1, 1), ((1,), (1,)), True, Fraction(2), False),
     CorpusEntry("C-in-C2xM2", (1,), ((1, 1, 2),), True, Fraction(6), True),
     CorpusEntry("skew-C2-in-M2xC", (1, 1), ((1, 1), (1, 0)), False, Fraction(5, 2), False),

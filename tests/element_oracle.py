@@ -13,8 +13,9 @@ Not a test module (no `test_` prefix): pytest does not collect it.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
-from planaralg import Loop, PlanarElement, RadicalScalar
+from planaralg import BipartiteGraph, Loop, PlanarElement, RadicalScalar, identity_automorphism
 
 Terms = dict[Loop, RadicalScalar]
 
@@ -144,3 +145,43 @@ def reynolds(group, x: RefElement) -> RefElement:
     for element in group.elements:
         total = total + act(element, x)
     return total.scaled(RadicalScalar.from_rational(Fraction(1, group.order)))
+
+
+class RawGroup(NamedTuple):
+    """The group that maps generate, unchecked: what the loop oracles and
+    `reynolds` read (graph, generators, elements, order), for maps that
+    close_group refuses and for graphs without weights."""
+
+    graph: BipartiteGraph
+    generators: tuple
+    elements: tuple
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
+
+
+def raw_group(g, gens) -> RawGroup:
+    identity = identity_automorphism(g)
+    elements, frontier = {identity}, [identity]
+    while frontier:
+        frontier = {h.compose(gen) for h in frontier for gen in gens} - elements
+        elements |= frontier
+    return RawGroup(g, tuple(gens), tuple(sorted(elements)))
+
+
+def includes_commute(g, gen, k: int) -> bool:
+    """Include's edge condition (I) at degree k: the generator sends the edges
+    attached at each row's endpoint onto those attached at its image's
+    (docs/equivariance-include-expect-shift.md, section 3)."""
+    a, e, attach, end = gen.perm_a, gen.perm_e, g.step(k).attach, g.step(k - 1).end
+    ends = zip(range(g.num_a), a) if k == 0 else ((v, end[e[l]]) for l, v in enumerate(end))
+    return all(sorted(map(e.__getitem__, attach[v])) == list(attach[w]) for v, w in ends)
+
+
+def edge_condition(g, gen) -> bool:
+    """Shift's edge condition (S): (I) at degrees 0 and 1.  Incidence implies
+    it, and it makes perm_a and perm_e send every loop of every degree to a
+    loop (docs/closure-multiply-and-burnside.md, section 2); close_group
+    checks incidence and the weights instead."""
+    return includes_commute(g, gen, 0) and includes_commute(g, gen, 1)

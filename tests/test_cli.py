@@ -316,6 +316,20 @@ class TestFixed:
         args = ["fixed", "--input", write_inclusion("C-in-C2"), "--group", group, "--kmax", "1"]
         assert main(args) == 2
 
+    def test_generators_are_checked_in_document_order(self, write_inclusion, write_group, capsys):
+        # Each generator's shape is read, then it is checked as an
+        # automorphism, before the next is read: the first generator breaks
+        # incidence and the second lacks perm_b, and the first is reported.
+        group = write_group([{"perm_a": [0], "perm_b": [0, 1], "perm_e": [1, 0]}, {"perm_a": [0]}])
+        args = ["fixed", "--input", write_inclusion("C-in-C2"), "--group", group, "--kmax", "1"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: edge 0 maps to edge 1 with incompatible endpoints\n"
+        group = write_group([{"perm_a": [0], "perm_b": [1, 0]}, {"perm_a": [0]}])
+        assert main(["fixed", "--input", write_inclusion("C-in-C2"), "--group", group, "--kmax", "1"]) == 2
+        assert capsys.readouterr().err == 'input error: generator 1 needs "perm_a" and "perm_b"\n'
+
     @pytest.mark.parametrize(
         "generator",
         [

@@ -10,11 +10,11 @@ import random
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple
 
 import pytest
 
 import element_oracle as oracle
+from element_oracle import edge_condition, includes_commute, raw_group
 from planaralg import (
     BipartiteGraph,
     GraphAutomorphism,
@@ -43,6 +43,7 @@ from planaralg import (
     reynolds,
     shift,
     sum_scalars,
+    trace,
     verify_planar_subalgebra,
 )
 from planaralg import graph, symmetry
@@ -80,7 +81,7 @@ class TestMakeAutomorphism:
     def test_identity(self, graphs):
         g = graphs("C-in-C2")
         auto = identity_automorphism(g)
-        assert auto.is_identity()
+        assert auto == GraphAutomorphism((0,), (0, 1), (0, 1))
         assert make_automorphism(g, [0], [0, 1]) == auto
 
     def test_derives_edge_permutation(self, two_point_swap):
@@ -98,7 +99,7 @@ class TestMakeAutomorphism:
         g, cycle = three_point_cycle
         twice = cycle.compose(cycle)
         assert twice.perm_b == (2, 0, 1)
-        assert cycle.compose(twice).is_identity()
+        assert cycle.compose(twice) == identity_automorphism(g)
 
     def test_rejects_non_permutation(self, graphs):
         g = graphs("C-in-C2")
@@ -152,7 +153,7 @@ class TestCloseGroup:
         g, swap = two_point_swap
         group = close_group(g, [swap])
         assert group.order == 2
-        assert group.elements[0].is_identity()
+        assert group.elements[0] == identity_automorphism(g)
 
     def test_symmetric_group_closure(self, graphs):
         g = graphs("C-in-C3")
@@ -246,13 +247,15 @@ class TestCloseGroup:
         # e1 = a0-b1, e2 = a1-b0, e3 = a1-b1), swapping e0 and e1 alone keeps
         # the edges at each base and so every loop of degree 0 and 1, but
         # sends the degree-2 loop [a0; e0 e2; e0 e2] to a walk that leaves b1
-        # along e2, which ends at b0.  close_group refuses it; it used to
-        # accept it, and the group average then put terms on such walks.
+        # along e2, which ends at b0.  close_group refuses it, since e0 and
+        # e1 end at different upper vertices; it used to accept it, and the
+        # group average then put terms on such walks.
         g = build_graph(InclusionData([1, 1], [[1, 1], [1, 1]]))
         gen = GraphAutomorphism((0, 1), (0, 1), (1, 0, 2, 3))
         with pytest.raises(InvalidAutomorphismError) as refused:
             close_group(g, [gen])
-        assert str(refused.value) == REFUSED
+        assert str(refused.value) == "edge 0 maps to edge 1 with incompatible endpoints"
+        assert includes_commute(g, gen, 0) and not includes_commute(g, gen, 1)
         assert kept_degree(g, [gen], 2) == 1
         loop = Loop(0, (0, 2, 2, 0))
         assert g.is_valid_loop(loop)
@@ -263,35 +266,50 @@ class TestCloseGroup:
         assert sum(not g.is_valid_loop(l) for l in averaged.terms) == 4
 
     def test_checks_the_edge_condition_once_per_generator(self, graphs, monkeypatch):
-        # Work count: close_group decides, for each generator, include's
-        # edge condition at degrees 0 and 1 (two calls), and no reader of
-        # the group decides it again; neither the verifier nor the fixed
-        # dimensions read a level of rows, and fixed_space_basis reads one.
+        # Work count: close_group runs make_automorphism's check, whose
+        # incidence test gives include's edge condition at degrees 0 and 1,
+        # once for each generator, and no reader of the group checks it
+        # again; neither the verifier nor the fixed dimensions read a level
+        # of rows, and fixed_space_basis reads one.
         calls = Counter()
-        real, level = symmetry._includes_commute, symmetry.GroupAction._level
+        real, level = symmetry.make_automorphism, symmetry.GroupAction._level
 
-        def counting(g, gen, k):
-            calls[k] += 1
-            return real(g, gen, k)
+        def counting(g, *maps):
+            calls["check"] += 1
+            return real(g, *maps)
 
         def counting_level(self, k):
             calls["level"] += 1
             return level(self, k)
 
-        monkeypatch.setattr(symmetry, "_includes_commute", counting)
-        monkeypatch.setattr(symmetry.GroupAction, "_level", counting_level)
         g = graphs("C-in-C4")
-        group = close_group(
-            g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
-        )
-        assert calls == {0: 2, 1: 2}
+        gens = [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
+        monkeypatch.setattr(symmetry, "make_automorphism", counting)
+        monkeypatch.setattr(symmetry.GroupAction, "_level", counting_level)
+        group = close_group(g, gens)
+        assert calls == {"check": 2}
         assert verify_planar_subalgebra(group, 4).all_passed
-        assert calls == {0: 2, 1: 2}
+        assert calls == {"check": 2}
         assert fixed_dims_report(group, 4) == [1, 1, 2, 5, 15]
         assert burnside_dim(group, 4) == 15
-        assert calls == {0: 2, 1: 2}
+        assert calls == {"check": 2}
         assert len(fixed_space_basis(group, 3)) == 5
-        assert calls == {0: 2, 1: 2, "level": 1}
+        assert calls == {"check": 2, "level": 1}
+
+    def test_refuses_a_weight_changing_swap(self, graphs):
+        # The swap of the two components of C-M2-in-M2xM4 keeps incidence
+        # and every loop, but sends a0 (block C) to a1 (block M2): no algebra
+        # automorphism induces it, and the trace of the point at a0 is 1/5,
+        # of its image 4/5.  close_group refuses it as make_automorphism does.
+        g = graphs("C-M2-in-M2xM4")
+        swap = GraphAutomorphism((1, 0), (1, 0), (2, 3, 0, 1))
+        assert edge_condition(g, swap) and kept_degree(g, [swap], 4) == 4
+        points = [trace(g, PlanarElement.basis(Loop(b, ()))) for b in (0, 1)]
+        assert points == [RadicalScalar.from_rational(Fraction(1, 5)), RadicalScalar.from_rational(Fraction(4, 5))]
+        for check in (lambda: close_group(g, [swap]), lambda: make_automorphism(g, *swap)):
+            with pytest.raises(InvalidAutomorphismError) as refused:
+                check()
+            assert str(refused.value) == "weight changes along a0 -> a1"
 
 
 class TestAction:
@@ -380,15 +398,15 @@ class TestFixedSpaces:
         # Permutations of every vertex and edge set, but edge 0 (a0-b0) goes
         # to edge 2 (a0-b2) and back: the degree-1 loop [a0; e0; e0] stays
         # a loop, [a0; e2; e3] does not, and the two counts would disagree.
-        # close_group refuses the map, alone or beside an automorphism, with
-        # one message, so no routine that reads a group's rows meets it.
+        # close_group refuses the map, alone or beside an automorphism, since
+        # it breaks incidence, so no routine that reads a group's rows meets it.
         g = graphs("C-in-C2xM2")
         gen = GraphAutomorphism((0,), (0, 1, 2), (2, 1, 0, 3))
         assert kept_degree(g, [gen], 1) == 0
         for gens in ([gen], [make_automorphism(g, [0], [1, 0, 2], [1, 0, 2, 3]), gen]):
             with pytest.raises(InvalidAutomorphismError) as refused:
                 close_group(g, gens)
-            assert str(refused.value) == REFUSED
+            assert str(refused.value) == "edge 0 maps to edge 2 with incompatible endpoints"
 
     @pytest.mark.parametrize(
         "read",
@@ -402,21 +420,23 @@ class TestFixedSpaces:
     )
     def test_every_reader_refuses_maps_that_send_loops_to_non_loops(self, graphs, read):
         # The map of the test above never reaches a routine that reads the
-        # group's rows: close_group refuses it with one message before the
-        # reader runs.  The map that swaps the edges at b0 and b1 keeps every
+        # group's rows: close_group refuses it before the reader runs.  The
+        # automorphism that swaps b0 and b1 with their edges keeps every
         # loop, and each reader reads its group at the same degree.
         g = graphs("C-in-C2xM2")
-        with pytest.raises(InvalidAutomorphismError) as refused:
+        with pytest.raises(InvalidAutomorphismError, match=REFUSED):
             read(close_group(g, [GraphAutomorphism((0,), (0, 1, 2), (2, 1, 0, 3))]))
-        assert str(refused.value) == REFUSED
-        read(close_group(g, [GraphAutomorphism((0,), (0, 1, 2), (1, 0, 2, 3))]))
+        read(close_group(g, [GraphAutomorphism((0,), (1, 0, 2), (1, 0, 2, 3))]))
 
     def test_counts_maps_that_keep_loops(self, graphs):
-        # Swapping the edges at b0 and b1 but not the vertices breaks
-        # incidence, yet every loop still maps to a loop.
+        # Swapping b0 and b1 with their edges.  The same edge map with b0
+        # and b1 left in place also sends every loop to a loop, but breaks
+        # incidence, and close_group refuses it.
         g = graphs("C-in-C2xM2")
-        group = close_group(g, [GraphAutomorphism((0,), (0, 1, 2), (1, 0, 2, 3))])
+        group = close_group(g, [GraphAutomorphism((0,), (1, 0, 2), (1, 0, 2, 3))])
         assert fixed_dims_report(group, 3) == [1, 5, 26, 140]
+        with pytest.raises(InvalidAutomorphismError, match=REFUSED):
+            close_group(g, [GraphAutomorphism((0,), (0, 1, 2), (1, 0, 2, 3))])
 
     @pytest.mark.parametrize("n, dims", [(3, [1, 1, 2, 5, 14, 41]), (4, [1, 1, 2, 5, 15, 51])])
     def test_symmetric_group_dims_are_stirling_sums(self, graphs, n, dims):
@@ -463,6 +483,21 @@ class TestErgodicity:
         group = close_group(g, [make_automorphism(g, [0], [1, 0, 2, 3])])
         assert group.order == 2
         assert is_centrally_ergodic(group) == (True, False)
+
+    def test_perm_b_is_the_one_perm_e_induces(self, graphs):
+        # On C-in-C2 the raw map that swaps the edges and keeps b0 and b1 has
+        # the fixed dimensions of the swap, [1, 1, 2, 4], but would report
+        # the action on upper vertices intransitive: close_group refuses it,
+        # and the swap, with the perm_b its perm_e induces, is transitive.
+        g = graphs("C-in-C2")
+        raw = GraphAutomorphism((0,), (0, 1), (1, 0))
+        assert every_loop_fixed_dims(raw_group(g, [raw]), 3) == [1, 1, 2, 4]
+        with pytest.raises(InvalidAutomorphismError) as refused:
+            close_group(g, [raw])
+        assert str(refused.value) == "edge 0 maps to edge 1 with incompatible endpoints"
+        group = close_group(g, [make_automorphism(g, [0], [1, 0])])
+        assert fixed_dims_report(group, 3) == [1, 1, 2, 4]
+        assert is_centrally_ergodic(group) == (True, True)
 
     def test_rejects_noncentral_inclusion(self, graphs):
         g = graphs("C2-in-M2")
@@ -562,15 +597,17 @@ RAW_CASES = (("C-in-C2", 3), ("C2-in-M2", 3), ("C-in-C2xM2", 2), ("C-in-C3", 3))
 # (1, 1)), and a permutation of its vertices and edges that sends every loop
 # of degree 0 and 1 to a loop but not every loop of degree 2, and moves edge
 # weights: perm_e sends e0 (squared spin 2/3 sqrt 3) to e1 (1/3 sqrt 3).
-# close_group refuses it; on the loop oracles, its group fails
-# closure-expect(1).
+# close_group refuses it, since it breaks incidence; on the loop oracles, its
+# group fails closure-expect(1).
 UNION = InclusionData([2, 2, 1, 1], [[1, 1, 0, 0, 0, 0], [1, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 1], [0, 0, 0, 0, 1, 1]])
 UNION_GENERATOR = GraphAutomorphism((0, 3, 1, 2), (1, 4, 0, 5, 2, 3), (1, 0, 6, 7, 3, 2, 5, 4))
 # A second such permutation: it also moves edge weights, but keeps the weight
 # sum of every orbit of each base's stabiliser on the edges at that base.
 UNION_REVERSAL = GraphAutomorphism((3, 2, 1, 0), (1, 0, 3, 5, 4, 2), (6, 7, 5, 4, 2, 3, 1, 0))
 
-REFUSED = "a generator sends a loop to a non-loop"
+# The end of close_group's refusal of a permutation that breaks incidence,
+# which every permutation that sends a loop to a non-loop does.
+REFUSED = "with incompatible endpoints"
 
 
 @functools.cache
@@ -578,38 +615,32 @@ def union_graph():
     return build_graph(UNION)
 
 
-class RawGroup(NamedTuple):
-    """The group that permutations generate, unchecked: what the loop
-    oracles read (graph, generators, elements, order), for maps that
-    close_group refuses."""
-
-    graph: BipartiteGraph
-    generators: tuple
-    elements: tuple
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
-def raw_group(g, gens) -> RawGroup:
-    identity = identity_automorphism(g)
-    elements, frontier = {identity}, [identity]
-    while frontier:
-        frontier = {h.compose(gen) for h in frontier for gen in gens} - elements
-        elements |= frontier
-    return RawGroup(g, tuple(gens), tuple(sorted(elements)))
-
-
 def _permutation(rng: random.Random, size: int) -> tuple[int, ...]:
     return tuple(rng.sample(range(size), size))
+
+
+def induced_perm_b(g, gen) -> tuple[int, ...]:
+    """The map on upper vertices that perm_e induces: each upper vertex goes
+    to the upper end of the image of an edge at it.  Where the edge condition
+    (S) holds it is a permutation, and with it the maps keep incidence."""
+    return tuple(g.edge(gen.perm_e[g.edges_down(j)[0]]).dst for j in range(g.num_b))
+
+
+def keeps_weights(g, gen) -> bool:
+    return all(
+        weights[i] == weights[target]
+        for weights, perm in ((g.weights_a, gen.perm_a), (g.weights_b, gen.perm_b))
+        for i, target in enumerate(perm)
+    )
 
 
 def _permutation_generator(rng: random.Random, g) -> GraphAutomorphism:
     """Seeded permutations of the vertices and edges: perm_e is uniform, or
     sends the edges at each lower vertex b to those at perm_a[b] (when their
-    numbers agree), so that more of the maps keep loops.  Incidence and
-    weights are not kept."""
+    numbers agree), so that more of the maps keep loops.  perm_b is drawn
+    uniformly, then replaced by the one perm_e induces wherever the edge
+    condition (S) holds, so exactly the maps that keep loops keep incidence.
+    Weights are not kept."""
     perm_a = _permutation(rng, g.num_a)
     ups = [g.edges_up(i) for i in range(g.num_a)]
     if rng.randrange(2) and all(len(ups[i]) == len(ups[j]) for i, j in enumerate(perm_a)):
@@ -619,7 +650,8 @@ def _permutation_generator(rng: random.Random, g) -> GraphAutomorphism:
                 perm_e[f] = image
     else:
         perm_e = _permutation(rng, len(g.edges))
-    return GraphAutomorphism(perm_a, _permutation(rng, g.num_b), tuple(perm_e))
+    gen = GraphAutomorphism(perm_a, _permutation(rng, g.num_b), tuple(perm_e))
+    return gen._replace(perm_b=induced_perm_b(g, gen)) if edge_condition(g, gen) else gen
 
 
 def kept_degree(g, gens, cap: int) -> int:
@@ -658,43 +690,49 @@ def _seeded_groups(graphs, seed: int, count: int, cap: int = 3):
 def test_seeded_sets_are_accepted_and_refused(graphs, seed, count, accepted, refused):
     # The oracle cases take only the seeded sets that close_group accepts;
     # both outcomes occur, so the oracle comparisons are not vacuous, and no
-    # set passes the limit.
+    # set passes the limit.  Every refused set breaks incidence.
     outcomes = Counter()
     for g, gens, _ in _seeded_sets(graphs, seed, count):
         try:
             close_group(g, gens, limit=200)
             outcomes["accepted"] += 1
         except InvalidAutomorphismError as exc:
-            assert str(exc) == REFUSED
+            assert str(exc).endswith(REFUSED)
             outcomes["refused"] += 1
     assert outcomes == {"accepted": accepted, "refused": refused}
 
 
-def test_close_group_accepts_exactly_the_sets_that_keep_degree_two(graphs):
-    # Include's edge condition at degrees 0 and 1 holds exactly when the
-    # group maps every loop to a loop (docs/closure-multiply-and-burnside.md,
-    # section 2).  Over seeded sets on every Markov corpus graph and the
-    # disjoint union, close_group accepts exactly the sets whose generators
-    # keep the loops of degree 2, tested loop by loop, and every accepted set
-    # keeps those of degree 4.  The edge condition is decided before the
-    # closure, so a set whose group passes the limit was accepted.
+def test_close_group_accepts_exactly_the_sets_that_keep_loops_and_weights(graphs):
+    # Over seeded sets on every Markov corpus graph and the disjoint union:
+    # the edge condition (S), read on the edges, holds exactly when the
+    # generators keep the loops of degree 2, tested loop by loop, and then
+    # they keep those of degree 4 (the proof of Theorem V in
+    # docs/closure-multiply-and-burnside.md, section 2, gives the second);
+    # close_group accepts exactly the sets whose generators satisfy (S) and
+    # keep the weights, and refuses the others by incidence or by weight.
+    # The check comes before the closure, so a set whose group passes the
+    # limit was accepted.
     rng = random.Random(20094)
     pool = [graphs(entry.name) for entry in MARKOV_CORPUS] + [union_graph()]
     outcomes = Counter()
     for index in range(132):
         g = pool[index % len(pool)]
         gens = [_permutation_generator(rng, g) for _ in range(rng.randint(1, 2))]
+        keeps_loops = all(edge_condition(g, gen) for gen in gens)
+        assert keeps_loops == (kept_degree(g, gens, 2) == 2)
+        assert not keeps_loops or kept_degree(g, gens, 4) == 4
         try:
             close_group(g, gens, limit=200)
-            accepted = True
+            outcome = "accepted"
         except GroupTooLargeError:
-            accepted = True
-        except InvalidAutomorphismError:
-            accepted = False
-        assert accepted == (kept_degree(g, gens, 2) == 2)
-        assert not accepted or kept_degree(g, gens, 4) == 4
-        outcomes[accepted] += 1
-    assert outcomes == {True: 106, False: 26}
+            outcome = "accepted"
+        except InvalidAutomorphismError as exc:
+            outcome = "incidence" if str(exc).endswith(REFUSED) else "weights"
+            assert outcome == "incidence" or str(exc).startswith("weight changes along")
+        assert (outcome == "accepted") == (keeps_loops and all(keeps_weights(g, gen) for gen in gens))
+        assert (outcome == "incidence") == (not keeps_loops)
+        outcomes[outcome] += 1
+    assert outcomes == {"accepted": 93, "incidence": 35, "weights": 4}
 
 
 def _oracle_cases(graphs):
@@ -729,7 +767,8 @@ class TestEquivarianceMultiply:
     def test_degree_zero_follows_perm_a(self, graphs):
         # A perm_a that merges two bases would send two orthogonal points to
         # one idempotent, and one that swaps the bases of C2-in-M2 but not
-        # its edges sends loops to non-loops; close_group refuses both.
+        # its edges sends loops to non-loops and breaks incidence;
+        # close_group refuses both.
         g = graphs("C2-in-M2")
         for perm_a, perm_e in (((0, 1), (0, 1)), ((1, 0), (1, 0))):
             group = close_group(g, [GraphAutomorphism(perm_a, (0,), perm_e)])
@@ -898,6 +937,24 @@ def test_fixed_dims_read_no_rows():
     assert not names & {"_level", "rows", "_extend", "paths"}
 
 
+def test_one_automorphism_check():
+    # A group element is checked in one place: symmetry.py defines no second
+    # edge test, close_group calls make_automorphism, and each of the
+    # incidence and weight refusals is raised from one place in src/.
+    package = Path(__file__).resolve().parent.parent / "src" / "planaralg"
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in package.glob("*.py")}
+    functions = {node.name: node for node in trees["symmetry.py"].body if isinstance(node, ast.FunctionDef)}
+    assert "_includes_commute" not in functions
+    assert "make_automorphism" in {n.id for n in ast.walk(functions["close_group"]) if isinstance(n, ast.Name)}
+    raised = Counter()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise):
+                text = "".join(c.value for c in ast.walk(node) if isinstance(c, ast.Constant) and isinstance(c.value, str))
+                raised.update(phrase for phrase in ("incompatible endpoints", "weight changes along") if phrase in text)
+    assert raised == {"incompatible endpoints": 1, "weight changes along": 1}
+
+
 def test_cup_cap_and_shift_prefixes_have_one_definition(graphs, monkeypatch):
     # Work count: jones_projection_raw reads one cup-cap definition and shift
     # one prefix definition; the verifier reads neither.
@@ -979,7 +1036,7 @@ class TestEquivarianceIncludeExpectShift:
         degree), for generators that close_group refuses."""
         with pytest.raises(InvalidAutomorphismError) as refused:
             close_group(g, gens)
-        assert str(refused.value) == REFUSED
+        assert str(refused.value).endswith(REFUSED)
         group = raw_group(g, gens)
         expected = every_loop_equivariance(group, kmax, pairwise_multiplicative(group, kmax))
         return {
@@ -1202,18 +1259,21 @@ class TestRowIdWalk:
     def test_matches_loop_walk_on_raw_generators(self, graphs):
         # Every single raw generator of central-C2-in-M2xM2, the graph where
         # closure-expect depended on the walk's order: close_group refuses the
-        # 4,000 that are not permutations and the 80 permutations that send a
-        # loop of degree 1 or 2 to a non-loop; the 16 it accepts keep the
-        # loops up to degree 3 and agree with the loop walk in both orders.
+        # 4,000 that are not permutations and the 88 permutations that break
+        # incidence, the 80 that send a loop of degree 1 or 2 to a non-loop
+        # and 8 that keep every loop with a perm_b that perm_e does not
+        # induce; the 8 automorphisms it accepts keep the loops up to degree 3
+        # and agree with the loop walk in both orders.
         g = graphs("central-C2-in-M2xM2")
         groups, refused = [], Counter()
         for gen in _single_raw_generators(g):
             try:
                 groups.append(close_group(g, [gen]))
             except InvalidAutomorphismError as exc:
-                refused[str(exc) == REFUSED] += 1
-                assert str(exc) != REFUSED or kept_degree(g, [gen], 2) < 2
-        assert (refused, len(groups)) == ({False: 4000, True: 80}, 16)
+                incidence = str(exc).endswith(REFUSED)
+                refused[incidence, incidence and kept_degree(g, [gen], 2) == 2] += 1
+                assert not incidence or edge_condition(g, gen) == (kept_degree(g, [gen], 2) == 2)
+        assert (refused, len(groups)) == ({(False, False): 4000, (True, False): 80, (True, True): 8}, 8)
         for group in groups:
             assert kept_degree(g, group.generators, 3) == 3
             for backward in (False, True):
@@ -1281,7 +1341,7 @@ def refused_verdicts(g, gens, kmax: int) -> dict[tuple[str, int], bool]:
     generators that close_group refuses."""
     with pytest.raises(InvalidAutomorphismError) as refused:
         close_group(g, gens)
-    assert str(refused.value) == REFUSED
+    assert str(refused.value).endswith(REFUSED)
     return {(c.name, c.degree): c.passed for c in loop_walk_report(raw_group(g, gens), kmax).checks}
 
 
@@ -1438,10 +1498,11 @@ def test_accepted_groups_fail_no_check(graphs):
 
 def test_shift_matches_prefix_oracle(graphs):
     # Shift's edge condition is include's at degrees 0 and 1, which
-    # close_group decides; the prefix triples that shift applies decide it
+    # incidence implies; the prefix triples that shift applies decide it
     # too.  Every generator of the closure cases keeps the prefixes, and of
     # seeded single permutation generators on every Markov corpus graph and
-    # the disjoint union, close_group accepts exactly those that keep them.
+    # the disjoint union, close_group accepts exactly those that keep them
+    # and the weights.
     for group, _ in _closure_cases(graphs):
         assert all(prefix_shift_verdicts(group))
     rng = random.Random(20093)
@@ -1455,9 +1516,10 @@ def test_shift_matches_prefix_oracle(graphs):
             accepted = True
         except InvalidAutomorphismError:
             accepted = False
-        assert [accepted] == prefix_shift_verdicts(raw_group(g, [gen]))
+        assert prefix_shift_verdicts(raw_group(g, [gen])) == [edge_condition(g, gen)]
+        assert accepted == (edge_condition(g, gen) and keeps_weights(g, gen))
         outcomes[accepted] += 1
-    assert outcomes == {True: 231, False: 69}
+    assert outcomes == {True: 211, False: 89}
 
 
 def _checked_report(group, kmax: int):
@@ -1495,9 +1557,11 @@ class TestClosureIncludeShift:
     @pytest.mark.parametrize("name, count", [("C-in-C2", 16), ("C-in-M2", 4), ("C2-in-M2", 16)])
     def test_every_single_raw_generator(self, graphs, name, count):
         # close_group refuses every raw generator that is not a permutation,
-        # and every permutation that sends a loop of degree 1 or 2 to a
-        # non-loop; each one it accepts keeps the loops up to degree 3 and
-        # runs against the element oracle there.
+        # and every permutation that breaks incidence: on C-in-C2 the two
+        # that keep every loop but carry a perm_b that perm_e does not
+        # induce, on C2-in-M2 the two that send a loop of degree 0 or 1 to a
+        # non-loop.  Each automorphism it accepts keeps the loops up to
+        # degree 3 and runs against the element oracle there.
         g = graphs(name)
         gens = _single_raw_generators(g)
         assert len(gens) == count
@@ -1506,10 +1570,10 @@ class TestClosureIncludeShift:
             try:
                 groups.append(close_group(g, [gen]))
             except InvalidAutomorphismError as exc:
-                if str(exc) == REFUSED:
-                    assert kept_degree(g, [gen], 2) < 2
+                if str(exc).endswith(REFUSED):
+                    assert edge_condition(g, gen) == (kept_degree(g, [gen], 2) == 2)
                     refused += 1
-        assert (len(groups), refused) == {"C-in-C2": (4, 0), "C-in-M2": (2, 0), "C2-in-M2": (2, 2)}[name]
+        assert (len(groups), refused) == {"C-in-C2": (2, 2), "C-in-M2": (2, 0), "C2-in-M2": (2, 2)}[name]
         for group in groups:
             assert kept_degree(g, group.generators, 3) == 3
             assert _checked_report(group, 3).all_passed
@@ -1624,14 +1688,17 @@ class TestFixedDimsOnPaths:
     )
     def test_incidence_breaking_maps(self, graphs, perm_e, expected):
         # The two maps of TestFixedSpaces, on the every-loop oracle: one keeps
-        # every loop a loop, and close_group accepts it with the same
-        # dimensions; the other sends a degree-1 loop to a non-loop, and
-        # close_group refuses it.
+        # every loop a loop, and the automorphism with the perm_b its perm_e
+        # induces has the same dimensions; the other sends a degree-1 loop to
+        # a non-loop.  close_group refuses both, since both break incidence.
         g = graphs("C-in-C2xM2")
         gens = [GraphAutomorphism((0,), (0, 1, 2), perm_e)]
         assert _outcome(lambda: every_loop_fixed_dims(raw_group(g, gens), 3)) == expected
-        accepted = isinstance(expected, list)
-        assert _outcome(lambda: fixed_dims_report(close_group(g, gens), 3)) == (expected if accepted else REFUSED)
+        with pytest.raises(InvalidAutomorphismError, match=REFUSED):
+            close_group(g, gens)
+        if edge_condition(g, gens[0]):
+            automorphism = gens[0]._replace(perm_b=induced_perm_b(g, gens[0]))
+            assert fixed_dims_report(close_group(g, [automorphism]), 3) == expected
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_symmetric_groups(self, graphs, n):

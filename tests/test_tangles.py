@@ -263,6 +263,7 @@ GENERATOR_PINS = {
     "central-C2-in-M2xM2": "3f13487b69fe4623602450c392c7b044d97c407a3f1a3f9b9a4e1d37f846e97b",
     "C2-in-M2": "a406a798bdcce0bb9eae35a4e0e5d48e54eab194caf81fba18a0e5cbad64d33b",
     "C-in-C2xM2": "c660cb792452ec110f5fcd9e170e66bb38e26f64134621fe88250f9eaaa082f4",
+    "C-M2-in-M2xM4": "3f13487b69fe4623602450c392c7b044d97c407a3f1a3f9b9a4e1d37f846e97b",
 }
 
 
