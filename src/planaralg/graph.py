@@ -426,26 +426,24 @@ class BipartiteGraph:
         self.weights_a = tuple(RadicalScalar.from_rational(n) * inv_sqrt_dim_a for n in inclusion.a)
         self.weights_b = tuple(RadicalScalar.from_rational(n) * inv_sqrt_dim_b for n in inclusion.b)
 
-        edges = []
-        for i, row in enumerate(inclusion.m):
-            for j, count in enumerate(row):
-                for _ in range(count):
-                    edges.append(Edge(len(edges), i, j))
-        self.edges = tuple(edges)
-        ups = tuple(tuple(e.id for e in edges if e.src == i) for i in range(self.num_a))
-        downs = tuple(tuple(e.id for e in edges if e.dst == j) for j in range(self.num_b))
-        # The spins are filled in once the weights pass the eigenvector check.
-        self._steps = (
-            Step(ups, tuple(e.dst for e in edges), (), ()),
-            Step(downs, tuple(e.src for e in edges), (), ()),
-        )
-
         self._verify_eigenvector()
 
-        up = tuple((self.weights_b[e.dst] * self.weights_a[e.src].invert()).sqrt() for e in edges)
-        self._steps = tuple(
-            step._replace(spin=spin, spin_sq=tuple(s * s for s in spin))
-            for step, spin in zip(self._steps, (up, tuple(s.invert() for s in up)))
+        # Parallel edges share their spins: the exact arithmetic runs once
+        # per (lower, upper) pair with an edge, not once per edge.
+        edges, spins = [], []
+        for i, row in enumerate(inclusion.m):
+            for j, count in enumerate(row):
+                if count:
+                    up = (self.weights_b[j] * self.weights_a[i].invert()).sqrt()
+                    spins += [(up, up * up, up.invert(), (up * up).invert())] * count
+                    edges += [Edge(len(edges) + c, i, j) for c in range(count)]
+        self.edges = tuple(edges)
+        up, up_sq, down, down_sq = zip(*spins)
+        ups = tuple(tuple(e.id for e in edges if e.src == i) for i in range(self.num_a))
+        downs = tuple(tuple(e.id for e in edges if e.dst == j) for j in range(self.num_b))
+        self._steps = (
+            Step(ups, tuple(e.dst for e in edges), up, up_sq),
+            Step(downs, tuple(e.src for e in edges), down, down_sq),
         )
 
         total = sum_scalars(w * w for w in self.weights_a)
@@ -456,10 +454,13 @@ class BipartiteGraph:
 
     def _verify_eigenvector(self) -> None:
         # Exact check with zero tolerance; a failure here is a bug, not input.
-        sides = (("lower", self.weights_a, self.weights_b), ("upper", self.weights_b, self.weights_a))
-        for (side, near, far), step in zip(sides, self._steps):
-            for v, out in enumerate(step.attach):
-                total = sum_scalars(far[step.end[e]] for e in out)
+        # Parallel edges count once per pair: the sum at a vertex is over
+        # the vertices of the other side, each weighted by its edge count.
+        m = self.inclusion.m
+        sides = (("lower", self.weights_a, self.weights_b, m), ("upper", self.weights_b, self.weights_a, zip(*m)))
+        for side, near, far, counts in sides:
+            for v, row in enumerate(counts):
+                total = sum_scalars(far[w] * n for w, n in enumerate(row) if n)
                 if total != self.gamma * near[v]:
                     raise EigenvectorViolationError(
                         f"{side} vertex {v}: edge weight sum {total} != gamma * {near[v]}"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Integral
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     GroupTooLargeError,
@@ -26,7 +26,7 @@ from .errors import (
     PlanarAlgError,
     ValidationError,
 )
-from .graph import BipartiteGraph, Loop, PathTable, PlanarElement
+from .graph import BipartiteGraph, Loop, PlanarElement
 from .markov import analyze
 from .radical import RadicalScalar
 
@@ -117,13 +117,12 @@ def identity_automorphism(g: BipartiteGraph) -> GraphAutomorphism:
 class GroupAction:
     """A finite group of automorphisms of a graph, together with the graph;
     close_group checks the generators and closes the elements under
-    composition with each generator.  Immutable, so the two tables it
-    keeps cannot go stale (docs/closure-multiply-and-burnside.md, section
-    11): the fixed subgraphs of its elements, built here for the fixed
-    dimensions, and, for fixed_space_basis only, the images of the graph's
-    rows of each degree under the elements, built as that asks for them."""
+    composition with each generator.  Immutable, so the one table it keeps
+    cannot go stale (docs/closure-multiply-and-burnside.md, section 11):
+    the fixed subgraphs of its elements, built here for the fixed
+    dimensions."""
 
-    __slots__ = ("graph", "generators", "elements", "_fixed", "_levels")
+    __slots__ = ("graph", "generators", "elements", "_fixed")
 
     def __init__(
         self,
@@ -132,7 +131,7 @@ class GroupAction:
         elements: tuple[GraphAutomorphism, ...],
     ):
         fixed = _fixed_subgraphs(graph, elements)
-        for name, value in zip(self.__slots__, (graph, generators, elements, fixed, [])):
+        for name, value in zip(self.__slots__, (graph, generators, elements, fixed)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -141,19 +140,6 @@ class GroupAction:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def _level(self, k: int) -> list[list[int]]:
-        """The images of the graph's rows of degree k under the elements,
-        images[element][row] a row id, extended one degree at a time from
-        the images one degree down.  Only fixed_space_basis reads them,
-        through _orbit_images; the fixed dimensions walk the fixed
-        subgraphs instead."""
-        g, levels = self.graph, self._levels
-        g.rows(k)  # rejects k < 0
-        while len(levels) <= k:
-            d = len(levels)
-            levels.append(_extend(g.rows(d), levels[-1], self.elements) if d else [h.perm_a for h in self.elements])
-        return levels[k]
 
 
 def _fixed_subgraphs(g: BipartiteGraph, elements) -> tuple:
@@ -231,32 +217,26 @@ def reynolds(group: GroupAction, x: PlanarElement) -> PlanarElement:
     return images.scaled(Fraction(1, group.order))
 
 
-def _extend(rows: PathTable, images, maps) -> list[list[int]]:
-    """The ids of each row's image under each map, read off its parent's
-    image among the images one degree down (images[map][row]) and its last
-    edge's image.  Only GroupAction._level, for fixed_space_basis, calls it."""
-    ids = rows.ids
-    return [[ids[im[r], e[f]] for r, f in ids] for im, e in zip(images, (h.perm_e for h in maps))]
-
-
-def _orbit_images(group: GroupAction, k: int) -> Iterator[list[Loop]]:
-    """For each orbit of degree-k loops, in canonical order of its first loop,
-    that loop's images under the group elements."""
-    images, paths = group._level(k), group.graph.paths(k)
-    rows, seen = group.graph.rows(k), set()
+def fixed_space_basis(group: GroupAction, k: int) -> list[PlanarElement]:
+    """Unnormalized orbit sums of degree-k loops, in canonical order of each
+    orbit's first loop: a basis of the fixed space.  Each element's image of
+    each row is looked up among the graph's paths of length k, and the pairs
+    of row ids are walked in the order of iter_loops, skipping the pairs that
+    an earlier orbit holds (docs/closure-multiply-and-burnside.md, sections 1
+    and 2).  It keeps nothing on the group."""
+    g, one = group.graph, RadicalScalar.one()
+    rows, paths = g.rows(k), g.paths(k)
+    index = {p: r for r, p in enumerate(paths)}
+    maps = [(h.perm_a, h.perm_e.__getitem__) for h in group.elements]
+    images = [[index[(a[p[0]], *map(e, p[1:]))] for p in paths] for a, e in maps]
+    basis, seen = [], set()
     for t, key in enumerate(rows.where):
         for s in rows.classes[key]:
             if (t, s) not in seen:
-                seen.update((im[t], im[s]) for im in images)
+                seen.update([(im[t], im[s]) for im in images])
                 first = Loop(paths[t][0], paths[t][1:] + paths[s][:0:-1])
-                yield [act_loop(h, first) for h in group.elements]
-
-
-def fixed_space_basis(group: GroupAction, k: int) -> list[PlanarElement]:
-    """Unnormalized orbit sums of degree-k loops, in canonical order of each
-    orbit's first loop: a basis of the fixed space."""
-    one = RadicalScalar.one()
-    return [PlanarElement(k, dict.fromkeys(images, one)) for images in _orbit_images(group, k)]
+                basis.append(PlanarElement(k, {act_loop(h, first): one for h in group.elements}))
+    return basis
 
 
 def _step(counts: dict[int, int], moves) -> dict[int, int]:

@@ -170,6 +170,20 @@ def raw_group(g, gens) -> RawGroup:
     return RawGroup(g, tuple(gens), tuple(sorted(elements)))
 
 
+def row_images(group, k: int) -> list[list[int]]:
+    """The ids of the images of the graph's rows of degree k under the group
+    elements, images[element][row], built by induction on the degree: a row
+    of degree d + 1 is a row of degree d, its parent, extended by one edge,
+    and its image extends the parent's image by the edge's image
+    (docs/closure-multiply-and-burnside.md, section 9, Lemma 5)."""
+    g = group.graph
+    images = [h.perm_a for h in group.elements]
+    for d in range(1, k + 1):
+        ids = g.rows(d).ids
+        images = [[ids[im[r], h.perm_e[f]] for r, f in ids] for im, h in zip(images, group.elements)]
+    return images
+
+
 def includes_commute(g, gen, k: int) -> bool:
     """Include's edge condition (I) at degree k: the generator sends the edges
     attached at each row's endpoint onto those attached at its image's

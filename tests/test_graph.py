@@ -12,6 +12,7 @@ import element_oracle as oracle
 from planaralg import (
     DegreeMismatchError,
     EigenvectorViolationError,
+    InclusionData,
     Loop,
     NotMarkovError,
     PlanarElement,
@@ -185,6 +186,25 @@ class TestSpin:
             assert g.spin_factor_sq(e.id, "up") == up * up
             ratio = g.weights_b[e.dst] * g.weights_a[e.src].invert()
             assert g.spin_factor_sq(e.id, "up") == ratio
+
+    def test_parallel_edges_share_their_spins(self, monkeypatch):
+        # Work count: the construction takes one square root per (lower,
+        # upper) pair with an edge, besides gamma and the two total
+        # dimensions: 4 on a=[1], m=[[1000]], where one per edge took 1,003.
+        # The parallel edges share one value of each spin.
+        calls = Counter()
+        real = RadicalScalar.sqrt
+
+        def counting(self):
+            calls["sqrt"] += 1
+            return real(self)
+
+        monkeypatch.setattr(RadicalScalar, "sqrt", counting)
+        g = build_graph(InclusionData([1], [[1000]]))
+        assert calls == {"sqrt": len({(e.src, e.dst) for e in g.edges}) + 3} == {"sqrt": 4}
+        for table in (*g.step(0)[2:], *g.step(1)[2:]):
+            assert len(table) == 1000 and len(set(map(id, table))) == 1
+        assert g.spin_factor(999, "up") == g.spin_factor_sq(999, "down") == 1
 
     def test_rejects_bad_direction(self, graphs):
         g = graphs("C-in-C2")

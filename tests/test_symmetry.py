@@ -269,23 +269,23 @@ class TestCloseGroup:
         # Work count: close_group runs make_automorphism's check, whose
         # incidence test gives include's edge condition at degrees 0 and 1,
         # once for each generator, and no reader of the group checks it
-        # again; neither the verifier nor the fixed dimensions read a level
-        # of rows, and fixed_space_basis reads one.
+        # again; neither the verifier nor the fixed dimensions read the
+        # graph's paths, and fixed_space_basis reads them once.
         calls = Counter()
-        real, level = symmetry.make_automorphism, symmetry.GroupAction._level
+        real, paths = symmetry.make_automorphism, BipartiteGraph.paths
 
         def counting(g, *maps):
             calls["check"] += 1
             return real(g, *maps)
 
-        def counting_level(self, k):
-            calls["level"] += 1
-            return level(self, k)
+        def counting_paths(self, k):
+            calls["paths"] += 1
+            return paths(self, k)
 
         g = graphs("C-in-C4")
         gens = [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
         monkeypatch.setattr(symmetry, "make_automorphism", counting)
-        monkeypatch.setattr(symmetry.GroupAction, "_level", counting_level)
+        monkeypatch.setattr(BipartiteGraph, "paths", counting_paths)
         group = close_group(g, gens)
         assert calls == {"check": 2}
         assert verify_planar_subalgebra(group, 4).all_passed
@@ -294,7 +294,7 @@ class TestCloseGroup:
         assert burnside_dim(group, 4) == 15
         assert calls == {"check": 2}
         assert len(fixed_space_basis(group, 3)) == 5
-        assert calls == {"check": 2, "level": 1}
+        assert calls == {"check": 2, "paths": 1}
 
     def test_refuses_a_weight_changing_swap(self, graphs):
         # The swap of the two components of C-M2-in-M2xM4 keeps incidence
@@ -454,6 +454,12 @@ class TestFixedSpaces:
         g, cycle = three_point_cycle
         group = close_group(g, [cycle])
         assert burnside_dim(group, k) == len(fixed_space_basis(group, k))
+
+    @pytest.mark.parametrize("reader", [fixed_space_basis, burnside_dim, fixed_dims_report])
+    def test_readers_reject_negative_degree(self, two_point_swap, reader):
+        g, swap = two_point_swap
+        with pytest.raises(ValidationError):
+            reader(close_group(g, [swap]), -1)
 
 
 @functools.cache
@@ -899,8 +905,8 @@ def test_tangles_builds_the_cup_cap_from_no_loops():
 
 
 def test_symmetry_reads_paths_only_for_the_basis():
-    # Every count and verdict reads row ids; only the public basis,
-    # `fixed_space_basis` through `_orbit_images`, reads the rows back as tuples.
+    # No count or verdict reads a row; only the public basis,
+    # `fixed_space_basis`, reads the rows back as tuples.
     source = Path(__file__).resolve().parent.parent / "src" / "planaralg" / "symmetry.py"
     callers = [
         function.name
@@ -909,7 +915,7 @@ def test_symmetry_reads_paths_only_for_the_basis():
         for node in ast.walk(function)
         if isinstance(node, ast.Attribute) and node.attr in ("paths", "paths_with_ends", "paths_from")
     ]
-    assert callers == ["_orbit_images"]
+    assert callers == ["fixed_space_basis"]
 
 
 def test_fixed_dims_read_no_rows():
@@ -1281,12 +1287,12 @@ class TestRowIdWalk:
 
     @pytest.mark.parametrize("name", [e.name for e in MARKOV_CORPUS])
     def test_walk_order_is_iter_loops_order(self, graphs, name):
-        # Under the trivial group every orbit is one loop, met in the order
-        # of `iter_loops`.
+        # Under the trivial group every orbit is one loop, and
+        # fixed_space_basis meets the orbits in the order of `iter_loops`.
         g = graphs(name)
         group = close_group(g, [])
         for k in range(5):
-            assert [images[0] for images in symmetry._orbit_images(group, k)] == list(g.iter_loops(k))
+            assert [x.support() for x in fixed_space_basis(group, k)] == [[loop] for loop in g.iter_loops(k)]
 
 
 def _closure_cases(graphs):
@@ -1439,7 +1445,7 @@ def test_verifier_walks_no_loop_pairs(graphs, monkeypatch):
         for key in classes:
             classes[key] = Counted(classes[key])
     with monkeypatch.context() as patch:
-        patch.setattr(symmetry, "_orbit_images", None)
+        patch.setattr(symmetry, "fixed_space_basis", None)
         assert verify_planar_subalgebra(group, 6).all_passed
         assert fixed_dims_report(group, 6) == [1, 1, 2, 5, 15, 51, 187]
     assert sum(reads.values()) == 0
@@ -1731,12 +1737,12 @@ class TestFixedDimsOnPaths:
         assert verify_planar_subalgebra(group, 4).all_passed
         assert calls == 0
 
-    def test_extends_rows_once_per_degree(self, graphs, monkeypatch):
-        # Work count: on C-in-C with the trivial group, fixed_space_basis
-        # extends each degree's row images from the previous degree's by one
-        # edge, not from degree 0 (which took 1,001,000 steps at kmax 1000),
-        # and the group keeps them for the next call; the fixed dimensions
-        # extend none.
+    def test_extends_rows_once_per_degree(self, monkeypatch):
+        # Work count: on a fresh C-in-C with the trivial group,
+        # fixed_space_basis reads the graph's paths once per call, and the
+        # graph extends its rows by one edge per degree, once (1,000 tables
+        # for degrees 1-1000), and keeps them for the next call; the fixed
+        # dimensions read no paths and extend no rows.
         calls = Counter()
 
         def counting(name, real):
@@ -1746,22 +1752,22 @@ class TestFixedDimsOnPaths:
 
             return wrapped
 
-        monkeypatch.setattr(BipartiteGraph, "paths_with_ends", counting("paths", BipartiteGraph.paths_with_ends))
-        monkeypatch.setattr(symmetry, "_extend", counting("extend", symmetry._extend))
-        group = close_group(graphs("C-in-C"), [])
+        group = close_group(build_graph(corpus_entry("C-in-C").inclusion()), [])
+        monkeypatch.setattr(BipartiteGraph, "paths", counting("paths", BipartiteGraph.paths))
+        monkeypatch.setattr(graph, "PathTable", counting("tables", graph.PathTable))
         assert fixed_dims_report(group, 1000) == [1] * 1001
         assert calls == {}
         assert len(fixed_space_basis(group, 1000)) == 1
-        assert calls == {"extend": 1000}
+        assert calls == {"paths": 1, "tables": 1000}
         assert [len(fixed_space_basis(group, k)) for k in (0, 500, 1000)] == [1, 1, 1]
-        assert calls == {"extend": 1000}
+        assert calls == {"paths": 4, "tables": 1000}
 
     def test_one_table_per_group(self, graphs, monkeypatch):
         # Work count: `fixed` calls fixed_dims_report and then the verifier,
         # and neither reads the group's row images, a cup-cap or a
-        # composition of group elements.  fixed_space_basis extends the row
-        # images once per degree (4 calls for degrees 1-4), and a second
-        # call at a lower degree builds nothing.
+        # composition of group elements.  fixed_space_basis reads the graph's
+        # paths once per call and leaves the group as it was: the group
+        # keeps its fixed subgraphs and no other table.
         g = graphs("C-in-C4")
         group = close_group(
             g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
@@ -1775,20 +1781,24 @@ class TestFixedDimsOnPaths:
 
             return wrapped
 
-        monkeypatch.setattr(symmetry, "_extend", counting("extend", symmetry._extend))
+        monkeypatch.setattr(BipartiteGraph, "paths", counting("paths", BipartiteGraph.paths))
         monkeypatch.setattr(BipartiteGraph, "cup_cap", counting("cup_cap", BipartiteGraph.cup_cap))
         monkeypatch.setattr(GraphAutomorphism, "compose", counting("compose", GraphAutomorphism.compose))
         assert fixed_dims_report(group, 4) == [1, 1, 2, 5, 15]
         assert verify_planar_subalgebra(group, 4).all_passed
         assert verify_planar_subalgebra(group, 3).all_passed
         assert calls == {}
+        slots = symmetry.GroupAction.__slots__
+        assert slots == ("graph", "generators", "elements", "_fixed")
+        state = [getattr(group, name) for name in slots]
         assert [len(fixed_space_basis(group, k)) for k in (4, 3)] == [15, 5]
-        assert calls == {"extend": 4}
+        assert calls == {"paths": 2}
+        assert all(getattr(group, name) is value for name, value in zip(slots, state))
 
     def test_counts_read_no_rows(self, graphs, monkeypatch):
         # Work count: fixed_dims_report and burnside_dim walk the group's
-        # fixed subgraphs and call no `_level`, `_extend`, `paths` or
-        # `rows`, on a fresh graph whose rows were never built.
+        # fixed subgraphs and call no `paths` or `rows`, on a fresh graph
+        # whose rows were never built; fixed_space_basis reads the paths once.
         calls = Counter()
 
         def counting(name, real):
@@ -1798,8 +1808,6 @@ class TestFixedDimsOnPaths:
 
             return wrapped
 
-        monkeypatch.setattr(symmetry.GroupAction, "_level", counting("level", symmetry.GroupAction._level))
-        monkeypatch.setattr(symmetry, "_extend", counting("extend", symmetry._extend))
         for name in ("paths", "rows"):
             monkeypatch.setattr(BipartiteGraph, name, counting(name, getattr(BipartiteGraph, name)))
         g = build_graph(corpus_entry("C-in-C2xM2").inclusion())
@@ -1810,7 +1818,8 @@ class TestFixedDimsOnPaths:
         assert burnside_dim(group, 8) == 436352
         assert calls == {}
         assert len(fixed_space_basis(group, 2)) == 14
-        assert calls["level"] == 1 and calls["extend"] == 2
+        # `paths` reads the table that `rows` keeps, through `rows`.
+        assert calls == {"paths": 1, "rows": 2}
 
     def test_walk_is_linear_in_kmax(self, monkeypatch):
         # Work count: on a fresh C-in-C with the trivial group, the count at
@@ -1861,8 +1870,8 @@ class TestFixedDimsOnPaths:
         # Work count: on a fresh C-in-C, the graph builds one table of paths
         # per degree (1,001 for degrees 0-1000) and every reader shares it:
         # the loops, the cup-caps and the bases of two groups.  The fixed
-        # dimensions build none, and each group only looks up its row images
-        # for its basis (1,000 `_extend` calls).
+        # dimensions build none, and each basis reads the graph's paths once
+        # and builds no table.
         calls = Counter()
 
         def counting(name, real):
@@ -1873,16 +1882,16 @@ class TestFixedDimsOnPaths:
             return wrapped
 
         monkeypatch.setattr(graph, "PathTable", counting("tables", graph.PathTable))
-        monkeypatch.setattr(symmetry, "_extend", counting("extend", symmetry._extend))
         g = build_graph(corpus_entry("C-in-C").inclusion())
         assert fixed_dims_report(close_group(g, []), 1000) == [1] * 1001
         assert calls == {"tables": 1}
+        monkeypatch.setattr(BipartiteGraph, "paths", counting("paths", BipartiteGraph.paths))
         assert g.enumerate_loops(1000) == [Loop(0, (0,) * 2000)]
         assert len(g.cup_cap(998, RadicalScalar.one()).terms) == 1
-        assert calls == {"tables": 1001}
+        assert calls == {"tables": 1001, "paths": 2}
         assert len(fixed_space_basis(close_group(g, []), 1000)) == 1
         assert len(fixed_space_basis(close_group(g, []), 1000)) == 1
-        assert calls == {"tables": 1001, "extend": 2000}
+        assert calls == {"tables": 1001, "paths": 4}
 
     def test_row_orbit_count(self, graphs):
         # The Burnside count against the orbit count on rows and the loop
@@ -1932,7 +1941,7 @@ def stabiliser_orbit_count(group, k: int) -> int:
     by fixed points: one row r chosen per orbit of rows holds one loop orbit
     per orbit of Stab(r) on its class (docs/closure-multiply-and-burnside.md,
     section 9), counted once per stabiliser and class."""
-    images, classes = group._level(k)[: group.order], group.graph.rows(k).classes
+    images, classes = oracle.row_images(group, k), group.graph.rows(k).classes
     fixing = [[] for _ in images[0]]
     for i, im in enumerate(images):
         for r, image in enumerate(im):
@@ -1957,7 +1966,7 @@ def row_burnside_count(group, k: int) -> int:
     row exactly when the row's image id is its own (Lemma 5), so it fixes
     the sum over classes of (fixed rows of the class)^2 loops.  It compares
     |G| x |rows of degree k| ids, exponential in k."""
-    images, classes = group._level(k), group.graph.rows(k).classes.values()
+    images, classes = oracle.row_images(group, k), group.graph.rows(k).classes.values()
     total = sum(sum(im[r] == r for r in rows) ** 2 for im in images for rows in classes)
     assert total % group.order == 0
     return total // group.order
