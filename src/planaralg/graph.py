@@ -11,9 +11,10 @@ the box picture the first k edges are the top row read left to right and
 the remaining k edges are the bottom row read right to left; equivalently,
 both rows are length-k paths out of the base meeting at a common endpoint.
 `BipartiteGraph.step(pos)` is the one definition of that alternation, and
-`rows(k)`, kept on the graph, the one enumerator of based paths, which
-`paths(k)` reads back as tuples.  `unit(k)` and the cup-cap
-`cup_cap(k, scale)` build their elements straight from those paths.
+`rows(k)`, which walks them anew on each call, the one enumerator of based
+paths; `paths(k)` is its tuples.  `unit(k)` and the cup-cap
+`cup_cap(k, scale)` build their elements straight from those paths.  The
+graph keeps only what its constructor builds.
 The span of degree-k loops with radical-scalar coefficients is the degree-k
 piece of the loop algebra, and loops multiply like matrix units indexed by
 (bottom path, top path), so that piece is a direct sum of full matrix
@@ -106,7 +107,7 @@ Path = tuple[int, ...]
 class PathTable(NamedTuple):
     """The based paths of one length as ids 0..n-1, in lexicographic order."""
 
-    ids: dict[tuple[int, int], int]  # (parent id, last edge) -> id; empty at length 0
+    paths: list[Path]  # id -> (base, e1, ..., ek)
     where: list[tuple[int, int]]  # id -> (base, endpoint)
     classes: dict[tuple[int, int], list[int]]  # (base, endpoint) -> its ids, by reversed path
 # The numerators of one radical key as sparse matrix rows: the loop with
@@ -449,8 +450,6 @@ class BipartiteGraph:
         total = sum_scalars(w * w for w in self.weights_a)
         normalizer = total.invert()
         self._point_weight = tuple(w * w * normalizer for w in self.weights_a)
-        bases = range(self.num_a)
-        self._tables = [PathTable({}, [(b, b) for b in bases], {(b, b): [b] for b in bases})]
 
     def _verify_eigenvector(self) -> None:
         # Exact check with zero tolerance; a failure here is a bug, not input.
@@ -513,38 +512,33 @@ class BipartiteGraph:
         return self.step(len(path) - 1).end[path[-1]] if path else base
 
     def rows(self, k: int) -> PathTable:
-        """The based paths of length k, kept on the graph: those of length k + 1 are those of
-        length k in id order, each extended by the edges step k attaches at its end, ascending."""
+        """The based paths of length k, walked anew on every call: those of
+        length k + 1 are those of length k in id order, each extended by the
+        edges step k attaches at its end, ascending.  Each class lists its ids
+        by reversed path, from one stable sort of all ids."""
         if k < 0:
             raise ValidationError("path length must be nonnegative")
-        while len(self._tables) <= k:
-            last = self._tables[-1]
-            attach, end, _, _ = self.step(len(self._tables) - 1)
-            keys = [(r, f) for r, (_, v) in enumerate(last.where) for f in attach[v]]
-            ids = {key: i for i, key in enumerate(keys)}
-            # Order each class by reversed path: by last edge, then by the parent's place in its class.
-            chunks = {}
-            for (b, v), rows in last.classes.items():
-                for f in attach[v]:
-                    chunks.setdefault((b, end[f]), []).append((f, rows))
-            classes = {key: [ids[r, f] for f, rows in sorted(fs) for r in rows] for key, fs in chunks.items()}
-            self._tables.append(PathTable(ids, [(last.where[r][0], end[f]) for r, f in keys], classes))
-        return self._tables[k]
+        paths, where = [(b,) for b in range(self.num_a)], [(b, b) for b in range(self.num_a)]
+        for pos in range(k):
+            attach, end, _, _ = self.step(pos)
+            paths = [p + (f,) for p, (_, v) in zip(paths, where) for f in attach[v]]
+            where = [(p[0], end[p[-1]]) for p in paths]
+        classes = {key: [] for key in where}
+        for r in sorted(range(len(paths)), key=lambda r: paths[r][:0:-1]):
+            classes[where[r]].append(r)
+        return PathTable(paths, where, classes)
 
     def paths(self, k: int) -> list[Path]:
         """The based paths (base, e1, ..., ek) of length k in id order, which
-        is lexicographic: `rows` read back as tuples, anew on every call."""
-        self.rows(k)
-        paths = [(b,) for b in range(self.num_a)]
-        for table in self._tables[1 : k + 1]:
-            paths = [paths[p] + (f,) for p, f in table.ids]
-        return paths
+        is lexicographic."""
+        return self.rows(k).paths
 
     def paths_with_ends(self, base: int, k: int) -> list[tuple[tuple[int, ...], int]]:
         """`paths_from` with each path's endpoint (as `path_end` gives it)."""
         if not 0 <= base < self.num_a:
             raise ValidationError(f"no lower vertex {base}")
-        return [(p[1:], v) for p, (b, v) in zip(self.paths(k), self._tables[k].where) if b == base]
+        paths, where, _ = self.rows(k)
+        return [(p[1:], v) for p, (b, v) in zip(paths, where) if b == base]
 
     def paths_from(self, base: int, k: int) -> list[tuple[int, ...]]:
         """All alternating edge-id paths of length k out of a lower vertex,
@@ -553,11 +547,11 @@ class BipartiteGraph:
 
     def iter_loops(self, k: int) -> Iterator[Loop]:
         """Degree-k loops in canonical order: each top row with the bottom rows of its class."""
-        paths, table = self.paths(k), self._tables[k]
+        paths, where, classes = self.rows(k)
         reversed_bottoms = [p[:0:-1] for p in paths]
-        for path, key in zip(paths, table.where):
+        for path, key in zip(paths, where):
             top = path[1:]
-            for s in table.classes[key]:
+            for s in classes[key]:
                 yield Loop(path[0], top + reversed_bottoms[s])
 
     def enumerate_loops(self, k: int) -> list[Loop]:
@@ -583,11 +577,11 @@ class BipartiteGraph:
         """The cup-cap element of degree k + 2 times scale: spin(t) spin(u) scale
         in row p u u and column p t t, for p of length k and u and t attachable
         at p's end."""
-        paths = zip(self.paths(k), self.rows(k).where)
+        paths, where, _ = self.rows(k)
         attach, _, spin, _ = self.step(k)
         # Vertex -> (u, t, coefficient) for u, then t, attachable there: one product each.
         bounces = [[(u, t, spin[t] * spin[u] * scale) for u in out for t in out] for out in attach]
-        entries = [(p + (u, u), p + (t, t), c) for p, (_, end) in paths for u, t, c in bounces[end]]
+        entries = [(p + (u, u), p + (t, t), c) for p, (_, end) in zip(paths, where) for u, t, c in bounces[end]]
         return PlanarElement._normal(k + 2, *_integer_rows(entries))
 
     def shift_prefixes(self, base: int) -> list[tuple[int, int, int]]:

@@ -225,7 +225,8 @@ def fixed_space_basis(group: GroupAction, k: int) -> list[PlanarElement]:
     an earlier orbit holds (docs/closure-multiply-and-burnside.md, sections 1
     and 2).  It keeps nothing on the group."""
     g, one = group.graph, RadicalScalar.one()
-    rows, paths = g.rows(k), g.paths(k)
+    rows = g.rows(k)
+    paths = rows.paths
     index = {p: r for r, p in enumerate(paths)}
     maps = [(h.perm_a, h.perm_e.__getitem__) for h in group.elements]
     images = [[index[(a[p[0]], *map(e, p[1:]))] for p in paths] for a, e in maps]

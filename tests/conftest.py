@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from planaralg import InclusionData, build_graph
+from planaralg import InclusionData, analyze, build_graph
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,24 @@ NON_MARKOV_CORPUS = tuple(e for e in CORPUS if not e.markov)
 
 # Graphs small enough for exhaustive idempotent-relation checks.
 TL_TRIO = ("C-in-C2", "C-in-C3", "C-in-M2")
+
+
+def generated_markov_inclusions() -> list[InclusionData]:
+    """Every Markov inclusion with integer index of 1-2 small blocks of
+    dimension 1-3 into 1-3 big blocks, with entries 0-2 and no zero row or
+    column, in the order of a fixed enumeration."""
+    found = []
+    for rows, cols in itertools.product((1, 2), (1, 2, 3)):
+        for a in itertools.product((1, 2, 3), repeat=rows):
+            for flat in itertools.product((0, 1, 2), repeat=rows * cols):
+                m = [list(flat[i * cols : (i + 1) * cols]) for i in range(rows)]
+                if not all(map(any, m)) or not all(map(any, zip(*m))):
+                    continue
+                inc = InclusionData(list(a), m)
+                report = analyze(inc)
+                if report.is_markov and report.r.denominator == 1:
+                    found.append(inc)
+    return found
 
 
 def corpus_entry(name: str) -> CorpusEntry:

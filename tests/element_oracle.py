@@ -175,12 +175,17 @@ def row_images(group, k: int) -> list[list[int]]:
     elements, images[element][row], built by induction on the degree: a row
     of degree d + 1 is a row of degree d, its parent, extended by one edge,
     and its image extends the parent's image by the edge's image
-    (docs/closure-multiply-and-burnside.md, section 9, Lemma 5)."""
+    (docs/closure-multiply-and-burnside.md, section 9, Lemma 5).  The ids
+    of each degree are keyed by (parent id, last edge), read off the graph's
+    paths, so no image is looked up by its path."""
     g = group.graph
     images = [h.perm_a for h in group.elements]
+    parents = {(b,): b for b in range(g.num_a)}
     for d in range(1, k + 1):
-        ids = g.rows(d).ids
+        paths = g.rows(d).paths
+        ids = {(parents[p[:-1]], p[-1]): r for r, p in enumerate(paths)}
         images = [[ids[im[r], h.perm_e[f]] for r, f in ids] for im, h in zip(images, group.elements)]
+        parents = {p: r for r, p in enumerate(paths)}
     return images
 
 

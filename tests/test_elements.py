@@ -33,7 +33,7 @@ from planaralg import (
     shift,
     trace,
 )
-from planaralg.graph import PathTable, Step
+from planaralg.graph import Step
 from conftest import corpus_entry
 
 MARKOV_GRAPHS = ("C-in-C2", "C-in-C3", "C2-in-M2", "C-in-C2xM2")
@@ -42,9 +42,9 @@ SEEDS = range(6)
 
 
 def edges_only(name: str) -> BipartiteGraph:
-    """The edges of an inclusion that is not Markov, its path steps and its
-    table of paths of length 0, without weights or spins: loops, `include`
-    and `shift` read nothing else."""
+    """The edges of an inclusion that is not Markov and its path steps,
+    without weights or spins: loops, `include` and `shift` read nothing
+    else."""
     entry = corpus_entry(name)
     g = object.__new__(BipartiteGraph)
     pairs = [(i, j) for i, row in enumerate(entry.m) for j, count in enumerate(row) for _ in range(count)]
@@ -56,8 +56,6 @@ def edges_only(name: str) -> BipartiteGraph:
         Step(ups, tuple(e.dst for e in g.edges), (), ()),
         Step(downs, tuple(e.src for e in g.edges), (), ()),
     )
-    bases = [(b, b) for b in range(g.num_a)]
-    g._tables = [PathTable({}, bases, {key: [key[0]] for key in bases})]
     return g
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -18,13 +19,18 @@ from planaralg import (
     PlanarElement,
     RadicalScalar,
     ValidationError,
+    analyze,
     build_graph,
+    close_group,
     expect,
+    fixed_dims_report,
+    fixed_space_basis,
     loop_space_dim,
+    verify_temperley_lieb,
 )
-from planaralg.markov import path_counts
+from planaralg.markov import loop_space_dims, path_counts
 from planaralg.radical import sqrt_of_int
-from conftest import CORPUS, MARKOV_CORPUS, corpus_entry
+from conftest import CORPUS, MARKOV_CORPUS, corpus_entry, generated_markov_inclusions
 from test_elements import edges_only
 
 COEFF_POOL = (
@@ -303,6 +309,23 @@ class TestPathBuilder:
                 read(-1)
 
     @pytest.mark.parametrize("name", [e.name for e in MARKOV_CORPUS])
+    def test_reads_leave_the_graph_as_built(self, name):
+        # A graph holds only hashable values, all set in `__init__`, and no
+        # read adds, replaces or grows one: each read walks its paths anew.
+        g = build_graph(corpus_entry(name).inclusion())
+        built = dict(vars(g))
+        hash(tuple(built.values()))
+        for read in (g.rows, g.paths, lambda k: g.paths_from(0, k), g.enumerate_loops, g.unit):
+            read(3)
+        g.cup_cap(1, RadicalScalar.one())
+        verify_temperley_lieb(g, 2)
+        fixed_space_basis(close_group(g, []), 3)
+        assert vars(g).keys() == built.keys()
+        assert all(getattr(g, name) is value for name, value in built.items())
+        hash(tuple(vars(g).values()))
+        assert g.rows(3) == g.rows(3) and g.rows(3) is not g.rows(3)
+
+    @pytest.mark.parametrize("name", [e.name for e in MARKOV_CORPUS])
     def test_cup_cap_matches_the_oracle(self, graphs, name):
         # The oracle's Jones projection, bounce by bounce over loops, is the
         # cup-cap times 1/gamma; any other scale multiplies every coefficient.
@@ -313,6 +336,27 @@ class TestPathBuilder:
             for scale in (RadicalScalar.one(), g.gamma.invert()):
                 expected = {loop: c * g.gamma * scale for loop, c in projection.items()}
                 assert g.cup_cap(k, scale) == PlanarElement(k + 2, expected)
+
+
+class TestGeneratedCorpus:
+    def test_loops_rows_and_fixed_dims(self):
+        # On each inclusion: the loops are sorted and as many as the trace
+        # formula counts, each class lists its ids by reversed path, and the
+        # trivial group's fixed dimensions, a sparse walk on the fixed
+        # subgraph, equal the dense matrix count of loops.
+        inclusions = generated_markov_inclusions()
+        assert len(inclusions) == 300
+        assert {analyze(inc).r for inc in inclusions} == {*range(1, 13), *range(15, 19), 24}
+        for inc in inclusions:
+            g = build_graph(inc)
+            for k in range(4):
+                loops = g.enumerate_loops(k)
+                assert loops == sorted(loops) and len(loops) == loop_space_dim(inc, k)
+                paths, _, classes = g.rows(k)
+                for ids in classes.values():
+                    assert ids == sorted(ids, key=lambda r: paths[r][:0:-1])
+            dims = list(itertools.islice(loop_space_dims(inc), 7))
+            assert fixed_dims_report(close_group(g, []), 6) == dims
 
 
 class TestPathsAndLoops:

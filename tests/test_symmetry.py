@@ -269,23 +269,23 @@ class TestCloseGroup:
         # Work count: close_group runs make_automorphism's check, whose
         # incidence test gives include's edge condition at degrees 0 and 1,
         # once for each generator, and no reader of the group checks it
-        # again; neither the verifier nor the fixed dimensions read the
-        # graph's paths, and fixed_space_basis reads them once.
+        # again; neither the verifier nor the fixed dimensions walk the
+        # graph's paths, and fixed_space_basis walks them once.
         calls = Counter()
-        real, paths = symmetry.make_automorphism, BipartiteGraph.paths
+        real, rows = symmetry.make_automorphism, BipartiteGraph.rows
 
         def counting(g, *maps):
             calls["check"] += 1
             return real(g, *maps)
 
-        def counting_paths(self, k):
-            calls["paths"] += 1
-            return paths(self, k)
+        def counting_rows(self, k):
+            calls["rows"] += 1
+            return rows(self, k)
 
         g = graphs("C-in-C4")
         gens = [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
         monkeypatch.setattr(symmetry, "make_automorphism", counting)
-        monkeypatch.setattr(BipartiteGraph, "paths", counting_paths)
+        monkeypatch.setattr(BipartiteGraph, "rows", counting_rows)
         group = close_group(g, gens)
         assert calls == {"check": 2}
         assert verify_planar_subalgebra(group, 4).all_passed
@@ -294,7 +294,7 @@ class TestCloseGroup:
         assert burnside_dim(group, 4) == 15
         assert calls == {"check": 2}
         assert len(fixed_space_basis(group, 3)) == 5
-        assert calls == {"check": 2, "paths": 1}
+        assert calls == {"check": 2, "rows": 1}
 
     def test_refuses_a_weight_changing_swap(self, graphs):
         # The swap of the two components of C-M2-in-M2xM4 keeps incidence
@@ -1425,32 +1425,35 @@ def lemma_e_at_bases(group, stabilizer) -> bool:
 
 
 def test_verifier_walks_no_loop_pairs(graphs, monkeypatch):
-    # Work count: neither the verifier nor the fixed dimensions read a class
-    # of rows, so they never pair rows into loops or enumerate orbits; a
-    # loop walk, like fixed_space_basis, reads a class once per row in it.
+    # Work count: neither the verifier nor the fixed dimensions walk the
+    # graph's rows, so they never pair rows into loops or enumerate orbits;
+    # fixed_space_basis walks them once and, as a loop walk, reads a class
+    # once per row in it.
     g = build_graph(corpus_entry("C-in-C4").inclusion())
     group = close_group(
         g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
     )
-    g.rows(6)
-    reads = Counter()
+    reads, walks, rows = Counter(), Counter(), BipartiteGraph.rows
 
     class Counted(list):
         def __iter__(self):
             reads[id(self)] += 1
             return super().__iter__()
 
-    for k in range(7):
-        classes = g.rows(k).classes
-        for key in classes:
-            classes[key] = Counted(classes[key])
+    def counting_rows(self, k):
+        walks[k] += 1
+        table = rows(self, k)
+        return table._replace(classes={key: Counted(ids) for key, ids in table.classes.items()})
+
+    monkeypatch.setattr(BipartiteGraph, "rows", counting_rows)
     with monkeypatch.context() as patch:
         patch.setattr(symmetry, "fixed_space_basis", None)
         assert verify_planar_subalgebra(group, 6).all_passed
         assert fixed_dims_report(group, 6) == [1, 1, 2, 5, 15, 51, 187]
-    assert sum(reads.values()) == 0
+    assert walks == {} and reads == {}
     fixed_space_basis(group, 6)
-    assert sum(reads.values()) == len(g.rows(6).where) == 64
+    assert walks == {6: 1}
+    assert sum(reads.values()) == len(rows(g, 6).where) == 64
 
 
 def test_verdicts_do_not_depend_on_loop_order(graphs):
@@ -1739,10 +1742,9 @@ class TestFixedDimsOnPaths:
 
     def test_extends_rows_once_per_degree(self, monkeypatch):
         # Work count: on a fresh C-in-C with the trivial group,
-        # fixed_space_basis reads the graph's paths once per call, and the
-        # graph extends its rows by one edge per degree, once (1,000 tables
-        # for degrees 1-1000), and keeps them for the next call; the fixed
-        # dimensions read no paths and extend no rows.
+        # fixed_space_basis walks the graph's rows once per call, in one
+        # table, and the graph keeps none for the next call; the fixed
+        # dimensions walk no rows and build no table.
         calls = Counter()
 
         def counting(name, real):
@@ -1753,20 +1755,20 @@ class TestFixedDimsOnPaths:
             return wrapped
 
         group = close_group(build_graph(corpus_entry("C-in-C").inclusion()), [])
-        monkeypatch.setattr(BipartiteGraph, "paths", counting("paths", BipartiteGraph.paths))
+        monkeypatch.setattr(BipartiteGraph, "rows", counting("rows", BipartiteGraph.rows))
         monkeypatch.setattr(graph, "PathTable", counting("tables", graph.PathTable))
         assert fixed_dims_report(group, 1000) == [1] * 1001
         assert calls == {}
         assert len(fixed_space_basis(group, 1000)) == 1
-        assert calls == {"paths": 1, "tables": 1000}
+        assert calls == {"rows": 1, "tables": 1}
         assert [len(fixed_space_basis(group, k)) for k in (0, 500, 1000)] == [1, 1, 1]
-        assert calls == {"paths": 4, "tables": 1000}
+        assert calls == {"rows": 4, "tables": 4}
 
     def test_one_table_per_group(self, graphs, monkeypatch):
         # Work count: `fixed` calls fixed_dims_report and then the verifier,
         # and neither reads the group's row images, a cup-cap or a
-        # composition of group elements.  fixed_space_basis reads the graph's
-        # paths once per call and leaves the group as it was: the group
+        # composition of group elements.  fixed_space_basis walks the graph's
+        # rows once per call and leaves the group as it was: the group
         # keeps its fixed subgraphs and no other table.
         g = graphs("C-in-C4")
         group = close_group(
@@ -1781,7 +1783,7 @@ class TestFixedDimsOnPaths:
 
             return wrapped
 
-        monkeypatch.setattr(BipartiteGraph, "paths", counting("paths", BipartiteGraph.paths))
+        monkeypatch.setattr(BipartiteGraph, "rows", counting("rows", BipartiteGraph.rows))
         monkeypatch.setattr(BipartiteGraph, "cup_cap", counting("cup_cap", BipartiteGraph.cup_cap))
         monkeypatch.setattr(GraphAutomorphism, "compose", counting("compose", GraphAutomorphism.compose))
         assert fixed_dims_report(group, 4) == [1, 1, 2, 5, 15]
@@ -1792,13 +1794,13 @@ class TestFixedDimsOnPaths:
         assert slots == ("graph", "generators", "elements", "_fixed")
         state = [getattr(group, name) for name in slots]
         assert [len(fixed_space_basis(group, k)) for k in (4, 3)] == [15, 5]
-        assert calls == {"paths": 2}
+        assert calls == {"rows": 2}
         assert all(getattr(group, name) is value for name, value in zip(slots, state))
 
     def test_counts_read_no_rows(self, graphs, monkeypatch):
         # Work count: fixed_dims_report and burnside_dim walk the group's
-        # fixed subgraphs and call no `paths` or `rows`, on a fresh graph
-        # whose rows were never built; fixed_space_basis reads the paths once.
+        # fixed subgraphs and call no `paths` or `rows`, on a fresh graph;
+        # fixed_space_basis walks the rows once.
         calls = Counter()
 
         def counting(name, real):
@@ -1818,8 +1820,7 @@ class TestFixedDimsOnPaths:
         assert burnside_dim(group, 8) == 436352
         assert calls == {}
         assert len(fixed_space_basis(group, 2)) == 14
-        # `paths` reads the table that `rows` keeps, through `rows`.
-        assert calls == {"paths": 1, "rows": 2}
+        assert calls == {"rows": 1}
 
     def test_walk_is_linear_in_kmax(self, monkeypatch):
         # Work count: on a fresh C-in-C with the trivial group, the count at
@@ -1847,8 +1848,8 @@ class TestFixedDimsOnPaths:
 
     def test_cup_cap_reads_paths_once(self, monkeypatch):
         # Work count: on C-in-C at kmax 1000 the verifier reads no cup-cap and
-        # no path tuple, and jones_projection_raw at degree 1000 reads the
-        # paths of length 998 once, with one `paths` call.
+        # no path tuple, and jones_projection_raw at degree 1000 walks the
+        # paths of length 998 once, with one `rows` call.
         calls = Counter()
 
         def counting(name, real):
@@ -1859,19 +1860,18 @@ class TestFixedDimsOnPaths:
             return wrapped
 
         monkeypatch.setattr(BipartiteGraph, "cup_cap", counting("cup_cap", BipartiteGraph.cup_cap))
-        monkeypatch.setattr(BipartiteGraph, "paths", counting("paths", BipartiteGraph.paths))
+        monkeypatch.setattr(BipartiteGraph, "rows", counting("rows", BipartiteGraph.rows))
         g = build_graph(corpus_entry("C-in-C").inclusion())
         assert verify_planar_subalgebra(close_group(g, []), 1000).all_passed
         assert calls == {}
         assert len(jones_projection_raw(g, 998).terms) == 1
-        assert calls == {("cup_cap", 998, RadicalScalar.one()): 1, ("paths", 998): 1}
+        assert calls == {("cup_cap", 998, RadicalScalar.one()): 1, ("rows", 998): 1}
 
     def test_one_table_of_paths_per_graph(self, monkeypatch):
-        # Work count: on a fresh C-in-C, the graph builds one table of paths
-        # per degree (1,001 for degrees 0-1000) and every reader shares it:
-        # the loops, the cup-caps and the bases of two groups.  The fixed
-        # dimensions build none, and each basis reads the graph's paths once
-        # and builds no table.
+        # Work count: on a fresh C-in-C, the graph builds no table of paths
+        # and keeps none: each reader (the loops, the cup-caps and the bases
+        # of two groups) walks the rows once, into one table of its own.  The
+        # fixed dimensions build none.
         calls = Counter()
 
         def counting(name, real):
@@ -1884,14 +1884,14 @@ class TestFixedDimsOnPaths:
         monkeypatch.setattr(graph, "PathTable", counting("tables", graph.PathTable))
         g = build_graph(corpus_entry("C-in-C").inclusion())
         assert fixed_dims_report(close_group(g, []), 1000) == [1] * 1001
-        assert calls == {"tables": 1}
-        monkeypatch.setattr(BipartiteGraph, "paths", counting("paths", BipartiteGraph.paths))
+        assert calls == {}
+        monkeypatch.setattr(BipartiteGraph, "rows", counting("rows", BipartiteGraph.rows))
         assert g.enumerate_loops(1000) == [Loop(0, (0,) * 2000)]
         assert len(g.cup_cap(998, RadicalScalar.one()).terms) == 1
-        assert calls == {"tables": 1001, "paths": 2}
+        assert calls == {"tables": 2, "rows": 2}
         assert len(fixed_space_basis(close_group(g, []), 1000)) == 1
         assert len(fixed_space_basis(close_group(g, []), 1000)) == 1
-        assert calls == {"tables": 1001, "paths": 4}
+        assert calls == {"tables": 4, "rows": 4}
 
     def test_row_orbit_count(self, graphs):
         # The Burnside count against the orbit count on rows and the loop
