@@ -283,10 +283,10 @@ def cmd_fixed(args) -> int:
     dims = fixed_dims_report(group, args.kmax)
     if args.format == "csv":
         return _emit(_csv_text(["k", "dim"], [[k, d] for k, d in enumerate(dims)]))
-    if analyze(inc).is_abelian:
+    try:
         on_a, on_b = is_centrally_ergodic(group)
         ergodic = {"on_a": on_a, "on_b": on_b}
-    else:
+    except NotAbelianError:
         ergodic = None
     report = verify_planar_subalgebra(group, args.kmax)
     document = {

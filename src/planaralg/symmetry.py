@@ -7,7 +7,8 @@ check of that, and close_group runs it once on each generator, so every
 group maps loops to loops and every routine that reads the group takes it
 as given.  The fixed space in each degree is spanned by
 orbit sums, its dimension is the orbit count, which Burnside's lemma gives
-as a count of paths in each element's fixed subgraph, and the verification
+as a count of paths in each element's fixed subgraph, walked once for each
+orbit of fixed subgraphs under the group, and the verification
 routine reports that the fixed spaces form a subalgebra closed under the
 generating annular operations and that those operations commute with the
 action, which holds for every group accepted.
@@ -119,8 +120,8 @@ class GroupAction:
     close_group checks the generators and closes the elements under
     composition with each generator.  Immutable, so the one table it keeps
     cannot go stale (docs/closure-multiply-and-burnside.md, section 11):
-    the fixed subgraphs of its elements, built here for the fixed
-    dimensions."""
+    one fixed subgraph for each orbit of its elements' fixed subgraphs,
+    built here for the fixed dimensions."""
 
     __slots__ = ("graph", "generators", "elements", "_fixed")
 
@@ -130,7 +131,7 @@ class GroupAction:
         generators: tuple[GraphAutomorphism, ...],
         elements: tuple[GraphAutomorphism, ...],
     ):
-        fixed = _fixed_subgraphs(graph, elements)
+        fixed = _fixed_subgraphs(graph, generators, elements)
         for name, value in zip(self.__slots__, (graph, generators, elements, fixed)):
             object.__setattr__(self, name, value)
 
@@ -142,11 +143,14 @@ class GroupAction:
         return len(self.elements)
 
 
-def _fixed_subgraphs(g: BipartiteGraph, elements) -> tuple:
-    """Each distinct pair (fixed lower vertices, fixed edges) among the
-    elements, as (bases, moves, count): count elements share it, and
-    moves[pos % 2][v] lists the vertex that g.step(pos) reaches from v along
-    each fixed edge (docs/closure-multiply-and-burnside.md, section 5)."""
+def _fixed_subgraphs(g: BipartiteGraph, generators, elements) -> tuple:
+    """One pair (fixed lower vertices, fixed edges) from each orbit of the
+    elements' pairs under the generators, as (bases, moves, count): count
+    elements have a pair in the orbit, and moves[pos % 2][v] lists the
+    vertex that g.step(pos) reaches from v along each fixed edge.  A
+    generator sigma maps the pair of h onto that of sigma h sigma^-1, which
+    fixes as many loops at every degree, so the orbit's elements share one
+    walk (docs/closure-multiply-and-burnside.md, section 5)."""
     shared = {}
     for h in elements:
         bases = tuple([b for b, image in enumerate(h.perm_a) if b == image])
@@ -154,7 +158,17 @@ def _fixed_subgraphs(g: BipartiteGraph, elements) -> tuple:
         shared[key] = shared.get(key, 0) + 1
     steps = (g.step(0), g.step(1))
     table = []
-    for (bases, edges), n in shared.items():
+    while shared:
+        key, n = shared.popitem()
+        pending = [key]
+        while pending:
+            bases, edges = pending.pop()
+            for sigma in generators:
+                image = (tuple(sorted([sigma.perm_a[b] for b in bases])), frozenset([sigma.perm_e[f] for f in edges]))
+                if image in shared:
+                    n += shared.pop(image)
+                    pending.append(image)
+        bases, edges = key
         moves = tuple(tuple([tuple([s.end[f] for f in out if f in edges]) for out in s.attach]) for s in steps)
         table.append((bases, moves, n))
     return tuple(table)
@@ -262,9 +276,10 @@ def fixed_dims_report(group: GroupAction, kmax: int) -> list[int]:
     average number of loops an element fixes.  An element fixes [b; t; u]
     exactly when it fixes b and every edge of t and u, so it fixes the sum
     over v of n(b, v)^2 loops at each fixed base b, where n(b, v) counts the
-    paths from b to v in its fixed subgraph.  Elements with one fixed
-    subgraph fix as many, and the paths out of each fixed base are counted
-    one step at a time until none is left, at a cost linear in kmax
+    paths from b to v in its fixed subgraph.  Elements whose fixed
+    subgraphs lie in one orbit fix as many, and the paths out of each fixed
+    base of one subgraph per orbit are counted one step at a time until
+    none is left, at a cost linear in kmax
     (docs/closure-multiply-and-burnside.md, section 5)."""
     if kmax < 0:
         raise ValidationError("kmax must be nonnegative")
@@ -341,5 +356,6 @@ def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
             closure.append(("closure-shift", k))
         if k >= 2:
             closure.append(("projection-invariant", k))
-    checks = tuple(SubalgebraCheck(name, k, True) for name, k in closure + equivariance)
+    make = SubalgebraCheck._make
+    checks = tuple([make((name, k, True)) for name, k in closure + equivariance])
     return SubalgebraReport(kmax=kmax, group_order=group.order, checks=checks)

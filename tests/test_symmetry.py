@@ -449,6 +449,21 @@ class TestFixedSpaces:
         assert [sum(stirling2(k, j) for j in range(n + 1)) for k in range(6)] == dims
         assert fixed_dims_report(group, 5) == dims
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_symmetric_group_keeps_one_fixed_subgraph_per_orbit(self, graphs, n):
+        # S_N on C-in-C^N: a permutation fixes the base and the edges of its
+        # fixed points, and conjugates fix sets of one size, any size but
+        # N - 1.  So the group keeps N fixed subgraphs, not the 2^N - N
+        # distinct ones (4, not 12, for S4), their counts sum to |G|, and the
+        # dimensions are still the Stirling sums.
+        g = graphs(f"C-in-C{n}") if n <= 5 else build_graph(InclusionData([1], [[1] * n]))
+        cycle = make_automorphism(g, [0], [*range(1, n), 0])
+        flip = make_automorphism(g, [0], [1, 0, *range(2, n)])
+        group = close_group(g, [cycle, flip])
+        assert len(group._fixed) == n
+        assert sum(count for _, _, count in group._fixed) == group.order
+        assert fixed_dims_report(group, 12) == [sum(stirling2(k, j) for j in range(n + 1)) for k in range(13)]
+
     @pytest.mark.parametrize("k", range(6))
     def test_burnside_matches_orbit_count(self, three_point_cycle, k):
         g, cycle = three_point_cycle
@@ -906,16 +921,18 @@ def test_tangles_builds_the_cup_cap_from_no_loops():
 
 def test_symmetry_reads_paths_only_for_the_basis():
     # No count or verdict reads a row; only the public basis,
-    # `fixed_space_basis`, reads the rows back as tuples.
+    # `fixed_space_basis`, reads the rows back as tuples.  `rows` is among
+    # the names, so a function that unpacks `g.rows(k)` is seen however it
+    # spells the parts; the fixed subgraphs are built from the graph's steps.
     source = Path(__file__).resolve().parent.parent / "src" / "planaralg" / "symmetry.py"
-    callers = [
+    callers = {
         function.name
         for function in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
         if isinstance(function, ast.FunctionDef)
         for node in ast.walk(function)
-        if isinstance(node, ast.Attribute) and node.attr in ("paths", "paths_with_ends", "paths_from")
-    ]
-    assert callers == ["fixed_space_basis"]
+        if isinstance(node, ast.Attribute) and node.attr in ("rows", "paths", "paths_with_ends", "paths_from")
+    }
+    assert callers == {"fixed_space_basis"}
 
 
 def test_fixed_dims_read_no_rows():
@@ -1825,7 +1842,7 @@ class TestFixedDimsOnPaths:
     def test_walk_is_linear_in_kmax(self, monkeypatch):
         # Work count: on a fresh C-in-C with the trivial group, the count at
         # kmax 1000 builds no table of paths beyond the graph's degree 0 and
-        # takes at most (distinct fixed subgraphs) x (fixed bases) x kmax
+        # takes at most (orbits of fixed subgraphs) x (fixed bases) x kmax
         # steps of a vector of path counts: here 1 x 1 x 1000.
         calls = Counter()
 
@@ -1845,6 +1862,32 @@ class TestFixedDimsOnPaths:
         assert calls["step"] <= sum(len(bases) for bases, _, _ in group._fixed) * 1000
         assert burnside_dim(group, 1000) == 1
         assert calls == {"step": 2000}
+
+    def test_one_entry_per_orbit_of_fixed_subgraphs(self, graphs):
+        # The group's table against the orbits of the elements' pairs (fixed
+        # bases, fixed edges) under conjugation, found here from every
+        # element rather than from the generators: one entry per orbit, with
+        # its number of fixed bases and the number of elements in the orbit.
+        cases = 0
+        for group, _ in [*_oracle_cases(graphs), *_seeded_automorphism_groups(graphs, 20095, 40)]:
+            pairs = Counter(
+                (
+                    tuple(b for b, image in enumerate(h.perm_a) if b == image),
+                    frozenset(f for f, image in enumerate(h.perm_e) if f == image),
+                )
+                for h in group.elements
+            )
+            orbits = {
+                frozenset(
+                    (tuple(sorted(s.perm_a[b] for b in bases)), frozenset(s.perm_e[f] for f in edges))
+                    for s in group.elements
+                )
+                for bases, edges in pairs
+            }
+            expected = sorted((len(next(iter(orbit))[0]), sum(pairs[pair] for pair in orbit)) for orbit in orbits)
+            assert sorted((len(bases), count) for bases, _, count in group._fixed) == expected
+            cases += 1
+        assert cases == 68
 
     def test_cup_cap_reads_paths_once(self, monkeypatch):
         # Work count: on C-in-C at kmax 1000 the verifier reads no cup-cap and
