@@ -422,10 +422,12 @@ class BipartiteGraph:
         self.num_b = inclusion.cols
         self.gamma = sqrt_of_int(self.r)
 
-        inv_sqrt_dim_a = sqrt_of_int(inclusion.a.total_dim).invert()
-        inv_sqrt_dim_b = sqrt_of_int(inclusion.b.total_dim).invert()
-        self.weights_a = tuple(RadicalScalar.from_rational(n) * inv_sqrt_dim_a for n in inclusion.a)
-        self.weights_b = tuple(RadicalScalar.from_rational(n) * inv_sqrt_dim_b for n in inclusion.b)
+        # The weight a_i / sqrt(dim A) is the square root of the reduced
+        # a_i^2 / dim A (and so on the big side), so a factor that every
+        # block dimension shares cancels before anything is factored.
+        dim_a, dim_b = inclusion.a.total_dim, inclusion.b.total_dim
+        self.weights_a = tuple(RadicalScalar.from_rational(Fraction(n * n, dim_a)).sqrt() for n in inclusion.a)
+        self.weights_b = tuple(RadicalScalar.from_rational(Fraction(n * n, dim_b)).sqrt() for n in inclusion.b)
 
         self._verify_eigenvector()
 

@@ -254,16 +254,6 @@ def fixed_space_basis(group: GroupAction, k: int) -> list[PlanarElement]:
     return basis
 
 
-def _step(counts: dict[int, int], moves) -> dict[int, int]:
-    """Path counts one step longer: counts[v] paths to v, each extended
-    along every move out of v."""
-    out = {}
-    for v, n in counts.items():
-        for w in moves[v]:
-            out[w] = out.get(w, 0) + n
-    return out
-
-
 def burnside_dim(group: GroupAction, k: int) -> int:
     """Fixed-space dimension of degree k: fixed_dims_report read at degree k."""
     if k < 0:
@@ -286,15 +276,23 @@ def fixed_dims_report(group: GroupAction, kmax: int) -> list[int]:
     totals = [0] * (kmax + 1)
     for bases, moves, count in group._fixed:
         for b in bases:
-            counts = {b: 1}
-            for k in range(kmax + 1):
+            # counts[v] paths of length k from b to v; each step extends
+            # every path along every move out of its end.
+            counts, k = {b: 1}, 0
+            while counts:
                 totals[k] += count * sum([n * n for n in counts.values()])
-                if k == kmax or not counts:
+                if k == kmax:
                     break
-                counts = _step(counts, moves[k % 2])
-    if any(total % group.order for total in totals):
+                longer, step = {}, moves[k % 2]
+                for v, n in counts.items():
+                    for w in step[v]:
+                        longer[w] = longer.get(w, 0) + n
+                counts, k = longer, k + 1
+    order = group.order
+    dims = [total // order for total in totals]
+    if [dim * order for dim in dims] != totals:
         raise PlanarAlgError("internal: fixed-point count is not divisible by the group order")
-    return [total // group.order for total in totals]
+    return dims
 
 
 def is_centrally_ergodic(group: GroupAction) -> tuple[bool, bool]:
@@ -340,22 +338,23 @@ def verify_planar_subalgebra(group: GroupAction, kmax: int) -> SubalgebraReport:
     """
     if kmax < 0:
         raise ValidationError("kmax must be nonnegative")
+    # tuple.__new__ builds each check without NamedTuple's Python-level
+    # __new__; one degree's equivariance block serves every generator.
+    new, check, copies = tuple.__new__, SubalgebraCheck, len(group.generators)
     closure, equivariance = [], []
     for k in range(kmax + 1):
-        for _ in group.generators:
-            equivariance += [("equivariance-multiply", k), ("equivariance-include", k)]
-            if k >= 1:
-                equivariance.append(("equivariance-expect", k))
-            equivariance.append(("equivariance-shift", k))
-        closure.append(("closure-multiply", k))
-        if k + 1 <= kmax:
-            closure.append(("closure-include", k))
+        closure.append(new(check, ("closure-multiply", k, True)))
+        if k < kmax:
+            closure.append(new(check, ("closure-include", k, True)))
         if k >= 1:
-            closure.append(("closure-expect", k))
+            closure.append(new(check, ("closure-expect", k, True)))
         if k + 2 <= kmax:
-            closure.append(("closure-shift", k))
+            closure.append(new(check, ("closure-shift", k, True)))
         if k >= 2:
-            closure.append(("projection-invariant", k))
-    make = SubalgebraCheck._make
-    checks = tuple([make((name, k, True)) for name, k in closure + equivariance])
-    return SubalgebraReport(kmax=kmax, group_order=group.order, checks=checks)
+            closure.append(new(check, ("projection-invariant", k, True)))
+        block = [new(check, ("equivariance-multiply", k, True)), new(check, ("equivariance-include", k, True))]
+        if k >= 1:
+            block.append(new(check, ("equivariance-expect", k, True)))
+        block.append(new(check, ("equivariance-shift", k, True)))
+        equivariance += block * copies
+    return SubalgebraReport(kmax, group.order, tuple(closure + equivariance))

@@ -472,6 +472,44 @@ class TestHardenedInput:
         assert captured.out == ""
         assert "Miller-Rabin" in captured.err
 
+    # a = [x, x] under one upper block: the two lower blocks swap, and x
+    # cancels from every weight a_i^2 / dim A, so x is never factored.  The
+    # first x = p q, with p the first prime above 10^16 + 12345 and q the
+    # first above 10^17 + 54321, was refused (exit 4) while dim A = 2 x^2
+    # was factored; the second printed the same bytes then, after about 1 s
+    # of factoring.
+    @pytest.mark.parametrize(
+        "x, tail, digest",
+        [
+            (
+                10000000000012411 * 100000000000054333,
+                ["fixed", "--kmax", "6"],
+                "fedafaef18175e9a4341c79c266d234284aa909dbff106264a1f3f1cfdf0f408",
+            ),
+            (
+                10000000000012411 * 100000000000054333,
+                ["verify-tl", "--kmax", "2"],
+                "8fd6026cb0f5681c6b80c72e18a4ba8cad2e6f4d0253451299bfdd671bebd3fe",
+            ),
+            (
+                1000000000039 * 10000000000000061,
+                ["fixed", "--kmax", "6"],
+                "fedafaef18175e9a4341c79c266d234284aa909dbff106264a1f3f1cfdf0f408",
+            ),
+        ],
+        ids=["fixed-factor-hard", "verify-tl-factor-hard", "fixed-factor-slow"],
+    )
+    def test_common_factor_of_block_dimensions_is_not_factored(
+        self, write_inclusion, write_group, capsys, x, tail, digest
+    ):
+        path = write_inclusion("scaled", {"a": [x, x], "m": [[1], [1]]})
+        if tail[0] == "fixed":
+            tail = [*tail, "--group", write_group([{"perm_a": [1, 0], "perm_b": [0]}])]
+        assert main([tail[0], "--input", path, *tail[1:]]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize(
         "tail", [["analyze"], ["tower", "--depth", "0"], ["tower", "--depth", "0", "--format", "csv"]]
     )

@@ -140,6 +140,19 @@ class TestGraphConstruction:
         inv_sqrt6 = sqrt_of_int(6).invert()
         assert g.weights_b == (inv_sqrt6, inv_sqrt6, 2 * inv_sqrt6)
 
+    def test_weights_are_block_dimensions_over_root_of_total(self):
+        # The graph takes each weight as the root of the reduced a_i^2 / dim A;
+        # it equals a_i times the inverse root of dim A, the defining form,
+        # on the corpus and the 300 generated inclusions, and on scaled
+        # copies of them, whose weights do not change.
+        for inc in [entry.inclusion() for entry in MARKOV_CORPUS] + generated_markov_inclusions():
+            g = build_graph(inc)
+            for side, weights in ((inc.a, g.weights_a), (inc.b, g.weights_b)):
+                inv_root = sqrt_of_int(side.total_dim).invert()
+                assert weights == tuple(RadicalScalar.from_rational(n) * inv_root for n in side)
+            scaled = build_graph(InclusionData([7 * n for n in inc.a], inc.m))
+            assert (scaled.weights_a, scaled.weights_b) == (g.weights_a, g.weights_b)
+
     def test_edges_row_major_with_parallel_copies(self, graphs):
         g = graphs("central-C2-in-M2xM2")
         assert [(e.id, e.src, e.dst) for e in g.edges] == [

@@ -27,6 +27,7 @@ from planaralg import (
     make_automorphism,
     shift,
 )
+from test_symmetry import stirling2
 
 Vector = dict[tuple[int, ...], Fraction]
 
@@ -124,10 +125,17 @@ def test_loops_are_up_edge_tuples(graphs, n):
 def test_symmetric_group_dims_are_partition_ranks(graphs, n):
     # A third count of the S_n fixed points, beside Burnside and orbits.
     g = graphs(f"C-in-C{n}")
+    group = symmetric_group(g, n)
     ranks = [rank(partition_vector(p, n) for p in set_partitions(k)) for k in range(6)]
-    assert fixed_dims_report(symmetric_group(g, n), 5) == ranks
+    assert fixed_dims_report(group, 5) == ranks
     # The T_pi of partitions into at most n blocks are independent.
     assert ranks == [sum(max(p, default=-1) < n for p in set_partitions(k)) for k in range(6)]
+    # Their number is sum over j <= n of S(k, j), the Stirling numbers of the
+    # second kind (Banica and Speicher, arXiv:0808.2628): a closed form that
+    # the walk meets far beyond the degrees the ranks can reach.
+    stirling_sums = [sum(stirling2(k, j) for j in range(n + 1)) for k in range(61)]
+    assert stirling_sums[:6] == ranks
+    assert fixed_dims_report(group, 60) == stirling_sums
 
 
 def test_partition_counts():

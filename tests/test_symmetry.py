@@ -23,6 +23,7 @@ from planaralg import (
     InvalidAutomorphismError,
     Loop,
     NotAbelianError,
+    PlanarAlgError,
     PlanarElement,
     RadicalScalar,
     ValidationError,
@@ -588,6 +589,52 @@ class TestSubalgebraVerification:
                 assert act(cycle, grown) == grown
 
 
+def listed_report(group, kmax: int) -> SubalgebraReport:
+    """The subalgebra report built from two lists of (name, degree) pairs,
+    closure then equivariance, with one equivariance block per generator
+    and degree: the oracle for the verifier's one-pass build."""
+    closure, equivariance = [], []
+    for k in range(kmax + 1):
+        for _ in group.generators:
+            equivariance += [("equivariance-multiply", k), ("equivariance-include", k)]
+            if k >= 1:
+                equivariance.append(("equivariance-expect", k))
+            equivariance.append(("equivariance-shift", k))
+        closure.append(("closure-multiply", k))
+        if k + 1 <= kmax:
+            closure.append(("closure-include", k))
+        if k >= 1:
+            closure.append(("closure-expect", k))
+        if k + 2 <= kmax:
+            closure.append(("closure-shift", k))
+        if k >= 2:
+            closure.append(("projection-invariant", k))
+    checks = tuple(SubalgebraCheck(name, k, True) for name, k in closure + equivariance)
+    return SubalgebraReport(kmax=kmax, group_order=group.order, checks=checks)
+
+
+def test_report_matches_listed_oracle(graphs, two_point_swap, three_point_cycle, parallel_edge_swap, mixed_blocks_graph):
+    # The one-pass report equals the oracle's, tuple for tuple (names,
+    # degrees, verdicts and order), at every kmax from 0 to 12 on every
+    # group the suite closes: the trivial group of each corpus graph and of
+    # the disjoint union, the module's fixtures, S_3 to S_7, and the
+    # closure cases (corpus groups and seeded groups).
+    groups = [close_group(g, []) for g in [graphs(entry.name) for entry in MARKOV_CORPUS] + [union_graph()]]
+    groups += [close_group(g, [gen]) for g, gen in (two_point_swap, three_point_cycle, parallel_edge_swap)]
+    groups.append(close_group(mixed_blocks_graph, [make_automorphism(mixed_blocks_graph, [1, 0], [1, 0, 2])]))
+    for n in range(3, 8):
+        g = graphs(f"C-in-C{n}") if n <= 5 else build_graph(InclusionData([1], [[1] * n]))
+        groups.append(close_group(g, [make_automorphism(g, [0], [*range(1, n), 0]), make_automorphism(g, [0], [1, 0, *range(2, n)])]))
+    groups += [group for group, _ in _closure_cases(graphs)]
+    for group in groups:
+        for kmax in range(13):
+            report = verify_planar_subalgebra(group, kmax)
+            assert report == listed_report(group, kmax)
+            assert type(report) is SubalgebraReport
+            assert all(type(check) is SubalgebraCheck for check in report.checks)
+    assert Counter(len(group.generators) for group in groups) == {0: len(MARKOV_CORPUS) + 1, 1: 74, 2: 76}
+
+
 def pairwise_multiplicative(group, kmax: int) -> list[SubalgebraCheck]:
     """The equivariance-multiply checks by brute force, one product per pair
     of basis loops; the oracle for the per-path check in the verifier."""
@@ -936,10 +983,12 @@ def test_symmetry_reads_paths_only_for_the_basis():
 
 
 def test_fixed_dims_read_no_rows():
-    # fixed_dims_report and burnside_dim, and every function of symmetry.py
-    # they reach by name, name neither `_level` nor `rows` (nor `_extend` or
-    # `paths`): the count stays a walk on the fixed subgraphs, linear in
-    # kmax, and the row count, exponential in kmax, cannot come back.
+    # fixed_dims_report and burnside_dim reach no other function of
+    # symmetry.py by name, read the group's fixed subgraphs, and name
+    # neither `_level` nor `rows` (nor `_extend` or `paths`): no row reader
+    # is reachable, so the count stays a walk on the fixed subgraphs,
+    # linear in kmax, and the row count, exponential in kmax, cannot come
+    # back.
     source = Path(__file__).resolve().parent.parent / "src" / "planaralg" / "symmetry.py"
     tree = ast.parse(source.read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -956,7 +1005,8 @@ def test_fixed_dims_read_no_rows():
                     pending.append(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
-    assert {"_step", "_fixed"} <= reached | names
+    assert reached == {"fixed_dims_report", "burnside_dim"}
+    assert "_fixed" in names
     assert not names & {"_level", "rows", "_extend", "paths"}
 
 
@@ -1726,6 +1776,18 @@ class TestFixedDimsOnPaths:
             automorphism = gens[0]._replace(perm_b=induced_perm_b(g, gens[0]))
             assert fixed_dims_report(close_group(g, [automorphism]), 3) == expected
 
+    def test_count_not_divisible_by_the_order_is_internal(self, graphs):
+        # Burnside's total at each degree is a multiple of |G|; a table whose
+        # counts do not sum to the order breaks that, and the count raises
+        # the internal error instead of rounding.
+        g = graphs("C-in-C3")
+        group = close_group(g, [make_automorphism(g, [0], [1, 2, 0])])
+        assert fixed_dims_report(group, 3) == [1, 1, 3, 9]
+        bases, moves, count = group._fixed[0]
+        object.__setattr__(group, "_fixed", ((bases, moves, count + 1), *group._fixed[1:]))
+        with pytest.raises(PlanarAlgError, match="not divisible by the group order"):
+            fixed_dims_report(group, 3)
+
     @pytest.mark.parametrize("n", [3, 4])
     def test_symmetric_groups(self, graphs, n):
         g = graphs(f"C-in-C{n}")
@@ -1842,26 +1904,35 @@ class TestFixedDimsOnPaths:
     def test_walk_is_linear_in_kmax(self, monkeypatch):
         # Work count: on a fresh C-in-C with the trivial group, the count at
         # kmax 1000 builds no table of paths beyond the graph's degree 0 and
-        # takes at most (orbits of fixed subgraphs) x (fixed bases) x kmax
-        # steps of a vector of path counts: here 1 x 1 x 1000.
+        # reads at most (fixed bases) x (vertices on one side) x kmax moves
+        # of the group's fixed subgraphs, one per vertex a path reaches at
+        # each step: here 1 x 1 x 1000.
         calls = Counter()
 
-        def counting(name, real):
-            def wrapped(*args):
-                calls[name] += 1
-                return real(*args)
-
-            return wrapped
+        class CountedMoves(tuple):
+            def __getitem__(self, v):
+                calls["moves"] += 1
+                return tuple.__getitem__(self, v)
 
         g = build_graph(corpus_entry("C-in-C").inclusion())
         group = close_group(g, [])
-        monkeypatch.setattr(graph, "PathTable", counting("tables", graph.PathTable))
-        monkeypatch.setattr(symmetry, "_step", counting("step", symmetry._step))
+        counted = tuple(
+            (bases, tuple(CountedMoves(side) for side in moves), count) for bases, moves, count in group._fixed
+        )
+        object.__setattr__(group, "_fixed", counted)
+
+        def counting_tables(*args):
+            calls["tables"] += 1
+            return table(*args)
+
+        table = graph.PathTable
+        monkeypatch.setattr(graph, "PathTable", counting_tables)
         assert fixed_dims_report(group, 1000) == [1] * 1001
-        assert calls == {"step": 1000}
-        assert calls["step"] <= sum(len(bases) for bases, _, _ in group._fixed) * 1000
+        assert calls == {"moves": 1000}
+        bound = sum(len(bases) for bases, _, _ in group._fixed) * max(g.num_a, g.num_b) * 1000
+        assert calls["moves"] <= bound
         assert burnside_dim(group, 1000) == 1
-        assert calls == {"step": 2000}
+        assert calls == {"moves": 2000}
 
     def test_one_entry_per_orbit_of_fixed_subgraphs(self, graphs):
         # The group's table against the orbits of the elements' pairs (fixed
