@@ -46,7 +46,7 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
 from .errors import DegreeMismatchError, EigenvectorViolationError, ValidationError
-from .markov import InclusionData, markov_index
+from .markov import InclusionData, canonical_trace_weights, markov_index
 from .radical import RadicalKey, RadicalScalar, _key_product, _reduced, sqrt_of_int, sum_scalars
 
 SpinDirection = Literal["up", "down"]
@@ -422,12 +422,13 @@ class BipartiteGraph:
         self.num_b = inclusion.cols
         self.gamma = sqrt_of_int(self.r)
 
-        # The weight a_i / sqrt(dim A) is the square root of the reduced
-        # a_i^2 / dim A (and so on the big side), so a factor that every
-        # block dimension shares cancels before anything is factored.
-        dim_a, dim_b = inclusion.a.total_dim, inclusion.b.total_dim
-        self.weights_a = tuple(RadicalScalar.from_rational(Fraction(n * n, dim_a)).sqrt() for n in inclusion.a)
-        self.weights_b = tuple(RadicalScalar.from_rational(Fraction(n * n, dim_b)).sqrt() for n in inclusion.b)
+        # The weight a_i / sqrt(dim A) is the square root of the Markov trace
+        # weight a_i^2 / dim A, a reduced rational (and so on the big side),
+        # so a factor that every block dimension shares cancels before
+        # anything is factored.
+        self._point_weight = tuple(map(RadicalScalar.from_rational, canonical_trace_weights(inclusion.a)))
+        self.weights_a = tuple(w.sqrt() for w in self._point_weight)
+        self.weights_b = tuple(RadicalScalar.from_rational(w).sqrt() for w in canonical_trace_weights(inclusion.b))
 
         self._verify_eigenvector()
 
@@ -448,10 +449,6 @@ class BipartiteGraph:
             Step(ups, tuple(e.dst for e in edges), up, up_sq),
             Step(downs, tuple(e.src for e in edges), down, down_sq),
         )
-
-        total = sum_scalars(w * w for w in self.weights_a)
-        normalizer = total.invert()
-        self._point_weight = tuple(w * w * normalizer for w in self.weights_a)
 
     def _verify_eigenvector(self) -> None:
         # Exact check with zero tolerance; a failure here is a bug, not input.
@@ -503,7 +500,8 @@ class BipartiteGraph:
 
     def point_weight(self, i: int) -> RadicalScalar:
         """Weight of the degree-0 point loop at lower vertex i under the
-        normalized evaluation: squared vertex weight over the total."""
+        normalized evaluation: the Markov trace weight a_i^2 / dim A, the
+        squared vertex weight."""
         return self._point_weight[i]
 
     # -- paths and loops ------------------------------------------------------
@@ -517,7 +515,8 @@ class BipartiteGraph:
         """The based paths of length k, walked anew on every call: those of
         length k + 1 are those of length k in id order, each extended by the
         edges step k attaches at its end, ascending.  Each class lists its ids
-        by reversed path, from one stable sort of all ids."""
+        by reversed path, from one stable sort of all ids, so each row in id
+        order paired with the rows of its class is the canonical loop order."""
         if k < 0:
             raise ValidationError("path length must be nonnegative")
         paths, where = [(b,) for b in range(self.num_a)], [(b, b) for b in range(self.num_a)]

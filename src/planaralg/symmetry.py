@@ -68,7 +68,8 @@ def make_automorphism(
 
     Each map must be a permutation of its vertex or edge list, every edge
     must go to an edge between the images of its endpoints (incidence), and
-    every vertex to one of the same weight (InvalidAutomorphismError).
+    every vertex to one of the same weight, that is of the same block
+    dimension (InvalidAutomorphismError).
     perm_e may be omitted for simple graphs, where it is determined by the
     vertex permutations; with parallel edges it must be supplied.
     """
@@ -102,9 +103,11 @@ def make_automorphism(
             raise InvalidAutomorphismError(
                 f"edge {edge.id} maps to edge {image.id} with incompatible endpoints"
             )
-    for side, weights, perm in (("a", g.weights_a, perm_a), ("b", g.weights_b, perm_b)):
+    # A weight n / sqrt(dim) is equal across blocks of one side exactly when
+    # the block dimensions n are, so the integers decide it.
+    for side, dims, perm in (("a", g.inclusion.a, perm_a), ("b", g.inclusion.b, perm_b)):
         for i, target in enumerate(perm):
-            if weights[i] != weights[target]:
+            if dims[i] != dims[target]:
                 raise InvalidAutomorphismError(f"weight changes along {side}{i} -> {side}{target}")
     return GraphAutomorphism(perm_a, perm_b, perm_e)
 
@@ -119,9 +122,10 @@ class GroupAction:
     """A finite group of automorphisms of a graph, together with the graph;
     close_group checks the generators and closes the elements under
     composition with each generator.  Immutable, so the one table it keeps
-    cannot go stale (docs/closure-multiply-and-burnside.md, section 11):
-    one fixed subgraph for each orbit of its elements' fixed subgraphs,
-    built here for the fixed dimensions."""
+    cannot go stale: one fixed subgraph for each orbit of its elements'
+    fixed subgraphs, built here for the fixed dimensions, a function of the
+    graph, the generators and the elements.  The counts that read it return
+    the same values in any order and number of calls."""
 
     __slots__ = ("graph", "generators", "elements", "_fixed")
 
@@ -234,10 +238,11 @@ def reynolds(group: GroupAction, x: PlanarElement) -> PlanarElement:
 def fixed_space_basis(group: GroupAction, k: int) -> list[PlanarElement]:
     """Unnormalized orbit sums of degree-k loops, in canonical order of each
     orbit's first loop: a basis of the fixed space.  Each element's image of
-    each row is looked up among the graph's paths of length k, and the pairs
-    of row ids are walked in the order of iter_loops, skipping the pairs that
-    an earlier orbit holds (docs/closure-multiply-and-burnside.md, sections 1
-    and 2).  It keeps nothing on the group."""
+    each row is looked up among the graph's paths of length k, walked once
+    per call, and the pairs of row ids are walked in the order of
+    iter_loops, skipping the pairs that an earlier orbit holds
+    (docs/closure-multiply-and-burnside.md, sections 1 and 2).  It keeps
+    nothing on the group."""
     g, one = group.graph, RadicalScalar.one()
     rows = g.rows(k)
     paths = rows.paths

@@ -29,7 +29,7 @@ PRIVATE_NAME = re.compile(r"(?<!\w)_\w+")
 GRAPH_NAME = re.compile(r"(?<![\w./])(?:g|graph|BipartiteGraph)\.(?!py\b)(\w+)")
 # A cited section: "docs/<name>.md, section N", "[<name>.md](<name>.md) §N" or
 # "section N of docs/<name>.md"; in a document, a bare "section N" or "§N"
-# cites that document.  "sections 5 and 8" and "§§4, 6 and 7" cite each number.
+# cites that document.  "sections N and M" and "§§N, M and P" cite each number.
 CITATION = re.compile(
     r"(?:(?P<before>[\w-]+\.md)[`)]*,?[\s#]*)?"
     r"(?:sections?|§§?)\s*(?P<numbers>\d+(?:(?:,\s*|,?\s+and\s+)\d+)*)"
@@ -125,9 +125,10 @@ def test_graph_names_in_documents_exist():
 
 def cited_sections() -> list[tuple[str, str | None, int]]:
     """(citing file, cited document or None, section number) for every
-    section cited in src/ or docs/."""
+    section cited in src/, tests/ or docs/."""
     found = []
-    for path in [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "docs").glob("*.md"))]:
+    code = [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "tests").glob("*.py"))]
+    for path in [*code, *sorted((ROOT / "docs").glob("*.md"))]:
         own = path.name if path.suffix == ".md" else None
         for match in CITATION.finditer(path.read_text(encoding="utf-8")):
             cited = match["before"] or match["after"] or own
@@ -137,14 +138,15 @@ def cited_sections() -> list[tuple[str, str | None, int]]:
 
 def test_cited_sections_exist():
     # Sections are renumbered when one is added or dropped; every citation in
-    # code and documents must still name a "## N." heading of its document.
+    # code, tests and documents must still name a "## N." heading of its
+    # document.
     headings = {
         doc.name: {int(n) for n in HEADING.findall(doc.read_text(encoding="utf-8"))}
         for doc in (ROOT / "docs").glob("*.md")
     }
     found = cited_sections()
     assert len(found) >= 20
-    assert any(path.endswith(".py") for path, _, _ in found)
+    assert {"symmetry.py", "test_symmetry.py", "element_oracle.py"} <= {path for path, _, _ in found}
     assert [(path, doc, n) for path, doc, n in found if n not in headings.get(doc, ())] == []
 
 

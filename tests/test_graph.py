@@ -28,7 +28,7 @@ from planaralg import (
     loop_space_dim,
     verify_temperley_lieb,
 )
-from planaralg.markov import loop_space_dims, path_counts
+from planaralg.markov import canonical_trace_weights, loop_space_dims, path_counts
 from planaralg.radical import sqrt_of_int
 from conftest import CORPUS, MARKOV_CORPUS, corpus_entry, generated_markov_inclusions
 from test_elements import edges_only
@@ -141,8 +141,9 @@ class TestGraphConstruction:
         assert g.weights_b == (inv_sqrt6, inv_sqrt6, 2 * inv_sqrt6)
 
     def test_weights_are_block_dimensions_over_root_of_total(self):
-        # The graph takes each weight as the root of the reduced a_i^2 / dim A;
-        # it equals a_i times the inverse root of dim A, the defining form,
+        # The graph takes each weight as the root of the Markov trace weight
+        # a_i^2 / dim A; it equals a_i times the inverse root of dim A, the
+        # defining form, and the point at lower vertex i weighs a_i^2 / dim A,
         # on the corpus and the 300 generated inclusions, and on scaled
         # copies of them, whose weights do not change.
         for inc in [entry.inclusion() for entry in MARKOV_CORPUS] + generated_markov_inclusions():
@@ -150,6 +151,7 @@ class TestGraphConstruction:
             for side, weights in ((inc.a, g.weights_a), (inc.b, g.weights_b)):
                 inv_root = sqrt_of_int(side.total_dim).invert()
                 assert weights == tuple(RadicalScalar.from_rational(n) * inv_root for n in side)
+            assert [g.point_weight(i) for i in range(g.num_a)] == canonical_trace_weights(inc.a)
             scaled = build_graph(InclusionData([7 * n for n in inc.a], inc.m))
             assert (scaled.weights_a, scaled.weights_b) == (g.weights_a, g.weights_b)
 

@@ -313,6 +313,32 @@ class TestCloseGroup:
             assert str(refused.value) == "weight changes along a0 -> a1"
 
 
+    def test_weights_are_compared_as_block_dimensions(self, graphs, monkeypatch):
+        # A weight n / sqrt(dim) is equal across the blocks of one side exactly
+        # when their dimensions n are, so make_automorphism decides it on the
+        # integers.  With RadicalScalar's comparisons and arithmetic made to
+        # raise, every closure case closes again and its counts, report and
+        # ergodicity come out, and the component swap above is still refused
+        # by weight.
+        cases = [(group.graph, group.generators, kmax) for group, kmax in _closure_cases(graphs)]
+        components = graphs("C-M2-in-M2xM4")
+
+        def radical(*args):
+            raise RuntimeError("radical arithmetic")
+
+        for name in ("__eq__", "__ne__", "__mul__", "__add__", "sqrt", "invert"):
+            monkeypatch.setattr(RadicalScalar, name, radical)
+        for g, gens, kmax in cases:
+            group = close_group(g, gens)
+            assert burnside_dim(group, kmax) == fixed_dims_report(group, kmax)[kmax]
+            assert verify_planar_subalgebra(group, kmax).all_passed
+            with contextlib.suppress(NotAbelianError):
+                is_centrally_ergodic(group)
+        with pytest.raises(InvalidAutomorphismError) as refused:
+            close_group(components, [GraphAutomorphism((1, 0), (1, 0), (2, 3, 0, 1))])
+        assert str(refused.value) == "weight changes along a0 -> a1"
+
+
 class TestAction:
     def test_act_loop(self, two_point_swap):
         g, swap = two_point_swap
@@ -945,17 +971,6 @@ def test_operations_leave_the_up_down_step_to_graph(module):
     assert accessors == []
 
 
-def test_symmetry_builds_no_cup_cap_terms():
-    # projection-invariant and equivariance-shift are decided by the edge
-    # conditions (docs/closure-multiply-and-burnside.md, section 8), so the
-    # verifier reads no cup-cap term, no shift prefix and no spin product.
-    source = Path(__file__).resolve().parent.parent / "src" / "planaralg" / "symmetry.py"
-    tree = ast.parse(source.read_text(encoding="utf-8"))
-    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert {"step", "perm_e"} <= attributes
-    assert not attributes & {"cup_cap", "shift_prefixes", "spin_factor", "from_paths"}
-
-
 def test_tangles_builds_the_cup_cap_from_no_loops():
     # The graph builds the cup-cap straight from its paths, so tangles.py
     # neither imports `Loop` nor builds loops from paths.
@@ -964,50 +979,6 @@ def test_tangles_builds_the_cup_cap_from_no_loops():
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert "PlanarElement" in imported and "Loop" not in imported
     assert "from_paths" not in {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-
-
-def test_symmetry_reads_paths_only_for_the_basis():
-    # No count or verdict reads a row; only the public basis,
-    # `fixed_space_basis`, reads the rows back as tuples.  `rows` is among
-    # the names, so a function that unpacks `g.rows(k)` is seen however it
-    # spells the parts; the fixed subgraphs are built from the graph's steps.
-    source = Path(__file__).resolve().parent.parent / "src" / "planaralg" / "symmetry.py"
-    callers = {
-        function.name
-        for function in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
-        if isinstance(function, ast.FunctionDef)
-        for node in ast.walk(function)
-        if isinstance(node, ast.Attribute) and node.attr in ("rows", "paths", "paths_with_ends", "paths_from")
-    }
-    assert callers == {"fixed_space_basis"}
-
-
-def test_fixed_dims_read_no_rows():
-    # fixed_dims_report and burnside_dim reach no other function of
-    # symmetry.py by name, read the group's fixed subgraphs, and name
-    # neither `_level` nor `rows` (nor `_extend` or `paths`): no row reader
-    # is reachable, so the count stays a walk on the fixed subgraphs,
-    # linear in kmax, and the row count, exponential in kmax, cannot come
-    # back.
-    source = Path(__file__).resolve().parent.parent / "src" / "planaralg" / "symmetry.py"
-    tree = ast.parse(source.read_text(encoding="utf-8"))
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    reached, pending, names = set(), ["fixed_dims_report", "burnside_dim"], set()
-    while pending:
-        name = pending.pop()
-        if name in reached:
-            continue
-        reached.add(name)
-        for node in ast.walk(functions[name]):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-                if node.id in functions:
-                    pending.append(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-    assert reached == {"fixed_dims_report", "burnside_dim"}
-    assert "_fixed" in names
-    assert not names & {"_level", "rows", "_extend", "paths"}
 
 
 def test_one_automorphism_check():
@@ -1030,7 +1001,7 @@ def test_one_automorphism_check():
 
 def test_cup_cap_and_shift_prefixes_have_one_definition(graphs, monkeypatch):
     # Work count: jones_projection_raw reads one cup-cap definition and shift
-    # one prefix definition; the verifier reads neither.
+    # one prefix definition.
     calls = Counter()
     for name in ("cup_cap", "shift_prefixes"):
         real = getattr(BipartiteGraph, name)
@@ -1045,9 +1016,39 @@ def test_cup_cap_and_shift_prefixes_have_one_definition(graphs, monkeypatch):
     shift(g, g.unit(1))
     # One cup-cap call, and one prefix call for the graph's one base.
     assert calls == {"cup_cap": 1, "shift_prefixes": 1}
-    group = close_group(g, [make_automorphism(g, [0], [0, 1, 2], [0, 1, 3, 2])])
-    assert verify_planar_subalgebra(group, 3).all_passed
-    assert calls == {"cup_cap": 1, "shift_prefixes": 1}
+
+
+def test_reports_and_counts_do_no_work(graphs, monkeypatch):
+    # Work property, not timing: every group that close_group accepts passes
+    # every check, and the count walks the group's fixed subgraphs
+    # (docs/closure-multiply-and-burnside.md, sections 8 and 5).  So with
+    # every path reader, element operation and action made to raise, the
+    # graph is built and each group closed again, and with composition made
+    # to raise too, the report and both counts still come out, on every
+    # closure case and on the trivial group of C-in-C at kmax 1000.
+    cases = [(group.graph, group.generators, kmax) for group, kmax in _closure_cases(graphs)]
+
+    def work(*args, **kwargs):
+        raise RuntimeError("work done")
+
+    for owner, names in (
+        (BipartiteGraph, ("rows", "paths", "iter_loops", "unit", "cup_cap", "shift_prefixes")),
+        (PlanarElement, ("__init__", "__mul__", "__add__", "relabel")),
+        (symmetry, ("act", "fixed_space_basis")),
+    ):
+        for name in names:
+            monkeypatch.setattr(owner, name, work)
+    cases.append((build_graph(corpus_entry("C-in-C").inclusion()), (), 1000))
+    cases = [(close_group(g, gens), kmax) for g, gens, kmax in cases]
+    monkeypatch.setattr(GraphAutomorphism, "compose", work)
+    for group, kmax in cases:
+        assert verify_planar_subalgebra(group, kmax).all_passed
+        dims = fixed_dims_report(group, kmax)
+        assert burnside_dim(group, kmax) == dims[kmax]
+    assert dims == [1] * 1001
+    # The patches see work where there is some.
+    with pytest.raises(RuntimeError, match="work done"):
+        fixed_space_basis(group, 1)
 
 
 class TestEquivarianceIncludeExpectShift:
@@ -1064,44 +1065,6 @@ class TestEquivarianceIncludeExpectShift:
             assert not any(c.name.startswith("equivariance-") for c in head)
             passed += [c.passed for c in expected]
         assert len(passed) >= 1000 and all(passed)
-
-    def test_equivariance_pass_calls_no_generators(self, graphs, monkeypatch):
-        # Work count, not timing.  The verifier calls no generating operation
-        # and builds no element: every group that close_group accepts passes
-        # every check (docs/closure-multiply-and-burnside.md, section 8),
-        # where the every-loop check would make 2 * 2 * 341 include calls.
-        g = graphs("C-in-C4")
-        group = close_group(
-            g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
-        )
-        for name in ("include", "shift", "expect", "jones_projection"):
-            assert not hasattr(symmetry, name), name
-        acts, constructions = 0, 0
-        real_act, init, normal = symmetry.act, PlanarElement.__init__, PlanarElement._normal.__func__
-
-        def counting_act(auto, x):
-            nonlocal acts
-            acts += 1
-            return real_act(auto, x)
-
-        def counting_init(self, *args, **kwargs):
-            nonlocal constructions
-            constructions += 1
-            init(self, *args, **kwargs)
-
-        def counting_normal(cls, *args):
-            nonlocal constructions
-            constructions += 1
-            return normal(cls, *args)
-
-        monkeypatch.setattr(symmetry, "act", counting_act)
-        monkeypatch.setattr(PlanarElement, "__init__", counting_init)
-        monkeypatch.setattr(PlanarElement, "_normal", classmethod(counting_normal))
-        assert verify_planar_subalgebra(group, 4).all_passed
-        assert acts == 0 and constructions == 0
-        # The counters see element work when there is some.
-        symmetry.act(group.generators[0], PlanarElement.basis(Loop(0, (0, 0))))
-        assert acts == 1 and constructions == 2
 
     @staticmethod
     def _failures(g, gens, kmax):
@@ -1389,25 +1352,6 @@ class TestClosureMultiply:
             close_group(g, [GraphAutomorphism((0,), (0, 0), (0, 0))])
         assert str(refused.value) == "perm_b is not a permutation of 0..1: (0, 0)"
 
-    def test_verifier_forms_no_products(self, graphs, monkeypatch):
-        # Work count, not timing: products of orbit sums would be
-        # sum over degrees of |fixed basis|^2 = 1 + 1 + 4 + 25 + 225 = 256.
-        g = graphs("C-in-C4")
-        group = close_group(
-            g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
-        )
-        calls = 0
-        compose = PlanarElement._compose
-
-        def counting(self, other):
-            nonlocal calls
-            calls += 1
-            return compose(self, other)
-
-        monkeypatch.setattr(PlanarElement, "_compose", counting)
-        assert verify_planar_subalgebra(group, 4).all_passed
-        assert calls == 0
-
 
 def refused_verdicts(g, gens, kmax: int) -> dict[tuple[str, int], bool]:
     """The loop-walk oracle's verdicts, by (name, degree), on the group of
@@ -1489,38 +1433,6 @@ def lemma_e_at_bases(group, stabilizer) -> bool:
             if any(sum_scalars(weight[gen.perm_e[f]] for f in orbit) != total for gen in group.generators):
                 return False
     return True
-
-
-def test_verifier_walks_no_loop_pairs(graphs, monkeypatch):
-    # Work count: neither the verifier nor the fixed dimensions walk the
-    # graph's rows, so they never pair rows into loops or enumerate orbits;
-    # fixed_space_basis walks them once and, as a loop walk, reads a class
-    # once per row in it.
-    g = build_graph(corpus_entry("C-in-C4").inclusion())
-    group = close_group(
-        g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
-    )
-    reads, walks, rows = Counter(), Counter(), BipartiteGraph.rows
-
-    class Counted(list):
-        def __iter__(self):
-            reads[id(self)] += 1
-            return super().__iter__()
-
-    def counting_rows(self, k):
-        walks[k] += 1
-        table = rows(self, k)
-        return table._replace(classes={key: Counted(ids) for key, ids in table.classes.items()})
-
-    monkeypatch.setattr(BipartiteGraph, "rows", counting_rows)
-    with monkeypatch.context() as patch:
-        patch.setattr(symmetry, "fixed_space_basis", None)
-        assert verify_planar_subalgebra(group, 6).all_passed
-        assert fixed_dims_report(group, 6) == [1, 1, 2, 5, 15, 51, 187]
-    assert walks == {} and reads == {}
-    fixed_space_basis(group, 6)
-    assert walks == {6: 1}
-    assert sum(reads.values()) == len(rows(g, 6).where) == 64
 
 
 def test_verdicts_do_not_depend_on_loop_order(graphs):
@@ -1797,110 +1709,6 @@ class TestFixedDimsOnPaths:
         dims = [sum(stirling2(k, j) for j in range(n + 1)) for k in range(6)]
         assert [burnside_dim(group, k) for k in range(6)] == every_loop_fixed_dims(group, 5) == dims
 
-    def test_enumerates_loops_once_per_degree(self, graphs, monkeypatch):
-        # Work count: fixed_dims_report reads only (base, path) rows, and the
-        # verifier walks each degree's loops as pairs of row ids, so a
-        # `fixed` run enumerates no loops.
-        g = graphs("C-in-C4")
-        group = close_group(
-            g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
-        )
-        calls = 0
-        iter_loops = BipartiteGraph.iter_loops
-
-        def counting(self, k):
-            nonlocal calls
-            calls += 1
-            return iter_loops(self, k)
-
-        monkeypatch.setattr(BipartiteGraph, "iter_loops", counting)
-        assert fixed_dims_report(group, 4) == [1, 1, 2, 5, 15]
-        assert calls == 0
-        assert verify_planar_subalgebra(group, 4).all_passed
-        assert calls == 0
-
-    def test_extends_rows_once_per_degree(self, monkeypatch):
-        # Work count: on a fresh C-in-C with the trivial group,
-        # fixed_space_basis walks the graph's rows once per call, in one
-        # table, and the graph keeps none for the next call; the fixed
-        # dimensions walk no rows and build no table.
-        calls = Counter()
-
-        def counting(name, real):
-            def wrapped(*args):
-                calls[name] += 1
-                return real(*args)
-
-            return wrapped
-
-        group = close_group(build_graph(corpus_entry("C-in-C").inclusion()), [])
-        monkeypatch.setattr(BipartiteGraph, "rows", counting("rows", BipartiteGraph.rows))
-        monkeypatch.setattr(graph, "PathTable", counting("tables", graph.PathTable))
-        assert fixed_dims_report(group, 1000) == [1] * 1001
-        assert calls == {}
-        assert len(fixed_space_basis(group, 1000)) == 1
-        assert calls == {"rows": 1, "tables": 1}
-        assert [len(fixed_space_basis(group, k)) for k in (0, 500, 1000)] == [1, 1, 1]
-        assert calls == {"rows": 4, "tables": 4}
-
-    def test_one_table_per_group(self, graphs, monkeypatch):
-        # Work count: `fixed` calls fixed_dims_report and then the verifier,
-        # and neither reads the group's row images, a cup-cap or a
-        # composition of group elements.  fixed_space_basis walks the graph's
-        # rows once per call and leaves the group as it was: the group
-        # keeps its fixed subgraphs and no other table.
-        g = graphs("C-in-C4")
-        group = close_group(
-            g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
-        )
-        calls = Counter()
-
-        def counting(name, real):
-            def wrapped(*args):
-                calls[name] += 1
-                return real(*args)
-
-            return wrapped
-
-        monkeypatch.setattr(BipartiteGraph, "rows", counting("rows", BipartiteGraph.rows))
-        monkeypatch.setattr(BipartiteGraph, "cup_cap", counting("cup_cap", BipartiteGraph.cup_cap))
-        monkeypatch.setattr(GraphAutomorphism, "compose", counting("compose", GraphAutomorphism.compose))
-        assert fixed_dims_report(group, 4) == [1, 1, 2, 5, 15]
-        assert verify_planar_subalgebra(group, 4).all_passed
-        assert verify_planar_subalgebra(group, 3).all_passed
-        assert calls == {}
-        slots = symmetry.GroupAction.__slots__
-        assert slots == ("graph", "generators", "elements", "_fixed")
-        state = [getattr(group, name) for name in slots]
-        assert [len(fixed_space_basis(group, k)) for k in (4, 3)] == [15, 5]
-        assert calls == {"rows": 2}
-        assert all(getattr(group, name) is value for name, value in zip(slots, state))
-
-    def test_counts_read_no_rows(self, graphs, monkeypatch):
-        # Work count: fixed_dims_report and burnside_dim walk the group's
-        # fixed subgraphs and call no `paths` or `rows`, on a fresh graph;
-        # fixed_space_basis walks the rows once.
-        calls = Counter()
-
-        def counting(name, real):
-            def wrapped(*args):
-                calls[name] += 1
-                return real(*args)
-
-            return wrapped
-
-        for name in ("paths", "rows"):
-            monkeypatch.setattr(BipartiteGraph, name, counting(name, getattr(BipartiteGraph, name)))
-        g = build_graph(corpus_entry("C-in-C2xM2").inclusion())
-        group = close_group(
-            g, [make_automorphism(g, [0], [1, 0, 2], [1, 0, 2, 3]), make_automorphism(g, [0], [0, 1, 2], [0, 1, 3, 2])]
-        )
-        assert fixed_dims_report(group, 8) == [1, 3, 14, 72, 392, 2208, 12704, 74112, 436352]
-        assert burnside_dim(group, 8) == 436352
-        assert calls == {}
-        assert len(fixed_space_basis(group, 2)) == 14
-        assert calls == {"rows": 1}
-
     def test_walk_is_linear_in_kmax(self, monkeypatch):
         # Work count: on a fresh C-in-C with the trivial group, the count at
         # kmax 1000 builds no table of paths beyond the graph's degree 0 and
@@ -1934,6 +1742,25 @@ class TestFixedDimsOnPaths:
         assert burnside_dim(group, 1000) == 1
         assert calls == {"moves": 2000}
 
+    def test_walk_stops_where_the_fixed_paths_die(self, two_point_swap):
+        # The swap of C-in-C2 fixes the base and no edge, so the paths out of
+        # the base in its fixed subgraph die after one step, and an empty
+        # vector stays empty: that walk reads its moves once, at any kmax.
+        # The identity's paths never die, and its walk reads them kmax times.
+        g, swap = two_point_swap
+        group = close_group(g, [swap])
+        reads = Counter()
+
+        class CountedMoves(tuple):
+            def __getitem__(self, parity):
+                reads[id(self)] += 1
+                return tuple.__getitem__(self, parity)
+
+        counted = tuple((bases, CountedMoves(moves), count) for bases, moves, count in group._fixed)
+        object.__setattr__(group, "_fixed", counted)
+        assert fixed_dims_report(group, 40) == [1] + [2 ** (k - 1) for k in range(1, 41)]
+        assert sorted(reads[id(moves)] for _, moves, _ in counted) == [1, 40]
+
     def test_one_entry_per_orbit_of_fixed_subgraphs(self, graphs):
         # The group's table against the orbits of the elements' pairs (fixed
         # bases, fixed edges) under conjugation, found here from every
@@ -1960,52 +1787,56 @@ class TestFixedDimsOnPaths:
             cases += 1
         assert cases == 68
 
-    def test_cup_cap_reads_paths_once(self, monkeypatch):
-        # Work count: on C-in-C at kmax 1000 the verifier reads no cup-cap and
-        # no path tuple, and jones_projection_raw at degree 1000 walks the
-        # paths of length 998 once, with one `rows` call.
-        calls = Counter()
-
-        def counting(name, real):
-            def wrapped(*args):
-                calls[name, *args[1:]] += 1
-                return real(*args)
-
-            return wrapped
-
-        monkeypatch.setattr(BipartiteGraph, "cup_cap", counting("cup_cap", BipartiteGraph.cup_cap))
-        monkeypatch.setattr(BipartiteGraph, "rows", counting("rows", BipartiteGraph.rows))
-        g = build_graph(corpus_entry("C-in-C").inclusion())
-        assert verify_planar_subalgebra(close_group(g, []), 1000).all_passed
-        assert calls == {}
-        assert len(jones_projection_raw(g, 998).terms) == 1
-        assert calls == {("cup_cap", 998, RadicalScalar.one()): 1, ("rows", 998): 1}
-
     def test_one_table_of_paths_per_graph(self, monkeypatch):
-        # Work count: on a fresh C-in-C, the graph builds no table of paths
-        # and keeps none: each reader (the loops, the cup-caps and the bases
-        # of two groups) walks the rows once, into one table of its own.  The
-        # fixed dimensions build none.
-        calls = Counter()
+        # Work count: each reader of the graph's paths (the loops, the cup-cap
+        # of degree m + 2 from the rows of length m, the unit and the fixed
+        # basis) walks exactly one `rows` table per call, into a table of its
+        # own; the loop readers and the basis read each class once per row,
+        # and the graph and the group are left as they were.  On fresh
+        # graphs: the trivial group of C-in-C at degree 1000, S4 on C-in-C4.
+        calls, rows, table = Counter(), BipartiteGraph.rows, graph.PathTable
 
-        def counting(name, real):
-            def wrapped(*args):
-                calls[name] += 1
-                return real(*args)
+        class Counted(list):
+            def __iter__(self):
+                calls["class reads"] += 1
+                return super().__iter__()
 
-            return wrapped
+        def counting_rows(self, k):
+            calls["rows", k] += 1
+            found = rows(self, k)
+            return found._replace(classes={key: Counted(ids) for key, ids in found.classes.items()})
 
-        monkeypatch.setattr(graph, "PathTable", counting("tables", graph.PathTable))
-        g = build_graph(corpus_entry("C-in-C").inclusion())
-        assert fixed_dims_report(close_group(g, []), 1000) == [1] * 1001
-        assert calls == {}
-        monkeypatch.setattr(BipartiteGraph, "rows", counting("rows", BipartiteGraph.rows))
-        assert g.enumerate_loops(1000) == [Loop(0, (0,) * 2000)]
-        assert len(g.cup_cap(998, RadicalScalar.one()).terms) == 1
-        assert calls == {"tables": 2, "rows": 2}
-        assert len(fixed_space_basis(close_group(g, []), 1000)) == 1
-        assert len(fixed_space_basis(close_group(g, []), 1000)) == 1
-        assert calls == {"tables": 4, "rows": 4}
+        def counting_table(*args):
+            calls["tables"] += 1
+            return table(*args)
+
+        one = RadicalScalar.one()
+        s4 = [([0], [1, 0, 2, 3]), ([0], [1, 2, 3, 0])]
+        for name, k, gens in (("C-in-C", 1000, []), ("C-in-C4", 6, s4)):
+            g = build_graph(corpus_entry(name).inclusion())
+            group = close_group(g, [make_automorphism(g, *gen) for gen in gens])
+            built = dict(vars(g))
+            kept = [getattr(group, slot) for slot in group.__slots__]
+            n = len(rows(g, k).paths)
+            readers = (
+                (lambda: g.enumerate_loops(k), k, n),
+                (lambda: list(g.iter_loops(k)), k, n),
+                (lambda: g.cup_cap(k - 2, one), k - 2, 0),
+                (lambda: jones_projection_raw(g, k - 2), k - 2, 0),
+                (lambda: g.unit(k), k, 0),
+                (lambda: fixed_space_basis(group, k), k, n),
+            )
+            with monkeypatch.context() as patch:
+                patch.setattr(BipartiteGraph, "rows", counting_rows)
+                patch.setattr(graph, "PathTable", counting_table)
+                for read, degree, reads in readers:
+                    calls.clear()
+                    read()
+                    assert calls == Counter({("rows", degree): 1, "tables": 1, "class reads": reads})
+            assert vars(g).keys() == built.keys() and all(vars(g)[key] is value for key, value in built.items())
+            assert all(getattr(group, slot) is value for slot, value in zip(group.__slots__, kept))
+            assert group.__slots__ == ("graph", "generators", "elements", "_fixed")
+        assert len(fixed_space_basis(group, 6)) == 187
 
     def test_row_orbit_count(self, graphs):
         # The Burnside count against the orbit count on rows and the loop
