@@ -30,10 +30,10 @@ class DegreeMismatchError(PlanarAlgError):
 
 
 class EigenvectorViolationError(PlanarAlgError):
-    """The vertex weights failed the exact eigenvector identity.
+    """The squared spins out of a graph vertex do not sum to gamma.
 
     Construction from a valid Markov inclusion can never trigger this;
-    seeing it means a bug upstream of the graph builder.
+    seeing it means a bug in or upstream of the graph builder.
     """
 
 

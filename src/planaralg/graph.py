@@ -32,10 +32,10 @@ Besides the element's own arithmetic, they are the only code that reads
 stored rows.  The normal form (no zeros, no common factor) makes `==` a
 comparison of dicts.
 
-Vertex weights are block dimension over the square root of total algebra
-dimension on each side; the construction checks, in exact arithmetic, that
-this weight vector is an eigenvector of the adjacency with eigenvalue equal
-to the square root of the index.
+An edge from lower vertex i up to upper vertex j has squared spin
+b_j / (a_i gamma), gamma the root of the index, and down the reciprocal;
+the construction checks exactly that the squared spins out of every vertex
+sum to gamma, the condition that `expect`, `trace` and the cup-cap use.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Callable, Iterable, Iterator, Literal, Mapping, NamedTuple, S
 
 from .errors import DegreeMismatchError, EigenvectorViolationError, ValidationError
 from .markov import InclusionData, canonical_trace_weights, markov_index
-from .radical import RadicalKey, RadicalScalar, _key_product, _reduced, sqrt_of_int, sum_scalars
+from .radical import RadicalKey, RadicalScalar, _key_product, _reduced, sqrt_of_int
 
 SpinDirection = Literal["up", "down"]
 
@@ -421,26 +421,30 @@ class BipartiteGraph:
         self.num_a = inclusion.rows
         self.num_b = inclusion.cols
         self.gamma = sqrt_of_int(self.r)
-
-        # The weight a_i / sqrt(dim A) is the square root of the Markov trace
-        # weight a_i^2 / dim A, a reduced rational (and so on the big side),
-        # so a factor that every block dimension shares cancels before
-        # anything is factored.
         self._point_weight = tuple(map(RadicalScalar.from_rational, canonical_trace_weights(inclusion.a)))
-        self.weights_a = tuple(w.sqrt() for w in self._point_weight)
-        self.weights_b = tuple(RadicalScalar.from_rational(w).sqrt() for w in canonical_trace_weights(inclusion.b))
 
-        self._verify_eigenvector()
-
-        # Parallel edges share their spins: the exact arithmetic runs once
-        # per (lower, upper) pair with an edge, not once per edge.
+        # The edge from lower vertex i up to upper vertex j has squared spin
+        # b_j / (a_i gamma): no total dimension enters, so only r and b_j / a_i
+        # are factored.  Parallel edges share their spins: the exact arithmetic
+        # runs once per (lower, upper) pair with an edge, not once per edge.
+        inv_gamma = self.gamma.invert()
+        sums = ([RadicalScalar.zero()] * self.num_a, [RadicalScalar.zero()] * self.num_b)
         edges, spins = [], []
         for i, row in enumerate(inclusion.m):
             for j, count in enumerate(row):
                 if count:
-                    up = (self.weights_b[j] * self.weights_a[i].invert()).sqrt()
-                    spins += [(up, up * up, up.invert(), (up * up).invert())] * count
+                    up_sq = RadicalScalar.from_rational(Fraction(inclusion.b[j], inclusion.a[i])) * inv_gamma
+                    up, down_sq = up_sq.sqrt(), up_sq.invert()
+                    spins += [(up, up_sq, up.invert(), down_sq)] * count
                     edges += [Edge(len(edges) + c, i, j) for c in range(count)]
+                    sums[0][i] += up_sq * count
+                    sums[1][j] += down_sq * count
+        # Jones's condition, exactly: the squared spins out of each vertex sum
+        # to gamma.  Every Markov inclusion passes, so a failure is a bug.
+        for side, totals in zip(("lower", "upper"), sums):
+            for v, total in enumerate(totals):
+                if total != self.gamma:
+                    raise EigenvectorViolationError(f"{side} vertex {v}: squared spins sum to {total}, not gamma")
         self.edges = tuple(edges)
         up, up_sq, down, down_sq = zip(*spins)
         ups = tuple(tuple(e.id for e in edges if e.src == i) for i in range(self.num_a))
@@ -450,19 +454,15 @@ class BipartiteGraph:
             Step(downs, tuple(e.src for e in edges), down, down_sq),
         )
 
-    def _verify_eigenvector(self) -> None:
-        # Exact check with zero tolerance; a failure here is a bug, not input.
-        # Parallel edges count once per pair: the sum at a vertex is over
-        # the vertices of the other side, each weighted by its edge count.
-        m = self.inclusion.m
-        sides = (("lower", self.weights_a, self.weights_b, m), ("upper", self.weights_b, self.weights_a, zip(*m)))
-        for side, near, far, counts in sides:
-            for v, row in enumerate(counts):
-                total = sum_scalars(far[w] * n for w, n in enumerate(row) if n)
-                if total != self.gamma * near[v]:
-                    raise EigenvectorViolationError(
-                        f"{side} vertex {v}: edge weight sum {total} != gamma * {near[v]}"
-                    )
+    @property
+    def weights_a(self) -> tuple[RadicalScalar, ...]:
+        """Lower vertex weights a_i / sqrt(dim A), formed on each read: no operation reads them."""
+        return tuple(w.sqrt() for w in self._point_weight)
+
+    @property
+    def weights_b(self) -> tuple[RadicalScalar, ...]:
+        """Upper vertex weights b_j / sqrt(dim B), formed on each read."""
+        return tuple(RadicalScalar.from_rational(w).sqrt() for w in canonical_trace_weights(self.inclusion.b))
 
     # -- edges and spins ----------------------------------------------------
 

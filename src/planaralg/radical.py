@@ -1,10 +1,10 @@
 """Exact scalars: finite sums of rational multiples of fourth roots of primes.
 
 Every coefficient produced by the loop calculus lives in the ring generated
-over the rationals by expressions  p^(1/4)  for primes p: vertex weights are
-square roots of rational numbers and spin factors take one further square
-root, so quarter-integer exponents suffice and nothing in the package ever
-needs a deeper root.
+over the rationals by expressions  p^(1/4)  for primes p: squared spins are
+rationals over the square root of the integer index and spin factors take
+one further square root, so quarter-integer exponents suffice and nothing
+in the package ever needs a deeper root.
 
 A value is stored as one positive integer denominator and a map  radical
 part -> nonzero integer numerator, where the radical part is a sorted tuple
@@ -189,9 +189,9 @@ def _factorint(n: int) -> dict[int, int]:
     return factors
 
 
-# The block dimensions of one graph share their large factors (a block of
-# dimension x gives totals like 2x^2 and 4x^2), so rough parts and their
-# roots repeat.  The oldest entry is dropped first.
+# Rough parts and their roots repeat: `analyze` takes six roots of one index
+# for its odd word norms, and the edges at one graph vertex share its block
+# dimension in their ratios.  The oldest entry is dropped first.
 _ROUGH_CACHE: dict[int, tuple[tuple[int, int], ...]] = {}
 _ROUGH_CACHE_SIZE = 256
 

@@ -39,7 +39,9 @@ from planaralg import (
     verify_temperley_lieb,
     word_norm,
 )
+from planaralg import graph
 from planaralg.cli import main as cli_main
+from planaralg.markov import markov_index
 from conftest import (
     ABELIAN_MARKOV_CORPUS,
     CORPUS,
@@ -98,7 +100,7 @@ def test_criterion_2_word_norms():
     _finish(2, "word norms within 1e-9 of exact index powers", started, 5.0)
 
 
-def test_criterion_3_eigenvector_identity():
+def test_criterion_3_eigenvector_identity(monkeypatch):
     started = time.perf_counter()
     for entry in MARKOV_CORPUS:
         g = build_graph(entry.inclusion())
@@ -112,11 +114,11 @@ def test_criterion_3_eigenvector_identity():
             for eid in g.edges_down(j):
                 total = total + g.weights_a[g.edge(eid).src]
             assert total == g.gamma * g.weights_b[j]
-    # Negative control: corrupted weights must fail at zero tolerance.
-    g = build_graph(corpus_entry("C-in-C2").inclusion())
-    g.weights_a = (RadicalScalar.from_rational(2),)
+    # Negative control: under a wrong index (2r) the squared spins out of a
+    # vertex miss gamma, and the build fails at zero tolerance.
+    monkeypatch.setattr(graph, "markov_index", lambda inc: 2 * markov_index(inc))
     with pytest.raises(EigenvectorViolationError):
-        g._verify_eigenvector()
+        build_graph(corpus_entry("C-in-C2").inclusion())
     _finish(3, "weight vector is an exact graph eigenvector", started, 5.0)
 
 

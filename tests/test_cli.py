@@ -463,14 +463,56 @@ class TestHardenedInput:
         assert all(row["rel_error"] <= 1e-9 for row in norms)
 
     def test_unprovable_prime_dimension_refused(self, write_inclusion, capsys):
-        # dim A = u^2 + v^2 is a prime above 3.3e24, where the fixed
-        # Miller-Rabin bases give no proof, and the graph needs its root.
+        # The big block has dimension p = u^2 + v^2, a prime above 3.3e24,
+        # where the fixed Miller-Rabin bases give no proof; the index is
+        # p^2, and the odd word norms need its root.
         u, v = 1080733131607, 1679200834282
-        path = write_inclusion("big-prime", {"a": [u, v], "m": [[1, 0], [0, 1]]})
-        assert main(["verify-tl", "--input", path, "--kmax", "1"]) == 4
+        path = write_inclusion("big-prime", {"a": [1], "m": [[u * u + v * v]]})
+        assert main(["analyze", "--input", path]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "Miller-Rabin" in captured.err
+
+    # Disconnected graphs: each component keeps its own scale, so dim A =
+    # a_0^2 + a_1^2 has factors that no squared spin b_j / (a_i gamma)
+    # carries.  Each exited 4 while the graph factored dim A: the first and
+    # third after about 5 s of rho steps on 61764652208965337 x
+    # 379765231507651621, the second at once, since 1080733131607^2 +
+    # 1679200834282^2 is a prime above the Miller-Rabin bound.
+    @pytest.mark.parametrize(
+        "a, m, tail, digest",
+        [
+            (
+                [2005404244037659, 153140607935796386],
+                [[1, 0], [0, 1]],
+                ["verify-tl", "--kmax", "1"],
+                "3bf9377ea1d5533c35b770d8ccf95d8e4c581e5e8411cd796bb5c19639df134f",
+            ),
+            (
+                [1080733131607, 1679200834282],
+                [[1, 0], [0, 1]],
+                ["verify-tl", "--kmax", "1"],
+                "3bf9377ea1d5533c35b770d8ccf95d8e4c581e5e8411cd796bb5c19639df134f",
+            ),
+            (
+                [2005404244037659, 153140607935796386],
+                [[2, 0], [0, 2]],
+                ["fixed", "--kmax", "6"],
+                "7e9c8ec20d4cf5fa604aaf98f46cd600823f78913eca64be668ef0fb8af31111",
+            ),
+        ],
+        ids=["verify-tl-disconnected-hard", "verify-tl-disconnected-prime", "fixed-disconnected-hard"],
+    )
+    def test_total_dimension_of_disconnected_graph_is_not_factored(
+        self, write_inclusion, write_group, capsys, a, m, tail, digest
+    ):
+        path = write_inclusion("disconnected", {"a": a, "m": m})
+        if tail[0] == "fixed":
+            tail = [*tail, "--group", write_group([])]
+        assert main([tail[0], "--input", path, *tail[1:]]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
     # a = [x, x] under one upper block: the two lower blocks swap, and x
     # cancels from every weight a_i^2 / dim A, so x is never factored.  The

@@ -28,7 +28,8 @@ from planaralg import (
     loop_space_dim,
     verify_temperley_lieb,
 )
-from planaralg.markov import canonical_trace_weights, loop_space_dims, path_counts
+from planaralg import graph as graph_module, radical
+from planaralg.markov import canonical_trace_weights, loop_space_dims, markov_index, path_counts
 from planaralg.radical import sqrt_of_int
 from conftest import CORPUS, MARKOV_CORPUS, corpus_entry, generated_markov_inclusions
 from test_elements import edges_only
@@ -40,6 +41,20 @@ COEFF_POOL = (
     sqrt_of_int(2),
     RadicalScalar.monomial(Fraction(-1, 3), {2: 1}),
 )
+
+
+def scaled_unions() -> list[InclusionData]:
+    """Disjoint unions of two generated inclusions of one index, the first
+    scaled by 7 and the second by 11: components with their own scales."""
+    by_index: dict[int, list[InclusionData]] = {}
+    for inc in generated_markov_inclusions():
+        by_index.setdefault(markov_index(inc), []).append(inc)
+    unions = []
+    for same in by_index.values():
+        for x, y in zip(same[::2], same[1::2]):
+            m = [list(row) + [0] * y.cols for row in x.m] + [[0] * x.cols + list(row) for row in y.m]
+            unions.append(InclusionData([7 * n for n in x.a] + [11 * n for n in y.a], m))
+    return unions
 
 
 def random_element(rng: random.Random, loops, count=3) -> PlanarElement:
@@ -182,11 +197,38 @@ class TestGraphConstruction:
                 total = total + g.weights_a[g.edge(eid).src]
             assert total == g.gamma * g.weights_b[j]
 
-    def test_eigenvector_check_fires_on_corrupt_weights(self):
-        g = build_graph(corpus_entry("C-in-C2").inclusion())
-        g.weights_a = (RadicalScalar.from_rational(2),)
-        with pytest.raises(EigenvectorViolationError):
-            g._verify_eigenvector()
+    def test_spin_sum_check_fires_under_a_wrong_index(self, monkeypatch):
+        # Under the index 2r each squared spin b_j / (a_i sqrt(2r)) is off by
+        # sqrt(2), and the squared spins out of a vertex sum to sqrt(r / 2),
+        # not to the gamma sqrt(2r) of that index.
+        monkeypatch.setattr(graph_module, "markov_index", lambda inc: 2 * markov_index(inc))
+        for entry in MARKOV_CORPUS:
+            with pytest.raises(EigenvectorViolationError, match="lower vertex 0: squared spins sum to"):
+                build_graph(entry.inclusion())
+
+    def test_builds_without_factoring_a_total_dimension(self, monkeypatch):
+        # The graph factors r and the ratios b_j / a_i, never dim A or dim B.
+        # On these disconnected graphs dim A = a_0^2 + a_1^2 is a product of
+        # a 17- and an 18-digit prime (first and third) or a prime above the
+        # Miller-Rabin bound (second): with every rough factorization made to
+        # raise, the graph, its Temperley-Lieb relations and the trivial
+        # group's dimensions still come out, and only the vertex weights,
+        # which no operation reads, need dim A's factors.
+        class Factored(Exception):
+            pass
+
+        def refuse(n, budget):
+            raise Factored(n)
+
+        monkeypatch.setattr(radical, "_factor_rough", refuse)
+        found, unprovable = [2005404244037659, 153140607935796386], [1080733131607, 1679200834282]
+        for a, m in ((found, [[1, 0], [0, 1]]), (unprovable, [[1, 0], [0, 1]]), (found, [[2, 0], [0, 2]])):
+            inc = InclusionData(a, m)
+            g = build_graph(inc)
+            assert all(check.passed for check in verify_temperley_lieb(g, 1))
+            assert fixed_dims_report(close_group(g, []), 6) == list(itertools.islice(loop_space_dims(inc), 7))
+            with pytest.raises(Factored):
+                g.weights_a
 
 
 class TestSpin:
@@ -205,13 +247,26 @@ class TestSpin:
             down = g.spin_factor(e.id, "down")
             assert up * down == 1
             assert g.spin_factor_sq(e.id, "up") == up * up
-            ratio = g.weights_b[e.dst] * g.weights_a[e.src].invert()
-            assert g.spin_factor_sq(e.id, "up") == ratio
+
+    def test_squared_spins_are_weight_ratios(self):
+        # The graph forms each squared spin as b_j / (a_i gamma); it equals
+        # the ratio of vertex weights (b_j / sqrt(dim B)) / (a_i / sqrt(dim A))
+        # on the corpus, the 300 generated inclusions and disjoint unions of
+        # two of them whose components are scaled by 7 and by 11.
+        unions = scaled_unions()
+        assert len(unions) == 147
+        for inc in [entry.inclusion() for entry in MARKOV_CORPUS] + generated_markov_inclusions() + unions:
+            g = build_graph(inc)
+            weights_a, weights_b = g.weights_a, g.weights_b
+            for e in g.edges:
+                ratio = weights_b[e.dst] * weights_a[e.src].invert()
+                assert g.spin_factor_sq(e.id, "up") == ratio
+                assert g.spin_factor_sq(e.id, "down") == ratio.invert()
 
     def test_parallel_edges_share_their_spins(self, monkeypatch):
         # Work count: the construction takes one square root per (lower,
-        # upper) pair with an edge, besides gamma and the two total
-        # dimensions: 4 on a=[1], m=[[1000]], where one per edge took 1,003.
+        # upper) pair with an edge, besides gamma's: 2 on a=[1], m=[[1000]],
+        # where one per edge took 1,003.
         # The parallel edges share one value of each spin.
         calls = Counter()
         real = RadicalScalar.sqrt
@@ -222,7 +277,7 @@ class TestSpin:
 
         monkeypatch.setattr(RadicalScalar, "sqrt", counting)
         g = build_graph(InclusionData([1], [[1000]]))
-        assert calls == {"sqrt": len({(e.src, e.dst) for e in g.edges}) + 3} == {"sqrt": 4}
+        assert calls == {"sqrt": len({(e.src, e.dst) for e in g.edges}) + 1} == {"sqrt": 2}
         for table in (*g.step(0)[2:], *g.step(1)[2:]):
             assert len(table) == 1000 and len(set(map(id, table))) == 1
         assert g.spin_factor(999, "up") == g.spin_factor_sq(999, "down") == 1
@@ -327,9 +382,12 @@ class TestPathBuilder:
     def test_reads_leave_the_graph_as_built(self, name):
         # A graph holds only hashable values, all set in `__init__`, and no
         # read adds, replaces or grows one: each read walks its paths anew.
+        # The vertex weights are not among them; a read forms them.
         g = build_graph(corpus_entry(name).inclusion())
         built = dict(vars(g))
         hash(tuple(built.values()))
+        assert not {"weights_a", "weights_b"} & built.keys()
+        assert g.weights_a == g.weights_a and g.weights_a is not g.weights_a
         for read in (g.rows, g.paths, lambda k: g.paths_from(0, k), g.enumerate_loops, g.unit):
             read(3)
         g.cup_cap(1, RadicalScalar.one())
