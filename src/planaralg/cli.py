@@ -128,8 +128,6 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 def cmd_analyze(args) -> int:
     inc = _load_inclusion(args.input)
-    if args.format != "json":
-        raise ValidationError("analyze only supports --format json")
     report = analyze(inc)
     document = {
         "markov": report.is_markov,
@@ -224,8 +222,6 @@ def cmd_verify_tl(args) -> int:
     from .tangles import verify_temperley_lieb
 
     inc = _load_inclusion(args.input)
-    if args.format != "json":
-        raise ValidationError("verify-tl only supports --format json")
     _check_loop_budget(inc, args.kmax + 2, args.limit_loops)
     graph = build_graph(inc)
     checks = verify_temperley_lieb(graph, args.kmax)

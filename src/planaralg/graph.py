@@ -169,6 +169,9 @@ class PlanarElement:
     def __setattr__(self, name, value):
         raise AttributeError("PlanarElement is immutable")
 
+    def __reduce__(self):
+        return PlanarElement, (self.degree, self.terms)
+
     @classmethod
     def _normal(cls, degree: int, den: int, num: dict[RadicalKey, AccRows]) -> PlanarElement:
         """Trusted constructor over accumulated integer rows that the

@@ -15,7 +15,9 @@ numerators dropped, and the denominator shares no factor with all the
 numerators.  Distinct reduced monomials are linearly independent over the
 rationals, so the normal form is unique and `x == y` compares it directly.
 Products of two radical parts are looked up in a cache (`_key_product`), so
-the ring operations do integer arithmetic and one gcd per result.
+the ring operations do integer arithmetic and one gcd per result.  Every
+value is formed from integers by one constructor, `_reduced`; the mapping
+constructor sums its terms as `monomial`s and checks its input as they do.
 
 That independence needs prime bases, so factorizations must be exact: the
 factorizer below proves every factor it returns prime, or refuses with
@@ -27,7 +29,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from numbers import Rational
 from typing import Iterable, Mapping, Union
 
@@ -230,27 +232,19 @@ def _factor_rough(n: int, budget: list[int]) -> tuple[tuple[int, int], ...]:
     return result
 
 
-def _factor_positive_fraction(q: Fraction) -> dict[int, int]:
-    """Prime factorization of a positive rational, exponents in Z."""
-    assert q > 0
-    exps = _factorint(q.numerator)
-    for p, e in _factorint(q.denominator).items():
-        exps[p] = exps.get(p, 0) - e
-    return exps
-
-
-def _reduce_monomial(coeff: Fraction, exps: Mapping[int, int]) -> tuple[RadicalKey, Fraction]:
-    """Fold whole prime powers into the coefficient; exponents land in 1..3."""
-    parts = []
+def _fold(exps: Mapping[int, int]) -> tuple[RadicalKey, int, int]:
+    """Reduced radical part of  prod p^(e/4)  with the whole prime powers
+    folded out of it as the integer ratio n/d; exponents land in 1..3."""
+    parts, n, d = [], 1, 1
     for p, e in exps.items():
-        if e == 0:
-            continue
         whole, rem = divmod(e, 4)
-        if whole:
-            coeff *= Fraction(p) ** whole
+        if whole > 0:
+            n *= p**whole
+        elif whole < 0:
+            d *= p**-whole
         if rem:
             parts.append((p, rem))
-    return tuple(sorted(parts)), coeff
+    return tuple(sorted(parts)), n, d
 
 
 @lru_cache(maxsize=4096)
@@ -261,8 +255,8 @@ def _key_product(k1: RadicalKey, k2: RadicalKey) -> tuple[RadicalKey, int]:
     exps = dict(k1)
     for p, e in k2:
         exps[p] = exps.get(p, 0) + e
-    key, factor = _reduce_monomial(Fraction(1), exps)
-    return key, factor.numerator
+    key, n, _ = _fold(exps)
+    return key, n
 
 
 def _exact(q):
@@ -279,23 +273,26 @@ class RadicalScalar:
 
     __slots__ = ("_den", "_num")
 
-    def __init__(self, terms: Mapping[RadicalKey, Fraction] | None = None):
-        # Accepts already-reduced keys; merges and drops zeros.
-        clean: dict[RadicalKey, Fraction] = {}
+    def __new__(cls, terms: Mapping[RadicalKey, RationalLike] | None = None) -> RadicalScalar:
+        total = cls.zero()
         for key, coeff in (terms or {}).items():
-            clean[key] = clean.get(key, Fraction(0)) + Fraction(coeff)
-        den = lcm(*(coeff.denominator for coeff in clean.values()))
-        _set_den(self, den)
-        _set_num(self, {k: int(c * den) for k, c in clean.items() if c})
+            exps: dict[int, int] = {}
+            for p, e in key:
+                exps[p] = exps.get(p, 0) + e
+            total = total + cls.monomial(coeff, exps)
+        return total
 
     def __setattr__(self, name, value):
         raise AttributeError("RadicalScalar is immutable")
+
+    def __reduce__(self):
+        return _reduced, (self._den, self._num)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls) -> RadicalScalar:
-        return cls()
+        return _reduced(1, {})
 
     @classmethod
     def one(cls) -> RadicalScalar:
@@ -312,8 +309,9 @@ class RadicalScalar:
         for p in exps:
             if isinstance(p, bool) or not isinstance(p, int) or not _is_prime(p):
                 raise ValidationError(f"radical base {p!r} is not a prime integer")
-        key, folded = _reduce_monomial(Fraction(_exact(coeff)), exps)
-        return cls({key: folded})
+        q = Fraction(_exact(coeff))
+        key, n, d = _fold(exps)
+        return _reduced(q.denominator * d, {key: q.numerator * n} if q else {})
 
     @classmethod
     def parse(cls, text: str) -> RadicalScalar:
@@ -452,16 +450,17 @@ class RadicalScalar:
         """Exact square root of a single positive term with even exponents."""
         if len(self._num) != 1:
             raise NotRepresentableError(f"sqrt of non-monomial {self}")
-        (key, coeff), = self.terms.items()
-        if coeff < 0:
+        (key, n), = self._num.items()
+        if n < 0:
             raise NotRepresentableError(f"sqrt of negative term {self}")
         if any(e % 2 for _, e in key):
             raise NotRepresentableError(f"sqrt of {self} needs an eighth root")
         exps = {p: e // 2 for p, e in key}
-        for p, e in _factor_positive_fraction(coeff).items():
-            exps[p] = exps.get(p, 0) + 2 * e
-        new_key, new_coeff = _reduce_monomial(Fraction(1), exps)
-        return RadicalScalar({new_key: new_coeff})
+        for sign, m in ((2, n), (-2, self._den)):
+            for p, e in _factorint(m).items():
+                exps[p] = exps.get(p, 0) + sign * e
+        new_key, num, den = _fold(exps)
+        return _reduced(den, {new_key: num})
 
     def invert(self) -> RadicalScalar:
         """Exact reciprocal of a single nonzero term."""
@@ -469,9 +468,9 @@ class RadicalScalar:
             raise NotInvertibleError("inverse of zero")
         if len(self._num) != 1:
             raise NotInvertibleError(f"inverse of non-monomial {self}")
-        (key, coeff), = self.terms.items()
-        new_key, new_coeff = _reduce_monomial(1 / coeff, {p: -e for p, e in key})
-        return RadicalScalar({new_key: new_coeff})
+        (key, n), = self._num.items()
+        new_key, num, den = _fold({p: -e for p, e in key})
+        return _reduced(abs(n) * den, {new_key: (1 if n > 0 else -1) * self._den * num})
 
     # -- equality and display ------------------------------------------------
 
@@ -506,9 +505,8 @@ _set_num = RadicalScalar._num.__set__
 
 
 def _reduced(den: int, num: dict[RadicalKey, int]) -> RadicalScalar:
-    """Wrap nonzero integer numerators over a positive denominator, dividing
-    out their common factor; the operators build values here, not in the
-    normalising __init__."""
+    """The one constructor of a value: wraps nonzero integer numerators over
+    a positive denominator and divides out their common factor."""
     g = gcd(den, *num.values())
     if g != 1:
         den //= g

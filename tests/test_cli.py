@@ -96,10 +96,15 @@ class TestAnalyze:
         assert main(["analyze", "--input", str(path)]) == 2
         assert '"b" is derived' in capsys.readouterr().err
 
-    def test_csv_not_offered(self, write_inclusion):
-        with pytest.raises(SystemExit) as err:
-            main(["analyze", "--input", write_inclusion("C-in-C2"), "--format", "csv"])
-        assert err.value.code == 2
+    def test_csv_not_offered(self, write_inclusion, capsys):
+        # argparse refuses the choice, for verify-tl as for analyze.
+        for command in (["analyze"], ["verify-tl", "--kmax", "1"]):
+            with pytest.raises(SystemExit) as err:
+                main([*command, "--input", write_inclusion("C-in-C2"), "--format", "csv"])
+            assert err.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "invalid choice: 'csv'" in captured.err
 
 
 class TestTower:
@@ -298,12 +303,33 @@ class TestFixed:
         document = json.loads(capsys.readouterr().out)
         assert document["dims"] == [1, 2, 8]
 
-    def test_bad_group_schema(self, write_inclusion, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"generators": [{"perm_a": [0]}]}', 'generator 0 needs "perm_a" and "perm_b"'),
+            ("[]", 'group document needs a "generators" list'),
+            ('{"order": 2}', 'group document needs a "generators" list'),
+            ('{"generators": [[0]]}', "generator 0 must be an object"),
+            ('{"generators": [{"perm_a": [0], "perm_b": [0], "k": 1}]}', "generator 0 has unknown keys: ['k']"),
+            ('{"generators": [{"perm_a": [0], "perm_b": [0], "perm_e": 3}]}', 'generator 0: "perm_e" must be a list or null'),
+        ],
+        ids=[
+            "missing-perm_b",
+            "not-an-object",
+            "no-generators",
+            "generator-not-an-object",
+            "generator-unknown-keys",
+            "perm_e-not-a-list",
+        ],
+    )
+    def test_bad_group_schema(self, write_inclusion, tmp_path, capsys, text, message):
         path = tmp_path / "group.json"
-        path.write_text('{"generators": [{"perm_a": [0]}]}', encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         args = ["fixed", "--input", write_inclusion("C-in-C2"), "--group", str(path), "--kmax", "1"]
         assert main(args) == 2
-        assert "input error" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {message}\n"
 
     def test_unknown_group_keys(self, write_inclusion, tmp_path, capsys):
         path = tmp_path / "group.json"

@@ -60,6 +60,7 @@ class TestConstruction:
         for build in (
             lambda: RadicalScalar.from_rational(value),
             lambda: RadicalScalar.monomial(value, {2: 1}),
+            lambda: RadicalScalar({(): value}),
             lambda: PlanarElement(0, {Loop(0, ()): value}),
             lambda: PlanarElement.basis(Loop(0, ())).scaled(value),
         ):
@@ -69,8 +70,13 @@ class TestConstruction:
         assert RadicalScalar.from_rational(Fraction(1, 10)) == RadicalScalar.monomial(Fraction(1, 10), {})
 
     def test_monomial_rejects_composite_base(self):
-        with pytest.raises(ValidationError):
-            RadicalScalar.monomial(Fraction(1), {4: 1})
+        for build in (
+            lambda: RadicalScalar.monomial(Fraction(1), {4: 1}),
+            lambda: RadicalScalar({((4, 1),): 1}),
+        ):
+            with pytest.raises(ValidationError) as refused:
+                build()
+            assert str(refused.value) == "radical base 4 is not a prime integer"
 
     def test_monomial_rejects_nonprime_base(self):
         with pytest.raises(ValidationError):
@@ -81,6 +87,7 @@ class TestConstruction:
         x = RadicalScalar.monomial(Fraction(1), {2: 5})
         assert x == RadicalScalar.monomial(Fraction(2), {2: 1})
         assert str(x) == "2 * 2^(1/4)"
+        assert RadicalScalar({((2, 5),): 1}) == x
 
     def test_full_power_collapses_to_rational(self):
         x = RadicalScalar.monomial(Fraction(1, 3), {3: 4})
@@ -286,13 +293,24 @@ class TestEqualityHash:
 
 
 # -- dict-of-Fraction reference -------------------------------------------------
-# A value as {radical part: nonzero Fraction}, combined term by term through
-# _reduce_monomial: the representation and the operations RadicalScalar used
-# before it stored integer numerators over one denominator.
+# A value as {radical part: nonzero Fraction}, combined term by term with
+# Fraction coefficients: the representation and the operations RadicalScalar
+# used before it stored integer numerators over one denominator.
+
+
+def ref_reduce(coeff: Fraction, exps: dict[int, int]) -> tuple[tuple, Fraction]:
+    """Fold whole prime powers into the coefficient; exponents land in 1..3."""
+    parts = []
+    for p, e in exps.items():
+        whole, rem = divmod(e, 4)
+        coeff *= Fraction(p) ** whole
+        if rem:
+            parts.append((p, rem))
+    return tuple(sorted(parts)), coeff
 
 
 def ref_monomial(coeff: Fraction, exps: dict[int, int]) -> dict:
-    key, folded = radical._reduce_monomial(Fraction(coeff), exps)
+    key, folded = ref_reduce(Fraction(coeff), exps)
     return {key: folded} if folded else {}
 
 
@@ -310,7 +328,7 @@ def ref_mul(a: dict, b: dict) -> dict:
             exps = dict(k1)
             for p, e in k2:
                 exps[p] = exps.get(p, 0) + e
-            key, coeff = radical._reduce_monomial(c1 * c2, exps)
+            key, coeff = ref_reduce(c1 * c2, exps)
             out[key] = out.get(key, Fraction(0)) + coeff
     return {key: c for key, c in out.items() if c}
 
@@ -364,7 +382,11 @@ class TestRationalFastPath:
     @given(p=_fractions, q=_fractions)
     def test_rational_results_match_general_path(self, p, q):
         x, y = RadicalScalar.from_rational(p), RadicalScalar.from_rational(q)
-        for fast, general, exact in ((x * y, general_mul(x, y), p * q), (x + y, general_add(x, y), p + q)):
+        for fast, general, exact in (
+            (x * y, general_mul(x, y), p * q),
+            (x + y, general_add(x, y), p + q),
+            (p - y, general_add(x, -y), p - q),
+        ):
             assert fast.terms == general.terms
             assert fast == general
             assert hash(fast) == hash(general) == hash(exact)
@@ -384,7 +406,12 @@ class TestRationalFastPath:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(x=_scalars, y=_scalars)
     def test_mixed_results_stay_normal(self, x, y):
-        for fast, general in ((x * y, general_mul(x, y)), (x + y, general_add(x, y))):
+        one = RadicalScalar.one()
+        for fast, general in (
+            (x * y, general_mul(x, y)),
+            (x + y, general_add(x, y)),
+            (1 - x, general_add(one, -x)),
+        ):
             assert fast.terms == general.terms
             assert fast == general
             assert hash(fast) == hash(general)

@@ -15,14 +15,17 @@ from planaralg import (
     GraphAutomorphism,
     InclusionData,
     MarkovReport,
+    PlanarElement,
     RadicalScalar,
     RelationCheck,
     SubalgebraReport,
     TangleProgram,
     TangleStep,
     ValidationError,
+    jones_projection,
 )
 from planaralg.symmetry import SubalgebraCheck
+from conftest import MARKOV_CORPUS
 
 
 def _report(passed: bool) -> SubalgebraReport:
@@ -133,6 +136,18 @@ def test_copies_and_pickles_are_equal(name):
     x = build()
     for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
         assert type(y) is type(x) and y == x and hash(y) == hash(x) and repr(y) == text
+
+
+@pytest.mark.parametrize("name", [e.name for e in MARKOV_CORPUS])
+def test_exact_values_copy_and_pickle(graphs, name):
+    g = graphs(name)
+    projection = jones_projection(g, 1)
+    scalars = [g.gamma, g.gamma.invert(), RadicalScalar.zero(), *projection.terms.values()]
+    for x in scalars + [projection, PlanarElement.zero(2)]:
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is type(x) and y == x and repr(y) == repr(x)
+            if isinstance(x, RadicalScalar):
+                assert hash(y) == hash(x)
 
 
 def test_inclusion_hash_ignores_the_derived_big_side():
