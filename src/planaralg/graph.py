@@ -71,6 +71,10 @@ class Loop(namedtuple("Loop", "base edges")):
             raise ValidationError("a loop has an even number of edges")
         return tuple.__new__(cls, (base, edges))
 
+    @classmethod
+    def _make(cls, values) -> Loop:
+        return cls(*values)
+
     @property
     def degree(self) -> int:
         return len(self.edges) // 2

@@ -31,83 +31,46 @@ POWER_ITERATIONS = 200
 POWER_TOLERANCE = 1e-14
 
 
-class _Frozen:
-    """A value compared, hashed and printed by the attributes named in
-    _fields, which __init__ sets once; every assignment after that raises."""
+class AlgebraDims(tuple):
+    """Block dimensions (n_1, ..., n_s) of a multi-matrix algebra: a tuple of
+    positive integers, one per block."""
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # Copies and pickles are rebuilt through the constructor.
-        return type(self), self._values()
-
-
-class AlgebraDims(_Frozen):
-    """Block dimensions (n_1, ..., n_s) of a multi-matrix algebra."""
-
-    __slots__ = _fields = ("blocks",)
-    blocks: tuple[int, ...]
-
-    def __init__(self, blocks: Sequence[int]):
+    def __new__(cls, blocks: Sequence[int]) -> AlgebraDims:
         blocks = tuple(blocks)
         if not blocks:
             raise ValidationError("an algebra needs at least one block")
         for n in blocks:
             if isinstance(n, bool) or not isinstance(n, int) or n < 1:
                 raise ValidationError(f"block dimension {n!r} is not a positive integer")
-        object.__setattr__(self, "blocks", blocks)
+        return tuple.__new__(cls, blocks)
 
-    def __len__(self) -> int:
-        return len(self.blocks)
+    def __repr__(self) -> str:
+        return f"AlgebraDims(blocks={self.blocks!r})"
 
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __getitem__(self, i: int) -> int:
-        return self.blocks[i]
+    @property
+    def blocks(self) -> tuple[int, ...]:
+        """The blocks as a plain tuple, which prints without the type name."""
+        return tuple(self)
 
     @property
     def total_dim(self) -> int:
         """Dimension of the algebra as a vector space: sum of squares."""
-        return sum(n * n for n in self.blocks)
+        return sum(n * n for n in self)
 
 
-class InclusionData(_Frozen):
-    """A unital inclusion, given by small-side blocks and the inclusion matrix.
+class InclusionData(NamedTuple("InclusionData", [("a", AlgebraDims), ("m", tuple[tuple[int, ...], ...])])):
+    """A unital inclusion: the named tuple (a, m) of the small-side blocks
+    and the inclusion matrix.
 
     m has one row per small block and one column per big block; entry (i, j)
     counts how many copies of small block i sit inside big block j, so the
-    big block dimensions are the column sums weighted by a.
+    big block dimensions b are the column sums weighted by a.  b is derived
+    on first read and kept in the instance dict; it is not a field.
     """
 
-    # No __slots__: the cached b lives in the instance dict.
-    _fields = ("a", "m")
-    a: AlgebraDims
-    m: tuple[tuple[int, ...], ...]
-
-    def __init__(self, a: AlgebraDims | Sequence[int], m: Sequence[Sequence[int]]):
+    def __new__(cls, a: AlgebraDims | Sequence[int], m: Sequence[Sequence[int]]) -> InclusionData:
         if not isinstance(a, AlgebraDims):
             a = AlgebraDims(a)
         rows = tuple(tuple(row) for row in m)
@@ -128,8 +91,17 @@ class InclusionData(_Frozen):
         for j in range(width):
             if not any(row[j] for row in rows):
                 raise ValidationError(f"column {j} of the inclusion matrix is zero")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "m", rows)
+        return tuple.__new__(cls, (a, rows))
+
+    @classmethod
+    def _make(cls, values) -> InclusionData:
+        return cls(*values)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}")
 
     @cached_property
     def b(self) -> AlgebraDims:
@@ -165,7 +137,7 @@ class InclusionData(_Frozen):
         return cls(a, m)
 
     def to_dict(self) -> dict:
-        return {"a": list(self.a.blocks), "m": [list(row) for row in self.m]}
+        return {"a": list(self.a), "m": [list(row) for row in self.m]}
 
 
 class MarkovReport(NamedTuple):
@@ -187,7 +159,7 @@ def canonical_trace_weights(dims: AlgebraDims) -> list[Fraction]:
     """Weight of each block under the trace induced by the left regular
     representation: n_i^2 / sum_j n_j^2."""
     total = dims.total_dim
-    return [Fraction(n * n, total) for n in dims.blocks]
+    return [Fraction(n * n, total) for n in dims]
 
 
 def _m_times(inc: InclusionData, vec: Sequence) -> list:
@@ -209,7 +181,7 @@ def analyze(inc: InclusionData) -> MarkovReport:
     """Classify the inclusion; never raises, findings live in the report."""
     b = inc.b
     r = Fraction(b.total_dim, inc.a.total_dim)
-    mb = _m_times(inc, b.blocks)
+    mb = _m_times(inc, b)
     is_markov = all(Fraction(x) == r * n for x, n in zip(mb, inc.a))
     violation = is_markov and r.denominator != 1
     return MarkovReport(is_markov=is_markov, r=r, is_abelian=_is_abelian(inc), index_violation=violation)

@@ -276,10 +276,10 @@ class RadicalScalar:
     def __new__(cls, terms: Mapping[RadicalKey, RationalLike] | None = None) -> RadicalScalar:
         total = cls.zero()
         for key, coeff in (terms or {}).items():
-            exps: dict[int, int] = {}
+            term = cls.monomial(coeff, {})
             for p, e in key:
-                exps[p] = exps.get(p, 0) + e
-            total = total + cls.monomial(coeff, exps)
+                term = term * cls.monomial(1, {p: e})
+            total = total + term
         return total
 
     def __setattr__(self, name, value):
@@ -306,9 +306,11 @@ class RadicalScalar:
     @classmethod
     def monomial(cls, coeff: RationalLike, exps: Mapping[int, int]) -> RadicalScalar:
         """coeff * prod p^(e/4) for a map prime -> exponent numerator."""
-        for p in exps:
+        for p, e in exps.items():
             if isinstance(p, bool) or not isinstance(p, int) or not _is_prime(p):
                 raise ValidationError(f"radical base {p!r} is not a prime integer")
+            if isinstance(e, bool) or not isinstance(e, int):
+                raise ValidationError(f"radical exponent {e!r} is not an integer")
         q = Fraction(_exact(coeff))
         key, n, d = _fold(exps)
         return _reduced(q.denominator * d, {key: q.numerator * n} if q else {})

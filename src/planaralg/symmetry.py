@@ -142,6 +142,10 @@ class GroupAction:
     def __setattr__(self, name, value):
         raise AttributeError("GroupAction is immutable")
 
+    def __reduce__(self):
+        # Copies and pickles rebuild the fixed-subgraph table, not copy it.
+        return GroupAction, (self.graph, self.generators, self.elements)
+
     @property
     def order(self) -> int:
         return len(self.elements)

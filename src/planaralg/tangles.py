@@ -105,6 +105,10 @@ class TangleStep(NamedTuple("TangleStep", [("tag", str), ("k", int)])):
             raise ValidationError("step degree must be nonnegative")
         return tuple.__new__(cls, (tag, k))
 
+    @classmethod
+    def _make(cls, values) -> TangleStep:
+        return cls(*values)
+
     @property
     def input_degree(self) -> int | None:
         if self.tag == "E":
@@ -130,6 +134,10 @@ class TangleProgram(NamedTuple("TangleProgram", [("steps", tuple[TangleStep, ...
         if circles < 0:
             raise ValidationError("circle count must be nonnegative")
         return tuple.__new__(cls, (steps, circles))
+
+    @classmethod
+    def _make(cls, values) -> TangleProgram:
+        return cls(*values)
 
     @classmethod
     def parse(cls, text: str, circles: int = 0) -> TangleProgram:

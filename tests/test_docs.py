@@ -1,14 +1,19 @@
 """Documentation references to tests name tests that exist, private names
 in code spans name code that exists, graph names in code spans name
 attributes of a graph, cited sections of documents exist, links to
-documents resolve, and the README lists every document."""
+documents resolve, the README lists every document and its library tour
+runs."""
 
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import planaralg
 from planaralg import build_graph
 from conftest import corpus_entry
 
@@ -167,3 +172,17 @@ def test_readme_layout_lists_every_document():
     section = re.search(r"^docs/\n((?:[ \t]+.*\n)*)", layout, re.MULTILINE).group(1)
     listed = re.findall(r"^[ \t]+([\w.-]+\.md)", section, re.MULTILINE)
     assert sorted(listed) == sorted(doc.name for doc in (ROOT / "docs").glob("*.md"))
+
+
+def test_readme_library_tour_runs():
+    # The README's python blocks, in order, in one fresh interpreter, as a
+    # reader pastes them: each block uses the names the ones before it set.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 3
+    paths = [str(Path(planaralg.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    run = subprocess.run(
+        [sys.executable, "-c", "".join(blocks)], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert (run.returncode, run.stderr) == (0, "")

@@ -106,9 +106,9 @@ class TestInclusionData:
         built = []
 
         class CountingDims(AlgebraDims):
-            def __init__(self, blocks):
+            def __new__(cls, blocks):
                 built.append(blocks)
-                super().__init__(blocks)
+                return super().__new__(cls, blocks)
 
         monkeypatch.setattr(markov, "AlgebraDims", CountingDims)
         inc = InclusionData([1, 2], [[1, 0], [1, 1]])

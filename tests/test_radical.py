@@ -88,6 +88,13 @@ class TestConstruction:
         assert x == RadicalScalar.monomial(Fraction(2), {2: 1})
         assert str(x) == "2 * 2^(1/4)"
         assert RadicalScalar({((2, 5),): 1}) == x
+        # An exponent, like a base, is an int and not a bool; only those fold
+        # into the normal form.
+        for e in (1.5, True, "1", Fraction(1)):
+            for build in (lambda: RadicalScalar.monomial(1, {2: e}), lambda: RadicalScalar({((2, e),): 1})):
+                with pytest.raises(ValidationError) as refused:
+                    build()
+                assert str(refused.value) == f"radical exponent {e!r} is not an integer"
 
     def test_full_power_collapses_to_rational(self):
         x = RadicalScalar.monomial(Fraction(1, 3), {3: 4})

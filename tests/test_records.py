@@ -14,6 +14,7 @@ from planaralg import (
     Edge,
     GraphAutomorphism,
     InclusionData,
+    Loop,
     MarkovReport,
     PlanarElement,
     RadicalScalar,
@@ -184,10 +185,34 @@ def test_tangle_records_print_as_programs():
         (lambda: InclusionData([1, 1], [[1], [0]]), "row 1 of the inclusion matrix is zero"),
         (lambda: InclusionData([1], [[1, 0]]), "column 1 of the inclusion matrix is zero"),
         (lambda: InclusionData([0], [[1]]), "block dimension 0 is not a positive integer"),
+        # _make, and _replace through it, build through the checking constructor;
+        # these inputs carry ids, so the ids of the inputs above stay as they are.
+        pytest.param(
+            lambda: InclusionData([1], [[1]])._replace(m=[[0]]),
+            "row 0 of the inclusion matrix is zero",
+            id="InclusionData._replace",
+        ),
+        pytest.param(
+            lambda: Loop(0, (1, 2))._replace(edges=(1,)),
+            "a loop has an even number of edges",
+            id="Loop._replace",
+        ),
+        pytest.param(lambda: Loop._make((0, (5,))), "a loop has an even number of edges", id="Loop._make"),
         (lambda: TangleStep("X", 1), "unknown step tag 'X'"),
         (lambda: TangleStep(tag="I", k=-1), "step degree must be nonnegative"),
+        pytest.param(
+            lambda: TangleStep("I", 1)._replace(k=-1),
+            "step degree must be nonnegative",
+            id="TangleStep._replace",
+        ),
+        pytest.param(lambda: TangleStep._make(("Q", -5)), "unknown step tag 'Q'", id="TangleStep._make"),
         (lambda: TangleProgram((), -1), "circle count must be nonnegative"),
         (lambda: TangleProgram(steps=(), circles=-2), "circle count must be nonnegative"),
+        pytest.param(
+            lambda: TangleProgram.parse("I2")._replace(circles=-3),
+            "circle count must be nonnegative",
+            id="TangleProgram._replace",
+        ),
         # Past the interpreter's int-to-str digit limit.
         (lambda: TangleProgram.parse("I" + "9" * 5000), "program step subscript has too many digits"),
         (lambda: RadicalScalar.parse("1 * " + "7" * 5000 + "^(1/4)"), "radical factor has too many digits"),

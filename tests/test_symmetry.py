@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import copy
 import functools
 import itertools
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -18,6 +20,7 @@ from element_oracle import edge_condition, includes_commute, raw_group
 from planaralg import (
     BipartiteGraph,
     GraphAutomorphism,
+    GroupAction,
     GroupTooLargeError,
     InclusionData,
     InvalidAutomorphismError,
@@ -312,6 +315,17 @@ class TestCloseGroup:
                 check()
             assert str(refused.value) == "weight changes along a0 -> a1"
 
+    def test_copies_and_pickles_rebuild_the_group(self, graphs):
+        # A copy goes through GroupAction(graph, generators, elements), which
+        # builds the fixed-subgraph table again; the group reads the same.
+        g = graphs("C-in-C4")
+        s4 = close_group(g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])])
+        for group, kmax in [(s4, 4), *_oracle_cases(graphs)]:
+            seen = (group.order, group.elements, group.generators, fixed_dims_report(group, kmax))
+            for other in (copy.copy(group), copy.deepcopy(group), pickle.loads(pickle.dumps(group))):
+                assert type(other) is GroupAction
+                assert (other.order, other.elements, other.generators, fixed_dims_report(other, kmax)) == seen
+        assert fixed_dims_report(pickle.loads(pickle.dumps(s4)), 4) == [1, 1, 2, 5, 15]
 
     def test_weights_are_compared_as_block_dimensions(self, graphs, monkeypatch):
         # A weight n / sqrt(dim) is equal across the blocks of one side exactly
