@@ -31,8 +31,8 @@ _EXPORTS = {
     ),
     "radical": "RadicalScalar sqrt_of_int sum_scalars",
     "symmetry": (
-        "GraphAutomorphism GroupAction SubalgebraReport act act_loop burnside_dim"
-        " close_group fixed_dims_report fixed_space_basis identity_automorphism"
+        "GraphAutomorphism GroupAction SubalgebraReport act act_loop close_group"
+        " fixed_dims_report fixed_space_basis identity_automorphism"
         " is_centrally_ergodic make_automorphism reynolds verify_planar_subalgebra"
     ),
     "tangles": (

@@ -46,7 +46,7 @@ from .markov import (
     InclusionData,
     analyze,
     canonical_trace_weights,
-    index_tower,
+    jones_tower,
     loop_space_dims,
     word_norm,
 )
@@ -178,7 +178,7 @@ def cmd_tower(args) -> int:
         raise NotMarkovError("tower requires a Markov inclusion with integer index")
     r = int(report.r)
     _check_printable(max(inc.a.total_dim, inc.b.total_dim), r, 2 * args.depth)
-    tower = index_tower(inc, r, args.depth)
+    tower = jones_tower(inc, args.depth, r=r)
     levels = []
     for k, (a_k, b_k) in enumerate(zip(tower[::2], tower[1::2])):
         levels.append(

@@ -12,9 +12,8 @@ the remaining k edges are the bottom row read right to left; equivalently,
 both rows are length-k paths out of the base meeting at a common endpoint.
 `BipartiteGraph.step(pos)` is the one definition of that alternation, and
 `rows(k)`, which walks them anew on each call, the one enumerator of based
-paths; `paths(k)` is its tuples.  `unit(k)` and the cup-cap
-`cup_cap(k, scale)` build their elements straight from those paths.  The
-graph keeps only what its constructor builds.
+paths.  `unit(k)` and the cup-cap `cup_cap(k, scale)` build their elements
+straight from those paths.  The graph keeps only what its constructor builds.
 The span of degree-k loops with radical-scalar coefficients is the degree-k
 piece of the loop algebra, and loops multiply like matrix units indexed by
 (bottom path, top path), so that piece is a direct sum of full matrix
@@ -485,25 +484,15 @@ class BipartiteGraph:
         """Ids of edges leaving lower vertex i, ascending."""
         return self._steps[0].attach[i]
 
-    def edges_down(self, j: int) -> tuple[int, ...]:
-        """Ids of edges arriving at upper vertex j, ascending."""
-        return self._steps[1].attach[j]
-
     def edges_between(self, i: int, j: int) -> tuple[int, ...]:
         return tuple(e for e in self.edges_up(i) if self.edges[e].dst == j)
 
     def spin_factor(self, eid: int, direction: SpinDirection) -> RadicalScalar:
         """Spin of traversing an edge: up is sqrt(top weight / bottom weight),
         down is the reciprocal; the two multiply to one."""
-        return self._along(direction).spin[eid]
-
-    def spin_factor_sq(self, eid: int, direction: SpinDirection) -> RadicalScalar:
-        return self._along(direction).spin_sq[eid]
-
-    def _along(self, direction: SpinDirection) -> Step:
         if direction not in ("up", "down"):
             raise ValidationError(f"direction must be 'up' or 'down', got {direction!r}")
-        return self._steps[direction == "down"]
+        return self._steps[direction == "down"].spin[eid]
 
     def point_weight(self, i: int) -> RadicalScalar:
         """Weight of the degree-0 point loop at lower vertex i under the
@@ -536,22 +525,12 @@ class BipartiteGraph:
             classes[where[r]].append(r)
         return PathTable(paths, where, classes)
 
-    def paths(self, k: int) -> list[Path]:
-        """The based paths (base, e1, ..., ek) of length k in id order, which
-        is lexicographic."""
-        return self.rows(k).paths
-
-    def paths_with_ends(self, base: int, k: int) -> list[tuple[tuple[int, ...], int]]:
-        """`paths_from` with each path's endpoint (as `path_end` gives it)."""
-        if not 0 <= base < self.num_a:
-            raise ValidationError(f"no lower vertex {base}")
-        paths, where, _ = self.rows(k)
-        return [(p[1:], v) for p, (b, v) in zip(paths, where) if b == base]
-
     def paths_from(self, base: int, k: int) -> list[tuple[int, ...]]:
         """All alternating edge-id paths of length k out of a lower vertex,
         in lexicographic edge-id order."""
-        return [p for p, _ in self.paths_with_ends(base, k)]
+        if not 0 <= base < self.num_a:
+            raise ValidationError(f"no lower vertex {base}")
+        return [p[1:] for p in self.rows(k).paths if p[0] == base]
 
     def iter_loops(self, k: int) -> Iterator[Loop]:
         """Degree-k loops in canonical order: each top row with the bottom rows of its class."""
@@ -565,21 +544,10 @@ class BipartiteGraph:
     def enumerate_loops(self, k: int) -> list[Loop]:
         return list(self.iter_loops(k))
 
-    def is_valid_loop(self, loop: Loop) -> bool:
-        vertex = loop.base
-        if not 0 <= vertex < self.num_a:
-            return False
-        for pos, eid in enumerate(loop.edges):
-            step = self.step(pos)
-            if eid not in step.attach[vertex]:
-                return False
-            vertex = step.end[eid]
-        return vertex == loop.base
-
     def unit(self, k: int) -> PlanarElement:
         """Multiplicative unit of degree k: all loops with equal rows."""
         one = RadicalScalar.one()
-        return PlanarElement._normal(k, *_integer_rows([(p, p, one) for p in self.paths(k)]))
+        return PlanarElement._normal(k, *_integer_rows([(p, p, one) for p in self.rows(k).paths]))
 
     def cup_cap(self, k: int, scale: RadicalScalar) -> PlanarElement:
         """The cup-cap element of degree k + 2 times scale: spin(t) spin(u) scale

@@ -207,20 +207,18 @@ def basic_construction(inc: InclusionData) -> InclusionData:
     return InclusionData(inc.b, tuple(zip(*inc.m)))
 
 
-def jones_tower(inc: InclusionData, depth: int) -> list[AlgebraDims]:
+def jones_tower(inc: InclusionData, depth: int, *, r: int | None = None) -> list[AlgebraDims]:
     """Block dimensions along the iterated basic construction.
 
     Returns [A, B, A_1, B_1, ..., A_depth, B_depth]: two entries per level,
-    A_k = r^k A and B_k = r^k B (see basic_construction).
+    A_k = r^k A and B_k = r^k B (see basic_construction), r the integer
+    index.  A caller that has already read r off analyze passes it, and the
+    inclusion is not classified again.
     """
-    return index_tower(inc, markov_index(inc) if depth > 0 else 1, depth)
-
-
-def index_tower(inc: InclusionData, r: int, depth: int) -> list[AlgebraDims]:
-    """jones_tower for an inclusion whose integer index r the caller has
-    already read off analyze, so the inclusion is not classified again."""
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
+    if r is None:
+        r = markov_index(inc) if depth > 0 else 1
     sides = (inc.a, inc.b)
     return [AlgebraDims(tuple(r**k * n for n in dims)) for k in range(depth + 1) for dims in sides]
 

@@ -263,13 +263,6 @@ def fixed_space_basis(group: GroupAction, k: int) -> list[PlanarElement]:
     return basis
 
 
-def burnside_dim(group: GroupAction, k: int) -> int:
-    """Fixed-space dimension of degree k: fixed_dims_report read at degree k."""
-    if k < 0:
-        raise ValidationError("path length must be nonnegative")
-    return fixed_dims_report(group, k)[k]
-
-
 def fixed_dims_report(group: GroupAction, kmax: int) -> list[int]:
     """Fixed-space dimensions for degrees 0..kmax by Burnside's lemma: the
     average number of loops an element fixes.  An element fixes [b; t; u]

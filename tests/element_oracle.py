@@ -71,8 +71,7 @@ def include(g, x: RefElement) -> RefElement:
     out: Terms = {}
     for loop, coeff in x.terms.items():
         end = g.path_end(loop.base, loop.top())
-        attachable = g.edges_up(end) if k % 2 == 0 else g.edges_down(end)
-        for eid in attachable:
+        for eid in g.step(k).attach[end]:
             grown = Loop.from_paths(loop.base, loop.top() + (eid,), loop.bottom() + (eid,))
             _add_term(out, grown, coeff)
     return RefElement(k + 1, out)
@@ -82,7 +81,7 @@ def shift(g, x: RefElement) -> RefElement:
     out: Terms = {}
     for loop, coeff in x.terms.items():
         for down_eid in g.edges_up(loop.base):
-            for up_eid in g.edges_down(g.edge(down_eid).dst):
+            for up_eid in g.step(1).attach[g.edge(down_eid).dst]:
                 prefix = (up_eid, down_eid)
                 grown = Loop.from_paths(g.edge(up_eid).src, prefix + loop.top(), prefix + loop.bottom())
                 _add_term(out, grown, coeff)
@@ -92,13 +91,12 @@ def shift(g, x: RefElement) -> RefElement:
 def expect(g, x: RefElement) -> RefElement:
     d = x.degree
     assert d >= 1
-    direction = "up" if d % 2 == 1 else "down"
     out: Terms = {}
     for loop, coeff in x.terms.items():
         top, bottom = loop.top(), loop.bottom()
         if top[-1] != bottom[-1]:
             continue
-        weight = g.spin_factor_sq(top[-1], direction)
+        weight = g.step(d - 1).spin_sq[top[-1]]
         _add_term(out, Loop.from_paths(loop.base, top[:-1], bottom[:-1]), coeff * weight)
     return RefElement(d - 1, out)
 
@@ -110,7 +108,7 @@ def jones_projection(g, k: int) -> RefElement:
     for base in range(g.num_a):
         for path in g.paths_from(base, k):
             end = g.path_end(base, path)
-            attachable = g.edges_up(end) if k % 2 == 0 else g.edges_down(end)
+            attachable = g.step(k).attach[end]
             for bottom_eid in attachable:
                 for top_eid in attachable:
                     coeff = g.spin_factor(top_eid, direction) * g.spin_factor(bottom_eid, direction)

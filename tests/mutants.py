@@ -1,0 +1,304 @@
+"""Mutation runner: does each listed mutation of `src/` fail its tests?
+
+    python tests/mutants.py            # every mutation
+    python tests/mutants.py NAME ...   # the named ones
+
+Each mutation replaces one exact text in one file with another.  The
+runner copies the repository (without `.git` and build outputs) to a
+temporary directory, checks that every selected text occurs exactly once,
+runs the union of the named test modules once on the unmutated copy, and
+then applies one mutation at a time and runs `pytest -x -q` on its test
+modules, one process at a time.  It prints "killed" when the tests fail and
+"survived" when they pass.  A mutation whose text no longer occurs exactly
+once fails the runner, so the list follows the code: a change that moves
+the text updates its mutation here.
+
+Exit status: 0 when every mutation is killed, 1 when one survives, 2 when
+the list does not match the code or the unmutated tests fail.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutation(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str  # occurs exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # test modules, one of which must fail
+
+
+GRAPH, SYMMETRY, TANGLES = "src/planaralg/graph.py", "src/planaralg/symmetry.py", "src/planaralg/tangles.py"
+MARKOV, RADICAL = "src/planaralg/markov.py", "src/planaralg/radical.py"
+T = "tests/test_{}.py".format
+
+MUTATIONS = (
+    # -- elements: normal form and products ----------------------------------
+    Mutation("store-keeps-zeros", GRAPH, "if not all(entries.values()):", "if False:", (T("elements"),)),
+    Mutation("store-no-common-factor", GRAPH, "    if g != 1:\n        den //= g", "    if False:\n        den //= g", (T("elements"),)),
+    Mutation(
+        "store-keeps-one-entry-dicts",
+        GRAPH,
+        "if len(entries) == 1:\n                rows[row] = entries.popitem()",
+        "if False:\n                rows[row] = entries.popitem()",
+        (T("elements"),),
+    ),
+    Mutation("store-pair-undivided", GRAPH, "(e[0], e[1] // g)", "(e[0], e[1])", (T("elements"),)),
+    Mutation("compose-ignores-key-factor", GRAPH, "n1 *= factor", "n1 *= 1", (T("elements"), T("tangles"))),
+    Mutation("add-scales-by-left-denominator", GRAPH, "scale = den // part._den", "scale = den // self._den", (T("elements"),)),
+    Mutation("terms-bottom-unreversed", GRAPH, "tail = row[:0:-1]", "tail = row[1:]", (T("elements"), T("graph"))),
+    Mutation(
+        "eq-ignores-denominator",
+        GRAPH,
+        "self.degree == other.degree and self._den == other._den and self._num == other._num",
+        "self.degree == other.degree and self._num == other._num",
+        (T("elements"),),
+    ),
+    Mutation("relabel-pairs-reversed", GRAPH, "col = col[i]", "col = col[-1 - i]", (T("elements"), T("symmetry"))),
+    Mutation("relabel-overwrites", GRAPH, "acc[col] = acc.get(col, 0) + n", "acc[col] = n", (T("elements"), T("symmetry"))),
+    Mutation(
+        "contract-keeps-other-columns",
+        GRAPH,
+        "for col, n in _pairs(entries) if col[-1] == last]",
+        "for col, n in _pairs(entries)]",
+        (T("elements"), T("tangles")),
+    ),
+    Mutation("shared-table-per-call", GRAPH, "shared = _SHARED\n", "shared = {}\n", (T("elements"),)),
+    Mutation("shares-paths-not-numerators", GRAPH, "[col] = shared.setdefault(n, n)", "[col] = n", (T("elements"),)),
+    Mutation("loop-make-unchecked", GRAPH, "def _make(cls, values) -> Loop:\n        return cls(*values)", "def _make(cls, values) -> Loop:\n        return tuple.__new__(cls, values)", (T("records"),)),
+    # -- the graph: spins, steps and paths -------------------------------------
+    Mutation(
+        "spin-without-inverse-gamma",
+        GRAPH,
+        "Fraction(inclusion.b[j], inclusion.a[i])) * inv_gamma",
+        "Fraction(inclusion.b[j], inclusion.a[i]))",
+        (T("graph"), T("acceptance")),
+    ),
+    Mutation("no-spin-sum-check", GRAPH, "if total != self.gamma:", "if False:", (T("graph"),)),
+    Mutation(
+        "weights-formed-in-init",
+        GRAPH,
+        "        self.gamma = sqrt_of_int(self.r)\n",
+        "        self.gamma = sqrt_of_int(self.r)\n"
+        "        self._weights = tuple(RadicalScalar.from_rational(w).sqrt() for w in canonical_trace_weights(inclusion.a))\n",
+        (T("graph"),),
+    ),
+    Mutation(
+        "down-step-reads-up-spins",
+        GRAPH,
+        "Step(downs, tuple(e.src for e in edges), down, down_sq)",
+        "Step(downs, tuple(e.src for e in edges), down, up_sq)",
+        (T("graph"), T("tangles")),
+    ),
+    Mutation(
+        "down-attach-descending",
+        GRAPH,
+        "tuple(e.id for e in edges if e.dst == j) for",
+        "tuple(e.id for e in edges if e.dst == j)[::-1] for",
+        (T("graph"),),
+    ),
+    Mutation("rows-classes-descending", GRAPH, "key=lambda r: paths[r][:0:-1])", "key=lambda r: paths[r][:0:-1], reverse=True)", (T("graph"), T("symmetry"))),
+    Mutation(
+        "paths-from-no-base-check",
+        GRAPH,
+        '        if not 0 <= base < self.num_a:\n            raise ValidationError(f"no lower vertex {base}")\n',
+        "",
+        (T("graph"),),
+    ),
+    Mutation("paths-from-other-bases", GRAPH, "if p[0] == base]", "if p[0] <= base]", (T("graph"),)),
+    Mutation(
+        "iter-loops-pairs-every-row",
+        GRAPH,
+        "            for s in classes[key]:\n                yield",
+        "            for s in range(len(paths)):\n                yield",
+        (T("graph"),),
+    ),
+    Mutation("cup-cap-spin-t-t", GRAPH, "spin[t] * spin[u] * scale", "spin[t] * spin[t] * scale", (T("graph"), T("tangles"), T("cli"))),
+    Mutation(
+        "shift-drops-bounce-prefix",
+        GRAPH,
+        "for w in down.attach[up.end[d]]]",
+        "for w in down.attach[up.end[d]] if w != d]",
+        (T("tangles"), T("symmetry")),
+    ),
+    # -- generators ----------------------------------------------------------
+    Mutation("include-wrong-direction", TANGLES, "attach = g.step(x.degree).attach", "attach = g.step(x.degree + 1).attach", (T("tangles"),)),
+    Mutation("expect-wrong-weights", TANGLES, "g.step(x.degree - 1).spin_sq", "g.step(x.degree).spin_sq", (T("tangles"),)),
+    Mutation(
+        "far-commute-embeds-from-scratch",
+        TANGLES,
+        "            low = include(g, low)\n",
+        "            low = proj[k]\n            for _ in range(l - k):\n                low = include(g, low)\n",
+        (T("tangles"),),
+    ),
+    Mutation("tangle-step-make-unchecked", TANGLES, "def _make(cls, values) -> TangleStep:\n        return cls(*values)", "def _make(cls, values) -> TangleStep:\n        return tuple.__new__(cls, values)", (T("records"),)),
+    # -- groups and fixed dimensions -------------------------------------------
+    Mutation("fixed-dims-while-true", SYMMETRY, "            while counts:", "            while True:", (T("symmetry"),)),
+    Mutation("fixed-dims-counts-paths", SYMMETRY, "sum([n * n for n in counts.values()])", "sum([n for n in counts.values()])", (T("symmetry"),)),
+    Mutation(
+        "fixed-dims-no-divisibility-check",
+        SYMMETRY,
+        "if [dim * order for dim in dims] != totals:",
+        "if False:",
+        (T("symmetry"),),
+    ),
+    Mutation(
+        "fixed-dims-walks-loops",
+        SYMMETRY,
+        "    totals = [0] * (kmax + 1)\n",
+        "    totals = [0] * (kmax + 1)\n    list(group.graph.iter_loops(0))\n",
+        (T("symmetry"),),
+    ),
+    Mutation(
+        "fixed-subgraphs-read-rows",
+        SYMMETRY,
+        "    steps = (g.step(0), g.step(1))\n",
+        "    paths, where, classes = g.rows(0)\n    steps = (g.step(0), g.step(1))\n",
+        (T("symmetry"),),
+    ),
+    Mutation("basis-walks-rows-twice", SYMMETRY, "    rows = g.rows(k)\n", "    rows = g.rows(k)\n    rows = g.rows(k)\n", (T("symmetry"),)),
+    Mutation(
+        "verifier-reads-rows",
+        SYMMETRY,
+        "    closure, equivariance = [], []\n",
+        "    closure, equivariance = [], []\n    group.graph.rows(kmax)\n",
+        (T("symmetry"),),
+    ),
+    Mutation(
+        "verifier-builds-an-element",
+        SYMMETRY,
+        "    closure, equivariance = [], []\n",
+        "    closure, equivariance = [], []\n    PlanarElement(kmax)\n",
+        (T("symmetry"),),
+    ),
+    Mutation(
+        "automorphism-compares-weights",
+        SYMMETRY,
+        '(("a", g.inclusion.a, perm_a), ("b", g.inclusion.b, perm_b))',
+        '(("a", g.weights_a, perm_a), ("b", g.weights_b, perm_b))',
+        (T("symmetry"),),
+    ),
+    Mutation(
+        "act-ignores-perm-a",
+        SYMMETRY,
+        "lambda p: [(perm_a[p[0]], *map(edge, p[1:]))]",
+        "lambda p: [(p[0], *map(edge, p[1:]))]",
+        (T("symmetry"), T("elements")),
+    ),
+    Mutation(
+        "group-copy-drops-generators",
+        SYMMETRY,
+        "return GroupAction, (self.graph, self.generators, self.elements)",
+        "return GroupAction, (self.graph, (), self.elements)",
+        (T("symmetry"),),
+    ),
+    # -- inclusions and the tower --------------------------------------------
+    Mutation(
+        "algebra-dims-unchecked",
+        MARKOV,
+        '        for n in blocks:\n            if isinstance(n, bool) or not isinstance(n, int) or n < 1:\n'
+        '                raise ValidationError(f"block dimension {n!r} is not a positive integer")\n',
+        "",
+        (T("markov"), T("records")),
+    ),
+    Mutation(
+        "inclusion-make-unchecked",
+        MARKOV,
+        "def _make(cls, values) -> InclusionData:\n        return cls(*values)",
+        "def _make(cls, values) -> InclusionData:\n        return tuple.__new__(cls, values)",
+        (T("records"),),
+    ),
+    Mutation("b-plain-property", MARKOV, "    @cached_property\n    def b(self)", "    @property\n    def b(self)", (T("markov"),)),
+    Mutation(
+        "tower-classifies-again",
+        MARKOV,
+        "    if r is None:\n        r = markov_index(inc) if depth > 0 else 1\n",
+        "    r = markov_index(inc) if depth > 0 else 1\n",
+        (T("cli"),),
+    ),
+    Mutation("tower-squares-the-index", MARKOV, "r**k * n for n in dims", "r**(2 * k) * n for n in dims", (T("markov"), T("cli"))),
+    # -- scalars -------------------------------------------------------------
+    Mutation("sqrt-ignores-denominator", RADICAL, "for sign, m in ((2, n), (-2, self._den)):", "for sign, m in ((2, n),):", (T("radical"),)),
+    Mutation(
+        "invert-loses-sign",
+        RADICAL,
+        "{new_key: (1 if n > 0 else -1) * self._den * num}",
+        "{new_key: self._den * num}",
+        (T("radical"),),
+    ),
+    Mutation("mapping-constructor-reads-fraction", RADICAL, "term = cls.monomial(coeff, {})", "term = cls.monomial(Fraction(coeff), {})", (T("radical"),)),
+    Mutation(
+        "monomial-no-exponent-check",
+        RADICAL,
+        '            if isinstance(e, bool) or not isinstance(e, int):\n'
+        '                raise ValidationError(f"radical exponent {e!r} is not an integer")\n',
+        "",
+        (T("radical"),),
+    ),
+    Mutation("reduced-no-gcd", RADICAL, "    g = gcd(den, *num.values())\n", "    g = 1\n", (T("radical"),)),
+    Mutation("key-product-no-cache", RADICAL, "@lru_cache(maxsize=4096)\ndef _key_product", "def _key_product", (T("tangles"),)),
+    Mutation(
+        "scalar-add-keeps-zeros",
+        RADICAL,
+        "            if total:\n                num[k] = total\n            else:\n                del num[k]\n        return _reduced(da * sa, num)",
+        "            num[k] = total\n        return _reduced(da * sa, num)",
+        (T("radical"),),
+    ),
+)
+
+
+def run_tests(tree: Path, tests) -> int:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def main(names: list[str]) -> int:
+    selected = [m for m in MUTATIONS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTATIONS}
+    stale = [m.name for m in selected if (ROOT / m.path).read_text(encoding="utf-8").count(m.old) != 1]
+    missing = sorted({t for m in selected for t in m.tests if not (ROOT / t).is_file()})
+    if unknown or stale or missing:
+        print(f"unknown mutations {sorted(unknown)}, stale texts {stale}, missing test modules {missing}")
+        return 2
+    with tempfile.TemporaryDirectory(prefix="planaralg-mutants-") as scratch:
+        tree = Path(scratch) / "repo"
+        ignore = shutil.ignore_patterns(".git", ".bench_build", "__pycache__", ".hypothesis", ".pytest_cache")
+        shutil.copytree(ROOT, tree, ignore=ignore)
+        every = sorted({t for m in selected for t in m.tests})
+        if run_tests(tree, every) != 0:
+            print(f"the unmutated tests fail: {' '.join(every)}")
+            return 2
+        survived = 0
+        for m in selected:
+            target = tree / m.path
+            original = target.read_text(encoding="utf-8")
+            target.write_text(original.replace(m.old, m.new), encoding="utf-8")
+            start = time.perf_counter()
+            try:
+                code = run_tests(tree, m.tests)
+            finally:
+                target.write_text(original, encoding="utf-8")
+            if code not in (0, 1, 2):
+                print(f"pytest exit {code} on {m.name}")
+                return 2
+            survived += code == 0
+            verdict = "survived" if code == 0 else "killed"
+            print(f"{verdict:8}  {m.name}  ({' '.join(m.tests)}, {time.perf_counter() - start:.1f} s)", flush=True)
+    print(f"{len(selected) - survived} of {len(selected)} killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

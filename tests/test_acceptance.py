@@ -111,7 +111,7 @@ def test_criterion_3_eigenvector_identity(monkeypatch):
             assert total == g.gamma * g.weights_a[i]
         for j in range(g.num_b):
             total = RadicalScalar.zero()
-            for eid in g.edges_down(j):
+            for eid in g.step(1).attach[j]:
                 total = total + g.weights_a[g.edge(eid).src]
             assert total == g.gamma * g.weights_b[j]
     # Negative control: under a wrong index (2r) the squared spins out of a

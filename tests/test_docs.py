@@ -114,7 +114,7 @@ def test_private_names_in_documents_exist():
 
 
 def test_graph_names_in_documents_exist():
-    # A backticked `g.paths(k)`, `graph.unit` or `BipartiteGraph.rows(k)` in
+    # A backticked `g.step(pos)`, `graph.unit` or `BipartiteGraph.rows(k)` in
     # docs/*.md or the README names an attribute of a built graph, so a
     # renamed or removed graph method fails here.
     g = build_graph(corpus_entry("C-in-C2").inclusion())

@@ -179,7 +179,7 @@ class TestGraphConstruction:
             (3, 1, 1),
         ]
         assert g.edges_up(0) == (0, 1)
-        assert g.edges_down(1) == (2, 3)
+        assert g.step(1).attach[1] == (2, 3)
         assert g.edges_between(1, 1) == (2, 3)
         assert g.edges_between(0, 1) == ()
 
@@ -193,7 +193,7 @@ class TestGraphConstruction:
             assert total == g.gamma * g.weights_a[i]
         for j in range(g.num_b):
             total = RadicalScalar.zero()
-            for eid in g.edges_down(j):
+            for eid in g.step(1).attach[j]:
                 total = total + g.weights_a[g.edge(eid).src]
             assert total == g.gamma * g.weights_b[j]
 
@@ -246,7 +246,7 @@ class TestSpin:
             up = g.spin_factor(e.id, "up")
             down = g.spin_factor(e.id, "down")
             assert up * down == 1
-            assert g.spin_factor_sq(e.id, "up") == up * up
+            assert g.step(0).spin_sq[e.id] == up * up
 
     def test_squared_spins_are_weight_ratios(self):
         # The graph forms each squared spin as b_j / (a_i gamma); it equals
@@ -260,8 +260,8 @@ class TestSpin:
             weights_a, weights_b = g.weights_a, g.weights_b
             for e in g.edges:
                 ratio = weights_b[e.dst] * weights_a[e.src].invert()
-                assert g.spin_factor_sq(e.id, "up") == ratio
-                assert g.spin_factor_sq(e.id, "down") == ratio.invert()
+                assert g.step(0).spin_sq[e.id] == ratio
+                assert g.step(1).spin_sq[e.id] == ratio.invert()
 
     def test_parallel_edges_share_their_spins(self, monkeypatch):
         # Work count: the construction takes one square root per (lower,
@@ -280,7 +280,7 @@ class TestSpin:
         assert calls == {"sqrt": len({(e.src, e.dst) for e in g.edges}) + 1} == {"sqrt": 2}
         for table in (*g.step(0)[2:], *g.step(1)[2:]):
             assert len(table) == 1000 and len(set(map(id, table))) == 1
-        assert g.spin_factor(999, "up") == g.spin_factor_sq(999, "down") == 1
+        assert g.spin_factor(999, "up") == g.step(1).spin_sq[999] == 1
 
     def test_rejects_bad_direction(self, graphs):
         g = graphs("C-in-C2")
@@ -298,7 +298,9 @@ class TestSpin:
                 up = pos % 2 == 0
                 direction = "up" if up else "down"
                 vertices = g.num_a if up else g.num_b
-                assert step.attach == tuple((g.edges_up if up else g.edges_down)(v) for v in range(vertices))
+                assert step.attach == tuple(
+                    tuple(e.id for e in g.edges if (e.src if up else e.dst) == v) for v in range(vertices)
+                )
                 assert step.end == tuple(e.dst if up else e.src for e in g.edges)
                 assert step.spin == tuple(g.spin_factor(e.id, direction) for e in g.edges)
                 assert step.spin_sq == tuple(s * s for s in step.spin)
@@ -326,18 +328,19 @@ def recursive_paths(g, base: int, k: int) -> list[tuple[tuple[int, ...], int]]:
         if pos == k:
             out.append((tuple(path), vertex))
             return
-        for eid in g.edges_up(vertex) if pos % 2 == 0 else g.edges_down(vertex):
-            edge = g.edges[eid]
-            path.append(eid)
-            extend(pos + 1, edge.dst if pos % 2 == 0 else edge.src)
-            path.pop()
+        up = pos % 2 == 0
+        for edge in g.edges:
+            if (edge.src if up else edge.dst) == vertex:
+                path.append(edge.id)
+                extend(pos + 1, edge.dst if up else edge.src)
+                path.pop()
 
     extend(0, base)
     return out
 
 
 class TestPathBuilder:
-    """`paths` and `paths_with_ends` against the depth-first reference and
+    """`rows` and `paths_from` against the depth-first reference and
     the path counts of `markov.path_counts`, on every corpus graph;
     inclusions that are not Markov contribute their edges only."""
 
@@ -349,14 +352,13 @@ class TestPathBuilder:
     def test_matches_recursive_enumerator(self, graphs, entry):
         g = self.graph(graphs, entry)
         for k in range(7):
-            expected = [(b, *p) for b in range(g.num_a) for p, _ in recursive_paths(g, b, k)]
-            assert g.paths(k) == expected
-            assert len(g.rows(k).where) == len(expected)
-            for base in range(g.num_a):
-                walks = g.paths_with_ends(base, k)
-                assert walks == recursive_paths(g, base, k)
-                assert g.paths_from(base, k) == [p for p, _ in walks]
-                assert all(g.path_end(base, p) == v for p, v in walks)
+            walks = {b: recursive_paths(g, b, k) for b in range(g.num_a)}
+            rows = g.rows(k)
+            assert rows.paths == [(b, *p) for b, found in walks.items() for p, _ in found]
+            assert rows.where == [(b, v) for b, found in walks.items() for _, v in found]
+            for base, found in walks.items():
+                assert g.paths_from(base, k) == [p for p, _ in found]
+                assert all(g.path_end(base, p) == v for p, v in found)
 
     @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
     def test_counts_per_base_and_endpoint(self, graphs, entry):
@@ -364,17 +366,15 @@ class TestPathBuilder:
         for k, counts in zip(range(7), path_counts(inc)):
             width = g.num_b if k % 2 else g.num_a
             for base in range(g.num_a):
-                ends = Counter(v for _, v in g.paths_with_ends(base, k))
+                ends = Counter(g.path_end(base, p) for p in g.paths_from(base, k))
                 assert counts[base] == [ends[v] for v in range(width)]
             assert sum(n * n for row in counts for n in row) == loop_space_dim(inc, k)
 
     def test_rejects_bad_base_and_length(self, graphs):
         g = graphs("C-in-C2")
-        with pytest.raises(ValidationError):
-            g.paths_with_ends(1, 2)
-        with pytest.raises(ValidationError):
-            g.paths_with_ends(0, -1)
-        for read in (g.rows, g.paths, lambda k: g.cup_cap(k, RadicalScalar.one())):
+        with pytest.raises(ValidationError, match="no lower vertex 1"):
+            g.paths_from(1, 2)
+        for read in (g.rows, lambda k: g.paths_from(0, k), lambda k: g.cup_cap(k, RadicalScalar.one())):
             with pytest.raises(ValidationError, match="path length must be nonnegative"):
                 read(-1)
 
@@ -388,7 +388,7 @@ class TestPathBuilder:
         hash(tuple(built.values()))
         assert not {"weights_a", "weights_b"} & built.keys()
         assert g.weights_a == g.weights_a and g.weights_a is not g.weights_a
-        for read in (g.rows, g.paths, lambda k: g.paths_from(0, k), g.enumerate_loops, g.unit):
+        for read in (g.rows, lambda k: g.paths_from(0, k), g.enumerate_loops, g.unit):
             read(3)
         g.cup_cap(1, RadicalScalar.one())
         verify_temperley_lieb(g, 2)
@@ -486,19 +486,25 @@ class TestPathsAndLoops:
 
     @pytest.mark.parametrize("entry", MARKOV_CORPUS, ids=lambda e: e.name)
     def test_enumerated_loops_are_valid(self, graphs, entry):
+        # Each loop's top and bottom rows are paths of the depth-first
+        # reference out of its base, and they end at one vertex.
         g = graphs(entry.name)
         for k in range(3):
+            walks = [dict(recursive_paths(g, b, k)) for b in range(g.num_a)]
             for loop in g.iter_loops(k):
-                assert g.is_valid_loop(loop)
+                ends = walks[loop.base]
+                assert loop.top() in ends and loop.bottom() in ends
+                assert ends[loop.top()] == ends[loop.bottom()]
 
-    def test_is_valid_loop_rejects_bad_walks(self, graphs):
+    def test_bad_walks_are_not_loops(self, graphs):
         g = graphs("C-in-C2")
-        assert not g.is_valid_loop(Loop(0, (0, 1)))  # rows end at different tops
-        assert not g.is_valid_loop(Loop(1, (0, 0)))  # no such base
-        assert not g.is_valid_loop(Loop(0, (0, 5)))  # no such edge
-        assert not g.is_valid_loop(Loop(0, (-1, -1)))  # no such edge
-        assert not g.is_valid_loop(Loop(0, (len(g.edges), len(g.edges))))  # no such edge
-        assert g.is_valid_loop(Loop(0, (1, 1)))
+        loops = set(g.iter_loops(1))
+        assert Loop(0, (0, 1)) not in loops  # rows end at different tops
+        assert Loop(1, (0, 0)) not in loops  # no such base
+        assert Loop(0, (0, 5)) not in loops  # no such edge
+        assert Loop(0, (-1, -1)) not in loops  # no such edge
+        assert Loop(0, (len(g.edges), len(g.edges))) not in loops  # no such edge
+        assert Loop(0, (1, 1)) in loops
 
 
 class TestElementAlgebra:
@@ -608,9 +614,9 @@ class TestTrustedConstructor:
         g = graphs("C-in-C2xM2")
         # Edges 2 and 3 are parallel, so both loops contract to (0, (2, 2)).
         first, second = Loop(0, (2, 2, 2, 2)), Loop(0, (2, 3, 3, 2))
-        assert g.is_valid_loop(first) and g.is_valid_loop(second)
-        w1 = g.spin_factor_sq(2, "down")
-        w2 = g.spin_factor_sq(3, "down")
+        assert {first, second} <= set(g.iter_loops(2))
+        w1 = g.step(1).spin_sq[2]
+        w2 = g.step(1).spin_sq[3]
         x = PlanarElement(2, {first: w2, second: -w1})
         assert not x.is_zero()
         self.assert_zero(expect(g, x), 1)

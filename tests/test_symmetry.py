@@ -33,7 +33,6 @@ from planaralg import (
     act,
     act_loop,
     build_graph,
-    burnside_dim,
     close_group,
     expect,
     fixed_dims_report,
@@ -261,13 +260,13 @@ class TestCloseGroup:
         assert str(refused.value) == "edge 0 maps to edge 1 with incompatible endpoints"
         assert includes_commute(g, gen, 0) and not includes_commute(g, gen, 1)
         assert kept_degree(g, [gen], 2) == 1
-        loop = Loop(0, (0, 2, 2, 0))
-        assert g.is_valid_loop(loop)
+        loop, loops = Loop(0, (0, 2, 2, 0)), set(g.iter_loops(2))
+        assert loop in loops
         assert act_loop(gen, loop) == Loop(0, (1, 2, 2, 1))
-        assert not g.is_valid_loop(Loop(0, (1, 2, 2, 1)))
+        assert Loop(0, (1, 2, 2, 1)) not in loops
         averaged = oracle.reynolds(raw_group(g, [gen]), oracle.RefElement.of(g.unit(2)))
         assert len(averaged.terms) == 12
-        assert sum(not g.is_valid_loop(l) for l in averaged.terms) == 4
+        assert sum(l not in loops for l in averaged.terms) == 4
 
     def test_checks_the_edge_condition_once_per_generator(self, graphs, monkeypatch):
         # Work count: close_group runs make_automorphism's check, whose
@@ -295,7 +294,6 @@ class TestCloseGroup:
         assert verify_planar_subalgebra(group, 4).all_passed
         assert calls == {"check": 2}
         assert fixed_dims_report(group, 4) == [1, 1, 2, 5, 15]
-        assert burnside_dim(group, 4) == 15
         assert calls == {"check": 2}
         assert len(fixed_space_basis(group, 3)) == 5
         assert calls == {"check": 2, "rows": 1}
@@ -334,7 +332,9 @@ class TestCloseGroup:
         # raise, every closure case closes again and its counts, report and
         # ergodicity come out, and the component swap above is still refused
         # by weight.
-        cases = [(group.graph, group.generators, kmax) for group, kmax in _closure_cases(graphs)]
+        cases = [
+            (group.graph, group.generators, kmax, fixed_dims_report(group, kmax)) for group, kmax in _closure_cases(graphs)
+        ]
         components = graphs("C-M2-in-M2xM4")
 
         def radical(*args):
@@ -342,9 +342,9 @@ class TestCloseGroup:
 
         for name in ("__eq__", "__ne__", "__mul__", "__add__", "sqrt", "invert"):
             monkeypatch.setattr(RadicalScalar, name, radical)
-        for g, gens, kmax in cases:
+        for g, gens, kmax, dims in cases:
             group = close_group(g, gens)
-            assert burnside_dim(group, kmax) == fixed_dims_report(group, kmax)[kmax]
+            assert fixed_dims_report(group, kmax) == dims
             assert verify_planar_subalgebra(group, kmax).all_passed
             with contextlib.suppress(NotAbelianError):
                 is_centrally_ergodic(group)
@@ -453,11 +453,10 @@ class TestFixedSpaces:
         "read",
         [
             lambda group: fixed_dims_report(group, 2),
-            lambda group: burnside_dim(group, 2),
             lambda group: fixed_space_basis(group, 2),
             lambda group: verify_planar_subalgebra(group, 2),
         ],
-        ids=["fixed_dims_report", "burnside_dim", "fixed_space_basis", "verify_planar_subalgebra"],
+        ids=["fixed_dims_report", "fixed_space_basis", "verify_planar_subalgebra"],
     )
     def test_every_reader_refuses_maps_that_send_loops_to_non_loops(self, graphs, read):
         # The map of the test above never reaches a routine that reads the
@@ -509,9 +508,9 @@ class TestFixedSpaces:
     def test_burnside_matches_orbit_count(self, three_point_cycle, k):
         g, cycle = three_point_cycle
         group = close_group(g, [cycle])
-        assert burnside_dim(group, k) == len(fixed_space_basis(group, k))
+        assert fixed_dims_report(group, k)[k] == len(fixed_space_basis(group, k))
 
-    @pytest.mark.parametrize("reader", [fixed_space_basis, burnside_dim, fixed_dims_report])
+    @pytest.mark.parametrize("reader", [fixed_space_basis, fixed_dims_report])
     def test_readers_reject_negative_degree(self, two_point_swap, reader):
         g, swap = two_point_swap
         with pytest.raises(ValidationError):
@@ -731,7 +730,7 @@ def induced_perm_b(g, gen) -> tuple[int, ...]:
     """The map on upper vertices that perm_e induces: each upper vertex goes
     to the upper end of the image of an edge at it.  Where the edge condition
     (S) holds it is a permutation, and with it the maps keep incidence."""
-    return tuple(g.edge(gen.perm_e[g.edges_down(j)[0]]).dst for j in range(g.num_b))
+    return tuple(g.edge(gen.perm_e[g.step(1).attach[j][0]]).dst for j in range(g.num_b))
 
 
 def keeps_weights(g, gen) -> bool:
@@ -765,9 +764,10 @@ def _permutation_generator(rng: random.Random, g) -> GraphAutomorphism:
 def kept_degree(g, gens, cap: int) -> int:
     """The highest degree d <= cap such that every generator sends every
     loop of degree d or lower to a loop, tested loop by loop with act_loop
-    and is_valid_loop; degree 0 always passes."""
+    and membership in iter_loops; degree 0 always passes."""
     for k in range(1, cap + 1):
-        if not all(g.is_valid_loop(act_loop(gen, l)) for l in g.iter_loops(k) for gen in gens):
+        loops = set(g.iter_loops(k))
+        if not all(act_loop(gen, l) in loops for l in loops for gen in gens):
             return k - 1
     return cap
 
@@ -980,7 +980,7 @@ def test_operations_leave_the_up_down_step_to_graph(module):
         node.lineno
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
-        and node.attr in ("edges_up", "edges_down", "spin_factor", "spin_factor_sq")
+        and node.attr in ("edges_up", "spin_factor")
     ]
     assert accessors == []
 
@@ -1038,7 +1038,7 @@ def test_reports_and_counts_do_no_work(graphs, monkeypatch):
     # (docs/closure-multiply-and-burnside.md, sections 8 and 5).  So with
     # every path reader, element operation and action made to raise, the
     # graph is built and each group closed again, and with composition made
-    # to raise too, the report and both counts still come out, on every
+    # to raise too, the report and the count still come out, on every
     # closure case and on the trivial group of C-in-C at kmax 1000.
     cases = [(group.graph, group.generators, kmax) for group, kmax in _closure_cases(graphs)]
 
@@ -1046,7 +1046,7 @@ def test_reports_and_counts_do_no_work(graphs, monkeypatch):
         raise RuntimeError("work done")
 
     for owner, names in (
-        (BipartiteGraph, ("rows", "paths", "iter_loops", "unit", "cup_cap", "shift_prefixes")),
+        (BipartiteGraph, ("rows", "iter_loops", "unit", "cup_cap", "shift_prefixes")),
         (PlanarElement, ("__init__", "__mul__", "__add__", "relabel")),
         (symmetry, ("act", "fixed_space_basis")),
     ):
@@ -1058,7 +1058,6 @@ def test_reports_and_counts_do_no_work(graphs, monkeypatch):
     for group, kmax in cases:
         assert verify_planar_subalgebra(group, kmax).all_passed
         dims = fixed_dims_report(group, kmax)
-        assert burnside_dim(group, kmax) == dims[kmax]
     assert dims == [1] * 1001
     # The patches see work where there is some.
     with pytest.raises(RuntimeError, match="work done"):
@@ -1222,9 +1221,9 @@ def loop_walk_report(group, kmax: int, backward: bool = False):
     closure, equivariance = [], []
     for k in range(kmax + 1):
         classes = {}
-        for b in range(g.num_a):
-            for p, v in g.paths_with_ends(b, k):
-                classes.setdefault((b, v), []).append((b, *p))
+        table = g.rows(k)
+        for r, key in zip(table.paths, table.where):
+            classes.setdefault(key, []).append(r)
         rows = [r for rs in classes.values() for r in rs]
         attach = g.step(k).attach
         _, end, _, weight = g.step(k - 1)
@@ -1643,7 +1642,7 @@ class TestClosureIncludeShift:
 
 def every_loop_fixed_dims(group, kmax: int) -> list[int]:
     """fixed_dims_report on loops: every generator's image of every loop is
-    tested with is_valid_loop, and each element's fixed loops are counted
+    tested for membership in iter_loops, and each element's fixed loops are counted
     one by one.  The oracle for the row test and the Burnside count on
     paths."""
     g = group.graph
@@ -1657,8 +1656,9 @@ def every_loop_fixed_dims(group, kmax: int) -> list[int]:
                 raise InvalidAutomorphismError(f"{label} is not a permutation of 0..{size - 1}: {perm}")
     dims = []
     for k in range(kmax + 1):
+        loops = set(g.iter_loops(k))
         for gen in group.generators:
-            if not all(g.is_valid_loop(act_loop(gen, l)) for l in g.iter_loops(k)):
+            if not all(act_loop(gen, l) in loops for l in loops):
                 raise InvalidAutomorphismError(f"a generator sends a degree-{k} loop to a non-loop")
         fixed = sum(act_loop(h, l) == l for l in g.iter_loops(k) for h in group.elements)
         assert fixed % group.order == 0
@@ -1721,7 +1721,7 @@ class TestFixedDimsOnPaths:
         flip = make_automorphism(g, [0], [1, 0, *range(2, n)])
         group = close_group(g, [cycle, flip])
         dims = [sum(stirling2(k, j) for j in range(n + 1)) for k in range(6)]
-        assert [burnside_dim(group, k) for k in range(6)] == every_loop_fixed_dims(group, 5) == dims
+        assert fixed_dims_report(group, 5) == every_loop_fixed_dims(group, 5) == dims
 
     def test_walk_is_linear_in_kmax(self, monkeypatch):
         # Work count: on a fresh C-in-C with the trivial group, the count at
@@ -1753,7 +1753,7 @@ class TestFixedDimsOnPaths:
         assert calls == {"moves": 1000}
         bound = sum(len(bases) for bases, _, _ in group._fixed) * max(g.num_a, g.num_b) * 1000
         assert calls["moves"] <= bound
-        assert burnside_dim(group, 1000) == 1
+        assert fixed_dims_report(group, 1000)[1000] == 1
         assert calls == {"moves": 2000}
 
     def test_walk_stops_where_the_fixed_paths_die(self, two_point_swap):
@@ -1886,13 +1886,13 @@ class TestFixedDimsOnPaths:
         for group, kmax in cases:
             for k in range(kmax + 1):
                 count = stabiliser_orbit_count(group, k)
-                assert burnside_dim(group, k) == count == len(list(loop_orbit_images(group, k)))
+                assert fixed_dims_report(group, k)[k] == count == len(list(loop_orbit_images(group, k)))
                 moving += _stabilizer_moves_a_row(group, k)
         assert moving >= 20
         g = graphs("C-in-C4")
         s4 = close_group(g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])])
         for k in range(9, 12):
-            assert burnside_dim(s4, k) == stabiliser_orbit_count(s4, k) == sum(stirling2(k, j) for j in range(5))
+            assert fixed_dims_report(s4, k)[k] == stabiliser_orbit_count(s4, k) == sum(stirling2(k, j) for j in range(5))
 
 
 def stabiliser_orbit_count(group, k: int) -> int:
@@ -1948,7 +1948,7 @@ class TestRowBurnsideOracle:
     def _agree(group, kmax: int) -> None:
         dims = fixed_dims_report(group, kmax)
         assert dims == [row_burnside_count(group, k) for k in range(kmax + 1)]
-        assert [burnside_dim(group, k) for k in range(kmax + 1)] == dims
+        assert [fixed_dims_report(group, k)[k] for k in range(kmax + 1)] == dims
 
     def test_matches_on_oracle_cases(self, graphs):
         cases = 0
@@ -2012,9 +2012,9 @@ def _stabilizer_moves_a_row(group, k: int) -> bool:
     the same base and endpoint, so the row count needs stabilisers."""
     g = group.graph
     classes = {}
-    for b in range(g.num_a):
-        for p, v in g.paths_with_ends(b, k):
-            classes.setdefault((b, v), []).append((b, *p))
+    table = g.rows(k)
+    for r, key in zip(table.paths, table.where):
+        classes.setdefault(key, []).append(r)
     for rows in classes.values():
         for h in group.elements:
             if {(h.perm_a[r[0]], *map(h.perm_e.__getitem__, r[1:])) == r for r in rows} == {True, False}:
