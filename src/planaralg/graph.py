@@ -23,10 +23,13 @@ a bipartite graph*, 2000).
 `PlanarElement` stores exactly that: one common denominator and, for each
 radical part of the coefficients, the integer numerators as sparse matrix
 rows indexed by based paths, a row of one entry held as a bare (column,
-numerator) pair.  The blocks are implicit in the rows, so an element needs
-no graph.  Products are sparse integer matrix products, `relabel` sends rows
-and columns to lists of image paths (`include`, `shift`, the group action
-and its average), and `contract_last` contracts the last column (`expect`).
+numerator) pair.  A based path is a `Path`, the string with one code point
+per id, so path keys hash once; `Loop` and the path readers other than
+`rows` give int tuples.  The blocks are implicit in the rows, so an element
+needs no graph.  Products are sparse integer matrix products, `relabel`
+sends rows and columns to lists of image paths (`include`, `shift`, the
+group action and its average), and `contract_last` contracts the last
+column (`expect`).
 Besides the element's own arithmetic, they are the only code that reads
 stored rows.  The normal form (no zeros, no common factor) makes `==` a
 comparison of dicts.
@@ -44,7 +47,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
-from .errors import DegreeMismatchError, EigenvectorViolationError, ValidationError
+from .errors import DegreeMismatchError, EigenvectorViolationError, ResourceLimitError, ValidationError
 from .markov import InclusionData, canonical_trace_weights, markov_index
 from .radical import RadicalKey, RadicalScalar, _key_product, _reduced, sqrt_of_int
 
@@ -103,22 +106,49 @@ class Step(NamedTuple):
     spin_sq: tuple[RadicalScalar, ...]  # edge id -> its square
 
 
-# A based path: the base vertex followed by the edge ids, (base, e1, ..., ek).
-Path = tuple[int, ...]
+# A based path: the str whose code points are the base vertex and then the
+# edge ids, chr(base) + chr(e1) + ... + chr(ek).  A str caches its hash, so
+# the dict lookups of products hash each path once, and its order, slices
+# and concatenations are those of the int tuple (base, e1, ..., ek).  Ids
+# are below CODE_POINTS; `encode_path` and `decode_path` convert.
+Path = str
+CODE_POINTS = 0x110000
+
+
+def encode_path(ids: Sequence[int]) -> Path:
+    """The path whose code points are ids, (base, e1, ..., ek) or any run
+    of edge ids; ValidationError for an id outside 0..CODE_POINTS - 1."""
+    try:
+        return "".join(map(chr, ids))
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"path ids must be integers in 0..{CODE_POINTS - 1}, got {tuple(ids)}") from None
+
+
+def decode_path(path: Path) -> tuple[int, ...]:
+    """The ids of a path, or of any slice of one, as ints."""
+    return tuple(map(ord, path))
+
+
+def check_path_ids(*counts: int) -> None:
+    """ResourceLimitError unless ids 0..n-1 are code points for each count n
+    of vertices or edges."""
+    if max(counts) > CODE_POINTS:
+        raise ResourceLimitError(f"{max(counts)} vertices or edges: a path holds ids below {CODE_POINTS}")
 
 
 class PathTable(NamedTuple):
     """The based paths of one length as ids 0..n-1, in lexicographic order."""
 
-    paths: list[Path]  # id -> (base, e1, ..., ek)
+    paths: list[Path]  # id -> chr(base) + chr(e1) + ... + chr(ek)
     where: list[tuple[int, int]]  # id -> (base, endpoint)
     classes: dict[tuple[int, int], list[int]]  # (base, endpoint) -> its ids, by reversed path
 # The numerators of one radical key as sparse matrix rows: the loop with
-# bottom row b and top row t out of a base is the matrix unit in row
-# (base, *b) and column (base, *t).  A row with one entry is stored as the
-# pair (column, numerator), a longer row as a dict column -> numerator: the
-# rows of sparse elements mostly hold one entry, and the pair takes 56
-# bytes where a one-entry dict takes 224 (CPython 3.11).  Operations
+# bottom row b and top row t out of a base is the matrix unit in the row of
+# the based path (base, *b) and the column of (base, *t).  A row with one
+# entry is stored as the pair (column, numerator), a longer row as a dict
+# column -> numerator: the rows of sparse elements mostly hold one entry,
+# and the pair takes 56 bytes where a one-entry dict takes 224 (CPython
+# 3.11).  Operations
 # accumulate every row as a dict and `_normal` stores it.
 Row = tuple[Path, int] | dict[Path, int]
 Rows = dict[Path, Row]
@@ -140,16 +170,17 @@ class PlanarElement:
     element and, for each reduced radical key (see `radical`), the
     numerators as sparse matrix rows: `_num[key][row]` is the pair
     (column, n) for a row with one entry and the dict {column: n} for a
-    longer row.  Rows and columns are based paths: the loop (base, top +
-    reversed(bottom)) sits in row (base, *bottom) and column (base, *top),
-    so loops multiply as matrix units and a product is a sparse matrix
-    product per pair of keys.  Normal form: no zero numerator, no empty row
+    longer row.  Rows and columns are based paths, `Path` strings: the loop
+    (base, top + reversed(bottom)) sits in the row of (base, *bottom) and
+    the column of (base, *top), so loops multiply as matrix units and a
+    product is a sparse matrix product per pair of keys.  Normal form: no zero numerator, no empty row
     or key, a pair for every one-entry row and gcd(_den, all numerators)
     == 1.  Loops are linearly independent and so are reduced radical keys,
     so every element has exactly one normal form and `==` compares the
     dicts directly.
 
-    `terms` is a derived view, loop -> RadicalScalar.
+    `terms` is a derived view, loop -> RadicalScalar.  A loop's base and
+    edge ids must be ints in 0..CODE_POINTS - 1 (ValidationError).
     """
 
     __slots__ = ("degree", "_den", "_num")
@@ -165,8 +196,8 @@ class PlanarElement:
                 )
             if not isinstance(coeff, RadicalScalar):
                 coeff = RadicalScalar.from_rational(coeff)
-            base, edges = loop
-            entries.append(((base,) + edges[degree:][::-1], (base,) + edges[:degree], coeff))
+            ids = encode_path((loop[0], *loop[1]))
+            entries.append((ids[0] + ids[:degree:-1], ids[: degree + 1], coeff))
         _store(self, degree, *_integer_rows(entries))
 
     def __setattr__(self, name, value):
@@ -194,9 +225,9 @@ class PlanarElement:
         by_loop: dict[Loop, dict[RadicalKey, int]] = {}
         for key, rows in self._num.items():
             for row, entries in rows.items():
-                tail = row[:0:-1]
+                base, tail = ord(row[0]), row[:0:-1]
                 for col, n in _pairs(entries):
-                    by_loop.setdefault(_new_tuple(Loop, (row[0], col[1:] + tail)), {})[key] = n
+                    by_loop.setdefault(_new_tuple(Loop, (base, decode_path(col[1:] + tail))), {})[key] = n
         return {loop: _reduced(self._den, num) for loop, num in by_loop.items()}
 
     def is_zero(self) -> bool:
@@ -318,7 +349,7 @@ class PlanarElement:
                 kept = [(col[:-1], n) for col, n in _pairs(entries) if col[-1] == last]
                 if not kept:
                     continue
-                weight = weights[last]
+                weight = weights[ord(last)]
                 scale = wden // weight._den
                 for wkey, wn in weight._num.items():
                     out_key, factor = _key_product(key, wkey)
@@ -508,18 +539,23 @@ class BipartiteGraph:
         return self.step(len(path) - 1).end[path[-1]] if path else base
 
     def rows(self, k: int) -> PathTable:
-        """The based paths of length k, walked anew on every call: those of
-        length k + 1 are those of length k in id order, each extended by the
-        edges step k attaches at its end, ascending.  Each class lists its ids
-        by reversed path, from one stable sort of all ids, so each row in id
-        order paired with the rows of its class is the canonical loop order."""
+        """The based paths of length k as `Path` strings, walked anew on
+        every call: those of length k + 1 are those of length k in id order,
+        each extended by the edges step k attaches at its end, ascending.
+        Each class lists its ids by reversed path, from one stable sort of
+        all ids, so each row in id order paired with the rows of its class is
+        the canonical loop order.  ResourceLimitError when an id of the graph
+        is not a code point."""
         if k < 0:
             raise ValidationError("path length must be nonnegative")
-        paths, where = [(b,) for b in range(self.num_a)], [(b, b) for b in range(self.num_a)]
+        check_path_ids(self.num_a, len(self.edges))
+        bases = range(self.num_a)
+        paths, where = list(encode_path(bases)), [(b, b) for b in bases]
         for pos in range(k):
             attach, end, _, _ = self.step(pos)
-            paths = [p + (f,) for p, (_, v) in zip(paths, where) for f in attach[v]]
-            where = [(p[0], end[p[-1]]) for p in paths]
+            out = [encode_path(ids) for ids in attach]  # vertex -> its edges' code points
+            paths = [p + f for p, (_, v) in zip(paths, where) for f in out[v]]
+            where = [(ord(p[0]), end[ord(p[-1])]) for p in paths]
         classes = {key: [] for key in where}
         for r in sorted(range(len(paths)), key=lambda r: paths[r][:0:-1]):
             classes[where[r]].append(r)
@@ -530,11 +566,12 @@ class BipartiteGraph:
         in lexicographic edge-id order."""
         if not 0 <= base < self.num_a:
             raise ValidationError(f"no lower vertex {base}")
-        return [p[1:] for p in self.rows(k).paths if p[0] == base]
+        return [decode_path(p[1:]) for p in self.rows(k).paths if ord(p[0]) == base]
 
     def iter_loops(self, k: int) -> Iterator[Loop]:
         """Degree-k loops in canonical order: each top row with the bottom rows of its class."""
         paths, where, classes = self.rows(k)
+        paths = [decode_path(p) for p in paths]
         reversed_bottoms = [p[:0:-1] for p in paths]
         for path, key in zip(paths, where):
             top = path[1:]
@@ -555,9 +592,12 @@ class BipartiteGraph:
         at p's end."""
         paths, where, _ = self.rows(k)
         attach, _, spin, _ = self.step(k)
-        # Vertex -> (u, t, coefficient) for u, then t, attachable there: one product each.
-        bounces = [[(u, t, spin[t] * spin[u] * scale) for u in out for t in out] for out in attach]
-        entries = [(p + (u, u), p + (t, t), c) for p, (_, end) in zip(paths, where) for u, t, c in bounces[end]]
+        # Vertex -> (u u, t t, coefficient) for u, then t, attachable there: one product each.
+        bounces = [
+            [(encode_path((u, u)), encode_path((t, t)), spin[t] * spin[u] * scale) for u in out for t in out]
+            for out in attach
+        ]
+        entries = [(p + uu, p + tt, c) for p, (_, end) in zip(paths, where) for uu, tt, c in bounces[end]]
         return PlanarElement._normal(k + 2, *_integer_rows(entries))
 
     def shift_prefixes(self, base: int) -> list[tuple[int, int, int]]:

@@ -27,7 +27,7 @@ from .errors import (
     PlanarAlgError,
     ValidationError,
 )
-from .graph import BipartiteGraph, Loop, PlanarElement
+from .graph import BipartiteGraph, Loop, PlanarElement, check_path_ids, decode_path, encode_path
 from .markov import analyze
 from .radical import RadicalScalar
 
@@ -227,15 +227,18 @@ def act_loop(auto: GraphAutomorphism, loop: Loop) -> Loop:
 def act(auto: GraphAutomorphism, x: PlanarElement) -> PlanarElement:
     """Linear extension of the edgewise loop action, degree-preserving: an
     algebra automorphism for a graph automorphism."""
-    perm_a, edge = auto.perm_a, auto.perm_e.__getitem__
-    return x.relabel(x.degree, lambda p: [(perm_a[p[0]], *map(edge, p[1:]))])
+    check_path_ids(len(auto.perm_a), len(auto.perm_e))
+    a, e = encode_path(auto.perm_a), encode_path(auto.perm_e)
+    return x.relabel(x.degree, lambda p: [a[ord(p[0])] + p[1:].translate(e)])
 
 
 def reynolds(group: GroupAction, x: PlanarElement) -> PlanarElement:
     """Group averaging: the exact projection onto the fixed space, in one
     pass that sends each path to its images under all group elements."""
-    maps = [(h.perm_a, h.perm_e.__getitem__) for h in group.elements]
-    images = x.relabel(x.degree, lambda p: [(a[p[0]], *map(e, p[1:])) for a, e in maps])
+    g = group.graph
+    check_path_ids(g.num_a, len(g.edges))
+    maps = [(encode_path(h.perm_a), encode_path(h.perm_e)) for h in group.elements]
+    images = x.relabel(x.degree, lambda p: [a[ord(p[0])] + p[1:].translate(e) for a, e in maps])
     return images.scaled(Fraction(1, group.order))
 
 
@@ -251,14 +254,14 @@ def fixed_space_basis(group: GroupAction, k: int) -> list[PlanarElement]:
     rows = g.rows(k)
     paths = rows.paths
     index = {p: r for r, p in enumerate(paths)}
-    maps = [(h.perm_a, h.perm_e.__getitem__) for h in group.elements]
-    images = [[index[(a[p[0]], *map(e, p[1:]))] for p in paths] for a, e in maps]
+    maps = [(encode_path(h.perm_a), encode_path(h.perm_e)) for h in group.elements]
+    images = [[index[a[ord(p[0])] + p[1:].translate(e)] for p in paths] for a, e in maps]
     basis, seen = [], set()
     for t, key in enumerate(rows.where):
         for s in rows.classes[key]:
             if (t, s) not in seen:
                 seen.update([(im[t], im[s]) for im in images])
-                first = Loop(paths[t][0], paths[t][1:] + paths[s][:0:-1])
+                first = Loop(ord(paths[t][0]), decode_path(paths[t][1:] + paths[s][:0:-1]))
                 basis.append(PlanarElement(k, {act_loop(h, first): one for h in group.elements}))
     return basis
 

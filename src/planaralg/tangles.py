@@ -34,7 +34,7 @@ import re
 from typing import NamedTuple, Sequence
 
 from .errors import DegreeMismatchError, TangleProgramError, ValidationError
-from .graph import BipartiteGraph, PlanarElement
+from .graph import BipartiteGraph, PlanarElement, check_path_ids, encode_path
 from .radical import RadicalScalar, sum_scalars
 
 _STEP_RE = re.compile(r"^([1MIJUE])(\d+)$")
@@ -51,16 +51,21 @@ def multiply(x: PlanarElement, y: PlanarElement) -> PlanarElement:
 
 def include(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
     """Unital algebra morphism from degree k to degree k+1."""
-    attach = g.step(x.degree).attach
-    # Every path of a block ends at the block's endpoint.
-    return x.relabel(x.degree + 1, lambda p: [p + (e,) for e in attach[g.path_end(p[0], p[1:])]])
+    check_path_ids(g.num_a, len(g.edges))
+    k = x.degree
+    attach = [encode_path(out) for out in g.step(k).attach]
+    # The vertex that a path's last code point reaches; every path of a
+    # block ends at the block's endpoint.
+    ends = g.step(k - 1).end if k else range(g.num_a)
+    return x.relabel(k + 1, lambda p: [p + e for e in attach[ends[ord(p[-1])]]])
 
 
 def shift(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
     """Injective unital algebra morphism from degree k to degree k+2."""
-    prefixes = [g.shift_prefixes(base) for base in range(g.num_a)]
+    check_path_ids(g.num_a, len(g.edges))
+    prefixes = [[encode_path(t) for t in g.shift_prefixes(base)] for base in range(g.num_a)]
     # The same prefix on both rows, at a new base; no two terms meet.
-    return x.relabel(x.degree + 2, lambda p: [prefix + p[1:] for prefix in prefixes[p[0]]])
+    return x.relabel(x.degree + 2, lambda p: [prefix + p[1:] for prefix in prefixes[ord(p[0])]])
 
 
 def expect(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from planaralg import BipartiteGraph, Loop, PlanarElement, RadicalScalar, identity_automorphism
+from planaralg.graph import decode_path
 
 Terms = dict[Loop, RadicalScalar]
 
@@ -168,6 +169,12 @@ def raw_group(g, gens) -> RawGroup:
     return RawGroup(g, tuple(gens), tuple(sorted(elements)))
 
 
+def path_ids(g, k: int) -> list[tuple[int, ...]]:
+    """The graph's based paths of length k, `g.rows(k).paths` in id order,
+    each as the int tuple (base, e1, ..., ek)."""
+    return [decode_path(p) for p in g.rows(k).paths]
+
+
 def row_images(group, k: int) -> list[list[int]]:
     """The ids of the images of the graph's rows of degree k under the group
     elements, images[element][row], built by induction on the degree: a row
@@ -180,7 +187,7 @@ def row_images(group, k: int) -> list[list[int]]:
     images = [h.perm_a for h in group.elements]
     parents = {(b,): b for b in range(g.num_a)}
     for d in range(1, k + 1):
-        paths = g.rows(d).paths
+        paths = path_ids(g, d)
         ids = {(parents[p[:-1]], p[-1]): r for r, p in enumerate(paths)}
         images = [[ids[im[r], h.perm_e[f]] for r, f in ids] for im, h in zip(images, group.elements)]
         parents = {p: r for r, p in enumerate(paths)}

@@ -57,7 +57,7 @@ MUTATIONS = (
     Mutation("store-pair-undivided", GRAPH, "(e[0], e[1] // g)", "(e[0], e[1])", (T("elements"),)),
     Mutation("compose-ignores-key-factor", GRAPH, "n1 *= factor", "n1 *= 1", (T("elements"), T("tangles"))),
     Mutation("add-scales-by-left-denominator", GRAPH, "scale = den // part._den", "scale = den // self._den", (T("elements"),)),
-    Mutation("terms-bottom-unreversed", GRAPH, "tail = row[:0:-1]", "tail = row[1:]", (T("elements"), T("graph"))),
+    Mutation("terms-bottom-unreversed", GRAPH, "tail = ord(row[0]), row[:0:-1]", "tail = ord(row[0]), row[1:]", (T("elements"), T("graph"))),
     Mutation(
         "eq-ignores-denominator",
         GRAPH,
@@ -74,8 +74,21 @@ MUTATIONS = (
         "for col, n in _pairs(entries)]",
         (T("elements"), T("tangles")),
     ),
+    Mutation("contract-reads-second-last", GRAPH, "last = row[-1]", "last = row[-2]", (T("elements"), T("tangles"))),
     Mutation("shared-table-per-call", GRAPH, "shared = _SHARED\n", "shared = {}\n", (T("elements"),)),
     Mutation("shares-paths-not-numerators", GRAPH, "[col] = shared.setdefault(n, n)", "[col] = n", (T("elements"),)),
+    # -- the path encoding -----------------------------------------------------
+    Mutation("init-bottom-unreversed", GRAPH, "ids[0] + ids[:degree:-1]", "ids[0] + ids[degree + 1 :]", (T("elements"),)),
+    Mutation("encode-path-unchecked", GRAPH, "except (TypeError, ValueError, OverflowError):", "except ():", (T("elements"),)),
+    Mutation("rows-no-id-check", GRAPH, "        check_path_ids(self.num_a, len(self.edges))\n", "", (T("elements"),)),
+    Mutation("include-prepends-edge", TANGLES, "[p + e for e in attach", "[e + p for e in attach", (T("elements"), T("tangles"))),
+    Mutation(
+        "act-translates-base",
+        SYMMETRY,
+        "lambda p: [a[ord(p[0])] + p[1:].translate(e)])",
+        "lambda p: [p.translate(e)])",
+        (T("symmetry"), T("elements")),
+    ),
     Mutation("loop-make-unchecked", GRAPH, "def _make(cls, values) -> Loop:\n        return cls(*values)", "def _make(cls, values) -> Loop:\n        return tuple.__new__(cls, values)", (T("records"),)),
     # -- the graph: spins, steps and paths -------------------------------------
     Mutation(
@@ -116,7 +129,7 @@ MUTATIONS = (
         "",
         (T("graph"),),
     ),
-    Mutation("paths-from-other-bases", GRAPH, "if p[0] == base]", "if p[0] <= base]", (T("graph"),)),
+    Mutation("paths-from-other-bases", GRAPH, "if ord(p[0]) == base]", "if ord(p[0]) <= base]", (T("graph"),)),
     Mutation(
         "iter-loops-pairs-every-row",
         GRAPH,
@@ -133,7 +146,7 @@ MUTATIONS = (
         (T("tangles"), T("symmetry")),
     ),
     # -- generators ----------------------------------------------------------
-    Mutation("include-wrong-direction", TANGLES, "attach = g.step(x.degree).attach", "attach = g.step(x.degree + 1).attach", (T("tangles"),)),
+    Mutation("include-wrong-direction", TANGLES, "for out in g.step(k).attach]", "for out in g.step(k + 1).attach]", (T("tangles"),)),
     Mutation("expect-wrong-weights", TANGLES, "g.step(x.degree - 1).spin_sq", "g.step(x.degree).spin_sq", (T("tangles"),)),
     Mutation(
         "far-commute-embeds-from-scratch",
@@ -192,8 +205,8 @@ MUTATIONS = (
     Mutation(
         "act-ignores-perm-a",
         SYMMETRY,
-        "lambda p: [(perm_a[p[0]], *map(edge, p[1:]))]",
-        "lambda p: [(p[0], *map(edge, p[1:]))]",
+        "lambda p: [a[ord(p[0])] + p[1:].translate(e)])",
+        "lambda p: [p[0] + p[1:].translate(e)])",
         (T("symmetry"), T("elements")),
     ),
     Mutation(

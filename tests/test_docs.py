@@ -1,12 +1,13 @@
 """Documentation references to tests name tests that exist, private names
 in code spans name code that exists, graph names in code spans name
-attributes of a graph, cited sections of documents exist, links to
+attributes of a graph and bare calls name code or notation, cited sections of documents exist, links to
 documents resolve, the README lists every document and its library tour
 runs."""
 
 from __future__ import annotations
 
 import ast
+import builtins
 import os
 import re
 import subprocess
@@ -32,6 +33,11 @@ PRIVATE_NAME = re.compile(r"(?<!\w)_\w+")
 # The name after `g.`, `graph.` or `BipartiteGraph.` in a span; a file name
 # such as `graph.py` or `src/planaralg/graph.py` names no attribute.
 GRAPH_NAME = re.compile(r"(?<![\w./])(?:g|graph|BipartiteGraph)\.(?!py\b)(\w+)")
+# A bare call in a span: a name right before "(", not after a dot, such as
+# `edges_down(dst d)`; and a document's notation block, the first fenced
+# block after its "Notation" heading or paragraph.
+BARE_CALL = re.compile(r"(?<![\w.])([A-Za-z_]\w*)\(")
+NOTATION = re.compile(r"^(?:## \d+\. |\*\*)Notation\b.*?^```\n(.*?)^```", re.MULTILINE | re.DOTALL)
 # A cited section: "docs/<name>.md, section N", "[<name>.md](<name>.md) §N" or
 # "section N of docs/<name>.md"; in a document, a bare "section N" or "§N"
 # cites that document.  "sections N and M" and "§§N, M and P" cite each number.
@@ -116,16 +122,23 @@ def test_private_names_in_documents_exist():
 def test_graph_names_in_documents_exist():
     # A backticked `g.step(pos)`, `graph.unit` or `BipartiteGraph.rows(k)` in
     # docs/*.md or the README names an attribute of a built graph, so a
-    # renamed or removed graph method fails here.
+    # renamed or removed graph method fails here.  A bare call such as
+    # `edges_down(dst d)` names a builtin, code in src/ or tests/, or
+    # notation listed in the document's notation block, so a removed method
+    # named without `g.` fails here too.
     g = build_graph(corpus_entry("C-in-C2").inclusion())
-    found = [
-        (doc.name, name)
-        for doc in [*sorted((ROOT / "docs").glob("*.md")), ROOT / "README.md"]
-        for span in CODE_SPAN.findall(FENCE.sub("", doc.read_text(encoding="utf-8")))
-        for name in GRAPH_NAME.findall(span)
-    ]
-    assert len(found) >= 10
+    defined = defined_anywhere([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py")]) | set(dir(builtins))
+    found, calls = [], []
+    for doc in [*sorted((ROOT / "docs").glob("*.md")), ROOT / "README.md"]:
+        text = doc.read_text(encoding="utf-8")
+        block = NOTATION.search(text)
+        notation = set(BARE_CALL.findall(block.group(1))) if block else set()
+        for span in CODE_SPAN.findall(FENCE.sub("", text)):
+            found += [(doc.name, name) for name in GRAPH_NAME.findall(span)]
+            calls += [(doc.name, name) for name in BARE_CALL.findall(span) if name not in notation]
+    assert len(found) >= 10 and len(calls) >= 10
     assert [(doc, name) for doc, name in found if not hasattr(g, name)] == []
+    assert [(doc, name) for doc, name in calls if name not in defined] == []
 
 
 def cited_sections() -> list[tuple[str, str | None, int]]:

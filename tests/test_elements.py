@@ -23,17 +23,21 @@ from planaralg import (
     Loop,
     PlanarElement,
     RadicalScalar,
+    ResourceLimitError,
+    ValidationError,
     act,
     close_group,
     expect,
+    fixed_space_basis,
     include,
     jones_projection,
+    jones_projection_raw,
     make_automorphism,
     reynolds,
     shift,
     trace,
 )
-from planaralg.graph import Step
+from planaralg.graph import CODE_POINTS, Step
 from conftest import corpus_entry
 
 MARKOV_GRAPHS = ("C-in-C2", "C-in-C3", "C2-in-M2", "C-in-C2xM2")
@@ -105,22 +109,22 @@ def random_element(rng: random.Random, loops, pool, degree: int) -> PlanarElemen
 
 def assert_normal(x: PlanarElement) -> None:
     """The stored normal form: positive denominator, based paths of the
-    element's degree, nonzero integer numerators, one-entry rows as pairs,
-    no empty row or key, and no factor common to the denominator and every
-    numerator."""
+    element's degree as `str` keys whose columns share their row's base code
+    point, nonzero integer numerators, one-entry rows as pairs, no empty row
+    or key, and no factor common to the denominator and every numerator."""
     assert type(x._den) is int and x._den > 0
     values = []
     for rows in x._num.values():
         assert rows
         for row, entries in rows.items():
-            assert len(row) == x.degree + 1
+            assert type(row) is str and len(row) == x.degree + 1
             # A one-entry row is a bare (column, numerator) pair.
             if type(entries) is tuple:
                 entries = dict([entries])
             else:
                 assert type(entries) is dict and len(entries) > 1
             for col, n in entries.items():
-                assert len(col) == x.degree + 1 and col[0] == row[0]
+                assert type(col) is str and len(col) == x.degree + 1 and col[0] == row[0]
                 assert type(n) is int and n != 0
                 values.append(n)
     assert gcd(x._den, *values) == 1
@@ -266,6 +270,139 @@ def test_act_merges_colliding_images(graphs):
     squash = GraphAutomorphism((0,), (0, 1, 2), (0, 1, 2, 2))
     x = PlanarElement(1, {Loop(0, (2, 2)): 1, Loop(0, (3, 3)): -1, Loop(0, (0, 0)): 5})
     assert act(squash, x) == PlanarElement(1, {Loop(0, (0, 0)): 5})
+
+
+def widened(g, bases, edges) -> BipartiteGraph:
+    """A copy of g, assembled without `__init__`, whose lower vertex i is
+    bases[i] and whose edge e is edges[e] (both ascending), with isolated
+    lower vertices and unused edge ids in between and the same spins: the
+    graph that `include`, `shift`, `expect` and the oracle read."""
+    w = object.__new__(BipartiteGraph)
+    w.num_a, w.num_b = max(bases) + 1, g.num_b
+    width = max(edges) + 1
+
+    def by_edge(values, fill=None) -> tuple:
+        """Edge id -> value, fill at the unused ids."""
+        column = [fill] * width
+        for f, value in enumerate(values):
+            column[edges[f]] = value
+        return tuple(column)
+
+    w.edges = by_edge(Edge(edges[e.id], bases[e.src], e.dst) for e in g.edges)
+    up, down = g.step(0), g.step(1)
+    lower = [()] * w.num_a
+    for i, out in enumerate(up.attach):
+        lower[bases[i]] = tuple(edges[f] for f in out)
+    upper = tuple(tuple(edges[f] for f in out) for out in down.attach)
+    # `contract_last` reads the denominators of every squared spin.
+    one = RadicalScalar.one()
+    w._steps = (
+        Step(tuple(lower), by_edge(up.end), by_edge(up.spin), by_edge(up.spin_sq, one)),
+        Step(upper, by_edge(bases[v] for v in down.end), by_edge(down.spin), by_edge(down.spin_sq, one)),
+    )
+    return w
+
+
+def widen(x: PlanarElement, bases, edges) -> PlanarElement:
+    """The element of the widened graph with the terms of x."""
+    return PlanarElement(
+        x.degree, {Loop(bases[l.base], tuple(edges[e] for e in l.edges)): c for l, c in x.terms.items()}
+    )
+
+
+def widen_map(auto: GraphAutomorphism, w, bases, edges) -> GraphAutomorphism:
+    """The vertex and edge maps of auto on the widened graph's ids, the
+    identity on the ids in between."""
+    perm_a, perm_e = list(range(w.num_a)), list(range(len(w.edges)))
+    for i, image in enumerate(auto.perm_a):
+        perm_a[bases[i]] = bases[image]
+    for f, image in enumerate(auto.perm_e):
+        perm_e[edges[f]] = edges[image]
+    return GraphAutomorphism(tuple(perm_a), auto.perm_b, tuple(perm_e))
+
+
+# Ids of 256 and more, so that paths are two- and four-byte strings, and
+# edge ids in 0xD800-0xDFFF, so that they hold lone surrogate code points.
+# (`shift` reads every lower vertex, so the bases stay below 0x200.)
+WIDE = (
+    ("C2-in-M2", (0x100, 0x1FF), (0x100, 0xDFFF), [([1, 0], [0], [1, 0])]),
+    ("C-in-C2xM2", (0x17F,), (0x100, 0xD800, 0xDBFF, 0x10000), [([0], [1, 0, 2], [1, 0, 2, 3]), ([0], [0, 1, 2], [0, 1, 3, 2])]),
+)
+
+
+@pytest.mark.parametrize(("name", "bases", "edges", "autos"), WIDE, ids=[w[0] for w in WIDE])
+def test_wide_ids_match_oracle(graphs, name, bases, edges, autos):
+    g = graphs(name)
+    w = widened(g, bases, edges)
+    autos = [widen_map(make_automorphism(g, *auto), w, bases, edges) for auto in autos]
+    for k, rng, parts in cases(g, radical_pool(g), degrees=(0, 1, 2, 3)):
+        x, y, z = (widen(e, bases, edges) for e in parts)
+        rx, ry, rz = (oracle.RefElement.of(e) for e in (x, y, z))
+        agree(x * y, rx * ry)
+        agree(x * y * z - z, rx * ry * rz - rz)
+        agree(include(w, x), oracle.include(w, rx))
+        if k <= 2:
+            agree(shift(w, x), oracle.shift(w, rx))
+        if k >= 1:
+            agree(expect(w, x + y), oracle.expect(w, rx + ry))
+        for auto in [*autos, widen_map(raw_maps(rng, g, 1)[0], w, bases, edges)]:
+            agree(act(auto, x - y), oracle.act(auto, rx - ry))
+
+
+@pytest.mark.parametrize(
+    "loop",
+    [
+        Loop(0, (-1, -1)),
+        Loop(-1, ()),
+        Loop(0, (1.5, 1.5)),
+        Loop(0, ("a", "a")),
+        Loop(0, (CODE_POINTS, 0)),
+        Loop(CODE_POINTS, ()),
+        Loop(0, (1 << 70, 0)),
+    ],
+    ids=["negative-edge", "negative-base", "float", "str", "past-code-points", "base-past-code-points", "huge"],
+)
+def test_refuses_ids_that_are_not_code_points(loop):
+    with pytest.raises(ValidationError, match="path ids must be integers"):
+        PlanarElement(loop.degree, {loop: 1})
+
+
+def test_surrogate_and_largest_code_points_are_ids():
+    # Graph-less products over bases and edges at the ends of the range.
+    top = CODE_POINTS - 1
+    loops = [Loop(b, (e, f)) for b in (0xD800, top) for e in (0xDFFF, top) for f in (0xDFFF, top)]
+    x = PlanarElement(1, {loop: i + 1 for i, loop in enumerate(loops)})
+    y = PlanarElement(1, {loop: 2 - i for i, loop in enumerate(loops)})
+    agree(x * y, oracle.RefElement.of(x) * oracle.RefElement.of(y))
+    assert x.terms[Loop(top, (top, top))] == 8
+
+
+@pytest.mark.parametrize("too_many", ["num_a", "edges"])
+def test_refuses_graphs_past_the_code_points(too_many):
+    # Assembled without `__init__` and never walked: rows(k) and every
+    # element builder refuse before they read a vertex or an edge.
+    g = object.__new__(BipartiteGraph)
+    g.num_a, g.edges, g.gamma = 1, (), RadicalScalar.one()
+    setattr(g, too_many, range(CODE_POINTS + 1) if too_many == "edges" else CODE_POINTS + 1)
+    x = PlanarElement(1, {Loop(0, (0, 0)): 1})
+    group = oracle.RawGroup(g, (), ())
+    builders = [
+        lambda: g.rows(2),
+        lambda: g.paths_from(0, 2),
+        lambda: g.enumerate_loops(2),
+        lambda: g.unit(2),
+        lambda: g.cup_cap(0, RadicalScalar.one()),
+        lambda: jones_projection(g, 0),
+        lambda: jones_projection_raw(g, 0),
+        lambda: include(g, x),
+        lambda: shift(g, x),
+        lambda: reynolds(group, x),
+        lambda: fixed_space_basis(group, 2),
+        lambda: act(GraphAutomorphism(range(g.num_a), (), range(len(g.edges))), x),
+    ]
+    for build in builders:
+        with pytest.raises(ResourceLimitError, match=f"{CODE_POINTS + 1} vertices or edges"):
+            build()
 
 
 @pytest.mark.parametrize("name", MARKOV_GRAPHS)

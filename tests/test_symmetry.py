@@ -1221,8 +1221,7 @@ def loop_walk_report(group, kmax: int, backward: bool = False):
     closure, equivariance = [], []
     for k in range(kmax + 1):
         classes = {}
-        table = g.rows(k)
-        for r, key in zip(table.paths, table.where):
+        for r, key in zip(oracle.path_ids(g, k), g.rows(k).where):
             classes.setdefault(key, []).append(r)
         rows = [r for rs in classes.values() for r in rs]
         attach = g.step(k).attach
@@ -2012,8 +2011,7 @@ def _stabilizer_moves_a_row(group, k: int) -> bool:
     the same base and endpoint, so the row count needs stabilisers."""
     g = group.graph
     classes = {}
-    table = g.rows(k)
-    for r, key in zip(table.paths, table.where):
+    for r, key in zip(oracle.path_ids(g, k), g.rows(k).where):
         classes.setdefault(key, []).append(r)
     for rows in classes.values():
         for h in group.elements:
