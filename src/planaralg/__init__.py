@@ -36,8 +36,8 @@ _EXPORTS = {
         " is_centrally_ergodic make_automorphism reynolds verify_planar_subalgebra"
     ),
     "tangles": (
-        "RelationCheck TangleProgram TangleStep expect identity include jones_projection"
-        " jones_projection_raw multiply run_program shift trace verify_temperley_lieb"
+        "RelationCheck TangleProgram TangleStep expect include jones_projection"
+        " jones_projection_raw run_program shift trace verify_temperley_lieb"
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

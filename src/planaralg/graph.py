@@ -213,10 +213,6 @@ class PlanarElement:
         return _store(_new(cls), degree, den, num)
 
     @classmethod
-    def zero(cls, degree: int) -> PlanarElement:
-        return cls(degree)
-
-    @classmethod
     def basis(cls, loop: Loop) -> PlanarElement:
         return cls(loop.degree, {loop: RadicalScalar.one()})
 
@@ -232,9 +228,6 @@ class PlanarElement:
 
     def is_zero(self) -> bool:
         return not self._num
-
-    def support(self) -> list[Loop]:
-        return sorted(self.terms)
 
     def coefficient(self, loop: Loop) -> RadicalScalar:
         return self.terms.get(loop, RadicalScalar.zero())
@@ -467,13 +460,18 @@ class BipartiteGraph:
         inv_gamma = self.gamma.invert()
         sums = ([RadicalScalar.zero()] * self.num_a, [RadicalScalar.zero()] * self.num_b)
         edges, spins = [], []
+        # Vertex -> ids of the edges leaving it, filled in ascending id order.
+        ups, downs = [[] for _ in range(self.num_a)], [[] for _ in range(self.num_b)]
         for i, row in enumerate(inclusion.m):
             for j, count in enumerate(row):
                 if count:
                     up_sq = RadicalScalar.from_rational(Fraction(inclusion.b[j], inclusion.a[i])) * inv_gamma
                     up, down_sq = up_sq.sqrt(), up_sq.invert()
                     spins += [(up, up_sq, up.invert(), down_sq)] * count
-                    edges += [Edge(len(edges) + c, i, j) for c in range(count)]
+                    ids = range(len(edges), len(edges) + count)
+                    edges += [Edge(e, i, j) for e in ids]
+                    ups[i] += ids
+                    downs[j] += ids
                     sums[0][i] += up_sq * count
                     sums[1][j] += down_sq * count
         # Jones's condition, exactly: the squared spins out of each vertex sum
@@ -484,11 +482,9 @@ class BipartiteGraph:
                     raise EigenvectorViolationError(f"{side} vertex {v}: squared spins sum to {total}, not gamma")
         self.edges = tuple(edges)
         up, up_sq, down, down_sq = zip(*spins)
-        ups = tuple(tuple(e.id for e in edges if e.src == i) for i in range(self.num_a))
-        downs = tuple(tuple(e.id for e in edges if e.dst == j) for j in range(self.num_b))
         self._steps = (
-            Step(ups, tuple(e.dst for e in edges), up, up_sq),
-            Step(downs, tuple(e.src for e in edges), down, down_sq),
+            Step(tuple(map(tuple, ups)), tuple(e.dst for e in edges), up, up_sq),
+            Step(tuple(map(tuple, downs)), tuple(e.src for e in edges), down, down_sq),
         )
 
     @property
@@ -514,9 +510,6 @@ class BipartiteGraph:
     def edges_up(self, i: int) -> tuple[int, ...]:
         """Ids of edges leaving lower vertex i, ascending."""
         return self._steps[0].attach[i]
-
-    def edges_between(self, i: int, j: int) -> tuple[int, ...]:
-        return tuple(e for e in self.edges_up(i) if self.edges[e].dst == j)
 
     def spin_factor(self, eid: int, direction: SpinDirection) -> RadicalScalar:
         """Spin of traversing an edge: up is sqrt(top weight / bottom weight),

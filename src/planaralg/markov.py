@@ -16,7 +16,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import cached_property
-from itertools import count, islice
+from itertools import chain, count, islice
 from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple, Sequence
 
 from .errors import NotAbelianError, NotMarkovError, ResourceLimitError, ValidationError
@@ -261,8 +261,13 @@ def path_counts(inc: InclusionData) -> Iterator[list[list[int]]]:
 
 
 def loop_space_dims(inc: InclusionData) -> Iterator[int]:
-    """Loop space dimensions of degree 0, 1, 2, ...: sums of squared path counts."""
-    return (sum(n * n for row in counts for n in row) for counts in path_counts(inc))
+    """Loop space dimensions of degree 0, 1, 2, ...: the lower vertex count,
+    then sums of squared path counts.  For k >= 1 that sum is trace (m m^t)^k
+    = trace (m^t m)^k, so the paths are counted from the side with fewer
+    vertices, and no matrix is wider than that side."""
+    small = inc if inc.rows <= inc.cols else InclusionData(inc.b, tuple(zip(*inc.m)))
+    squares = (sum(n * n for row in counts for n in row) for counts in path_counts(small))
+    return chain([inc.rows], islice(squares, 1, None))
 
 
 def loop_space_dim(inc: InclusionData, k: int) -> int:

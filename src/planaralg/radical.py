@@ -349,9 +349,6 @@ class RadicalScalar:
     def terms(self) -> dict[RadicalKey, Fraction]:
         return {k: Fraction(n, self._den) for k, n in self._num.items()}
 
-    def is_zero(self) -> bool:
-        return not self._num
-
     def is_rational(self) -> bool:
         return not self._num or (len(self._num) == 1 and () in self._num)
 

@@ -83,15 +83,16 @@ def make_automorphism(
             raise InvalidAutomorphismError(
                 "graph has parallel edges; perm_e must be given explicitly"
             )
+        between = {(edge.src, edge.dst): edge.id for edge in g.edges}  # (lower, upper) -> its one edge
         derived = []
         for edge in g.edges:
-            images = g.edges_between(perm_a[edge.src], perm_b[edge.dst])
-            if not images:
+            image = between.get((perm_a[edge.src], perm_b[edge.dst]))
+            if image is None:
                 raise InvalidAutomorphismError(
                     f"vertex permutations send edge {edge.id} to the pair "
                     f"(a{perm_a[edge.src]}, b{perm_b[edge.dst]}) which has no edge"
                 )
-            derived.append(images[0])
+            derived.append(image)
         perm_e = tuple(derived)
     else:
         perm_e = tuple(perm_e)
@@ -246,9 +247,10 @@ def fixed_space_basis(group: GroupAction, k: int) -> list[PlanarElement]:
     """Unnormalized orbit sums of degree-k loops, in canonical order of each
     orbit's first loop: a basis of the fixed space.  Each element's image of
     each row is looked up among the graph's paths of length k, walked once
-    per call, and the pairs of row ids are walked in the order of
-    iter_loops, skipping the pairs that an earlier orbit holds
-    (docs/closure-multiply-and-burnside.md, sections 1 and 2).  It keeps
+    per call, and the pairs of row ids (top, bottom) are walked in the order
+    of iter_loops, skipping the pairs that an earlier orbit holds; the
+    images of a new pair are its orbit, and each of them is one loop of the
+    sum (docs/closure-multiply-and-burnside.md, sections 1 and 2).  It keeps
     nothing on the group."""
     g, one = group.graph, RadicalScalar.one()
     rows = g.rows(k)
@@ -260,9 +262,10 @@ def fixed_space_basis(group: GroupAction, k: int) -> list[PlanarElement]:
     for t, key in enumerate(rows.where):
         for s in rows.classes[key]:
             if (t, s) not in seen:
-                seen.update([(im[t], im[s]) for im in images])
-                first = Loop(ord(paths[t][0]), decode_path(paths[t][1:] + paths[s][:0:-1]))
-                basis.append(PlanarElement(k, {act_loop(h, first): one for h in group.elements}))
+                orbit = {(im[t], im[s]) for im in images}
+                seen |= orbit
+                loops = (Loop(ord(paths[u][0]), decode_path(paths[u][1:] + paths[v][:0:-1])) for u, v in orbit)
+                basis.append(PlanarElement(k, dict.fromkeys(loops, one)))
     return basis
 
 

@@ -4,7 +4,7 @@ Everything here is linear in each loop argument, so the definitions are
 given on basis loops written as (top row / bottom row), both rows read as
 paths out of the base:
 
-  multiply          glue two boxes: left top row must equal right bottom
+  x * y             glue two boxes: left top row must equal right bottom
                     row; keeps left bottom and right top.
   include           append one extra through-string at the right: every
                     edge attachable at the common endpoint of the two rows
@@ -31,22 +31,14 @@ of closed circles; running a program multiplies by eigenvalue^circles.
 from __future__ import annotations
 
 import re
+from functools import cache
 from typing import NamedTuple, Sequence
 
 from .errors import DegreeMismatchError, TangleProgramError, ValidationError
-from .graph import BipartiteGraph, PlanarElement, check_path_ids, encode_path
+from .graph import BipartiteGraph, Path, PlanarElement, check_path_ids, encode_path
 from .radical import RadicalScalar, sum_scalars
 
 _STEP_RE = re.compile(r"^([1MIJUE])(\d+)$")
-
-
-def identity(x: PlanarElement) -> PlanarElement:
-    return x
-
-
-def multiply(x: PlanarElement, y: PlanarElement) -> PlanarElement:
-    """Box gluing; same as x * y."""
-    return x * y
 
 
 def include(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
@@ -63,9 +55,14 @@ def include(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
 def shift(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
     """Injective unital algebra morphism from degree k to degree k+2."""
     check_path_ids(g.num_a, len(g.edges))
-    prefixes = [[encode_path(t) for t in g.shift_prefixes(base)] for base in range(g.num_a)]
+
+    @cache
+    def prefixes(base: str) -> list[Path]:
+        """The encoded prefixes at a base code point, built on first use."""
+        return [encode_path(t) for t in g.shift_prefixes(ord(base))]
+
     # The same prefix on both rows, at a new base; no two terms meet.
-    return x.relabel(x.degree + 2, lambda p: [prefix + p[1:] for prefix in prefixes[ord(p[0])]])
+    return x.relabel(x.degree + 2, lambda p: [prefix + p[1:] for prefix in prefixes(p[0])])
 
 
 def expect(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
@@ -119,12 +116,6 @@ class TangleStep(NamedTuple("TangleStep", [("tag", str), ("k", int)])):
         if self.tag == "E":
             return None
         return self.k + 1 if self.tag == "U" else self.k
-
-    @property
-    def output_degree(self) -> int:
-        return {"1": self.k, "M": self.k, "I": self.k + 1, "J": self.k + 2, "U": self.k, "E": self.k + 2}[
-            self.tag
-        ]
 
     def __str__(self) -> str:
         return f"{self.tag}{self.k}"

@@ -110,17 +110,18 @@ MUTATIONS = (
     Mutation(
         "down-step-reads-up-spins",
         GRAPH,
-        "Step(downs, tuple(e.src for e in edges), down, down_sq)",
-        "Step(downs, tuple(e.src for e in edges), down, up_sq)",
+        "tuple(e.src for e in edges), down, down_sq)",
+        "tuple(e.src for e in edges), down, up_sq)",
         (T("graph"), T("tangles")),
     ),
     Mutation(
         "down-attach-descending",
         GRAPH,
-        "tuple(e.id for e in edges if e.dst == j) for",
-        "tuple(e.id for e in edges if e.dst == j)[::-1] for",
+        "Step(tuple(map(tuple, downs)),",
+        "Step(tuple(tuple(d[::-1]) for d in downs),",
         (T("graph"),),
     ),
+    Mutation("down-attach-from-lower-end", GRAPH, "downs[j] += ids", "downs[i % self.num_b] += ids", (T("graph"),)),
     Mutation("rows-classes-descending", GRAPH, "key=lambda r: paths[r][:0:-1])", "key=lambda r: paths[r][:0:-1], reverse=True)", (T("graph"), T("symmetry"))),
     Mutation(
         "paths-from-no-base-check",
@@ -146,6 +147,13 @@ MUTATIONS = (
         (T("tangles"), T("symmetry")),
     ),
     # -- generators ----------------------------------------------------------
+    Mutation(
+        "shift-prefixes-keyed-by-last",
+        TANGLES,
+        "for prefix in prefixes(p[0])]",
+        "for prefix in prefixes(p[-1])]",
+        (T("elements"), T("tangles")),
+    ),
     Mutation("include-wrong-direction", TANGLES, "for out in g.step(k).attach]", "for out in g.step(k + 1).attach]", (T("tangles"),)),
     Mutation("expect-wrong-weights", TANGLES, "g.step(x.degree - 1).spin_sq", "g.step(x.degree).spin_sq", (T("tangles"),)),
     Mutation(
@@ -178,6 +186,20 @@ MUTATIONS = (
         SYMMETRY,
         "    steps = (g.step(0), g.step(1))\n",
         "    paths, where, classes = g.rows(0)\n    steps = (g.step(0), g.step(1))\n",
+        (T("symmetry"),),
+    ),
+    Mutation(
+        "basis-orbit-top-bottom-swapped",
+        SYMMETRY,
+        "paths[v][:0:-1])) for u, v in orbit)",
+        "paths[v][:0:-1])) for v, u in orbit)",
+        (T("symmetry"),),
+    ),
+    Mutation(
+        "perm-e-keyed-upper-lower",
+        SYMMETRY,
+        "between = {(edge.src, edge.dst): edge.id",
+        "between = {(edge.dst, edge.src): edge.id",
         (T("symmetry"),),
     ),
     Mutation("basis-walks-rows-twice", SYMMETRY, "    rows = g.rows(k)\n", "    rows = g.rows(k)\n    rows = g.rows(k)\n", (T("symmetry"),)),
@@ -232,6 +254,14 @@ MUTATIONS = (
         "def _make(cls, values) -> InclusionData:\n        return tuple.__new__(cls, values)",
         (T("records"),),
     ),
+    Mutation(
+        "loop-dims-from-larger-side",
+        MARKOV,
+        "small = inc if inc.rows <= inc.cols else",
+        "small = inc if inc.rows >= inc.cols else",
+        (T("cli"),),
+    ),
+    Mutation("loop-dims-degree-0-other-side", MARKOV, "chain([inc.rows],", "chain([small.rows],", (T("graph"), T("markov"))),
     Mutation("b-plain-property", MARKOV, "    @cached_property\n    def b(self)", "    @property\n    def b(self)", (T("markov"),)),
     Mutation(
         "tower-classifies-again",

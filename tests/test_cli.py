@@ -218,6 +218,24 @@ class TestDims:
         assert json.loads(capsys.readouterr().out)["dims"] == [2**k for k in range(13)]
         assert len(yielded) == 13
 
+    def test_counts_paths_from_the_smaller_side(self, write_inclusion, capsys, monkeypatch):
+        # Work property, not timing: on C^N in M_N the budget counts paths
+        # from the one upper vertex, so its first path-count matrix is 1 x 1,
+        # not N x N, and degree 0 still counts the N lower vertices.
+        n, shapes = 64, []
+        counts = markov.path_counts
+
+        def recording(inc):
+            for p in counts(inc):
+                shapes.append((len(p), len(p[0])))
+                yield p
+
+        monkeypatch.setattr(markov, "path_counts", recording)
+        document = write_inclusion("C64-in-M64", {"a": [1] * n, "m": [[1]] * n})
+        assert main(["dims", "--input", document, "--kmax", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["dims"] == [n, n, n**2, n**3]
+        assert shapes == [(1, 1), (1, n), (1, 1), (1, n)]
+
     def test_negative_kmax(self, write_inclusion, capsys):
         assert main(["dims", "--input", write_inclusion("C-in-C2"), "--kmax", "-1"]) == 2
 

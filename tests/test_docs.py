@@ -1,13 +1,15 @@
 """Documentation references to tests name tests that exist, private names
 in code spans name code that exists, graph names in code spans name
-attributes of a graph and bare calls name code or notation, cited sections of documents exist, links to
-documents resolve, the README lists every document and its library tour
-runs."""
+attributes of a graph, bare calls and code names name code or notation,
+names written with a public owner are its attributes, cited sections of
+documents exist, links to documents resolve, the README lists every
+document and its library tour runs."""
 
 from __future__ import annotations
 
 import ast
 import builtins
+import importlib
 import os
 import re
 import subprocess
@@ -38,6 +40,15 @@ GRAPH_NAME = re.compile(r"(?<![\w./])(?:g|graph|BipartiteGraph)\.(?!py\b)(\w+)")
 # block after its "Notation" heading or paragraph.
 BARE_CALL = re.compile(r"(?<![\w.])([A-Za-z_]\w*)\(")
 NOTATION = re.compile(r"^(?:## \d+\. |\*\*)Notation\b.*?^```\n(.*?)^```", re.MULTILINE | re.DOTALL)
+# A name in a span, not after a slash or a hyphen and not the stem of a file
+# name; it is a code name, such as `is_valid_loop` or the one in
+# `step.output_degree`, when it has two or more "_"-separated parts of two or
+# more characters, where math notation such as `S_k` or `sum_i` has at most
+# one.
+NAME = re.compile(r"(?<![\w/-])([A-Za-z_]\w*)(?!\w*\.(?:py|md|json)\b)")
+# `Owner.name` in a span, such as `PlanarElement.support()` or
+# `tangles.multiply`, not after a dot or a slash and not a file name.
+QUALIFIED = re.compile(r"(?<![\w./])(\w+)\.(?!py\b)(\w+)")
 # A cited section: "docs/<name>.md, section N", "[<name>.md](<name>.md) §N" or
 # "section N of docs/<name>.md"; in a document, a bare "section N" or "§N"
 # cites that document.  "sections N and M" and "§§N, M and P" cite each number.
@@ -47,6 +58,10 @@ CITATION = re.compile(
     r"(?:\s+of\s+[`\[]*(?:docs/)?(?P<after>[\w-]+\.md))?"
 )
 HEADING = re.compile(r"^## (\d+)\.", re.MULTILINE)
+
+
+def is_code_name(name: str) -> bool:
+    return sum(len(part) >= 2 for part in name.split("_")) >= 2
 
 
 def references() -> list[tuple[str, str, str, str | None]]:
@@ -123,12 +138,13 @@ def test_graph_names_in_documents_exist():
     # A backticked `g.step(pos)`, `graph.unit` or `BipartiteGraph.rows(k)` in
     # docs/*.md or the README names an attribute of a built graph, so a
     # renamed or removed graph method fails here.  A bare call such as
-    # `edges_down(dst d)` names a builtin, code in src/ or tests/, or
-    # notation listed in the document's notation block, so a removed method
-    # named without `g.` fails here too.
+    # `edges_down(dst d)` and a code name such as `is_valid_loop` name a
+    # builtin, code in src/ or tests/, or notation listed in the document's
+    # notation block, so a removed method named without `g.`, with or
+    # without its parentheses, fails here too.
     g = build_graph(corpus_entry("C-in-C2").inclusion())
     defined = defined_anywhere([*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py")]) | set(dir(builtins))
-    found, calls = [], []
+    found, calls, names = [], [], []
     for doc in [*sorted((ROOT / "docs").glob("*.md")), ROOT / "README.md"]:
         text = doc.read_text(encoding="utf-8")
         block = NOTATION.search(text)
@@ -136,9 +152,33 @@ def test_graph_names_in_documents_exist():
         for span in CODE_SPAN.findall(FENCE.sub("", text)):
             found += [(doc.name, name) for name in GRAPH_NAME.findall(span)]
             calls += [(doc.name, name) for name in BARE_CALL.findall(span) if name not in notation]
-    assert len(found) >= 10 and len(calls) >= 10
+            names += [(doc.name, name) for name in NAME.findall(span) if is_code_name(name) and name not in notation]
+    assert len(found) >= 10 and len(calls) >= 10 and len(names) >= 100
     assert [(doc, name) for doc, name in found if not hasattr(g, name)] == []
-    assert [(doc, name) for doc, name in calls if name not in defined] == []
+    assert [(doc, name) for doc, name in calls + names if name not in defined] == []
+
+
+def test_qualified_names_in_documents_exist():
+    # A backticked `PlanarElement.support()` or `tangles.multiply` in
+    # docs/*.md or the README, whose owner is a public name of the package
+    # or one of its modules, names an attribute of that owner, so a removed
+    # reader written with its owner fails here even when another class
+    # defines the same name.  A graph's names are read on a built graph by
+    # the test above.
+    owners = {name: getattr(planaralg, name) for name in planaralg.__all__ if name != "BipartiteGraph"}
+    owners.update(
+        (name, importlib.import_module(f"planaralg.{name}"))
+        for name in ("cli", "errors", "markov", "radical", "symmetry", "tangles")
+    )
+    found = [
+        (doc.name, owner, name)
+        for doc in [*sorted((ROOT / "docs").glob("*.md")), ROOT / "README.md"]
+        for span in CODE_SPAN.findall(FENCE.sub("", doc.read_text(encoding="utf-8")))
+        for owner, name in QUALIFIED.findall(span)
+        if owner in owners
+    ]
+    assert len(found) >= 5
+    assert [(doc, owner, name) for doc, owner, name in found if not hasattr(owners[owner], name)] == []
 
 
 def cited_sections() -> list[tuple[str, str | None, int]]:

@@ -1,5 +1,6 @@
 """The frozen record types: constructor, repr, equality, hash, immutability
-and validation messages, pinned independently of how the types are built."""
+and validation messages, pinned independently of how the types are built,
+and the messages that refuse a negative degree."""
 
 from __future__ import annotations
 
@@ -23,10 +24,15 @@ from planaralg import (
     TangleProgram,
     TangleStep,
     ValidationError,
+    build_graph,
     jones_projection,
+    jones_projection_raw,
+    jones_tower,
+    loop_space_dim,
+    relative_commutant_dims,
 )
 from planaralg.symmetry import SubalgebraCheck
-from conftest import MARKOV_CORPUS
+from conftest import MARKOV_CORPUS, corpus_entry
 
 
 def _report(passed: bool) -> SubalgebraReport:
@@ -144,7 +150,7 @@ def test_exact_values_copy_and_pickle(graphs, name):
     g = graphs(name)
     projection = jones_projection(g, 1)
     scalars = [g.gamma, g.gamma.invert(), RadicalScalar.zero(), *projection.terms.values()]
-    for x in scalars + [projection, PlanarElement.zero(2)]:
+    for x in scalars + [projection, PlanarElement(2)]:
         for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
             assert type(y) is type(x) and y == x and repr(y) == repr(x)
             if isinstance(x, RadicalScalar):
@@ -219,6 +225,27 @@ def test_tangle_records_print_as_programs():
     ],
 )
 def test_validation_messages(build, message):
+    with pytest.raises(ValidationError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+C_IN_C2 = corpus_entry("C-in-C2").inclusion()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: PlanarElement(-1), "degree must be nonnegative"),
+        (lambda: jones_projection(build_graph(C_IN_C2), -1), "k must be nonnegative"),
+        (lambda: jones_projection_raw(build_graph(C_IN_C2), -1), "k must be nonnegative"),
+        (lambda: jones_tower(C_IN_C2, -1), "depth must be nonnegative"),
+        (lambda: relative_commutant_dims(C_IN_C2, -1, "AA"), "k must be nonnegative"),
+        (lambda: loop_space_dim(C_IN_C2, -1), "k must be nonnegative"),
+    ],
+    ids=["PlanarElement", "jones_projection", "jones_projection_raw", "jones_tower", "relative_commutant_dims", "loop_space_dim"],
+)
+def test_negative_degrees_are_refused(build, message):
     with pytest.raises(ValidationError) as caught:
         build()
     assert str(caught.value) == message
