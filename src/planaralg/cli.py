@@ -135,20 +135,14 @@ def cmd_analyze(args) -> int:
         "abelian": report.is_abelian,
         "index_violation": report.index_violation,
         "dims": {
-            "a_blocks": list(inc.a.blocks),
-            "b_blocks": list(inc.b.blocks),
+            "a_blocks": list(inc.a),
+            "b_blocks": list(inc.b),
             "dim_a": inc.a.total_dim,
             "dim_b": inc.b.total_dim,
         },
         "trace_weights": {
-            "a": [
-                {"exact": str(w), "value": float(w)}
-                for w in canonical_trace_weights(inc.a)
-            ],
-            "b": [
-                {"exact": str(w), "value": float(w)}
-                for w in canonical_trace_weights(inc.b)
-            ],
+            side: [{"exact": str(w), "value": float(w)} for w in canonical_trace_weights(dims)]
+            for side, dims in (("a", inc.a), ("b", inc.b))
         },
         "word_norms": [],
     }
@@ -184,9 +178,9 @@ def cmd_tower(args) -> int:
         levels.append(
             {
                 "k": k,
-                "a_blocks": list(a_k.blocks),
+                "a_blocks": list(a_k),
                 "a_dim": a_k.total_dim,
-                "b_blocks": list(b_k.blocks),
+                "b_blocks": list(b_k),
                 "b_dim": b_k.total_dim,
                 "b_tilde_blocks": [r**k] * inc.cols,
             }

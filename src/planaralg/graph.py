@@ -229,9 +229,6 @@ class PlanarElement:
     def is_zero(self) -> bool:
         return not self._num
 
-    def coefficient(self, loop: Loop) -> RadicalScalar:
-        return self.terms.get(loop, RadicalScalar.zero())
-
     def __add__(self, other) -> PlanarElement:
         if not isinstance(other, PlanarElement):
             return NotImplemented

@@ -47,12 +47,7 @@ class AlgebraDims(tuple):
         return tuple.__new__(cls, blocks)
 
     def __repr__(self) -> str:
-        return f"AlgebraDims(blocks={self.blocks!r})"
-
-    @property
-    def blocks(self) -> tuple[int, ...]:
-        """The blocks as a plain tuple, which prints without the type name."""
-        return tuple(self)
+        return f"AlgebraDims(blocks={tuple(self)!r})"
 
     @property
     def total_dim(self) -> int:
@@ -191,7 +186,7 @@ def markov_index(inc: InclusionData) -> int:
     """The integer index of a Markov inclusion; NotMarkov otherwise."""
     report = analyze(inc)
     if not report.is_markov:
-        raise NotMarkovError(f"inclusion a={inc.a.blocks}, m={inc.m} is not Markov")
+        raise NotMarkovError(f"inclusion a={tuple(inc.a)}, m={inc.m} is not Markov")
     if report.r.denominator != 1:
         raise NotMarkovError(f"Markov ratio {report.r} is not an integer")
     return int(report.r)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from numbers import Integral
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import (
     GroupTooLargeError,
@@ -27,7 +27,7 @@ from .errors import (
     PlanarAlgError,
     ValidationError,
 )
-from .graph import BipartiteGraph, Loop, PlanarElement, check_path_ids, decode_path, encode_path
+from .graph import BipartiteGraph, Loop, Path, PlanarElement, check_path_ids, encode_path
 from .markov import analyze
 from .radical import RadicalScalar
 
@@ -225,12 +225,20 @@ def act_loop(auto: GraphAutomorphism, loop: Loop) -> Loop:
     return tuple.__new__(Loop, (auto.perm_a[loop[0]], tuple(map(auto.perm_e.__getitem__, loop[1]))))
 
 
+def _path_images(elements) -> Callable[[Path], list[Path]]:
+    """The map that sends a based path to its images under the elements, in
+    order: the base through perm_a, each edge through perm_e."""
+    maps = []
+    for h in elements:
+        check_path_ids(len(h.perm_a), len(h.perm_e))
+        maps.append((encode_path(h.perm_a), encode_path(h.perm_e)))
+    return lambda p: [a[ord(p[0])] + p[1:].translate(e) for a, e in maps]
+
+
 def act(auto: GraphAutomorphism, x: PlanarElement) -> PlanarElement:
     """Linear extension of the edgewise loop action, degree-preserving: an
     algebra automorphism for a graph automorphism."""
-    check_path_ids(len(auto.perm_a), len(auto.perm_e))
-    a, e = encode_path(auto.perm_a), encode_path(auto.perm_e)
-    return x.relabel(x.degree, lambda p: [a[ord(p[0])] + p[1:].translate(e)])
+    return x.relabel(x.degree, _path_images((auto,)))
 
 
 def reynolds(group: GroupAction, x: PlanarElement) -> PlanarElement:
@@ -238,34 +246,23 @@ def reynolds(group: GroupAction, x: PlanarElement) -> PlanarElement:
     pass that sends each path to its images under all group elements."""
     g = group.graph
     check_path_ids(g.num_a, len(g.edges))
-    maps = [(encode_path(h.perm_a), encode_path(h.perm_e)) for h in group.elements]
-    images = x.relabel(x.degree, lambda p: [a[ord(p[0])] + p[1:].translate(e) for a, e in maps])
-    return images.scaled(Fraction(1, group.order))
+    return x.relabel(x.degree, _path_images(group.elements)).scaled(Fraction(1, group.order))
 
 
 def fixed_space_basis(group: GroupAction, k: int) -> list[PlanarElement]:
     """Unnormalized orbit sums of degree-k loops, in canonical order of each
-    orbit's first loop: a basis of the fixed space.  Each element's image of
-    each row is looked up among the graph's paths of length k, walked once
-    per call, and the pairs of row ids (top, bottom) are walked in the order
-    of iter_loops, skipping the pairs that an earlier orbit holds; the
-    images of a new pair are its orbit, and each of them is one loop of the
-    sum (docs/closure-multiply-and-burnside.md, sections 1 and 2).  It keeps
-    nothing on the group."""
-    g, one = group.graph, RadicalScalar.one()
-    rows = g.rows(k)
-    paths = rows.paths
-    index = {p: r for r, p in enumerate(paths)}
-    maps = [(encode_path(h.perm_a), encode_path(h.perm_e)) for h in group.elements]
-    images = [[index[a[ord(p[0])] + p[1:].translate(e)] for p in paths] for a, e in maps]
+    orbit's first loop: a basis of the fixed space.  The loops are walked
+    in the order of iter_loops, and each loop that no earlier orbit holds
+    starts a new orbit, its images under the group elements, each of them
+    one loop of the sum (docs/closure-multiply-and-burnside.md, sections 1
+    and 2).  It keeps nothing on the group."""
+    one = RadicalScalar.one()
     basis, seen = [], set()
-    for t, key in enumerate(rows.where):
-        for s in rows.classes[key]:
-            if (t, s) not in seen:
-                orbit = {(im[t], im[s]) for im in images}
-                seen |= orbit
-                loops = (Loop(ord(paths[u][0]), decode_path(paths[u][1:] + paths[v][:0:-1])) for u, v in orbit)
-                basis.append(PlanarElement(k, dict.fromkeys(loops, one)))
+    for loop in group.graph.iter_loops(k):
+        if loop not in seen:
+            orbit = {act_loop(h, loop) for h in group.elements}
+            seen |= orbit
+            basis.append(PlanarElement(k, dict.fromkeys(orbit, one)))
     return basis
 
 

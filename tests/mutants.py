@@ -85,8 +85,8 @@ MUTATIONS = (
     Mutation(
         "act-translates-base",
         SYMMETRY,
-        "lambda p: [a[ord(p[0])] + p[1:].translate(e)])",
-        "lambda p: [p.translate(e)])",
+        "[a[ord(p[0])] + p[1:].translate(e) for a, e in maps]",
+        "[p.translate(e) for a, e in maps]",
         (T("symmetry"), T("elements")),
     ),
     Mutation("loop-make-unchecked", GRAPH, "def _make(cls, values) -> Loop:\n        return cls(*values)", "def _make(cls, values) -> Loop:\n        return tuple.__new__(cls, values)", (T("records"),)),
@@ -191,10 +191,18 @@ MUTATIONS = (
     Mutation(
         "basis-orbit-top-bottom-swapped",
         SYMMETRY,
-        "paths[v][:0:-1])) for u, v in orbit)",
-        "paths[v][:0:-1])) for v, u in orbit)",
+        "{act_loop(h, loop) for h in group.elements}",
+        "{act_loop(h, Loop.from_paths(loop.base, loop.bottom(), loop.top())) for h in group.elements}",
         (T("symmetry"),),
     ),
+    Mutation(
+        "basis-orbit-from-generators",
+        SYMMETRY,
+        "{act_loop(h, loop) for h in group.elements}",
+        "{act_loop(h, loop) for h in group.generators}",
+        (T("symmetry"),),
+    ),
+    Mutation("basis-seen-not-updated", SYMMETRY, "            seen |= orbit\n", "", (T("symmetry"),)),
     Mutation(
         "perm-e-keyed-upper-lower",
         SYMMETRY,
@@ -202,7 +210,13 @@ MUTATIONS = (
         "between = {(edge.dst, edge.src): edge.id",
         (T("symmetry"),),
     ),
-    Mutation("basis-walks-rows-twice", SYMMETRY, "    rows = g.rows(k)\n", "    rows = g.rows(k)\n    rows = g.rows(k)\n", (T("symmetry"),)),
+    Mutation(
+        "basis-walks-rows-twice",
+        SYMMETRY,
+        "    for loop in group.graph.iter_loops(k):\n",
+        "    list(group.graph.iter_loops(k))\n    for loop in group.graph.iter_loops(k):\n",
+        (T("symmetry"),),
+    ),
     Mutation(
         "verifier-reads-rows",
         SYMMETRY,
@@ -227,10 +241,18 @@ MUTATIONS = (
     Mutation(
         "act-ignores-perm-a",
         SYMMETRY,
-        "lambda p: [a[ord(p[0])] + p[1:].translate(e)])",
-        "lambda p: [p[0] + p[1:].translate(e)])",
+        "[a[ord(p[0])] + p[1:].translate(e) for a, e in maps]",
+        "[p[0] + p[1:].translate(e) for a, e in maps]",
         (T("symmetry"), T("elements")),
     ),
+    Mutation(
+        "path-images-first-element-only",
+        SYMMETRY,
+        "p[1:].translate(e) for a, e in maps]",
+        "p[1:].translate(e) for a, e in maps[:1]]",
+        (T("symmetry"),),
+    ),
+    Mutation("reynolds-no-graph-check", SYMMETRY, "    check_path_ids(g.num_a, len(g.edges))\n", "", (T("elements"),)),
     Mutation(
         "group-copy-drops-generators",
         SYMMETRY,

@@ -213,9 +213,9 @@ def test_criterion_8_tower_consistency():
         tower = jones_tower(inc, 4)
         r = int(entry.r)
         for k in range(5):
-            assert relative_commutant_dims(inc, k, "AA").blocks == tower[2 * k].blocks
-            assert relative_commutant_dims(inc, k, "AB").blocks == tower[2 * k + 1].blocks
-            assert relative_commutant_dims(inc, k, "BB").blocks == (r**k,) * inc.cols
+            assert relative_commutant_dims(inc, k, "AA") == tower[2 * k]
+            assert relative_commutant_dims(inc, k, "AB") == tower[2 * k + 1]
+            assert relative_commutant_dims(inc, k, "BB") == (r**k,) * inc.cols
     _finish(8, "tower dimensions and commutant formulas agree", started, 1.0)
 
 

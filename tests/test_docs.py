@@ -1,9 +1,10 @@
 """Documentation references to tests name tests that exist, private names
 in code spans name code that exists, graph names in code spans name
 attributes of a graph, bare calls and code names name code or notation,
-names written with a public owner are its attributes, cited sections of
-documents exist, links to documents resolve, the README lists every
-document and its library tour runs."""
+names written with a public owner are its attributes, one-word names after
+a dot are attributes of a class or module of the package or of a builtin
+type, cited sections of documents exist, links to documents resolve, the
+README lists every document and its library tour runs."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import ast
 import builtins
 import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -58,6 +60,10 @@ CITATION = re.compile(
     r"(?:\s+of\s+[`\[]*(?:docs/)?(?P<after>[\w-]+\.md))?"
 )
 HEADING = re.compile(r"^## (\d+)\.", re.MULTILINE)
+# A name of two or more characters right after a dot in a span, such as the
+# one in `x.support()` or `rows(k).paths`, not a file extension; one letter
+# after a dot is notation, such as `x.f` or `sigma.x`.
+AFTER_DOT = re.compile(r"(?<=[\w)\]]\.)(?!(?:py|md|json)\b)([A-Za-z_]\w+)")
 
 
 def is_code_name(name: str) -> bool:
@@ -179,6 +185,35 @@ def test_qualified_names_in_documents_exist():
     ]
     assert len(found) >= 5
     assert [(doc, owner, name) for doc, owner, name in found if not hasattr(owners[owner], name)] == []
+
+
+def test_one_word_names_after_a_dot_are_attributes():
+    # A one-word name after a dot, such as `x.support()` or `dims.blocks`,
+    # is an attribute of a public class or module of the package or of a
+    # builtin type, so a removed method read through a variable fails here,
+    # even where a parameter or a test variable has its name.  Code names,
+    # such as `x.is_zero()`, are checked by the name test above.
+    modules = [
+        importlib.import_module(f"planaralg.{m.name}")
+        for m in pkgutil.iter_modules(planaralg.__path__)
+        if m.name != "__main__"
+    ]
+    owners = [planaralg, *modules, *(v for v in vars(builtins).values() if isinstance(v, type))]
+    owners += [
+        value
+        for module in modules
+        for name, value in vars(module).items()
+        if isinstance(value, type) and not name.startswith("_") and value.__module__.startswith("planaralg")
+    ]
+    found = [
+        (doc.name, name)
+        for doc in [*sorted((ROOT / "docs").glob("*.md")), ROOT / "README.md"]
+        for span in CODE_SPAN.findall(FENCE.sub("", doc.read_text(encoding="utf-8")))
+        for name in AFTER_DOT.findall(span)
+        if not is_code_name(name)
+    ]
+    assert len(found) >= 20
+    assert [(doc, name) for doc, name in found if not any(hasattr(owner, name) for owner in owners)] == []
 
 
 def cited_sections() -> list[tuple[str, str | None, int]]:

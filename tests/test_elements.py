@@ -138,8 +138,6 @@ def agree(x: PlanarElement, ref: oracle.RefElement) -> None:
     assert x.degree == ref.degree
     assert x.terms == ref.terms
     assert x.is_zero() == (not ref.terms)
-    for loop, coeff in ref.terms.items():
-        assert x.coefficient(loop) == coeff
     # Equality is the comparison of stored forms; it must match the terms.
     assert x == PlanarElement(x.degree, ref.terms)
 

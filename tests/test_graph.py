@@ -529,13 +529,13 @@ class TestElementAlgebra:
         b = PlanarElement.basis(Loop(0, (1, 1)))
         assert (a + b) - b == a
         assert a + (-a) == PlanarElement(1)
-        assert (a - b).coefficient(Loop(0, (1, 1))) == RadicalScalar.from_rational(-1)
+        assert (a - b).terms[Loop(0, (1, 1))] == RadicalScalar.from_rational(-1)
 
     def test_scaling(self):
         a = PlanarElement.basis(Loop(0, (0, 0)))
         assert 2 * a == a + a
         assert a.scaled(Fraction(1, 2)) + a.scaled(Fraction(1, 2)) == a
-        assert (a * sqrt_of_int(2)).coefficient(Loop(0, (0, 0))) == sqrt_of_int(2)
+        assert (a * sqrt_of_int(2)).terms[Loop(0, (0, 0))] == sqrt_of_int(2)
 
     def test_matrix_unit_product(self):
         # On the parallel-edge graph the degree-1 loops are the four matrix

@@ -1,0 +1,68 @@
+"""Tensor products of corpus inclusions: the index and the loop dimensions
+multiply, and the flip of the two factors of A ⊗ A fixes (d_k^2 + d_k) / 2
+loops in degree k, d_k the loop dimension of A (ROADMAP item 14)."""
+
+from __future__ import annotations
+
+from collections import Counter
+from itertools import islice
+
+from planaralg import (
+    NotMarkovError,
+    analyze,
+    build_graph,
+    close_group,
+    fixed_dims_report,
+    fixed_space_basis,
+    markov_index,
+)
+from planaralg.cli import DEFAULT_LOOP_LIMIT
+from planaralg.markov import loop_space_dims
+from conftest import CORPUS, MARKOV_CORPUS
+from products import flip, tensor_inclusion
+
+# The flip's orbit sums are formed where A ⊗ A has at most this many loops;
+# C-in-M3 ⊗ C-in-M3 has 531,441 in degree 3.
+BASIS_LOOPS = 10_000
+
+
+def test_index_and_loop_dimensions_multiply():
+    # Over every ordered pair of corpus inclusions: the product is Markov
+    # exactly when both factors are, with the product of their ratios.
+    outcomes = Counter()
+    for first in CORPUS:
+        for second in CORPUS:
+            inc = tensor_inclusion(first.inclusion(), second.inclusion())
+            factors = zip(loop_space_dims(first.inclusion()), loop_space_dims(second.inclusion()))
+            assert list(islice(loop_space_dims(inc), 4)) == [x * y for x, y in islice(factors, 4)]
+            report = analyze(inc)
+            assert (report.is_markov, report.r) == (first.markov and second.markov, first.r * second.r)
+            try:
+                assert markov_index(inc) == first.r * second.r
+                outcomes["markov"] += 1
+            except NotMarkovError:
+                outcomes["refused"] += 1
+    assert outcomes == {"markov": 121, "refused": 75}
+
+
+def test_flip_fixes_the_symmetric_pairs_of_loops():
+    # The flip sends the loop (l, l') of A ⊗ A to (l', l): it fixes the d_k
+    # loops (l, l), and its other orbits are pairs.  Burnside's count holds
+    # at every degree 0-3, all under the CLI's default loop budget, and the
+    # orbit sums, formed where A ⊗ A has at most BASIS_LOOPS loops, are d_k
+    # single loops and (d_k^2 - d_k) / 2 pairs.
+    outcomes = Counter()
+    for entry in MARKOV_CORPUS:
+        inc = entry.inclusion()
+        g = build_graph(tensor_inclusion(inc, inc))
+        group = close_group(g, [flip(g, inc)])
+        fixed = fixed_dims_report(group, 3)
+        for k, d in enumerate(islice(loop_space_dims(inc), 4)):
+            assert d * d <= DEFAULT_LOOP_LIMIT and fixed[k] == (d * d + d) // 2
+            if d * d > BASIS_LOOPS:
+                outcomes["count only"] += 1
+                continue
+            sizes = Counter(len(x.terms) for x in fixed_space_basis(group, k))
+            assert sizes == Counter({1: d, 2: (d * d - d) // 2})
+            outcomes["basis"] += 1
+    assert outcomes == {"basis": 39, "count only": 5}

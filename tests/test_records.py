@@ -1,6 +1,7 @@
 """The frozen record types: constructor, repr, equality, hash, immutability
 and validation messages, pinned independently of how the types are built,
-and the messages that refuse a negative degree."""
+and the messages that refuse a negative degree; the exact values' refusals
+of assignment and of operands of another type."""
 
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ RECORDS = {
         lambda: AlgebraDims([1, 2]),
         lambda: AlgebraDims([2, 1]),
         "AlgebraDims(blocks=(1, 2))",
-        "blocks",
+        "total_dim",
     ),
     "InclusionData": (
         lambda: InclusionData([1, 1], [[1, 0], [1, 2]]),
@@ -222,6 +223,8 @@ def test_tangle_records_print_as_programs():
         # Past the interpreter's int-to-str digit limit.
         (lambda: TangleProgram.parse("I" + "9" * 5000), "program step subscript has too many digits"),
         (lambda: RadicalScalar.parse("1 * " + "7" * 5000 + "^(1/4)"), "radical factor has too many digits"),
+        (lambda: RadicalScalar.parse("1 + * 2^(1/4)"), "empty term in scalar text: '1 + * 2^(1/4)'"),
+        (lambda: RadicalScalar.parse(""), "empty term in scalar text: ''"),
     ],
 )
 def test_validation_messages(build, message):
@@ -249,3 +252,50 @@ def test_negative_degrees_are_refused(build, message):
     with pytest.raises(ValidationError) as caught:
         build()
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("value", [PlanarElement.basis(Loop(0, (0, 0))), RadicalScalar.parse("2 * 3^(2/4)")])
+def test_exact_values_are_immutable(value):
+    for name in (*value.__slots__, "note"):
+        with pytest.raises(AttributeError, match=f"^{type(value).__name__} is immutable$"):
+            setattr(value, name, 1)
+
+
+def _outcome(apply, value):
+    """apply(value), or TypeError when it raises that."""
+    try:
+        return apply(value)
+    except TypeError:
+        return TypeError
+
+
+# (the method that returns NotImplemented for a str, an expression that calls it)
+ELEMENT_REFUSALS = {
+    "__add__": lambda x: x + "a",
+    "__sub__": lambda x: x - "a",
+    "__mul__": lambda x: x * "a",
+    "__rmul__": lambda x: "a" * x,
+    "__eq__": lambda x: x == "a",
+}
+SCALAR_REFUSALS = {
+    "__add__": lambda x: x + "a",
+    "__sub__": lambda x: x - "a",
+    "__rsub__": lambda x: "a" - x,
+    "__mul__": lambda x: x * "a",
+    "__pow__": lambda x: x ** "a",
+    "__eq__": lambda x: x == "a",
+}
+
+
+@pytest.mark.parametrize("method", sorted(ELEMENT_REFUSALS))
+def test_element_operators_refuse_other_operands(method):
+    x = PlanarElement.basis(Loop(0, (0, 0)))
+    assert getattr(x, method)("a") is NotImplemented
+    assert _outcome(ELEMENT_REFUSALS[method], x) is (False if method == "__eq__" else TypeError)
+
+
+@pytest.mark.parametrize("method", sorted(SCALAR_REFUSALS))
+def test_scalar_operators_refuse_other_operands(method):
+    x = RadicalScalar.parse("2 * 3^(2/4)")
+    assert getattr(x, method)("a") is NotImplemented
+    assert _outcome(SCALAR_REFUSALS[method], x) is (False if method == "__eq__" else TypeError)

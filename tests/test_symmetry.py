@@ -1172,9 +1172,10 @@ def element_closure(group, kmax: int) -> list[SubalgebraCheck]:
 def loop_orbit_images(group, k: int, backward: bool = False):
     """For each degree-k orbit, in canonical order of its first loop, the
     images of that loop under the group elements, in element order: the
-    walk over `iter_loops` that fixed_space_basis must reproduce.  With
-    `backward`, the walk runs over `iter_loops` reversed, and meets the same
-    orbits in another order."""
+    walk over `iter_loops` that fixed_space_basis makes too, so the basis
+    is checked by `assert_orbit_sum_basis` instead.  With `backward`, the
+    walk runs over `iter_loops` reversed, and meets the same orbits in
+    another order."""
     seen = set()
     loops = list(group.graph.iter_loops(k))
     for loop in reversed(loops) if backward else loops:
@@ -1281,28 +1282,58 @@ def _sorted_reprs(elements) -> list[str]:
     return sorted(map(repr, elements))
 
 
+def assert_orbit_sum_basis(group, k: int) -> None:
+    """The properties that determine fixed_space_basis(group, k) without
+    `act_loop`: each sum has coefficients one and is fixed by the path-level
+    `act` of every generator, so its support is a union of orbits; the
+    supports partition the loops, and there are as many as Burnside's count
+    of orbits, so each is one orbit; and their first loops come in the
+    order of `iter_loops`."""
+    basis, loops = fixed_space_basis(group, k), list(group.graph.iter_loops(k))
+    one = RadicalScalar.one()
+    assert all(c == one for x in basis for c in x.terms.values())
+    assert all(act(gen, x) == x for gen in group.generators for x in basis)
+    supports = [set(x.terms) for x in basis]
+    assert sum(map(len, supports)) == len(loops) and set().union(*supports) == set(loops)
+    assert len(basis) == fixed_dims_report(group, k)[k]
+    position = {loop: i for i, loop in enumerate(loops)}
+    firsts = [min(map(position.__getitem__, support)) for support in supports]
+    assert firsts == sorted(firsts)
+
+
 class TestRowIdWalk:
     @staticmethod
     def _agree(group, kmax: int, backward: bool = False) -> SubalgebraReport:
         report = verify_planar_subalgebra(group, kmax)
         assert report == loop_walk_report(group, kmax, backward)
         for k in range(kmax + 1):
-            basis, walked = fixed_space_basis(group, k), loop_walk_basis(group, k, backward)
             if backward:
-                # The same orbits, met in another order.
-                basis, walked = _sorted_reprs(basis), _sorted_reprs(walked)
-            assert basis == walked
+                # The same orbits as the loop walk meets in another order.
+                assert _sorted_reprs(fixed_space_basis(group, k)) == _sorted_reprs(loop_walk_basis(group, k, True))
+            else:
+                assert_orbit_sum_basis(group, k)
         return report
 
     def test_matches_loop_walk_on_closure_cases(self, graphs):
-        passed = [c.passed for group, kmax in _closure_cases(graphs) for c in self._agree(group, kmax).checks]
-        assert len(passed) >= 1000 and all(passed)
+        reports = [self._agree(group, kmax) for group, kmax in _closure_cases(graphs)]
+        passed = [c.passed for report in reports for c in report.checks]
+        assert len(reports) == 141 and len(passed) >= 1000 and all(passed)
 
     def test_matches_loop_walk_backwards_on_closure_cases(self, graphs):
         # The verifier walks no loops; the oracle walking them backwards
         # meets every orbit of a group all the same.
-        passed = [c.passed for group, kmax in _closure_cases(graphs) for c in self._agree(group, kmax, True).checks]
-        assert len(passed) >= 1000 and all(passed)
+        reports = [self._agree(group, kmax, True) for group, kmax in _closure_cases(graphs)]
+        passed = [c.passed for report in reports for c in report.checks]
+        assert len(reports) == 141 and len(passed) >= 1000 and all(passed)
+
+    def test_orbit_sums_on_seeded_automorphism_groups(self, graphs):
+        # Below each graph's kmax: C-in-M3 has 6,561 loops of degree 4.
+        cases = 0
+        for group, kmax in _seeded_automorphism_groups(graphs, 20095, 40):
+            for k in range(kmax):
+                assert_orbit_sum_basis(group, k)
+            cases += 1
+        assert cases == 40
 
     def test_matches_loop_walk_on_raw_generators(self, graphs):
         # Every single raw generator of central-C2-in-M2xM2, the graph where
