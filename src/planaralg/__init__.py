@@ -26,8 +26,7 @@ _EXPORTS = {
     "graph": "BipartiteGraph Edge Loop PlanarElement build_graph",
     "markov": (
         "AlgebraDims InclusionData MarkovReport analyze basic_construction"
-        " canonical_trace_weights jones_tower loop_space_dim markov_index"
-        " relative_commutant_dims word_norm"
+        " canonical_trace_weights jones_tower loop_space_dim markov_index word_norm"
     ),
     "radical": "RadicalScalar sqrt_of_int sum_scalars",
     "symmetry": (

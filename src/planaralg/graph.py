@@ -523,11 +523,6 @@ class BipartiteGraph:
 
     # -- paths and loops ------------------------------------------------------
 
-    def path_end(self, base: int, path: tuple[int, ...]) -> int:
-        """Endpoint vertex index of an alternating path out of a lower vertex:
-        a lower index for even lengths, an upper index for odd lengths."""
-        return self.step(len(path) - 1).end[path[-1]] if path else base
-
     def rows(self, k: int) -> PathTable:
         """The based paths of length k as `Path` strings, walked anew on
         every call: those of length k + 1 are those of length k in id order,
@@ -598,20 +593,6 @@ class BipartiteGraph:
 
     def point(self, i: int) -> Loop:
         return Loop(i, ())
-
-    def render_loop(self, loop: Loop) -> str:
-        """Human-readable walk: "a0 -e1-> b2 -e0-> a1 ..."."""
-        parts = [f"a{loop.base}"]
-        for pos, eid in enumerate(loop.edges):
-            edge = self.edges[eid]
-            target = f"b{edge.dst}" if pos % 2 == 0 else f"a{edge.src}"
-            parts.append(f"-e{eid}-> {target}")
-        return " ".join(parts)
-
-    def render_element(self, x: PlanarElement) -> list[str]:
-        """One line per term, canonical loop order."""
-        terms = x.terms
-        return [f"({terms[l]}) * {self.render_loop(l)}" for l in sorted(terms)]
 
 
 def build_graph(inc: InclusionData) -> BipartiteGraph:

@@ -5,9 +5,11 @@ algebra and a nonnegative integer inclusion matrix; the block dimensions of
 the big algebra are derived, never supplied.  The module classifies
 inclusions (Markov condition, integer index, centrality of the small
 algebra), reflects them through the basic construction, iterates the tower,
-reports relative commutant dimensions in the central case, and checks the
-spectral norms of alternating words in the inclusion matrix against the
-exact index powers.
+counts the loop space dimensions as closed walks of the Gram matrix F F^t
+on the smaller side of a multiplicity matrix F (the one counter of the
+inclusion's loops and of each fixed subgraph's), and checks the spectral
+norms of alternating words in the inclusion matrix against the exact index
+powers.
 """
 
 from __future__ import annotations
@@ -16,15 +18,14 @@ import math
 import sys
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, count, islice
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple, Sequence
 
-from .errors import NotAbelianError, NotMarkovError, ResourceLimitError, ValidationError
+from .errors import NotMarkovError, ResourceLimitError, ValidationError
 
 if TYPE_CHECKING:
     from .radical import RadicalScalar
 
-CommutantFlavor = Literal["AA", "AB", "BA", "BB"]
 WordStart = Literal["m", "mt"]
 
 POWER_ITERATIONS = 200
@@ -218,51 +219,51 @@ def jones_tower(inc: InclusionData, depth: int, *, r: int | None = None) -> list
     return [AlgebraDims(tuple(r**k * n for n in dims)) for k in range(depth + 1) for dims in sides]
 
 
-def relative_commutant_dims(inc: InclusionData, k: int, flavor: CommutantFlavor) -> AlgebraDims:
-    """Block dimensions of the k-th relative commutant in the tower.
-
-    Requires the small algebra central in the big one; then the commutants
-    are full corners of the tower algebras:
-      AA, BA -> blocks of A_k (index scales every block of A),
-      AB     -> blocks of B_k,
-      BB     -> the center of B scaled by the index power (one block per
-                big-side block, each of dimension r^k).
-    """
-    if k < 0:
-        raise ValidationError("k must be nonnegative")
-    if flavor not in ("AA", "AB", "BA", "BB"):
-        raise ValidationError(f"unknown commutant flavor {flavor!r}")
-    if not _is_abelian(inc):
-        raise NotAbelianError("relative commutant dimensions need a central small algebra")
-    r = markov_index(inc)
-    scale = r**k
-    if flavor in ("AA", "BA"):
-        return AlgebraDims(tuple(scale * n for n in inc.a))
-    if flavor == "AB":
-        return AlgebraDims(tuple(scale * n for n in inc.b))
-    return AlgebraDims((scale,) * inc.cols)
+def _gram(rows: dict[int, dict[int, int]]) -> dict[int, tuple[tuple[int, int], ...]]:
+    """G = F F^t for the multiplicity map rows = {i: {j: F_ij}} of nonzero
+    entries, on the side with fewer vertices that have an edge (the lower
+    side on a tie), as {x: ((y, G_xy), ...)}: G_xy = sum over z of
+    F_xz F_yz, one multiply-add for each pair of edges at one vertex z of
+    the other side."""
+    upper = {}
+    for i, row in rows.items():
+        for j, n in row.items():
+            upper.setdefault(j, []).append((i, n))
+    gram = {}
+    for star in upper.values() if len(rows) <= len(upper) else [row.items() for row in rows.values()]:
+        for x, n in star:
+            acc = gram.setdefault(x, {})
+            for y, m in star:
+                acc[y] = acc.get(y, 0) + n * m
+    return {x: tuple(acc.items()) for x, acc in gram.items()}
 
 
-def path_counts(inc: InclusionData) -> Iterator[list[list[int]]]:
-    """P_0 = I, P_1 = P_0 m, P_2 = P_1 m^t, ...: P_k[b][v] counts the
-    length-k paths from small-side vertex b to vertex v, on the small side
-    for even k and the big side for odd k; one matrix product per degree."""
-    mt = tuple(zip(*inc.m))
-    counts = [[int(b == v) for v in range(inc.rows)] for b in range(inc.rows)]
-    for k in count():
-        yield counts
-        columns = mt if k % 2 == 0 else inc.m
-        counts = [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in counts]
+def _closed_walks(gram: dict[int, tuple[tuple[int, int], ...]]) -> Iterator[int]:
+    """trace G^k for k = 1, 2, ...: trace G sums the diagonal, and with
+    H = G^j for j >= 1, trace G^(2j) = sum of H_xy^2 and trace G^(2j + 1) =
+    sum of H_xy (H G)_xy, since G is symmetric, so one sparse product H G
+    serves two degrees."""
+    power = {x: dict(row) for x, row in gram.items()}
+    yield sum([row.get(x, 0) for x, row in power.items()])
+    while True:
+        yield sum([h * h for row in power.values() for h in row.values()])
+        product = {}
+        for x, row in power.items():
+            acc = product[x] = {}
+            for z, h in row.items():
+                for y, n in gram[z]:
+                    acc[y] = acc.get(y, 0) + h * n
+        yield sum([h * product[x].get(y, 0) for x, row in power.items() for y, h in row.items()])
+        power = product
 
 
 def loop_space_dims(inc: InclusionData) -> Iterator[int]:
     """Loop space dimensions of degree 0, 1, 2, ...: the lower vertex count,
-    then sums of squared path counts.  For k >= 1 that sum is trace (m m^t)^k
-    = trace (m^t m)^k, so the paths are counted from the side with fewer
-    vertices, and no matrix is wider than that side."""
-    small = inc if inc.rows <= inc.cols else InclusionData(inc.b, tuple(zip(*inc.m)))
-    squares = (sum(n * n for row in counts for n in row) for counts in path_counts(small))
-    return chain([inc.rows], islice(squares, 1, None))
+    then trace (m m^t)^k = trace (m^t m)^k, the pairs of length-k paths with
+    common ends, counted as closed walks of the Gram matrix on the side with
+    fewer vertices, one sparse product for every two degrees."""
+    rows = {i: {j: n for j, n in enumerate(row) if n} for i, row in enumerate(inc.m)}
+    return chain([inc.rows], _closed_walks(_gram(rows)))
 
 
 def loop_space_dim(inc: InclusionData, k: int) -> int:

@@ -7,8 +7,10 @@ check of that, and close_group runs it once on each generator, so every
 group maps loops to loops and every routine that reads the group takes it
 as given.  The fixed space in each degree is spanned by
 orbit sums, its dimension is the orbit count, which Burnside's lemma gives
-as a count of paths in each element's fixed subgraph, walked once for each
-orbit of fixed subgraphs under the group, and the verification
+as a count of closed walks of the Gram matrix of each element's fixed
+subgraph, formed once for each orbit of fixed subgraphs under the group
+and counted by the same counter as the loop space dimensions of markov,
+and the verification
 routine reports that the fixed spaces form a subalgebra closed under the
 generating annular operations and that those operations commute with the
 action, which holds for every group accepted.
@@ -28,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .graph import BipartiteGraph, Loop, Path, PlanarElement, check_path_ids, encode_path
-from .markov import analyze
+from .markov import _closed_walks, _gram, analyze
 from .radical import RadicalScalar
 
 DEFAULT_GROUP_LIMIT = 10080
@@ -123,9 +125,10 @@ class GroupAction:
     """A finite group of automorphisms of a graph, together with the graph;
     close_group checks the generators and closes the elements under
     composition with each generator.  Immutable, so the one table it keeps
-    cannot go stale: one fixed subgraph for each orbit of its elements'
-    fixed subgraphs, built here for the fixed dimensions, a function of the
-    graph, the generators and the elements.  The counts that read it return
+    cannot go stale: for each orbit of its elements' fixed subgraphs, the
+    fixed bases and the Gram matrix of one of them, built here for the
+    fixed dimensions, a function of the graph, the generators and the
+    elements.  The counts that read it return
     the same values in any order and number of calls."""
 
     __slots__ = ("graph", "generators", "elements", "_fixed")
@@ -154,18 +157,18 @@ class GroupAction:
 
 def _fixed_subgraphs(g: BipartiteGraph, generators, elements) -> tuple:
     """One pair (fixed lower vertices, fixed edges) from each orbit of the
-    elements' pairs under the generators, as (bases, moves, count): count
-    elements have a pair in the orbit, and moves[pos % 2][v] lists the
-    vertex that g.step(pos) reaches from v along each fixed edge.  A
-    generator sigma maps the pair of h onto that of sigma h sigma^-1, which
-    fixes as many loops at every degree, so the orbit's elements share one
-    walk (docs/closure-multiply-and-burnside.md, section 5)."""
+    elements' pairs under the generators, as (bases, gram, count): count
+    elements have a pair in the orbit, and gram is the Gram matrix F F^t of
+    the fixed edges' multiplicity matrix F on its smaller side, empty when
+    no edge is fixed.  A generator sigma maps the pair of h onto that of
+    sigma h sigma^-1, which fixes as many loops at every degree, so the
+    orbit's elements share one count (docs/closure-multiply-and-burnside.md,
+    section 5)."""
     shared = {}
     for h in elements:
         bases = tuple([b for b, image in enumerate(h.perm_a) if b == image])
         key = (bases, frozenset([f for f, image in enumerate(h.perm_e) if f == image]))
         shared[key] = shared.get(key, 0) + 1
-    steps = (g.step(0), g.step(1))
     table = []
     while shared:
         key, n = shared.popitem()
@@ -178,8 +181,12 @@ def _fixed_subgraphs(g: BipartiteGraph, generators, elements) -> tuple:
                     n += shared.pop(image)
                     pending.append(image)
         bases, edges = key
-        moves = tuple(tuple([tuple([s.end[f] for f in out if f in edges]) for out in s.attach]) for s in steps)
-        table.append((bases, moves, n))
+        fixed = {}  # lower vertex -> upper vertex -> the fixed edges between them
+        for f in edges:
+            edge = g.edges[f]
+            row = fixed.setdefault(edge.src, {})
+            row[edge.dst] = row.get(edge.dst, 0) + 1
+        table.append((bases, _gram(fixed), n))
     return tuple(table)
 
 
@@ -269,30 +276,22 @@ def fixed_space_basis(group: GroupAction, k: int) -> list[PlanarElement]:
 def fixed_dims_report(group: GroupAction, kmax: int) -> list[int]:
     """Fixed-space dimensions for degrees 0..kmax by Burnside's lemma: the
     average number of loops an element fixes.  An element fixes [b; t; u]
-    exactly when it fixes b and every edge of t and u, so it fixes the sum
-    over v of n(b, v)^2 loops at each fixed base b, where n(b, v) counts the
-    paths from b to v in its fixed subgraph.  Elements whose fixed
-    subgraphs lie in one orbit fix as many, and the paths out of each fixed
-    base of one subgraph per orbit are counted one step at a time until
-    none is left, at a cost linear in kmax
+    exactly when it fixes b and every edge of t and u, so it fixes its
+    fixed bases at degree 0 and, at degree k >= 1, the pairs of length-k
+    paths with common ends in its fixed subgraph: trace (F F^t)^k, F the
+    multiplicity matrix of its fixed edges.  Elements whose fixed subgraphs
+    lie in one orbit fix as many, so each orbit's Gram matrix, formed once
+    per group, gives its closed walks to kmax, one sparse product for every
+    two degrees, and an orbit with no fixed edge adds to degree 0 only
     (docs/closure-multiply-and-burnside.md, section 5)."""
     if kmax < 0:
         raise ValidationError("kmax must be nonnegative")
     totals = [0] * (kmax + 1)
-    for bases, moves, count in group._fixed:
-        for b in bases:
-            # counts[v] paths of length k from b to v; each step extends
-            # every path along every move out of its end.
-            counts, k = {b: 1}, 0
-            while counts:
-                totals[k] += count * sum([n * n for n in counts.values()])
-                if k == kmax:
-                    break
-                longer, step = {}, moves[k % 2]
-                for v, n in counts.items():
-                    for w in step[v]:
-                        longer[w] = longer.get(w, 0) + n
-                counts, k = longer, k + 1
+    for bases, gram, count in group._fixed:
+        totals[0] += count * len(bases)
+        if gram:
+            for k, walks in zip(range(1, kmax + 1), _closed_walks(gram)):
+                totals[k] += count * walks
     order = group.order
     dims = [total // order for total in totals]
     if [dim * order for dim in dims] != totals:

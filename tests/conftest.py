@@ -49,7 +49,6 @@ CORPUS = (
 )
 
 MARKOV_CORPUS = tuple(e for e in CORPUS if e.markov)
-ABELIAN_MARKOV_CORPUS = tuple(e for e in CORPUS if e.markov and e.abelian)
 NON_MARKOV_CORPUS = tuple(e for e in CORPUS if not e.markov)
 
 # Graphs small enough for exhaustive idempotent-relation checks.

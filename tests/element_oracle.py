@@ -5,7 +5,10 @@ every term is a `Loop` with a `RadicalScalar` coefficient, products walk
 all pairs of terms and build each product loop, and the generating
 operations rewrite loops one by one.  It is slow and obviously faithful to
 the definitions in `planaralg.tangles`, so the tests compare the integer
-matrix-row elements with it, operation by operation.
+matrix-row elements with it, operation by operation.  The dense path
+counts of an inclusion, one matrix product per degree, are the reference
+for the loop space dimensions that `planaralg.markov` counts as closed
+walks of a Gram matrix.
 
 Not a test module (no `test_` prefix): pytest does not collect it.
 """
@@ -13,12 +16,38 @@ Not a test module (no `test_` prefix): pytest does not collect it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from itertools import count
+from typing import Iterator, NamedTuple
 
-from planaralg import BipartiteGraph, Loop, PlanarElement, RadicalScalar, identity_automorphism
+from planaralg import BipartiteGraph, InclusionData, Loop, PlanarElement, RadicalScalar, identity_automorphism
 from planaralg.graph import decode_path
 
 Terms = dict[Loop, RadicalScalar]
+
+
+def path_end(g, base: int, path: tuple[int, ...]) -> int:
+    """Endpoint vertex index of an alternating path out of a lower vertex:
+    a lower index for even lengths, an upper index for odd lengths."""
+    return g.step(len(path) - 1).end[path[-1]] if path else base
+
+
+def path_counts(inc: InclusionData) -> Iterator[list[list[int]]]:
+    """The dense count of paths: P_0 = I, P_1 = P_0 m, P_2 = P_1 m^t, ...,
+    where P_k[b][v] counts the length-k paths from small-side vertex b to
+    vertex v, on the small side for even k and the big side for odd k; one
+    matrix product per degree."""
+    mt = tuple(zip(*inc.m))
+    counts = [[int(b == v) for v in range(inc.rows)] for b in range(inc.rows)]
+    for k in count():
+        yield counts
+        columns = mt if k % 2 == 0 else inc.m
+        counts = [[sum(x * y for x, y in zip(row, col)) for col in columns] for row in counts]
+
+
+def loop_space_dims(inc: InclusionData) -> Iterator[int]:
+    """Loop space dimensions of degree 0, 1, 2, ... from the dense path
+    counts: the pairs of length-k paths with common ends."""
+    return (sum(n * n for row in counts for n in row) for counts in path_counts(inc))
 
 
 class RefElement:
@@ -71,7 +100,7 @@ def include(g, x: RefElement) -> RefElement:
     k = x.degree
     out: Terms = {}
     for loop, coeff in x.terms.items():
-        end = g.path_end(loop.base, loop.top())
+        end = path_end(g, loop.base, loop.top())
         for eid in g.step(k).attach[end]:
             grown = Loop.from_paths(loop.base, loop.top() + (eid,), loop.bottom() + (eid,))
             _add_term(out, grown, coeff)
@@ -108,7 +137,7 @@ def jones_projection(g, k: int) -> RefElement:
     out: Terms = {}
     for base in range(g.num_a):
         for path in g.paths_from(base, k):
-            end = g.path_end(base, path)
+            end = path_end(g, base, path)
             attachable = g.step(k).attach[end]
             for bottom_eid in attachable:
                 for top_eid in attachable:

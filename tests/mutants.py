@@ -165,8 +165,14 @@ MUTATIONS = (
     ),
     Mutation("tangle-step-make-unchecked", TANGLES, "def _make(cls, values) -> TangleStep:\n        return cls(*values)", "def _make(cls, values) -> TangleStep:\n        return tuple.__new__(cls, values)", (T("records"),)),
     # -- groups and fixed dimensions -------------------------------------------
-    Mutation("fixed-dims-while-true", SYMMETRY, "            while counts:", "            while True:", (T("symmetry"),)),
-    Mutation("fixed-dims-counts-paths", SYMMETRY, "sum([n * n for n in counts.values()])", "sum([n for n in counts.values()])", (T("symmetry"),)),
+    Mutation("fixed-dims-while-true", SYMMETRY, "        if gram:\n", "        if True:\n", (T("symmetry"),)),
+    Mutation(
+        "fixed-dims-counts-paths",
+        SYMMETRY,
+        "row[edge.dst] = row.get(edge.dst, 0) + 1",
+        "row[edge.dst] = 1",
+        (T("symmetry"), T("graph")),
+    ),
     Mutation(
         "fixed-dims-no-divisibility-check",
         SYMMETRY,
@@ -184,8 +190,8 @@ MUTATIONS = (
     Mutation(
         "fixed-subgraphs-read-rows",
         SYMMETRY,
-        "    steps = (g.step(0), g.step(1))\n",
-        "    paths, where, classes = g.rows(0)\n    steps = (g.step(0), g.step(1))\n",
+        "    table = []\n",
+        "    paths, where, classes = g.rows(0)\n    table = []\n",
         (T("symmetry"),),
     ),
     Mutation(
@@ -279,11 +285,19 @@ MUTATIONS = (
     Mutation(
         "loop-dims-from-larger-side",
         MARKOV,
-        "small = inc if inc.rows <= inc.cols else",
-        "small = inc if inc.rows >= inc.cols else",
+        "for star in upper.values() if len(rows) <= len(upper) else [row.items() for row in rows.values()]:",
+        "for star in [row.items() for row in rows.values()] if len(rows) <= len(upper) else upper.values():",
         (T("cli"),),
     ),
-    Mutation("loop-dims-degree-0-other-side", MARKOV, "chain([inc.rows],", "chain([small.rows],", (T("graph"), T("markov"))),
+    Mutation("gram-from-larger-side", MARKOV, "if len(rows) <= len(upper) else", "if len(rows) > len(upper) else", (T("cli"), T("symmetry"))),
+    Mutation(
+        "closed-walks-odd-degree-as-square",
+        MARKOV,
+        "yield sum([h * product[x].get(y, 0) for",
+        "yield sum([h * h for",
+        (T("markov"), T("graph")),
+    ),
+    Mutation("loop-dims-degree-0-other-side", MARKOV, "chain([inc.rows],", "chain([inc.cols],", (T("graph"), T("markov"))),
     Mutation("b-plain-property", MARKOV, "    @cached_property\n    def b(self)", "    @property\n    def b(self)", (T("markov"),)),
     Mutation(
         "tower-classifies-again",

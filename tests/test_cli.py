@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -204,37 +205,72 @@ class TestDims:
         assert "degree 2 needs 81 loops, over the limit of 10" in err
 
     def test_one_pass_over_degrees(self, write_inclusion, capsys, monkeypatch):
-        # One path-count product per degree, not a fresh count for each.
-        yielded = []
-        counts = markov.path_counts
+        # One sparse product for every two degrees, not a fresh count for
+        # each: the Gram matrix G of C-in-C2 is the 1 x 1 matrix (2), each
+        # product reads its one row once, and kmax 12 takes the 5 products
+        # that form G^2, ..., G^6 (trace G^12 is the sum of squares of G^6).
+        reads = []
+        gram = markov._gram
 
-        def counting(inc):
-            for p in counts(inc):
-                yielded.append(p)
-                yield p
+        class CountedGram(dict):
+            def __getitem__(self, x):
+                reads.append(x)
+                return dict.__getitem__(self, x)
 
-        monkeypatch.setattr(markov, "path_counts", counting)
+        monkeypatch.setattr(markov, "_gram", lambda rows: CountedGram(gram(rows)))
         assert main(["dims", "--input", write_inclusion("C-in-C2"), "--kmax", "12"]) == 0
         assert json.loads(capsys.readouterr().out)["dims"] == [2**k for k in range(13)]
-        assert len(yielded) == 13
+        assert reads == [0] * 5
 
     def test_counts_paths_from_the_smaller_side(self, write_inclusion, capsys, monkeypatch):
-        # Work property, not timing: on C^N in M_N the budget counts paths
-        # from the one upper vertex, so its first path-count matrix is 1 x 1,
-        # not N x N, and degree 0 still counts the N lower vertices.
-        n, shapes = 64, []
-        counts = markov.path_counts
+        # Work property, not timing: on C^N in M_N the budget counts closed
+        # walks on the one upper vertex, so its Gram matrix is the 1 x 1
+        # matrix (N), not N x N, and degree 0 still counts the N lower vertices.
+        n, grams = 64, []
+        gram = markov._gram
 
-        def recording(inc):
-            for p in counts(inc):
-                shapes.append((len(p), len(p[0])))
-                yield p
+        def recording(rows):
+            grams.append(gram(rows))
+            return grams[-1]
 
-        monkeypatch.setattr(markov, "path_counts", recording)
+        monkeypatch.setattr(markov, "_gram", recording)
         document = write_inclusion("C64-in-M64", {"a": [1] * n, "m": [[1]] * n})
         assert main(["dims", "--input", document, "--kmax", "3"]) == 0
         assert json.loads(capsys.readouterr().out)["dims"] == [n, n, n**2, n**3]
-        assert shapes == [(1, 1), (1, n), (1, 1), (1, n)]
+        assert grams == [{0: ((0, n),)}]
+
+    def test_perfect_matching_prelude_is_linear(self, write_inclusion, capsys, monkeypatch):
+        # Work count, not timing: on the n x n identity (C^n in C^n, a
+        # perfect matching) the loop budget's Gram matrix is the identity,
+        # with n entries, and the counter does 4n multiply-adds to degree 3:
+        # n to form it, n for trace G^2, n for its one product G^2 and n for
+        # trace G^3 (trace G adds the diagonal).  A dense product of path
+        # counts took n^3 steps per degree.
+        n, work = 2000, Counter()
+
+        class Counted(int):
+            def __mul__(self, other):
+                work["multiply-adds"] += 1
+                return Counted(int(self) * int(other))
+
+            def __add__(self, other):
+                return Counted(int(self) + int(other))
+
+            __rmul__, __radd__ = __mul__, __add__
+
+        grams = []
+        gram = markov._gram
+
+        def counting(rows):
+            grams.append(gram({i: {j: Counted(m) for j, m in row.items()} for i, row in rows.items()}))
+            return grams[-1]
+
+        monkeypatch.setattr(markov, "_gram", counting)
+        document = write_inclusion("Cn-in-Cn", {"a": [1] * n, "m": [[int(i == j) for j in range(n)] for i in range(n)]})
+        assert main(["dims", "--input", document, "--kmax", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["dims"] == [n, n, n, n]
+        assert len(grams) == 1 and sum(map(len, grams[0].values())) == n
+        assert work == {"multiply-adds": 4 * n}
 
     def test_negative_kmax(self, write_inclusion, capsys):
         assert main(["dims", "--input", write_inclusion("C-in-C2"), "--kmax", "-1"]) == 2

@@ -96,7 +96,7 @@ def shared_loops(rng: random.Random, g, k: int) -> list[Loop]:
         Loop.from_paths(b, top, bottom)
         for b, top in chosen
         for c, bottom in chosen
-        if b == c and g.path_end(b, top) == g.path_end(c, bottom)
+        if b == c and oracle.path_end(g, b, top) == oracle.path_end(g, c, bottom)
     ]
 
 

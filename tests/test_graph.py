@@ -29,7 +29,7 @@ from planaralg import (
     verify_temperley_lieb,
 )
 from planaralg import graph as graph_module, radical
-from planaralg.markov import canonical_trace_weights, loop_space_dims, markov_index, path_counts
+from planaralg.markov import canonical_trace_weights, markov_index
 from planaralg.radical import sqrt_of_int
 from conftest import CORPUS, MARKOV_CORPUS, corpus_entry, generated_markov_inclusions
 from test_elements import edges_only
@@ -226,7 +226,7 @@ class TestGraphConstruction:
             inc = InclusionData(a, m)
             g = build_graph(inc)
             assert all(check.passed for check in verify_temperley_lieb(g, 1))
-            assert fixed_dims_report(close_group(g, []), 6) == list(itertools.islice(loop_space_dims(inc), 7))
+            assert fixed_dims_report(close_group(g, []), 6) == list(itertools.islice(oracle.loop_space_dims(inc), 7))
             with pytest.raises(Factored):
                 g.weights_a
 
@@ -341,7 +341,7 @@ def recursive_paths(g, base: int, k: int) -> list[tuple[tuple[int, ...], int]]:
 
 class TestPathBuilder:
     """`rows` and `paths_from` against the depth-first reference and
-    the path counts of `markov.path_counts`, on every corpus graph;
+    the dense path counts of the oracle, on every corpus graph;
     inclusions that are not Markov contribute their edges only."""
 
     @staticmethod
@@ -358,15 +358,15 @@ class TestPathBuilder:
             assert rows.where == [(b, v) for b, found in walks.items() for _, v in found]
             for base, found in walks.items():
                 assert g.paths_from(base, k) == [p for p, _ in found]
-                assert all(g.path_end(base, p) == v for p, v in found)
+                assert all(oracle.path_end(g, base, p) == v for p, v in found)
 
     @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
     def test_counts_per_base_and_endpoint(self, graphs, entry):
         g, inc = self.graph(graphs, entry), entry.inclusion()
-        for k, counts in zip(range(7), path_counts(inc)):
+        for k, counts in zip(range(7), oracle.path_counts(inc)):
             width = g.num_b if k % 2 else g.num_a
             for base in range(g.num_a):
-                ends = Counter(g.path_end(base, p) for p in g.paths_from(base, k))
+                ends = Counter(oracle.path_end(g, base, p) for p in g.paths_from(base, k))
                 assert counts[base] == [ends[v] for v in range(width)]
             assert sum(n * n for row in counts for n in row) == loop_space_dim(inc, k)
 
@@ -415,8 +415,8 @@ class TestGeneratedCorpus:
     def test_loops_rows_and_fixed_dims(self):
         # On each inclusion: the loops are sorted and as many as the trace
         # formula counts, each class lists its ids by reversed path, and the
-        # trivial group's fixed dimensions, a sparse walk on the fixed
-        # subgraph, equal the dense matrix count of loops.
+        # trivial group's fixed dimensions, closed walks of the fixed
+        # subgraph's Gram matrix, equal the dense matrix count of loops.
         inclusions = generated_markov_inclusions()
         assert len(inclusions) == 300
         assert {analyze(inc).r for inc in inclusions} == {*range(1, 13), *range(15, 19), 24}
@@ -428,7 +428,7 @@ class TestGeneratedCorpus:
                 paths, classes = oracle.path_ids(g, k), g.rows(k).classes
                 for ids in classes.values():
                     assert ids == sorted(ids, key=lambda r: paths[r][:0:-1])
-            dims = list(itertools.islice(loop_space_dims(inc), 7))
+            dims = list(itertools.islice(oracle.loop_space_dims(inc), 7))
             assert fixed_dims_report(close_group(g, []), 6) == dims
 
 
@@ -441,9 +441,9 @@ class TestPathsAndLoops:
 
     def test_path_end_alternates(self, graphs):
         g = graphs("C-in-C2")
-        assert g.path_end(0, ()) == 0
-        assert g.path_end(0, (1,)) == 1  # upper vertex index
-        assert g.path_end(0, (1, 1)) == 0
+        assert oracle.path_end(g, 0, ()) == 0
+        assert oracle.path_end(g, 0, (1,)) == 1  # upper vertex index
+        assert oracle.path_end(g, 0, (1, 1)) == 0
 
     def test_two_point_degree_one_loops(self, graphs):
         g = graphs("C-in-C2")
@@ -631,30 +631,3 @@ class TestTrustedConstructor:
             Loop(0, (1, 1)): RadicalScalar.from_rational(Fraction(1, 2)),
         }
         assert all(type(c) is RadicalScalar for c in x.terms.values())
-
-
-class TestRendering:
-    def test_render_loop(self, graphs):
-        g = graphs("C-in-C2")
-        assert g.render_loop(Loop(0, (0, 0))) == "a0 -e0-> b0 -e0-> a0"
-        assert g.render_loop(Loop(0, (1, 1))) == "a0 -e1-> b1 -e1-> a0"
-
-    def test_render_loop_parallel(self, graphs):
-        g = graphs("C-in-M2")
-        line = g.render_loop(Loop(0, (0, 1, 1, 0)))
-        assert line == "a0 -e0-> b0 -e1-> a0 -e1-> b0 -e0-> a0"
-
-    def test_render_element_sorted(self, graphs):
-        g = graphs("C-in-C2")
-        x = PlanarElement(
-            1,
-            {
-                Loop(0, (1, 1)): RadicalScalar.one(),
-                Loop(0, (0, 0)): RadicalScalar.from_rational(Fraction(1, 2)),
-            },
-        )
-        lines = g.render_element(x)
-        assert lines == [
-            "(1/2) * a0 -e0-> b0 -e0-> a0",
-            "(1) * a0 -e1-> b1 -e1-> a0",
-        ]

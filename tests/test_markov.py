@@ -1,36 +1,45 @@
-"""Inclusion analysis: classification, towers, commutants, word norms."""
+"""Inclusion analysis: classification, towers, loop space dimensions, word norms."""
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from functools import cache
+from itertools import islice
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import element_oracle as dense
 from planaralg import (
     AlgebraDims,
     InclusionData,
-    NotAbelianError,
     NotMarkovError,
     ResourceLimitError,
     ValidationError,
     analyze,
     basic_construction,
+    build_graph,
     canonical_trace_weights,
+    close_group,
+    fixed_dims_report,
     jones_tower,
     loop_space_dim,
     markov_index,
-    relative_commutant_dims,
     word_norm,
 )
 from planaralg import markov
+from planaralg.markov import loop_space_dims
 from conftest import (
-    ABELIAN_MARKOV_CORPUS,
     CORPUS,
     MARKOV_CORPUS,
     NON_MARKOV_CORPUS,
     corpus_entry,
+    generated_markov_inclusions,
 )
+from products import tensor_inclusion
 
 
 def embedding_matrices(inc: InclusionData, j: int) -> list[np.ndarray]:
@@ -282,47 +291,6 @@ class TestTower:
         assert len(seen) == calls
 
 
-class TestRelativeCommutants:
-    def test_known_values(self):
-        inc = corpus_entry("C-in-C2").inclusion()
-        assert relative_commutant_dims(inc, 0, "AA") == (1,)
-        assert relative_commutant_dims(inc, 0, "AB") == (1, 1)
-        assert relative_commutant_dims(inc, 1, "AA") == (2,)
-        assert relative_commutant_dims(inc, 1, "BA") == (2,)
-        assert relative_commutant_dims(inc, 1, "AB") == (2, 2)
-        assert relative_commutant_dims(inc, 1, "BB") == (2, 2)
-
-    @pytest.mark.parametrize("entry", ABELIAN_MARKOV_CORPUS, ids=lambda e: e.name)
-    def test_matches_tower_dims(self, entry):
-        # The commutant formulas must reproduce the tower computed by
-        # iterated reflection.
-        inc = entry.inclusion()
-        tower = jones_tower(inc, 3)
-        for k in range(4):
-            aa = relative_commutant_dims(inc, k, "AA")
-            ab = relative_commutant_dims(inc, k, "AB")
-            assert aa == tower[2 * k]
-            assert ab == tower[2 * k + 1]
-
-    @pytest.mark.parametrize("entry", ABELIAN_MARKOV_CORPUS, ids=lambda e: e.name)
-    def test_bb_flavor_is_flat(self, entry):
-        inc = entry.inclusion()
-        r = int(entry.r)
-        for k in range(3):
-            expected = (r**k,) * inc.cols
-            assert relative_commutant_dims(inc, k, "BB") == expected
-
-    def test_rejects_non_abelian(self):
-        inc = corpus_entry("C2-in-M2").inclusion()
-        with pytest.raises(NotAbelianError):
-            relative_commutant_dims(inc, 1, "AA")
-
-    def test_rejects_bad_flavor(self):
-        inc = corpus_entry("C-in-C2").inclusion()
-        with pytest.raises(ValidationError):
-            relative_commutant_dims(inc, 1, "XY")
-
-
 class TestLoopSpaceDim:
     def test_known_values(self):
         inc = corpus_entry("C-in-C2").inclusion()
@@ -356,6 +324,79 @@ class TestLoopSpaceDim:
         for k in range(1, 6):
             oracle = int(np.trace(np.linalg.matrix_power(mmt, k)))
             assert loop_space_dim(inc, k) == oracle
+
+
+    def test_matches_dense_path_counts(self):
+        # The closed-walk counter against the dense path counts at degrees
+        # 0-6: every corpus inclusion, Markov or not, every generated Markov
+        # inclusion and the product of every ordered pair of corpus inclusions.
+        products = [tensor_inclusion(x.inclusion(), y.inclusion()) for x in CORPUS for y in CORPUS]
+        cases = [entry.inclusion() for entry in CORPUS] + generated_markov_inclusions() + products
+        assert len(cases) == 14 + 300 + 196
+        for inc in cases:
+            assert list(islice(loop_space_dims(inc), 7)) == list(islice(dense.loop_space_dims(inc), 7))
+
+
+@cache
+def _generated_by_index() -> dict[Fraction, list[InclusionData]]:
+    found = {}
+    for inc in generated_markov_inclusions():
+        found.setdefault(analyze(inc).r, []).append(inc)
+    return found
+
+
+def _direct_sum(parts: list[InclusionData]) -> InclusionData:
+    """The inclusions side by side: block-diagonal matrix, blocks in order."""
+    width, offset, a, m = sum(inc.cols for inc in parts), 0, [], []
+    for inc in parts:
+        a += inc.a
+        m += [[0] * offset + list(row) + [0] * (width - offset - inc.cols) for row in inc.m]
+        offset += inc.cols
+    return InclusionData(a, m)
+
+
+@st.composite
+def _shaped_inclusions(draw) -> tuple[str, InclusionData, bool]:
+    """(shape, inclusion, whether its graph is small enough to build)."""
+    shape = draw(st.sampled_from(("permutation", "parallel", "blocks", "product")))
+    if shape == "permutation":
+        perm = draw(st.permutations(range(draw(st.integers(1, 8)))))
+        return shape, InclusionData([1] * len(perm), [[int(p == j) for j in range(len(perm))] for p in perm]), True
+    if shape == "parallel":
+        # One block with n parallel edges: multiplicities are never expanded.
+        n = draw(st.integers(1, 12) | st.integers(13, 10**6) | st.just(10**6))
+        return shape, InclusionData([1], [[n]]), n <= 12
+    if shape == "blocks":
+        # Generated Markov inclusions of one index side by side: their direct
+        # sum is Markov with that index.
+        by_index = _generated_by_index()
+        r = draw(st.sampled_from(sorted(by_index)))
+        return shape, _direct_sum(draw(st.lists(st.sampled_from(by_index[r]), min_size=2, max_size=8))), True
+    first, second = draw(st.sampled_from(MARKOV_CORPUS)), draw(st.sampled_from(MARKOV_CORPUS))
+    return shape, tensor_inclusion(first.inclusion(), second.inclusion()), True
+
+
+def test_counter_matches_dense_oracle_on_drawn_shapes():
+    # loop_space_dims and the trivial group's fixed_dims_report, both closed
+    # walks of a Gram matrix, against the dense path counts at degrees 0-6.
+    drawn, built = Counter(), Counter()
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(case=_shaped_inclusions())
+    def agree(case):
+        shape, inc, buildable = case
+        expected = list(islice(dense.loop_space_dims(inc), 7))
+        assert list(islice(loop_space_dims(inc), 7)) == expected
+        drawn[shape] += 1
+        drawn["a million parallel edges"] += inc.m == ((10**6,),)
+        if buildable:
+            assert fixed_dims_report(close_group(build_graph(inc), []), 6) == expected
+            built[shape] += 1
+
+    agree()
+    assert drawn.pop("a million parallel edges") >= 1
+    assert drawn.keys() == built.keys() == {"permutation", "parallel", "blocks", "product"}
+    assert min(drawn.values()) >= 10 and min(built.values()) >= 5, (drawn, built)
 
 
 class TestWordNorm:

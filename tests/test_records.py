@@ -30,7 +30,6 @@ from planaralg import (
     jones_projection_raw,
     jones_tower,
     loop_space_dim,
-    relative_commutant_dims,
 )
 from planaralg.symmetry import SubalgebraCheck
 from conftest import MARKOV_CORPUS, corpus_entry
@@ -243,10 +242,9 @@ C_IN_C2 = corpus_entry("C-in-C2").inclusion()
         (lambda: jones_projection(build_graph(C_IN_C2), -1), "k must be nonnegative"),
         (lambda: jones_projection_raw(build_graph(C_IN_C2), -1), "k must be nonnegative"),
         (lambda: jones_tower(C_IN_C2, -1), "depth must be nonnegative"),
-        (lambda: relative_commutant_dims(C_IN_C2, -1, "AA"), "k must be nonnegative"),
         (lambda: loop_space_dim(C_IN_C2, -1), "k must be nonnegative"),
     ],
-    ids=["PlanarElement", "jones_projection", "jones_projection_raw", "jones_tower", "relative_commutant_dims", "loop_space_dim"],
+    ids=["PlanarElement", "jones_projection", "jones_projection_raw", "jones_tower", "loop_space_dim"],
 )
 def test_negative_degrees_are_refused(build, message):
     with pytest.raises(ValidationError) as caught:

@@ -1034,8 +1034,8 @@ def test_cup_cap_and_shift_prefixes_have_one_definition(graphs, monkeypatch):
 
 def test_reports_and_counts_do_no_work(graphs, monkeypatch):
     # Work property, not timing: every group that close_group accepts passes
-    # every check, and the count walks the group's fixed subgraphs
-    # (docs/closure-multiply-and-burnside.md, sections 8 and 5).  So with
+    # every check, and the count takes closed walks of the group's Gram
+    # matrices (docs/closure-multiply-and-burnside.md, sections 8 and 5).  So with
     # every path reader, element operation and action made to raise, the
     # graph is built and each group closed again, and with composition made
     # to raise too, the report and the count still come out, on every
@@ -1739,8 +1739,8 @@ class TestFixedDimsOnPaths:
         g = graphs("C-in-C3")
         group = close_group(g, [make_automorphism(g, [0], [1, 2, 0])])
         assert fixed_dims_report(group, 3) == [1, 1, 3, 9]
-        bases, moves, count = group._fixed[0]
-        object.__setattr__(group, "_fixed", ((bases, moves, count + 1), *group._fixed[1:]))
+        bases, gram, count = group._fixed[0]
+        object.__setattr__(group, "_fixed", ((bases, gram, count + 1), *group._fixed[1:]))
         with pytest.raises(PlanarAlgError, match="not divisible by the group order"):
             fixed_dims_report(group, 3)
 
@@ -1755,22 +1755,20 @@ class TestFixedDimsOnPaths:
 
     def test_walk_is_linear_in_kmax(self, monkeypatch):
         # Work count: on a fresh C-in-C with the trivial group, the count at
-        # kmax 1000 builds no table of paths beyond the graph's degree 0 and
-        # reads at most (fixed bases) x (vertices on one side) x kmax moves
-        # of the group's fixed subgraphs, one per vertex a path reaches at
-        # each step: here 1 x 1 x 1000.
+        # kmax K builds no table of paths and forms the (K - 1) // 2 sparse
+        # products G^2, G^3, ... that its traces need, one for every two
+        # degrees, of the group's one Gram matrix G, the 1 x 1 matrix (1);
+        # each product reads its one row once.
         calls = Counter()
 
-        class CountedMoves(tuple):
-            def __getitem__(self, v):
-                calls["moves"] += 1
-                return tuple.__getitem__(self, v)
+        class CountedGram(dict):
+            def __getitem__(self, x):
+                calls["rows"] += 1
+                return dict.__getitem__(self, x)
 
         g = build_graph(corpus_entry("C-in-C").inclusion())
         group = close_group(g, [])
-        counted = tuple(
-            (bases, tuple(CountedMoves(side) for side in moves), count) for bases, moves, count in group._fixed
-        )
+        counted = tuple((bases, CountedGram(gram), count) for bases, gram, count in group._fixed)
         object.__setattr__(group, "_fixed", counted)
 
         def counting_tables(*args):
@@ -1780,30 +1778,37 @@ class TestFixedDimsOnPaths:
         table = graph.PathTable
         monkeypatch.setattr(graph, "PathTable", counting_tables)
         assert fixed_dims_report(group, 1000) == [1] * 1001
-        assert calls == {"moves": 1000}
-        bound = sum(len(bases) for bases, _, _ in group._fixed) * max(g.num_a, g.num_b) * 1000
-        assert calls["moves"] <= bound
-        assert fixed_dims_report(group, 1000)[1000] == 1
-        assert calls == {"moves": 2000}
+        assert calls == {"rows": 499}
+        assert fixed_dims_report(group, 999)[999] == 1
+        assert calls == {"rows": 998}
 
-    def test_walk_stops_where_the_fixed_paths_die(self, two_point_swap):
-        # The swap of C-in-C2 fixes the base and no edge, so the paths out of
-        # the base in its fixed subgraph die after one step, and an empty
-        # vector stays empty: that walk reads its moves once, at any kmax.
-        # The identity's paths never die, and its walk reads them kmax times.
+    def test_walk_stops_where_the_fixed_paths_die(self, two_point_swap, monkeypatch):
+        # The swap of C-in-C2 fixes the base and no edge, so its orbit has an
+        # empty Gram matrix and forms no product: it adds its one fixed base
+        # at degree 0 and nothing after.  The identity's Gram matrix is the
+        # 1 x 1 matrix (2) on the one lower vertex, the smaller side, and it
+        # forms 39 // 2 products.
         g, swap = two_point_swap
         group = close_group(g, [swap])
-        reads = Counter()
+        reads, walked = Counter(), []
 
-        class CountedMoves(tuple):
-            def __getitem__(self, parity):
+        class CountedGram(dict):
+            def __getitem__(self, x):
                 reads[id(self)] += 1
-                return tuple.__getitem__(self, parity)
+                return dict.__getitem__(self, x)
 
-        counted = tuple((bases, CountedMoves(moves), count) for bases, moves, count in group._fixed)
+        def recording(gram):
+            walked.append(gram)
+            return walks(gram)
+
+        walks = symmetry._closed_walks
+        monkeypatch.setattr(symmetry, "_closed_walks", recording)
+        counted = tuple((bases, CountedGram(gram), count) for bases, gram, count in group._fixed)
         object.__setattr__(group, "_fixed", counted)
         assert fixed_dims_report(group, 40) == [1] + [2 ** (k - 1) for k in range(1, 41)]
-        assert sorted(reads[id(moves)] for _, moves, _ in counted) == [1, 40]
+        assert sorted(map(dict, (gram for _, gram, _ in counted)), key=len) == [{}, {0: ((0, 2),)}]
+        assert walked == [{0: ((0, 2),)}]
+        assert sorted(reads[id(gram)] for _, gram, _ in counted) == [0, 19]
 
     def test_one_entry_per_orbit_of_fixed_subgraphs(self, graphs):
         # The group's table against the orbits of the elements' pairs (fixed
@@ -1950,7 +1955,7 @@ def stabiliser_orbit_count(group, k: int) -> int:
 
 def row_burnside_count(group, k: int) -> int:
     """The degree-k fixed-space dimension by Burnside's lemma on the graph's
-    rows, the count src/ made before it walked fixed subgraphs: an element
+    rows, the count src/ made before it counted fixed subgraphs: an element
     fixes [b; t; u] exactly when it fixes the rows (b, t) and (b, u), and a
     row exactly when the row's image id is its own (Lemma 5), so it fixes
     the sum over classes of (fixed rows of the class)^2 loops.  It compares
@@ -1972,7 +1977,7 @@ def _seeded_automorphism_groups(graphs, seed: int, count: int):
 
 
 class TestRowBurnsideOracle:
-    # The walk on fixed subgraphs against the row count it replaced.
+    # The count on fixed subgraphs against the row count it replaced.
 
     @staticmethod
     def _agree(group, kmax: int) -> None:
