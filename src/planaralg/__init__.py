@@ -25,8 +25,8 @@ _EXPORTS = {
     ),
     "graph": "BipartiteGraph Edge Loop PlanarElement build_graph",
     "markov": (
-        "AlgebraDims InclusionData MarkovReport analyze basic_construction"
-        " canonical_trace_weights jones_tower loop_space_dim markov_index word_norm"
+        "AlgebraDims InclusionData MarkovReport analyze canonical_trace_weights"
+        " jones_tower loop_space_dim markov_index word_norm"
     ),
     "radical": "RadicalScalar sqrt_of_int sum_scalars",
     "symmetry": (

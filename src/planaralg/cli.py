@@ -172,7 +172,7 @@ def cmd_tower(args) -> int:
         raise NotMarkovError("tower requires a Markov inclusion with integer index")
     r = int(report.r)
     _check_printable(max(inc.a.total_dim, inc.b.total_dim), r, 2 * args.depth)
-    tower = jones_tower(inc, args.depth, r=r)
+    tower = jones_tower(inc, args.depth)
     levels = []
     for k, (a_k, b_k) in enumerate(zip(tower[::2], tower[1::2])):
         levels.append(

@@ -459,18 +459,17 @@ class BipartiteGraph:
         edges, spins = [], []
         # Vertex -> ids of the edges leaving it, filled in ascending id order.
         ups, downs = [[] for _ in range(self.num_a)], [[] for _ in range(self.num_b)]
-        for i, row in enumerate(inclusion.m):
-            for j, count in enumerate(row):
-                if count:
-                    up_sq = RadicalScalar.from_rational(Fraction(inclusion.b[j], inclusion.a[i])) * inv_gamma
-                    up, down_sq = up_sq.sqrt(), up_sq.invert()
-                    spins += [(up, up_sq, up.invert(), down_sq)] * count
-                    ids = range(len(edges), len(edges) + count)
-                    edges += [Edge(e, i, j) for e in ids]
-                    ups[i] += ids
-                    downs[j] += ids
-                    sums[0][i] += up_sq * count
-                    sums[1][j] += down_sq * count
+        for i, row in inclusion._sparse.items():
+            for j, count in row.items():
+                up_sq = RadicalScalar.from_rational(Fraction(inclusion.b[j], inclusion.a[i])) * inv_gamma
+                up, down_sq = up_sq.sqrt(), up_sq.invert()
+                spins += [(up, up_sq, up.invert(), down_sq)] * count
+                ids = range(len(edges), len(edges) + count)
+                edges += [Edge(e, i, j) for e in ids]
+                ups[i] += ids
+                downs[j] += ids
+                sums[0][i] += up_sq * count
+                sums[1][j] += down_sq * count
         # Jones's condition, exactly: the squared spins out of each vertex sum
         # to gamma.  Every Markov inclusion passes, so a failure is a bug.
         for side, totals in zip(("lower", "upper"), sums):

@@ -4,12 +4,16 @@ An inclusion is described by the block dimension vector of the small
 algebra and a nonnegative integer inclusion matrix; the block dimensions of
 the big algebra are derived, never supplied.  The module classifies
 inclusions (Markov condition, integer index, centrality of the small
-algebra), reflects them through the basic construction, iterates the tower,
-counts the loop space dimensions as closed walks of the Gram matrix F F^t
-on the smaller side of a multiplicity matrix F (the one counter of the
-inclusion's loops and of each fixed subgraph's), and checks the spectral
-norms of alternating words in the inclusion matrix against the exact index
-powers.
+algebra), iterates the tower of basic constructions, counts the loop space
+dimensions as closed walks of the Gram matrix F F^t on the smaller side of
+a multiplicity matrix F (the one counter of the inclusion's loops and of
+each fixed subgraph's), and checks the spectral norms of alternating words
+in the inclusion matrix against the exact index powers.
+
+Validation reads each matrix entry once, into the sparse map {i: {j: m_ij}}
+of the nonzero entries (rows in order, columns ascending); every later
+reader, here and in graph and symmetry, takes the matrix from that map.
+The dense m serves equality, hashing, to_dict and the word norms.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import math
 import sys
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple, Sequence
 
 from .errors import NotMarkovError, ResourceLimitError, ValidationError
@@ -62,8 +66,9 @@ class InclusionData(NamedTuple("InclusionData", [("a", AlgebraDims), ("m", tuple
 
     m has one row per small block and one column per big block; entry (i, j)
     counts how many copies of small block i sit inside big block j, so the
-    big block dimensions b are the column sums weighted by a.  b is derived
-    on first read and kept in the instance dict; it is not a field.
+    big block dimensions b are the column sums weighted by a.  b, derived
+    on first read, and the sparse map `_sparse` are kept in the instance
+    dict; neither is a field.
     """
 
     def __new__(cls, a: AlgebraDims | Sequence[int], m: Sequence[Sequence[int]]) -> InclusionData:
@@ -74,20 +79,26 @@ class InclusionData(NamedTuple("InclusionData", [("a", AlgebraDims), ("m", tuple
             raise ValidationError(f"matrix has {len(rows)} rows for {len(a)} blocks")
         if not rows or not rows[0]:
             raise ValidationError("inclusion matrix must be non-empty")
-        width = len(rows[0])
-        for row in rows:
-            if len(row) != width:
-                raise ValidationError("inclusion matrix rows have unequal lengths")
-            for entry in row:
-                if isinstance(entry, bool) or not isinstance(entry, int) or entry < 0:
-                    raise ValidationError(f"matrix entry {entry!r} is not a nonnegative integer")
+        columns = range(len(rows[0]))
+        sparse = {}
         for i, row in enumerate(rows):
-            if not any(row):
+            if len(row) != len(columns):
+                raise ValidationError("inclusion matrix rows have unequal lengths")
+            # A row of plain ints is checked whole; any other row entry by entry.
+            if not set(map(type, row)) <= {int} or min(row) < 0:
+                for entry in row:
+                    if isinstance(entry, bool) or not isinstance(entry, int) or entry < 0:
+                        raise ValidationError(f"matrix entry {entry!r} is not a nonnegative integer")
+            sparse[i] = {j: row[j] for j in compress(columns, row)}
+        for i, row in sparse.items():
+            if not row:
                 raise ValidationError(f"row {i} of the inclusion matrix is zero")
-        for j in range(width):
-            if not any(row[j] for row in rows):
-                raise ValidationError(f"column {j} of the inclusion matrix is zero")
-        return tuple.__new__(cls, (a, rows))
+        zero_columns = set(columns).difference(*sparse.values())
+        if zero_columns:
+            raise ValidationError(f"column {min(zero_columns)} of the inclusion matrix is zero")
+        self = tuple.__new__(cls, (a, rows))
+        self.__dict__["_sparse"] = sparse
+        return self
 
     @classmethod
     def _make(cls, values) -> InclusionData:
@@ -102,9 +113,11 @@ class InclusionData(NamedTuple("InclusionData", [("a", AlgebraDims), ("m", tuple
     @cached_property
     def b(self) -> AlgebraDims:
         """Big-side blocks, derived once: b_j = sum_i m_ij * a_i."""
-        return AlgebraDims(
-            tuple(sum(row[j] * n for row, n in zip(self.m, self.a)) for j in range(self.cols))
-        )
+        b = [0] * self.cols
+        for i, row in self._sparse.items():
+            for j, count in row.items():
+                b[j] += count * self.a[i]
+        return AlgebraDims(b)
 
     @property
     def rows(self) -> int:
@@ -158,63 +171,51 @@ def canonical_trace_weights(dims: AlgebraDims) -> list[Fraction]:
     return [Fraction(n * n, total) for n in dims]
 
 
-def _m_times(inc: InclusionData, vec: Sequence) -> list:
-    return [sum(row[j] * vec[j] for j in range(inc.cols)) for row in inc.m]
-
-
-def _is_abelian(inc: InclusionData) -> bool:
-    # The small algebra is central in the big one exactly when every small
-    # block is one-dimensional and lands in a single big block.
-    if any(n != 1 for n in inc.a):
-        return False
-    for j in range(inc.cols):
-        if sum(1 for row in inc.m if row[j]) != 1:
-            return False
-    return True
+def _markov_defect(inc: InclusionData, r: Fraction) -> tuple[int, int, Fraction] | None:
+    """The first small block i whose (m b)_i differs from r a_i, with both
+    values, or None when the inclusion is Markov with ratio r."""
+    b = inc.b
+    for i, row in inc._sparse.items():
+        mb = sum([count * b[j] for j, count in row.items()])
+        if mb != r * inc.a[i]:
+            return i, mb, r * inc.a[i]
+    return None
 
 
 def analyze(inc: InclusionData) -> MarkovReport:
     """Classify the inclusion; never raises, findings live in the report."""
-    b = inc.b
-    r = Fraction(b.total_dim, inc.a.total_dim)
-    mb = _m_times(inc, b)
-    is_markov = all(Fraction(x) == r * n for x, n in zip(mb, inc.a))
+    r = Fraction(inc.b.total_dim, inc.a.total_dim)
+    is_markov = _markov_defect(inc, r) is None
+    # The small algebra is central exactly when its blocks are one-dimensional
+    # and each big block meets one of them: as no column is zero, when the
+    # nonzero entries are as many as the columns.
+    is_abelian = all(n == 1 for n in inc.a) and sum(map(len, inc._sparse.values())) == inc.cols
     violation = is_markov and r.denominator != 1
-    return MarkovReport(is_markov=is_markov, r=r, is_abelian=_is_abelian(inc), index_violation=violation)
+    return MarkovReport(is_markov=is_markov, r=r, is_abelian=is_abelian, index_violation=violation)
 
 
 def markov_index(inc: InclusionData) -> int:
-    """The integer index of a Markov inclusion; NotMarkov otherwise."""
+    """The integer index of a Markov inclusion; NotMarkov, with a witness, otherwise."""
     report = analyze(inc)
     if not report.is_markov:
-        raise NotMarkovError(f"inclusion a={tuple(inc.a)}, m={inc.m} is not Markov")
+        i, mb, ra = _markov_defect(inc, report.r)
+        raise NotMarkovError(f"inclusion is not Markov at small block {i}: (m b)_{i} = {mb}, r a_{i} = {ra}")
     if report.r.denominator != 1:
         raise NotMarkovError(f"Markov ratio {report.r} is not an integer")
     return int(report.r)
 
 
-def basic_construction(inc: InclusionData) -> InclusionData:
-    """Reflect the inclusion: the big algebra paired with the transposed matrix.
-
-    The derived top dimensions come out as r times the original small ones,
-    and the result is Markov with the same index.
-    """
-    markov_index(inc)
-    return InclusionData(inc.b, tuple(zip(*inc.m)))
-
-
-def jones_tower(inc: InclusionData, depth: int, *, r: int | None = None) -> list[AlgebraDims]:
+def jones_tower(inc: InclusionData, depth: int) -> list[AlgebraDims]:
     """Block dimensions along the iterated basic construction.
 
     Returns [A, B, A_1, B_1, ..., A_depth, B_depth]: two entries per level,
-    A_k = r^k A and B_k = r^k B (see basic_construction), r the integer
-    index.  A caller that has already read r off analyze passes it, and the
-    inclusion is not classified again.
+    A_k = r^k A and B_k = r^k B, r the integer index: the basic
+    construction of A ⊂ B is B ⊂ A_1 with the transposed matrix, whose
+    derived blocks are r times A's.
     """
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
-    if r is None:
-        r = markov_index(inc) if depth > 0 else 1
+    r = markov_index(inc) if depth > 0 else 1
     sides = (inc.a, inc.b)
     return [AlgebraDims(tuple(r**k * n for n in dims)) for k in range(depth + 1) for dims in sides]
 
@@ -262,8 +263,7 @@ def loop_space_dims(inc: InclusionData) -> Iterator[int]:
     then trace (m m^t)^k = trace (m^t m)^k, the pairs of length-k paths with
     common ends, counted as closed walks of the Gram matrix on the side with
     fewer vertices, one sparse product for every two degrees."""
-    rows = {i: {j: n for j, n in enumerate(row) if n} for i, row in enumerate(inc.m)}
-    return chain([inc.rows], _closed_walks(_gram(rows)))
+    return chain([inc.rows], _closed_walks(_gram(inc._sparse)))
 
 
 def loop_space_dim(inc: InclusionData, k: int) -> int:

@@ -81,7 +81,7 @@ def make_automorphism(
     _check_permutation(perm_b, g.num_b, "perm_b")
 
     if perm_e is None:
-        if any(entry > 1 for row in g.inclusion.m for entry in row):
+        if any(count > 1 for row in g.inclusion._sparse.values() for count in row.values()):
             raise InvalidAutomorphismError(
                 "graph has parallel edges; perm_e must be given explicitly"
             )

@@ -299,12 +299,27 @@ MUTATIONS = (
     ),
     Mutation("loop-dims-degree-0-other-side", MARKOV, "chain([inc.rows],", "chain([inc.cols],", (T("graph"), T("markov"))),
     Mutation("b-plain-property", MARKOV, "    @cached_property\n    def b(self)", "    @property\n    def b(self)", (T("markov"),)),
+    Mutation("tower-classifies-at-depth-0", MARKOV, "r = markov_index(inc) if depth > 0 else 1", "r = markov_index(inc)", (T("markov"),)),
+    # -- the sparse map and its readers ------------------------------------------
+    Mutation("plain-rows-unsigned", MARKOV, "<= {int} or min(row) < 0:", "<= {int}:", (T("markov"), T("records"))),
+    Mutation("zero-column-reports-last", MARKOV, "column {min(zero_columns)} of", "column {max(zero_columns)} of", (T("markov"),)),
+    Mutation("b-reads-column-block", MARKOV, "b[j] += count * self.a[i]", "b[j] += count * self.a[j % self.rows]", (T("markov"),)),
+    Mutation("markov-defect-never-found", MARKOV, "            return i, mb, r * inc.a[i]\n", "            pass\n", (T("markov"),)),
+    Mutation("markov-witness-last-block", MARKOV, "for i, row in inc._sparse.items():", "for i, row in reversed(inc._sparse.items()):", (T("cli"),)),
     Mutation(
-        "tower-classifies-again",
+        "centrality-count-off-by-one",
         MARKOV,
-        "    if r is None:\n        r = markov_index(inc) if depth > 0 else 1\n",
-        "    r = markov_index(inc) if depth > 0 else 1\n",
-        (T("cli"),),
+        "sum(map(len, inc._sparse.values())) == inc.cols",
+        "sum(map(len, inc._sparse.values())) == inc.cols + 1",
+        (T("markov"),),
+    ),
+    Mutation("edge-ids-columns-descending", GRAPH, "for j, count in row.items():", "for j, count in reversed(row.items()):", (T("graph"),)),
+    Mutation(
+        "parallel-test-misses-doubles",
+        SYMMETRY,
+        "for count in row.values()):",
+        "for count in row.values() if count > 2):",
+        (T("symmetry"),),
     ),
     Mutation("tower-squares-the-index", MARKOV, "r**k * n for n in dims", "r**(2 * k) * n for n in dims", (T("markov"), T("cli"))),
     # -- scalars -------------------------------------------------------------

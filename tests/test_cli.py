@@ -161,9 +161,9 @@ class TestTower:
     def test_negative_depth(self, write_inclusion, capsys):
         assert main(["tower", "--input", write_inclusion("C-in-C2"), "--depth", "-1"]) == 2
 
-    def test_classifies_the_inclusion_once(self, write_inclusion, capsys, monkeypatch):
-        # Work count: one `tower` run calls analyze once, for its Markov
-        # check, and builds the tower from the index that check read.
+    def test_classifies_the_inclusion_twice(self, write_inclusion, capsys, monkeypatch):
+        # Work count: one `tower` run calls analyze twice, for its Markov
+        # check and in jones_tower, each reading the nonzero entries once.
         calls = []
         real = markov.analyze
 
@@ -175,7 +175,7 @@ class TestTower:
         monkeypatch.setattr("planaralg.cli.analyze", counting)
         assert main(["tower", "--input", write_inclusion("C-in-C2"), "--depth", "3"]) == 0
         assert json.loads(capsys.readouterr().out)["levels"][3]["b_dim"] == 2 * 4**3
-        assert len(calls) == 1
+        assert len(calls) == 2
 
 
 class TestDims:
@@ -309,6 +309,27 @@ class TestVerifyTl:
 
     def test_non_markov_is_precondition_failure(self, write_inclusion, capsys):
         assert main(["verify-tl", "--input", write_inclusion("C-C2-in-M3"), "--kmax", "1"]) == 3
+        # The refusal names the first small block off the Markov condition:
+        # a = (1, 2), m = ((1,), (1,)), b = (3,) and r = 9/5.
+        assert capsys.readouterr() == (
+            "",
+            "precondition error: inclusion is not Markov at small block 0: (m b)_0 = 3, r a_0 = 9/5\n",
+        )
+
+    def test_non_markov_refusal_is_a_witness_not_the_matrix(self, write_inclusion, capsys):
+        # The 1,000 x 1,000 identity with one more edge, a0 -- b1: b_1 = 2,
+        # so r = 1003/1000 and (m b)_0 = 3.  The stderr line stays short
+        # where the matrix alone prints in about 3 MB.
+        n = 1000
+        m = [[int(i == j) for j in range(n)] for i in range(n)]
+        m[0][1] = 1
+        document = write_inclusion("near-identity", {"a": [1] * n, "m": m})
+        assert main(["verify-tl", "--input", document, "--kmax", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err) < 200
+        assert captured.err == (
+            "precondition error: inclusion is not Markov at small block 0: (m b)_0 = 3, r a_0 = 1003/1000\n"
+        )
 
 
 class TestFixed:

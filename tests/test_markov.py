@@ -20,13 +20,14 @@ from planaralg import (
     ResourceLimitError,
     ValidationError,
     analyze,
-    basic_construction,
     build_graph,
     canonical_trace_weights,
     close_group,
     fixed_dims_report,
+    is_centrally_ergodic,
     jones_tower,
     loop_space_dim,
+    make_automorphism,
     markov_index,
     word_norm,
 )
@@ -67,6 +68,17 @@ def embedding_matrices(inc: InclusionData, j: int) -> list[np.ndarray]:
                         mat[off + p, off + q] = 1
                 images.append(mat)
     return images
+
+
+def basic_construction(inc: InclusionData) -> InclusionData:
+    """The tower's oracle: reflect the inclusion, the big algebra paired
+    with the transposed matrix.
+
+    The derived top dimensions come out as r times the original small ones,
+    and the result is Markov with the same index.
+    """
+    markov_index(inc)
+    return InclusionData(inc.b, tuple(zip(*inc.m)))
 
 
 def brute_force_is_abelian(inc: InclusionData) -> bool:
@@ -143,6 +155,60 @@ class TestInclusionData:
     def test_rejects_zero_column(self):
         with pytest.raises(ValidationError):
             InclusionData([1, 1], [[1, 0], [1, 0]])
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            # Entries first, row by row, then zero rows, then zero columns.
+            ([[0, 0, 0], [1, 0, -1]], "matrix entry -1 is not a nonnegative integer"),
+            ([[1, 2.5, -1], [1, 1]], "matrix entry 2.5 is not a nonnegative integer"),
+            ([[1, -1, 2.5], [1, 1, 1]], "matrix entry -1 is not a nonnegative integer"),
+            ([[1, 0, 0], [1, True, 0], [1]], "matrix entry True is not a nonnegative integer"),
+            ([[1, 0, 0], [1, 0], [1, True, 0]], "inclusion matrix rows have unequal lengths"),
+            ([[1, 0, 0], [0, 0, 0], [0, 0, 0]], "row 1 of the inclusion matrix is zero"),
+            ([[1, 0, 0, 0], [1, 0, 1, 0], [1, 0, 0, 0]], "column 1 of the inclusion matrix is zero"),
+        ],
+    )
+    def test_refusal_order(self, m, message):
+        with pytest.raises(ValidationError) as caught:
+            InclusionData([1] * len(m), m)
+        assert str(caught.value) == message
+
+    def test_readers_touch_no_zero_entry(self):
+        # Work count, not timing: validation reads every entry of the
+        # 2,000 x 2,000 identity once; after it, classifying, the tower, the
+        # loop dimensions, the graph, an automorphism check and central
+        # ergodicity read only the n nonzero entries, so no operation of any
+        # kind reaches one of the n^2 - n zeros.
+        n, touched = 2000, Counter()
+
+        def counted(name):
+            method = getattr(int, name)
+
+            def wrapper(self, *args):
+                touched[name] += 1
+                return method(self, *args)
+
+            return wrapper
+
+        class Zero(int):
+            pass
+
+        zero = Zero(0)
+        inc = InclusionData([1] * n, [[1 if i == j else zero for j in range(n)] for i in range(n)])
+        # Counting starts here: methods set on the class reach every zero.
+        for op in "add radd sub rsub mul rmul floordiv truediv eq ne lt le gt ge bool hash int float index".split():
+            setattr(Zero, f"__{op}__", counted(f"__{op}__"))
+        assert not inc.m[0][1] and touched == {"__bool__": 1}
+        touched.clear()
+        assert analyze(inc) == (True, 1, True, False) and markov_index(inc) == 1
+        assert jones_tower(inc, 1) == [(1,) * n] * 4
+        assert list(islice(loop_space_dims(inc), 4)) == [n] * 4
+        g = build_graph(inc)
+        identity = tuple(range(n))
+        assert make_automorphism(g, identity, identity).perm_e == identity
+        assert is_centrally_ergodic(close_group(g, [])) == (False, False)
+        assert touched == Counter()
 
     def test_from_dict_roundtrip(self):
         inc = InclusionData([1, 1], [[2, 0], [0, 2]])

@@ -1,6 +1,7 @@
 """Tensor products of corpus inclusions: the index and the loop dimensions
-multiply, and the flip of the two factors of A ⊗ A fixes (d_k^2 + d_k) / 2
-loops in degree k, d_k the loop dimension of A (ROADMAP item 14)."""
+multiply, the Temperley-Lieb relations hold on the product graphs, and the
+flip of the two factors of A ⊗ A fixes (d_k^2 + d_k) / 2 loops in degree k,
+d_k the loop dimension of A (ROADMAP item 14)."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ from planaralg import (
     fixed_dims_report,
     fixed_space_basis,
     markov_index,
+    verify_temperley_lieb,
 )
 from planaralg.cli import DEFAULT_LOOP_LIMIT
 from planaralg.markov import loop_space_dims
@@ -43,6 +45,27 @@ def test_index_and_loop_dimensions_multiply():
             except NotMarkovError:
                 outcomes["refused"] += 1
     assert outcomes == {"markov": 121, "refused": 75}
+
+
+def test_temperley_lieb_relations_hold_on_products():
+    # On the graph of every Markov product, each relation among e_0 .. e_k
+    # passes at k = 1, and the checks are 2 (k + 1) idempotents and traces,
+    # 2k bounces and k (k - 1) / 2 far commutes; build_graph refuses the
+    # products that are not Markov.
+    kmax = 1
+    outcomes = Counter()
+    for first in CORPUS:
+        for second in CORPUS:
+            try:
+                g = build_graph(tensor_inclusion(first.inclusion(), second.inclusion()))
+            except NotMarkovError:
+                outcomes["refused"] += 1
+                continue
+            checks = verify_temperley_lieb(g, kmax)
+            assert all(c.passed for c in checks)
+            assert len(checks) == 2 * (kmax + 1) + 2 * kmax + kmax * (kmax - 1) // 2
+            outcomes["checked"] += 1
+    assert outcomes == {"checked": 121, "refused": 75}
 
 
 def test_flip_fixes_the_symmetric_pairs_of_loops():

@@ -145,7 +145,7 @@ class TestMakeAutomorphism:
 
     def test_multigraph_requires_explicit_edges(self, graphs):
         g = graphs("central-C2-in-M2xM2")
-        with pytest.raises(InvalidAutomorphismError):
+        with pytest.raises(InvalidAutomorphismError, match="^graph has parallel edges; perm_e must be given explicitly$"):
             make_automorphism(g, [1, 0], [1, 0])
         auto = make_automorphism(g, [1, 0], [1, 0], [2, 3, 0, 1])
         assert auto.perm_e == (2, 3, 0, 1)
