@@ -12,8 +12,8 @@ in the inclusion matrix against the exact index powers.
 
 Validation reads each matrix entry once, into the sparse map {i: {j: m_ij}}
 of the nonzero entries (rows in order, columns ascending); every later
-reader, here and in graph and symmetry, takes the matrix from that map.
-The dense m serves equality, hashing, to_dict and the word norms.
+reader, here and in graph and symmetry, word norms included, takes the
+matrix from that map; the dense m serves only equality, hashing, to_dict.
 """
 
 from __future__ import annotations
@@ -306,7 +306,9 @@ def word_norm(inc: InclusionData, length: int, starts_with: WordStart = "m") -> 
 
     import numpy as np
 
-    m = np.array(inc.m, dtype=float)
+    m = np.zeros((inc.rows, inc.cols))
+    for i, columns in inc._sparse.items():
+        m[i, list(columns)] = list(columns.values())
     factors = []
     use_m = starts_with == "m"
     for _ in range(length):

@@ -3,14 +3,14 @@
 A group element is an automorphism: it permutes lower vertices, upper
 vertices, and edges compatibly and preserves vertex weights; it acts on
 loops edgewise and on elements linearly.  make_automorphism is the one
-check of that, and close_group runs it once on each generator, so every
+check of that.  close_group, the only builder of a GroupAction, runs it
+on each generator, and a copy of a group runs close_group again, so every
 group maps loops to loops and every routine that reads the group takes it
-as given.  The fixed space in each degree is spanned by
-orbit sums, its dimension is the orbit count, which Burnside's lemma gives
-as a count of closed walks of the Gram matrix of each element's fixed
-subgraph, formed once for each orbit of fixed subgraphs under the group
-and counted by the same counter as the loop space dimensions of markov,
-and the verification
+as given.  The fixed space in each degree is spanned by orbit sums, its
+dimension is the orbit count, which Burnside's lemma gives as a count of
+closed walks of the Gram matrix of each element's fixed subgraph, formed
+once for each orbit of fixed subgraphs under the group and counted by the
+same counter as the loop space dimensions of markov, and the verification
 routine reports that the fixed spaces form a subalgebra closed under the
 generating annular operations and that those operations commute with the
 action, which holds for every group accepted.
@@ -123,32 +123,24 @@ def identity_automorphism(g: BipartiteGraph) -> GraphAutomorphism:
 
 class GroupAction:
     """A finite group of automorphisms of a graph, together with the graph;
-    close_group checks the generators and closes the elements under
-    composition with each generator.  Immutable, so the one table it keeps
-    cannot go stale: for each orbit of its elements' fixed subgraphs, the
-    fixed bases and the Gram matrix of one of them, built here for the
-    fixed dimensions, a function of the graph, the generators and the
-    elements.  The counts that read it return
-    the same values in any order and number of calls."""
+    close_group is its only builder, so every instance is a closed group of
+    checked automorphisms.  Immutable, so the one table it keeps cannot go
+    stale: for each orbit of its elements' fixed subgraphs, the fixed bases
+    and the Gram matrix of one of them, for the fixed dimensions, a
+    function of the graph, the generators and the elements.  The counts
+    that read it return the same values in any order and number of calls."""
 
     __slots__ = ("graph", "generators", "elements", "_fixed")
 
-    def __init__(
-        self,
-        graph: BipartiteGraph,
-        generators: tuple[GraphAutomorphism, ...],
-        elements: tuple[GraphAutomorphism, ...],
-    ):
-        fixed = _fixed_subgraphs(graph, generators, elements)
-        for name, value in zip(self.__slots__, (graph, generators, elements, fixed)):
-            object.__setattr__(self, name, value)
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("GroupAction is built only by close_group(graph, generators)")
 
     def __setattr__(self, name, value):
         raise AttributeError("GroupAction is immutable")
 
     def __reduce__(self):
-        # Copies and pickles rebuild the fixed-subgraph table, not copy it.
-        return GroupAction, (self.graph, self.generators, self.elements)
+        # A copy checks and closes the generators again, up to the group's order.
+        return close_group, (self.graph, self.generators, self.order)
 
     @property
     def order(self) -> int:
@@ -195,7 +187,8 @@ def close_group(
     generators,
     limit: int = DEFAULT_GROUP_LIMIT,
 ) -> GroupAction:
-    """Close a generator list under composition, identity included.
+    """The only builder of a GroupAction: closes a generator list under
+    composition, identity included.
 
     Each generator, read in turn from the iterable, must be a
     GraphAutomorphism that make_automorphism accepts, with its perm_b: a
@@ -203,28 +196,30 @@ def close_group(
     make_automorphism's messages).  Incidence gives include's edge
     condition at degrees 0 and 1, so the group maps every loop of every
     degree to a loop (docs/closure-multiply-and-burnside.md, section 2).
-    Raises GroupTooLargeError as soon as the element count would pass the limit.
+    Raises GroupTooLargeError as soon as the element count would pass the
+    limit, which a copy of the group sets to its order.
     """
     gens = []
     for gen in generators:
         if not isinstance(gen, GraphAutomorphism):
             raise ValidationError("generators must be GraphAutomorphism instances")
         gens.append(make_automorphism(g, *gen))
-    seen = {identity_automorphism(g)}
-    frontier = [identity_automorphism(g)]
-    while frontier:
-        nxt = []
-        for element in frontier:
-            for gen in gens:
-                candidate = element.compose(gen)
-                if candidate not in seen:
-                    if len(seen) + 1 > limit:
-                        raise GroupTooLargeError(f"group closure exceeds limit {limit}")
-                    seen.add(candidate)
-                    nxt.append(candidate)
-        frontier = nxt
+    found = [identity_automorphism(g)]
+    seen = set(found)
+    for element in found:  # breadth first: found grows while it is walked
+        for gen in gens:
+            candidate = element.compose(gen)
+            if candidate not in seen:
+                if len(seen) + 1 > limit:
+                    raise GroupTooLargeError(f"group closure exceeds limit {limit}")
+                seen.add(candidate)
+                found.append(candidate)
     # Tuples of (perm_a, perm_b, perm_e): sorted by the three maps in turn.
-    return GroupAction(g, tuple(gens), tuple(sorted(seen)))
+    elements = tuple(sorted(seen))
+    group = object.__new__(GroupAction)
+    for name, value in zip(GroupAction.__slots__, (g, tuple(gens), elements, _fixed_subgraphs(g, gens, elements))):
+        object.__setattr__(group, name, value)
+    return group
 
 
 def act_loop(auto: GraphAutomorphism, loop: Loop) -> Loop:

@@ -51,6 +51,18 @@ CORPUS = (
 MARKOV_CORPUS = tuple(e for e in CORPUS if e.markov)
 NON_MARKOV_CORPUS = tuple(e for e in CORPUS if not e.markov)
 
+# Generators of one automorphism group of each of six corpus graphs, as
+# make_automorphism arguments (perm_a, perm_b, perm_e), with the degree to
+# which the graph's checks run.
+CORPUS_GROUPS = (
+    ("C-in-C2", 3, [([0], [1, 0], None)]),
+    ("C-in-C3", 3, [([0], [1, 2, 0], None), ([0], [1, 0, 2], None)]),
+    ("C-in-M2", 3, [([0], [0], [1, 0])]),
+    ("C2-in-M2", 3, [([1, 0], [0], None)]),
+    ("C-in-C2xM2", 2, [([0], [1, 0, 2], [1, 0, 2, 3]), ([0], [0, 1, 2], [0, 1, 3, 2])]),
+    ("central-C2-in-M2xM2", 2, [([1, 0], [1, 0], [2, 3, 0, 1])]),
+)
+
 # Graphs small enough for exhaustive idempotent-relation checks.
 TL_TRIO = ("C-in-C2", "C-in-C3", "C-in-M2")
 

@@ -262,8 +262,23 @@ MUTATIONS = (
     Mutation(
         "group-copy-drops-generators",
         SYMMETRY,
-        "return GroupAction, (self.graph, self.generators, self.elements)",
-        "return GroupAction, (self.graph, (), self.elements)",
+        "return close_group, (self.graph, self.generators, self.order)",
+        "return close_group, (self.graph, (), self.order)",
+        (T("symmetry"),),
+    ),
+    Mutation(
+        "group-copy-default-limit",
+        SYMMETRY,
+        "return close_group, (self.graph, self.generators, self.order)",
+        "return close_group, (self.graph, self.generators)",
+        (T("symmetry"),),
+    ),
+    Mutation("closure-limit-off-by-one", SYMMETRY, "if len(seen) + 1 > limit:", "if len(seen) > limit:", (T("symmetry"),)),
+    Mutation(
+        "group-direct-constructor",
+        SYMMETRY,
+        "    def __new__(cls, *args, **kwargs):\n        raise TypeError(\"GroupAction is built only by close_group(graph, generators)\")\n\n",
+        "",
         (T("symmetry"),),
     ),
     # -- inclusions and the tower --------------------------------------------
@@ -305,6 +320,7 @@ MUTATIONS = (
     Mutation("zero-column-reports-last", MARKOV, "column {min(zero_columns)} of", "column {max(zero_columns)} of", (T("markov"),)),
     Mutation("b-reads-column-block", MARKOV, "b[j] += count * self.a[i]", "b[j] += count * self.a[j % self.rows]", (T("markov"),)),
     Mutation("markov-defect-never-found", MARKOV, "            return i, mb, r * inc.a[i]\n", "            pass\n", (T("markov"),)),
+    Mutation("word-norm-entries-transposed", MARKOV, "m[i, list(columns)] =", "m[list(columns), i] =", (T("markov"),)),
     Mutation("markov-witness-last-block", MARKOV, "for i, row in inc._sparse.items():", "for i, row in reversed(inc._sparse.items()):", (T("cli"),)),
     Mutation(
         "centrality-count-off-by-one",

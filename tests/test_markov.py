@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import cache
@@ -40,7 +41,7 @@ from conftest import (
     corpus_entry,
     generated_markov_inclusions,
 )
-from products import tensor_inclusion
+from products import direct_sum, tensor_inclusion
 
 
 def embedding_matrices(inc: InclusionData, j: int) -> list[np.ndarray]:
@@ -68,6 +69,33 @@ def embedding_matrices(inc: InclusionData, j: int) -> list[np.ndarray]:
                         mat[off + p, off + q] = 1
                 images.append(mat)
     return images
+
+
+def dense_word_norm(inc: InclusionData, length: int, starts_with: str) -> float:
+    """word_norm's numeric value from the dense float matrix
+    np.array(inc.m, dtype=float): the same word, products and power
+    iteration, in the same order, so the two agree bit for bit."""
+    m = np.array(inc.m, dtype=float)
+    factors = [m if (n % 2 == 0) == (starts_with == "m") else m.T for n in range(length)]
+    word = factors[0]
+    for f in factors[1:]:
+        word = word @ f
+    gram = word @ word.T
+    v = np.ones(gram.shape[0])
+    top = 0.0
+    for _ in range(markov.POWER_ITERATIONS):
+        w = gram @ v
+        scale = float(np.linalg.norm(w))
+        if scale == 0.0:
+            top = 0.0
+            break
+        v = w / scale
+        estimate = float(v @ (gram @ v))
+        if top and abs(estimate - top) <= markov.POWER_TOLERANCE * abs(estimate):
+            top = estimate
+            break
+        top = estimate
+    return math.sqrt(top)
 
 
 def basic_construction(inc: InclusionData) -> InclusionData:
@@ -179,7 +207,8 @@ class TestInclusionData:
         # 2,000 x 2,000 identity once; after it, classifying, the tower, the
         # loop dimensions, the graph, an automorphism check and central
         # ergodicity read only the n nonzero entries, so no operation of any
-        # kind reaches one of the n^2 - n zeros.
+        # kind reaches one of the n^2 - n zeros; nor do the word norms' float
+        # matrix on the 200 x 200 identity.
         n, touched = 2000, Counter()
 
         def counted(name):
@@ -196,6 +225,8 @@ class TestInclusionData:
 
         zero = Zero(0)
         inc = InclusionData([1] * n, [[1 if i == j else zero for j in range(n)] for i in range(n)])
+        # The word norms multiply dense n x n words, so they run on a smaller identity.
+        small = InclusionData([1] * 200, [[1 if i == j else zero for j in range(200)] for i in range(200)])
         # Counting starts here: methods set on the class reach every zero.
         for op in "add radd sub rsub mul rmul floordiv truediv eq ne lt le gt ge bool hash int float index".split():
             setattr(Zero, f"__{op}__", counted(f"__{op}__"))
@@ -208,6 +239,7 @@ class TestInclusionData:
         identity = tuple(range(n))
         assert make_automorphism(g, identity, identity).perm_e == identity
         assert is_centrally_ergodic(close_group(g, [])) == (False, False)
+        assert [word_norm(small, 2, start)[0] for start in ("m", "mt")] == [1.0, 1.0]
         assert touched == Counter()
 
     def test_from_dict_roundtrip(self):
@@ -411,16 +443,6 @@ def _generated_by_index() -> dict[Fraction, list[InclusionData]]:
     return found
 
 
-def _direct_sum(parts: list[InclusionData]) -> InclusionData:
-    """The inclusions side by side: block-diagonal matrix, blocks in order."""
-    width, offset, a, m = sum(inc.cols for inc in parts), 0, [], []
-    for inc in parts:
-        a += inc.a
-        m += [[0] * offset + list(row) + [0] * (width - offset - inc.cols) for row in inc.m]
-        offset += inc.cols
-    return InclusionData(a, m)
-
-
 @st.composite
 def _shaped_inclusions(draw) -> tuple[str, InclusionData, bool]:
     """(shape, inclusion, whether its graph is small enough to build)."""
@@ -437,7 +459,7 @@ def _shaped_inclusions(draw) -> tuple[str, InclusionData, bool]:
         # sum is Markov with that index.
         by_index = _generated_by_index()
         r = draw(st.sampled_from(sorted(by_index)))
-        return shape, _direct_sum(draw(st.lists(st.sampled_from(by_index[r]), min_size=2, max_size=8))), True
+        return shape, direct_sum(draw(st.lists(st.sampled_from(by_index[r]), min_size=2, max_size=8))), True
     first, second = draw(st.sampled_from(MARKOV_CORPUS)), draw(st.sampled_from(MARKOV_CORPUS))
     return shape, tensor_inclusion(first.inclusion(), second.inclusion()), True
 
@@ -492,6 +514,20 @@ class TestWordNorm:
             oracle = np.linalg.norm(prod, 2)
             numeric, _ = word_norm(inc, k, starts_with=starts_with)
             assert numeric == pytest.approx(oracle, rel=1e-9)
+
+    def test_matches_dense_oracle_bit_for_bit(self):
+        # The float matrix built from the sparse map is the dense one, so
+        # every product and every norm is the same float: lengths 1-6, both
+        # starts, on the Markov corpus, the generated Markov inclusions and
+        # the product of every ordered pair of Markov corpus inclusions.
+        products = [tensor_inclusion(x.inclusion(), y.inclusion()) for x in MARKOV_CORPUS for y in MARKOV_CORPUS]
+        cases = [entry.inclusion() for entry in MARKOV_CORPUS] + generated_markov_inclusions() + products
+        assert len(cases) == 11 + 300 + 121
+        for inc in cases:
+            for length in range(1, 7):
+                for start in ("m", "mt"):
+                    numeric, _ = word_norm(inc, length, start)
+                    assert numeric.hex() == dense_word_norm(inc, length, start).hex(), (inc, length, start)
 
     def test_rejects_non_markov(self):
         inc = corpus_entry("skew-C2-in-M2xC").inclusion()

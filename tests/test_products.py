@@ -1,7 +1,10 @@
-"""Tensor products of corpus inclusions: the index and the loop dimensions
-multiply, the Temperley-Lieb relations hold on the product graphs, and the
-flip of the two factors of A ⊗ A fixes (d_k^2 + d_k) / 2 loops in degree k,
-d_k the loop dimension of A (ROADMAP item 14)."""
+"""Tensor products and direct sums of corpus inclusions: the index and the
+loop dimensions multiply, the Temperley-Lieb relations hold on the product
+graphs, the product G1 x G2 of two groups has the products of the factors'
+fixed dimensions, the flip of the two factors of A ⊗ A fixes
+(d_k^2 + d_k) / 2 loops in degree k, d_k the loop dimension of A, and on
+A ⊕ A the loop dimensions double and the swap of the two copies fixes d_k
+(ROADMAP item 14)."""
 
 from __future__ import annotations
 
@@ -13,6 +16,8 @@ from planaralg import (
     analyze,
     build_graph,
     close_group,
+    identity_automorphism,
+    make_automorphism,
     fixed_dims_report,
     fixed_space_basis,
     markov_index,
@@ -20,8 +25,8 @@ from planaralg import (
 )
 from planaralg.cli import DEFAULT_LOOP_LIMIT
 from planaralg.markov import loop_space_dims
-from conftest import CORPUS, MARKOV_CORPUS
-from products import flip, tensor_inclusion
+from conftest import CORPUS, CORPUS_GROUPS, MARKOV_CORPUS, corpus_entry
+from products import component_swap, direct_sum, flip, product_automorphism, tensor_inclusion
 
 # The flip's orbit sums are formed where A ⊗ A has at most this many loops;
 # C-in-M3 ⊗ C-in-M3 has 531,441 in degree 3.
@@ -89,3 +94,44 @@ def test_flip_fixes_the_symmetric_pairs_of_loops():
             assert sizes == Counter({1: d, 2: (d * d - d) // 2})
             outcomes["basis"] += 1
     assert outcomes == {"basis": 39, "count only": 5}
+
+
+def test_product_group_fixes_the_products_of_fixed_dimensions():
+    # For each ordered pair of the corpus groups, (h1, id) and (id, h2) over
+    # the generators close on the product graph to G1 x G2, of order
+    # |G1| |G2|, whose fixed space in degree k is the tensor product of the
+    # factors' (degrees 0-2).
+    factors = []
+    for name, _, gens in CORPUS_GROUPS:
+        inc = corpus_entry(name).inclusion()
+        g = build_graph(inc)
+        group = close_group(g, [make_automorphism(g, *gen) for gen in gens])
+        factors.append((inc, group, fixed_dims_report(group, 2)))
+    checked = 0
+    for inc1, group1, dims1 in factors:
+        for inc2, group2, dims2 in factors:
+            g = build_graph(tensor_inclusion(inc1, inc2))
+            one1, one2 = identity_automorphism(group1.graph), identity_automorphism(group2.graph)
+            gens = [product_automorphism(g, inc1, inc2, h, one2) for h in group1.generators]
+            gens += [product_automorphism(g, inc1, inc2, one1, h) for h in group2.generators]
+            group = close_group(g, gens)
+            assert group.order == group1.order * group2.order
+            assert fixed_dims_report(group, 2) == [x * y for x, y in zip(dims1, dims2)]
+            checked += 1
+    assert checked == 36
+
+
+def test_component_swap_fixes_one_copy_of_each_loop():
+    # The loops of A ⊕ A are those of either copy, 2 d_k in degree k; the
+    # swap of the copies fixes none of them and pairs the rest, so its
+    # group fixes d_k (degrees 0-4).
+    checked = 0
+    for entry in MARKOV_CORPUS:
+        inc = entry.inclusion()
+        union = direct_sum([inc, inc])
+        dims = list(islice(loop_space_dims(inc), 5))
+        assert list(islice(loop_space_dims(union), 5)) == [2 * d for d in dims]
+        g = build_graph(union)
+        assert fixed_dims_report(close_group(g, [component_swap(g, inc)]), 4) == dims
+        checked += 1
+    assert checked == 11

@@ -51,7 +51,7 @@ from planaralg import (
 )
 from planaralg import graph, symmetry
 from planaralg.symmetry import SubalgebraCheck, SubalgebraReport
-from conftest import MARKOV_CORPUS, corpus_entry
+from conftest import CORPUS_GROUPS, MARKOV_CORPUS, corpus_entry
 from test_graph import random_element
 
 
@@ -313,17 +313,49 @@ class TestCloseGroup:
                 check()
             assert str(refused.value) == "weight changes along a0 -> a1"
 
-    def test_copies_and_pickles_rebuild_the_group(self, graphs):
-        # A copy goes through GroupAction(graph, generators, elements), which
-        # builds the fixed-subgraph table again; the group reads the same.
+    def test_copies_and_pickles_rebuild_the_group(self, graphs, monkeypatch):
+        # A copy goes through close_group(graph, generators, order), which
+        # checks the generators, closes them and builds the fixed-subgraph
+        # table again; the group reads the same.  The limit is the group's
+        # order, so S4 copies with the default limit patched below 24, as a
+        # group closed under a raised limit= does.
         g = graphs("C-in-C4")
-        s4 = close_group(g, [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])])
-        for group, kmax in [(s4, 4), *_oracle_cases(graphs)]:
+        gens = [make_automorphism(g, [0], [1, 0, 2, 3]), make_automorphism(g, [0], [1, 2, 3, 0])]
+        cases = [(close_group(g, gens), 4), *_oracle_cases(graphs)]
+        monkeypatch.setattr(symmetry, "DEFAULT_GROUP_LIMIT", 23)
+        monkeypatch.setattr(close_group, "__defaults__", (23,))
+        with pytest.raises(GroupTooLargeError):
+            close_group(g, gens)
+        s4 = close_group(g, gens, limit=24)
+        for group, kmax in [(s4, 4), *cases]:
             seen = (group.order, group.elements, group.generators, fixed_dims_report(group, kmax))
             for other in (copy.copy(group), copy.deepcopy(group), pickle.loads(pickle.dumps(group))):
                 assert type(other) is GroupAction
                 assert (other.order, other.elements, other.generators, fixed_dims_report(other, kmax)) == seen
         assert fixed_dims_report(pickle.loads(pickle.dumps(s4)), 4) == [1, 1, 2, 5, 15]
+
+    def test_close_group_is_the_only_builder(self, graphs):
+        # Three element lists on C-in-C2xM2 that are no closed group of
+        # checked automorphisms: with a map that sends edge 0 to edge 2
+        # across the wrong ends, the swap of the two lines without the
+        # identity, and no element.  A direct call refuses each, and any
+        # other; close_group refuses the map and closes the swap.
+        g = graphs("C-in-C2xM2")
+        refused = GraphAutomorphism((0,), (0, 1, 2), (2, 1, 0, 3))
+        swap = make_automorphism(g, [0], [1, 0, 2], [1, 0, 2, 3])
+        identity = identity_automorphism(g)
+        for gens, elements in [((), (identity, refused)), ((swap,), (swap,)), ((), ())]:
+            with pytest.raises(TypeError, match="only by close_group"):
+                GroupAction(g, gens, elements)
+        with pytest.raises(TypeError, match="only by close_group"):
+            GroupAction()
+        with pytest.raises(InvalidAutomorphismError) as caught:
+            close_group(g, [refused])
+        assert str(caught.value) == "edge 0 maps to edge 2 with incompatible endpoints"
+        group = close_group(g, [swap])
+        assert group.elements == (identity, swap)
+        assert fixed_dims_report(group, 3) == [1, 5, 26, 140]
+        assert verify_planar_subalgebra(group, 3).all_passed
 
     def test_weights_are_compared_as_block_dimensions(self, graphs, monkeypatch):
         # A weight n / sqrt(dim) is equal across the blocks of one side exactly
@@ -846,15 +878,7 @@ def test_close_group_accepts_exactly_the_sets_that_keep_loops_and_weights(graphs
 def _oracle_cases(graphs):
     """Groups of automorphisms on corpus graphs, then the seeded permutation
     groups that close_group accepts, each at its graph's kmax."""
-    valid = (
-        ("C-in-C2", 3, [([0], [1, 0], None)]),
-        ("C-in-C3", 3, [([0], [1, 2, 0], None), ([0], [1, 0, 2], None)]),
-        ("C-in-M2", 3, [([0], [0], [1, 0])]),
-        ("C2-in-M2", 3, [([1, 0], [0], None)]),
-        ("C-in-C2xM2", 2, [([0], [1, 0, 2], [1, 0, 2, 3]), ([0], [0, 1, 2], [0, 1, 3, 2])]),
-        ("central-C2-in-M2xM2", 2, [([1, 0], [1, 0], [2, 3, 0, 1])]),
-    )
-    for name, kmax, gens in valid:
+    for name, kmax, gens in CORPUS_GROUPS:
         g = graphs(name)
         yield close_group(g, [make_automorphism(g, *gen) for gen in gens]), kmax
     yield from _seeded_groups(graphs, 20090, 40)
