@@ -28,8 +28,10 @@ per id, so path keys hash once; `Loop` and the path readers other than
 `rows` give int tuples.  The blocks are implicit in the rows, so an element
 needs no graph.  Products are sparse integer matrix products, `relabel`
 sends rows and columns to lists of image paths (`include`, `shift`, the
-group action and its average), and `contract_last` contracts the last
-column (`expect`).
+group action and its average), `contract_last` contracts the last
+column (`expect`), `is_self_adjoint` compares each entry with its mirror
+image and `diagonal_sums` adds up the diagonal by blocks (the
+Temperley-Lieb checks and `trace`).
 Besides the element's own arithmetic, they are the only code that reads
 stored rows.  The normal form (no zeros, no common factor) makes `==` a
 comparison of dicts.
@@ -45,7 +47,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
 from .errors import DegreeMismatchError, EigenvectorViolationError, ResourceLimitError, ValidationError
 from .markov import InclusionData, canonical_trace_weights, markov_index
@@ -345,6 +347,33 @@ class PlanarElement:
                     out_key, factor = _key_product(key, wkey)
                     _add_row(num.setdefault(out_key, {}), row[:-1], kept, wn * factor * scale)
         return PlanarElement._normal(self.degree - 1, self._den * wden, num)
+
+    def is_self_adjoint(self) -> bool:
+        """Whether x* == x: the involution swaps the row and the column of
+        each loop and keeps its real coefficient, so x is self-adjoint when
+        every key's matrix is symmetric (docs/temperley-lieb-adjoint.md,
+        section 1).  Builds no second element."""
+        for rows in self._num.values():
+            for row, entries in rows.items():
+                # `_pairs`, written out: every entry is read.
+                for col, n in (entries,) if entries.__class__ is tuple else entries.items():
+                    mirror = rows.get(col)
+                    if mirror is None or (mirror != (row, n) if mirror.__class__ is tuple else mirror.get(row) != n):
+                        return False
+        return True
+
+    def diagonal_sums(self, block: Callable[[Path], Hashable]) -> dict[Hashable, RadicalScalar]:
+        """block(p) -> the sum of the coefficients of the diagonal loops, both
+        rows one path p, over the paths p of that block; a block without a
+        diagonal loop is left out."""
+        num: dict[Hashable, dict[RadicalKey, int]] = {}
+        for key, rows in self._num.items():
+            for row, entries in rows.items():
+                n = (entries[1] if entries[0] == row else 0) if entries.__class__ is tuple else entries.get(row, 0)
+                if n:
+                    acc = num.setdefault(block(row), {})
+                    acc[key] = acc.get(key, 0) + n
+        return {b: _reduced(self._den, {key: n for key, n in acc.items() if n}) for b, acc in num.items()}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PlanarElement):

@@ -197,8 +197,11 @@ def close_group(
     condition at degrees 0 and 1, so the group maps every loop of every
     degree to a loop (docs/closure-multiply-and-burnside.md, section 2).
     Raises GroupTooLargeError as soon as the element count would pass the
-    limit, which a copy of the group sets to its order.
+    limit, which a copy of the group sets to its order, and ValidationError
+    for a limit below 1, which not even the identity fits under.
     """
+    if limit < 1:
+        raise ValidationError(f"group limit must be at least 1, got {limit}")
     gens = []
     for gen in generators:
         if not isinstance(gen, GraphAutomorphism):

@@ -20,9 +20,12 @@ paths out of the base:
                     edges attachable at its endpoint, bounce one edge up and
                     back on each row, weighted by the two spins; normalized
                     by the inverse graph eigenvalue to be an idempotent.
-  trace             contract everything: repeated expectation down to
-                    degree zero, then the normalized point evaluation,
-                    scaled by the inverse eigenvalue power.
+  trace             contract everything: the normalized point evaluation
+                    of the repeated expectation down to degree zero, scaled
+                    by the inverse eigenvalue power.  It sends a loop off
+                    the diagonal to zero and a diagonal loop to a weight of
+                    its (base, endpoint) block, so it is formed as one sum
+                    of the diagonal per block, with no contraction.
 
 Programs are linear pipelines over these generators with an explicit count
 of closed circles; running a program multiplies by eigenvalue^circles.
@@ -31,6 +34,7 @@ of closed circles; running a program multiplies by eigenvalue^circles.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from functools import cache
 from typing import NamedTuple, Sequence
 
@@ -85,13 +89,23 @@ def jones_projection(g: BipartiteGraph, k: int) -> PlanarElement:
 
 
 def trace(g: BipartiteGraph, x: PlanarElement) -> RadicalScalar:
-    """Normalized exact trace: unit maps to one, products commute inside."""
+    """Normalized exact trace: unit maps to one, products commute inside.
+
+    Formula (T) of docs/trace-normalization.md, summed per block: k
+    expectations and the point evaluation send a diagonal degree-k loop of
+    the block (v, z) to gamma^(-k) (eta(z) / eta(v)) w_v and every other
+    loop to zero.  eta(z) / eta(v) is a_z / a_v for a lower endpoint and
+    b_z / (gamma a_v) for an upper one, so each block's weight is the
+    rational w_v dims_z / (a_v r^ceil(k/2)), formed once per block
+    (docs/temperley-lieb-adjoint.md, section 7)."""
     k = x.degree
-    reduced = x
-    for _ in range(k):
-        reduced = expect(g, reduced)
-    total = sum_scalars(coeff * g.point_weight(loop.base) for loop, coeff in reduced.terms.items())
-    return total * g.gamma.invert() ** k
+    # The vertex that a path's last code point reaches, as in `include`.
+    ends = g.step(k - 1).end if k else range(g.num_a)
+    sums = x.diagonal_sums(lambda p: (ord(p[0]), ends[ord(p[-1])]))
+    a = g.inclusion.a
+    dims = g.inclusion.b if k % 2 else a  # of the endpoints: upper vertices at odd k
+    power = g.r ** ((k + 1) // 2)
+    return sum_scalars(total * (g.point_weight(v) * Fraction(dims[z], a[v] * power)) for (v, z), total in sums.items())
 
 
 class TangleStep(NamedTuple("TangleStep", [("tag", str), ("k", int)])):
@@ -223,6 +237,13 @@ def verify_temperley_lieb(g: BipartiteGraph, kmax: int) -> list[RelationCheck]:
     commutation for indices two or more apart.  Each e_k is included one
     degree at a time, and the far-commute checks of e_k reuse the chain
     that starts at its bounce embedding; only the current link is kept.
+
+    Every e_k is self-adjoint and `include` commutes with the involution,
+    so with X = low e_l the other product e_l low is X*: a far commute
+    holds exactly when X is self-adjoint.  The two bounces share A =
+    low high: low high low = A low and high low high = high A.  So a check
+    up to kmax forms (kmax + 1) + 3 kmax + kmax (kmax - 1) / 2 products,
+    and `trace` forms none (docs/temperley-lieb-adjoint.md).
     """
     if kmax < 0:
         raise ValidationError("kmax must be nonnegative")
@@ -237,15 +258,10 @@ def verify_temperley_lieb(g: BipartiteGraph, kmax: int) -> list[RelationCheck]:
     for k in range(kmax):
         low = include(g, proj[k])
         high = proj[k + 1]
-        bounces.append(
-            RelationCheck("bounce-low", (k, k + 1), low * high * low == low.scaled(inv_r))
-        )
-        bounces.append(
-            RelationCheck("bounce-high", (k + 1, k), high * low * high == high.scaled(inv_r))
-        )
+        shared = low * high
+        bounces.append(RelationCheck("bounce-low", (k, k + 1), shared * low == low.scaled(inv_r)))
+        bounces.append(RelationCheck("bounce-high", (k + 1, k), high * shared == high.scaled(inv_r)))
         for l in range(k + 2, kmax + 1):
             low = include(g, low)
-            far_commutes.append(
-                RelationCheck("far-commute", (k, l), low * proj[l] == proj[l] * low)
-            )
+            far_commutes.append(RelationCheck("far-commute", (k, l), (low * proj[l]).is_self_adjoint()))
     return checks + bounces + far_commutes

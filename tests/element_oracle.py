@@ -10,6 +10,11 @@ counts of an inclusion, one matrix product per degree, are the reference
 for the loop space dimensions that `planaralg.markov` counts as closed
 walks of a Gram matrix.
 
+`verify_temperley_lieb` here is the relation checker as first written,
+the reference for `planaralg.verify_temperley_lieb`: every relation is
+compared as written, two products per far commute and two triple products
+per adjacent pair, and every trace is the repeated expectation of `trace`.
+
 Not a test module (no `test_` prefix): pytest does not collect it.
 """
 
@@ -19,7 +24,16 @@ from fractions import Fraction
 from itertools import count
 from typing import Iterator, NamedTuple
 
-from planaralg import BipartiteGraph, InclusionData, Loop, PlanarElement, RadicalScalar, identity_automorphism
+from planaralg import (
+    BipartiteGraph,
+    InclusionData,
+    Loop,
+    PlanarElement,
+    RadicalScalar,
+    RelationCheck,
+    identity_automorphism,
+    tangles,
+)
 from planaralg.graph import decode_path
 
 Terms = dict[Loop, RadicalScalar]
@@ -90,6 +104,11 @@ class RefElement:
     def scaled(self, scalar: RadicalScalar) -> RefElement:
         return RefElement(self.degree, {l: c * scalar for l, c in self.terms.items()})
 
+    def adjoint(self) -> RefElement:
+        """The involution: each loop read backwards, its two rows swapped,
+        with its coefficient, a real number."""
+        return RefElement(self.degree, {Loop.from_paths(l.base, l.bottom(), l.top()): c for l, c in self.terms.items()})
+
 
 def _add_term(acc: Terms, loop: Loop, coeff: RadicalScalar) -> None:
     prev = acc.get(loop)
@@ -147,6 +166,17 @@ def jones_projection(g, k: int) -> RefElement:
     return RefElement(k + 2, out)
 
 
+def diagonal_sums(g, x: RefElement) -> dict[tuple[int, int], RadicalScalar]:
+    """The coefficients of the loops with equal rows, summed per (base,
+    endpoint) block; blocks without such a loop left out."""
+    sums: dict[tuple[int, int], RadicalScalar] = {}
+    for loop, coeff in x.terms.items():
+        if loop.top() == loop.bottom():
+            block = (loop.base, path_end(g, loop.base, loop.top()))
+            sums[block] = sums.get(block, RadicalScalar.zero()) + coeff
+    return sums
+
+
 def trace(g, x: RefElement) -> RadicalScalar:
     k = x.degree
     reduced = x
@@ -156,6 +186,31 @@ def trace(g, x: RefElement) -> RadicalScalar:
     for loop, coeff in reduced.terms.items():
         total = total + coeff * g.point_weight(loop.base)
     return total * g.gamma.invert() ** k
+
+
+def verify_temperley_lieb(g, kmax: int) -> list[RelationCheck]:
+    """The checks of `planaralg.verify_temperley_lieb`, in its order, each
+    formed as the relation reads: e e == e; the trace of e_k by repeated
+    expectation; low high low and high low high against their multiples;
+    low e_l == e_l low.  Products are PlanarElement products, and the
+    traces are formed on the dict-of-loops element."""
+    proj = {k: tangles.jones_projection(g, k) for k in range(kmax + 1)}
+    inv_r = g.gamma.invert() ** 2
+    checks = []
+    for k in range(kmax + 1):
+        e = proj[k]
+        checks.append(RelationCheck("idempotent", (k,), e * e == e))
+        checks.append(RelationCheck("trace", (k,), trace(g, RefElement.of(e)) == inv_r))
+    bounces, far_commutes = [], []
+    for k in range(kmax):
+        low = tangles.include(g, proj[k])
+        high = proj[k + 1]
+        bounces.append(RelationCheck("bounce-low", (k, k + 1), low * high * low == low.scaled(inv_r)))
+        bounces.append(RelationCheck("bounce-high", (k + 1, k), high * low * high == high.scaled(inv_r)))
+        for l in range(k + 2, kmax + 1):
+            low = tangles.include(g, low)
+            far_commutes.append(RelationCheck("far-commute", (k, l), low * proj[l] == proj[l] * low))
+    return checks + bounces + far_commutes
 
 
 def act(auto, x: RefElement) -> RefElement:

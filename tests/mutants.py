@@ -75,6 +75,14 @@ MUTATIONS = (
         (T("elements"), T("tangles")),
     ),
     Mutation("contract-reads-second-last", GRAPH, "last = row[-1]", "last = row[-2]", (T("elements"), T("tangles"))),
+    Mutation(
+        "self-adjoint-compares-entry-with-itself",
+        GRAPH,
+        "(mirror != (row, n) if mirror.__class__ is tuple else mirror.get(row) != n)",
+        "(entries != (col, n) if entries.__class__ is tuple else entries.get(col) != n)",
+        (T("elements"), T("tangles")),
+    ),
+    Mutation("diagonal-sums-read-first-column", GRAPH, "else entries.get(row, 0)", "else next(iter(entries.values()))", (T("elements"), T("tangles"))),
     Mutation("shared-table-per-call", GRAPH, "shared = _SHARED\n", "shared = {}\n", (T("elements"),)),
     Mutation("shares-paths-not-numerators", GRAPH, "[col] = shared.setdefault(n, n)", "[col] = n", (T("elements"),)),
     # -- the path encoding -----------------------------------------------------
@@ -163,6 +171,9 @@ MUTATIONS = (
         "            low = proj[k]\n            for _ in range(l - k):\n                low = include(g, low)\n",
         (T("tangles"),),
     ),
+    Mutation("trace-weight-at-base", TANGLES, "Fraction(dims[z], a[v] * power)", "Fraction(dims[v], a[v] * power)", (T("tangles"),)),
+    Mutation("trace-power-rounded-down", TANGLES, "power = g.r ** ((k + 1) // 2)", "power = g.r ** (k // 2)", (T("tangles"),)),
+    Mutation("bounce-high-as-shared-high", TANGLES, "high * shared == high.scaled(inv_r)", "shared * high == high.scaled(inv_r)", (T("tangles"),)),
     Mutation("tangle-step-make-unchecked", TANGLES, "def _make(cls, values) -> TangleStep:\n        return cls(*values)", "def _make(cls, values) -> TangleStep:\n        return tuple.__new__(cls, values)", (T("records"),)),
     # -- groups and fixed dimensions -------------------------------------------
     Mutation("fixed-dims-while-true", SYMMETRY, "        if gram:\n", "        if True:\n", (T("symmetry"),)),
@@ -273,6 +284,7 @@ MUTATIONS = (
         "return close_group, (self.graph, self.generators)",
         (T("symmetry"),),
     ),
+    Mutation("closure-limit-unchecked", SYMMETRY, "    if limit < 1:\n", "    if False:\n", (T("symmetry"),)),
     Mutation("closure-limit-off-by-one", SYMMETRY, "if len(seen) + 1 > limit:", "if len(seen) > limit:", (T("symmetry"),)),
     Mutation(
         "group-direct-constructor",

@@ -38,7 +38,7 @@ from planaralg import (
     trace,
 )
 import planaralg.graph as graph_module
-from planaralg.graph import CODE_POINTS, Step
+from planaralg.graph import CODE_POINTS, Step, decode_path
 from conftest import corpus_entry
 
 MARKOV_GRAPHS = ("C-in-C2", "C-in-C3", "C2-in-M2", "C-in-C2xM2")
@@ -171,6 +171,15 @@ def check_algebra(g, pool) -> None:
         agree(x - x, oracle.RefElement(k, {}))
         w = x + y.scaled(-1)
         agree(w + y, rx)
+        # The involution reverses every loop: (x y)* = y* x*, x + x* and
+        # x x* are self-adjoint, and x is exactly when x* == x.
+        star, ystar = (PlanarElement(k, r.adjoint().terms) for r in (rx, ry))
+        agree(ystar * star, (rx * ry).adjoint())
+        assert x.is_self_adjoint() == (star == x)
+        assert (x + star).is_self_adjoint() and (x * star).is_self_adjoint()
+        assert (x + star + y).is_self_adjoint() == (y == ystar)
+        blocks = x.diagonal_sums(lambda p: (ord(p[0]), oracle.path_end(g, ord(p[0]), decode_path(p[1:]))))
+        assert blocks == oracle.diagonal_sums(g, rx)
 
 
 @pytest.mark.parametrize("name", MARKOV_GRAPHS)

@@ -187,6 +187,17 @@ class TestCloseGroup:
         with pytest.raises(GroupTooLargeError):
             close_group(g, [cycle, flip], limit=3)
 
+    def test_limit_below_one_refused(self, two_point_swap):
+        # The identity alone is a group of order 1, so no limit below 1 can
+        # hold; at 1 the trivial group closes and the swap's does not.
+        g, swap = two_point_swap
+        for limit in (0, -1):
+            with pytest.raises(ValidationError, match="group limit must be at least 1"):
+                close_group(g, [], limit=limit)
+        assert close_group(g, [], limit=1).order == 1
+        with pytest.raises(GroupTooLargeError):
+            close_group(g, [swap], limit=1)
+
     def test_rejects_non_automorphism_generators(self, graphs):
         g = graphs("C-in-C2")
         with pytest.raises(ValidationError):

@@ -30,6 +30,7 @@ from planaralg import (
     verify_temperley_lieb,
 )
 from planaralg.radical import sqrt_of_int
+import element_oracle as oracle
 from conftest import MARKOV_CORPUS, TL_TRIO
 from test_graph import random_element
 
@@ -452,3 +453,103 @@ class TestRelations:
             expected += [("bounce-low", (k, k + 1)), ("bounce-high", (k + 1, k))]
         expected += [("far-commute", (k, l)) for k in range(5) for l in range(k + 2, 5)]
         assert [(c.relation, c.indices) for c in checks] == expected
+
+    def test_products_per_check(self, graphs, monkeypatch):
+        # Work count: one product per idempotent, three per adjacent pair
+        # (the bounces share low high) and one per far commute (the other
+        # order is the adjoint), (kmax + 1) + 3 kmax + kmax (kmax - 1) / 2
+        # in all, 40 at kmax 6 where comparing each relation as written took
+        # 61; `trace` contracts nothing.
+        products, contractions = 0, 0
+        compose, contract_last = PlanarElement._compose, PlanarElement.contract_last
+
+        def counting_compose(x, y):
+            nonlocal products
+            products += 1
+            return compose(x, y)
+
+        def counting_contract_last(x, weights):
+            nonlocal contractions
+            contractions += 1
+            return contract_last(x, weights)
+
+        monkeypatch.setattr(PlanarElement, "_compose", counting_compose)
+        monkeypatch.setattr(PlanarElement, "contract_last", counting_contract_last)
+        g = graphs("C-in-C2")
+        for kmax in range(7):
+            products = 0
+            checks = verify_temperley_lieb(g, kmax)
+            assert all(c.passed for c in checks)
+            assert products == (kmax + 1) + 3 * kmax + kmax * (kmax - 1) // 2
+        assert products == 40 and contractions == 0
+        x = random_element(random.Random(3), g.enumerate_loops(3), count=6)
+        assert trace(g, x) == oracle.trace(g, oracle.RefElement.of(x))
+        assert contractions == 0
+
+    @pytest.mark.parametrize("name", [e.name for e in MARKOV_CORPUS])
+    def test_matches_the_oracle(self, graphs, name):
+        # The checks as the relations read, two products per far commute,
+        # four per adjacent pair and traces by repeated expectation, give
+        # the same list: relations, indices, verdicts and order.
+        g = graphs(name)
+        assert verify_temperley_lieb(g, 4) == oracle.verify_temperley_lieb(g, 4)
+
+    @pytest.mark.parametrize("name", [e.name for e in MARKOV_CORPUS])
+    def test_projections_and_their_inclusions_are_self_adjoint(self, graphs, name):
+        # The premise of the far-commute check: e_k* = e_k, and include
+        # commutes with the involution.  A single loop off the diagonal,
+        # and each inclusion of it, is not self-adjoint, so the test can
+        # fail; C-in-C has no such loop.
+        g = graphs(name)
+        for k in range(3):
+            x = jones_projection(g, k)
+            for _ in range(3):
+                assert x.is_self_adjoint()
+                x = include(g, x)
+        off_diagonal = [l for k in (1, 2, 3) for l in g.iter_loops(k) if l.top() != l.bottom()]
+        assert off_diagonal or name == "C-in-C"
+        for loop in off_diagonal[:1]:
+            x = PlanarElement.basis(loop)
+            for _ in range(3):
+                assert not x.is_self_adjoint()
+                x = include(g, x)
+
+    @pytest.mark.parametrize("name", ["C-in-M2", "C-in-C3", "C-in-C2xM2"])
+    def test_far_commute_reads_the_involution(self, graphs, name):
+        # For self-adjoint y, y e_l == e_l y exactly when y e_l is
+        # self-adjoint: both verdicts occur on y = s + s* and on the
+        # inclusions of e_0.
+        g = graphs(name)
+        rng = random.Random(41)
+        verdicts = []
+        for l in (2, 3):
+            e = jones_projection(g, l)
+            loops = g.enumerate_loops(l + 2)
+            low = jones_projection(g, 0)
+            for _ in range(l):
+                low = include(g, low)
+            ys = [low]
+            for _ in range(10):
+                s = random_element(rng, loops, count=4)
+                ys.append(s + PlanarElement(l + 2, oracle.RefElement.of(s).adjoint().terms))
+            for y in ys:
+                assert y.is_self_adjoint()
+                verdicts.append((y * e).is_self_adjoint())
+                assert verdicts[-1] == (y * e == e * y)
+        assert set(verdicts) == {True, False}
+
+    @pytest.mark.parametrize("name", [e.name for e in MARKOV_CORPUS])
+    def test_trace_by_blocks_matches_repeated_expectation(self, graphs, name):
+        # Formula (T) summed per (base, endpoint) block against the
+        # oracle's k contractions, on seeded elements of degrees 0-4.
+        g = graphs(name)
+        rng = random.Random(43)
+        values = set()
+        for k in range(5):
+            loops = g.enumerate_loops(k)
+            diagonal = [l for l in loops if l.top() == l.bottom()]
+            for _ in range(6):
+                x = random_element(rng, loops, count=6) + random_element(rng, diagonal, count=6)
+                values.add(trace(g, x))
+                assert trace(g, x) == oracle.trace(g, oracle.RefElement.of(x))
+        assert len(values) > 5
