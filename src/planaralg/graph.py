@@ -28,7 +28,8 @@ per id, so path keys hash once; `Loop` and the path readers other than
 `rows` give int tuples.  The blocks are implicit in the rows, so an element
 needs no graph.  Products are sparse integer matrix products, `relabel`
 sends rows and columns to lists of image paths (`include`, `shift`, the
-group action and its average), `contract_last` contracts the last
+group action and its average) and writes the image rows in stored form,
+`contract_last` contracts the last
 column (`expect`), `is_self_adjoint` compares each entry with its mirror
 image and `diagonal_sums` adds up the diagonal by blocks (the
 Temperley-Lieb checks and `trace`).
@@ -150,8 +151,8 @@ class PathTable(NamedTuple):
 # entry is stored as the pair (column, numerator), a longer row as a dict
 # column -> numerator: the rows of sparse elements mostly hold one entry,
 # and the pair takes 56 bytes where a one-entry dict takes 224 (CPython
-# 3.11).  Operations
-# accumulate every row as a dict and `_normal` stores it.
+# 3.11).  Operations accumulate rows as dicts and `_store` stores them in
+# normal form; `relabel` writes its rows in stored form (see `PlanarElement`).
 Row = tuple[Path, int] | dict[Path, int]
 Rows = dict[Path, Row]
 AccRows = dict[Path, dict[Path, int]]
@@ -175,11 +176,13 @@ class PlanarElement:
     longer row.  Rows and columns are based paths, `Path` strings: the loop
     (base, top + reversed(bottom)) sits in the row of (base, *bottom) and
     the column of (base, *top), so loops multiply as matrix units and a
-    product is a sparse matrix product per pair of keys.  Normal form: no zero numerator, no empty row
-    or key, a pair for every one-entry row and gcd(_den, all numerators)
-    == 1.  Loops are linearly independent and so are reduced radical keys,
-    so every element has exactly one normal form and `==` compares the
-    dicts directly.
+    product is a sparse matrix product per left key.  Normal form: no zero
+    numerator, no empty row or key, a pair for every one-entry row and
+    gcd(_den, all numerators) == 1.  Loops are linearly independent and so
+    are reduced radical keys, so every element has exactly one normal form
+    and `==` compares the dicts directly.  A map that sends distinct loops
+    to distinct loops and keeps each numerator keeps all four conditions,
+    which is why `relabel` stores such an image as written.
 
     `terms` is a derived view, loop -> RadicalScalar.  A loop's base and
     edge ids must be ints in 0..CODE_POINTS - 1 (ValidationError).
@@ -209,9 +212,9 @@ class PlanarElement:
         return PlanarElement, (self.degree, self.terms)
 
     @classmethod
-    def _normal(cls, degree: int, den: int, num: dict[RadicalKey, AccRows]) -> PlanarElement:
-        """Trusted constructor over accumulated integer rows that the
-        caller built and hands over (see `_store`)."""
+    def _normal(cls, degree: int, den: int, num: dict[RadicalKey, Rows]) -> PlanarElement:
+        """Trusted constructor over integer rows that the caller built and
+        hands over (see `_store`)."""
         return _store(_new(cls), degree, den, num)
 
     @classmethod
@@ -282,50 +285,109 @@ class PlanarElement:
         """Matrix-unit product: the top row of the left factor must equal the
         bottom row of the right factor; the product keeps the left bottom row
         and the right top row.  One sparse integer matrix product for each
-        pair of radical keys, one gcd for the result."""
+        left key, each key product formed once, and one gcd for the result.
+        With K right keys, the right rows are indexed by path across them
+        when K - 1 times the left rows exceeds twice the right rows, so each
+        left entry is looked up once; otherwise (always when K = 1) the left
+        rows are walked once per right key.  Indexing a right row costs
+        about what two walks of a left row save."""
         h = self.degree
         if h != other.degree:
             raise DegreeMismatchError(f"multiplying degrees {h} and {other.degree}")
+        right = other._num
+        index: dict[Path, list[tuple[int, Iterable[tuple[Path, int]]]]] | None = None
+        if (len(right) - 1) * sum(map(len, self._num.values())) > 2 * sum(map(len, right.values())):
+            # Path -> (key slot, its right row's pairs) for each key that has the row.
+            index = {}
+            for slot, rows2 in enumerate(right.values()):
+                for mid, entries in rows2.items():
+                    index.setdefault(mid, []).append((slot, _pairs(entries)))
         num: dict[RadicalKey, AccRows] = {}
         for k1, rows1 in self._num.items():
-            for k2, rows2 in other._num.items():
+            # Key slot -> (result rows, folded integer); a left key times
+            # distinct right keys gives distinct reduced keys.
+            slots = []
+            for k2 in right:
                 key, factor = _key_product(k1, k2)
-                target = num.setdefault(key, {})
-                for row, entries in rows1.items():
-                    acc = target.get(row)
-                    # `_pairs`, written out: this is the innermost loop.
-                    for mid, n1 in (entries,) if entries.__class__ is tuple else entries.items():
-                        right = rows2.get(mid)
-                        if right is None:
-                            continue
-                        n1 *= factor
-                        right = (right,) if right.__class__ is tuple else right.items()
+                slots.append((num.setdefault(key, {}), factor))
+            if index is None:
+                for (target, factor), rows2 in zip(slots, right.values()):
+                    for row, entries in rows1.items():
+                        acc = target.get(row)
+                        # `_pairs`, written out: this is the innermost loop.
+                        for mid, n1 in (entries,) if entries.__class__ is tuple else entries.items():
+                            found = rows2.get(mid)
+                            if found is None:
+                                continue
+                            n1 *= factor
+                            found = (found,) if found.__class__ is tuple else found.items()
+                            if acc is None:
+                                acc = target[row] = {c: n1 * n2 for c, n2 in found}
+                            else:
+                                for c, n2 in found:
+                                    acc[c] = acc.get(c, 0) + n1 * n2
+                continue
+            for row, entries in rows1.items():
+                for mid, n1 in (entries,) if entries.__class__ is tuple else entries.items():
+                    hits = index.get(mid)
+                    if hits is None:
+                        continue
+                    for slot, pairs in hits:
+                        target, factor = slots[slot]
+                        n = n1 * factor
+                        acc = target.get(row)
                         if acc is None:
-                            acc = target[row] = {c: n1 * n2 for c, n2 in right}
+                            target[row] = {c: n * n2 for c, n2 in pairs}
                         else:
-                            for c, n2 in right:
-                                acc[c] = acc.get(c, 0) + n1 * n2
+                            for c, n2 in pairs:
+                                acc[c] = acc.get(c, 0) + n * n2
         return PlanarElement._normal(h, self._den * other._den, num)
 
     def relabel(self, degree: int, images: Callable[[Path], list[Path]]) -> PlanarElement:
         """The degree-`degree` element in which the loop in row r and column c
         becomes the sum over i of the loops in row images(r)[i] and column
         images(c)[i].  `images` must send the paths of one (base, endpoint)
-        block to lists of one length; its result for each path is reused, and
-        loops that meet add up."""
+        block to lists of one length; its result for each path is reused.
+
+        Each image row is written in stored form with its source row's
+        numerators.  When no two image rows meet, no two columns of a row
+        have one image and every path has an image, distinct loops go to
+        distinct loops, so the image of a normal element is normal as
+        written.  Otherwise the loops that meet add up and `_store` runs."""
         seen: dict[Path, list[Path]] = {}
-        num: dict[RadicalKey, AccRows] = {}
+        num: dict[RadicalKey, Rows] = {}
+        met = False
         for key, rows in self._num.items():
             out = num[key] = {}
             for row, entries in rows.items():
-                cols = [(seen.get(c) or seen.setdefault(c, images(c)), n) for c, n in _pairs(entries)]
-                # A row gets an entry from every column, so none stays empty.
-                for i, target in enumerate(seen.get(row) or seen.setdefault(row, images(row))):
-                    acc = out.setdefault(target, {})
-                    for col, n in cols:
-                        col = col[i]
-                        acc[col] = acc.get(col, 0) + n
-        return PlanarElement._normal(degree, self._den, num)
+                targets = seen.get(row) or seen.setdefault(row, images(row))
+                if not targets:
+                    met = True
+                elif entries.__class__ is tuple:
+                    col, n = entries
+                    for target, c in zip(targets, seen.get(col) or seen.setdefault(col, images(col))):
+                        image = (c, n)
+                        if out.setdefault(target, image) is not image:
+                            met = True
+                            _meet(out, target, image)
+                else:
+                    cols = [(seen.get(c) or seen.setdefault(c, images(c)), n) for c, n in entries.items()]
+                    for i, target in enumerate(targets):
+                        image = {}
+                        for col, n in cols:
+                            image[col[i]] = n
+                        if len(image) < len(cols):
+                            # Two columns of the row have one image.
+                            met = True
+                            image = {}
+                            for col, n in cols:
+                                image[col[i]] = image.get(col[i], 0) + n
+                        if out.setdefault(target, image) is not image:
+                            met = True
+                            _meet(out, target, image)
+        if met:
+            return PlanarElement._normal(degree, self._den, num)
+        return _fill(_new(PlanarElement), degree, self._den, num)
 
     def contract_last(self, weights: Sequence[RadicalScalar]) -> PlanarElement:
         """Contraction of the last column, one degree down: a loop whose two
@@ -432,15 +494,31 @@ def _add_row(rows: AccRows, row: Path, pairs: Iterable[tuple[Path, int]], scale:
             acc[c] = acc.get(c, 0) + scale * n
 
 
-def _store(out: PlanarElement, degree: int, den: int, num: dict[RadicalKey, AccRows]) -> PlanarElement:
-    """Stores accumulated integer rows, which the caller hands over, in `out`
-    in normal form: drops zero numerators, rows left empty by them and empty
-    keys, stores one-entry rows as pairs, and divides out the common factor."""
+def _meet(rows: Rows, row: Path, image: Row) -> None:
+    """rows[row] += image, where rows is being built for a result: a pair
+    there becomes a dict."""
+    acc = rows[row]
+    if acc.__class__ is tuple:
+        acc = rows[row] = dict((acc,))
+    for c, n in _pairs(image):
+        acc[c] = acc.get(c, 0) + n
+
+
+def _store(out: PlanarElement, degree: int, den: int, num: dict[RadicalKey, Rows]) -> PlanarElement:
+    """Stores integer rows, which the caller hands over, in `out` in normal
+    form.  Each row is an accumulated dict or a (column, numerator) pair
+    with a nonzero numerator.  Drops zero numerators, rows left empty by
+    them and empty keys, stores one-entry rows as pairs, and divides out the
+    common factor in place."""
     g = den
     for key in list(num):
         rows = num[key]
         for row in list(rows):
             entries = rows[row]
+            if entries.__class__ is tuple:
+                if g != 1:
+                    g = gcd(g, entries[1])
+                continue
             if not all(entries.values()):
                 entries = {c: n for c, n in entries.items() if n}
                 if not entries:
@@ -455,13 +533,18 @@ def _store(out: PlanarElement, degree: int, den: int, num: dict[RadicalKey, AccR
             del num[key]
     if g != 1:
         den //= g
-        num = {
-            key: {
-                r: (e[0], e[1] // g) if e.__class__ is tuple else {c: n // g for c, n in e.items()}
-                for r, e in rows.items()
-            }
-            for key, rows in num.items()
-        }
+        for rows in num.values():
+            for row, entries in rows.items():
+                if entries.__class__ is tuple:
+                    rows[row] = (entries[0], entries[1] // g)
+                else:
+                    for c, n in entries.items():
+                        entries[c] = n // g
+    return _fill(out, degree, den, num)
+
+
+def _fill(out: PlanarElement, degree: int, den: int, num: dict[RadicalKey, Rows]) -> PlanarElement:
+    """Sets the slots of `out` to rows already in normal form."""
     _set_degree(out, degree)
     _set_den(out, den)
     _set_num(out, num)

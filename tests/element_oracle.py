@@ -34,7 +34,7 @@ from planaralg import (
     identity_automorphism,
     tangles,
 )
-from planaralg.graph import decode_path
+from planaralg.graph import decode_path, encode_path
 
 Terms = dict[Loop, RadicalScalar]
 
@@ -220,6 +220,18 @@ def act(auto, x: RefElement) -> RefElement:
         image = Loop(auto.perm_a[loop.base], tuple(auto.perm_e[e] for e in loop.edges))
         _add_term(out, image, coeff)
     return RefElement(x.degree, out)
+
+
+def relabel(x: RefElement, degree: int, images) -> RefElement:
+    """Each loop, with bottom row r and top row c read as based paths,
+    becomes the degree-`degree` loops with bottom row images(r)[i] and top
+    row images(c)[i], one by one: images that meet add up."""
+    out: Terms = {}
+    for loop, coeff in x.terms.items():
+        row, col = (encode_path((loop.base, *half)) for half in (loop.bottom(), loop.top()))
+        for bottom, top in zip(images(row), images(col)):
+            _add_term(out, Loop.from_paths(ord(bottom[0]), decode_path(top[1:]), decode_path(bottom[1:])), coeff)
+    return RefElement(degree, out)
 
 
 def reynolds(group, x: RefElement) -> RefElement:

@@ -54,8 +54,22 @@ MUTATIONS = (
         "if False:\n                rows[row] = entries.popitem()",
         (T("elements"),),
     ),
-    Mutation("store-pair-undivided", GRAPH, "(e[0], e[1] // g)", "(e[0], e[1])", (T("elements"),)),
+    Mutation("store-pair-undivided", GRAPH, "(entries[0], entries[1] // g)", "(entries[0], entries[1])", (T("elements"),)),
+    Mutation(
+        "store-divides-pairs-only",
+        GRAPH,
+        "for c, n in entries.items():\n                        entries[c] = n // g",
+        "for c, n in entries.items():\n                        pass",
+        (T("elements"),),
+    ),
     Mutation("compose-ignores-key-factor", GRAPH, "n1 *= factor", "n1 *= 1", (T("elements"), T("tangles"))),
+    Mutation(
+        "compose-index-other-key-factor",
+        GRAPH,
+        "target, factor = slots[slot]",
+        "target, factor = slots[slot][0], slots[0][1]",
+        (T("elements"),),
+    ),
     Mutation("add-scales-by-left-denominator", GRAPH, "scale = den // part._den", "scale = den // self._den", (T("elements"),)),
     Mutation("terms-bottom-unreversed", GRAPH, "tail = ord(row[0]), row[:0:-1]", "tail = ord(row[0]), row[1:]", (T("elements"), T("graph"))),
     Mutation(
@@ -65,8 +79,29 @@ MUTATIONS = (
         "self.degree == other.degree and self._num == other._num",
         (T("elements"),),
     ),
-    Mutation("relabel-pairs-reversed", GRAPH, "col = col[i]", "col = col[-1 - i]", (T("elements"), T("symmetry"))),
-    Mutation("relabel-overwrites", GRAPH, "acc[col] = acc.get(col, 0) + n", "acc[col] = n", (T("elements"), T("symmetry"))),
+    Mutation("relabel-pairs-reversed", GRAPH, "image[col[i]] = n\n", "image[col[-1 - i]] = n\n", (T("elements"), T("symmetry"))),
+    Mutation("relabel-overwrites", GRAPH, "acc[c] = acc.get(c, 0) + n\n", "acc[c] = n\n", (T("elements"), T("symmetry"))),
+    Mutation(
+        "relabel-collision-overwrites",
+        GRAPH,
+        "image[col[i]] = image.get(col[i], 0) + n",
+        "image[col[i]] = n",
+        (T("elements"), T("symmetry")),
+    ),
+    Mutation(
+        "relabel-meet-unflagged",
+        GRAPH,
+        "image = (c, n)\n                        if out.setdefault(target, image) is not image:\n                            met = True\n",
+        "image = (c, n)\n                        if out.setdefault(target, image) is not image:\n",
+        (T("elements"), T("symmetry")),
+    ),
+    Mutation(
+        "relabel-empty-image-unnormalized",
+        GRAPH,
+        "if not targets:\n                    met = True",
+        "if not targets:\n                    pass",
+        (T("elements"),),
+    ),
     Mutation(
         "contract-keeps-other-columns",
         GRAPH,

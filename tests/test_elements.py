@@ -29,6 +29,7 @@ from planaralg import (
     close_group,
     expect,
     fixed_space_basis,
+    identity_automorphism,
     include,
     jones_projection,
     jones_projection_raw,
@@ -39,7 +40,7 @@ from planaralg import (
 )
 import planaralg.graph as graph_module
 from planaralg.graph import CODE_POINTS, Step, decode_path
-from conftest import corpus_entry
+from conftest import CORPUS_GROUPS, MARKOV_CORPUS, corpus_entry
 
 MARKOV_GRAPHS = ("C-in-C2", "C-in-C3", "C2-in-M2", "C-in-C2xM2")
 DEGREES = (0, 1, 2, 3, 4)
@@ -277,6 +278,115 @@ def test_act_merges_colliding_images(graphs):
     squash = GraphAutomorphism((0,), (0, 1, 2), (0, 1, 2, 2))
     x = PlanarElement(1, {Loop(0, (2, 2)): 1, Loop(0, (3, 3)): -1, Loop(0, (0, 0)): 5})
     assert act(squash, x) == PlanarElement(1, {Loop(0, (0, 0)): 5})
+    # The columns (0, 2) and (0, 3) of the row (0, 2) meet too, and they
+    # add up, cancel or leave a common factor.
+    for coeffs in ((1, 2, 3), (1, -1, 4), (g.gamma, 1, -g.gamma), (2, 4, 6)):
+        terms = dict(zip([Loop(0, (2, 2)), Loop(0, (3, 2)), Loop(0, (3, 3))], coeffs))
+        x = PlanarElement(1, terms) + PlanarElement(1, {Loop(0, (0, 0)): Fraction(1, 2)})
+        agree(act(squash, x), oracle.act(squash, oracle.RefElement.of(x)))
+
+
+def test_relabel_drops_paths_without_images(graphs):
+    # At odd degrees the paths that end at the M2 vertex, one block per
+    # degree, have no image, and every other path keeps itself: the loops
+    # left may share a factor with the denominator, and a radical key may
+    # lose every loop.
+    g = graphs("C-in-C2xM2")
+
+    def images(p):
+        return [] if len(p) % 2 == 0 and p[-1] in "\x02\x03" else [p]
+
+    a, b, c = Loop(0, (0, 0)), Loop(0, (2, 2)), Loop(0, (3, 2))
+    handmade = [
+        PlanarElement(1, {a: Fraction(1, 2), b: Fraction(1, 3)}),
+        PlanarElement(1, {a: 1, b: g.gamma}),
+        PlanarElement(1, {b: g.gamma, c: 1}),
+    ]
+    seeded = [x for _, _, parts in cases(g, radical_pool(g), degrees=(1, 2, 3)) for x in parts]
+    for x in handmade + seeded:
+        agree(x.relabel(x.degree, images), oracle.relabel(oracle.RefElement.of(x), x.degree, images))
+    assert handmade[0].relabel(1, images) == PlanarElement(1, {a: Fraction(1, 2)})
+    assert handmade[2].relabel(1, images).is_zero()
+
+
+def law_element(rng: random.Random, loops, pool) -> PlanarElement:
+    """100 loops, each with a pool value times a signed rational."""
+    return PlanarElement(
+        loops[0].degree,
+        {loop: rng.choice(pool) * Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for loop in rng.sample(loops, 100)},
+    )
+
+
+def test_products_of_many_keyed_elements(graphs):
+    # Elements of degree 4 on C-in-C2xM2 with 100 terms over at least five
+    # radical keys, multiplied with each other and, on either side, with
+    # Jones projections of one and two keys: products run both through the
+    # index of the right rows across keys and through one walk per key.
+    g = graphs("C-in-C2xM2")
+    rng, loops, pool = random.Random(45), g.enumerate_loops(4), radical_pool(g)
+    for _ in range(2):
+        x, y, z = (law_element(rng, loops, pool) for _ in range(3))
+        assert min(len(e._num) for e in (x, y, z)) >= 5
+        rx, ry, rz = (oracle.RefElement.of(e) for e in (x, y, z))
+        agree(x * y, rx * ry)
+        agree(x * y * z, rx * ry * rz)
+        for e in (include(g, jones_projection(g, 1)), jones_projection(g, 2)):
+            re = oracle.RefElement.of(e)
+            agree(e * x, re * rx)
+            agree(x * e, rx * re)
+        agree(include(g, x), oracle.include(g, rx))
+        agree(shift(g, x), oracle.shift(g, rx))
+
+
+def test_injective_relabels_skip_the_normal_form_pass(graphs, monkeypatch):
+    # Work count: `include`, `shift` and `act` by an automorphism send
+    # distinct loops to distinct loops with the same numerators, so on every
+    # Markov corpus graph they store a normal element with no `_store`
+    # pass.  The average over a nontrivial group sends the unit's rows to
+    # more images than there are rows in their orbit, so images meet: its
+    # relabel runs `_store`, and so does its scaling.
+    store = graph_module._store
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return store(*args)
+
+    def stores(build):
+        """build() and the number of `_store` calls it made."""
+        nonlocal calls
+        calls = 0
+        monkeypatch.setattr(graph_module, "_store", counting)
+        try:
+            return build(), calls
+        finally:
+            monkeypatch.setattr(graph_module, "_store", store)
+
+    group_gens = {name: gens for name, _, gens in CORPUS_GROUPS}
+    relabels = averages = 0
+    for entry in MARKOV_CORPUS:
+        g = graphs(entry.name)
+        autos = [make_automorphism(g, *gen) for gen in group_gens.get(entry.name, ())]
+        rng, pool = random.Random(entry.name), radical_pool(g)
+        for k in range(3):
+            loops = g.enumerate_loops(k)
+            x = PlanarElement(k, {loop: draw_coefficient(rng, pool) for loop in rng.sample(loops, min(8, len(loops)))})
+            rx = oracle.RefElement.of(x)
+            runs = [(lambda: include(g, x), oracle.include(g, rx)), (lambda: shift(g, x), oracle.shift(g, rx))]
+            runs += [(lambda a=a: act(a, x), oracle.act(a, rx)) for a in autos or [identity_automorphism(g)]]
+            for build, ref in runs:
+                result, count = stores(build)
+                assert count == 0
+                agree(result, ref)
+                relabels += 1
+            if autos:
+                group, y = close_group(g, autos), g.unit(k) + x
+                average, count = stores(lambda: reynolds(group, y))
+                assert count == 2
+                agree(average, oracle.reynolds(group, oracle.RefElement.of(y)))
+                averages += 1
+    assert (relabels, averages) == (105, 18)
 
 
 def widened(g, bases, edges) -> BipartiteGraph:

@@ -2,7 +2,8 @@
 loop dimensions multiply, the Temperley-Lieb relations hold on the product
 graphs, the product G1 x G2 of two groups has the products of the factors'
 fixed dimensions, the flip of the two factors of A ⊗ A fixes
-(d_k^2 + d_k) / 2 loops in degree k, d_k the loop dimension of A, and on
+(d_k^2 + d_k) / 2 loops in degree k, d_k the loop dimension of A, the
+fixed-subgraph count of both groups agrees with the row counts, and on
 A ⊕ A the loop dimensions double and the swap of the two copies fixes d_k
 (ROADMAP item 14)."""
 
@@ -28,6 +29,7 @@ from planaralg.markov import loop_space_dims
 import element_oracle as oracle
 from conftest import CORPUS, CORPUS_GROUPS, MARKOV_CORPUS, corpus_entry
 from products import component_swap, direct_sum, flip, product_automorphism, tensor_inclusion
+from test_symmetry import row_burnside_count, stabiliser_orbit_count
 
 # The flip's orbit sums are formed where A ⊗ A has at most this many loops;
 # C-in-M3 ⊗ C-in-M3 has 531,441 in degree 3.
@@ -99,29 +101,55 @@ def test_flip_fixes_the_symmetric_pairs_of_loops():
     assert outcomes == {"basis": 39, "count only": 5}
 
 
-def test_product_group_fixes_the_products_of_fixed_dimensions():
-    # For each ordered pair of the corpus groups, (h1, id) and (id, h2) over
-    # the generators close on the product graph to G1 x G2, of order
-    # |G1| |G2|, whose fixed space in degree k is the tensor product of the
-    # factors' (degrees 0-2).
+def product_groups():
+    """(G1, G2, G1 x G2) for each ordered pair of the corpus groups: (h1, id)
+    and (id, h2) over the generators, closed on the product graph."""
     factors = []
     for name, _, gens in CORPUS_GROUPS:
         inc = corpus_entry(name).inclusion()
         g = build_graph(inc)
-        group = close_group(g, [make_automorphism(g, *gen) for gen in gens])
-        factors.append((inc, group, fixed_dims_report(group, 2)))
-    checked = 0
-    for inc1, group1, dims1 in factors:
-        for inc2, group2, dims2 in factors:
+        factors.append((inc, close_group(g, [make_automorphism(g, *gen) for gen in gens])))
+    for inc1, group1 in factors:
+        for inc2, group2 in factors:
             g = build_graph(tensor_inclusion(inc1, inc2))
             one1, one2 = identity_automorphism(group1.graph), identity_automorphism(group2.graph)
             gens = [product_automorphism(g, inc1, inc2, h, one2) for h in group1.generators]
             gens += [product_automorphism(g, inc1, inc2, one1, h) for h in group2.generators]
-            group = close_group(g, gens)
-            assert group.order == group1.order * group2.order
-            assert fixed_dims_report(group, 2) == [x * y for x, y in zip(dims1, dims2)]
-            checked += 1
+            yield group1, group2, close_group(g, gens)
+
+
+def test_product_group_fixes_the_products_of_fixed_dimensions():
+    # G1 x G2 has order |G1| |G2|, and its fixed space in degree k is the
+    # tensor product of the factors' (degrees 0-2).
+    checked = 0
+    for group1, group2, group in product_groups():
+        assert group.order == group1.order * group2.order
+        dims1, dims2 = fixed_dims_report(group1, 2), fixed_dims_report(group2, 2)
+        assert fixed_dims_report(group, 2) == [x * y for x, y in zip(dims1, dims2)]
+        checked += 1
     assert checked == 36
+
+
+def test_orbit_merge_matches_the_row_counts():
+    # fixed_dims_report walks one fixed subgraph per orbit of them
+    # (`_fixed_subgraphs`).  On the 36 product groups and the 11 flips,
+    # which fix only the diagonal edges of A ⊗ A, it agrees with Burnside's
+    # count on rows and with the stabiliser orbit count at degrees 0-2.
+    # Every product group merges the fixed subgraphs of some elements into
+    # one orbit; a flip has one orbit per element.
+    groups = [group for _, _, group in product_groups()]
+    for entry in MARKOV_CORPUS:
+        inc = entry.inclusion()
+        g = build_graph(tensor_inclusion(inc, inc))
+        groups.append(close_group(g, [flip(g, inc)]))
+    compared = merged = 0
+    for group in groups:
+        for k, dim in enumerate(fixed_dims_report(group, 2)):
+            assert dim == row_burnside_count(group, k) == stabiliser_orbit_count(group, k)
+            compared += 1
+        merged += len(group._fixed) < group.order
+    assert (compared, len(groups)) == (141, 47)
+    assert merged == 36
 
 
 def test_component_swap_fixes_one_copy_of_each_loop():
