@@ -20,8 +20,7 @@ _EXPORTS = {
     "errors": (
         "DegreeMismatchError EigenvectorViolationError GroupTooLargeError"
         " InvalidAutomorphismError NotAbelianError NotInvertibleError NotMarkovError"
-        " NotRepresentableError PlanarAlgError ResourceLimitError TangleProgramError"
-        " ValidationError"
+        " NotRepresentableError PlanarAlgError ResourceLimitError ValidationError"
     ),
     "graph": "BipartiteGraph Edge Loop PlanarElement build_graph",
     "markov": (
@@ -31,12 +30,12 @@ _EXPORTS = {
     "radical": "RadicalScalar sqrt_of_int sum_scalars",
     "symmetry": (
         "GraphAutomorphism GroupAction SubalgebraReport act act_loop close_group"
-        " fixed_dims_report fixed_space_basis identity_automorphism"
-        " is_centrally_ergodic make_automorphism reynolds verify_planar_subalgebra"
+        " fixed_dims_report fixed_space_basis is_centrally_ergodic make_automorphism"
+        " reynolds verify_planar_subalgebra"
     ),
     "tangles": (
-        "RelationCheck TangleProgram TangleStep expect include jones_projection"
-        " jones_projection_raw run_program shift trace verify_temperley_lieb"
+        "RelationCheck expect include jones_projection jones_projection_raw shift trace"
+        " verify_temperley_lieb"
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -52,7 +52,3 @@ class ResourceLimitError(PlanarAlgError):
     integer cannot be factored into proven primes within the factoring
     budget, and when a numeric computation would leave float range.
     """
-
-
-class TangleProgramError(PlanarAlgError):
-    """Structurally invalid program: empty, bad opening step, unused inputs."""

@@ -26,16 +26,16 @@ rows indexed by based paths, a row of one entry held as a bare (column,
 numerator) pair.  A based path is a `Path`, the string with one code point
 per id, so path keys hash once; `Loop` and the path readers other than
 `rows` give int tuples.  The blocks are implicit in the rows, so an element
-needs no graph.  Products are sparse integer matrix products, `relabel`
-sends rows and columns to lists of image paths (`include`, `shift`, the
-group action and its average) and writes the image rows in stored form,
-`contract_last` contracts the last
-column (`expect`), `is_self_adjoint` compares each entry with its mirror
-image and `diagonal_sums` adds up the diagonal by blocks (the
-Temperley-Lieb checks and `trace`).
-Besides the element's own arithmetic, they are the only code that reads
-stored rows.  The normal form (no zeros, no common factor) makes `==` a
-comparison of dicts.
+needs no graph.  Products are sparse integer matrix products,
+`contract_last` contracts the last column (`expect`), `is_self_adjoint`
+compares each entry with its mirror image and `diagonal_sums` adds up the
+diagonal by blocks (the Temperley-Lieb checks and `trace`).  The private
+`_relabel` sends rows and columns to lists of image paths and writes the
+image rows in stored form; its callers (`include`, `shift`, the group
+action and its average) keep its rule that the paths of one block have
+image lists of one length.  Besides the element's own arithmetic, these
+are the only code that reads stored rows.  The normal form (no zeros, no
+common factor) makes `==` a comparison of dicts.
 
 An edge from lower vertex i up to upper vertex j has squared spin
 b_j / (a_i gamma), gamma the root of the index, and down the reciprocal;
@@ -152,7 +152,7 @@ class PathTable(NamedTuple):
 # column -> numerator: the rows of sparse elements mostly hold one entry,
 # and the pair takes 56 bytes where a one-entry dict takes 224 (CPython
 # 3.11).  Operations accumulate rows as dicts and `_store` stores them in
-# normal form; `relabel` writes its rows in stored form (see `PlanarElement`).
+# normal form; `_relabel` writes its rows in stored form (see `PlanarElement`).
 Row = tuple[Path, int] | dict[Path, int]
 Rows = dict[Path, Row]
 AccRows = dict[Path, dict[Path, int]]
@@ -182,7 +182,7 @@ class PlanarElement:
     are reduced radical keys, so every element has exactly one normal form
     and `==` compares the dicts directly.  A map that sends distinct loops
     to distinct loops and keeps each numerator keeps all four conditions,
-    which is why `relabel` stores such an image as written.
+    which is why `_relabel` stores such an image as written.
 
     `terms` is a derived view, loop -> RadicalScalar.  A loop's base and
     edge ids must be ints in 0..CODE_POINTS - 1 (ValidationError).
@@ -343,7 +343,7 @@ class PlanarElement:
                                 acc[c] = acc.get(c, 0) + n * n2
         return PlanarElement._normal(h, self._den * other._den, num)
 
-    def relabel(self, degree: int, images: Callable[[Path], list[Path]]) -> PlanarElement:
+    def _relabel(self, degree: int, images: Callable[[Path], list[Path]]) -> PlanarElement:
         """The degree-`degree` element in which the loop in row r and column c
         becomes the sum over i of the loops in row images(r)[i] and column
         images(c)[i].  `images` must send the paths of one (base, endpoint)
@@ -671,8 +671,9 @@ class BipartiteGraph:
         reversed_bottoms = [p[:0:-1] for p in paths]
         for path, key in zip(paths, where):
             top = path[1:]
+            # Both rows have length k, so Loop's check is skipped.
             for s in classes[key]:
-                yield Loop(path[0], top + reversed_bottoms[s])
+                yield tuple.__new__(Loop, (path[0], top + reversed_bottoms[s]))
 
     def enumerate_loops(self, k: int) -> list[Loop]:
         return list(self.iter_loops(k))

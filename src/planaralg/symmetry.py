@@ -115,12 +115,6 @@ def make_automorphism(
     return GraphAutomorphism(perm_a, perm_b, perm_e)
 
 
-def identity_automorphism(g: BipartiteGraph) -> GraphAutomorphism:
-    return GraphAutomorphism(
-        tuple(range(g.num_a)), tuple(range(g.num_b)), tuple(range(len(g.edges)))
-    )
-
-
 class GroupAction:
     """A finite group of automorphisms of a graph, together with the graph;
     close_group is its only builder, so every instance is a closed group of
@@ -207,7 +201,7 @@ def close_group(
         if not isinstance(gen, GraphAutomorphism):
             raise ValidationError("generators must be GraphAutomorphism instances")
         gens.append(make_automorphism(g, *gen))
-    found = [identity_automorphism(g)]
+    found = [GraphAutomorphism(tuple(range(g.num_a)), tuple(range(g.num_b)), tuple(range(len(g.edges))))]
     seen = set(found)
     for element in found:  # breadth first: found grows while it is walked
         for gen in gens:
@@ -243,7 +237,7 @@ def _path_images(elements) -> Callable[[Path], list[Path]]:
 def act(auto: GraphAutomorphism, x: PlanarElement) -> PlanarElement:
     """Linear extension of the edgewise loop action, degree-preserving: an
     algebra automorphism for a graph automorphism."""
-    return x.relabel(x.degree, _path_images((auto,)))
+    return x._relabel(x.degree, _path_images((auto,)))
 
 
 def reynolds(group: GroupAction, x: PlanarElement) -> PlanarElement:
@@ -251,7 +245,7 @@ def reynolds(group: GroupAction, x: PlanarElement) -> PlanarElement:
     pass that sends each path to its images under all group elements."""
     g = group.graph
     check_path_ids(g.num_a, len(g.edges))
-    return x.relabel(x.degree, _path_images(group.elements)).scaled(Fraction(1, group.order))
+    return x._relabel(x.degree, _path_images(group.elements)).scaled(Fraction(1, group.order))
 
 
 def fixed_space_basis(group: GroupAction, k: int) -> list[PlanarElement]:

@@ -26,23 +26,17 @@ paths out of the base:
                     the diagonal to zero and a diagonal loop to a weight of
                     its (base, endpoint) block, so it is formed as one sum
                     of the diagonal per block, with no contraction.
-
-Programs are linear pipelines over these generators with an explicit count
-of closed circles; running a program multiplies by eigenvalue^circles.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from .errors import DegreeMismatchError, TangleProgramError, ValidationError
+from .errors import ValidationError
 from .graph import BipartiteGraph, Path, PlanarElement, check_path_ids, encode_path
 from .radical import RadicalScalar, sum_scalars
-
-_STEP_RE = re.compile(r"^([1MIJUE])(\d+)$")
 
 
 def include(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
@@ -53,7 +47,7 @@ def include(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
     # The vertex that a path's last code point reaches; every path of a
     # block ends at the block's endpoint.
     ends = g.step(k - 1).end if k else range(g.num_a)
-    return x.relabel(k + 1, lambda p: [p + e for e in attach[ends[ord(p[-1])]]])
+    return x._relabel(k + 1, lambda p: [p + e for e in attach[ends[ord(p[-1])]]])
 
 
 def shift(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
@@ -66,7 +60,7 @@ def shift(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
         return [encode_path(t) for t in g.shift_prefixes(ord(base))]
 
     # The same prefix on both rows, at a new base; no two terms meet.
-    return x.relabel(x.degree + 2, lambda p: [prefix + p[1:] for prefix in prefixes(p[0])])
+    return x._relabel(x.degree + 2, lambda p: [prefix + p[1:] for prefix in prefixes(p[0])])
 
 
 def expect(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
@@ -106,119 +100,6 @@ def trace(g: BipartiteGraph, x: PlanarElement) -> RadicalScalar:
     dims = g.inclusion.b if k % 2 else a  # of the endpoints: upper vertices at odd k
     power = g.r ** ((k + 1) // 2)
     return sum_scalars(total * (g.point_weight(v) * Fraction(dims[z], a[v] * power)) for (v, z), total in sums.items())
-
-
-class TangleStep(NamedTuple("TangleStep", [("tag", str), ("k", int)])):
-    """One generator application: tag is one of 1 M I J U E, and k is the
-    generator's own subscript."""
-
-    __slots__ = ()
-
-    def __new__(cls, tag: str, k: int) -> TangleStep:
-        if tag not in ("1", "M", "I", "J", "U", "E"):
-            raise ValidationError(f"unknown step tag {tag!r}")
-        if k < 0:
-            raise ValidationError("step degree must be nonnegative")
-        return tuple.__new__(cls, (tag, k))
-
-    @classmethod
-    def _make(cls, values) -> TangleStep:
-        return cls(*values)
-
-    @property
-    def input_degree(self) -> int | None:
-        if self.tag == "E":
-            return None
-        return self.k + 1 if self.tag == "U" else self.k
-
-    def __str__(self) -> str:
-        return f"{self.tag}{self.k}"
-
-
-class TangleProgram(NamedTuple("TangleProgram", [("steps", tuple[TangleStep, ...]), ("circles", int)])):
-    """Pipeline of generator steps plus a count of closed circles."""
-
-    __slots__ = ()
-
-    def __new__(cls, steps: tuple[TangleStep, ...], circles: int = 0) -> TangleProgram:
-        if circles < 0:
-            raise ValidationError("circle count must be nonnegative")
-        return tuple.__new__(cls, (steps, circles))
-
-    @classmethod
-    def _make(cls, values) -> TangleProgram:
-        return cls(*values)
-
-    @classmethod
-    def parse(cls, text: str, circles: int = 0) -> TangleProgram:
-        """Comma-separated tags with subscripts, e.g. "I2,U2,M2"."""
-        steps = []
-        for token in text.split(","):
-            token = token.strip()
-            match = _STEP_RE.match(token)
-            if match is None:
-                raise ValidationError(f"bad program step {token!r}")
-            try:
-                k = int(match.group(2))
-            except ValueError as exc:  # past the interpreter's int-to-str digit limit
-                raise ValidationError("program step subscript has too many digits") from exc
-            steps.append(TangleStep(match.group(1), k))
-        return cls(tuple(steps), circles)
-
-    def __str__(self) -> str:
-        return ",".join(str(s) for s in self.steps)
-
-
-def run_program(
-    g: BipartiteGraph, program: TangleProgram, inputs: Sequence[PlanarElement]
-) -> PlanarElement:
-    """Evaluate the pipeline left to right.
-
-    The running element starts as the first input (or as a fresh Jones
-    projection when the program opens with an E step); multiplication steps
-    consume one further input each.  Degrees are checked at every step and
-    all inputs must be used.
-    """
-    if not program.steps:
-        raise TangleProgramError("empty program")
-    queue = list(inputs)
-
-    def next_input(wanted: int, at: str) -> PlanarElement:
-        if not queue:
-            raise TangleProgramError(f"{at}: program needs another input of degree {wanted}")
-        value = queue.pop(0)
-        if value.degree != wanted:
-            raise DegreeMismatchError(f"{at}: input has degree {value.degree}, needs {wanted}")
-        return value
-
-    current: PlanarElement | None = None
-    for idx, step in enumerate(program.steps):
-        where = f"step {idx} ({step})"
-        if step.tag == "E":
-            if current is not None:
-                raise TangleProgramError(f"{where}: projection step only opens a program")
-            current = jones_projection(g, step.k)
-            continue
-        if current is None:
-            current = next_input(step.input_degree, where)
-        elif current.degree != step.input_degree:
-            raise DegreeMismatchError(
-                f"{where}: running degree {current.degree}, step needs {step.input_degree}"
-            )
-        if step.tag == "1":
-            pass
-        elif step.tag == "M":
-            current = current * next_input(step.k, where)
-        elif step.tag == "I":
-            current = include(g, current)
-        elif step.tag == "J":
-            current = shift(g, current)
-        elif step.tag == "U":
-            current = expect(g, current)
-    if queue:
-        raise TangleProgramError(f"{len(queue)} unused program input(s)")
-    assert current is not None
-    return current.scaled(g.gamma**program.circles)
 
 
 class RelationCheck(NamedTuple):

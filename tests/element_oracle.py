@@ -26,12 +26,12 @@ from typing import Iterator, NamedTuple
 
 from planaralg import (
     BipartiteGraph,
+    GraphAutomorphism,
     InclusionData,
     Loop,
     PlanarElement,
     RadicalScalar,
     RelationCheck,
-    identity_automorphism,
     tangles,
 )
 from planaralg.graph import decode_path, encode_path
@@ -254,6 +254,11 @@ class RawGroup(NamedTuple):
     @property
     def order(self) -> int:
         return len(self.elements)
+
+
+def identity_automorphism(g: BipartiteGraph) -> GraphAutomorphism:
+    """The identity of g: every vertex and edge to itself."""
+    return GraphAutomorphism(tuple(range(g.num_a)), tuple(range(g.num_b)), tuple(range(len(g.edges))))
 
 
 def raw_group(g, gens) -> RawGroup:

@@ -209,7 +209,6 @@ MUTATIONS = (
     Mutation("trace-weight-at-base", TANGLES, "Fraction(dims[z], a[v] * power)", "Fraction(dims[v], a[v] * power)", (T("tangles"),)),
     Mutation("trace-power-rounded-down", TANGLES, "power = g.r ** ((k + 1) // 2)", "power = g.r ** (k // 2)", (T("tangles"),)),
     Mutation("bounce-high-as-shared-high", TANGLES, "high * shared == high.scaled(inv_r)", "shared * high == high.scaled(inv_r)", (T("tangles"),)),
-    Mutation("tangle-step-make-unchecked", TANGLES, "def _make(cls, values) -> TangleStep:\n        return cls(*values)", "def _make(cls, values) -> TangleStep:\n        return tuple.__new__(cls, values)", (T("records"),)),
     # -- groups and fixed dimensions -------------------------------------------
     Mutation("fixed-dims-while-true", SYMMETRY, "        if gram:\n", "        if True:\n", (T("symmetry"),)),
     Mutation(

@@ -16,6 +16,7 @@ from math import gcd
 import pytest
 
 import element_oracle as oracle
+from element_oracle import identity_automorphism
 from planaralg import (
     BipartiteGraph,
     Edge,
@@ -29,7 +30,6 @@ from planaralg import (
     close_group,
     expect,
     fixed_space_basis,
-    identity_automorphism,
     include,
     jones_projection,
     jones_projection_raw,
@@ -304,9 +304,9 @@ def test_relabel_drops_paths_without_images(graphs):
     ]
     seeded = [x for _, _, parts in cases(g, radical_pool(g), degrees=(1, 2, 3)) for x in parts]
     for x in handmade + seeded:
-        agree(x.relabel(x.degree, images), oracle.relabel(oracle.RefElement.of(x), x.degree, images))
-    assert handmade[0].relabel(1, images) == PlanarElement(1, {a: Fraction(1, 2)})
-    assert handmade[2].relabel(1, images).is_zero()
+        agree(x._relabel(x.degree, images), oracle.relabel(oracle.RefElement.of(x), x.degree, images))
+    assert handmade[0]._relabel(1, images) == PlanarElement(1, {a: Fraction(1, 2)})
+    assert handmade[2]._relabel(1, images).is_zero()
 
 
 def law_element(rng: random.Random, loops, pool) -> PlanarElement:
@@ -344,7 +344,7 @@ def test_injective_relabels_skip_the_normal_form_pass(graphs, monkeypatch):
     # Markov corpus graph they store a normal element with no `_store`
     # pass.  The average over a nontrivial group sends the unit's rows to
     # more images than there are rows in their orbit, so images meet: its
-    # relabel runs `_store`, and so does its scaling.
+    # `_relabel` runs `_store`, and so does its scaling.
     store = graph_module._store
     calls = 0
 

@@ -102,7 +102,7 @@ def test_star_import_binds_exactly_all():
     namespace: dict = {}
     exec("from planaralg import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(planaralg.__all__)
-    assert len(set(planaralg.__all__)) == len(planaralg.__all__) == 53
+    assert len(set(planaralg.__all__)) == len(planaralg.__all__) == 48
     assert planaralg.__all__ == sorted(planaralg.__all__)
 
 

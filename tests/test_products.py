@@ -17,7 +17,6 @@ from planaralg import (
     analyze,
     build_graph,
     close_group,
-    identity_automorphism,
     make_automorphism,
     fixed_dims_report,
     fixed_space_basis,
@@ -27,6 +26,7 @@ from planaralg import (
 from planaralg.cli import DEFAULT_LOOP_LIMIT
 from planaralg.markov import loop_space_dims
 import element_oracle as oracle
+from element_oracle import identity_automorphism
 from conftest import CORPUS, CORPUS_GROUPS, MARKOV_CORPUS, corpus_entry
 from products import component_swap, direct_sum, flip, product_automorphism, tensor_inclusion
 from test_symmetry import row_burnside_count, stabiliser_orbit_count

@@ -22,8 +22,6 @@ from planaralg import (
     RadicalScalar,
     RelationCheck,
     SubalgebraReport,
-    TangleProgram,
-    TangleStep,
     ValidationError,
     build_graph,
     jones_projection,
@@ -83,18 +81,6 @@ RECORDS = {
         "SubalgebraReport(kmax=1, group_order=2, "
         "checks=(SubalgebraCheck(name='closure-multiply', degree=0, passed=True),))",
         "checks",
-    ),
-    "TangleStep": (
-        lambda: TangleStep("I", 2),
-        lambda: TangleStep(tag="I", k=3),
-        "TangleStep(tag='I', k=2)",
-        "k",
-    ),
-    "TangleProgram": (
-        lambda: TangleProgram.parse("I2,U2", 1),
-        lambda: TangleProgram(steps=(TangleStep("I", 2), TangleStep("U", 2))),
-        "TangleProgram(steps=(TangleStep(tag='I', k=2), TangleStep(tag='U', k=2)), circles=1)",
-        "circles",
     ),
     "RelationCheck": (
         lambda: RelationCheck("bounce-low", (0, 1), True),
@@ -171,11 +157,6 @@ def test_algebra_dims_reads_as_its_blocks():
     assert (len(dims), list(dims), dims[0], dims[-1], dims.total_dim) == (3, [3, 1, 2], 3, 2, 14)
 
 
-def test_tangle_records_print_as_programs():
-    program = TangleProgram.parse("I2, U2,M2")
-    assert (str(program.steps[0]), str(program), program.circles) == ("I2", "I2,U2,M2", 0)
-
-
 @pytest.mark.parametrize(
     "build, message",
     [
@@ -204,23 +185,7 @@ def test_tangle_records_print_as_programs():
             id="Loop._replace",
         ),
         pytest.param(lambda: Loop._make((0, (5,))), "a loop has an even number of edges", id="Loop._make"),
-        (lambda: TangleStep("X", 1), "unknown step tag 'X'"),
-        (lambda: TangleStep(tag="I", k=-1), "step degree must be nonnegative"),
-        pytest.param(
-            lambda: TangleStep("I", 1)._replace(k=-1),
-            "step degree must be nonnegative",
-            id="TangleStep._replace",
-        ),
-        pytest.param(lambda: TangleStep._make(("Q", -5)), "unknown step tag 'Q'", id="TangleStep._make"),
-        (lambda: TangleProgram((), -1), "circle count must be nonnegative"),
-        (lambda: TangleProgram(steps=(), circles=-2), "circle count must be nonnegative"),
-        pytest.param(
-            lambda: TangleProgram.parse("I2")._replace(circles=-3),
-            "circle count must be nonnegative",
-            id="TangleProgram._replace",
-        ),
         # Past the interpreter's int-to-str digit limit.
-        (lambda: TangleProgram.parse("I" + "9" * 5000), "program step subscript has too many digits"),
         (lambda: RadicalScalar.parse("1 * " + "7" * 5000 + "^(1/4)"), "radical factor has too many digits"),
         (lambda: RadicalScalar.parse("1 + * 2^(1/4)"), "empty term in scalar text: '1 + * 2^(1/4)'"),
         (lambda: RadicalScalar.parse(""), "empty term in scalar text: ''"),

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import element_oracle as oracle
-from element_oracle import edge_condition, includes_commute, raw_group
+from element_oracle import edge_condition, identity_automorphism, includes_commute, raw_group
 from planaralg import (
     BipartiteGraph,
     GraphAutomorphism,
@@ -37,7 +37,6 @@ from planaralg import (
     expect,
     fixed_dims_report,
     fixed_space_basis,
-    identity_automorphism,
     include,
     is_centrally_ergodic,
     jones_projection,
@@ -1082,7 +1081,7 @@ def test_reports_and_counts_do_no_work(graphs, monkeypatch):
 
     for owner, names in (
         (BipartiteGraph, ("rows", "iter_loops", "unit", "cup_cap", "shift_prefixes")),
-        (PlanarElement, ("__init__", "__mul__", "__add__", "relabel")),
+        (PlanarElement, ("__init__", "__mul__", "__add__", "_relabel")),
         (symmetry, ("act", "fixed_space_basis")),
     ):
         for name in names:

@@ -1,4 +1,4 @@
-"""Generating operations: frozen expansions, algebra laws, programs."""
+"""Generating operations: frozen expansions, algebra laws, relation checks."""
 
 from __future__ import annotations
 
@@ -15,16 +15,12 @@ from planaralg import (
     Loop,
     PlanarElement,
     RadicalScalar,
-    TangleProgram,
-    TangleProgramError,
-    TangleStep,
     ValidationError,
     build_graph,
     expect,
     include,
     jones_projection,
     jones_projection_raw,
-    run_program,
     shift,
     trace,
     verify_temperley_lieb,
@@ -146,6 +142,18 @@ class TestShift:
                 assert not (support & seen)
                 seen |= support
 
+    @pytest.mark.parametrize("name", TL_TRIO)
+    def test_commutes_with_include(self, graphs, name):
+        # shift prepends at the base and include appends at the endpoint,
+        # so the two strings they add never meet.
+        g = graphs(name)
+        rng = random.Random(46)
+        for k in (0, 1, 2):
+            loops = g.enumerate_loops(k)
+            for _ in range(10):
+                x = random_element(rng, loops)
+                assert shift(g, include(g, x)) == include(g, shift(g, x))
+
 
 class TestExpect:
     def test_degree_one_contracts_upward(self, graphs):
@@ -174,6 +182,18 @@ class TestExpect:
         g = graphs(name)
         for k in range(3):
             assert expect(g, g.unit(k + 1)) == g.unit(k).scaled(g.gamma)
+
+    @pytest.mark.parametrize("name", TL_TRIO)
+    def test_undoes_include_up_to_gamma(self, graphs, name):
+        # The squared spins of the edges that include attaches at a vertex
+        # sum to gamma, so contracting the added column gives gamma x.
+        g = graphs(name)
+        rng = random.Random(47)
+        for k in (0, 1, 2):
+            loops = g.enumerate_loops(k)
+            for _ in range(10):
+                x = random_element(rng, loops)
+                assert expect(g, include(g, x)) == x.scaled(g.gamma)
 
     @pytest.mark.parametrize("name", ["C-in-M2", "C-in-C3"])
     def test_bimodule_law_fuzz(self, graphs, name):
@@ -308,99 +328,6 @@ class TestTrace:
                 x = random_element(rng, loops)
                 assert trace(g, include(g, x)) == trace(g, x)
                 assert trace(g, shift(g, x)) == trace(g, x)
-
-
-class TestPrograms:
-    def test_step_validation(self):
-        with pytest.raises(ValidationError):
-            TangleStep("X", 1)
-        with pytest.raises(ValidationError):
-            TangleStep("I", -1)
-        assert TangleStep("U", 2).input_degree == 3
-        assert TangleStep("E", 0).input_degree is None
-
-    def test_parse_and_str_roundtrip(self):
-        for text in ("I1,U1", "E0,M2", "J0", "11,M1,I1"):
-            program = TangleProgram.parse(text)
-            assert str(program) == text
-            assert TangleProgram.parse(str(program)) == program
-
-    def test_parse_rejects_bad_tokens(self):
-        for text in ("", "Q1", "I", "I1;U1", "I-1"):
-            with pytest.raises(ValidationError):
-                TangleProgram.parse(text)
-
-    def test_negative_circles_rejected(self):
-        with pytest.raises(ValidationError):
-            TangleProgram.parse("I1", circles=-1)
-
-    def test_empty_program_rejected(self, graphs):
-        g = graphs("C-in-C2")
-        with pytest.raises(TangleProgramError):
-            run_program(g, TangleProgram(()), [])
-
-    def test_include_then_contract_scales(self, graphs):
-        g = graphs("C-in-C2")
-        x = basis(0, (0,), (0,))
-        result = run_program(g, TangleProgram.parse("I1,U1"), [x])
-        assert result == x.scaled(g.gamma)
-
-    def test_multiply_consumes_aux_input(self, graphs):
-        g = graphs("C-in-M2")
-        x = PlanarElement.basis(Loop.from_paths(0, (0,), (1,)))
-        y = PlanarElement.basis(Loop.from_paths(0, (1,), (0,)))
-        assert run_program(g, TangleProgram.parse("M1"), [x, y]) == x * y
-
-    def test_projection_opens_program(self, graphs):
-        g = graphs("C-in-C2")
-        assert run_program(g, TangleProgram.parse("E0"), []) == jones_projection(g, 0)
-        y = g.unit(2)
-        assert run_program(g, TangleProgram.parse("E0,M2"), [y]) == jones_projection(g, 0) * y
-
-    @pytest.mark.parametrize("name", TL_TRIO)
-    def test_shift_step_matches_shift(self, graphs, name):
-        g = graphs(name)
-        rng = random.Random(34)
-        x = random_element(rng, g.enumerate_loops(1), count=3)
-        for circles in (0, 1, 2):
-            result = run_program(g, TangleProgram.parse("J1", circles), [x])
-            assert result == shift(g, x).scaled(g.gamma**circles)
-        result = run_program(g, TangleProgram.parse("I1,J2,U3", 1), [x])
-        assert result == expect(g, shift(g, include(g, x))).scaled(g.gamma)
-
-    def test_projection_mid_program_rejected(self, graphs):
-        g = graphs("C-in-C2")
-        x = basis(0, (0,), (0,))
-        with pytest.raises(TangleProgramError):
-            run_program(g, TangleProgram.parse("I1,E1"), [x])
-
-    def test_circles_scale_by_eigenvalue(self, graphs):
-        g = graphs("C-in-C2")
-        x = basis(0, (0,), (0,))
-        result = run_program(g, TangleProgram.parse("11", circles=2), [x])
-        assert result == x.scaled(2)
-
-    def test_wrong_input_degree(self, graphs):
-        g = graphs("C-in-C2")
-        with pytest.raises(DegreeMismatchError):
-            run_program(g, TangleProgram.parse("M1"), [g.unit(2), g.unit(1)])
-
-    def test_steps_check_running_degree(self, graphs):
-        g = graphs("C-in-C2")
-        x = basis(0, (0,), (0,))
-        with pytest.raises(DegreeMismatchError) as err:
-            run_program(g, TangleProgram.parse("I1,J1"), [x])
-        assert "step 1" in str(err.value)
-
-    def test_missing_input(self, graphs):
-        g = graphs("C-in-C2")
-        with pytest.raises(TangleProgramError):
-            run_program(g, TangleProgram.parse("M1"), [g.unit(1)])
-
-    def test_unused_input_rejected(self, graphs):
-        g = graphs("C-in-C2")
-        with pytest.raises(TangleProgramError):
-            run_program(g, TangleProgram.parse("11"), [g.unit(1), g.unit(1)])
 
 
 class TestRelations:
