@@ -3,7 +3,9 @@
 The graph of an inclusion has one lower vertex per small block, one upper
 vertex per big block, and m_ij parallel edges between lower vertex i and
 upper vertex j.  Edge ids are assigned in row-major matrix order, parallel
-copies last, so ids are stable and reports are reproducible.
+copies last, so ids are stable and reports are reproducible.  The two step
+tables (`Step`) are the one record of the edges; `edges` and `edge` form
+`Edge` records from them on each read, for callers outside the package.
 
 A loop of degree k is the edge-id sequence (e_1, ..., e_2k) of a closed
 walk based at a lower vertex, alternating upward and downward steps.  In
@@ -343,20 +345,22 @@ class PlanarElement:
                                 acc[c] = acc.get(c, 0) + n * n2
         return PlanarElement._normal(h, self._den * other._den, num)
 
-    def _relabel(self, degree: int, images: Callable[[Path], list[Path]]) -> PlanarElement:
+    def _relabel(self, degree: int, images: Callable[[Path], list[Path]], divisor: int = 1) -> PlanarElement:
         """The degree-`degree` element in which the loop in row r and column c
         becomes the sum over i of the loops in row images(r)[i] and column
-        images(c)[i].  `images` must send the paths of one (base, endpoint)
-        block to lists of one length; its result for each path is reused.
+        images(c)[i], divided by `divisor`.  `images` must send the paths of
+        one (base, endpoint) block to lists of one length; its result for
+        each path is reused.
 
         Each image row is written in stored form with its source row's
         numerators.  When no two image rows meet, no two columns of a row
         have one image and every path has an image, distinct loops go to
-        distinct loops, so the image of a normal element is normal as
-        written.  Otherwise the loops that meet add up and `_store` runs."""
+        distinct loops, so with divisor 1 the image of a normal element is
+        normal as written.  Otherwise the loops that meet add up, or the
+        divisor enters the denominator, and `_store` runs."""
         seen: dict[Path, list[Path]] = {}
         num: dict[RadicalKey, Rows] = {}
-        met = False
+        met = divisor != 1
         for key, rows in self._num.items():
             out = num[key] = {}
             for row, entries in rows.items():
@@ -386,7 +390,7 @@ class PlanarElement:
                             met = True
                             _meet(out, target, image)
         if met:
-            return PlanarElement._normal(degree, self._den, num)
+            return PlanarElement._normal(degree, self._den * divisor, num)
         return _fill(_new(PlanarElement), degree, self._den, num)
 
     def contract_last(self, weights: Sequence[RadicalScalar]) -> PlanarElement:
@@ -552,7 +556,7 @@ def _fill(out: PlanarElement, degree: int, den: int, num: dict[RadicalKey, Rows]
 
 
 class BipartiteGraph:
-    """Weighted bipartite graph of a Markov inclusion with integer index."""
+    """Weighted bipartite graph of a Markov inclusion with integer index; its edges live in the `Step` tables."""
 
     def __init__(self, inclusion: InclusionData):
         self.inclusion = inclusion
@@ -568,18 +572,19 @@ class BipartiteGraph:
         # runs once per (lower, upper) pair with an edge, not once per edge.
         inv_gamma = self.gamma.invert()
         sums = ([RadicalScalar.zero()] * self.num_a, [RadicalScalar.zero()] * self.num_b)
-        edges, spins = [], []
-        # Vertex -> ids of the edges leaving it, filled in ascending id order.
+        # Vertex -> ids of the edges out of it (one list's ints serve both ends),
+        # edge id -> end, spin and squared spin of the up, then the down step.
         ups, downs = [[] for _ in range(self.num_a)], [[] for _ in range(self.num_b)]
+        columns = ([], [], [], [], [], [])
         for i, row in inclusion._sparse.items():
             for j, count in row.items():
                 up_sq = RadicalScalar.from_rational(Fraction(inclusion.b[j], inclusion.a[i])) * inv_gamma
                 up, down_sq = up_sq.sqrt(), up_sq.invert()
-                spins += [(up, up_sq, up.invert(), down_sq)] * count
-                ids = range(len(edges), len(edges) + count)
-                edges += [Edge(e, i, j) for e in ids]
+                ids = list(range(len(columns[0]), len(columns[0]) + count))
                 ups[i] += ids
                 downs[j] += ids
+                for column, value in zip(columns, (j, up, up_sq, i, up.invert(), down_sq)):
+                    column += [value] * count
                 sums[0][i] += up_sq * count
                 sums[1][j] += down_sq * count
         # Jones's condition, exactly: the squared spins out of each vertex sum
@@ -588,12 +593,8 @@ class BipartiteGraph:
             for v, total in enumerate(totals):
                 if total != self.gamma:
                     raise EigenvectorViolationError(f"{side} vertex {v}: squared spins sum to {total}, not gamma")
-        self.edges = tuple(edges)
-        up, up_sq, down, down_sq = zip(*spins)
-        self._steps = (
-            Step(tuple(map(tuple, ups)), tuple(e.dst for e in edges), up, up_sq),
-            Step(tuple(map(tuple, downs)), tuple(e.src for e in edges), down, down_sq),
-        )
+        up_columns, down_columns = map(tuple, columns[:3]), map(tuple, columns[3:])
+        self._steps = (Step(tuple(map(tuple, ups)), *up_columns), Step(tuple(map(tuple, downs)), *down_columns))
 
     @property
     def weights_a(self) -> tuple[RadicalScalar, ...]:
@@ -607,8 +608,13 @@ class BipartiteGraph:
 
     # -- edges and spins ----------------------------------------------------
 
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The `Edge` records, formed on each read from the step tables: no operation reads them."""
+        return tuple(map(Edge, range(len(self._steps[0].end)), self._steps[1].end, self._steps[0].end))
+
     def edge(self, eid: int) -> Edge:
-        return self.edges[eid]
+        return Edge(eid, self._steps[1].end[eid], self._steps[0].end[eid])
 
     def step(self, pos: int) -> Step:
         """The step at position pos of a path out of a lower vertex: the up
@@ -644,7 +650,7 @@ class BipartiteGraph:
         is not a code point."""
         if k < 0:
             raise ValidationError("path length must be nonnegative")
-        check_path_ids(self.num_a, len(self.edges))
+        check_path_ids(self.num_a, len(self._steps[0].end))
         bases = range(self.num_a)
         paths, where = list(encode_path(bases)), [(b, b) for b in bases]
         for pos in range(k):

@@ -18,7 +18,6 @@ action, which holds for every group accepted.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from numbers import Integral
 from typing import Callable, NamedTuple
 
@@ -80,32 +79,27 @@ def make_automorphism(
     _check_permutation(perm_a, g.num_a, "perm_a")
     _check_permutation(perm_b, g.num_b, "perm_b")
 
+    pairs = list(zip(g.step(1).end, g.step(0).end))  # edge id -> (lower, upper)
     if perm_e is None:
         if any(count > 1 for row in g.inclusion._sparse.values() for count in row.values()):
-            raise InvalidAutomorphismError(
-                "graph has parallel edges; perm_e must be given explicitly"
-            )
-        between = {(edge.src, edge.dst): edge.id for edge in g.edges}  # (lower, upper) -> its one edge
+            raise InvalidAutomorphismError("graph has parallel edges; perm_e must be given explicitly")
+        between = {pair: e for e, pair in enumerate(pairs)}  # (lower, upper) -> its one edge
         derived = []
-        for edge in g.edges:
-            image = between.get((perm_a[edge.src], perm_b[edge.dst]))
+        for e, (i, j) in enumerate(pairs):
+            image = between.get((perm_a[i], perm_b[j]))
             if image is None:
                 raise InvalidAutomorphismError(
-                    f"vertex permutations send edge {edge.id} to the pair "
-                    f"(a{perm_a[edge.src]}, b{perm_b[edge.dst]}) which has no edge"
+                    f"vertex permutations send edge {e} to the pair (a{perm_a[i]}, b{perm_b[j]}) which has no edge"
                 )
             derived.append(image)
         perm_e = tuple(derived)
     else:
         perm_e = tuple(perm_e)
-    _check_permutation(perm_e, len(g.edges), "perm_e")
+    _check_permutation(perm_e, len(pairs), "perm_e")
 
-    for edge in g.edges:
-        image = g.edge(perm_e[edge.id])
-        if image.src != perm_a[edge.src] or image.dst != perm_b[edge.dst]:
-            raise InvalidAutomorphismError(
-                f"edge {edge.id} maps to edge {image.id} with incompatible endpoints"
-            )
+    for e, (f, (i, j)) in enumerate(zip(perm_e, pairs)):
+        if pairs[f] != (perm_a[i], perm_b[j]):
+            raise InvalidAutomorphismError(f"edge {e} maps to edge {int(f)} with incompatible endpoints")
     # A weight n / sqrt(dim) is equal across blocks of one side exactly when
     # the block dimensions n are, so the integers decide it.
     for side, dims, perm in (("a", g.inclusion.a, perm_a), ("b", g.inclusion.b, perm_b)):
@@ -150,6 +144,7 @@ def _fixed_subgraphs(g: BipartiteGraph, generators, elements) -> tuple:
     sigma h sigma^-1, which fixes as many loops at every degree, so the
     orbit's elements share one count (docs/closure-multiply-and-burnside.md,
     section 5)."""
+    dst, src = g.step(0).end, g.step(1).end
     shared = {}
     for h in elements:
         bases = tuple([b for b, image in enumerate(h.perm_a) if b == image])
@@ -169,9 +164,8 @@ def _fixed_subgraphs(g: BipartiteGraph, generators, elements) -> tuple:
         bases, edges = key
         fixed = {}  # lower vertex -> upper vertex -> the fixed edges between them
         for f in edges:
-            edge = g.edges[f]
-            row = fixed.setdefault(edge.src, {})
-            row[edge.dst] = row.get(edge.dst, 0) + 1
+            row = fixed.setdefault(src[f], {})
+            row[dst[f]] = row.get(dst[f], 0) + 1
         table.append((bases, _gram(fixed), n))
     return tuple(table)
 
@@ -201,7 +195,7 @@ def close_group(
         if not isinstance(gen, GraphAutomorphism):
             raise ValidationError("generators must be GraphAutomorphism instances")
         gens.append(make_automorphism(g, *gen))
-    found = [GraphAutomorphism(tuple(range(g.num_a)), tuple(range(g.num_b)), tuple(range(len(g.edges))))]
+    found = [GraphAutomorphism(tuple(range(g.num_a)), tuple(range(g.num_b)), tuple(range(len(g.step(0).end))))]
     seen = set(found)
     for element in found:  # breadth first: found grows while it is walked
         for gen in gens:
@@ -244,8 +238,8 @@ def reynolds(group: GroupAction, x: PlanarElement) -> PlanarElement:
     """Group averaging: the exact projection onto the fixed space, in one
     pass that sends each path to its images under all group elements."""
     g = group.graph
-    check_path_ids(g.num_a, len(g.edges))
-    return x._relabel(x.degree, _path_images(group.elements)).scaled(Fraction(1, group.order))
+    check_path_ids(g.num_a, len(g.step(0).end))
+    return x._relabel(x.degree, _path_images(group.elements), group.order)
 
 
 def fixed_space_basis(group: GroupAction, k: int) -> list[PlanarElement]:

@@ -41,7 +41,7 @@ from .radical import RadicalScalar, sum_scalars
 
 def include(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
     """Unital algebra morphism from degree k to degree k+1."""
-    check_path_ids(g.num_a, len(g.edges))
+    check_path_ids(g.num_a, len(g.step(0).end))
     k = x.degree
     attach = [encode_path(out) for out in g.step(k).attach]
     # The vertex that a path's last code point reaches; every path of a
@@ -52,7 +52,7 @@ def include(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
 
 def shift(g: BipartiteGraph, x: PlanarElement) -> PlanarElement:
     """Injective unital algebra morphism from degree k to degree k+2."""
-    check_path_ids(g.num_a, len(g.edges))
+    check_path_ids(g.num_a, len(g.step(0).end))
 
     @cache
     def prefixes(base: str) -> list[Path]:

@@ -123,7 +123,7 @@ MUTATIONS = (
     # -- the path encoding -----------------------------------------------------
     Mutation("init-bottom-unreversed", GRAPH, "ids[0] + ids[:degree:-1]", "ids[0] + ids[degree + 1 :]", (T("elements"),)),
     Mutation("encode-path-unchecked", GRAPH, "except (TypeError, ValueError, OverflowError):", "except ():", (T("elements"),)),
-    Mutation("rows-no-id-check", GRAPH, "        check_path_ids(self.num_a, len(self.edges))\n", "", (T("elements"),)),
+    Mutation("rows-no-id-check", GRAPH, "        check_path_ids(self.num_a, len(self._steps[0].end))\n", "", (T("elements"),)),
     Mutation("include-prepends-edge", TANGLES, "[p + e for e in attach", "[e + p for e in attach", (T("elements"), T("tangles"))),
     Mutation(
         "act-translates-base",
@@ -153,8 +153,8 @@ MUTATIONS = (
     Mutation(
         "down-step-reads-up-spins",
         GRAPH,
-        "tuple(e.src for e in edges), down, down_sq)",
-        "tuple(e.src for e in edges), down, up_sq)",
+        "(j, up, up_sq, i, up.invert(), down_sq)",
+        "(j, up, up_sq, i, up.invert(), up_sq)",
         (T("graph"), T("tangles")),
     ),
     Mutation(
@@ -214,8 +214,8 @@ MUTATIONS = (
     Mutation(
         "fixed-dims-counts-paths",
         SYMMETRY,
-        "row[edge.dst] = row.get(edge.dst, 0) + 1",
-        "row[edge.dst] = 1",
+        "row[dst[f]] = row.get(dst[f], 0) + 1",
+        "row[dst[f]] = 1",
         (T("symmetry"), T("graph")),
     ),
     Mutation(
@@ -257,8 +257,22 @@ MUTATIONS = (
     Mutation(
         "perm-e-keyed-upper-lower",
         SYMMETRY,
-        "between = {(edge.src, edge.dst): edge.id",
-        "between = {(edge.dst, edge.src): edge.id",
+        "between = {pair: e for e, pair",
+        "between = {pair[::-1]: e for e, pair",
+        (T("symmetry"),),
+    ),
+    Mutation(
+        "incidence-compares-upper-ends-only",
+        SYMMETRY,
+        "if pairs[f] != (perm_a[i], perm_b[j]):",
+        "if pairs[f][1] != perm_b[j]:",
+        (T("symmetry"),),
+    ),
+    Mutation(
+        "fixed-subgraphs-ends-swapped",
+        SYMMETRY,
+        "dst, src = g.step(0).end, g.step(1).end",
+        "src, dst = g.step(0).end, g.step(1).end",
         (T("symmetry"),),
     ),
     Mutation(
@@ -303,7 +317,7 @@ MUTATIONS = (
         "p[1:].translate(e) for a, e in maps[:1]]",
         (T("symmetry"),),
     ),
-    Mutation("reynolds-no-graph-check", SYMMETRY, "    check_path_ids(g.num_a, len(g.edges))\n", "", (T("elements"),)),
+    Mutation("reynolds-no-graph-check", SYMMETRY, "    check_path_ids(g.num_a, len(g.step(0).end))\n", "", (T("elements"),)),
     Mutation(
         "group-copy-drops-generators",
         SYMMETRY,

@@ -360,6 +360,14 @@ class TestFixed:
         assert main(args) == 0
         assert capsys.readouterr().out == "k,dim\n0,1\n1,1\n2,2\n"
 
+    def test_csv_dims_of_many_parallel_edges(self, write_inclusion, write_group, capsys):
+        # 200,000 parallel edges under the trivial group: one fixed loop at
+        # degree 0, read without an edge record per edge.
+        group = write_group([])
+        path = write_inclusion("bundle", {"a": [1], "m": [[200000]]})
+        assert main(["fixed", "--input", path, "--group", group, "--kmax", "0", "--format", "csv"]) == 0
+        assert capsys.readouterr().out == "k,dim\n0,1\n"
+
     def test_noncentral_inclusion_reports_null_ergodicity(
         self, write_inclusion, write_group, capsys
     ):
@@ -430,6 +438,16 @@ class TestFixed:
         group = write_group([{"perm_a": [0], "perm_b": [1, 0]}, {"perm_a": [0]}])
         assert main(["fixed", "--input", write_inclusion("C-in-C2"), "--group", group, "--kmax", "1"]) == 2
         assert capsys.readouterr().err == 'input error: generator 1 needs "perm_a" and "perm_b"\n'
+
+    def test_vertex_maps_without_an_edge_image(self, write_inclusion, write_group, capsys):
+        # Edge 0 joins a0 and b0; swapping the small blocks alone sends it to
+        # the pair (a1, b0), which has no edge, so perm_e cannot be derived.
+        path = write_inclusion("mixed", {"a": [1, 1], "m": [[1, 0, 1], [0, 1, 1]]})
+        group = write_group([{"perm_a": [1, 0], "perm_b": [0, 1, 2]}])
+        assert main(["fixed", "--input", path, "--group", group, "--kmax", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: vertex permutations send edge 0 to the pair (a1, b0) which has no edge\n"
 
     @pytest.mark.parametrize(
         "generator",

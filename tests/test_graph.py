@@ -382,12 +382,14 @@ class TestPathBuilder:
     def test_reads_leave_the_graph_as_built(self, name):
         # A graph holds only hashable values, all set in `__init__`, and no
         # read adds, replaces or grows one: each read walks its paths anew.
-        # The vertex weights are not among them; a read forms them.
+        # The vertex weights and the edge records are not among them; a read
+        # forms them, the edges from the step tables.
         g = build_graph(corpus_entry(name).inclusion())
         built = dict(vars(g))
         hash(tuple(built.values()))
-        assert not {"weights_a", "weights_b"} & built.keys()
+        assert not {"weights_a", "weights_b", "edges"} & built.keys()
         assert g.weights_a == g.weights_a and g.weights_a is not g.weights_a
+        assert g.edges == g.edges and g.edges is not g.edges
         for read in (g.rows, lambda k: g.paths_from(0, k), g.enumerate_loops, g.unit):
             read(3)
         g.cup_cap(1, RadicalScalar.one())

@@ -50,7 +50,7 @@ from planaralg import (
 )
 from planaralg import graph, symmetry
 from planaralg.symmetry import SubalgebraCheck, SubalgebraReport
-from conftest import CORPUS_GROUPS, MARKOV_CORPUS, corpus_entry
+from conftest import CORPUS_GROUPS, MARKOV_CORPUS, corpus_entry, generated_markov_inclusions
 from test_graph import random_element
 
 
@@ -137,6 +137,14 @@ class TestMakeAutomorphism:
         with pytest.raises(InvalidAutomorphismError):
             make_automorphism(mixed_blocks_graph, [1, 0], [0, 1, 2])
 
+    def test_derived_edge_map_names_the_missing_pair(self, mixed_blocks_graph):
+        # Edges: 0 = a0-b0, 1 = a0-b2, 2 = a1-b1, 3 = a1-b2.  Swapping the
+        # small blocks alone sends edge 0 to the pair (a1, b0), which has no
+        # edge to derive its image from.
+        with pytest.raises(InvalidAutomorphismError) as refused:
+            make_automorphism(mixed_blocks_graph, [1, 0], [0, 1, 2])
+        assert str(refused.value) == "vertex permutations send edge 0 to the pair (a1, b0) which has no edge"
+
     def test_rejects_incompatible_edge_permutation(self, graphs):
         g = graphs("C-in-M2")
         with pytest.raises(InvalidAutomorphismError):
@@ -148,6 +156,31 @@ class TestMakeAutomorphism:
             make_automorphism(g, [1, 0], [1, 0])
         auto = make_automorphism(g, [1, 0], [1, 0], [2, 3, 0, 1])
         assert auto.perm_e == (2, 3, 0, 1)
+
+
+def test_groups_and_their_counts_build_no_edge_records(graphs, monkeypatch):
+    # Work count: the step tables are the graph's one edge record, so the
+    # graph, the closures (trivial, and Z2xZ2 on C-in-C2xM2 with its swap of
+    # the two parallel edges), the fixed dimensions, the verifier and the
+    # ergodicity test construct no `Edge`.
+    built = Counter()
+    real = graph.Edge
+
+    def counting(*args, **kwargs):
+        built["Edge"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graph, "Edge", counting)
+    gens = dict((name, gens) for name, _, gens in CORPUS_GROUPS)["C-in-C2xM2"]
+    for name, generators in (("C-in-C2", []), ("central-C2-in-M2xM2", []), ("C-in-C2xM2", gens)):
+        g = build_graph(corpus_entry(name).inclusion())
+        group = close_group(g, [make_automorphism(g, *gen) for gen in generators])
+        assert group.order == 4 ** bool(generators)
+        fixed_dims_report(group, 4)
+        assert verify_planar_subalgebra(group, 2).all_passed
+        is_centrally_ergodic(group)
+    assert built == Counter()
+    assert len(graphs("C-in-C2").edges) == 2 and built == {"Edge": 2}
 
 
 class TestCloseGroup:
@@ -1869,6 +1902,21 @@ class TestFixedDimsOnPaths:
             assert sorted((len(bases), count) for bases, _, count in group._fixed) == expected
             cases += 1
         assert cases == 68
+
+    def test_trivial_group_keeps_the_gram_matrix_of_the_inclusion(self):
+        # The identity fixes every edge, so the one entry of the trivial
+        # group holds F F^t for the inclusion matrix F read from lower to
+        # upper vertices, on the side with fewer vertices, the lower one on a
+        # tie: M M^t, or M^t M with more lower vertices.  On the generated
+        # inclusions; on 8 square ones M M^t and M^t M differ.
+        for inc in generated_markov_inclusions():
+            ((bases, gram, count),) = close_group(build_graph(inc), [])._fixed
+            f = inc.m if inc.rows <= inc.cols else tuple(zip(*inc.m))
+            products = {x: {y: sum(map(int.__mul__, f[x], f[y])) for y in range(len(f))} for x in range(len(f))}
+            assert {x: dict(row) for x, row in gram.items()} == {
+                x: {y: n for y, n in row.items() if n} for x, row in products.items()
+            }
+            assert (bases, count) == (tuple(range(inc.rows)), 1)
 
     def test_one_table_of_paths_per_graph(self, monkeypatch):
         # Work count: each reader of the graph's paths (the loops, the cup-cap
