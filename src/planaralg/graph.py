@@ -15,7 +15,8 @@ both rows are length-k paths out of the base meeting at a common endpoint.
 `BipartiteGraph.step(pos)` is the one definition of that alternation, and
 `rows(k)`, which walks them anew on each call, the one enumerator of based
 paths.  `unit(k)` and the cup-cap `cup_cap(k, scale)` build their elements
-straight from those paths.  The graph keeps only what its constructor builds.
+straight from those paths, and `iter_loops(k)` sorts them into their
+(base, endpoint) classes.  The graph keeps only what its constructor builds.
 The span of degree-k loops with radical-scalar coefficients is the degree-k
 piece of the loop algebra, and loops multiply like matrix units indexed by
 (bottom path, top path), so that piece is a direct sum of full matrix
@@ -28,10 +29,14 @@ rows indexed by based paths, a row of one entry held as a bare (column,
 numerator) pair.  A based path is a `Path`, the string with one code point
 per id, so path keys hash once; `Loop` and the path readers other than
 `rows` give int tuples.  The blocks are implicit in the rows, so an element
-needs no graph.  Products are sparse integer matrix products,
-`contract_last` contracts the last column (`expect`), `is_self_adjoint`
-compares each entry with its mirror image and `diagonal_sums` adds up the
-diagonal by blocks (the Temperley-Lieb checks and `trace`).  The private
+needs no graph.  Products are sparse integer matrix products that write a
+row's first entry as a pair, `contract_last` contracts the last column
+(`expect`), `is_self_adjoint` compares each entry with its mirror image and
+`diagonal_sums` adds up the diagonal by blocks (the Temperley-Lieb checks
+and `trace`).  The Temperley-Lieb checks also read stored rows through two
+private methods: `_is_quotient` compares x with y / r on the stored forms,
+and `_product_is_self_adjoint` tests a product's rows before the
+normal-form pass (docs/temperley-lieb-adjoint.md, section 9).  The private
 `_relabel` sends rows and columns to lists of image paths and writes the
 image rows in stored form; its callers (`include`, `shift`, the group
 action and its average) keep its rule that the paths of one block have
@@ -146,15 +151,17 @@ class PathTable(NamedTuple):
 
     paths: list[Path]  # id -> chr(base) + chr(e1) + ... + chr(ek)
     where: list[tuple[int, int]]  # id -> (base, endpoint)
-    classes: dict[tuple[int, int], list[int]]  # (base, endpoint) -> its ids, by reversed path
+
+
 # The numerators of one radical key as sparse matrix rows: the loop with
 # bottom row b and top row t out of a base is the matrix unit in the row of
 # the based path (base, *b) and the column of (base, *t).  A row with one
 # entry is stored as the pair (column, numerator), a longer row as a dict
 # column -> numerator: the rows of sparse elements mostly hold one entry,
 # and the pair takes 56 bytes where a one-entry dict takes 224 (CPython
-# 3.11).  Operations accumulate rows as dicts and `_store` stores them in
-# normal form; `_relabel` writes its rows in stored form (see `PlanarElement`).
+# 3.11).  Operations accumulate rows as dicts, products as pairs until a
+# second entry meets them, and `_store` stores them in normal form;
+# `_relabel` writes its rows in stored form (see `PlanarElement`).
 Row = tuple[Path, int] | dict[Path, int]
 Rows = dict[Path, Row]
 AccRows = dict[Path, dict[Path, int]]
@@ -286,25 +293,32 @@ class PlanarElement:
     def _compose(self, other: PlanarElement) -> PlanarElement:
         """Matrix-unit product: the top row of the left factor must equal the
         bottom row of the right factor; the product keeps the left bottom row
-        and the right top row.  One sparse integer matrix product for each
-        left key, each key product formed once, and one gcd for the result.
-        With K right keys, the right rows are indexed by path across them
-        when K - 1 times the left rows exceeds twice the right rows, so each
-        left entry is looked up once; otherwise (always when K = 1) the left
-        rows are walked once per right key.  Indexing a right row costs
-        about what two walks of a left row save."""
-        h = self.degree
-        if h != other.degree:
-            raise DegreeMismatchError(f"multiplying degrees {h} and {other.degree}")
+        and the right top row.  The rows of `_product`, with one normal-form
+        pass."""
+        return PlanarElement._normal(self.degree, self._den * other._den, self._product(other))
+
+    def _product(self, other: PlanarElement) -> dict[RadicalKey, Rows]:
+        """The integer rows of self * other over the denominator
+        self._den * other._den, accumulated and not yet in normal form: a
+        row's first entry is written as a pair and a second one that meets
+        it makes it a dict, and an entry may have cancelled to 0.  One
+        sparse integer matrix product for each left key, each key product
+        formed once.  With K right keys, the right rows are indexed by path
+        across them when K - 1 times the left rows exceeds twice the right
+        rows, so each left entry is looked up once; otherwise (always when
+        K = 1) the left rows are walked once per right key.  Indexing a
+        right row costs about what two walks of a left row save."""
+        if self.degree != other.degree:
+            raise DegreeMismatchError(f"multiplying degrees {self.degree} and {other.degree}")
         right = other._num
-        index: dict[Path, list[tuple[int, Iterable[tuple[Path, int]]]]] | None = None
+        index: dict[Path, list[tuple[int, Row]]] | None = None
         if (len(right) - 1) * sum(map(len, self._num.values())) > 2 * sum(map(len, right.values())):
-            # Path -> (key slot, its right row's pairs) for each key that has the row.
+            # Path -> (key slot, its right row as stored) for each key that has the row.
             index = {}
             for slot, rows2 in enumerate(right.values()):
                 for mid, entries in rows2.items():
-                    index.setdefault(mid, []).append((slot, _pairs(entries)))
-        num: dict[RadicalKey, AccRows] = {}
+                    index.setdefault(mid, []).append((slot, entries))
+        num: dict[RadicalKey, Rows] = {}
         for k1, rows1 in self._num.items():
             # Key slot -> (result rows, folded integer); a left key times
             # distinct right keys gives distinct reduced keys.
@@ -322,28 +336,39 @@ class PlanarElement:
                             if found is None:
                                 continue
                             n1 *= factor
-                            found = (found,) if found.__class__ is tuple else found.items()
                             if acc is None:
-                                acc = target[row] = {c: n1 * n2 for c, n2 in found}
-                            else:
-                                for c, n2 in found:
-                                    acc[c] = acc.get(c, 0) + n1 * n2
+                                acc = target[row] = (
+                                    (found[0], n1 * found[1])
+                                    if found.__class__ is tuple
+                                    else {c: n1 * n2 for c, n2 in found.items()}
+                                )
+                                continue
+                            if acc.__class__ is tuple:
+                                acc = target[row] = dict((acc,))
+                            for c, n2 in (found,) if found.__class__ is tuple else found.items():
+                                acc[c] = acc.get(c, 0) + n1 * n2
                 continue
             for row, entries in rows1.items():
                 for mid, n1 in (entries,) if entries.__class__ is tuple else entries.items():
                     hits = index.get(mid)
                     if hits is None:
                         continue
-                    for slot, pairs in hits:
+                    for slot, found in hits:
                         target, factor = slots[slot]
                         n = n1 * factor
                         acc = target.get(row)
                         if acc is None:
-                            target[row] = {c: n * n2 for c, n2 in pairs}
-                        else:
-                            for c, n2 in pairs:
-                                acc[c] = acc.get(c, 0) + n * n2
-        return PlanarElement._normal(h, self._den * other._den, num)
+                            target[row] = (
+                                (found[0], n * found[1])
+                                if found.__class__ is tuple
+                                else {c: n * n2 for c, n2 in found.items()}
+                            )
+                            continue
+                        if acc.__class__ is tuple:
+                            acc = target[row] = dict((acc,))
+                        for c, n2 in (found,) if found.__class__ is tuple else found.items():
+                            acc[c] = acc.get(c, 0) + n * n2
+        return num
 
     def _relabel(self, degree: int, images: Callable[[Path], list[Path]], divisor: int = 1) -> PlanarElement:
         """The degree-`degree` element in which the loop in row r and column c
@@ -418,15 +443,24 @@ class PlanarElement:
         """Whether x* == x: the involution swaps the row and the column of
         each loop and keeps its real coefficient, so x is self-adjoint when
         every key's matrix is symmetric (docs/temperley-lieb-adjoint.md,
-        section 1).  Builds no second element."""
-        for rows in self._num.values():
-            for row, entries in rows.items():
-                # `_pairs`, written out: every entry is read.
-                for col, n in (entries,) if entries.__class__ is tuple else entries.items():
-                    mirror = rows.get(col)
-                    if mirror is None or (mirror != (row, n) if mirror.__class__ is tuple else mirror.get(row) != n):
-                        return False
-        return True
+        section 1), the test `_symmetric` on the stored rows.  Builds no
+        second element."""
+        return _symmetric(self._num)
+
+    def _product_is_self_adjoint(self, other: PlanarElement) -> bool:
+        """Whether self * other is self-adjoint, tested on the rows of
+        `_product` with no normal-form pass."""
+        return _symmetric(self._product(other))
+
+    def _is_quotient(self, other: PlanarElement, r: int) -> bool:
+        """Whether self == other / r, for a positive integer r.  When r
+        divides self's denominator, r self has normal form (self._den / r,
+        self's numerators), so the stored forms are compared as they are;
+        otherwise other / r is formed (docs/temperley-lieb-adjoint.md,
+        section 9)."""
+        if self._den % r:
+            return self == other.scaled(Fraction(1, r))
+        return self.degree == other.degree and other._den == self._den // r and other._num == self._num
 
     def diagonal_sums(self, block: Callable[[Path], Hashable]) -> dict[Hashable, RadicalScalar]:
         """block(p) -> the sum of the coefficients of the diagonal loops, both
@@ -480,6 +514,22 @@ def _integer_rows(
             n *= scale
             num.setdefault(key, {}).setdefault(row, {})[col] = shared.setdefault(n, n)
     return den, num
+
+
+def _symmetric(num: dict[RadicalKey, Rows]) -> bool:
+    """Whether every key's matrix of rows is symmetric, on stored rows or on
+    the accumulated rows of `_product`: an entry that cancelled to 0 counts
+    as absent, and the denominator does not enter."""
+    for rows in num.values():
+        for row, entries in rows.items():
+            # `_pairs`, written out: every entry is read.
+            for col, n in (entries,) if entries.__class__ is tuple else entries.items():
+                if not n:
+                    continue
+                mirror = rows.get(col)
+                if mirror is None or (mirror != (row, n) if mirror.__class__ is tuple else mirror.get(row) != n):
+                    return False
+    return True
 
 
 def _pairs(row: Row) -> Iterable[tuple[Path, int]]:
@@ -644,10 +694,7 @@ class BipartiteGraph:
         """The based paths of length k as `Path` strings, walked anew on
         every call: those of length k + 1 are those of length k in id order,
         each extended by the edges step k attaches at its end, ascending.
-        Each class lists its ids by reversed path, from one stable sort of
-        all ids, so each row in id order paired with the rows of its class is
-        the canonical loop order.  ResourceLimitError when an id of the graph
-        is not a code point."""
+        ResourceLimitError when an id of the graph is not a code point."""
         if k < 0:
             raise ValidationError("path length must be nonnegative")
         check_path_ids(self.num_a, len(self._steps[0].end))
@@ -658,10 +705,7 @@ class BipartiteGraph:
             out = [encode_path(ids) for ids in attach]  # vertex -> its edges' code points
             paths = [p + f for p, (_, v) in zip(paths, where) for f in out[v]]
             where = [(ord(p[0]), end[ord(p[-1])]) for p in paths]
-        classes = {key: [] for key in where}
-        for r in sorted(range(len(paths)), key=lambda r: paths[r][:0:-1]):
-            classes[where[r]].append(r)
-        return PathTable(paths, where, classes)
+        return PathTable(paths, where)
 
     def paths_from(self, base: int, k: int) -> list[tuple[int, ...]]:
         """All alternating edge-id paths of length k out of a lower vertex,
@@ -671,15 +715,20 @@ class BipartiteGraph:
         return [decode_path(p[1:]) for p in self.rows(k).paths if ord(p[0]) == base]
 
     def iter_loops(self, k: int) -> Iterator[Loop]:
-        """Degree-k loops in canonical order: each top row with the bottom rows of its class."""
-        paths, where, classes = self.rows(k)
+        """Degree-k loops in canonical order: each top row, in id order, with
+        the rows of its (base, endpoint) class as bottom rows, by reversed
+        path, from one sort of all rows."""
+        paths, where = self.rows(k)
         paths = [decode_path(p) for p in paths]
         reversed_bottoms = [p[:0:-1] for p in paths]
+        classes = {key: [] for key in where}
+        for bottom, key in sorted(zip(reversed_bottoms, where)):
+            classes[key].append(bottom)
         for path, key in zip(paths, where):
             top = path[1:]
             # Both rows have length k, so Loop's check is skipped.
-            for s in classes[key]:
-                yield tuple.__new__(Loop, (path[0], top + reversed_bottoms[s]))
+            for bottom in classes[key]:
+                yield tuple.__new__(Loop, (path[0], top + bottom))
 
     def enumerate_loops(self, k: int) -> list[Loop]:
         return list(self.iter_loops(k))
@@ -693,7 +742,7 @@ class BipartiteGraph:
         """The cup-cap element of degree k + 2 times scale: spin(t) spin(u) scale
         in row p u u and column p t t, for p of length k and u and t attachable
         at p's end."""
-        paths, where, _ = self.rows(k)
+        paths, where = self.rows(k)
         attach, _, spin, _ = self.step(k)
         # Vertex -> (u u, t t, coefficient) for u, then t, attachable there: one product each.
         bounces = [

@@ -19,6 +19,7 @@ action, which holds for every group accepted.
 from __future__ import annotations
 
 from numbers import Integral
+from operator import eq
 from typing import Callable, NamedTuple
 
 from .errors import (
@@ -45,9 +46,9 @@ class GraphAutomorphism(NamedTuple):
     def compose(self, then: GraphAutomorphism) -> GraphAutomorphism:
         """First self, then the other."""
         return GraphAutomorphism(
-            tuple(then.perm_a[i] for i in self.perm_a),
-            tuple(then.perm_b[j] for j in self.perm_b),
-            tuple(then.perm_e[e] for e in self.perm_e),
+            tuple(map(then.perm_a.__getitem__, self.perm_a)),
+            tuple(map(then.perm_b.__getitem__, self.perm_b)),
+            tuple(map(then.perm_e.__getitem__, self.perm_e)),
         )
 
 
@@ -136,37 +137,46 @@ class GroupAction:
 
 
 def _fixed_subgraphs(g: BipartiteGraph, generators, elements) -> tuple:
-    """One pair (fixed lower vertices, fixed edges) from each orbit of the
-    elements' pairs under the generators, as (bases, gram, count): count
-    elements have a pair in the orbit, and gram is the Gram matrix F F^t of
-    the fixed edges' multiplicity matrix F on its smaller side, empty when
-    no edge is fixed.  A generator sigma maps the pair of h onto that of
+    """One pair (fixed lower vertices, fixed edges counted per bundle) from
+    each orbit of the elements' pairs under the generators, as (bases,
+    gram, count): count elements have a pair in the orbit, and gram is the
+    Gram matrix F F^t of the fixed edges' multiplicity matrix F on its
+    smaller side, empty when no edge is fixed.  The m_ij parallel edges
+    from lower vertex i to upper vertex j are one bundle, a run of
+    consecutive ids, and only a bundle whose two ends an element fixes can
+    hold its fixed edges.  A generator sigma maps the pair of h onto that of
     sigma h sigma^-1, which fixes as many loops at every degree, so the
     orbit's elements share one count (docs/closure-multiply-and-burnside.md,
     section 5)."""
-    dst, src = g.step(0).end, g.step(1).end
+    bundles, first = [], 0  # (i, j, first id, end id) in id order
+    for i, row in g.inclusion._sparse.items():
+        for j, count in row.items():
+            bundles.append((i, j, first, first + count))
+            first += count
     shared = {}
     for h in elements:
-        bases = tuple([b for b, image in enumerate(h.perm_a) if b == image])
-        key = (bases, frozenset([f for f, image in enumerate(h.perm_e) if f == image]))
+        a, b, e = h
+        bases = tuple([v for v, image in enumerate(a) if v == image])
+        fixed = [(i, j, sum(map(eq, e[lo:hi], range(lo, hi)))) for i, j, lo, hi in bundles if a[i] == i and b[j] == j]
+        key = (bases, frozenset([bundle for bundle in fixed if bundle[2]]))
         shared[key] = shared.get(key, 0) + 1
     table = []
     while shared:
         key, n = shared.popitem()
         pending = [key]
         while pending:
-            bases, edges = pending.pop()
+            bases, fixed = pending.pop()
             for sigma in generators:
-                image = (tuple(sorted([sigma.perm_a[b] for b in bases])), frozenset([sigma.perm_e[f] for f in edges]))
+                a, b = sigma.perm_a, sigma.perm_b
+                image = (tuple(sorted([a[v] for v in bases])), frozenset([(a[i], b[j], c) for i, j, c in fixed]))
                 if image in shared:
                     n += shared.pop(image)
                     pending.append(image)
-        bases, edges = key
-        fixed = {}  # lower vertex -> upper vertex -> the fixed edges between them
-        for f in edges:
-            row = fixed.setdefault(src[f], {})
-            row[dst[f]] = row.get(dst[f], 0) + 1
-        table.append((bases, _gram(fixed), n))
+        bases, fixed = key
+        matrix = {}  # lower vertex -> upper vertex -> the fixed edges between them
+        for i, j, c in fixed:
+            matrix.setdefault(i, {})[j] = c
+        table.append((bases, _gram(matrix), n))
     return tuple(table)
 
 

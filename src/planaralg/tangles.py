@@ -121,10 +121,13 @@ def verify_temperley_lieb(g: BipartiteGraph, kmax: int) -> list[RelationCheck]:
 
     Every e_k is self-adjoint and `include` commutes with the involution,
     so with X = low e_l the other product e_l low is X*: a far commute
-    holds exactly when X is self-adjoint.  The two bounces share A =
-    low high: low high low = A low and high low high = high A.  So a check
-    up to kmax forms (kmax + 1) + 3 kmax + kmax (kmax - 1) / 2 products,
-    and `trace` forms none (docs/temperley-lieb-adjoint.md).
+    holds exactly when X is self-adjoint, tested on X's accumulated rows
+    before any normal-form pass.  The two bounces share A = low high:
+    low high low = A low and high low high = high A, each compared with
+    low / r or high / r on the stored forms, with no copy built when r
+    divides the product's denominator.  So a check up to kmax forms
+    (kmax + 1) + 3 kmax + kmax (kmax - 1) / 2 products, and `trace` forms
+    none (docs/temperley-lieb-adjoint.md).
     """
     if kmax < 0:
         raise ValidationError("kmax must be nonnegative")
@@ -140,9 +143,9 @@ def verify_temperley_lieb(g: BipartiteGraph, kmax: int) -> list[RelationCheck]:
         low = include(g, proj[k])
         high = proj[k + 1]
         shared = low * high
-        bounces.append(RelationCheck("bounce-low", (k, k + 1), shared * low == low.scaled(inv_r)))
-        bounces.append(RelationCheck("bounce-high", (k + 1, k), high * shared == high.scaled(inv_r)))
+        bounces.append(RelationCheck("bounce-low", (k, k + 1), (shared * low)._is_quotient(low, g.r)))
+        bounces.append(RelationCheck("bounce-high", (k + 1, k), (high * shared)._is_quotient(high, g.r)))
         for l in range(k + 2, kmax + 1):
             low = include(g, low)
-            far_commutes.append(RelationCheck("far-commute", (k, l), (low * proj[l]).is_self_adjoint()))
+            far_commutes.append(RelationCheck("far-commute", (k, l), low._product_is_self_adjoint(proj[l])))
     return checks + bounces + far_commutes

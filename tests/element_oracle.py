@@ -276,6 +276,15 @@ def path_ids(g, k: int) -> list[tuple[int, ...]]:
     return [decode_path(p) for p in g.rows(k).paths]
 
 
+def row_classes(g, k: int) -> dict[tuple[int, int], list[int]]:
+    """(base, endpoint) -> the ids of the graph's rows of length k in that
+    class, in id order, read off `g.rows(k).where`."""
+    classes = {}
+    for r, key in enumerate(g.rows(k).where):
+        classes.setdefault(key, []).append(r)
+    return classes
+
+
 def row_images(group, k: int) -> list[list[int]]:
     """The ids of the images of the graph's rows of degree k under the group
     elements, images[element][row], built by induction on the degree: a row

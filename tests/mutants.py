@@ -117,6 +117,42 @@ MUTATIONS = (
         "(entries != (col, n) if entries.__class__ is tuple else entries.get(col) != n)",
         (T("elements"), T("tangles")),
     ),
+    Mutation(
+        "symmetric-reads-zero-entries",
+        GRAPH,
+        "if not n:\n                    continue\n",
+        "if False:\n                    continue\n",
+        (T("elements"), T("tangles")),
+    ),
+    Mutation("symmetric-one-direction", GRAPH, "if not n:\n", "if not n or col < row:\n", (T("elements"), T("tangles"))),
+    Mutation(
+        "quotient-drops-denominator-test",
+        GRAPH,
+        "other._den == self._den // r and other._num == self._num",
+        "other._num == self._num",
+        (T("elements"), T("tangles")),
+    ),
+    Mutation(
+        "quotient-in-place-when-r-does-not-divide",
+        GRAPH,
+        "if self._den % r:\n",
+        "if not self._den:\n",
+        (T("elements"), T("tangles")),
+    ),
+    Mutation(
+        "compose-keeps-pair-when-met",
+        GRAPH,
+        "                            if acc.__class__ is tuple:\n                                acc = target[row] = dict((acc,))",
+        "                            if acc.__class__ is tuple:\n                                acc = dict((acc,))",
+        (T("elements"),),
+    ),
+    Mutation(
+        "compose-index-keeps-pair-when-met",
+        GRAPH,
+        "                        if acc.__class__ is tuple:\n                            acc = target[row] = dict((acc,))",
+        "                        if acc.__class__ is tuple:\n                            acc = dict((acc,))",
+        (T("elements"),),
+    ),
     Mutation("diagonal-sums-read-first-column", GRAPH, "else entries.get(row, 0)", "else next(iter(entries.values()))", (T("elements"), T("tangles"))),
     Mutation("shared-table-per-call", GRAPH, "shared = _SHARED\n", "shared = {}\n", (T("elements"),)),
     Mutation("shares-paths-not-numerators", GRAPH, "[col] = shared.setdefault(n, n)", "[col] = n", (T("elements"),)),
@@ -165,7 +201,13 @@ MUTATIONS = (
         (T("graph"),),
     ),
     Mutation("down-attach-from-lower-end", GRAPH, "downs[j] += ids", "downs[i % self.num_b] += ids", (T("graph"),)),
-    Mutation("rows-classes-descending", GRAPH, "key=lambda r: paths[r][:0:-1])", "key=lambda r: paths[r][:0:-1], reverse=True)", (T("graph"), T("symmetry"))),
+    Mutation(
+        "loop-classes-descending",
+        GRAPH,
+        "sorted(zip(reversed_bottoms, where))",
+        "sorted(zip(reversed_bottoms, where), reverse=True)",
+        (T("graph"), T("symmetry")),
+    ),
     Mutation(
         "paths-from-no-base-check",
         GRAPH,
@@ -177,8 +219,8 @@ MUTATIONS = (
     Mutation(
         "iter-loops-pairs-every-row",
         GRAPH,
-        "            for s in classes[key]:\n                yield",
-        "            for s in range(len(paths)):\n                yield",
+        "            for bottom in classes[key]:\n                yield",
+        "            for bottom in reversed_bottoms:\n                yield",
         (T("graph"),),
     ),
     Mutation("cup-cap-spin-t-t", GRAPH, "spin[t] * spin[u] * scale", "spin[t] * spin[t] * scale", (T("graph"), T("tangles"), T("cli"))),
@@ -208,14 +250,20 @@ MUTATIONS = (
     ),
     Mutation("trace-weight-at-base", TANGLES, "Fraction(dims[z], a[v] * power)", "Fraction(dims[v], a[v] * power)", (T("tangles"),)),
     Mutation("trace-power-rounded-down", TANGLES, "power = g.r ** ((k + 1) // 2)", "power = g.r ** (k // 2)", (T("tangles"),)),
-    Mutation("bounce-high-as-shared-high", TANGLES, "high * shared == high.scaled(inv_r)", "shared * high == high.scaled(inv_r)", (T("tangles"),)),
+    Mutation(
+        "bounce-high-as-shared-high",
+        TANGLES,
+        "(high * shared)._is_quotient(high, g.r)",
+        "(shared * high)._is_quotient(high, g.r)",
+        (T("tangles"),),
+    ),
     # -- groups and fixed dimensions -------------------------------------------
     Mutation("fixed-dims-while-true", SYMMETRY, "        if gram:\n", "        if True:\n", (T("symmetry"),)),
     Mutation(
         "fixed-dims-counts-paths",
         SYMMETRY,
-        "row[dst[f]] = row.get(dst[f], 0) + 1",
-        "row[dst[f]] = 1",
+        "matrix.setdefault(i, {})[j] = c",
+        "matrix.setdefault(i, {})[j] = 1",
         (T("symmetry"), T("graph")),
     ),
     Mutation(
@@ -236,7 +284,21 @@ MUTATIONS = (
         "fixed-subgraphs-read-rows",
         SYMMETRY,
         "    table = []\n",
-        "    paths, where, classes = g.rows(0)\n    table = []\n",
+        "    paths, where = g.rows(0)\n    table = []\n",
+        (T("symmetry"),),
+    ),
+    Mutation(
+        "bundle-count-with-moved-upper-end",
+        SYMMETRY,
+        "if a[i] == i and b[j] == j]",
+        "if a[i] == i]",
+        (T("symmetry"),),
+    ),
+    Mutation(
+        "fixed-key-image-keeps-upper-end",
+        SYMMETRY,
+        "(a[i], b[j], c) for i, j, c in fixed]",
+        "(a[i], j, c) for i, j, c in fixed]",
         (T("symmetry"),),
     ),
     Mutation(
@@ -271,8 +333,8 @@ MUTATIONS = (
     Mutation(
         "fixed-subgraphs-ends-swapped",
         SYMMETRY,
-        "dst, src = g.step(0).end, g.step(1).end",
-        "src, dst = g.step(0).end, g.step(1).end",
+        "matrix.setdefault(i, {})[j] = c",
+        "matrix.setdefault(j, {})[i] = c",
         (T("symmetry"),),
     ),
     Mutation(

@@ -10,6 +10,7 @@ several radical parts.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -26,6 +27,7 @@ from planaralg import (
     ResourceLimitError,
     ValidationError,
     act,
+    build_graph,
     close_group,
     expect,
     fixed_space_basis,
@@ -38,8 +40,9 @@ from planaralg import (
     trace,
 )
 import planaralg.graph as graph_module
-from planaralg.graph import CODE_POINTS, Step, decode_path
+from planaralg.graph import CODE_POINTS, Step, decode_path, encode_path
 from conftest import CORPUS_GROUPS, MARKOV_CORPUS, corpus_entry
+from products import tensor_inclusion
 
 MARKOV_GRAPHS = ("C-in-C2", "C-in-C3", "C2-in-M2", "C-in-C2xM2")
 DEGREES = (0, 1, 2, 3, 4)
@@ -176,6 +179,11 @@ def check_algebra(g, pool) -> None:
         agree(ystar * star, (rx * ry).adjoint())
         assert x.is_self_adjoint() == (star == x)
         assert (x + star).is_self_adjoint() and (x * star).is_self_adjoint()
+        # The same test on the accumulated rows of a product, before the
+        # normal-form pass, against the oracle's involution.
+        product = rx * ry
+        assert x._product_is_self_adjoint(y) == (x * y).is_self_adjoint() == (product.adjoint().terms == product.terms)
+        assert x._product_is_self_adjoint(star)
         assert (x + star + y).is_self_adjoint() == (y == ystar)
         blocks = x.diagonal_sums(lambda p: (ord(p[0]), oracle.path_end(g, ord(p[0]), decode_path(p[1:]))))
         assert blocks == oracle.diagonal_sums(g, rx)
@@ -553,6 +561,81 @@ def test_cancelling_product_with_radical_parts(graphs):
     assert_normal(product)
     assert product.is_zero()
     assert (oracle.RefElement.of(x) * oracle.RefElement.of(y)).terms == {}
+
+
+def test_symmetry_of_accumulated_rows_skips_cancelled_entries(graphs):
+    # Over two parallel edges p and q, with E_bt the loop of bottom row b and
+    # top row t, each product accumulates E_pq - E_pq, a 0 in row p and
+    # column q.  (E_pp + E_pq)(E_pq - E_qq) is zero and (E_pp + E_pq)(E_pp +
+    # E_pq - E_qq) is E_pp, both self-adjoint though row q holds no mirror of
+    # the 0; adding E_qq on the left and E_qp on the right gives E_pp - E_qq +
+    # E_qp, which is not.  The raw-row test agrees with the normalised
+    # product and with the oracle's involution.
+    g = graphs("C-in-C2xM2")
+    p, q = (2,), (3,)
+
+    def unit(bottom, top, c=1):
+        return PlanarElement(1, {Loop.from_paths(0, top, bottom): c})
+
+    x, y = unit(p, p) + unit(p, q), unit(p, q) - unit(q, q)
+    for left, right, adjoint in ((x, y, True), (x, y + unit(p, p), True), (x + unit(q, q), y + unit(q, p), False)):
+        [rows] = left._product(right).values()
+        assert rows[encode_path((0, *p))][encode_path((0, *q))] == 0
+        product = oracle.RefElement.of(left) * oracle.RefElement.of(right)
+        assert (product.adjoint().terms == product.terms) == adjoint
+        assert left._product_is_self_adjoint(right) == (left * right).is_self_adjoint() == adjoint
+
+
+def copied_rows(x: PlanarElement) -> dict:
+    """A copy of x's rows, every row as a new dict, for `_normal` to take."""
+    return {key: {row: dict(graph_module._pairs(entries)) for row, entries in rows.items()} for key, rows in x._num.items()}
+
+
+def one_numerator_changed(y: PlanarElement) -> PlanarElement:
+    """y with 1 added to the first numerator of its first row."""
+    num = copied_rows(y)
+    entries = next(iter(next(iter(num.values())).values()))
+    entries[next(iter(entries))] += 1
+    return PlanarElement._normal(y.degree, y._den, num)
+
+
+# Tensor products of corpus inclusions, for `_is_quotient` on larger indices.
+PRODUCT_PAIRS = (("C-in-C2", "C-in-C2"), ("C-in-C2", "C2-in-M2"), ("C-in-C3", "C-in-C2xM2"))
+
+
+@pytest.mark.parametrize("name", [e.name for e in MARKOV_CORPUS] + ["*".join(pair) for pair in PRODUCT_PAIRS])
+def test_quotient_in_place_matches_the_scaled_copy(graphs, name):
+    # x._is_quotient(y, r) against x == y.scaled(1 / r), for the index r,
+    # 2 and 3 and elements y of degrees 0-3 (seeded sums of loops, Jones
+    # projections and bounce products): for x = y / r exactly, for y with
+    # one numerator changed, for y over another denominator with x's
+    # numerators, and for x = y and y r, where r need not divide x's
+    # denominator and the scaled copy is compared.  Both ways are taken.
+    if "*" in name:
+        first, second = (corpus_entry(part).inclusion() for part in name.split("*"))
+        g = build_graph(tensor_inclusion(first, second))
+    else:
+        g = graphs(name)
+    pool = radical_pool(g)
+    elements = [jones_projection(g, 0), jones_projection(g, 1), include(g, jones_projection(g, 0)) * jones_projection(g, 1)]
+    for k in range(3):
+        rng = random.Random(f"quotient:{name}:{k}")
+        loops = shared_loops(rng, g, k)
+        elements += [random_element(rng, loops, pool, k) for _ in range(3)]
+    ways = Counter()
+    for y in elements:
+        for r in {g.r, 2, 3}:
+            x = y.scaled(Fraction(1, r))
+            pairs = [(x, y, True), (y, y.scaled(r), True)]
+            if not y.is_zero():
+                pairs += [(x, one_numerator_changed(y), False), (y, one_numerator_changed(y.scaled(r)), False)]
+                if x._den % r == 0:
+                    other = PlanarElement._normal(y.degree, x._den // r * 1000003, copied_rows(x))
+                    pairs.append((x, other, False))
+            for left, right, expected in pairs:
+                assert left._is_quotient(right, r) == (left == right.scaled(Fraction(1, r))) == expected
+                ways["in place" if left._den % r == 0 else "scaled copy"] += 1
+    assert ways["in place"] and ways["scaled copy"]
 
 
 def test_product_makes_no_scalar_products(graphs, monkeypatch):

@@ -416,9 +416,10 @@ class TestPathBuilder:
 class TestGeneratedCorpus:
     def test_loops_rows_and_fixed_dims(self):
         # On each inclusion: the loops are sorted and as many as the trace
-        # formula counts, each class lists its ids by reversed path, and the
-        # trivial group's fixed dimensions, closed walks of the fixed
-        # subgraph's Gram matrix, equal the dense matrix count of loops.
+        # formula counts, they are the pairs of rows of one (base, endpoint)
+        # class, and the trivial group's fixed dimensions, closed walks of
+        # the fixed subgraph's Gram matrix, equal the dense matrix count of
+        # loops.
         inclusions = generated_markov_inclusions()
         assert len(inclusions) == 300
         assert {analyze(inc).r for inc in inclusions} == {*range(1, 13), *range(15, 19), 24}
@@ -427,9 +428,9 @@ class TestGeneratedCorpus:
             for k in range(4):
                 loops = g.enumerate_loops(k)
                 assert loops == sorted(loops) and len(loops) == loop_space_dim(inc, k)
-                paths, classes = oracle.path_ids(g, k), g.rows(k).classes
-                for ids in classes.values():
-                    assert ids == sorted(ids, key=lambda r: paths[r][:0:-1])
+                paths, classes = oracle.path_ids(g, k), oracle.row_classes(g, k).values()
+                pairs = [(paths[t], paths[u]) for ids in classes for t in ids for u in ids]
+                assert loops == sorted(Loop.from_paths(t[0], t[1:], u[1:]) for t, u in pairs)
             dims = list(itertools.islice(oracle.loop_space_dims(inc), 7))
             assert fixed_dims_report(close_group(g, []), 6) == dims
 

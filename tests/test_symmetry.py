@@ -1879,29 +1879,59 @@ class TestFixedDimsOnPaths:
 
     def test_one_entry_per_orbit_of_fixed_subgraphs(self, graphs):
         # The group's table against the orbits of the elements' pairs (fixed
-        # bases, fixed edges) under conjugation, found here from every
-        # element rather than from the generators: one entry per orbit, with
-        # its number of fixed bases and the number of elements in the orbit.
+        # bases, fixed edges counted per (lower, upper) bundle) under
+        # conjugation, found here from every element rather than from the
+        # generators: one entry per orbit, with its number of fixed bases and
+        # the number of elements in the orbit.  The last case, Z2xZ2 swapping
+        # two pairs of the four parallel edges of a=[1], m=[[4]], has two
+        # elements that fix different copies, two each, and is not conjugate:
+        # they share one entry, where their fixed edge sets would give two.
+        bundle = build_graph(InclusionData([1], [[4]]))
+        swaps = close_group(bundle, [make_automorphism(bundle, [0], [0], p) for p in ([1, 0, 2, 3], [0, 1, 3, 2])])
         cases = 0
-        for group, _ in [*_oracle_cases(graphs), *_seeded_automorphism_groups(graphs, 20095, 40)]:
+        for group, _ in [*_oracle_cases(graphs), *_seeded_automorphism_groups(graphs, 20095, 40), (swaps, 4)]:
+            ends = list(zip(group.graph.step(1).end, group.graph.step(0).end))  # edge id -> (lower, upper)
             pairs = Counter(
                 (
                     tuple(b for b, image in enumerate(h.perm_a) if b == image),
-                    frozenset(f for f, image in enumerate(h.perm_e) if f == image),
+                    frozenset(Counter(ends[f] for f, image in enumerate(h.perm_e) if f == image).items()),
                 )
                 for h in group.elements
             )
             orbits = {
                 frozenset(
-                    (tuple(sorted(s.perm_a[b] for b in bases)), frozenset(s.perm_e[f] for f in edges))
+                    (tuple(sorted(s.perm_a[b] for b in bases)), frozenset(((s.perm_a[i], s.perm_b[j]), c) for (i, j), c in counts))
                     for s in group.elements
                 )
-                for bases, edges in pairs
+                for bases, counts in pairs
             }
             expected = sorted((len(next(iter(orbit))[0]), sum(pairs[pair] for pair in orbit)) for orbit in orbits)
             assert sorted((len(bases), count) for bases, _, count in group._fixed) == expected
             cases += 1
-        assert cases == 68
+        assert cases == 69
+        assert sorted(count for _, _, count in swaps._fixed) == [1, 1, 2]
+        assert fixed_dims_report(swaps, 4) == [row_burnside_count(swaps, k) for k in range(5)]
+
+    def test_fixed_edges_are_counted_in_bundles_with_fixed_ends(self, graphs, monkeypatch):
+        # Work count: an element's fixed edges can lie only in a bundle whose
+        # two ends it fixes, so only those bundles' edges are compared, one
+        # `operator.eq` call each.  On C-in-C2xM2 (bundles of 1, 1 and 2
+        # edges) under Z2xZ2, swapping b0 and b1 and the two parallel edges:
+        # 4 + 2 + 4 + 2, where comparing every bundle would take 16.
+        calls = 0
+
+        def counting_eq(x, y):
+            nonlocal calls
+            calls += 1
+            return x == y
+
+        monkeypatch.setattr(symmetry, "eq", counting_eq)
+        g = graphs("C-in-C2xM2")
+        gens = [make_automorphism(g, [0], [1, 0, 2], [1, 0, 2, 3]), make_automorphism(g, [0], [0, 1, 2], [0, 1, 3, 2])]
+        group = close_group(g, gens)
+        assert calls == 12
+        assert sorted(count for _, _, count in group._fixed) == [1, 1, 1, 1]
+        assert fixed_dims_report(group, 3) == [row_burnside_count(group, k) for k in range(4)]
 
     def test_trivial_group_keeps_the_gram_matrix_of_the_inclusion(self):
         # The identity fixes every edge, so the one entry of the trivial
@@ -1922,20 +1952,19 @@ class TestFixedDimsOnPaths:
         # Work count: each reader of the graph's paths (the loops, the cup-cap
         # of degree m + 2 from the rows of length m, the unit and the fixed
         # basis) walks exactly one `rows` table per call, into a table of its
-        # own; the loop readers and the basis read each class once per row,
-        # and the graph and the group are left as they were.  On fresh
-        # graphs: the trivial group of C-in-C at degree 1000, S4 on C-in-C4.
+        # own; the loop readers and the basis sort the rows into their
+        # classes once, the cup-cap and the unit not at all, and the graph
+        # and the group are left as they were.  On fresh graphs: the trivial
+        # group of C-in-C at degree 1000, S4 on C-in-C4.
         calls, rows, table = Counter(), BipartiteGraph.rows, graph.PathTable
 
-        class Counted(list):
-            def __iter__(self):
-                calls["class reads"] += 1
-                return super().__iter__()
+        def counting_sorted(*args, **kwargs):
+            calls["sorts"] += 1
+            return sorted(*args, **kwargs)
 
         def counting_rows(self, k):
             calls["rows", k] += 1
-            found = rows(self, k)
-            return found._replace(classes={key: Counted(ids) for key, ids in found.classes.items()})
+            return rows(self, k)
 
         def counting_table(*args):
             calls["tables"] += 1
@@ -1950,20 +1979,21 @@ class TestFixedDimsOnPaths:
             kept = [getattr(group, slot) for slot in group.__slots__]
             n = len(rows(g, k).paths)
             readers = (
-                (lambda: g.enumerate_loops(k), k, n),
-                (lambda: list(g.iter_loops(k)), k, n),
+                (lambda: g.enumerate_loops(k), k, 1),
+                (lambda: list(g.iter_loops(k)), k, 1),
                 (lambda: g.cup_cap(k - 2, one), k - 2, 0),
                 (lambda: jones_projection_raw(g, k - 2), k - 2, 0),
                 (lambda: g.unit(k), k, 0),
-                (lambda: fixed_space_basis(group, k), k, n),
+                (lambda: fixed_space_basis(group, k), k, 1),
             )
             with monkeypatch.context() as patch:
                 patch.setattr(BipartiteGraph, "rows", counting_rows)
                 patch.setattr(graph, "PathTable", counting_table)
-                for read, degree, reads in readers:
+                patch.setattr(graph, "sorted", counting_sorted, raising=False)
+                for read, degree, sorts in readers:
                     calls.clear()
                     read()
-                    assert calls == Counter({("rows", degree): 1, "tables": 1, "class reads": reads})
+                    assert calls == Counter({("rows", degree): 1, "tables": 1, "sorts": sorts})
             assert vars(g).keys() == built.keys() and all(vars(g)[key] is value for key, value in built.items())
             assert all(getattr(group, slot) is value for slot, value in zip(group.__slots__, kept))
             assert group.__slots__ == ("graph", "generators", "elements", "_fixed")
@@ -2017,7 +2047,7 @@ def stabiliser_orbit_count(group, k: int) -> int:
     by fixed points: one row r chosen per orbit of rows holds one loop orbit
     per orbit of Stab(r) on its class (docs/closure-multiply-and-burnside.md,
     section 9), counted once per stabiliser and class."""
-    images, classes = oracle.row_images(group, k), group.graph.rows(k).classes
+    images, classes = oracle.row_images(group, k), oracle.row_classes(group.graph, k)
     fixing = [[] for _ in images[0]]
     for i, im in enumerate(images):
         for r, image in enumerate(im):
@@ -2042,7 +2072,7 @@ def row_burnside_count(group, k: int) -> int:
     row exactly when the row's image id is its own (Lemma 5), so it fixes
     the sum over classes of (fixed rows of the class)^2 loops.  It compares
     |G| x |rows of degree k| ids, exponential in k."""
-    images, classes = oracle.row_images(group, k), group.graph.rows(k).classes.values()
+    images, classes = oracle.row_images(group, k), oracle.row_classes(group.graph, k).values()
     total = sum(sum(im[r] == r for r in rows) ** 2 for im in images for rows in classes)
     assert total % group.order == 0
     return total // group.order

@@ -386,21 +386,22 @@ class TestRelations:
         # (the bounces share low high) and one per far commute (the other
         # order is the adjoint), (kmax + 1) + 3 kmax + kmax (kmax - 1) / 2
         # in all, 40 at kmax 6 where comparing each relation as written took
-        # 61; `trace` contracts nothing.
+        # 61; `trace` contracts nothing.  The product accumulator is
+        # counted: a far commute tests its rows with no normal-form pass.
         products, contractions = 0, 0
-        compose, contract_last = PlanarElement._compose, PlanarElement.contract_last
+        product, contract_last = PlanarElement._product, PlanarElement.contract_last
 
-        def counting_compose(x, y):
+        def counting_product(x, y):
             nonlocal products
             products += 1
-            return compose(x, y)
+            return product(x, y)
 
         def counting_contract_last(x, weights):
             nonlocal contractions
             contractions += 1
             return contract_last(x, weights)
 
-        monkeypatch.setattr(PlanarElement, "_compose", counting_compose)
+        monkeypatch.setattr(PlanarElement, "_product", counting_product)
         monkeypatch.setattr(PlanarElement, "contract_last", counting_contract_last)
         g = graphs("C-in-C2")
         for kmax in range(7):
