@@ -15,8 +15,10 @@ both rows are length-k paths out of the base meeting at a common endpoint.
 `BipartiteGraph.step(pos)` is the one definition of that alternation, and
 `rows(k)`, which walks them anew on each call, the one enumerator of based
 paths.  `unit(k)` and the cup-cap `cup_cap(k, scale)` build their elements
-straight from those paths, and `iter_loops(k)` sorts them into their
-(base, endpoint) classes.  The graph keeps only what its constructor builds.
+straight from those paths, and `_loop_rows(k)` sorts them into their
+(base, endpoint) classes, for `iter_loops(k)` and for the orbit sums of
+`fixed_space_basis`, which `PlanarElement._of_paths` builds from path
+strings.  The graph keeps only what its constructor builds.
 The span of degree-k loops with radical-scalar coefficients is the degree-k
 piece of the loop algebra, and loops multiply like matrix units indexed by
 (bottom path, top path), so that piece is a direct sum of full matrix
@@ -33,10 +35,12 @@ needs no graph.  Products are sparse integer matrix products that write a
 row's first entry as a pair, `contract_last` contracts the last column
 (`expect`), `is_self_adjoint` compares each entry with its mirror image and
 `diagonal_sums` adds up the diagonal by blocks (the Temperley-Lieb checks
-and `trace`).  The Temperley-Lieb checks also read stored rows through two
+and `trace`).  The Temperley-Lieb checks also read stored rows through three
 private methods: `_is_quotient` compares x with y / r on the stored forms,
-and `_product_is_self_adjoint` tests a product's rows before the
-normal-form pass (docs/temperley-lieb-adjoint.md, section 9).  The private
+`_product_is_self_adjoint` tests a product's rows before the normal-form
+pass (docs/temperley-lieb-adjoint.md, section 9), and `_restricted` keeps
+the rows of some length-k prefixes, for the checks on one prefix block per
+endpoint (docs/temperley-lieb-blocks.md).  The private
 `_relabel` sends rows and columns to lists of image paths and writes the
 image rows in stored form; its callers (`include`, `shift`, the group
 action and its average) keep its rule that the paths of one block have
@@ -225,6 +229,13 @@ class PlanarElement:
         """Trusted constructor over integer rows that the caller built and
         hands over (see `_store`)."""
         return _store(_new(cls), degree, den, num)
+
+    @classmethod
+    def _of_paths(cls, degree: int, pairs: Iterable[tuple[Path, Path]]) -> PlanarElement:
+        """The sum, each coefficient one, of the loops in row r and column c
+        for the distinct pairs (r, c) of based paths of length degree."""
+        one = RadicalScalar.one()
+        return cls._normal(degree, *_integer_rows([(row, col, one) for row, col in pairs]))
 
     @classmethod
     def basis(cls, loop: Loop) -> PlanarElement:
@@ -461,6 +472,20 @@ class PlanarElement:
         if self._den % r:
             return self == other.scaled(Fraction(1, r))
         return self.degree == other.degree and other._den == self._den // r and other._num == self._num
+
+    def _restricted(self, prefixes: set[Path], k: int) -> PlanarElement:
+        """The element of the rows whose first k + 1 code points, the base
+        and k edges, lie in prefixes, with one normal-form pass on copies of
+        the kept dict rows, so self's rows are never changed
+        (docs/temperley-lieb-blocks.md)."""
+        num: dict[RadicalKey, Rows] = {}
+        for key, rows in self._num.items():
+            num[key] = {
+                row: entries if entries.__class__ is tuple else dict(entries)
+                for row, entries in rows.items()
+                if row[: k + 1] in prefixes
+            }
+        return PlanarElement._normal(self.degree, self._den, num)
 
     def diagonal_sums(self, block: Callable[[Path], Hashable]) -> dict[Hashable, RadicalScalar]:
         """block(p) -> the sum of the coefficients of the diagonal loops, both
@@ -714,21 +739,26 @@ class BipartiteGraph:
             raise ValidationError(f"no lower vertex {base}")
         return [decode_path(p[1:]) for p in self.rows(k).paths if ord(p[0]) == base]
 
+    def _loop_rows(self, k: int) -> tuple[PathTable, dict[tuple[int, int], list[Path]]]:
+        """The paths of length k, and the paths of each (base, endpoint)
+        class by reversed path, from one sort of all of them: the degree-k
+        loops in canonical order are each path in id order as the top row
+        (the column) with the paths of its class as bottom rows (the rows)."""
+        table = self.rows(k)
+        classes = {key: [] for key in table.where}
+        for _, key, path in sorted(zip([p[:0:-1] for p in table.paths], table.where, table.paths)):
+            classes[key].append(path)
+        return table, classes
+
     def iter_loops(self, k: int) -> Iterator[Loop]:
-        """Degree-k loops in canonical order: each top row, in id order, with
-        the rows of its (base, endpoint) class as bottom rows, by reversed
-        path, from one sort of all rows."""
-        paths, where = self.rows(k)
-        paths = [decode_path(p) for p in paths]
-        reversed_bottoms = [p[:0:-1] for p in paths]
-        classes = {key: [] for key in where}
-        for bottom, key in sorted(zip(reversed_bottoms, where)):
-            classes[key].append(bottom)
+        """Degree-k loops in canonical order (`_loop_rows`)."""
+        (paths, where), classes = self._loop_rows(k)
+        bottoms = {key: [decode_path(p[:0:-1]) for p in rows] for key, rows in classes.items()}
         for path, key in zip(paths, where):
-            top = path[1:]
+            base, top = ord(path[0]), decode_path(path[1:])
             # Both rows have length k, so Loop's check is skipped.
-            for bottom in classes[key]:
-                yield tuple.__new__(Loop, (path[0], top + bottom))
+            for bottom in bottoms[key]:
+                yield tuple.__new__(Loop, (base, top + bottom))
 
     def enumerate_loops(self, k: int) -> list[Loop]:
         return list(self.iter_loops(k))

@@ -18,6 +18,7 @@ action, which holds for every group accepted.
 
 from __future__ import annotations
 
+from functools import cache
 from numbers import Integral
 from operator import eq
 from typing import Callable, NamedTuple
@@ -31,7 +32,6 @@ from .errors import (
 )
 from .graph import BipartiteGraph, Loop, Path, PlanarElement, check_path_ids, encode_path
 from .markov import _closed_walks, _gram, analyze
-from .radical import RadicalScalar
 
 DEFAULT_GROUP_LIMIT = 10080
 
@@ -255,17 +255,22 @@ def reynolds(group: GroupAction, x: PlanarElement) -> PlanarElement:
 def fixed_space_basis(group: GroupAction, k: int) -> list[PlanarElement]:
     """Unnormalized orbit sums of degree-k loops, in canonical order of each
     orbit's first loop: a basis of the fixed space.  The loops are walked
-    in the order of iter_loops, and each loop that no earlier orbit holds
-    starts a new orbit, its images under the group elements, each of them
-    one loop of the sum (docs/closure-multiply-and-burnside.md, sections 1
-    and 2).  It keeps nothing on the group."""
-    one = RadicalScalar.one()
+    in the order of iter_loops, as the (row, column) pairs of path strings
+    of `_loop_rows`, and each loop that no earlier orbit holds starts a new
+    orbit, its images under the group elements (`_path_images` of both
+    paths), each of them one loop of the sum, with no loop decoded
+    (docs/closure-multiply-and-burnside.md, sections 1 and 2).  It keeps
+    nothing on the group."""
+    images = cache(_path_images(group.elements))
+    (paths, where), classes = group.graph._loop_rows(k)
     basis, seen = [], set()
-    for loop in group.graph.iter_loops(k):
-        if loop not in seen:
-            orbit = {act_loop(h, loop) for h in group.elements}
-            seen |= orbit
-            basis.append(PlanarElement(k, dict.fromkeys(orbit, one)))
+    for top, key in zip(paths, where):
+        for bottom in classes[key]:
+            if (bottom, top) not in seen:
+                # A loop is the pair (row, column) = (bottom, top) of its paths.
+                orbit = dict.fromkeys(zip(images(bottom), images(top)))
+                seen.update(orbit)
+                basis.append(PlanarElement._of_paths(k, orbit))
     return basis
 
 

@@ -119,6 +119,15 @@ def verify_temperley_lieb(g: BipartiteGraph, kmax: int) -> list[RelationCheck]:
     degree at a time, and the far-commute checks of e_k reuse the chain
     that starts at its bounce embedding; only the current link is kept.
 
+    e_k, and every element these checks form from e_j and its inclusions
+    with j >= k, is a direct sum of one block per length-k prefix path,
+    and the block depends only on the prefix's endpoint.  So the
+    idempotent check of e_k and the bounces of (k, k + 1) run on the rows
+    of one prefix per endpoint (`_prefix_representatives`), restricted by
+    `PlanarElement._restricted`, and give the verdicts of the whole
+    elements (docs/temperley-lieb-blocks.md).  The traces and far commutes
+    read whole elements.
+
     Every e_k is self-adjoint and `include` commutes with the involution,
     so with X = low e_l the other product e_l low is X*: a far commute
     holds exactly when X is self-adjoint, tested on X's accumulated rows
@@ -132,20 +141,34 @@ def verify_temperley_lieb(g: BipartiteGraph, kmax: int) -> list[RelationCheck]:
     if kmax < 0:
         raise ValidationError("kmax must be nonnegative")
     proj = {k: jones_projection(g, k) for k in range(kmax + 1)}
+    reps = {k: _prefix_representatives(g, k) for k in range(kmax + 1)}
     inv_r = g.gamma.invert() ** 2
     checks = []
     for k in range(kmax + 1):
-        e = proj[k]
+        e = proj[k]._restricted(reps[k], k)
         checks.append(RelationCheck("idempotent", (k,), e * e == e))
-        checks.append(RelationCheck("trace", (k,), trace(g, e) == inv_r))
+        checks.append(RelationCheck("trace", (k,), trace(g, proj[k]) == inv_r))
     bounces, far_commutes = [], []
     for k in range(kmax):
-        low = include(g, proj[k])
-        high = proj[k + 1]
+        # The full embedding starts the far-commute chain; the bounces read
+        # its representative blocks.
+        chain = include(g, proj[k])
+        low = chain._restricted(reps[k], k)
+        high = proj[k + 1]._restricted(reps[k], k)
         shared = low * high
         bounces.append(RelationCheck("bounce-low", (k, k + 1), (shared * low)._is_quotient(low, g.r)))
         bounces.append(RelationCheck("bounce-high", (k + 1, k), (high * shared)._is_quotient(high, g.r)))
         for l in range(k + 2, kmax + 1):
-            low = include(g, low)
-            far_commutes.append(RelationCheck("far-commute", (k, l), low._product_is_self_adjoint(proj[l])))
+            chain = include(g, chain)
+            far_commutes.append(RelationCheck("far-commute", (k, l), chain._product_is_self_adjoint(proj[l])))
     return checks + bounces + far_commutes
+
+
+def _prefix_representatives(g: BipartiteGraph, k: int) -> set[Path]:
+    """One based path of length k per endpoint: the first of `g.rows(k)`
+    that reaches it."""
+    paths, where = g.rows(k)
+    first: dict[int, Path] = {}
+    for path, (_, end) in zip(paths, where):
+        first.setdefault(end, path)
+    return set(first.values())

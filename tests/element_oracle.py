@@ -14,6 +14,9 @@ walks of a Gram matrix.
 the reference for `planaralg.verify_temperley_lieb`: every relation is
 compared as written, two products per far commute and two triple products
 per adjacent pair, and every trace is the repeated expectation of `trace`.
+`verify_temperley_lieb_full` is the fast reference: the library's checks
+on whole elements, before the idempotent and bounce checks read one
+prefix block per endpoint.
 
 Not a test module (no `test_` prefix): pytest does not collect it.
 """
@@ -210,6 +213,31 @@ def verify_temperley_lieb(g, kmax: int) -> list[RelationCheck]:
         for l in range(k + 2, kmax + 1):
             low = tangles.include(g, low)
             far_commutes.append(RelationCheck("far-commute", (k, l), low * proj[l] == proj[l] * low))
+    return checks + bounces + far_commutes
+
+
+def verify_temperley_lieb_full(g, kmax: int) -> list[RelationCheck]:
+    """The checks of `planaralg.verify_temperley_lieb` on whole elements:
+    every relation over all prefix blocks, with the library's products,
+    its traces and its shared bounce product.  The fast reference for the
+    checks on one prefix block per endpoint."""
+    proj = {k: tangles.jones_projection(g, k) for k in range(kmax + 1)}
+    inv_r = g.gamma.invert() ** 2
+    checks = []
+    for k in range(kmax + 1):
+        e = proj[k]
+        checks.append(RelationCheck("idempotent", (k,), e * e == e))
+        checks.append(RelationCheck("trace", (k,), tangles.trace(g, e) == inv_r))
+    bounces, far_commutes = [], []
+    for k in range(kmax):
+        low = tangles.include(g, proj[k])
+        high = proj[k + 1]
+        shared = low * high
+        bounces.append(RelationCheck("bounce-low", (k, k + 1), (shared * low)._is_quotient(low, g.r)))
+        bounces.append(RelationCheck("bounce-high", (k + 1, k), (high * shared)._is_quotient(high, g.r)))
+        for l in range(k + 2, kmax + 1):
+            low = tangles.include(g, low)
+            far_commutes.append(RelationCheck("far-commute", (k, l), low._product_is_self_adjoint(proj[l])))
     return checks + bounces + far_commutes
 
 

@@ -204,8 +204,8 @@ MUTATIONS = (
     Mutation(
         "loop-classes-descending",
         GRAPH,
-        "sorted(zip(reversed_bottoms, where))",
-        "sorted(zip(reversed_bottoms, where), reverse=True)",
+        "table.where, table.paths))",
+        "table.where, table.paths), reverse=True)",
         (T("graph"), T("symmetry")),
     ),
     Mutation(
@@ -219,8 +219,8 @@ MUTATIONS = (
     Mutation(
         "iter-loops-pairs-every-row",
         GRAPH,
-        "            for bottom in classes[key]:\n                yield",
-        "            for bottom in reversed_bottoms:\n                yield",
+        "            for bottom in bottoms[key]:\n                yield",
+        "            for bottom in [b for rows in bottoms.values() for b in rows]:\n                yield",
         (T("graph"),),
     ),
     Mutation("cup-cap-spin-t-t", GRAPH, "spin[t] * spin[u] * scale", "spin[t] * spin[t] * scale", (T("graph"), T("tangles"), T("cli"))),
@@ -244,8 +244,8 @@ MUTATIONS = (
     Mutation(
         "far-commute-embeds-from-scratch",
         TANGLES,
-        "            low = include(g, low)\n",
-        "            low = proj[k]\n            for _ in range(l - k):\n                low = include(g, low)\n",
+        "            chain = include(g, chain)\n",
+        "            chain = proj[k]\n            for _ in range(l - k):\n                chain = include(g, chain)\n",
         (T("tangles"),),
     ),
     Mutation("trace-weight-at-base", TANGLES, "Fraction(dims[z], a[v] * power)", "Fraction(dims[v], a[v] * power)", (T("tangles"),)),
@@ -255,6 +255,36 @@ MUTATIONS = (
         TANGLES,
         "(high * shared)._is_quotient(high, g.r)",
         "(shared * high)._is_quotient(high, g.r)",
+        (T("tangles"),),
+    ),
+    # -- Temperley-Lieb checks on one prefix block per endpoint ---------------
+    Mutation(
+        "tl-blocks-one-endpoint",
+        TANGLES,
+        "    return set(first.values())\n",
+        "    return set(list(first.values())[:1])\n",
+        (T("tangles"),),
+    ),
+    Mutation("restricted-prefix-k-code-points", GRAPH, "if row[: k + 1] in prefixes", "if row[:k] in prefixes", (T("tangles"),)),
+    Mutation(
+        "restricted-skips-normal-form",
+        GRAPH,
+        "return PlanarElement._normal(self.degree, self._den, num)",
+        "return _fill(_new(PlanarElement), self.degree, self._den, num)",
+        (T("tangles"),),
+    ),
+    Mutation(
+        "restricted-shares-source-rows",
+        GRAPH,
+        "row: entries if entries.__class__ is tuple else dict(entries)",
+        "row: entries",
+        (T("tangles"),),
+    ),
+    Mutation(
+        "bounce-high-against-unrestricted",
+        TANGLES,
+        "(high * shared)._is_quotient(high, g.r)",
+        "(high * shared)._is_quotient(proj[k + 1], g.r)",
         (T("tangles"),),
     ),
     # -- groups and fixed dimensions -------------------------------------------
@@ -304,18 +334,18 @@ MUTATIONS = (
     Mutation(
         "basis-orbit-top-bottom-swapped",
         SYMMETRY,
-        "{act_loop(h, loop) for h in group.elements}",
-        "{act_loop(h, Loop.from_paths(loop.base, loop.bottom(), loop.top())) for h in group.elements}",
+        "zip(images(bottom), images(top))",
+        "zip(images(top), images(bottom))",
         (T("symmetry"),),
     ),
     Mutation(
         "basis-orbit-from-generators",
         SYMMETRY,
-        "{act_loop(h, loop) for h in group.elements}",
-        "{act_loop(h, loop) for h in group.generators}",
+        "cache(_path_images(group.elements))",
+        "cache(_path_images(group.generators))",
         (T("symmetry"),),
     ),
-    Mutation("basis-seen-not-updated", SYMMETRY, "            seen |= orbit\n", "", (T("symmetry"),)),
+    Mutation("basis-seen-not-updated", SYMMETRY, "                seen.update(orbit)\n", "", (T("symmetry"),)),
     Mutation(
         "perm-e-keyed-upper-lower",
         SYMMETRY,
@@ -340,8 +370,8 @@ MUTATIONS = (
     Mutation(
         "basis-walks-rows-twice",
         SYMMETRY,
-        "    for loop in group.graph.iter_loops(k):\n",
-        "    list(group.graph.iter_loops(k))\n    for loop in group.graph.iter_loops(k):\n",
+        "    (paths, where), classes = group.graph._loop_rows(k)\n",
+        "    group.graph.rows(k)\n    (paths, where), classes = group.graph._loop_rows(k)\n",
         (T("symmetry"),),
     ),
     Mutation(

@@ -1002,7 +1002,7 @@ def test_symmetry_imports_nothing_from_tangles():
     # generating operations in reach, element work cannot quietly return.
     source = Path(__file__).resolve().parent.parent / "src" / "planaralg" / "symmetry.py"
     modules = _imported_modules(source)
-    assert {"graph", "radical"} <= modules
+    assert {"errors", "graph", "markov"} <= modules
     assert not any(m == "tangles" or m.startswith("tangles.") for m in modules)
 
 
@@ -1424,6 +1424,16 @@ class TestRowIdWalk:
             assert kept_degree(g, group.generators, 3) == 3
             for backward in (False, True):
                 assert self._agree(group, 3, backward).all_passed
+
+    def test_basis_matches_the_loop_walk_on_corpus_groups(self, graphs):
+        # The orbit sums built from path strings equal those built from
+        # decoded loops and `act_loop`, in the same order, one degree past
+        # each group's checks.
+        for name, kmax, gens in CORPUS_GROUPS:
+            g = graphs(name)
+            group = close_group(g, [make_automorphism(g, *gen) for gen in gens])
+            for k in range(kmax + 2):
+                assert fixed_space_basis(group, k) == loop_walk_basis(group, k)
 
     @pytest.mark.parametrize("name", [e.name for e in MARKOV_CORPUS])
     def test_walk_order_is_iter_loops_order(self, graphs, name):

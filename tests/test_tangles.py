@@ -15,6 +15,7 @@ from planaralg import (
     Loop,
     PlanarElement,
     RadicalScalar,
+    RelationCheck,
     ValidationError,
     build_graph,
     expect,
@@ -25,6 +26,8 @@ from planaralg import (
     trace,
     verify_temperley_lieb,
 )
+from planaralg import tangles
+from planaralg.graph import decode_path, encode_path
 from planaralg.radical import sqrt_of_int
 import element_oracle as oracle
 from conftest import MARKOV_CORPUS, TL_TRIO
@@ -481,3 +484,99 @@ class TestRelations:
                 values.add(trace(g, x))
                 assert trace(g, x) == oracle.trace(g, oracle.RefElement.of(x))
         assert len(values) > 5
+
+
+def _representatives(g, k) -> dict[int, tuple[int, ...]]:
+    """Endpoint -> the representative prefix of `verify_temperley_lieb` that
+    reaches it, as ids (base, e1, ..., ek)."""
+    paths, where = g.rows(k)
+    ends = {path: end for path, (_, end) in zip(paths, where)}
+    return {ends[p]: decode_path(p) for p in tangles._prefix_representatives(g, k)}
+
+
+def _prefix_blocks(x: PlanarElement, k: int) -> dict[tuple[int, ...], dict]:
+    """Length-k prefix -> its block of x: (row suffix, column suffix) ->
+    coefficient, the rows and columns as ids (base, e1, ...)."""
+    blocks = {}
+    for loop, coeff in x.terms.items():
+        row, col = (loop.base, *loop.bottom()), (loop.base, *loop.top())
+        assert row[: k + 1] == col[: k + 1]
+        blocks.setdefault(row[: k + 1], {})[row[k + 1 :], col[k + 1 :]] = coeff
+    return blocks
+
+
+class TestRepresentativeBlocks:
+    """The idempotent and bounce checks read one prefix block per endpoint
+    (docs/temperley-lieb-blocks.md)."""
+
+    @pytest.mark.parametrize("name", [e.name for e in MARKOV_CORPUS])
+    def test_matches_the_full_check(self, graphs, name):
+        # The checks on whole elements give the same list at every kmax up
+        # to 6: relations, indices, verdicts and order.
+        g = graphs(name)
+        for kmax in range(7):
+            assert verify_temperley_lieb(g, kmax) == oracle.verify_temperley_lieb_full(g, kmax)
+
+    @pytest.mark.parametrize("name", [e.name for e in MARKOV_CORPUS])
+    def test_projection_blocks_depend_on_the_endpoint_only(self, graphs, name):
+        # The lemma's premise: each entry of e_k has a row and a column with
+        # one length-k prefix, and the block of every prefix is that of its
+        # endpoint's representative with the prefix swapped.  There is one
+        # representative per endpoint, the first path that reaches it.
+        g = graphs(name)
+        for k in range(5):
+            paths, where = g.rows(k)
+            reps = _representatives(g, k)
+            assert len(tangles._prefix_representatives(g, k)) == len(reps) == len({end for _, end in where})
+            firsts = {}
+            for path, (_, end) in zip(paths, where):
+                firsts.setdefault(end, decode_path(path))
+            assert reps == firsts
+            blocks = _prefix_blocks(jones_projection(g, k), k)
+            assert set(blocks) == {decode_path(p) for p in paths}
+            for path, (_, end) in zip(paths, where):
+                assert blocks[decode_path(path)] == blocks[reps[end]]
+
+    def test_restricted_keeps_the_blocks_in_normal_form(self, graphs):
+        # Half a loop of the block of (0, 0) and a row of two loops of the
+        # block of (0, 1) on C-in-M2: the restriction to (0, 1) has
+        # denominator 1, and its source keeps its terms.
+        g = graphs("C-in-M2")
+        terms = {
+            Loop.from_paths(0, (0, 0), (0, 0)): Fraction(1, 2),
+            Loop.from_paths(0, (1, 0), (1, 0)): 1,
+            Loop.from_paths(0, (1, 1), (1, 0)): 1,
+        }
+        x = PlanarElement(2, terms)
+        before = x.terms
+        kept = x._restricted({encode_path((0, 1))}, 1)
+        assert kept == PlanarElement(2, {loop: 1 for loop in list(terms)[1:]})
+        assert x.terms == before and x == PlanarElement(2, terms)
+        assert x._restricted({encode_path((0, 0)), encode_path((0, 1))}, 1) == x
+        assert x._restricted(set(), 1).is_zero()
+        for k in range(1, 4):
+            e = jones_projection(g, k)
+            before = e.terms
+            reps = tangles._prefix_representatives(g, k)
+            assert e._restricted(reps, k).terms.keys() < before.keys()
+            assert e.terms == before
+
+    @pytest.mark.parametrize("name", ["C-in-C2xM2", "C2-in-M2", "C-M2-in-M2xM4"])
+    def test_a_defect_on_a_representative_block_fails_both_checks(self, graphs, monkeypatch, name):
+        # e_k plus a diagonal loop of one representative block, for every
+        # representative: the checks on blocks and on whole elements give
+        # the same list, in which the idempotent relation of e_k fails.
+        g = graphs(name)
+        real = tangles.jones_projection
+        failing = set()
+        for k in (1, 2):
+            for rep in _representatives(g, k).values():
+                e = real(g, k)
+                loop = next(l for l in e.terms if l.top() == l.bottom() and (l.base, *l.top()[:k]) == rep)
+                defect = e + PlanarElement.basis(loop)
+                monkeypatch.setattr(tangles, "jones_projection", lambda g, j: defect if j == k else real(g, j))
+                checks = verify_temperley_lieb(g, 3)
+                assert checks == oracle.verify_temperley_lieb_full(g, 3)
+                assert RelationCheck("idempotent", (k,), False) in checks
+                failing.update((c.relation, c.indices) for c in checks if not c.passed)
+        assert {relation for relation, _ in failing} >= {"idempotent", "trace", "bounce-low", "bounce-high"}
